@@ -29,20 +29,32 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     Processes targets along a linear extension; for a pair x < z every route
     (x -> y, then the cover y -> z) must give the same composite.  Checking
     all incoming covers of every pair is a complete functoriality test.
+    Targets come in the order of ``base.linear_extension()``, sources x of
+    a target in the canonical order of ``base.elements`` and covers into it
+    in the order of ``base.covers()``, so the first diagnostic is
+    deterministic.  Down-sets and incoming covers are gathered once from
+    the up-sets and the cover list, so the bookkeeping costs O(|<=| log n)
+    and the checks one composite per pair x < z and cover y -> z with
+    x <= y.
     Returns (table, diagnostics); a nonempty diagnostics list means failure
     and the table is only partial.
     """
     table = {}
     diagnostics = []
+    below = {e: [] for e in base.elements}
     for e in base.elements:
         table[(e, e)] = identity_at(e)
+        for z in base.up(e):
+            if z != e:
+                below[z].append(e)
+    incoming = {e: [] for e in base.elements}
+    for cov in base.covers():
+        incoming[cov[1]].append(cov)
     for z in base.linear_extension():
-        below = [x for x in base.elements if base.le(x, z) and x != z]
-        incoming = base.covers_into(z)
-        for x in below:
+        for x in below[z]:
             value = None
             witness = None
-            for (y, _) in incoming:
+            for (y, _) in incoming[z]:
                 if not base.le(x, y):
                     continue
                 cand = compose_pair(table[(x, y)], cover_value((y, z)))

@@ -21,7 +21,7 @@ class Ordinal:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is bool or not isinstance(self.n, int) or self.n < 0:
             raise DomainError(f"ordinal index must be a nonnegative int, got {self.n!r}")
 
     def __str__(self):
@@ -51,8 +51,9 @@ class DeltaMap:
         vs = self.values
         if len(vs) != self.src.size:
             raise DomainError(f"map on {self.src} needs {self.src.size} values, got {len(vs)}")
+        top = self.dst.n
         for v in vs:
-            if not isinstance(v, int) or not 0 <= v <= self.dst.n:
+            if type(v) is bool or not isinstance(v, int) or not 0 <= v <= top:
                 raise DomainError(f"value {v!r} outside {self.dst}")
         if any(vs[i] > vs[i + 1] for i in range(len(vs) - 1)):
             raise DomainError(f"values {vs} are not weakly increasing")
@@ -86,8 +87,9 @@ class NablaMap:
         vs = self.values
         if len(vs) != self.src.size:
             raise DomainError(f"map on {self.src} needs {self.src.size} values, got {len(vs)}")
+        top = self.dst.n
         for v in vs:
-            if not isinstance(v, int) or not 0 <= v <= self.dst.n:
+            if type(v) is bool or not isinstance(v, int) or not 0 <= v <= top:
                 raise DomainError(f"value {v!r} outside {self.dst}")
         if any(vs[i] > vs[i + 1] for i in range(len(vs) - 1)):
             raise DomainError(f"values {vs} are not weakly increasing")

@@ -37,6 +37,18 @@ def test_ordinal_rejects_negative():
         Ordinal(-1)
 
 
+def test_ordinal_rejects_bool():
+    with pytest.raises(DomainError):
+        Ordinal(True)
+
+
+def test_map_values_reject_bool():
+    with pytest.raises(DomainError):
+        DeltaMap(1, 1, (False, True))
+    with pytest.raises(DomainError):
+        NablaMap(1, 1, (False, True))
+
+
 def test_ordinal_size():
     assert Ordinal(0).size == 1
     assert Ordinal(4).size == 5
