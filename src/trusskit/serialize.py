@@ -89,6 +89,12 @@ def _str(v, where: str) -> str:
     return v
 
 
+def _dict(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise ParseError(f"{where}: expected an object, got {v!r}")
+    return v
+
+
 def _fraction(v, where: str) -> Fraction:
     try:
         return Fraction(_str(v, where))
@@ -96,34 +102,20 @@ def _fraction(v, where: str) -> Fraction:
         raise ParseError(f"{where}: bad rational {v!r}") from exc
 
 
-def _delta_payload(f: DeltaMap) -> dict:
+def _map_payload(f) -> dict:
+    """A DeltaMap or NablaMap as its endpoints and value list."""
     return {"src": f.src.n, "dst": f.dst.n, "values": list(f.values)}
 
 
-def _parse_delta(obj, where: str) -> DeltaMap:
+def _parse_map(cls, obj, where: str):
+    """Read a _map_payload back as a cls (DeltaMap or NablaMap)."""
     src = _int(_expect(obj, "src", where), where)
     dst = _int(_expect(obj, "dst", where), where)
     values = _expect(obj, "values", where)
     if not isinstance(values, list):
         raise ParseError(f"{where}: values must be a list")
     try:
-        return DeltaMap(Ordinal(src), Ordinal(dst), tuple(_int(v, where) for v in values))
-    except DomainError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
-def _nabla_payload(g: NablaMap) -> dict:
-    return {"src": g.src.n, "dst": g.dst.n, "values": list(g.values)}
-
-
-def _parse_nabla(obj, where: str) -> NablaMap:
-    src = _int(_expect(obj, "src", where), where)
-    dst = _int(_expect(obj, "dst", where), where)
-    values = _expect(obj, "values", where)
-    if not isinstance(values, list):
-        raise ParseError(f"{where}: values must be a list")
-    try:
-        return NablaMap(Ordinal(src), Ordinal(dst), tuple(_int(v, where) for v in values))
+        return cls(Ordinal(src), Ordinal(dst), tuple(_int(v, where) for v in values))
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -176,7 +168,7 @@ def _stage_payloads(t: TrussTower) -> list:
         lookup = _element_lookup(d.base, "stage")
         ordp = {k: d.ord[el].n for k, el in lookup.items()}
         covs = _cover_lookup(d.base, "stage")
-        arrp = {k: _delta_payload(d.arrow[cov]) for k, cov in covs.items()}
+        arrp = {k: _map_payload(d.arrow[cov]) for k, cov in covs.items()}
         stages.append({"ord": ordp, "arrow": arrp})
     return stages
 
@@ -189,15 +181,15 @@ def _parse_stages(payload, base: FinPoset, where: str):
     for i, sp in enumerate(payload):
         tag = f"{where} stage {i + 1}"
         lookup = _element_lookup(cur, tag)
-        ordp = _expect(sp, "ord", tag)
+        ordp = _dict(_expect(sp, "ord", tag), tag)
         if set(ordp) != set(lookup):
             raise ParseError(f"{tag}: ordinal keys do not match the base elements")
         ords = {lookup[k]: Ordinal(_int(v, tag)) for k, v in ordp.items()}
         covs = _cover_lookup(cur, tag)
-        arrp = _expect(sp, "arrow", tag)
+        arrp = _dict(_expect(sp, "arrow", tag), tag)
         if set(arrp) != set(covs):
             raise ParseError(f"{tag}: arrow keys do not match the covering relations")
-        arrows = {covs[k]: _parse_delta(v, f"{tag} arrow {k}") for k, v in arrp.items()}
+        arrows = {covs[k]: _parse_map(DeltaMap, v, f"{tag} arrow {k}") for k, v in arrp.items()}
         d = DeltaDiagram(cur, ords, arrows)
         stages.append(d)
         cur = total_space(d).carrier
@@ -236,7 +228,7 @@ def _parse_labelcat(obj, where: str = "labelcat") -> LabelCategory:
     srcp = _expect(obj, "src", where)
     dstp = _expect(obj, "dst", where)
     identp = _expect(obj, "identity", where)
-    composep = _expect(obj, "compose", where)
+    composep = _dict(_expect(obj, "compose", where), where)
     for table, keys in ((srcp, morphisms), (dstp, morphisms), (identp, objects)):
         if not isinstance(table, dict) or set(table) != set(keys):
             raise ParseError(f"{where}: endpoint tables do not match the morphism list")
@@ -280,8 +272,8 @@ def _parse_truss(obj, where: str = "truss") -> TrussTower:
     cat = _parse_labelcat(_expect(labp, "category", where), f"{where} labels")
     lookup = _element_lookup(top, f"{where} labels")
     covs = _cover_lookup(top, f"{where} labels")
-    objp = _expect(labp, "objects", where)
-    relp = _expect(labp, "relations", where)
+    objp = _dict(_expect(labp, "objects", where), where)
+    relp = _dict(_expect(labp, "relations", where), where)
     if set(objp) != set(lookup):
         raise ParseError(f"{where}: object label keys do not match the top elements")
     if set(relp) != set(covs):
@@ -312,7 +304,7 @@ def _diagram_payload(d: DeltaDiagram) -> dict:
         "schema": SCHEMA_DIAGRAM,
         "base": _poset_payload(d.base),
         "ord": {k: d.ord[el].n for k, el in lookup.items()},
-        "arrow": {k: _delta_payload(d.arrow[cov]) for k, cov in covs.items()},
+        "arrow": {k: _map_payload(d.arrow[cov]) for k, cov in covs.items()},
     }
 
 
@@ -320,14 +312,14 @@ def _parse_diagram(obj, where: str = "diagram") -> DeltaDiagram:
     base = _parse_poset(_expect(obj, "base", where), where)
     lookup = _element_lookup(base, where)
     covs = _cover_lookup(base, where)
-    ordp = _expect(obj, "ord", where)
-    arrp = _expect(obj, "arrow", where)
+    ordp = _dict(_expect(obj, "ord", where), where)
+    arrp = _dict(_expect(obj, "arrow", where), where)
     if set(ordp) != set(lookup):
         raise ParseError(f"{where}: ordinal keys do not match the base elements")
     if set(arrp) != set(covs):
         raise ParseError(f"{where}: arrow keys do not match the covering relations")
     ords = {lookup[k]: Ordinal(_int(v, where)) for k, v in ordp.items()}
-    arrows = {covs[k]: _parse_delta(v, f"{where} arrow {k}") for k, v in arrp.items()}
+    arrows = {covs[k]: _parse_map(DeltaMap, v, f"{where} arrow {k}") for k, v in arrp.items()}
     return DeltaDiagram(base, ords, arrows)
 
 
@@ -338,7 +330,7 @@ def _mesh_payload(m: PLMeshBundle) -> dict:
         "schema": SCHEMA_MESH,
         "base": _poset_payload(m.base),
         "heights": {k: [str(h) for h in m.heights[el].heights] for k, el in lookup.items()},
-        "sing": {k: _nabla_payload(m.sing[cov]) for k, cov in covs.items()},
+        "sing": {k: _map_payload(m.sing[cov]) for k, cov in covs.items()},
     }
 
 
@@ -346,8 +338,8 @@ def _parse_mesh(obj, where: str = "mesh") -> PLMeshBundle:
     base = _parse_poset(_expect(obj, "base", where), where)
     lookup = _element_lookup(base, where)
     covs = _cover_lookup(base, where)
-    hp = _expect(obj, "heights", where)
-    sp = _expect(obj, "sing", where)
+    hp = _dict(_expect(obj, "heights", where), where)
+    sp = _dict(_expect(obj, "sing", where), where)
     if set(hp) != set(lookup):
         raise ParseError(f"{where}: height keys do not match the base elements")
     if set(sp) != set(covs):
@@ -357,7 +349,7 @@ def _parse_mesh(obj, where: str = "mesh") -> PLMeshBundle:
         if not isinstance(hs, list):
             raise ParseError(f"{where}: heights at {k} must be a list")
         heights[lookup[k]] = CompactMesh1(tuple(_fraction(h, f"{where} height at {k}") for h in hs))
-    sing = {covs[k]: _parse_nabla(v, f"{where} sing {k}") for k, v in sp.items()}
+    sing = {covs[k]: _parse_map(NablaMap, v, f"{where} sing {k}") for k, v in sp.items()}
     return PLMeshBundle(base, heights, sing)
 
 
@@ -379,8 +371,8 @@ def _parse_packed(obj, where: str = "packed") -> PackedTower:
     stages, top = _parse_stages(_expect(obj, "stages", where), base, where)
     lookup = _element_lookup(top, where)
     covs = _cover_lookup(top, where)
-    objp = _expect(obj, "objects", where)
-    relp = _expect(obj, "relations", where)
+    objp = _dict(_expect(obj, "objects", where), where)
+    relp = _dict(_expect(obj, "relations", where), where)
     if set(objp) != set(lookup):
         raise ParseError(f"{where}: object keys do not match the top elements")
     if set(relp) != set(covs):

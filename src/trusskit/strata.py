@@ -38,6 +38,10 @@ class Stratum:
     def __post_init__(self):
         if self.kind not in (REGULAR, SINGULAR):
             raise DomainError(f"kind must be {REGULAR!r} or {SINGULAR!r}, got {self.kind!r}")
+        if type(self.index) is bool or not isinstance(self.index, int):
+            raise DomainError(f"stratum index must be an int, got {self.index!r}")
+        if type(self.n) is bool or not isinstance(self.n, int):
+            raise DomainError(f"ambient ordinal must be an int, got {self.n!r}")
         if self.n < 0:
             raise DomainError(f"ambient ordinal must be nonnegative, got {self.n}")
         hi = self.n if self.kind == REGULAR else self.n - 1
@@ -128,10 +132,6 @@ def forget_to_delta(f: StratumMap) -> DeltaMap:
     return f.underlying
 
 
-class FiberPoset(FinPoset):
-    """A finite poset whose relations are realized by stratum morphisms."""
-
-
 def fiber_objects(n: int) -> tuple:
     """The 2n+1 positions over [n], in canonical order."""
     regs = [Stratum.regular(i, n) for i in range(n + 1)]
@@ -139,7 +139,7 @@ def fiber_objects(n: int) -> tuple:
     return tuple(regs + sings)
 
 
-def fiber_over_ordinal(n: int) -> FiberPoset:
+def fiber_over_ordinal(n: int) -> FinPoset:
     """The fiber over [n]: the zigzag r_0 > s_0 < r_1 > ... < r_n, with
     s_i below both r_i and r_{i+1}."""
     objs = fiber_objects(n)
@@ -147,10 +147,10 @@ def fiber_over_ordinal(n: int) -> FiberPoset:
     leq = [
         (x, y) for x in objs for y in objs if validate_stratum_map(x, y, ident)
     ]
-    return FiberPoset(objs, leq)
+    return FinPoset(objs, leq)
 
 
-def fiber_over_map(alpha: DeltaMap) -> FiberPoset:
+def fiber_over_map(alpha: DeltaMap) -> FinPoset:
     """Both fibers side by side, plus every cross relation realized by a
     morphism over alpha.  Elements are tagged ("src", x) and ("dst", y)."""
     src_objs = fiber_objects(alpha.src.n)
@@ -171,12 +171,12 @@ def fiber_over_map(alpha: DeltaMap) -> FiberPoset:
         for y in dst_objs:
             if validate_stratum_map(x, y, alpha):
                 leq.append((("src", x), ("dst", y)))
-    return FiberPoset(elements, leq)
+    return FinPoset(elements, leq)
 
 
 def factorization_poset(
     x: Stratum, z: Stratum, h: StratumMap, alpha: DeltaMap, beta: DeltaMap
-) -> FiberPoset:
+) -> FinPoset:
     """All middle positions y over alpha's target through which h factors as
     (x -> y over alpha) then (y -> z over beta), ordered as in the fiber.
 
@@ -197,4 +197,4 @@ def factorization_poset(
         if validate_stratum_map(x, y, alpha) and validate_stratum_map(y, z, beta)
     ]
     leq = [(a, b) for a in objs for b in objs if validate_stratum_map(a, b, ident)]
-    return FiberPoset(objs, leq)
+    return FinPoset(objs, leq)

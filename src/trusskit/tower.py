@@ -3,10 +3,13 @@
 A tower of depth n stacks n bundles: the first lives over the tower's base,
 each later one over the total space of the one before, and the labels form a
 functor from the topmost total space into a label category.  A bordism is a
-tower whose root base is the walking arrow; composing two of them glues
-their data over the chain {0 < 1 < 2} and restricts back to the arrow,
-routing every crossing composite through a middle element chosen in the
-factorization poset (and checking that every other choice agrees).
+tower whose root base is the walking arrow.  Every restriction of a tower
+goes through pullback_tower: the ends and identities of bordisms, the
+composite of two bordisms (their data glued over the chain {0 < 1 < 2} and
+pulled back along the outer arrow {0 < 2}) and the fiber trusses and cover
+bordisms of pack.  Factorization middles of crossing composites are only
+looked at by compose_bordisms_audited, which checks that each one gives the
+composite's value.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .poset import (
     path_poset,
     point_poset,
 )
-from .bundle import DeltaDiagram, LabelCategory, Labeling, total_space
+from .bundle import DeltaDiagram, LabelCategory, Labeling, pullback_bundle, total_space
 
 
 def root_of(el):
@@ -124,10 +127,7 @@ def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
     cur_map = dict(f.mapping)
     stages = []
     for d in t.stages:
-        pm = PosetMap(cur_base, d.base, cur_map)
-        ords = {b: d.ord[pm(b)] for b in cur_base.elements}
-        arrows = {cov: d.map_for(pm(cov[0]), pm(cov[1])) for cov in cur_base.covers()}
-        d2 = DeltaDiagram(cur_base, ords, arrows)
+        d2 = pullback_bundle(d, PosetMap(cur_base, d.base, cur_map))
         stages.append(d2)
         carrier = total_space(d2).carrier
         cur_map = {(b, e): (cur_map[b], e) for (b, e) in carrier.elements}
@@ -208,37 +208,27 @@ def _glue(b1: TrussTower, b2: TrussTower) -> TrussTower:
     return TrussTower(path_poset(), stages, labels)
 
 
-def _via_middles(poset: FinPoset, a, b, compute):
-    """Evaluate a crossing composite through the canonical factorization
-    middle (minimum if present, else maximum, else first in canonical
-    order) and confirm every other middle gives the same answer."""
+def _via_middles(poset: FinPoset, a, b, value, compute) -> int:
+    """Check that a crossing composite from a to b gives ``value`` through
+    every factorization middle over "1"; returns how many middles there are."""
     mids = [
         y for y in poset.elements
         if root_of(y) == "1" and poset.le(a, y) and poset.le(y, b)
     ]
     if not mids:
         raise InternalError(f"empty factorization middle set between {a!r} and {b!r}")
-    sub = poset.subposet(mids)
-    pick = sub.minimum()
-    if pick is None:
-        pick = sub.maximum()
-    if pick is None:
-        pick = sub.elements[0]
-    value = compute(pick)
     for y in mids:
-        if y != pick and compute(y) != value:
-            raise InternalError(f"factorization middles {pick!r} and {y!r} disagree")
-    return value, len(mids)
+        if compute(y) != value:
+            raise InternalError(f"factorization middle {y!r} disagrees with the composite"
+                                f" from {a!r} to {b!r}")
+    return len(mids)
 
 
-def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
-    """Compose two bordisms; returns (composite, audit).
+_OUTER = {"0": "0", "1": "2"}
 
-    The data is glued over {0 < 1 < 2} and restricted along the inclusion of
-    the outer arrow {0 < 2}; every composite that crosses the seam is formed
-    through a factorization middle, and all other middles are checked to
-    give the same map and the same label.
-    """
+
+def _composite(b1: TrussTower, b2: TrussTower):
+    """Check that b1 then b2 compose; returns (glued, composite)."""
     if b1.base != arrow_poset() or b2.base != arrow_poset():
         raise CompositionError("both arguments must be bordisms over the arrow poset")
     if b1.depth != b2.depth:
@@ -248,92 +238,46 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
     if left_end != right_end:
         raise CompositionError("bordism endpoints do not match")
     glued = _glue(b1, b2)
-    crossings = 0
-    alternatives = 0
-    cur_base = arrow_poset()
-    cur_map = {"0": "0", "1": "2"}
-    stages = []
-    for d_g in glued.stages:
-        ords = {x: d_g.ord[cur_map[x]] for x in cur_base.elements}
-        arrows = {}
-        for (u, v) in cur_base.covers():
-            a, b = cur_map[u], cur_map[v]
-            if (a, b) in d_g.arrow:
-                arrows[(u, v)] = d_g.arrow[(a, b)]
-            else:
-                val, n_mids = _via_middles(
-                    d_g.base, a, b,
-                    lambda y: compose_delta(d_g.map_for(a, y), d_g.map_for(y, b)),
-                )
-                arrows[(u, v)] = val
-                crossings += 1
-                alternatives += n_mids
-        d_r = DeltaDiagram(cur_base, ords, arrows)
-        stages.append(d_r)
-        carrier = total_space(d_r).carrier
-        cur_map = {(x, e): (cur_map[x], e) for (x, e) in carrier.elements}
-        cur_base = carrier
-    cat = glued.labels.target
-    on_obj = {x: glued.labels.on_objects[cur_map[x]] for x in cur_base.elements}
-    on_rel = {}
-    for (u, v) in cur_base.covers():
-        a, b = cur_map[u], cur_map[v]
-        if (a, b) in glued.labels.on_relations:
-            on_rel[(u, v)] = glued.labels.on_relations[(a, b)]
-        else:
-            val, n_mids = _via_middles(
-                glued.top, a, b,
-                lambda y: cat.compose_pair(
-                    glued.labels.morphism_for(a, y), glued.labels.morphism_for(y, b)
-                ),
-            )
-            on_rel[(u, v)] = val
-            crossings += 1
-            alternatives += n_mids
-    labels = Labeling(cur_base, cat, on_obj, on_rel)
-    composite = Bordism(arrow_poset(), stages, labels)
-    return composite, CompositionAudit(crossings, alternatives)
+    pb = pullback_tower(glued, PosetMap(arrow_poset(), path_poset(), _OUTER))
+    return glued, Bordism(pb.base, pb.stages, pb.labels)
 
 
 def compose_bordisms(b1: TrussTower, b2: TrussTower) -> Bordism:
-    """First b1, then b2."""
-    return compose_bordisms_audited(b1, b2)[0]
+    """First b1, then b2: glue over {0 < 1 < 2} and restrict to {0 < 2}."""
+    return _composite(b1, b2)[1]
 
 
-def _fiber_truss(last: DeltaDiagram, labels: Labeling, x) -> TrussTower:
-    """The labelled depth-1 truss sitting over one element of the last base."""
-    pt = point_poset()
-    d = DeltaDiagram(pt, {POINT_ELEMENT: last.ord[x]}, {})
-    carrier = total_space(d).carrier
-    lab = Labeling(
-        carrier,
-        labels.target,
-        {(POINT_ELEMENT, e): labels.on_objects[(x, e)] for (_, e) in carrier.elements},
-        {
-            ((POINT_ELEMENT, e), (POINT_ELEMENT, e2)): labels.on_relations[((x, e), (x, e2))]
-            for ((_, e), (_, e2)) in carrier.covers()
-        },
-    )
-    return TrussTower(pt, (d,), lab)
+def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
+    """Compose two bordisms; returns (composite, audit).
 
-
-def _cover_bordism(last: DeltaDiagram, labels: Labeling, cov) -> Bordism:
-    """The labelled depth-1 bordism sitting over one covering relation."""
-    x, y = cov
-    ab = arrow_poset()
-    d = DeltaDiagram(ab, {"0": last.ord[x], "1": last.ord[y]}, {("0", "1"): last.arrow[cov]})
-    carrier = total_space(d).carrier
-    lift = {"0": x, "1": y}
-    lab = Labeling(
-        carrier,
-        labels.target,
-        {(t0, e): labels.on_objects[(lift[t0], e)] for (t0, e) in carrier.elements},
-        {
-            ((t0, e), (t1, e2)): labels.on_relations[((lift[t0], e), (lift[t1], e2))]
-            for ((t0, e), (t1, e2)) in carrier.covers()
-        },
-    )
-    return Bordism(ab, (d,), lab)
+    Every covering relation of a composite stage base, and of the composite
+    top, whose image in the glued tower is not a glued cover crosses the
+    seam; the audit checks that each factorization middle of a crossing
+    gives the composite's map (or label) and counts crossings and middles.
+    """
+    glued, composite = _composite(b1, b2)
+    layers = [
+        (d.base, d.arrow, d_g.base, d_g.arrow, d_g.map_for, compose_delta)
+        for d, d_g in zip(composite.stages, glued.stages)
+    ]
+    layers.append((
+        composite.top, composite.labels.on_relations,
+        glued.top, glued.labels.on_relations,
+        glued.labels.morphism_for, glued.labels.target.compose_pair,
+    ))
+    crossings = 0
+    alternatives = 0
+    for base, values, glued_base, glued_covers, path, compose in layers:
+        for (u, v) in base.covers():
+            a, b = _retag(u, _OUTER), _retag(v, _OUTER)
+            if (a, b) in glued_covers:
+                continue
+            crossings += 1
+            alternatives += _via_middles(
+                glued_base, a, b, values[(u, v)],
+                lambda y: compose(path(a, y), path(y, b)),
+            )
+    return composite, CompositionAudit(crossings, alternatives)
 
 
 def truss_label_category(objects, generators) -> LabelCategory:
@@ -383,8 +327,15 @@ def pack(t: TrussTower) -> PackedTower:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
     dom = last.base
-    fibers = {x: _fiber_truss(last, t.labels, x) for x in dom.elements}
-    gens = {cov: _cover_bordism(last, t.labels, cov) for cov in dom.covers()}
+    top = TrussTower(dom, (last,), t.labels)
+    fibers = {
+        x: pullback_tower(top, PosetMap(point_poset(), dom, {POINT_ELEMENT: x}))
+        for x in dom.elements
+    }
+    gens = {}
+    for (x, y) in dom.covers():
+        pb = pullback_tower(top, PosetMap(arrow_poset(), dom, {"0": x, "1": y}))
+        gens[(x, y)] = Bordism(pb.base, pb.stages, pb.labels)
     cat = truss_label_category(fibers.values(), gens.values())
     lab = Labeling(dom, cat, fibers, gens)
     return PackedTower(TrussTower(t.base, t.stages[:-1], lab))

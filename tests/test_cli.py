@@ -110,6 +110,18 @@ def test_total_rejects_truss_file(truss_file, capsys):
     assert main(["total", str(truss_file)]) == 2
 
 
+def test_total_rejects_non_object_arrow_table(tmp_path, capsys):
+    path = tmp_path / "bad_diagram.json"
+    path.write_text(json.dumps({
+        "schema": "diagram/v1",
+        "base": {"elements": ["pt"], "covers": []},
+        "ord": {"pt": 1},
+        "arrow": [],
+    }))
+    assert main(["total", str(path)]) == 2
+    assert "expected an object" in capsys.readouterr().err
+
+
 def test_compose_to_stdout(bordism_files, capsys):
     p1, p2 = bordism_files
     assert main(["compose", str(p1), str(p2)]) == 0

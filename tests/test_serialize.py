@@ -122,6 +122,27 @@ def test_parse_rejects_wrong_types():
         parse(json.dumps(payload))
 
 
+def test_parse_rejects_non_object_diagram_arrow():
+    # over the point the arrow table has no keys, so a list passes the key
+    # match and must still be refused as a non-object
+    payload = {
+        "schema": "diagram/v1",
+        "base": {"elements": ["pt"], "covers": []},
+        "ord": {"pt": 1},
+        "arrow": [],
+    }
+    with pytest.raises(ParseError):
+        parse(json.dumps(payload))
+
+
+def test_parse_rejects_non_object_stage_arrow(single_node):
+    payload = payload_for(single_node)
+    assert payload["stages"][0]["arrow"] == {}
+    payload["stages"][0]["arrow"] = []
+    with pytest.raises(ParseError):
+        parse(json.dumps(payload))
+
+
 def test_parse_rejects_tampered_maps():
     payload = payload_for(inner_face_diagram())
     payload["arrow"]["0->1"]["values"] = [2, 0]

@@ -50,6 +50,14 @@ def test_stratum_validation():
         Stratum("q", 0, 1)
 
 
+@pytest.mark.parametrize("index, n", [(0, "x"), (0, True), (0, 1.5), ("0", 1), (False, 1), (0.0, 1)])
+def test_stratum_rejects_non_int_index_and_ambient(index, n):
+    with pytest.raises(DomainError):
+        Stratum.regular(index, n)
+    with pytest.raises(DomainError):
+        Stratum.singular(index, n)
+
+
 def test_stratum_parse_roundtrip():
     for x in all_strata(3):
         assert Stratum.parse(str(x)) == x

@@ -1,8 +1,11 @@
 """Towers, bordisms, composition, and the packing equivalence."""
 
+import random
+
 import pytest
 
 from trusskit import (
+    POINT_ELEMENT,
     Bordism,
     CompositionError,
     DeltaDiagram,
@@ -19,7 +22,9 @@ from trusskit import (
     arrow_poset,
     compose_bordisms,
     compose_bordisms_audited,
+    compose_delta,
     constant_inclusion,
+    dumps,
     identity_bordism,
     pack,
     point_poset,
@@ -29,6 +34,8 @@ from trusskit import (
     truss_label_category,
     unpack,
 )
+from trusskit.oracles import bordism_family, composable_triples, tower_family
+from trusskit.tower import _glue, root_of
 from conftest import terminal_labeling
 
 
@@ -102,8 +109,6 @@ def test_composition_functorial_on_constants(chain_cat):
     b1 = constant_inclusion([f], "a<=b", chain_cat)
     b2 = constant_inclusion([g], "b<=c", chain_cat)
     composite = compose_bordisms(b1, b2)
-    from trusskit import compose_delta
-
     assert composite == constant_inclusion([compose_delta(f, g)], "a<=c", chain_cat)
 
 
@@ -225,3 +230,139 @@ def test_pullback_tower_to_bordism_end(chain_cat):
     t = pullback_tower(b, incl)
     assert t.depth == 1
     assert t.stages[0].ord["pt"] == Ordinal(1)
+
+
+# -- references: restriction written out by hand --------------------------
+#
+# Composition, fiber trusses and cover bordisms used to be spelled out
+# stage by stage instead of going through pullback_tower; the copies below
+# keep those constructions so the single primitive is checked against them.
+
+
+def _reference_via_middles(poset, a, b, compute):
+    mids = [
+        y for y in poset.elements
+        if root_of(y) == "1" and poset.le(a, y) and poset.le(y, b)
+    ]
+    assert mids
+    sub = poset.subposet(mids)
+    pick = sub.minimum()
+    if pick is None:
+        pick = sub.maximum()
+    if pick is None:
+        pick = sub.elements[0]
+    value = compute(pick)
+    assert all(compute(y) == value for y in mids)
+    return value, len(mids)
+
+
+def reference_compose_audited(b1, b2):
+    """Glue, then restrict to {0 < 2} stage by stage, forming every crossing
+    composite through a picked factorization middle."""
+    glued = _glue(b1, b2)
+    crossings = alternatives = 0
+    cur_base = arrow_poset()
+    cur_map = {"0": "0", "1": "2"}
+    stages = []
+    for d_g in glued.stages:
+        ords = {x: d_g.ord[cur_map[x]] for x in cur_base.elements}
+        arrows = {}
+        for (u, v) in cur_base.covers():
+            a, b = cur_map[u], cur_map[v]
+            if (a, b) in d_g.arrow:
+                arrows[(u, v)] = d_g.arrow[(a, b)]
+            else:
+                arrows[(u, v)], n_mids = _reference_via_middles(
+                    d_g.base, a, b,
+                    lambda y: compose_delta(d_g.map_for(a, y), d_g.map_for(y, b)),
+                )
+                crossings += 1
+                alternatives += n_mids
+        d_r = DeltaDiagram(cur_base, ords, arrows)
+        stages.append(d_r)
+        carrier = total_space(d_r).carrier
+        cur_map = {(x, e): (cur_map[x], e) for (x, e) in carrier.elements}
+        cur_base = carrier
+    lab = glued.labels
+    on_obj = {x: lab.on_objects[cur_map[x]] for x in cur_base.elements}
+    on_rel = {}
+    for (u, v) in cur_base.covers():
+        a, b = cur_map[u], cur_map[v]
+        if (a, b) in lab.on_relations:
+            on_rel[(u, v)] = lab.on_relations[(a, b)]
+        else:
+            on_rel[(u, v)], n_mids = _reference_via_middles(
+                glued.top, a, b,
+                lambda y: lab.target.compose_pair(lab.morphism_for(a, y), lab.morphism_for(y, b)),
+            )
+            crossings += 1
+            alternatives += n_mids
+    composite = Bordism(arrow_poset(), stages, Labeling(cur_base, lab.target, on_obj, on_rel))
+    return composite, (crossings, alternatives)
+
+
+def reference_fiber_truss(last, labels, x):
+    pt = point_poset()
+    d = DeltaDiagram(pt, {POINT_ELEMENT: last.ord[x]}, {})
+    carrier = total_space(d).carrier
+    lab = Labeling(
+        carrier,
+        labels.target,
+        {(POINT_ELEMENT, e): labels.on_objects[(x, e)] for (_, e) in carrier.elements},
+        {
+            ((POINT_ELEMENT, e), (POINT_ELEMENT, e2)): labels.on_relations[((x, e), (x, e2))]
+            for ((_, e), (_, e2)) in carrier.covers()
+        },
+    )
+    return TrussTower(pt, (d,), lab)
+
+
+def reference_cover_bordism(last, labels, cov):
+    x, y = cov
+    d = DeltaDiagram(
+        arrow_poset(), {"0": last.ord[x], "1": last.ord[y]}, {("0", "1"): last.arrow[cov]}
+    )
+    carrier = total_space(d).carrier
+    lift = {"0": x, "1": y}
+    lab = Labeling(
+        carrier,
+        labels.target,
+        {(t0, e): labels.on_objects[(lift[t0], e)] for (t0, e) in carrier.elements},
+        {
+            ((t0, e), (t1, e2)): labels.on_relations[((lift[t0], e), (lift[t1], e2))]
+            for ((t0, e), (t1, e2)) in carrier.covers()
+        },
+    )
+    return Bordism(arrow_poset(), (d,), lab)
+
+
+def test_composition_matches_reference_restriction():
+    bordisms = bordism_family(0)
+    pairs = [(identity_bordism(b.end(0)), b) for b in bordisms[::7]]
+    pairs += [(b, identity_bordism(b.end(1))) for b in bordisms[3::7]]
+    for (b1, b2, b3) in composable_triples(bordisms, 40, random.Random(0)):
+        pairs += [(compose_bordisms(b1, b2), b3), (b1, compose_bordisms(b2, b3))]
+    crossed = 0
+    for b1, b2 in pairs:
+        composite, audit = compose_bordisms_audited(b1, b2)
+        ref, ref_counts = reference_compose_audited(b1, b2)
+        assert dumps(composite) == dumps(ref)
+        assert (audit.crossings, audit.alternatives) == ref_counts
+        assert compose_bordisms(b1, b2) == composite
+        crossed += audit.crossings
+    assert len(pairs) > 100 and crossed > len(pairs)
+
+
+def test_pack_labels_match_reference_restriction():
+    towers = [t for t in tower_family(0) if t.depth >= 1]
+    sample = [t for t in towers if t.depth != 2] + [t for t in towers if t.depth == 2][::10]
+    for t in sample:
+        last = t.stages[-1]
+        lab = pack(t).tower.labels
+        for x in last.base.elements:
+            assert lab.on_objects[x] == reference_fiber_truss(last, t.labels, x)
+        for cov in last.base.covers():
+            g = lab.on_relations[cov]
+            assert isinstance(g, Bordism)
+            assert g == reference_cover_bordism(last, t.labels, cov)
+    assert {t.depth for t in sample} == {1, 2, 3}
