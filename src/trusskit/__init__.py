@@ -36,6 +36,7 @@ from .strata import (
     fiber_over_ordinal,
     forget_to_delta,
     hom_strata,
+    stratum_targets,
     validate_stratum_map,
 )
 from .bundle import (

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .ordinal import DeltaMap, Ordinal, compose_delta
 from .poset import FinPoset, PosetMap, element_sort_key
-from .strata import Stratum, fiber_objects, validate_stratum_map
+from .strata import Stratum, fiber_objects, stratum_targets
 
 
 def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
@@ -174,10 +174,7 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     leq = []
     for a, b in d.base.leq:
         f = d.map_for(a, b)
-        for e in fibers[a]:
-            for e2 in fibers[b]:
-                if validate_stratum_map(e, e2, f):
-                    leq.append(((a, e), (b, e2)))
+        leq.extend(((a, e), (b, e2)) for e in fibers[a] for e2 in stratum_targets(e, f))
     return TotalPoset(FinPoset(elements, leq), d.base)
 
 
@@ -202,9 +199,14 @@ def classify(t: TotalPoset) -> DeltaDiagram:
     regular position has no or several images, or the rebuilt bundle does
     not reproduce the total space.
     """
+    by_base = {b: [] for b in t.base.elements}
+    for el in t.carrier.elements:
+        fib = by_base.get(el[0])
+        if fib is not None:
+            fib.append(el)
     fibers = {}
     for b in t.base.elements:
-        fib = t.fiber(b)
+        fib = by_base[b]
         regs = [e for _, e in fib if isinstance(e, Stratum) and e.is_regular]
         if not regs:
             raise ClassificationError(f"fiber over {b!r} has no regular position")
@@ -218,7 +220,7 @@ def classify(t: TotalPoset) -> DeltaDiagram:
         for i in range(fibers[a] + 1):
             js = [
                 e.index
-                for _, e in t.fiber(b)
+                for _, e in by_base[b]
                 if e.is_regular and t.carrier.le((a, Stratum.regular(i, fibers[a])), (b, e))
             ]
             if len(js) != 1:

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ParseError, TrussError
+from .errors import DomainError, ParseError, TrussError
 from .ordinal import DeltaMap, Ordinal
 from .strata import Stratum, fiber_over_map, fiber_over_ordinal, hom_strata
 from .bundle import DeltaDiagram, LabelCategory, total_space
@@ -90,6 +90,8 @@ def _parse_map_literal(text: str) -> DeltaMap:
         return DeltaMap(Ordinal(len(values) - 1), Ordinal(int(dst_text)), values)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad map literal {text!r}, expected e.g. '0,2@2'") from exc
+    except DomainError as exc:
+        raise ParseError(f"bad map literal {text!r}: {exc}") from exc
 
 
 def cmd_fiber(args) -> Report:

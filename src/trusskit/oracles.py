@@ -331,10 +331,14 @@ def suite_homsets(max_ordinal: int = 3, seed=None) -> Report:
     for x in objects:
         for y in objects:
             counts["strata_pairs"] += 1
-            got = {f.underlying for f in hom_strata(x, y)}
-            want = {a for a in enumerate_delta_maps(x.n, y.n) if _clause_filter(x, y, a)}
+            got = [f.underlying for f in hom_strata(x, y)]
+            want = [a for a in enumerate_delta_maps(x.n, y.n) if _clause_filter(x, y, a)]
             if got != want:
-                return Report.failure(f"hom({x},{y})", f"library {len(got)} maps, brute force {len(want)}")
+                return Report.failure(
+                    f"hom({x},{y})",
+                    f"library {len(got)} maps, brute force {len(want)}"
+                    + (", in another order" if len(got) == len(want) else ""),
+                )
             counts["strata_maps"] += len(got)
             if x.is_regular and not y.is_regular and got:
                 return Report.failure(f"hom({x},{y})", "regular -> singular must be empty")

@@ -95,6 +95,12 @@ def _dict(v, where: str) -> dict:
     return v
 
 
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ParseError(f"{where}: expected a list, got {v!r}")
+    return v
+
+
 def _fraction(v, where: str) -> Fraction:
     try:
         return Fraction(_str(v, where))
@@ -223,8 +229,8 @@ def _labelcat_payload(cat: LabelCategory) -> dict:
 
 
 def _parse_labelcat(obj, where: str = "labelcat") -> LabelCategory:
-    objects = [_str(o, where) for o in _expect(obj, "objects", where)]
-    morphisms = [_str(m, where) for m in _expect(obj, "morphisms", where)]
+    objects = [_str(o, where) for o in _list(_expect(obj, "objects", where), where)]
+    morphisms = [_str(m, where) for m in _list(_expect(obj, "morphisms", where), where)]
     srcp = _expect(obj, "src", where)
     dstp = _expect(obj, "dst", where)
     identp = _expect(obj, "identity", where)
@@ -422,7 +428,7 @@ def parse(text: str):
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ParseError("file must be a JSON object with a 'schema' field")
     schema = obj["schema"]
-    parser = _PARSERS.get(schema)
+    parser = _PARSERS.get(schema) if isinstance(schema, str) else None
     if parser is None:
         known = ", ".join(sorted(_PARSERS))
         raise ParseError(f"unknown schema {schema!r} (known: {known})")

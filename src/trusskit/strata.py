@@ -12,15 +12,23 @@ position with index i to one with index j exists exactly when
 
 These constraints are closed under composition, so composing two valid
 morphisms only needs the underlying maps composed and the result rechecked.
+
+For a fixed a the targets of a position form an interval of the zigzag
+over [m]: a regular r_i has the single target r_{a(i)}, and a singular s_i
+has the targets r_j for a(i) <= j <= a(i+1) and s_j for a(i) <= j < a(i+1).
+stratum_targets returns that interval.  Fibers, factorization posets and
+bundle total spaces are built from it, and hom_strata generates its maps
+without filtering, so each costs time proportional to its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .errors import DomainError, InternalError
-from .ordinal import DeltaMap, compose_delta, enumerate_delta_maps
+from .ordinal import DeltaMap, Ordinal, compose_delta
 from .poset import FinPoset
 
 REGULAR = "r"
@@ -108,11 +116,27 @@ class StratumMap:
 
 
 def hom_strata(x: Stratum, y: Stratum) -> tuple:
-    """All morphisms x -> y, ordered lexicographically by underlying values."""
+    """All morphisms x -> y, ordered lexicographically by underlying values.
+
+    The values a(0..i-1) of a map r_i -> r_j lie in [0, j], a(i) = j and
+    the rest lie in [j, m]; for s_i -> y the values a(0..i) lie in [0, j]
+    and the rest in [j, m] (in [j+1, m] when y is singular).  Heads and
+    tails are each enumerated in lexicographic order, so their product in
+    head-major order is lexicographic too.
+    """
+    i, j, m = x.index, y.index, y.n
+    if x.is_regular:
+        if not y.is_regular:
+            return ()
+        head, pin, low = i, (j,), j
+    else:
+        head, pin, low = i + 1, (), j if y.is_regular else j + 1
+    tails = tuple(combinations_with_replacement(range(low, m + 1), x.n - i))
+    src, dst = Ordinal(x.n), Ordinal(m)
     return tuple(
-        StratumMap(x, y, a)
-        for a in enumerate_delta_maps(x.n, y.n)
-        if validate_stratum_map(x, y, a)
+        StratumMap(x, y, DeltaMap(src, dst, h + pin + t))
+        for h in combinations_with_replacement(range(j + 1), head)
+        for t in tails
     )
 
 
@@ -132,11 +156,27 @@ def forget_to_delta(f: StratumMap) -> DeltaMap:
     return f.underlying
 
 
+@lru_cache(maxsize=1024)
 def fiber_objects(n: int) -> tuple:
-    """The 2n+1 positions over [n], in canonical order."""
+    """The 2n+1 positions over [n], in canonical order: r_0..r_n, then
+    s_0..s_(n-1)."""
     regs = [Stratum.regular(i, n) for i in range(n + 1)]
     sings = [Stratum.singular(i, n) for i in range(n)]
     return tuple(regs + sings)
+
+
+def stratum_targets(x: Stratum, alpha: DeltaMap) -> tuple:
+    """Every y over alpha's target with a morphism x -> y over alpha, in
+    the order of fiber_objects: an interval of regulars, then of singulars."""
+    if alpha.src.n != x.n:
+        raise DomainError(f"{alpha} does not start at the ambient of {x}")
+    m = alpha.dst.n
+    objs = fiber_objects(m)
+    lo = alpha.values[x.index]
+    if x.is_regular:
+        return objs[lo:lo + 1]
+    hi = alpha.values[x.index + 1]
+    return objs[lo:hi + 1] + objs[m + 1 + lo:m + 1 + hi]
 
 
 def fiber_over_ordinal(n: int) -> FinPoset:
@@ -144,10 +184,7 @@ def fiber_over_ordinal(n: int) -> FinPoset:
     s_i below both r_i and r_{i+1}."""
     objs = fiber_objects(n)
     ident = DeltaMap.identity(n)
-    leq = [
-        (x, y) for x in objs for y in objs if validate_stratum_map(x, y, ident)
-    ]
-    return FinPoset(objs, leq)
+    return FinPoset(objs, [(x, y) for x in objs for y in stratum_targets(x, ident)])
 
 
 def fiber_over_map(alpha: DeltaMap) -> FinPoset:
@@ -155,22 +192,14 @@ def fiber_over_map(alpha: DeltaMap) -> FinPoset:
     morphism over alpha.  Elements are tagged ("src", x) and ("dst", y)."""
     src_objs = fiber_objects(alpha.src.n)
     dst_objs = fiber_objects(alpha.dst.n)
-    id_src = DeltaMap.identity(alpha.src)
-    id_dst = DeltaMap.identity(alpha.dst)
     elements = [("src", x) for x in src_objs] + [("dst", y) for y in dst_objs]
     leq = []
-    for x in src_objs:
-        for y in src_objs:
-            if validate_stratum_map(x, y, id_src):
-                leq.append((("src", x), ("src", y)))
-    for x in dst_objs:
-        for y in dst_objs:
-            if validate_stratum_map(x, y, id_dst):
-                leq.append((("dst", x), ("dst", y)))
-    for x in src_objs:
-        for y in dst_objs:
-            if validate_stratum_map(x, y, alpha):
-                leq.append((("src", x), ("dst", y)))
+    for tag_x, tag_y, objs, f in (
+        ("src", "src", src_objs, DeltaMap.identity(alpha.src)),
+        ("dst", "dst", dst_objs, DeltaMap.identity(alpha.dst)),
+        ("src", "dst", src_objs, alpha),
+    ):
+        leq.extend(((tag_x, x), (tag_y, y)) for x in objs for y in stratum_targets(x, f))
     return FinPoset(elements, leq)
 
 
@@ -189,12 +218,8 @@ def factorization_poset(
         raise DomainError(f"{h} does not run from {x} to {z}")
     if h.underlying != compose_delta(alpha, beta):
         raise DomainError(f"{h} does not lie over the composite of {alpha} and {beta}")
-    mid = alpha.dst.n
-    ident = DeltaMap.identity(mid)
-    objs = [
-        y
-        for y in fiber_objects(mid)
-        if validate_stratum_map(x, y, alpha) and validate_stratum_map(y, z, beta)
-    ]
-    leq = [(a, b) for a in objs for b in objs if validate_stratum_map(a, b, ident)]
+    objs = [y for y in stratum_targets(x, alpha) if z in stratum_targets(y, beta)]
+    kept = set(objs)
+    ident = DeltaMap.identity(alpha.dst)
+    leq = [(a, b) for a in objs for b in stratum_targets(a, ident) if b in kept]
     return FinPoset(objs, leq)

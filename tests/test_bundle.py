@@ -16,6 +16,7 @@ from trusskit import (
     Ordinal,
     PosetMap,
     Stratum,
+    TotalPoset,
     arrow_poset,
     classify,
     point_poset,
@@ -23,8 +24,10 @@ from trusskit import (
     relabel,
     total_space,
     validate_labeling,
+    validate_stratum_map,
 )
-from trusskit.oracles import all_diagrams, random_diagram
+from trusskit.oracles import all_diagrams, all_posets, random_diagram
+from trusskit.strata import fiber_objects
 
 
 def arrow_diagram(n, m, values):
@@ -203,3 +206,29 @@ def test_relabel_along_functor():
     out = relabel(lab, functor)
     assert out.target == term
     assert out.on_objects == {"0": "*", "1": "*"}
+
+
+def total_space_reference(d):
+    """The quadratic build that tests every pair of fiber positions."""
+    fibers = {b: fiber_objects(d.ord[b].n) for b in d.base.elements}
+    elements = [(b, e) for b in d.base.elements for e in fibers[b]]
+    leq = []
+    for a, b in d.base.leq:
+        f = d.map_for(a, b)
+        for e in fibers[a]:
+            for e2 in fibers[b]:
+                if validate_stratum_map(e, e2, f):
+                    leq.append(((a, e), (b, e2)))
+    return TotalPoset(FinPoset(elements, leq), d.base)
+
+
+def test_total_space_matches_reference():
+    count = 0
+    for p in all_posets(3):
+        for d in all_diagrams(p, 2):
+            t, ref = total_space(d), total_space_reference(d)
+            assert t == ref
+            assert t.carrier.elements == ref.carrier.elements
+            assert list(t.carrier.leq) == list(ref.carrier.leq)
+            count += 1
+    assert count > 1000

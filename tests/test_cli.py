@@ -100,6 +100,16 @@ def test_fiber_bad_argument(capsys):
     assert main(["fiber", "0,2@"]) == 2
 
 
+@pytest.mark.parametrize("literal", ["0,5@2", "2,1@3", "0@-1", "0,-1@2"])
+def test_fiber_invalid_map_literal_is_a_parse_error(literal, capsys):
+    assert main(["fiber", literal]) == 2
+    assert "bad map literal" in capsys.readouterr().err
+
+
+def test_hom_negative_ambient_is_a_parse_error():
+    assert main(["hom", "r0@-1", "r0@1"]) == 2
+
+
 def test_total(diagram_file, capsys):
     assert main(["total", str(diagram_file)]) == 0
     out = capsys.readouterr().out
@@ -120,6 +130,15 @@ def test_total_rejects_non_object_arrow_table(tmp_path, capsys):
     }))
     assert main(["total", str(path)]) == 2
     assert "expected an object" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_list_label_objects(tmp_path, single_node, capsys):
+    payload = json.loads(dumps(single_node))
+    payload["labels"]["category"]["objects"] = 5
+    path = tmp_path / "bad_truss.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path)]) == 2
+    assert "expected a list" in capsys.readouterr().err
 
 
 def test_compose_to_stdout(bordism_files, capsys):

@@ -110,6 +110,13 @@ def test_parse_rejects_unknown_schema():
     assert "diagram/v1" in str(err.value)
 
 
+@pytest.mark.parametrize("schema", [[], {}, ["diagram/v1"], 5, None])
+def test_parse_rejects_non_string_schema(schema):
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps({"schema": schema}))
+    assert "unknown schema" in str(err.value)
+
+
 def test_parse_rejects_missing_fields():
     with pytest.raises(ParseError):
         parse('{"schema": "diagram/v1"}')
@@ -139,6 +146,24 @@ def test_parse_rejects_non_object_stage_arrow(single_node):
     payload = payload_for(single_node)
     assert payload["stages"][0]["arrow"] == {}
     payload["stages"][0]["arrow"] = []
+    with pytest.raises(ParseError):
+        parse(json.dumps(payload))
+
+
+@pytest.mark.parametrize("field", ["objects", "morphisms"])
+@pytest.mark.parametrize("value", [5, None, "a", {"a": "a"}])
+def test_parse_rejects_non_list_labelcat_fields(chain_cat, field, value):
+    payload = payload_for(chain_cat)
+    payload[field] = value
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(payload))
+    assert "expected a list" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["objects", "morphisms"])
+def test_parse_rejects_non_list_truss_label_category(single_node, field):
+    payload = payload_for(single_node)
+    payload["labels"]["category"][field] = 5
     with pytest.raises(ParseError):
         parse(json.dumps(payload))
 

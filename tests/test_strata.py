@@ -1,11 +1,15 @@
 """Regular/singular positions, their morphisms, and the fibers."""
 
+import itertools
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from trusskit import (
     DeltaMap,
     DomainError,
+    FinPoset,
     Stratum,
     StratumMap,
     compose_strata,
@@ -15,8 +19,11 @@ from trusskit import (
     fiber_over_ordinal,
     forget_to_delta,
     hom_strata,
+    stratum_targets,
     validate_stratum_map,
 )
+from trusskit.ordinal import compose_delta
+from trusskit.strata import fiber_objects
 
 
 def all_strata(max_n):
@@ -217,3 +224,118 @@ def test_hom_members_validate(data):
         a for a in enumerate_delta_maps(x.n, y.n) if validate_stratum_map(x, y, a)
     ]
     assert [m.underlying for m in morphisms] == brute
+
+
+# The quadratic builds that test every candidate pair, kept as references
+# for the interval-based constructions.
+
+
+def fiber_over_ordinal_reference(n):
+    objs = fiber_objects(n)
+    ident = DeltaMap.identity(n)
+    leq = [(x, y) for x in objs for y in objs if validate_stratum_map(x, y, ident)]
+    return FinPoset(objs, leq)
+
+
+def fiber_over_map_reference(alpha):
+    src_objs = fiber_objects(alpha.src.n)
+    dst_objs = fiber_objects(alpha.dst.n)
+    id_src = DeltaMap.identity(alpha.src)
+    id_dst = DeltaMap.identity(alpha.dst)
+    elements = [("src", x) for x in src_objs] + [("dst", y) for y in dst_objs]
+    leq = []
+    for x in src_objs:
+        for y in src_objs:
+            if validate_stratum_map(x, y, id_src):
+                leq.append((("src", x), ("src", y)))
+    for x in dst_objs:
+        for y in dst_objs:
+            if validate_stratum_map(x, y, id_dst):
+                leq.append((("dst", x), ("dst", y)))
+    for x in src_objs:
+        for y in dst_objs:
+            if validate_stratum_map(x, y, alpha):
+                leq.append((("src", x), ("dst", y)))
+    return FinPoset(elements, leq)
+
+
+def factorization_poset_reference(x, z, alpha, beta):
+    mid = alpha.dst.n
+    ident = DeltaMap.identity(mid)
+    objs = [
+        y
+        for y in fiber_objects(mid)
+        if validate_stratum_map(x, y, alpha) and validate_stratum_map(y, z, beta)
+    ]
+    leq = [(a, b) for a in objs for b in objs if validate_stratum_map(a, b, ident)]
+    return FinPoset(objs, leq)
+
+
+def assert_same_poset(p, ref):
+    assert p == ref
+    assert p.elements == ref.elements
+    assert list(p.leq) == list(ref.leq)
+    assert p.covers() == ref.covers()
+
+
+def test_stratum_targets_match_filter():
+    for n, m in itertools.product(range(4), repeat=2):
+        for a in enumerate_delta_maps(n, m):
+            for x in fiber_objects(n):
+                want = tuple(y for y in fiber_objects(m) if validate_stratum_map(x, y, a))
+                assert stratum_targets(x, a) == want
+
+
+def test_stratum_targets_ambient_mismatch_raises():
+    with pytest.raises(DomainError):
+        stratum_targets(Stratum.regular(0, 1), DeltaMap(2, 2, (0, 1, 2)))
+
+
+def test_fiber_over_ordinal_matches_reference():
+    for n in range(13):
+        assert_same_poset(fiber_over_ordinal(n), fiber_over_ordinal_reference(n))
+
+
+def test_fiber_over_map_matches_reference():
+    for n, m in itertools.product(range(4), repeat=2):
+        for a in enumerate_delta_maps(n, m):
+            assert_same_poset(fiber_over_map(a), fiber_over_map_reference(a))
+
+
+def test_factorization_poset_matches_reference():
+    triangles = 0
+    for a, b, c in itertools.product(range(3), repeat=3):
+        for alpha in enumerate_delta_maps(a, b):
+            for beta in enumerate_delta_maps(b, c):
+                h = compose_delta(alpha, beta)
+                triangles += 1
+                for x in fiber_objects(a):
+                    for z in fiber_objects(c):
+                        if validate_stratum_map(x, z, h):
+                            assert_same_poset(
+                                factorization_poset(x, z, StratumMap(x, z, h), alpha, beta),
+                                factorization_poset_reference(x, z, alpha, beta),
+                            )
+    assert triangles > 0
+
+
+def test_fiber_over_large_ordinal_is_output_sensitive():
+    start = time.perf_counter()
+    p = fiber_over_ordinal(5000)
+    assert time.perf_counter() - start < 5.0
+    assert len(p.elements) == 10001
+    assert len(p.leq) == 10001 + 2 * 5000
+
+
+def test_hom_regular_pins_one_value():
+    # the brute filter would build C(25, 13) = 5,200,300 maps to keep one
+    maps = hom_strata(Stratum.regular(12, 12), Stratum.regular(0, 12))
+    assert [m.underlying.values for m in maps] == [(0,) * 13]
+
+
+def test_hom_large_set_is_lexicographic():
+    maps = hom_strata(Stratum.regular(0, 10), Stratum.regular(5, 10))
+    values = [m.underlying.values for m in maps]
+    assert len(values) == 3003
+    assert values == sorted(set(values))
+    assert all(v[0] == 5 for v in values)
