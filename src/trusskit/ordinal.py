@@ -4,32 +4,62 @@ Two arrow flavours live here: plain weakly increasing maps between the
 ordinals [n] = {0, ..., n}, and endpoint-preserving weakly increasing maps
 (the strict-interval side).  The two are exchanged by an explicit duality
 given by counting preimages, implemented in both directions below.
+
+Ordinals are interned: there is exactly one Ordinal instance per n, so two
+ordinals are equal exactly when they are the same object, and equality and
+hashing run in C.  Maps stay value objects compared field by field.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+# One instance per ordinal, keyed by n.
+_ORDINALS = {}
+
+
 class Ordinal:
-    """The ordinal [n] = {0, 1, ..., n}, so always nonempty."""
+    """The ordinal [n] = {0, 1, ..., n}, so always nonempty.
 
-    n: int
+    Ordinals are interned: constructing, copying or unpickling one returns
+    the single instance for its n, so equality is identity.  Instances are
+    immutable.
+    """
 
-    def __post_init__(self):
-        if type(self.n) is bool or not isinstance(self.n, int) or self.n < 0:
-            raise DomainError(f"ordinal index must be a nonnegative int, got {self.n!r}")
+    __slots__ = ("n", "size")
+
+    def __new__(cls, n):
+        if type(n) is int:
+            try:
+                return _ORDINALS[n]
+            except KeyError:
+                pass
+        if type(n) is bool or not isinstance(n, int) or n < 0:
+            raise DomainError(f"ordinal index must be a nonnegative int, got {n!r}")
+        n = int(n)
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "size", n + 1)
+        return _ORDINALS.setdefault(n, self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Ordinal, (self.n,))
+
+    def __repr__(self):
+        return f"Ordinal(n={self.n!r})"
 
     def __str__(self):
         return f"[{self.n}]"
-
-    @property
-    def size(self) -> int:
-        return self.n + 1
 
 
 def _as_ordinal(x) -> Ordinal:

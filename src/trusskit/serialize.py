@@ -101,6 +101,19 @@ def _list(v, where: str) -> list:
     return v
 
 
+def _ordinal(v, where: str) -> Ordinal:
+    n = _int(v, where)
+    if n < 0:
+        raise ParseError(f"{where}: expected a nonnegative integer, got {n!r}")
+    return Ordinal(n)
+
+
+def _schema(obj, schema: str, where: str) -> None:
+    """Embedded payloads carry their own schema field; it must match."""
+    if _expect(obj, "schema", where) != schema:
+        raise ParseError(f"{where}: expected schema {schema!r}")
+
+
 def _fraction(v, where: str) -> Fraction:
     try:
         return Fraction(_str(v, where))
@@ -190,7 +203,7 @@ def _parse_stages(payload, base: FinPoset, where: str):
         ordp = _dict(_expect(sp, "ord", tag), tag)
         if set(ordp) != set(lookup):
             raise ParseError(f"{tag}: ordinal keys do not match the base elements")
-        ords = {lookup[k]: Ordinal(_int(v, tag)) for k, v in ordp.items()}
+        ords = {lookup[k]: _ordinal(v, tag) for k, v in ordp.items()}
         covs = _cover_lookup(cur, tag)
         arrp = _dict(_expect(sp, "arrow", tag), tag)
         if set(arrp) != set(covs):
@@ -229,6 +242,7 @@ def _labelcat_payload(cat: LabelCategory) -> dict:
 
 
 def _parse_labelcat(obj, where: str = "labelcat") -> LabelCategory:
+    _schema(obj, SCHEMA_LABELCAT, where)
     objects = [_str(o, where) for o in _list(_expect(obj, "objects", where), where)]
     morphisms = [_str(m, where) for m in _list(_expect(obj, "morphisms", where), where)]
     srcp = _expect(obj, "src", where)
@@ -272,6 +286,7 @@ def _truss_payload(t: TrussTower) -> dict:
 
 
 def _parse_truss(obj, where: str = "truss") -> TrussTower:
+    _schema(obj, SCHEMA_TRUSS, where)
     base = _named_base(_str(_expect(obj, "base", where), where))
     stages, top = _parse_stages(_expect(obj, "stages", where), base, where)
     labp = _expect(obj, "labels", where)
@@ -324,7 +339,7 @@ def _parse_diagram(obj, where: str = "diagram") -> DeltaDiagram:
         raise ParseError(f"{where}: ordinal keys do not match the base elements")
     if set(arrp) != set(covs):
         raise ParseError(f"{where}: arrow keys do not match the covering relations")
-    ords = {lookup[k]: Ordinal(_int(v, where)) for k, v in ordp.items()}
+    ords = {lookup[k]: _ordinal(v, where) for k, v in ordp.items()}
     arrows = {covs[k]: _parse_map(DeltaMap, v, f"{where} arrow {k}") for k, v in arrp.items()}
     return DeltaDiagram(base, ords, arrows)
 
@@ -425,6 +440,8 @@ def parse(text: str):
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ParseError("file must be a JSON object with a 'schema' field")
     schema = obj["schema"]
@@ -442,6 +459,6 @@ def save(obj, path) -> None:
 def load(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse(text)

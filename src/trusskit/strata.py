@@ -19,11 +19,17 @@ has the targets r_j for a(i) <= j <= a(i+1) and s_j for a(i) <= j < a(i+1).
 stratum_targets returns that interval.  Fibers, factorization posets and
 bundle total spaces are built from it, and hom_strata generates its maps
 without filtering, so each costs time proportional to its output.
+
+Strata are interned: there is exactly one Stratum instance per value
+(kind, index, n), however it was made (constructed, parsed, copied or
+unpickled), so two strata are equal exactly when they are the same object.
+Total-space elements are nested tuples of strata, so hashing and comparing
+them runs in C.  Only values that pass every check are interned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -35,30 +41,56 @@ REGULAR = "r"
 SINGULAR = "s"
 
 
-@dataclass(frozen=True)
+# One instance per stratum value, keyed by (kind, index, n).
+_STRATA = {}
+
+
 class Stratum:
-    """A regular or singular position in the fiber over the ordinal [n]."""
+    """A regular or singular position in the fiber over the ordinal [n].
 
-    kind: str
-    index: int
-    n: int
+    Strata are interned: constructing, parsing, copying or unpickling a
+    stratum returns the one instance with its value, so equality is
+    identity and hashing is the object's own, both done in C.  Instances
+    are immutable.
+    """
 
-    def __post_init__(self):
-        if self.kind not in (REGULAR, SINGULAR):
-            raise DomainError(f"kind must be {REGULAR!r} or {SINGULAR!r}, got {self.kind!r}")
-        if type(self.index) is bool or not isinstance(self.index, int):
-            raise DomainError(f"stratum index must be an int, got {self.index!r}")
-        if type(self.n) is bool or not isinstance(self.n, int):
-            raise DomainError(f"ambient ordinal must be an int, got {self.n!r}")
-        if self.n < 0:
-            raise DomainError(f"ambient ordinal must be nonnegative, got {self.n}")
-        hi = self.n if self.kind == REGULAR else self.n - 1
-        if not 0 <= self.index <= hi:
-            raise DomainError(f"index {self.index} out of range for {self.kind}@{self.n}")
+    __slots__ = ("kind", "index", "n", "is_regular", "_sort_key")
 
-    @property
-    def is_regular(self) -> bool:
-        return self.kind == REGULAR
+    def __new__(cls, kind, index, n):
+        if type(index) is int and type(n) is int:
+            try:
+                return _STRATA[kind, index, n]
+            except (KeyError, TypeError):  # TypeError: an unhashable kind
+                pass
+        if kind not in (REGULAR, SINGULAR):
+            raise DomainError(f"kind must be {REGULAR!r} or {SINGULAR!r}, got {kind!r}")
+        if type(index) is bool or not isinstance(index, int):
+            raise DomainError(f"stratum index must be an int, got {index!r}")
+        if type(n) is bool or not isinstance(n, int):
+            raise DomainError(f"ambient ordinal must be an int, got {n!r}")
+        if n < 0:
+            raise DomainError(f"ambient ordinal must be nonnegative, got {n}")
+        hi = n if kind == REGULAR else n - 1
+        if not 0 <= index <= hi:
+            raise DomainError(f"index {index} out of range for {kind}@{n}")
+        key = (REGULAR if kind == REGULAR else SINGULAR, int(index), int(n))
+        self = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(self, "kind", key[0])
+        set_field(self, "index", key[1])
+        set_field(self, "n", key[2])
+        set_field(self, "is_regular", key[0] == REGULAR)
+        set_field(self, "_sort_key", key)
+        return _STRATA.setdefault(key, self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Stratum, (self.kind, self.index, self.n))
 
     @staticmethod
     def regular(i: int, n: int) -> "Stratum":
@@ -79,13 +111,18 @@ class Stratum:
             raise DomainError(f"bad stratum literal {text!r}, expected e.g. 's0@1'") from exc
 
     def sort_key(self):
-        return (self.kind, self.index, self.n)
+        return self._sort_key
+
+    def __repr__(self):
+        return f"Stratum(kind={self.kind!r}, index={self.index!r}, n={self.n!r})"
 
     def __str__(self):
         return f"{self.kind}{self.index}@{self.n}"
 
 
-@lru_cache(maxsize=1 << 18)
+# Kept small: each map hom_strata builds is a fresh key, so a large cache
+# would only keep dead maps alive.
+@lru_cache(maxsize=4096)
 def validate_stratum_map(src: Stratum, dst: Stratum, alpha: DeltaMap) -> bool:
     """Whether alpha carries a morphism src -> dst.  The ambient ordinals of
     src and dst must match alpha's endpoints."""

@@ -1,5 +1,8 @@
 """Monotone map arithmetic and the interval duality."""
 
+import copy
+import enum
+import pickle
 from math import comb
 
 import pytest
@@ -150,3 +153,40 @@ def test_dual_counts_preimages(f):
     g = dual_delta_to_nabla(f)
     for j in range(g.src.size):
         assert g(j) == sum(1 for i in range(f.src.size) if f(i) < j)
+
+
+class _Small(enum.IntEnum):
+    TWO = 2
+
+
+def test_ordinal_routes_give_the_interned_instance():
+    o = Ordinal(2)
+    assert Ordinal(2) is o
+    assert Ordinal(_Small.TWO) is o
+    assert type(Ordinal(_Small.TWO).n) is int
+    assert DeltaMap(1, 2, (0, 2)).dst is o
+    assert DeltaMap.identity(2).src is o
+    assert copy.copy(o) is o
+    assert copy.deepcopy(o) is o
+    assert pickle.loads(pickle.dumps(o)) is o
+    f = DeltaMap(1, 2, (0, 2))
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and hash(g) == hash(f) and g.dst is o
+
+
+def test_ordinal_is_immutable():
+    o = Ordinal(3)
+    for field in ("n", "size", "other"):
+        with pytest.raises(AttributeError):
+            setattr(o, field, 0)
+    assert not hasattr(o, "__dict__")
+    assert (o.n, o.size, repr(o), str(o)) == (3, 4, "Ordinal(n=3)", "[3]")
+
+
+@pytest.mark.parametrize("n", [-1, True, False, 1.0, "1", None])
+def test_invalid_ordinals_are_never_interned(n):
+    # intern the valid values True, False and 1.0 compare equal to
+    Ordinal(0)
+    Ordinal(1)
+    with pytest.raises(DomainError):
+        Ordinal(n)

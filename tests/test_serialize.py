@@ -1,6 +1,7 @@
 """Canonical JSON round trips for every schema."""
 
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from trusskit import (
     Ordinal,
     PackedTower,
     ParseError,
+    TrussError,
     arrow_poset,
     constant_inclusion,
     dumps,
@@ -98,10 +100,24 @@ def test_load_missing_file(tmp_path):
         load(tmp_path / "absent.json")
 
 
+def test_load_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff\xfe{"schema": "diagram/v1"}')
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert "cannot read" in str(err.value)
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(ParseError) as err:
         parse("{not json")
     assert "line" in str(err.value)
+
+
+def test_parse_rejects_deeply_nested_json():
+    with pytest.raises(ParseError) as err:
+        parse("[" * 100000 + "]" * 100000)
+    assert "nested too deeply" in str(err.value)
 
 
 def test_parse_rejects_unknown_schema():
@@ -208,3 +224,111 @@ def test_parse_keeps_semantic_failures_separate():
 def test_unsupported_object_rejected():
     with pytest.raises(ParseError):
         payload_for(42)
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzz: malformed fields are ParseErrors, nothing escapes as a raw
+# Python exception
+
+FUZZ_VALUES = (5, None, [], {}, "x", [1], True, -1)
+
+
+def canonical_files(chain_cat):
+    """One small canonical file per schema."""
+    return {
+        "diagram/v1": dumps(inner_face_diagram()),
+        "truss/v1": dumps(constant_inclusion([DeltaMap(1, 2, (0, 2))], "a<=b", chain_cat)),
+        "labelcat/v1": dumps(chain_cat),
+        "mesh/v1": dumps(realize_bundle(inner_face_diagram())),
+        "packed/v1": dumps(pack(constant_inclusion([1, 1], "a", chain_cat))),
+    }
+
+
+def field_paths(obj, prefix=()):
+    """The path of every object value and list item, outermost first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def mutated(payload, mutations):
+    out = json.loads(json.dumps(payload))
+    for path, value in mutations:
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return out
+
+
+def parse_failure(payload):
+    """None if the payload parses, else what parse raised."""
+    try:
+        parse(json.dumps(payload))
+    except Exception as exc:  # the callers assert on its type
+        return exc
+    return None
+
+
+def test_parse_fuzz_one_field(chain_cat):
+    # a value of another JSON type, or -1 for an integer, is malformed and
+    # must be a ParseError; a well-typed value may instead break an object
+    # invariant (a TrussError, exit 1), but nothing may escape untyped
+    checked = 0
+    for schema, text in canonical_files(chain_cat).items():
+        payload = json.loads(text)
+        for path in field_paths(payload):
+            old = payload
+            for key in path:
+                old = old[key]
+            for value in FUZZ_VALUES:
+                exc = parse_failure(mutated(payload, [(path, value)]))
+                where = (schema, path, value, exc)
+                if type(value) is not type(old) or (value == -1 and type(old) is int):
+                    assert isinstance(exc, ParseError), where
+                else:
+                    assert exc is None or isinstance(exc, TrussError), where
+                checked += 1
+    assert checked > 3000
+
+
+def test_parse_fuzz_two_fields(chain_cat):
+    rng = random.Random(0)
+    outcomes = {"ok": 0, "ParseError": 0, "other TrussError": 0}
+    for schema, text in canonical_files(chain_cat).items():
+        payload = json.loads(text)
+        paths = list(field_paths(payload))
+        for _ in range(300):
+            p, q = rng.sample(paths, 2)
+            if p[:len(q)] == q or q[:len(p)] == p:
+                continue  # one field holds the other
+            exc = parse_failure(mutated(payload, [(p, rng.choice(FUZZ_VALUES)), (q, rng.choice(FUZZ_VALUES))]))
+            assert exc is None or isinstance(exc, TrussError), (schema, p, q, exc)
+            kind = "ok" if exc is None else "ParseError" if isinstance(exc, ParseError) else "other TrussError"
+            outcomes[kind] += 1
+    assert outcomes["ParseError"] > 1000
+
+
+def test_parse_rejects_negative_ordinals(single_node):
+    payload = payload_for(inner_face_diagram())
+    payload["ord"]["0"] = -1
+    with pytest.raises(ParseError):
+        parse(json.dumps(payload))
+    payload = payload_for(single_node)
+    payload["stages"][0]["ord"]["pt"] = -1
+    with pytest.raises(ParseError):
+        parse(json.dumps(payload))
+
+
+@pytest.mark.parametrize("schema", [5, None, "mesh/v1", "truss/v1"])
+def test_parse_checks_embedded_schemas(single_node, schema):
+    payload = payload_for(single_node)
+    payload["labels"]["category"]["schema"] = schema
+    with pytest.raises(ParseError):
+        parse(json.dumps(payload))
+    packed = payload_for(pack(single_node))
+    key = sorted(packed["objects"])[0]
+    packed["objects"][key]["schema"] = "labelcat/v1" if schema == "truss/v1" else schema
+    with pytest.raises(ParseError):
+        parse(json.dumps(packed))

@@ -1,15 +1,20 @@
 """Regular/singular positions, their morphisms, and the fibers."""
 
+import copy
+import enum
 import itertools
+import pickle
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from trusskit import (
+    DeltaDiagram,
     DeltaMap,
     DomainError,
     FinPoset,
+    Ordinal,
     Stratum,
     StratumMap,
     compose_strata,
@@ -18,7 +23,12 @@ from trusskit import (
     fiber_over_map,
     fiber_over_ordinal,
     forget_to_delta,
+    arrow_poset,
+    dumps,
     hom_strata,
+    parse,
+    realize_bundle,
+    section_to_strata,
     stratum_targets,
     validate_stratum_map,
 )
@@ -339,3 +349,65 @@ def test_hom_large_set_is_lexicographic():
     assert len(values) == 3003
     assert values == sorted(set(values))
     assert all(v[0] == 5 for v in values)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def test_stratum_routes_give_the_interned_instance():
+    x = Stratum("s", 1, 2)
+    assert Stratum("s", 1, 2) is x
+    assert Stratum.singular(1, 2) is x
+    assert Stratum.parse("s1@2") is x
+    assert fiber_objects(2)[4] is x  # r0 r1 r2 s0 s1
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert copy.deepcopy([(("pt", x), x)])[0][0][1] is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert Stratum.regular(_Small.TWO, 2) is Stratum.regular(2, 2)
+    assert Stratum.singular(_Small.ONE, _Small.TWO) is x
+    assert type(Stratum.singular(_Small.ONE, _Small.TWO).index) is int
+
+
+def test_parsed_truss_elements_are_interned(single_node):
+    back = parse(dumps(single_node))
+    assert back.top.elements == single_node.top.elements
+    for new, old in zip(back.top.elements, single_node.top.elements):
+        assert new[1] is old[1]
+        assert new[0][1] is old[0][1]
+
+
+def test_mesh_section_strata_are_interned():
+    m = realize_bundle(
+        DeltaDiagram(arrow_poset(), {"0": Ordinal(1), "1": Ordinal(2)}, {("0", "1"): DeltaMap(1, 2, (0, 2))})
+    )
+    out = section_to_strata(m, {"0": ("s", 0), "1": ("r", _Small.ONE)})
+    assert out["0"] is Stratum.singular(0, 1)
+    assert out["1"] is Stratum.regular(1, 2)
+
+
+def test_stratum_is_immutable():
+    x = Stratum.regular(0, 1)
+    for field in ("kind", "index", "n", "is_regular", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, 0)
+    with pytest.raises(AttributeError):
+        del x.kind
+    assert not hasattr(x, "__dict__")
+    assert (x.kind, x.index, x.n, x.is_regular) == ("r", 0, 1, True)
+    assert repr(x) == "Stratum(kind='r', index=0, n=1)"
+
+
+@pytest.mark.parametrize(
+    "kind, index, n",
+    [([], 0, 1), ({}, 0, 1), ("r", True, 1), ("r", 1, True), ("s", False, 1), ("q", 0, 1), ("r", 0, -1), ("s", 1, 1)],
+)
+def test_invalid_stratum_values_are_never_interned(kind, index, n):
+    # intern the valid values these compare equal to, so a lookup that
+    # skipped the checks would find them
+    Stratum.regular(1, 1)
+    Stratum.singular(0, 1)
+    with pytest.raises(DomainError):
+        Stratum(kind, index, n)
