@@ -6,6 +6,11 @@ relation.  Its total space is the poset of pairs (base element, stratum)
 with (b, e) <= (b', e') exactly when b <= b' and some stratum morphism
 e -> e' exists over the composite map of the base relation.  classify
 recovers the functor from a total space, total_space being its inverse.
+
+Bundles, labelings (functors into a LabelCategory) and the attachment maps of
+mesh bundles (mesh.NablaDiagram) share one CoverFunctor core: it checks
+which elements and covers are assigned, proves functoriality with
+functor_table, keeps the resulting path table and defines equality.
 """
 
 from __future__ import annotations
@@ -74,7 +79,57 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     return table, diagnostics
 
 
-class DeltaDiagram:
+class CoverFunctor:
+    """A functor out of a finite poset, given on its elements and covers.
+
+    A subclass keeps its base, its value per element and its value per
+    covering relation under its own names, checks its values and endpoints
+    in ``_check_values`` and calls ``_extend`` from its constructor.  That
+    checks that exactly the base elements and covering relations are
+    assigned, extends the cover values to every related pair with
+    functor_table and stores that path table; the first diagnostic is
+    raised as ``_error``.  Equality and hashing go by ``_key``: the base,
+    any target, then the element and cover tables.
+    """
+
+    _error = DiagramError
+    _names = ("ord", "arrow")
+
+    def _extend(self, key, identity_at, compose_pair):
+        """key is (base, [target,] element values, cover values)."""
+        base, objects, covers = key[0], key[-2], key[-1]
+        if set(objects) != set(base.elements):
+            raise self._error(f"{self._names[0]} must assign exactly the base elements")
+        expected = set(base.covers())
+        if set(covers) != expected:
+            raise self._error(
+                f"{self._names[1]} must assign exactly the covering relations"
+                f" (missing {sorted(expected - set(covers), key=element_sort_key)},"
+                f" extra {sorted(set(covers) - expected, key=element_sort_key)})"
+            )
+        self._check_values()
+        table, diagnostics = functor_table(base, identity_at, covers.__getitem__, compose_pair)
+        if diagnostics:
+            raise self._error(diagnostics[0])
+        self._paths = table
+        self._key = key
+        self._hash = hash(key[:-2] + (frozenset(objects.items()), frozenset(covers.items())))
+
+    def map_for(self, a, b):
+        """The composite value of any related pair a <= b."""
+        try:
+            return self._paths[(a, b)]
+        except KeyError:
+            raise DomainError(f"{a!r} and {b!r} are not related in the base") from None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+
+class DeltaDiagram(CoverFunctor):
     """A functor from a finite poset to ordinals and weakly increasing maps.
 
     ord maps each base element to an Ordinal; arrow maps each covering
@@ -86,53 +141,14 @@ class DeltaDiagram:
         self.base = base
         self.ord = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in dict(ord).items()}
         self.arrow = dict(arrow)
-        if set(self.ord) != set(base.elements):
-            raise DiagramError("ord must assign exactly the base elements")
-        covers = set(base.covers())
-        if set(self.arrow) != covers:
-            missing = covers - set(self.arrow)
-            extra = set(self.arrow) - covers
-            raise DiagramError(
-                f"arrow must assign exactly the covering relations"
-                f" (missing {sorted(missing, key=element_sort_key)},"
-                f" extra {sorted(extra, key=element_sort_key)})"
-            )
+        ords = self.ord
+        self._extend((base, ords, self.arrow), lambda b: DeltaMap.identity(ords[b]), compose_delta)
+
+    def _check_values(self):
         for (a, b), f in self.arrow.items():
             if f.src != self.ord[a] or f.dst != self.ord[b]:
                 raise DiagramError(f"map on cover ({a!r}, {b!r}) is {f}, expected"
                                    f" {self.ord[a]}->{self.ord[b]}")
-        table, diagnostics = functor_table(
-            base,
-            identity_at=lambda b: DeltaMap.identity(self.ord[b]),
-            cover_value=lambda cov: self.arrow[cov],
-            compose_pair=compose_delta,
-        )
-        if diagnostics:
-            raise DiagramError(diagnostics[0])
-        self._paths = table
-        self._hash = hash((
-            base,
-            frozenset(self.ord.items()),
-            frozenset(self.arrow.items()),
-        ))
-
-    def map_for(self, a, b) -> DeltaMap:
-        """The composite map for any related pair a <= b."""
-        try:
-            return self._paths[(a, b)]
-        except KeyError:
-            raise DomainError(f"{a!r} and {b!r} are not related in the base") from None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeltaDiagram)
-            and self.base == other.base
-            and self.ord == other.ord
-            and self.arrow == other.arrow
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"DeltaDiagram(base={self.base!r}, ords={[o.n for _, o in sorted(self.ord.items(), key=lambda kv: element_sort_key(kv[0]))]})"
@@ -373,79 +389,41 @@ class LabelFunctor:
                 raise DomainError(f"functor breaks the composite of {f!r}, {g!r}")
 
 
-class Labeling:
+class Labeling(CoverFunctor):
     """A functor from a finite poset into a label category.
 
     Given on objects and on covering relations; composites along any two
-    routes between the same pair must agree, which the constructor checks
-    the same way DeltaDiagram does.
+    routes between the same pair must agree.
     """
 
-    def __init__(self, domain: FinPoset, target: LabelCategory, on_objects, on_relations, check=True):
+    _error = LabelingError
+    _names = ("object labels", "relation labels")
+
+    def __init__(self, domain: FinPoset, target: LabelCategory, on_objects, on_relations):
         self.domain = domain
         self.target = target
         self.on_objects = dict(on_objects)
         self.on_relations = dict(on_relations)
-        self._paths = None
-        if check:
-            diagnostics = self._check()
-            if diagnostics:
-                raise LabelingError(diagnostics[0])
-        self._hash = hash((
-            domain,
-            target,
-            frozenset(self.on_objects.items()),
-            frozenset(self.on_relations.items()),
-        ))
+        objects = self.on_objects
+        self._extend(
+            (domain, target, objects, self.on_relations),
+            lambda b: target.identity[objects[b]],
+            target.compose_pair,
+        )
 
-    def _check(self):
+    def _check_values(self):
         objs = set(self.target.objects)
         mors = set(self.target.morphisms)
-        if set(self.on_objects) != set(self.domain.elements):
-            return ["labels must cover exactly the domain elements"]
-        covers = set(self.domain.covers())
-        if set(self.on_relations) != covers:
-            return ["relation labels must cover exactly the covering relations"]
         for b, o in self.on_objects.items():
             if o not in objs:
-                return [f"label {o!r} of {b!r} is not an object"]
+                raise LabelingError(f"label {o!r} of {b!r} is not an object")
         for (a, b), m in self.on_relations.items():
             if m not in mors:
-                return [f"label {m!r} of cover ({a!r}, {b!r}) is not a morphism"]
+                raise LabelingError(f"label {m!r} of cover ({a!r}, {b!r}) is not a morphism")
             if self.target.src[m] != self.on_objects[a] or self.target.dst[m] != self.on_objects[b]:
-                return [f"label of cover ({a!r}, {b!r}) has wrong endpoints"]
-        table, diagnostics = functor_table(
-            self.domain,
-            identity_at=lambda b: self.target.identity[self.on_objects[b]],
-            cover_value=lambda cov: self.on_relations[cov],
-            compose_pair=self.target.compose_pair,
-        )
-        if not diagnostics:
-            self._paths = table
-        return diagnostics
+                raise LabelingError(f"label of cover ({a!r}, {b!r}) has wrong endpoints")
 
-    def morphism_for(self, a, b):
-        """The composite label of any related pair a <= b."""
-        if self._paths is None:
-            diagnostics = self._check()
-            if diagnostics:
-                raise LabelingError(diagnostics[0])
-        try:
-            return self._paths[(a, b)]
-        except KeyError:
-            raise DomainError(f"{a!r} and {b!r} are not related in the domain") from None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Labeling)
-            and self.domain == other.domain
-            and self.target == other.target
-            and self.on_objects == other.on_objects
-            and self.on_relations == other.on_relations
-        )
-
-    def __hash__(self):
-        return self._hash
+    morphism_for = CoverFunctor.map_for
 
     def __repr__(self):
         return f"Labeling({len(self.on_objects)} objects into {self.target!r})"
@@ -453,12 +431,12 @@ class Labeling:
 
 def validate_labeling(l: Labeling, t) -> tuple:
     """Check a labeling against a total space (or a bare poset for towers of
-    depth zero).  Returns (ok, diagnostics) instead of raising."""
+    depth zero).  Returns (ok, diagnostics) instead of raising; the labeling
+    itself was checked when it was built."""
     carrier = t.carrier if isinstance(t, TotalPoset) else t
     if l.domain != carrier:
-        return False, [f"labeling domain differs from the given poset"]
-    diagnostics = l._check()
-    return not diagnostics, diagnostics
+        return False, ["labeling domain differs from the given poset"]
+    return True, []
 
 
 def relabel(l: Labeling, functor: LabelFunctor) -> Labeling:

@@ -4,9 +4,11 @@ A 1-mesh stratifies the open interval (-1, 1) by finitely many singular
 points; its compactification pads the endpoints.  A mesh bundle over a
 finite poset (triangulated by its nerve) stores one compactified fiber per
 vertex and, per covering relation, the interval map that says where each
-singular sheet of the upper fiber attaches in the lower one.  Heights over
-interior points of a simplex are convex combinations, so strictness can be
-checked exactly at edge barycenters.
+singular sheet of the upper fiber attaches in the lower one.  The attachment
+maps must form a NablaDiagram, a contravariant functor into intervals on the
+CoverFunctor core of bundle.py.  Heights over interior points of a simplex
+are convex combinations, so strictness can be checked exactly at edge
+barycenters.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .ordinal import (
 )
 from .poset import FinPoset, PosetMap
 from .strata import Stratum, validate_stratum_map
-from .bundle import DeltaDiagram, functor_table, pullback_bundle
+from .bundle import CoverFunctor, DeltaDiagram, pullback_bundle
 
 
 ONE = Fraction(1)
@@ -100,78 +102,55 @@ class StratSimplexPoint:
         return max(i for i, c in enumerate(self.coords) if c != 0)
 
 
-class NablaDiagram:
-    """A contravariant assignment of strict intervals: one interval object
-    per base element and, per covering relation, a backward interval map."""
+class NablaDiagram(CoverFunctor):
+    """A contravariant functor into strict intervals: an ordinal [n] with
+    n >= 1 per base element and, per covering relation a <= b, a backward
+    interval map from the one over b to the one over a.  map_for(a, b) is
+    the composite backward map of any related pair."""
 
     def __init__(self, base: FinPoset, ord, arrow):
         self.base = base
         self.ord = dict(ord)
         self.arrow = dict(arrow)
-        if set(self.ord) != set(base.elements):
-            raise DiagramError("interval assignment must cover the base exactly")
-        covers = set(base.covers())
-        if set(self.arrow) != covers:
-            raise DiagramError("arrow assignment must cover the covering relations exactly")
+        ords = self.ord
+        # contravariant: the composite along x <= y <= z runs z -> y -> x
+        self._extend(
+            (base, ords, self.arrow),
+            lambda x: NablaMap.identity(ords[x]),
+            lambda m_xy, m_yz: compose_nabla(m_yz, m_xy),
+        )
+
+    def _check_values(self):
         for n in self.ord.values():
             if not isinstance(n, Ordinal) or n.n < 1:
                 raise DiagramError("interval objects must be ordinals [n] with n >= 1")
         for (a, b), g in self.arrow.items():
             if g.src != self.ord[b] or g.dst != self.ord[a]:
                 raise DiagramError(f"arrow on ({a!r}, {b!r}) has mismatched endpoints")
-        # contravariant: the composite along x <= y <= z runs z -> y -> x
-        table, problems = functor_table(
-            base,
-            lambda x: NablaMap.identity(self.ord[x]),
-            lambda cov: self.arrow[cov],
-            lambda m_xy, m_yz: compose_nabla(m_yz, m_xy),
-        )
-        if problems:
-            raise DiagramError("; ".join(problems))
-        self._paths = table
-
-    def map_for(self, a, b) -> NablaMap:
-        """The backward map from the fiber interval over b to the one over a."""
-        if (a, b) not in self._paths:
-            raise DomainError(f"{a!r} is not below {b!r} in the base")
-        return self._paths[(a, b)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NablaDiagram)
-            and self.base == other.base
-            and self.ord == other.ord
-            and self.arrow == other.arrow
-        )
-
-    def __hash__(self):
-        return hash((self.base, tuple(sorted(self.ord.items(), key=lambda kv: str(kv[0]))),
-                     tuple(sorted(self.arrow.items(), key=lambda kv: str(kv[0])))))
 
 
 class PLMeshBundle:
     """Compactified fiber heights per base vertex plus, per covering
     relation, the backward interval map attaching upper sheets to lower
-    heights.  Validation is exact: fiber monotonicity, shape agreement with
-    the attachment maps, and strictness of the interpolated heights at
-    every edge barycenter."""
+    heights.  Validation is exact: fiber monotonicity; the attachment maps
+    must form a NablaDiagram over the fiber intervals, so they have the
+    fibers' shapes and are functorial (any two routes between two vertices
+    attach alike); and the interpolated heights are strict at every edge
+    barycenter."""
 
     def __init__(self, base: FinPoset, heights, sing):
         self.base = base
         self.heights = dict(heights)
         self.sing = dict(sing)
-        if set(self.heights) != set(base.elements):
-            raise MeshError("vertex heights must cover the base exactly")
-        if set(self.sing) != set(base.covers()):
-            raise MeshError("sheet attachments must cover the covering relations exactly")
         for b, h in self.heights.items():
             if not isinstance(h, CompactMesh1):
                 raise MeshError(f"heights over {b!r} are not a compactified 1-mesh")
-        for (a, b), g in self.sing.items():
-            na = len(self.heights[a].heights) - 2
-            nb = len(self.heights[b].heights) - 2
-            if g.src != Ordinal(nb + 1) or g.dst != Ordinal(na + 1):
-                raise MeshError(f"attachment map on ({a!r}, {b!r}) has the wrong interval shape")
+        try:
+            self._attach = NablaDiagram(
+                base, {b: Ordinal(len(h.heights) - 1) for b, h in self.heights.items()}, self.sing
+            )
+        except DiagramError as exc:
+            raise MeshError(f"heights and attachments are not an interval diagram: {exc}") from exc
         for cov in base.covers():
             mid = interpolated_heights(self, cov, StratSimplexPoint((Fraction(1, 2), Fraction(1, 2))))
             if any(u >= v for u, v in zip(mid, mid[1:])):
@@ -198,18 +177,6 @@ class PLMeshBundle:
         return f"PLMeshBundle(base={len(self.base.elements)} vertices)"
 
 
-def _sing_between(m: PLMeshBundle, a, b) -> NablaMap:
-    """Backward map from the fiber over b to the fiber over a, composed
-    along covering relations (path independence follows from extraction
-    functoriality)."""
-    if a == b:
-        return NablaMap.identity(Ordinal(len(m.heights[a].heights) - 1))
-    for (y, _) in m.base.covers_into(b):
-        if m.base.le(a, y):
-            return compose_nabla(m.sing[(y, b)], _sing_between(m, a, y))
-    raise DomainError(f"{a!r} is not below {b!r} in the base")
-
-
 def interpolated_heights(m: PLMeshBundle, chain, point: StratSimplexPoint) -> tuple:
     """Sheet heights over a point of the simplex spanned by a base chain.
 
@@ -225,7 +192,7 @@ def interpolated_heights(m: PLMeshBundle, chain, point: StratSimplexPoint) -> tu
             raise DomainError("chain must be strictly increasing in the base")
     top = chain[point.stratum]
     n_top = len(m.heights[top].heights) - 2
-    backs = [_sing_between(m, chain[k], top) for k in range(point.stratum + 1)]
+    backs = [m._attach.map_for(chain[k], top) for k in range(point.stratum + 1)]
     out = []
     for j in range(n_top + 2):
         total = Fraction(0)

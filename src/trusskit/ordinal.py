@@ -2,8 +2,9 @@
 
 Two arrow flavours live here: plain weakly increasing maps between the
 ordinals [n] = {0, ..., n}, and endpoint-preserving weakly increasing maps
-(the strict-interval side).  The two are exchanged by an explicit duality
-given by counting preimages, implemented in both directions below.
+(the strict-interval side), both checked by one MonotoneMap base.  The two
+are exchanged by an explicit duality given by counting preimages,
+implemented in both directions below.
 
 Ordinals are interned: there is exactly one Ordinal instance per n, so two
 ordinals are equal exactly when they are the same object, and equality and
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
+from operator import gt
 
 from .errors import DomainError
 
@@ -67,25 +69,26 @@ def _as_ordinal(x) -> Ordinal:
 
 
 @dataclass(frozen=True)
-class DeltaMap:
-    """A weakly increasing map [src] -> [dst], stored as its value sequence."""
+class MonotoneMap:
+    """A weakly increasing map [src] -> [dst], stored as its value sequence;
+    the shared value object of DeltaMap and NablaMap."""
 
     src: Ordinal
     dst: Ordinal
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "src", _as_ordinal(self.src))
-        object.__setattr__(self, "dst", _as_ordinal(self.dst))
-        object.__setattr__(self, "values", tuple(self.values))
-        vs = self.values
-        if len(vs) != self.src.size:
-            raise DomainError(f"map on {self.src} needs {self.src.size} values, got {len(vs)}")
-        top = self.dst.n
+        src, dst, vs = _as_ordinal(self.src), _as_ordinal(self.dst), tuple(self.values)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "values", vs)
+        if len(vs) != src.size:
+            raise DomainError(f"map on {src} needs {src.size} values, got {len(vs)}")
+        top = dst.n
         for v in vs:
             if type(v) is bool or not isinstance(v, int) or not 0 <= v <= top:
-                raise DomainError(f"value {v!r} outside {self.dst}")
-        if any(vs[i] > vs[i + 1] for i in range(len(vs) - 1)):
+                raise DomainError(f"value {v!r} outside {dst}")
+        if any(map(gt, vs, vs[1:])):
             raise DomainError(f"values {vs} are not weakly increasing")
 
     def __call__(self, i: int) -> int:
@@ -94,48 +97,32 @@ class DeltaMap:
     def __str__(self):
         return f"{self.src}->{self.dst}:{list(self.values)}"
 
-    @staticmethod
-    def identity(n) -> "DeltaMap":
+    @classmethod
+    def identity(cls, n):
         n = _as_ordinal(n)
-        return DeltaMap(n, n, tuple(range(n.size)))
+        return cls(n, n, tuple(range(n.size)))
 
 
-@dataclass(frozen=True)
-class NablaMap:
+class DeltaMap(MonotoneMap):
+    """A weakly increasing map [src] -> [dst]."""
+
+    # bound here, not only inherited, so the class's own __dict__ holds it
+    __post_init__ = MonotoneMap.__post_init__
+
+
+class NablaMap(MonotoneMap):
     """A weakly increasing endpoint-preserving map between ordinals of size >= 2."""
 
-    src: Ordinal
-    dst: Ordinal
-    values: tuple
-
     def __post_init__(self):
-        object.__setattr__(self, "src", _as_ordinal(self.src))
-        object.__setattr__(self, "dst", _as_ordinal(self.dst))
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.src.n < 1 or self.dst.n < 1:
+        MonotoneMap.__post_init__(self)
+        vs, top = self.values, self.dst.n
+        if self.src.n < 1 or top < 1:
             raise DomainError("interval maps need ordinals [n] with n >= 1")
-        vs = self.values
-        if len(vs) != self.src.size:
-            raise DomainError(f"map on {self.src} needs {self.src.size} values, got {len(vs)}")
-        top = self.dst.n
-        for v in vs:
-            if type(v) is bool or not isinstance(v, int) or not 0 <= v <= top:
-                raise DomainError(f"value {v!r} outside {self.dst}")
-        if any(vs[i] > vs[i + 1] for i in range(len(vs) - 1)):
-            raise DomainError(f"values {vs} are not weakly increasing")
-        if vs[0] != 0 or vs[-1] != self.dst.n:
+        if vs[0] != 0 or vs[-1] != top:
             raise DomainError(f"values {vs} do not preserve the endpoints of {self.dst}")
 
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
     def __str__(self):
-        return f"{self.src}->{self.dst}:{list(self.values)} (interval)"
-
-    @staticmethod
-    def identity(n) -> "NablaMap":
-        n = _as_ordinal(n)
-        return NablaMap(n, n, tuple(range(n.size)))
+        return MonotoneMap.__str__(self) + " (interval)"
 
 
 def compose_delta(f: DeltaMap, g: DeltaMap) -> DeltaMap:

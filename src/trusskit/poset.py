@@ -207,11 +207,6 @@ class PosetMap:
     def __call__(self, e):
         return self.mapping[e]
 
-    def then(self, g: "PosetMap") -> "PosetMap":
-        if self.dst != g.src:
-            raise DomainError("poset maps do not compose")
-        return PosetMap(self.src, g.dst, {e: g(self(e)) for e in self.src.elements})
-
     @staticmethod
     def identity(p: FinPoset) -> "PosetMap":
         return PosetMap(p, p, {e: e for e in p.elements})

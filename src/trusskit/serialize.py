@@ -8,19 +8,25 @@ Five schemas, each a flat JSON object with a "schema" discriminator:
   mesh/v1      a PL mesh bundle with exact rational heights
   packed/v1    a packed tower whose labels are nested truss payloads
 
-Dictionaries are keyed by element keys computed from the reconstructed
-total spaces; the parser never splits key strings, it recomputes the
-expected keys and matches them, so printing and parsing are mutually
-inverse on canonical files.
+Each table holds a value per element or per covering relation of a poset
+(diagram and stage ord/arrow, truss labels, mesh heights/sing, packed
+labels), keyed by element_key and cover_key of the reconstructed total
+spaces.  One codec, _keyed and _unkeyed, writes and reads all of them: the
+parser never splits key strings, it recomputes the expected keys and
+matches them, so printing and parsing are mutually inverse on canonical
+files.  Rational heights are read only in the p or p/q form dumps writes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
-from .errors import DomainError, ParseError, TrussError
+from .errors import DomainError, ParseError
 from .ordinal import DeltaMap, NablaMap, Ordinal
 from .poset import FinPoset, arrow_poset, point_poset
 from .strata import Stratum
@@ -49,26 +55,6 @@ def element_key(el) -> str:
 
 def cover_key(cov) -> str:
     return element_key(cov[0]) + "->" + element_key(cov[1])
-
-
-def _element_lookup(poset: FinPoset, where: str) -> dict:
-    lookup = {}
-    for el in poset.elements:
-        k = element_key(el)
-        if k in lookup:
-            raise ParseError(f"{where}: element keys collide at {k!r}")
-        lookup[k] = el
-    return lookup
-
-
-def _cover_lookup(poset: FinPoset, where: str) -> dict:
-    lookup = {}
-    for cov in poset.covers():
-        k = cover_key(cov)
-        if k in lookup:
-            raise ParseError(f"{where}: cover keys collide at {k!r}")
-        lookup[k] = cov
-    return lookup
 
 
 def _expect(obj, key, where: str):
@@ -108,15 +94,25 @@ def _ordinal(v, where: str) -> Ordinal:
     return Ordinal(n)
 
 
+_ordinal_n = attrgetter("n")
+
+
 def _schema(obj, schema: str, where: str) -> None:
     """Embedded payloads carry their own schema field; it must match."""
     if _expect(obj, "schema", where) != schema:
         raise ParseError(f"{where}: expected schema {schema!r}")
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(v, where: str) -> Fraction:
+    """A height as dumps writes it, an integer or p/q; no exponents, so a
+    short string cannot ask for a huge number."""
+    if not _RATIONAL.fullmatch(_str(v, where)):
+        raise ParseError(f"{where}: bad rational {v!r}, expected p or p/q")
     try:
-        return Fraction(_str(v, where))
+        return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: bad rational {v!r}") from exc
 
@@ -126,7 +122,7 @@ def _map_payload(f) -> dict:
     return {"src": f.src.n, "dst": f.dst.n, "values": list(f.values)}
 
 
-def _parse_map(cls, obj, where: str):
+def _parse_map(obj, where: str, cls=DeltaMap):
     """Read a _map_payload back as a cls (DeltaMap or NablaMap)."""
     src = _int(_expect(obj, "src", where), where)
     dst = _int(_expect(obj, "dst", where), where)
@@ -137,6 +133,52 @@ def _parse_map(cls, obj, where: str):
         return cls(Ordinal(src), Ordinal(dst), tuple(_int(v, where) for v in values))
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+def _lookup(items, key, where: str) -> dict:
+    """Items by their string keys; two items with one key cannot be told
+    apart in a file."""
+    lookup = {key(x): x for x in items}
+    if len(lookup) != len(items):
+        seen = set()
+        dup = next(k for k in map(key, items) if k in seen or seen.add(k))
+        raise ParseError(f"{where}: keys collide at {dup!r}")
+    return lookup
+
+
+def _keyed(poset: FinPoset, tables, encoders, where: str) -> tuple:
+    """A value per element and a value per covering relation of poset, as
+    two JSON objects keyed by element_key and cover_key."""
+    return tuple(
+        {k: encode(table[x]) for k, x in _lookup(items, key, where).items()}
+        for items, key, table, encode in zip(
+            (poset.elements, poset.covers()), (element_key, cover_key), tables, encoders
+        )
+    )
+
+
+def _unkeyed(obj, fields, poset: FinPoset, decoders, where: str) -> list:
+    """Inverse of _keyed: read the element and cover objects named by fields
+    from obj.  Each must have exactly the keys of poset; a value that fails
+    to decode is reported with its key."""
+    found = []
+    for field, items, key in zip(fields, (poset.elements, poset.covers()), (element_key, cover_key)):
+        lookup = _lookup(items, key, where)
+        table = _dict(_expect(obj, field, where), where)
+        if table.keys() != lookup.keys():
+            raise ParseError(f"{where}: {field} keys do not match the "
+                             + ("elements" if key is element_key else "covering relations"))
+        found.append((field, table, lookup))
+    out = []
+    for (field, table, lookup), decode in zip(found, decoders):
+        values = {}
+        for k, v in table.items():
+            try:
+                values[lookup[k]] = decode(v, where)
+            except ParseError as exc:
+                raise ParseError(f"{exc} (at {field} {k})") from exc
+        out.append(values)
+    return out
 
 
 def _poset_payload(p: FinPoset) -> dict:
@@ -184,46 +226,41 @@ def _named_base(name: str) -> FinPoset:
 def _stage_payloads(t: TrussTower) -> list:
     stages = []
     for d in t.stages:
-        lookup = _element_lookup(d.base, "stage")
-        ordp = {k: d.ord[el].n for k, el in lookup.items()}
-        covs = _cover_lookup(d.base, "stage")
-        arrp = {k: _map_payload(d.arrow[cov]) for k, cov in covs.items()}
+        ordp, arrp = _keyed(d.base, (d.ord, d.arrow), (_ordinal_n, _map_payload), "stage")
         stages.append({"ord": ordp, "arrow": arrp})
     return stages
 
 
 def _parse_stages(payload, base: FinPoset, where: str):
-    if not isinstance(payload, list):
-        raise ParseError(f"{where}: stages must be a list")
     cur = base
     stages = []
-    for i, sp in enumerate(payload):
+    for i, sp in enumerate(_list(payload, where)):
         tag = f"{where} stage {i + 1}"
-        lookup = _element_lookup(cur, tag)
-        ordp = _dict(_expect(sp, "ord", tag), tag)
-        if set(ordp) != set(lookup):
-            raise ParseError(f"{tag}: ordinal keys do not match the base elements")
-        ords = {lookup[k]: _ordinal(v, tag) for k, v in ordp.items()}
-        covs = _cover_lookup(cur, tag)
-        arrp = _dict(_expect(sp, "arrow", tag), tag)
-        if set(arrp) != set(covs):
-            raise ParseError(f"{tag}: arrow keys do not match the covering relations")
-        arrows = {covs[k]: _parse_map(DeltaMap, v, f"{tag} arrow {k}") for k, v in arrp.items()}
+        ords, arrows = _unkeyed(sp, ("ord", "arrow"), cur, (_ordinal, _parse_map), tag)
         d = DeltaDiagram(cur, ords, arrows)
         stages.append(d)
         cur = total_space(d).carrier
     return stages, cur
 
 
-def _token(value, where: str) -> str:
+def _token(value) -> str:
     if not isinstance(value, str):
-        raise ParseError(f"{where}: only string label tokens serialize, got {value!r}")
+        raise ParseError(f"only string label tokens serialize, got {value!r}")
     return value
 
 
+def _token_in(known):
+    """A decoder for label tokens that must be among known."""
+    def decode(v, where):
+        if _str(v, where) not in known:
+            raise ParseError(f"{where}: unknown label token {v!r}")
+        return v
+    return decode
+
+
 def _labelcat_payload(cat: LabelCategory) -> dict:
-    objects = [_token(o, "labelcat object") for o in cat.objects]
-    morphisms = [_token(m, "labelcat morphism") for m in cat.morphisms]
+    objects = [_token(o) for o in cat.objects]
+    morphisms = [_token(m) for m in cat.morphisms]
     composep = {}
     for (f, g), h in sorted(cat.compose.items()):
         key = f + "|" + g
@@ -271,17 +308,13 @@ def _parse_labelcat(obj, where: str = "labelcat") -> LabelCategory:
 
 
 def _truss_payload(t: TrussTower) -> dict:
-    lookup = _element_lookup(t.top, "labels")
-    covs = _cover_lookup(t.top, "labels")
+    lab = t.labels
+    objects, relations = _keyed(t.top, (lab.on_objects, lab.on_relations), (_token, _token), "labels")
     return {
         "schema": SCHEMA_TRUSS,
         "base": _base_name(t.base),
         "stages": _stage_payloads(t),
-        "labels": {
-            "category": _labelcat_payload(t.labels.target),
-            "objects": {k: _token(t.labels.on_objects[el], f"label of {k}") for k, el in lookup.items()},
-            "relations": {k: _token(t.labels.on_relations[cov], f"label of {k}") for k, cov in covs.items()},
-        },
+        "labels": {"category": _labelcat_payload(lab.target), "objects": objects, "relations": relations},
     }
 
 
@@ -291,118 +324,66 @@ def _parse_truss(obj, where: str = "truss") -> TrussTower:
     stages, top = _parse_stages(_expect(obj, "stages", where), base, where)
     labp = _expect(obj, "labels", where)
     cat = _parse_labelcat(_expect(labp, "category", where), f"{where} labels")
-    lookup = _element_lookup(top, f"{where} labels")
-    covs = _cover_lookup(top, f"{where} labels")
-    objp = _dict(_expect(labp, "objects", where), where)
-    relp = _dict(_expect(labp, "relations", where), where)
-    if set(objp) != set(lookup):
-        raise ParseError(f"{where}: object label keys do not match the top elements")
-    if set(relp) != set(covs):
-        raise ParseError(f"{where}: relation label keys do not match the covering relations")
-    known_objects = set(cat.objects)
-    known_morphisms = set(cat.morphisms)
-    on_obj = {}
-    for k, v in objp.items():
-        token = _str(v, where)
-        if token not in known_objects:
-            raise ParseError(f"{where}: unknown object token {token!r} at {k}")
-        on_obj[lookup[k]] = token
-    on_rel = {}
-    for k, v in relp.items():
-        token = _str(v, where)
-        if token not in known_morphisms:
-            raise ParseError(f"{where}: unknown morphism token {token!r} at {k}")
-        on_rel[covs[k]] = token
-    labels = Labeling(top, cat, on_obj, on_rel)
+    on_obj, on_rel = _unkeyed(
+        labp, ("objects", "relations"), top,
+        (_token_in(set(cat.objects)), _token_in(set(cat.morphisms))), f"{where} labels",
+    )
     cls = Bordism if base == arrow_poset() else TrussTower
-    return cls(base, stages, labels)
+    return cls(base, stages, Labeling(top, cat, on_obj, on_rel))
 
 
 def _diagram_payload(d: DeltaDiagram) -> dict:
-    lookup = _element_lookup(d.base, "diagram")
-    covs = _cover_lookup(d.base, "diagram")
-    return {
-        "schema": SCHEMA_DIAGRAM,
-        "base": _poset_payload(d.base),
-        "ord": {k: d.ord[el].n for k, el in lookup.items()},
-        "arrow": {k: _map_payload(d.arrow[cov]) for k, cov in covs.items()},
-    }
+    ordp, arrp = _keyed(d.base, (d.ord, d.arrow), (_ordinal_n, _map_payload), "diagram")
+    return {"schema": SCHEMA_DIAGRAM, "base": _poset_payload(d.base), "ord": ordp, "arrow": arrp}
 
 
 def _parse_diagram(obj, where: str = "diagram") -> DeltaDiagram:
     base = _parse_poset(_expect(obj, "base", where), where)
-    lookup = _element_lookup(base, where)
-    covs = _cover_lookup(base, where)
-    ordp = _dict(_expect(obj, "ord", where), where)
-    arrp = _dict(_expect(obj, "arrow", where), where)
-    if set(ordp) != set(lookup):
-        raise ParseError(f"{where}: ordinal keys do not match the base elements")
-    if set(arrp) != set(covs):
-        raise ParseError(f"{where}: arrow keys do not match the covering relations")
-    ords = {lookup[k]: _ordinal(v, where) for k, v in ordp.items()}
-    arrows = {covs[k]: _parse_map(DeltaMap, v, f"{where} arrow {k}") for k, v in arrp.items()}
+    ords, arrows = _unkeyed(obj, ("ord", "arrow"), base, (_ordinal, _parse_map), where)
     return DeltaDiagram(base, ords, arrows)
 
 
+def _heights_payload(h: CompactMesh1) -> list:
+    return [str(x) for x in h.heights]
+
+
+def _parse_heights(hs, where: str) -> CompactMesh1:
+    return CompactMesh1(tuple(_fraction(h, where) for h in _list(hs, where)))
+
+
 def _mesh_payload(m: PLMeshBundle) -> dict:
-    lookup = _element_lookup(m.base, "mesh")
-    covs = _cover_lookup(m.base, "mesh")
-    return {
-        "schema": SCHEMA_MESH,
-        "base": _poset_payload(m.base),
-        "heights": {k: [str(h) for h in m.heights[el].heights] for k, el in lookup.items()},
-        "sing": {k: _map_payload(m.sing[cov]) for k, cov in covs.items()},
-    }
+    hp, sp = _keyed(m.base, (m.heights, m.sing), (_heights_payload, _map_payload), "mesh")
+    return {"schema": SCHEMA_MESH, "base": _poset_payload(m.base), "heights": hp, "sing": sp}
 
 
 def _parse_mesh(obj, where: str = "mesh") -> PLMeshBundle:
     base = _parse_poset(_expect(obj, "base", where), where)
-    lookup = _element_lookup(base, where)
-    covs = _cover_lookup(base, where)
-    hp = _dict(_expect(obj, "heights", where), where)
-    sp = _dict(_expect(obj, "sing", where), where)
-    if set(hp) != set(lookup):
-        raise ParseError(f"{where}: height keys do not match the base elements")
-    if set(sp) != set(covs):
-        raise ParseError(f"{where}: attachment keys do not match the covering relations")
-    heights = {}
-    for k, hs in hp.items():
-        if not isinstance(hs, list):
-            raise ParseError(f"{where}: heights at {k} must be a list")
-        heights[lookup[k]] = CompactMesh1(tuple(_fraction(h, f"{where} height at {k}") for h in hs))
-    sing = {covs[k]: _parse_map(NablaMap, v, f"{where} sing {k}") for k, v in sp.items()}
+    heights, sing = _unkeyed(
+        obj, ("heights", "sing"), base, (_parse_heights, partial(_parse_map, cls=NablaMap)), where
+    )
     return PLMeshBundle(base, heights, sing)
 
 
 def _packed_payload(p: PackedTower) -> dict:
     t = p.tower
-    lookup = _element_lookup(t.top, "packed labels")
-    covs = _cover_lookup(t.top, "packed labels")
+    objects, relations = _keyed(
+        t.top, (t.labels.on_objects, t.labels.on_relations), (_truss_payload, _truss_payload), "packed labels"
+    )
     return {
         "schema": SCHEMA_PACKED,
         "base": _base_name(t.base),
         "stages": _stage_payloads(t),
-        "objects": {k: _truss_payload(t.labels.on_objects[el]) for k, el in lookup.items()},
-        "relations": {k: _truss_payload(t.labels.on_relations[cov]) for k, cov in covs.items()},
+        "objects": objects,
+        "relations": relations,
     }
 
 
 def _parse_packed(obj, where: str = "packed") -> PackedTower:
     base = _named_base(_str(_expect(obj, "base", where), where))
     stages, top = _parse_stages(_expect(obj, "stages", where), base, where)
-    lookup = _element_lookup(top, where)
-    covs = _cover_lookup(top, where)
-    objp = _dict(_expect(obj, "objects", where), where)
-    relp = _dict(_expect(obj, "relations", where), where)
-    if set(objp) != set(lookup):
-        raise ParseError(f"{where}: object keys do not match the top elements")
-    if set(relp) != set(covs):
-        raise ParseError(f"{where}: relation keys do not match the covering relations")
-    fibers = {lookup[k]: _parse_truss(v, f"{where} object {k}") for k, v in objp.items()}
-    gens = {covs[k]: _parse_truss(v, f"{where} relation {k}") for k, v in relp.items()}
+    fibers, gens = _unkeyed(obj, ("objects", "relations"), top, (_parse_truss, _parse_truss), where)
     cat = truss_label_category(fibers.values(), gens.values())
-    labels = Labeling(top, cat, fibers, gens)
-    return PackedTower(TrussTower(base, stages, labels))
+    return PackedTower(TrussTower(base, stages, Labeling(top, cat, fibers, gens)))
 
 
 _PARSERS = {

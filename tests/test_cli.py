@@ -141,6 +141,42 @@ def test_validate_rejects_non_list_label_objects(tmp_path, single_node, capsys):
     assert "expected a list" in capsys.readouterr().err
 
 
+def square_mesh_payload(attach_cd):
+    """A mesh/v1 file over the square a < b < d, a < c < d; every cover
+    attaches by the identity except (c, d), which attaches by attach_cd."""
+    identity = {"src": 2, "dst": 2, "values": [0, 1, 2]}
+    return {
+        "schema": "mesh/v1",
+        "base": {"elements": ["a", "b", "c", "d"], "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]},
+        "heights": {v: ["-1", "0", "1"] for v in "abcd"},
+        "sing": {
+            "a->b": identity,
+            "a->c": identity,
+            "b->d": identity,
+            "c->d": {"src": 2, "dst": 2, "values": attach_cd},
+        },
+    }
+
+
+def test_validate_rejects_non_functorial_mesh(tmp_path, capsys):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(square_mesh_payload([0, 1, 2])))
+    assert main(["validate", str(path)]) == 0
+    path.write_text(json.dumps(square_mesh_payload([0, 0, 2])))
+    assert main(["validate", str(path)]) == 1
+    assert "disagree" in capsys.readouterr().err
+
+
+def test_validate_rejects_exponent_heights(tmp_path, capsys):
+    # Fraction would expand the power of ten and never return
+    payload = square_mesh_payload([0, 1, 2])
+    payload["heights"]["b"][1] = "1e999999999"
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path)]) == 2
+    assert "bad rational" in capsys.readouterr().err
+
+
 def test_compose_to_stdout(bordism_files, capsys):
     p1, p2 = bordism_files
     assert main(["compose", str(p1), str(p2)]) == 0

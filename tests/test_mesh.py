@@ -13,6 +13,7 @@ from trusskit import (
     MeshError,
     NablaMap,
     Ordinal,
+    PLMeshBundle,
     PosetMap,
     SectionError,
     StratSimplexPoint,
@@ -157,6 +158,17 @@ def test_sing_extract_map_for_composes():
     m = realize_bundle(d)
     sing = sing_extract(m)
     assert sing.map_for("a", "c") == dual_delta_to_nabla(reg_extract(m).map_for("a", "c"))
+
+
+def test_non_functorial_attachments_are_rejected():
+    # on the square a < b < d, a < c < d every cover attaches by the
+    # identity except (c, d), so the routes from d down to a disagree
+    square = FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    heights = {v: CompactMesh1((F(-1), F(0), F(1))) for v in square.elements}
+    sing = {cov: NablaMap(2, 2, (0, 1, 2)) for cov in square.covers()}
+    sing[("c", "d")] = NablaMap(2, 2, (0, 0, 2))
+    with pytest.raises(MeshError, match="composites from 'a' to 'd' disagree through 'b' and 'c'"):
+        PLMeshBundle(square, heights, sing)
 
 
 def test_section_to_strata_valid():

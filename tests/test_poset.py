@@ -1,5 +1,6 @@
 """Finite posets: linear extension order, cover construction errors, and the
-first diagnostic of a non-functorial diagram or labeling."""
+first diagnostic of a non-functorial diagram (bundle or interval) or
+labeling."""
 
 import time
 
@@ -14,6 +15,8 @@ from trusskit import (
     LabelCategory,
     Labeling,
     LabelingError,
+    NablaDiagram,
+    NablaMap,
     Ordinal,
     constant_inclusion,
     oracles,
@@ -79,12 +82,21 @@ NON_FUNCTORIAL = [
 ]
 
 
+# (diagram class, fiber ordinal, identity map, idempotent non-identity map)
+DIAGRAM_KINDS = [
+    (DeltaDiagram, 1, DeltaMap(1, 1, (0, 1)), DeltaMap(1, 1, (0, 0))),
+    (NablaDiagram, 2, NablaMap(2, 2, (0, 1, 2)), NablaMap(2, 2, (0, 0, 2))),
+]
+
+
+@pytest.mark.parametrize("kind", DIAGRAM_KINDS, ids=lambda k: k[0].__name__)
 @pytest.mark.parametrize("flat, message", NON_FUNCTORIAL)
-def test_first_diagram_error_message(flat, message):
+def test_first_diagram_error_message(flat, message, kind):
+    cls, n, ident, idem = kind
     grid = _grid()
-    arrows = {c: DeltaMap(1, 1, (0, 0) if c in flat else (0, 1)) for c in grid.covers()}
+    arrows = {c: idem if c in flat else ident for c in grid.covers()}
     with pytest.raises(DiagramError) as exc:
-        DeltaDiagram(grid, {e: Ordinal(1) for e in grid.elements}, arrows)
+        cls(grid, {e: Ordinal(n) for e in grid.elements}, arrows)
     assert str(exc.value) == message
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -184,6 +185,18 @@ def test_parse_rejects_non_list_truss_label_category(single_node, field):
         parse(json.dumps(payload))
 
 
+@pytest.mark.parametrize("height", ["1e999999999", "1e-9", "0.5", "1/0", "-1/-3", "1/3 ", "١/3", "Infinity"])
+def test_parse_accepts_only_canonical_heights(height):
+    # dumps writes heights as p or p/q; exponents would let a short string
+    # ask Fraction for a huge power of ten, and parse must not hang on it
+    payload = payload_for(realize_bundle(inner_face_diagram()))
+    payload["heights"]["1"][1] = height
+    with pytest.raises(ParseError, match="bad rational"):
+        parse(json.dumps(payload))
+    payload["heights"]["1"][1] = "-2/4"
+    assert parse(json.dumps(payload)).heights["1"][1] == Fraction(-1, 2)
+
+
 def test_parse_rejects_tampered_maps():
     payload = payload_for(inner_face_diagram())
     payload["arrow"]["0->1"]["values"] = [2, 0]
@@ -308,6 +321,41 @@ def test_parse_fuzz_two_fields(chain_cat):
             kind = "ok" if exc is None else "ParseError" if isinstance(exc, ParseError) else "other TrussError"
             outcomes[kind] += 1
     assert outcomes["ParseError"] > 1000
+
+
+def test_parse_fuzz_keys(chain_cat):
+    # in every object of the canonical files, a dropped key or a key renamed
+    # to "x" is malformed; an added key "x" is malformed or ignored, so the
+    # file then reads back to the same canonical text
+    checked = 0
+    for schema, text in canonical_files(chain_cat).items():
+        payload = json.loads(text)
+        for path in [()] + list(field_paths(payload)):
+            node = payload
+            for key in path:
+                node = node[key]
+            if not isinstance(node, dict):
+                continue
+            assert "x" not in node
+            for key in node:
+                for rename in (False, True):
+                    out = json.loads(text)
+                    target = out
+                    for step in path:
+                        target = target[step]
+                    value = target.pop(key)
+                    if rename:
+                        target["x"] = value
+                    exc = parse_failure(out)
+                    assert isinstance(exc, ParseError), (schema, path, key, rename, exc)
+                    checked += 1
+            out = mutated(payload, [(path + ("x",), 0)])
+            exc = parse_failure(out)
+            assert exc is None or isinstance(exc, ParseError), (schema, path, exc)
+            if exc is None:
+                assert dumps(parse(json.dumps(out))) == text, (schema, path)
+            checked += 1
+    assert checked > 500
 
 
 def test_parse_rejects_negative_ordinals(single_node):

@@ -200,14 +200,11 @@ def test_double_pack_roundtrip(single_node):
 
 
 def test_unpack_rejects_tampered_labels(single_node):
+    # a valid labeling of the packed top, but into the terminal category
+    # instead of the truss category
     p = pack(single_node)
-    lab = p.tower.labels
-    bad_objects = dict(lab.on_objects)
-    el = p.tower.top.elements[0]
-    bad_objects[el] = "not a truss"
-    with pytest.raises((PackingError, TrussError, DomainError)):
-        cat = lab.target
-        tampered = Labeling(p.tower.top, cat, bad_objects, dict(lab.on_relations), check=False)
+    tampered = terminal_labeling(p.tower.top)
+    with pytest.raises(PackingError, match="is not a depth-1 truss over the point"):
         unpack(PackedTower(TrussTower(p.tower.base, p.tower.stages, tampered)))
 
 
