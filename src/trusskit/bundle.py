@@ -41,11 +41,10 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     the up-sets and the cover list, so the bookkeeping costs O(|<=| log n)
     and the checks one composite per pair x < z and cover y -> z with
     x <= y.
-    Returns (table, diagnostics); a nonempty diagnostics list means failure
-    and the table is only partial.
+    Returns (table, diagnostic): the first diagnostic ends the walk, and
+    then the table is only partial; it is None on success.
     """
     table = {}
-    diagnostics = []
     below = {e: [] for e in base.elements}
     for e in base.elements:
         table[(e, e)] = identity_at(e)
@@ -66,17 +65,11 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
                 if value is None:
                     value, witness = cand, y
                 elif cand != value:
-                    diagnostics.append(
-                        f"composites from {x!r} to {z!r} disagree through {witness!r} and {y!r}"
-                    )
-                    break
+                    return table, f"composites from {x!r} to {z!r} disagree through {witness!r} and {y!r}"
             if value is None:
-                diagnostics.append(f"no covering route from {x!r} to {z!r}")
-                break
+                return table, f"no covering route from {x!r} to {z!r}"
             table[(x, z)] = value
-        if diagnostics:
-            break
-    return table, diagnostics
+    return table, None
 
 
 class CoverFunctor:
@@ -87,8 +80,8 @@ class CoverFunctor:
     in ``_check_values`` and calls ``_extend`` from its constructor.  That
     checks that exactly the base elements and covering relations are
     assigned, extends the cover values to every related pair with
-    functor_table and stores that path table; the first diagnostic is
-    raised as ``_error``.  Equality and hashing go by ``_key``: the base,
+    functor_table and stores that path table; functor_table's diagnostic
+    is raised as ``_error``.  Equality and hashing go by ``_key``: the base,
     any target, then the element and cover tables.
     """
 
@@ -108,9 +101,9 @@ class CoverFunctor:
                 f" extra {sorted(set(covers) - expected, key=element_sort_key)})"
             )
         self._check_values()
-        table, diagnostics = functor_table(base, identity_at, covers.__getitem__, compose_pair)
-        if diagnostics:
-            raise self._error(diagnostics[0])
+        table, diagnostic = functor_table(base, identity_at, covers.__getitem__, compose_pair)
+        if diagnostic is not None:
+            raise self._error(diagnostic)
         self._paths = table
         self._key = key
         self._hash = hash(key[:-2] + (frozenset(objects.items()), frozenset(covers.items())))

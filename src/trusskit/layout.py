@@ -1,15 +1,18 @@
-"""Geometric layout of depth-2 trusses.
+"""Geometric layout of depth-2 trusses, read off the realized mesh.
 
-The first stage fixes horizontal singular levels on the vertical axis; the
-second stage's fibers put singular points on each level and band.  Every
-element of the stage-2 total space becomes one scene element:
+A depth-2 picture is the projection of the tower's realized 2-mesh:
+mesh.realize_bundle alone decides where sheets sit and where they attach.
+The heights of the first stage's mesh over the point are the singular
+levels of the vertical axis; the second stage's mesh puts singular points
+on each level and band, and its attachment maps say where a band's sheets
+meet the levels above and below it (outer boundaries keep the band's own
+heights).  Each element of the stage-2 total space is drawn by its pair
+of strata, the second stage's over the first stage's:
 
   regular over regular   -> region (a quad between attachment heights)
   singular over regular  -> wire (a segment crossing the band)
   singular over singular -> node (a point on its level)
-
-Attachments across band boundaries follow the interval duals of the
-stage-2 covering maps; outer boundaries keep the band's own positions.
+  regular over singular  -> nothing (a stretch of a level between nodes)
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ import re
 from dataclasses import dataclass
 
 from .errors import LayoutError
-from .ordinal import dual_delta_to_nabla
+from .mesh import realize_bundle
 from .poset import POINT_ELEMENT, point_poset
+from .serialize import element_key
 from .strata import Stratum
 from .tower import TrussTower
-from .mesh import compactify, realize_1truss
-from .serialize import element_key
 
 
 @dataclass(frozen=True)
@@ -70,66 +72,36 @@ def layout_2truss(t: TrussTower) -> Scene:
     if t.depth != 2:
         raise LayoutError(f"layout supports depth 2 only, got depth {t.depth}")
     s1, s2 = t.stages
+    vertical = realize_bundle(s1).heights[POINT_ELEMENT]
+    m = realize_bundle(s2)
     n = s1.ord[POINT_ELEMENT].n
-    vertical = compactify(realize_1truss(n))
 
-    def reg1(i):
-        return (POINT_ELEMENT, Stratum.regular(i, n))
+    def edge(band, level):
+        # sheet positions of a band on singular level `level`; outer
+        # boundaries keep the band's own heights
+        if not 0 <= level < n:
+            return m.heights[band].__getitem__
+        s = (POINT_ELEMENT, Stratum.singular(level, n))
+        return lambda idx: m.heights[s][m.sing[(s, band)](idx)]
 
-    def sing1(j):
-        return (POINT_ELEMENT, Stratum.singular(j, n))
-
-    fiber = {x: compactify(realize_1truss(s2.ord[x])) for x in s2.base.elements}
-
-    def attach(band: int, idx: int, top: bool):
-        # top/bottom boundary position of sheet idx of band i; outer
-        # boundaries keep the band's own fiber positions
-        level = band if top else band - 1
-        if 0 <= level < n:
-            sigma = dual_delta_to_nabla(s2.arrow[(sing1(level), reg1(band))])
-            return fiber[sing1(level)][sigma(idx)]
-        return fiber[reg1(band)][idx]
-
-    regions = []
-    wires = []
-    nodes = []
-    for i in range(n + 1):
-        x = reg1(i)
-        m = s2.ord[x].n
+    regions, wires, nodes = [], [], []
+    for el in t.top.elements:
+        x, e = el
+        pair = x[1].kind + e.kind
+        if pair == "sr":
+            continue
+        i, k = x[1].index, e.index
+        key, label = element_key(el), t.labels.on_objects[el]
+        if pair == "ss":
+            nodes.append(Node(key, label, m.heights[x][k + 1], vertical[i + 1]))
+            continue
+        bot, top = edge(x, i - 1), edge(x, i)
         y_bot, y_top = vertical[i], vertical[i + 1]
-        for j in range(m + 1):
-            el = (x, Stratum.regular(j, m))
-            regions.append(Region(
-                key=element_key(el),
-                label=t.labels.on_objects[el],
-                corners=(
-                    (attach(i, j, False), y_bot),
-                    (attach(i, j + 1, False), y_bot),
-                    (attach(i, j + 1, True), y_top),
-                    (attach(i, j, True), y_top),
-                ),
-            ))
-        for k in range(m):
-            el = (x, Stratum.singular(k, m))
-            wires.append(Wire(
-                key=element_key(el),
-                label=t.labels.on_objects[el],
-                points=(
-                    (attach(i, k + 1, False), y_bot),
-                    (attach(i, k + 1, True), y_top),
-                ),
-            ))
-    for j in range(n):
-        x = sing1(j)
-        m = s2.ord[x].n
-        for k in range(m):
-            el = (x, Stratum.singular(k, m))
-            nodes.append(Node(
-                key=element_key(el),
-                label=t.labels.on_objects[el],
-                x=fiber[x][k + 1],
-                y=vertical[j + 1],
-            ))
+        if pair == "rr":
+            corners = ((bot(k), y_bot), (bot(k + 1), y_bot), (top(k + 1), y_top), (top(k), y_top))
+            regions.append(Region(key, label, corners))
+        else:
+            wires.append(Wire(key, label, ((bot(k + 1), y_bot), (top(k + 1), y_top))))
     return Scene(
         regions=tuple(sorted(regions, key=lambda r: r.key)),
         wires=tuple(sorted(wires, key=lambda w: w.key)),

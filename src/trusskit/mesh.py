@@ -26,7 +26,7 @@ from .ordinal import (
 )
 from .poset import FinPoset, PosetMap
 from .strata import Stratum, validate_stratum_map
-from .bundle import CoverFunctor, DeltaDiagram, pullback_bundle
+from .bundle import CoverFunctor, DeltaDiagram
 
 
 ONE = Fraction(1)
@@ -187,6 +187,8 @@ def interpolated_heights(m: PLMeshBundle, chain, point: StratSimplexPoint) -> tu
     chain = tuple(chain)
     if len(point.coords) != len(chain):
         raise DomainError("barycentric coordinates must match the chain length")
+    if any(v not in m.heights for v in chain):
+        raise DomainError("chain vertices must be elements of the base")
     for u, v in zip(chain, chain[1:]):
         if u == v or not m.base.le(u, v):
             raise DomainError("chain must be strictly increasing in the base")
@@ -209,14 +211,12 @@ def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
     the right number of interior heights is accepted.  Sheet attachments
     are the interval duals of the covering maps.
     """
+    supplied = vertex_heights or {}
     heights = {}
     for b in d.base.elements:
-        if vertex_heights is not None and b in vertex_heights:
-            m1 = vertex_heights[b]
-            if m1.ordinal != d.ord[b]:
-                raise MeshError(f"supplied heights over {b!r} do not match ordinal {d.ord[b]}")
-        else:
-            m1 = realize_1truss(d.ord[b])
+        m1 = supplied[b] if b in supplied else realize_1truss(d.ord[b])
+        if m1.ordinal != d.ord[b]:
+            raise MeshError(f"supplied heights over {b!r} do not match ordinal {d.ord[b]}")
         heights[b] = compactify(m1)
     sing = {cov: dual_delta_to_nabla(d.arrow[cov]) for cov in d.base.covers()}
     return PLMeshBundle(d.base, heights, sing)
@@ -321,11 +321,13 @@ def section_to_strata(m: PLMeshBundle, section) -> dict:
 
 
 def pullback_mesh(m: PLMeshBundle, f: PosetMap) -> PLMeshBundle:
-    """Restrict a mesh bundle along a monotone map into its base."""
+    """Restrict a mesh bundle along a monotone map into its base: each vertex
+    keeps the heights over its image, and each cover attaches by the path
+    table's composite between the images (the identity on a collapse)."""
     if f.dst != m.base:
         raise DomainError("pullback map must land in the bundle's base")
-    reg = reg_extract(m)
-    pulled = pullback_bundle(reg, f)
-    heights = {b: m.heights[f(b)] for b in f.src.elements}
-    sing = {cov: dual_delta_to_nabla(pulled.arrow[cov]) for cov in f.src.covers()}
-    return PLMeshBundle(f.src, heights, sing)
+    return PLMeshBundle(
+        f.src,
+        {b: m.heights[f(b)] for b in f.src.elements},
+        {(a, b): m._attach.map_for(f(a), f(b)) for (a, b) in f.src.covers()},
+    )

@@ -164,24 +164,28 @@ def _retag(el, rootmap):
     return rootmap[el]
 
 
+_SIDES = ({"0": "0", "1": "1"}, {"0": "1", "1": "2"})
+
+
+def _merge(tables, on_covers: bool, what: str) -> dict:
+    """Retag the two sides' tables (keyed by elements, or by covering
+    pairs) onto {0 < 1 < 2}; the sides must agree where they meet."""
+    merged = {}
+    for table, rmap in zip(tables, _SIDES):
+        for key, value in table.items():
+            g = (_retag(key[0], rmap), _retag(key[1], rmap)) if on_covers else _retag(key, rmap)
+            if merged.setdefault(g, value) != value:
+                raise InternalError(f"glued bordisms disagree on a shared {what}")
+    return merged
+
+
 def _glue(b1: TrussTower, b2: TrussTower) -> TrussTower:
     """Lay two boundary-matched bordisms side by side over {0 < 1 < 2}."""
-    sides = ((b1, {"0": "0", "1": "1"}), (b2, {"0": "1", "1": "2"}))
     base = path_poset()
     stages = []
-    for k in range(b1.depth):
-        ords = {}
-        arrows = {}
-        for side, rmap in sides:
-            d = side.stages[k]
-            for el, o in d.ord.items():
-                g = _retag(el, rmap)
-                if ords.setdefault(g, o) != o:
-                    raise InternalError("glued bordisms disagree on a shared fiber ordinal")
-            for cov, m in d.arrow.items():
-                g = (_retag(cov[0], rmap), _retag(cov[1], rmap))
-                if arrows.setdefault(g, m) != m:
-                    raise InternalError("glued bordisms disagree on a shared covering map")
+    for d1, d2 in zip(b1.stages, b2.stages):
+        ords = _merge((d1.ord, d2.ord), False, "fiber ordinal")
+        arrows = _merge((d1.arrow, d2.arrow), True, "covering map")
         if set(ords) != set(base.elements):
             raise InternalError("glued stage base does not match the expected total space")
         if set(arrows) != set(base.covers()):
@@ -189,22 +193,14 @@ def _glue(b1: TrussTower, b2: TrussTower) -> TrussTower:
         d_g = DeltaDiagram(base, ords, arrows)
         stages.append(d_g)
         base = total_space(d_g).carrier
-    if b1.labels.target != b2.labels.target:
+    l1, l2 = b1.labels, b2.labels
+    if l1.target != l2.target:
         raise CompositionError("bordisms are labelled in different categories")
-    on_obj = {}
-    on_rel = {}
-    for side, rmap in sides:
-        for el, o in side.labels.on_objects.items():
-            g = _retag(el, rmap)
-            if on_obj.setdefault(g, o) != o:
-                raise InternalError("glued bordisms disagree on a shared label")
-        for cov, m in side.labels.on_relations.items():
-            g = (_retag(cov[0], rmap), _retag(cov[1], rmap))
-            if on_rel.setdefault(g, m) != m:
-                raise InternalError("glued bordisms disagree on a shared relation label")
+    on_obj = _merge((l1.on_objects, l2.on_objects), False, "label")
+    on_rel = _merge((l1.on_relations, l2.on_relations), True, "relation label")
     if set(on_rel) != set(base.covers()):
         raise InternalError("a top covering relation of the glued tower crosses the seam")
-    labels = Labeling(base, b1.labels.target, on_obj, on_rel)
+    labels = Labeling(base, l1.target, on_obj, on_rel)
     return TrussTower(path_poset(), stages, labels)
 
 
@@ -398,59 +394,45 @@ def constant_inclusion(data, label, cat: LabelCategory):
     entries = list(data)
     if entries and all(isinstance(e, DeltaMap) for e in entries):
         as_bordism = True
-    elif all(isinstance(e, (int, Ordinal)) for e in entries):
-        as_bordism = False
-        if not entries:
-            if label in set(cat.objects):
-                as_bordism = False
-            elif label in set(cat.morphisms):
-                as_bordism = True
-            else:
-                raise DomainError(f"{label!r} is neither an object nor a morphism")
-    else:
+    elif not all(isinstance(e, (int, Ordinal)) for e in entries):
         raise DomainError("data must be all ordinals or all maps")
+    elif entries or label in set(cat.objects):
+        as_bordism = False
+    elif label in set(cat.morphisms):
+        as_bordism = True
+    else:
+        raise DomainError(f"{label!r} is neither an object nor a morphism")
     if not as_bordism:
         if label not in set(cat.objects):
             raise DomainError(f"{label!r} is not an object of the label category")
-        cur = point_poset()
-        stages = []
-        for n in entries:
-            n = n if isinstance(n, Ordinal) else Ordinal(n)
-            d = DeltaDiagram(
-                cur,
-                {el: n for el in cur.elements},
-                {cov: DeltaMap.identity(n) for cov in cur.covers()},
-            )
-            stages.append(d)
-            cur = total_space(d).carrier
-        ident = cat.identity[label]
-        lab = Labeling(cur, cat, {el: label for el in cur.elements}, {cov: ident for cov in cur.covers()})
-        return TrussTower(point_poset(), stages, lab)
-    if label not in set(cat.morphisms):
-        raise DomainError(f"{label!r} is not a morphism of the label category")
-    c0, c1 = cat.src[label], cat.dst[label]
-    cur = arrow_poset()
+        maps = [DeltaMap.identity(n if isinstance(n, Ordinal) else Ordinal(n)) for n in entries]
+        root, ends = point_poset(), (label, label)
+    else:
+        if label not in set(cat.morphisms):
+            raise DomainError(f"{label!r} is not a morphism of the label category")
+        maps = entries
+        root, ends = arrow_poset(), (cat.src[label], cat.dst[label])
+
+    def side(el, pair):
+        # pair holds the values at the source end (or the point) and at the
+        # target end; an element takes the one at its root
+        return pair[root_of(el) == "1"]
+
+    def crosses(u, v):
+        return root_of(u) != root_of(v)
+
+    cur = root
     stages = []
-    for m in entries:
-        ords = {el: (m.src if root_of(el) == "0" else m.dst) for el in cur.elements}
-        arrows = {}
-        for (u, v) in cur.covers():
-            r0, r1 = root_of(u), root_of(v)
-            if r0 == r1:
-                arrows[(u, v)] = DeltaMap.identity(m.src if r0 == "0" else m.dst)
-            else:
-                arrows[(u, v)] = m
-        d = DeltaDiagram(cur, ords, arrows)
+    for m in maps:
+        fibers = (m.src, m.dst)
+        d = DeltaDiagram(
+            cur,
+            {el: side(el, fibers) for el in cur.elements},
+            {(u, v): m if crosses(u, v) else DeltaMap.identity(side(u, fibers)) for (u, v) in cur.covers()},
+        )
         stages.append(d)
         cur = total_space(d).carrier
-    id0, id1 = cat.identity[c0], cat.identity[c1]
-    on_obj = {el: (c0 if root_of(el) == "0" else c1) for el in cur.elements}
-    on_rel = {}
-    for (u, v) in cur.covers():
-        r0, r1 = root_of(u), root_of(v)
-        if r0 == r1:
-            on_rel[(u, v)] = id0 if r0 == "0" else id1
-        else:
-            on_rel[(u, v)] = label
+    on_obj = {el: side(el, ends) for el in cur.elements}
+    on_rel = {(u, v): label if crosses(u, v) else cat.identity[on_obj[u]] for (u, v) in cur.covers()}
     lab = Labeling(cur, cat, on_obj, on_rel)
-    return Bordism(arrow_poset(), stages, lab)
+    return (Bordism if as_bordism else TrussTower)(root, stages, lab)

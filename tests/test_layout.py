@@ -5,14 +5,21 @@ from fractions import Fraction
 import pytest
 
 from trusskit import (
+    POINT_ELEMENT,
     DeltaMap,
     LayoutError,
     Stratum,
+    compactify,
     constant_inclusion,
+    dual_delta_to_nabla,
     layout_2truss,
+    realize_1truss,
     scene_to_svg,
 )
 from trusskit.bundle import LabelCategory
+from trusskit.layout import Node, Region, Scene, Wire
+from trusskit.oracles import tower_family
+from trusskit.serialize import element_key
 
 F = Fraction
 
@@ -110,3 +117,68 @@ def test_labels_carried_into_scene(chain_cat):
     scene = layout_2truss(t)
     assert {r.label for r in scene.regions} == {"b"}
     assert {n.label for n in scene.nodes} == {"b"}
+
+
+def reference_layout(t):
+    """The layout computed from the stage data directly: evenly spaced
+    fibers and the interval dual of each covering map, band by band."""
+    s1, s2 = t.stages
+    n = s1.ord[POINT_ELEMENT].n
+    vertical = compactify(realize_1truss(n))
+
+    def reg1(i):
+        return (POINT_ELEMENT, Stratum.regular(i, n))
+
+    def sing1(j):
+        return (POINT_ELEMENT, Stratum.singular(j, n))
+
+    fiber = {x: compactify(realize_1truss(s2.ord[x])) for x in s2.base.elements}
+
+    def attach(band, idx, top):
+        level = band if top else band - 1
+        if 0 <= level < n:
+            sigma = dual_delta_to_nabla(s2.arrow[(sing1(level), reg1(band))])
+            return fiber[sing1(level)][sigma(idx)]
+        return fiber[reg1(band)][idx]
+
+    regions, wires, nodes = [], [], []
+    for i in range(n + 1):
+        x = reg1(i)
+        m = s2.ord[x].n
+        y_bot, y_top = vertical[i], vertical[i + 1]
+        for j in range(m + 1):
+            el = (x, Stratum.regular(j, m))
+            regions.append(Region(element_key(el), t.labels.on_objects[el], (
+                (attach(i, j, False), y_bot),
+                (attach(i, j + 1, False), y_bot),
+                (attach(i, j + 1, True), y_top),
+                (attach(i, j, True), y_top),
+            )))
+        for k in range(m):
+            el = (x, Stratum.singular(k, m))
+            wires.append(Wire(element_key(el), t.labels.on_objects[el], (
+                (attach(i, k + 1, False), y_bot),
+                (attach(i, k + 1, True), y_top),
+            )))
+    for j in range(n):
+        x = sing1(j)
+        m = s2.ord[x].n
+        for k in range(m):
+            el = (x, Stratum.singular(k, m))
+            nodes.append(Node(element_key(el), t.labels.on_objects[el], fiber[x][k + 1], vertical[j + 1]))
+    return Scene(
+        regions=tuple(sorted(regions, key=lambda r: r.key)),
+        wires=tuple(sorted(wires, key=lambda w: w.key)),
+        nodes=tuple(sorted(nodes, key=lambda p: p.key)),
+    )
+
+
+def test_layout_matches_reference_on_depth_two_families():
+    cat = LabelCategory.terminal()
+    towers = [t for seed in range(4) for t in tower_family(seed, 2) if t.depth == 2]
+    towers += [constant_inclusion([a, b], "*", cat) for a in range(6) for b in range(6)]
+    assert len(towers) == 1735
+    for t in towers:
+        scene, expected = layout_2truss(t), reference_layout(t)
+        assert scene == expected
+        assert scene_to_svg(scene) == scene_to_svg(expected)

@@ -30,6 +30,8 @@ from trusskit import (
     section_to_strata,
     sing_extract,
 )
+from trusskit.bundle import pullback_bundle
+from trusskit.oracles import all_diagrams, all_posets, poset_maps
 from trusskit.poset import FinPoset
 
 
@@ -100,6 +102,8 @@ def test_interpolated_heights_validates_input():
         interpolated_heights(m, ("1", "0"), StratSimplexPoint((F(1, 2), F(1, 2))))
     with pytest.raises(DomainError):
         interpolated_heights(m, ("0",), StratSimplexPoint((F(1, 2), F(1, 2))))
+    with pytest.raises(DomainError, match="chain vertices must be elements of the base"):
+        interpolated_heights(m, ("zz",), StratSimplexPoint((F(1),)))
 
 
 def test_interpolated_heights_on_longer_chain():
@@ -203,6 +207,33 @@ def test_pullback_mesh_point():
     assert pulled.sing == {}
     with pytest.raises(DomainError):
         pullback_mesh(m, PosetMap.identity(point_poset()))
+
+
+def reference_pullback_mesh(m, f):
+    """Pull back through the combinatorial bundle: extract it from the
+    coordinates, pull it back and take the interval duals of its maps."""
+    pulled = pullback_bundle(reg_extract(m), f)
+    return PLMeshBundle(
+        f.src,
+        {b: m.heights[f(b)] for b in f.src.elements},
+        {cov: dual_delta_to_nabla(pulled.arrow[cov]) for cov in f.src.covers()},
+    )
+
+
+def test_pullback_mesh_matches_reference_route():
+    # every monotone map from a poset of at most two elements, collapses
+    # included, into a sample of the bundles over posets of three or fewer
+    sources = all_posets(2)
+    pulled = collapsed = 0
+    for p in all_posets(3):
+        for d in all_diagrams(p, 2)[::30]:
+            m = realize_bundle(d)
+            for src in sources:
+                for f in poset_maps(src, p):
+                    assert pullback_mesh(m, f) == reference_pullback_mesh(m, f)
+                    pulled += 1
+                    collapsed += len(set(f.mapping.values())) < len(src.elements)
+    assert (pulled, collapsed) == (4490, 1797)
 
 
 def test_barycenter_strictness_holds_for_all_small_bundles():
