@@ -30,6 +30,8 @@ def main(argv=None):
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         parser.error(f"unknown suite(s) {unknown}; known: {sorted(SUITES)}")
+    if args.max_ordinal is not None and args.max_ordinal < 0:
+        parser.error(f"--max-ordinal must be nonnegative, got {args.max_ordinal}")
 
     failed = []
     for name in names:

@@ -186,6 +186,8 @@ def cmd_oracle(args) -> Report:
     if fn is None:
         known = ", ".join(sorted(SUITES))
         raise ParseError(f"unknown suite {args.suite!r}; known suites: {known}")
+    if args.max_ordinal is not None and args.max_ordinal < 0:
+        raise ParseError(f"--max-ordinal must be nonnegative, got {args.max_ordinal}")
     report = fn(max_ordinal=args.max_ordinal, seed=args.seed)
     print(report.to_text())
     return report

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 from .errors import CompositionError, DiagramError, DomainError, LabelingError
@@ -44,10 +45,9 @@ from .tower import (
     constant_inclusion,
     identity_bordism,
     pack,
-    restrict_bordism,
     unpack,
 )
-from .mesh import realize_bundle, reg_extract, sing_extract
+from .mesh import StratSimplexPoint, interpolated_heights, realize_bundle, reg_extract, sing_extract
 from .report import Report
 from .serialize import dumps
 
@@ -411,6 +411,7 @@ def suite_roundtrip_bundle(max_elements: int = 3, max_ordinal: int = 2, seed=Non
 
 def suite_roundtrip_mesh(max_elements: int = 3, max_ordinal: int = 2, seed=None) -> Report:
     counts = {"bundles": 0, "covers": 0}
+    half = StratSimplexPoint((Fraction(1, 2), Fraction(1, 2)))
     for base in all_posets(max_elements):
         for d in all_diagrams(base, max_ordinal):
             m = realize_bundle(d)
@@ -433,6 +434,11 @@ def suite_roundtrip_mesh(max_elements: int = 3, max_ordinal: int = 2, seed=None)
                         f"sing_extract {cov!r}",
                         "extracted attachment differs from stored:\n" + dumps(d),
                         counts,
+                    )
+                mid = interpolated_heights(m, cov, half)
+                if any(u >= v for u, v in zip(mid, mid[1:])):
+                    return Report.failure(
+                        f"barycenter {cov!r}", "interpolated heights collide:\n" + dumps(d), counts
                     )
     return Report.ok(counts)
 

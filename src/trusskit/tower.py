@@ -3,13 +3,14 @@
 A tower of depth n stacks n bundles: the first lives over the tower's base,
 each later one over the total space of the one before, and the labels form a
 functor from the topmost total space into a label category.  A bordism is a
-tower whose root base is the walking arrow.  Every restriction of a tower
-goes through pullback_tower: the ends and identities of bordisms, the
-composite of two bordisms (their data glued over the chain {0 < 1 < 2} and
-pulled back along the outer arrow {0 < 2}) and the fiber trusses and cover
-bordisms of pack.  Factorization middles of crossing composites are only
-looked at by compose_bordisms_audited, which checks that each one gives the
-composite's value.
+tower whose root base is the walking arrow.  Every restriction goes through
+pullback_tower, which returns a Bordism along a map out of the arrow: the
+identities and composites of bordisms (glued over the chain {0 < 1 < 2} and
+pulled back along the outer arrow {0 < 2}), pack's fiber trusses and cover
+bordisms, and the two ends of a tower over the arrow, which TrussTower.end
+alone forms, once per tower.  Factorization middles of crossing composites
+are only looked at by compose_bordisms_audited, which checks that each one
+gives the composite's value.
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ class TrussTower:
         if labels.domain != self.top:
             raise DomainError("labels must be a functor on the topmost total space")
         self._hash = hash((self.base, self.stages, self.labels))
+        self._ends = {}
+
+    def end(self, which: int) -> TrussTower:
+        """The tower over the point at end ``which`` (0 or 1) of a tower over
+        the arrow, memoized; raises DomainError on any other base."""
+        if which not in self._ends:
+            self._ends[which] = restrict_bordism(self, which)
+        return self._ends[which]
 
     @property
     def depth(self) -> int:
@@ -83,19 +92,12 @@ class TrussTower:
 
 
 class Bordism(TrussTower):
-    """A tower over the walking arrow; its endpoint restrictions are towers
-    over the point."""
+    """A tower over the walking arrow; its ends are towers over the point."""
 
     def __init__(self, base, stages, labels):
         if base != arrow_poset():
             raise DomainError("a bordism's root base must be the arrow poset")
         super().__init__(base, stages, labels)
-        self._ends = {}
-
-    def end(self, which: int) -> TrussTower:
-        if which not in self._ends:
-            self._ends[which] = restrict_bordism(self, which)
-        return self._ends[which]
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,8 @@ class CompositionAudit:
 
 
 def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
-    """Restrict a tower stagewise along a monotone map into its base."""
+    """Restrict a tower stagewise along a monotone map into its base; the
+    result is a Bordism when the map's source is the arrow."""
     if f.dst != t.base:
         raise DomainError("pullback map must land in the tower's base")
     cur_base = f.src
@@ -138,11 +141,11 @@ def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
         {x: t.labels.on_objects[cur_map[x]] for x in cur_base.elements},
         {(u, v): t.labels.morphism_for(cur_map[u], cur_map[v]) for (u, v) in cur_base.covers()},
     )
-    return TrussTower(f.src, stages, labels)
+    return (Bordism if f.src == arrow_poset() else TrussTower)(f.src, stages, labels)
 
 
 def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
-    """The tower over the point sitting at one end of a bordism."""
+    """The tower over the point at one end of a bordism; TrussTower.end keeps it."""
     if end not in (0, 1):
         raise DomainError("end must be 0 or 1")
     incl = PosetMap(point_poset(), arrow_poset(), {POINT_ELEMENT: str(end)})
@@ -154,8 +157,7 @@ def identity_bordism(t: TrussTower) -> Bordism:
     if t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
     collapse = PosetMap(arrow_poset(), point_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT})
-    pb = pullback_tower(t, collapse)
-    return Bordism(pb.base, pb.stages, pb.labels)
+    return pullback_tower(t, collapse)
 
 
 def _retag(el, rootmap):
@@ -229,13 +231,10 @@ def _composite(b1: TrussTower, b2: TrussTower):
         raise CompositionError("both arguments must be bordisms over the arrow poset")
     if b1.depth != b2.depth:
         raise CompositionError("bordisms of different depth do not compose")
-    left_end = b1.end(1) if isinstance(b1, Bordism) else restrict_bordism(b1, 1)
-    right_end = b2.end(0) if isinstance(b2, Bordism) else restrict_bordism(b2, 0)
-    if left_end != right_end:
+    if b1.end(1) != b2.end(0):
         raise CompositionError("bordism endpoints do not match")
     glued = _glue(b1, b2)
-    pb = pullback_tower(glued, PosetMap(arrow_poset(), path_poset(), _OUTER))
-    return glued, Bordism(pb.base, pb.stages, pb.labels)
+    return glued, pullback_tower(glued, PosetMap(arrow_poset(), path_poset(), _OUTER))
 
 
 def compose_bordisms(b1: TrussTower, b2: TrussTower) -> Bordism:
@@ -282,34 +281,30 @@ def truss_label_category(objects, generators) -> LabelCategory:
     objs = list(dict.fromkeys(objects))
     idents = {o: identity_bordism(o) for o in objs}
     morphisms = list(dict.fromkeys(list(idents.values()) + list(generators)))
-    src = {}
-    dst = {}
     known = set(objs)
     for m in morphisms:
-        src[m] = restrict_bordism(m, 0)
-        dst[m] = restrict_bordism(m, 1)
-        if src[m] not in known or dst[m] not in known:
+        if m.end(0) not in known or m.end(1) not in known:
             raise PackingError("a generator's endpoint is not among the objects")
+    seen = set(morphisms)
     compose = {}
     changed = True
     while changed:
         changed = False
         for f in list(morphisms):
             for g in list(morphisms):
-                if dst[f] != src[g] or (f, g) in compose:
+                if f.end(1) != g.end(0) or (f, g) in compose:
                     continue
                 h = compose_bordisms(f, g)
                 compose[(f, g)] = h
-                if h not in src:
+                if h not in seen:
+                    seen.add(h)
                     morphisms.append(h)
-                    src[h] = restrict_bordism(h, 0)
-                    dst[h] = restrict_bordism(h, 1)
                     changed = True
     return LabelCategory(
         objects=objs,
         morphisms=morphisms,
-        src=src,
-        dst=dst,
+        src={m: m.end(0) for m in morphisms},
+        dst={m: m.end(1) for m in morphisms},
         identity=idents,
         compose=compose,
     )
@@ -328,10 +323,10 @@ def pack(t: TrussTower) -> PackedTower:
         x: pullback_tower(top, PosetMap(point_poset(), dom, {POINT_ELEMENT: x}))
         for x in dom.elements
     }
-    gens = {}
-    for (x, y) in dom.covers():
-        pb = pullback_tower(top, PosetMap(arrow_poset(), dom, {"0": x, "1": y}))
-        gens[(x, y)] = Bordism(pb.base, pb.stages, pb.labels)
+    gens = {
+        (x, y): pullback_tower(top, PosetMap(arrow_poset(), dom, {"0": x, "1": y}))
+        for (x, y) in dom.covers()
+    }
     cat = truss_label_category(fibers.values(), gens.values())
     lab = Labeling(dom, cat, fibers, gens)
     return PackedTower(TrussTower(t.base, t.stages[:-1], lab))
@@ -359,7 +354,7 @@ def unpack(p: PackedTower) -> TrussTower:
         g = lab.on_relations[cov]
         if not isinstance(g, TrussTower) or g.depth != 1 or g.base != arrow_poset():
             raise PackingError(f"label of cover ({x!r}, {y!r}) is not a depth-1 bordism")
-        if restrict_bordism(g, 0) != lab.on_objects[x] or restrict_bordism(g, 1) != lab.on_objects[y]:
+        if g.end(0) != lab.on_objects[x] or g.end(1) != lab.on_objects[y]:
             raise PackingError(f"cover bordism on ({x!r}, {y!r}) does not restrict to its endpoints")
         arrows[cov] = g.stages[0].arrow[("0", "1")]
     try:

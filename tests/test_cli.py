@@ -1,6 +1,8 @@
 """Exercise every subcommand through main(); exit codes are the contract."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +271,25 @@ def test_oracle_known_suite(capsys):
 def test_oracle_unknown_suite(capsys):
     assert main(["oracle", "everything"]) == 2
     assert "known suites" in capsys.readouterr().err
+
+
+def test_oracle_negative_max_ordinal(capsys):
+    for suite in ("pack", "homsets"):
+        assert main(["oracle", suite, "--max-ordinal", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--max-ordinal must be nonnegative, got -1" in captured.err
+        assert "status" not in captured.out
+
+
+def test_run_oracles_script_refuses_negative_max_ordinal(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_oracles.py"
+    spec = importlib.util.spec_from_file_location("run_oracles", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as err:
+        script.main(["homsets", "--max-ordinal", "-1"])
+    assert err.value.code == 2
+    assert "--max-ordinal must be nonnegative" in capsys.readouterr().err
 
 
 def test_oracle_factorization_reports_cone_misses(capsys):

@@ -175,6 +175,13 @@ def test_non_functorial_attachments_are_rejected():
         PLMeshBundle(square, heights, sing)
 
 
+def test_attachment_must_be_an_interval_map():
+    # a weakly increasing map that moves the endpoints is not an attachment
+    heights = {v: CompactMesh1((F(-1), F(0), F(1))) for v in ("0", "1")}
+    with pytest.raises(MeshError, match=r"arrow on \('0', '1'\) is not an interval map \[2\]->\[2\]"):
+        PLMeshBundle(arrow_poset(), heights, {("0", "1"): DeltaMap(2, 2, (1, 1, 1))})
+
+
 def test_section_to_strata_valid():
     m = realize_bundle(inner_face_diagram())
     out = section_to_strata(m, {"0": ("r", 0), "1": ("r", 0)})
@@ -236,13 +243,28 @@ def test_pullback_mesh_matches_reference_route():
     assert (pulled, collapsed) == (4490, 1797)
 
 
-def test_barycenter_strictness_holds_for_all_small_bundles():
-    # the constructor re-checks this; here we recompute it independently
-    from trusskit.oracles import all_diagrams
+def crowded_heights(n, toward):
+    """n singular heights packed against one end of (-1, 1)."""
+    low = tuple(-1 + F(k + 1, 4 * (n + 1)) for k in range(n))
+    return Mesh1(low if toward < 0 else tuple(-h for h in reversed(low)))
 
+
+def test_barycenter_strictness_holds_for_all_small_bundles():
+    # the constructor no longer checks this (mesh.py proves it); here it is
+    # recomputed at every cover's barycenter and at an interior point of
+    # every 3-chain, for even and for supplied, lopsided heights
     half = StratSimplexPoint((F(1, 2), F(1, 2)))
-    for d in all_diagrams(arrow_poset(), max_ordinal=2):
-        m = realize_bundle(d)
-        for cov in d.base.covers():
-            hs = interpolated_heights(m, cov, half)
-            assert all(u < v for u, v in zip(hs, hs[1:]))
+    inner = StratSimplexPoint((F(1, 5), F(3, 10), F(1, 2)))
+    chain = FinPoset.from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    checked = 0
+    for d in all_diagrams(arrow_poset(), max_ordinal=2) + all_diagrams(chain, max_ordinal=2):
+        lopsided = {b: crowded_heights(d.ord[b].n, k % 2 * 2 - 1) for k, b in enumerate(d.base.elements)}
+        for m in (realize_bundle(d), realize_bundle(d, lopsided)):
+            points = [(cov, half) for cov in d.base.covers()]
+            if d.base == chain:
+                points.append((("0", "1", "2"), inner))
+            for simplex, point in points:
+                hs = interpolated_heights(m, simplex, point)
+                assert all(u < v for u, v in zip(hs, hs[1:]))
+                checked += 1
+    assert checked == 2 * (31 + 393 * 3)

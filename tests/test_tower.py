@@ -227,6 +227,46 @@ def test_pullback_tower_to_bordism_end(chain_cat):
     t = pullback_tower(b, incl)
     assert t.depth == 1
     assert t.stages[0].ord["pt"] == Ordinal(1)
+    assert type(t) is TrussTower
+    assert isinstance(pullback_tower(b, PosetMap.identity(arrow_poset())), Bordism)
+
+
+def test_plain_tower_over_arrow_has_ends_and_composes(chain_cat, single_node):
+    b = constant_inclusion([DeltaMap(1, 2, (0, 2))], "a<=b", chain_cat)
+    plain = TrussTower(arrow_poset(), b.stages, b.labels)
+    assert not isinstance(plain, Bordism)
+    for i in (0, 1):
+        assert plain.end(i) == restrict_bordism(b, i)
+    assert compose_bordisms(identity_bordism(plain.end(0)), plain) == b
+    assert compose_bordisms(plain, identity_bordism(plain.end(1))) == b
+    with pytest.raises(DomainError, match="pullback map must land in the tower's base"):
+        single_node.end(0)
+
+
+def test_truss_label_category_rejects_foreign_endpoint(chain_cat):
+    b = constant_inclusion([DeltaMap(1, 2, (0, 2))], "a<=b", chain_cat)
+    with pytest.raises(PackingError, match="a generator's endpoint is not among the objects"):
+        truss_label_category([b.end(0)], [b])
+
+
+def test_unpack_rejects_cover_bordism_with_wrong_ends(chain_cat):
+    # a hand-built category whose src/dst claim the fiber towers, though the
+    # cover bordism really ends at [2] labelled b, not at [1] labelled b
+    o0 = constant_inclusion([1], "a", chain_cat)
+    o1 = constant_inclusion([1], "b", chain_cat)
+    g = constant_inclusion([DeltaMap(1, 2, (0, 2))], "a<=b", chain_cat)
+    i0, i1 = identity_bordism(o0), identity_bordism(o1)
+    cat = LabelCategory(
+        objects=[o0, o1],
+        morphisms=[i0, i1, g],
+        src={i0: o0, i1: o1, g: o0},
+        dst={i0: o0, i1: o1, g: o1},
+        identity={o0: i0, o1: i1},
+        compose={(i0, i0): i0, (i1, i1): i1, (i0, g): g, (g, i1): g},
+    )
+    lab = Labeling(arrow_poset(), cat, {"0": o0, "1": o1}, {("0", "1"): g})
+    with pytest.raises(PackingError, match=r"cover bordism on \('0', '1'\) does not restrict to its endpoints"):
+        unpack(PackedTower(TrussTower(arrow_poset(), (), lab)))
 
 
 # -- references: restriction written out by hand --------------------------
