@@ -10,7 +10,10 @@ recovers the functor from a total space, total_space being its inverse.
 Bundles, labelings (functors into a LabelCategory) and the attachment maps of
 mesh bundles (mesh.NablaDiagram) share one CoverFunctor core: it checks
 which elements and covers are assigned, proves functoriality with
-functor_table, keeps the resulting path table and defines equality.
+functor_table, keeps the resulting path table and defines equality.  The
+core also carries the two operations every walk over a tower needs: over()
+rebuilds a functor of the same kind over another base, and pullback()
+precomposes with a map of bases, reading each value from the path table.
 """
 
 from __future__ import annotations
@@ -75,22 +78,26 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
 class CoverFunctor:
     """A functor out of a finite poset, given on its elements and covers.
 
-    A subclass keeps its base, its value per element and its value per
-    covering relation under its own names, checks its values and endpoints
-    in ``_check_values`` and calls ``_extend`` from its constructor.  That
+    A subclass keeps its value per element and its value per covering
+    relation under its own names, checks its values and endpoints in
+    ``_check_values`` and calls ``_extend`` from its constructor.  That
     checks that exactly the base elements and covering relations are
     assigned, extends the cover values to every related pair with
     functor_table and stores that path table; functor_table's diagnostic
-    is raised as ``_error``.  Equality and hashing go by ``_key``: the base,
-    any target, then the element and cover tables.
+    is raised as ``_error``.  Every subclass then reads alike through the
+    core: ``base``, the tables ``objects`` (per element) and ``covers`` (per
+    covering relation), and ``compose``, the composition the path table was
+    built with.  Equality and hashing go by ``_key``: the base, any target,
+    then the element and cover tables.
     """
 
     _error = DiagramError
     _names = ("ord", "arrow")
 
-    def _extend(self, key, identity_at, compose_pair):
+    def _extend(self, key, identity_at, compose):
         """key is (base, [target,] element values, cover values)."""
         base, objects, covers = key[0], key[-2], key[-1]
+        self.base, self.objects, self.covers, self.compose = base, objects, covers, compose
         if set(objects) != set(base.elements):
             raise self._error(f"{self._names[0]} must assign exactly the base elements")
         expected = set(base.covers())
@@ -101,7 +108,7 @@ class CoverFunctor:
                 f" extra {sorted(set(covers) - expected, key=element_sort_key)})"
             )
         self._check_values()
-        table, diagnostic = functor_table(base, identity_at, covers.__getitem__, compose_pair)
+        table, diagnostic = functor_table(base, identity_at, covers.__getitem__, compose)
         if diagnostic is not None:
             raise self._error(diagnostic)
         self._paths = table
@@ -114,6 +121,20 @@ class CoverFunctor:
             return self._paths[(a, b)]
         except KeyError:
             raise DomainError(f"{a!r} and {b!r} are not related in the base") from None
+
+    def over(self, base, objects, covers):
+        """The same kind of functor, into the same target, over another base;
+        built by the subclass constructor, so every check runs."""
+        return type(self)(base, *self._key[1:-2], objects, covers)
+
+    def pullback(self, base, image):
+        """Precompose with the monotone map out of base whose value at x is
+        image[x]."""
+        return self.over(
+            base,
+            {x: self.objects[image[x]] for x in base.elements},
+            {(x, y): self.map_for(image[x], image[y]) for (x, y) in base.covers()},
+        )
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key == other._key
@@ -131,7 +152,6 @@ class DeltaDiagram(CoverFunctor):
     """
 
     def __init__(self, base: FinPoset, ord, arrow):
-        self.base = base
         self.ord = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in dict(ord).items()}
         self.arrow = dict(arrow)
         ords = self.ord
@@ -192,11 +212,7 @@ def pullback_bundle(d: DeltaDiagram, f: PosetMap) -> DeltaDiagram:
     covering maps are the composites between the images."""
     if f.dst != d.base:
         raise DomainError("pullback map must land in the diagram's base")
-    return DeltaDiagram(
-        f.src,
-        {b: d.ord[f(b)] for b in f.src.elements},
-        {cov: d.map_for(f(cov[0]), f(cov[1])) for cov in f.src.covers()},
-    )
+    return d.pullback(f.src, f.mapping)
 
 
 def classify(t: TotalPoset) -> DeltaDiagram:
@@ -210,6 +226,8 @@ def classify(t: TotalPoset) -> DeltaDiagram:
     """
     by_base = {b: [] for b in t.base.elements}
     for el in t.carrier.elements:
+        if not (isinstance(el, tuple) and len(el) == 2):
+            raise ClassificationError(f"element {el!r} is not a (base element, stratum) pair")
         fib = by_base.get(el[0])
         if fib is not None:
             fib.append(el)

@@ -118,7 +118,6 @@ class NablaDiagram(CoverFunctor):
     the composite backward map of any related pair."""
 
     def __init__(self, base: FinPoset, ord, arrow):
-        self.base = base
         self.ord = dict(ord)
         self.arrow = dict(arrow)
         ords = self.ord

@@ -18,7 +18,6 @@ from .ordinal import (
     DeltaMap,
     Ordinal,
     compose_delta,
-    compose_nabla,
     dual_delta_to_nabla,
     dual_nabla_to_delta,
     enumerate_delta_maps,

@@ -2,15 +2,18 @@
 
 A tower of depth n stacks n bundles: the first lives over the tower's base,
 each later one over the total space of the one before, and the labels form a
-functor from the topmost total space into a label category.  A bordism is a
-tower whose root base is the walking arrow.  Every restriction goes through
-pullback_tower, which returns a Bordism along a map out of the arrow: the
-identities and composites of bordisms (glued over the chain {0 < 1 < 2} and
-pulled back along the outer arrow {0 < 2}), pack's fiber trusses and cover
-bordisms, and the two ends of a tower over the arrow, which TrussTower.end
-alone forms, once per tower.  Factorization middles of crossing composites
-are only looked at by compose_bordisms_audited, which checks that each one
-gives the composite's value.
+functor from the topmost total space into a label category.  The stages and
+then the labels are the tower's layers, and every walk goes over the layers
+alike, through the CoverFunctor core.  A bordism is a tower whose root base is
+the walking arrow.  Every restriction goes through pullback_tower, which
+returns a Bordism along a map out of the arrow: the identities and composites
+of bordisms, pack's fiber trusses and cover bordisms, and the two ends of a
+tower over the arrow, which TrussTower.end alone forms, once per tower.  One
+gluing, _assemble, merges towers over parts of a base: composition glues two
+bordisms over {0 < 1 < 2} and pulls back along {0 < 2}, and unpack glues the
+fiber trusses and cover bordisms.  Factorization middles of crossing
+composites are only looked at by compose_bordisms_audited, which checks that
+each one gives the composite's value.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     InternalError,
     PackingError,
 )
-from .ordinal import DeltaMap, Ordinal, compose_delta
+from .ordinal import DeltaMap, Ordinal
 from .poset import (
     POINT_ELEMENT,
     FinPoset,
@@ -33,7 +36,7 @@ from .poset import (
     path_poset,
     point_poset,
 )
-from .bundle import DeltaDiagram, LabelCategory, Labeling, pullback_bundle, total_space
+from .bundle import DeltaDiagram, LabelCategory, Labeling, total_space
 
 
 def root_of(el):
@@ -44,12 +47,14 @@ def root_of(el):
 
 
 class TrussTower:
-    """A chain of bundles, each over the previous total space, plus labels."""
+    """A chain of bundles, each over the previous total space, plus labels;
+    ``layers`` is the stages followed by the labels."""
 
     def __init__(self, base: FinPoset, stages, labels: Labeling):
         self.base = base
         self.stages = tuple(stages)
         self.labels = labels
+        self.layers = self.stages + (labels,)
         expected = base
         totals = []
         for k, d in enumerate(self.stages):
@@ -122,26 +127,18 @@ class CompositionAudit:
 
 
 def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
-    """Restrict a tower stagewise along a monotone map into its base; the
-    result is a Bordism when the map's source is the arrow."""
+    """Restrict a tower layer by layer along a monotone map into its base;
+    the result is a Bordism when the map's source is the arrow."""
     if f.dst != t.base:
         raise DomainError("pullback map must land in the tower's base")
-    cur_base = f.src
-    cur_map = dict(f.mapping)
-    stages = []
-    for d in t.stages:
-        d2 = pullback_bundle(d, PosetMap(cur_base, d.base, cur_map))
-        stages.append(d2)
-        carrier = total_space(d2).carrier
-        cur_map = {(b, e): (cur_map[b], e) for (b, e) in carrier.elements}
-        cur_base = carrier
-    labels = Labeling(
-        cur_base,
-        t.labels.target,
-        {x: t.labels.on_objects[cur_map[x]] for x in cur_base.elements},
-        {(u, v): t.labels.morphism_for(cur_map[u], cur_map[v]) for (u, v) in cur_base.covers()},
-    )
-    return (Bordism if f.src == arrow_poset() else TrussTower)(f.src, stages, labels)
+    base, image = f.src, f.mapping
+    layers = []
+    for layer in t.layers:
+        if layers:
+            base = total_space(layers[-1]).carrier
+            image = {(b, e): (image[b], e) for (b, e) in base.elements}
+        layers.append(layer.pullback(base, image))
+    return (Bordism if f.src == arrow_poset() else TrussTower)(f.src, layers[:-1], layers[-1])
 
 
 def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
@@ -166,44 +163,42 @@ def _retag(el, rootmap):
     return rootmap[el]
 
 
-_SIDES = ({"0": "0", "1": "1"}, {"0": "1", "1": "2"})
-
-
-def _merge(tables, on_covers: bool, what: str) -> dict:
-    """Retag the two sides' tables (keyed by elements, or by covering
-    pairs) onto {0 < 1 < 2}; the sides must agree where they meet."""
+def _merge(tables, on_covers: bool) -> dict:
+    """Retag the pieces' tables (keyed by elements, or by covering pairs)
+    by their root maps; the pieces must agree where they meet."""
     merged = {}
-    for table, rmap in zip(tables, _SIDES):
+    for table, rmap in tables:
         for key, value in table.items():
             g = (_retag(key[0], rmap), _retag(key[1], rmap)) if on_covers else _retag(key, rmap)
             if merged.setdefault(g, value) != value:
-                raise InternalError(f"glued bordisms disagree on a shared {what}")
+                raise InternalError(f"glued pieces disagree at {g!r}")
     return merged
+
+
+def _assemble(base: FinPoset, pieces) -> list:
+    """Glue towers of one depth into the layers of a tower over base.
+
+    A piece is (tower, root map), the root map sending its base elements
+    into base; layer by layer, the pieces' element and cover tables are
+    retagged and merged, and the merged layer is built over the previous
+    merged total space by the first piece's layer, so every check runs.
+    """
+    layers = []
+    for k, layer in enumerate(pieces[0][0].layers):
+        if layers:
+            base = total_space(layers[-1]).carrier
+        layers.append(layer.over(
+            base,
+            _merge(((t.layers[k].objects, rmap) for t, rmap in pieces), False),
+            _merge(((t.layers[k].covers, rmap) for t, rmap in pieces), True),
+        ))
+    return layers
 
 
 def _glue(b1: TrussTower, b2: TrussTower) -> TrussTower:
     """Lay two boundary-matched bordisms side by side over {0 < 1 < 2}."""
-    base = path_poset()
-    stages = []
-    for d1, d2 in zip(b1.stages, b2.stages):
-        ords = _merge((d1.ord, d2.ord), False, "fiber ordinal")
-        arrows = _merge((d1.arrow, d2.arrow), True, "covering map")
-        if set(ords) != set(base.elements):
-            raise InternalError("glued stage base does not match the expected total space")
-        if set(arrows) != set(base.covers()):
-            raise InternalError("a covering relation of the glued base crosses the seam")
-        d_g = DeltaDiagram(base, ords, arrows)
-        stages.append(d_g)
-        base = total_space(d_g).carrier
-    l1, l2 = b1.labels, b2.labels
-    if l1.target != l2.target:
-        raise CompositionError("bordisms are labelled in different categories")
-    on_obj = _merge((l1.on_objects, l2.on_objects), False, "label")
-    on_rel = _merge((l1.on_relations, l2.on_relations), True, "relation label")
-    if set(on_rel) != set(base.covers()):
-        raise InternalError("a top covering relation of the glued tower crosses the seam")
-    labels = Labeling(base, l1.target, on_obj, on_rel)
-    return TrussTower(path_poset(), stages, labels)
+    layers = _assemble(path_poset(), ((b1, {"0": "0", "1": "1"}), (b2, {"0": "1", "1": "2"})))
+    return TrussTower(path_poset(), layers[:-1], layers[-1])
 
 
 def _via_middles(poset: FinPoset, a, b, value, compute) -> int:
@@ -251,26 +246,17 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
     gives the composite's map (or label) and counts crossings and middles.
     """
     glued, composite = _composite(b1, b2)
-    layers = [
-        (d.base, d.arrow, d_g.base, d_g.arrow, d_g.map_for, compose_delta)
-        for d, d_g in zip(composite.stages, glued.stages)
-    ]
-    layers.append((
-        composite.top, composite.labels.on_relations,
-        glued.top, glued.labels.on_relations,
-        glued.labels.morphism_for, glued.labels.target.compose_pair,
-    ))
     crossings = 0
     alternatives = 0
-    for base, values, glued_base, glued_covers, path, compose in layers:
-        for (u, v) in base.covers():
+    for layer, glued_layer in zip(composite.layers, glued.layers):
+        for (u, v) in layer.base.covers():
             a, b = _retag(u, _OUTER), _retag(v, _OUTER)
-            if (a, b) in glued_covers:
+            if (a, b) in glued_layer.covers:
                 continue
             crossings += 1
             alternatives += _via_middles(
-                glued_base, a, b, values[(u, v)],
-                lambda y: compose(path(a, y), path(y, b)),
+                glued_layer.base, a, b, layer.covers[(u, v)],
+                lambda y: glued_layer.compose(glued_layer.map_for(a, y), glued_layer.map_for(y, b)),
             )
     return composite, CompositionAudit(crossings, alternatives)
 
@@ -283,6 +269,8 @@ def truss_label_category(objects, generators) -> LabelCategory:
     morphisms = list(dict.fromkeys(list(idents.values()) + list(generators)))
     known = set(objs)
     for m in morphisms:
+        if m.base != arrow_poset():
+            raise PackingError("a generator is not a bordism: its base is not the arrow poset")
         if m.end(0) not in known or m.end(1) not in known:
             raise PackingError("a generator's endpoint is not among the objects")
     seen = set(morphisms)
@@ -333,8 +321,8 @@ def pack(t: TrussTower) -> PackedTower:
 
 
 def unpack(p: PackedTower) -> TrussTower:
-    """Inverse of pack: read the last stage's ordinals, covering maps and
-    labels back out of the fiber-truss labels."""
+    """Inverse of pack: glue the fiber trusses and cover bordisms back into
+    the last stage and its labels."""
     t = p.tower
     lab = t.labels
     dom = lab.domain
@@ -347,34 +335,18 @@ def unpack(p: PackedTower) -> TrussTower:
     cat = lab.on_objects[dom.elements[0]].labels.target
     if any(lab.on_objects[x].labels.target != cat for x in dom.elements):
         raise PackingError("fiber trusses are labelled in different categories")
-    ords = {x: lab.on_objects[x].stages[0].ord[POINT_ELEMENT] for x in dom.elements}
-    arrows = {}
-    for cov in dom.covers():
-        x, y = cov
-        g = lab.on_relations[cov]
+    pieces = [(lab.on_objects[x], {POINT_ELEMENT: x}) for x in dom.elements]
+    for (x, y) in dom.covers():
+        g = lab.on_relations[(x, y)]
         if not isinstance(g, TrussTower) or g.depth != 1 or g.base != arrow_poset():
             raise PackingError(f"label of cover ({x!r}, {y!r}) is not a depth-1 bordism")
         if g.end(0) != lab.on_objects[x] or g.end(1) != lab.on_objects[y]:
             raise PackingError(f"cover bordism on ({x!r}, {y!r}) does not restrict to its endpoints")
-        arrows[cov] = g.stages[0].arrow[("0", "1")]
+        pieces.append((g, {"0": x, "1": y}))
     try:
-        d_last = DeltaDiagram(dom, ords, arrows)
+        d_last, labels = _assemble(dom, pieces)
     except DiagramError as exc:
         raise PackingError(f"fiber labels do not assemble into a bundle: {exc}") from exc
-    carrier = total_space(d_last).carrier
-    on_obj = {}
-    on_rel = {}
-    for (x, e) in carrier.elements:
-        on_obj[(x, e)] = lab.on_objects[x].labels.on_objects[(POINT_ELEMENT, e)]
-    for ((x, e), (y, e2)) in carrier.covers():
-        if x == y:
-            on_rel[((x, e), (y, e2))] = lab.on_objects[x].labels.on_relations[
-                ((POINT_ELEMENT, e), (POINT_ELEMENT, e2))
-            ]
-        else:
-            g = lab.on_relations[(x, y)]
-            on_rel[((x, e), (y, e2))] = g.labels.on_relations[(("0", e), ("1", e2))]
-    labels = Labeling(carrier, cat, on_obj, on_rel)
     return TrussTower(t.base, t.stages + (d_last,), labels)
 
 

@@ -125,6 +125,11 @@ def test_classify_rejects_non_bundle():
 
     with pytest.raises(ClassificationError):
         classify(TotalPoset(p, point_poset()))
+    # elements that are not (base element, stratum) pairs, over the base {a}
+    base = FinPoset(["a"], [("a", "a")])
+    for el in ("abc", ("a",), ("a", 1, 2)):
+        with pytest.raises(ClassificationError, match="is not a \\(base element, stratum\\) pair"):
+            classify(TotalPoset(FinPoset([el], [(el, el)]), base))
 
 
 def test_pullback_identity_and_point():

@@ -14,10 +14,12 @@ from trusskit import (
     constant_inclusion,
     dumps,
     load,
+    pack,
     parse,
     save,
 )
 from trusskit.cli import main
+from trusskit.oracles import tower_family
 
 
 @pytest.fixture
@@ -224,6 +226,19 @@ def test_pack_unpack_cycle(truss_file, tmp_path, capsys):
     assert main(["unpack", str(packed_path), "--out", str(unpacked_path)]) == 0
     capsys.readouterr()
     assert unpacked_path.read_text() == truss_file.read_text()
+
+
+def test_unpack_rejects_generator_that_is_not_a_bordism(tmp_path, capsys):
+    # a cover label replaced by a fiber truss, which lives over the point
+    t = next(t for t in tower_family(0, 1) if t.depth == 2 and t.stages[-1].base.covers())
+    obj = json.loads(dumps(pack(t)))
+    obj["relations"]["pt.s0->pt.r0"] = obj["objects"]["pt.r0"]
+    path = tmp_path / "packed.json"
+    path.write_text(json.dumps(obj))
+    for command in ("validate", "unpack"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "a generator is not a bordism" in captured.out + captured.err
 
 
 def test_pack_rejects_diagram(diagram_file):

@@ -1,5 +1,6 @@
 """Towers, bordisms, composition, and the packing equivalence."""
 
+import functools
 import random
 
 import pytest
@@ -10,7 +11,10 @@ from trusskit import (
     CompositionError,
     DeltaDiagram,
     DeltaMap,
+    DiagramError,
     DomainError,
+    FinPoset,
+    InternalError,
     LabelCategory,
     Labeling,
     Ordinal,
@@ -35,6 +39,7 @@ from trusskit import (
     unpack,
 )
 from trusskit.oracles import bordism_family, composable_triples, tower_family
+from trusskit.poset import path_poset
 from trusskit.tower import _glue, root_of
 from conftest import terminal_labeling
 
@@ -373,12 +378,19 @@ def reference_cover_bordism(last, labels, cov):
     return Bordism(arrow_poset(), (d,), lab)
 
 
-def test_composition_matches_reference_restriction():
+@functools.lru_cache(maxsize=None)
+def composable_pairs() -> tuple:
+    """Identities on either side and both bracketings of sampled triples."""
     bordisms = bordism_family(0)
     pairs = [(identity_bordism(b.end(0)), b) for b in bordisms[::7]]
     pairs += [(b, identity_bordism(b.end(1))) for b in bordisms[3::7]]
     for (b1, b2, b3) in composable_triples(bordisms, 40, random.Random(0)):
         pairs += [(compose_bordisms(b1, b2), b3), (b1, compose_bordisms(b2, b3))]
+    return tuple(pairs)
+
+
+def test_composition_matches_reference_restriction():
+    pairs = composable_pairs()
     crossed = 0
     for b1, b2 in pairs:
         composite, audit = compose_bordisms_audited(b1, b2)
@@ -403,3 +415,145 @@ def test_pack_labels_match_reference_restriction():
             assert isinstance(g, Bordism)
             assert g == reference_cover_bordism(last, t.labels, cov)
     assert {t.depth for t in sample} == {1, 2, 3}
+
+
+# -- references: gluing written out by hand --------------------------------
+#
+# Composition and unpack used to build the glued stages and labels table by
+# table; the copies below keep those constructions so the one gluing routine
+# is checked against them.
+
+_REFERENCE_SIDES = ({"0": "0", "1": "1"}, {"0": "1", "1": "2"})
+
+
+def _reference_retag(el, rootmap):
+    if isinstance(el, tuple):
+        return (_reference_retag(el[0], rootmap), el[1])
+    return rootmap[el]
+
+
+def _reference_merge(tables, on_covers, what):
+    merged = {}
+    for table, rmap in zip(tables, _REFERENCE_SIDES):
+        for key, value in table.items():
+            if on_covers:
+                g = (_reference_retag(key[0], rmap), _reference_retag(key[1], rmap))
+            else:
+                g = _reference_retag(key, rmap)
+            if merged.setdefault(g, value) != value:
+                raise InternalError(f"glued bordisms disagree on a shared {what}")
+    return merged
+
+
+def reference_glue(b1, b2):
+    """Lay two boundary-matched bordisms side by side over {0 < 1 < 2}."""
+    base = path_poset()
+    stages = []
+    for d1, d2 in zip(b1.stages, b2.stages):
+        ords = _reference_merge((d1.ord, d2.ord), False, "fiber ordinal")
+        arrows = _reference_merge((d1.arrow, d2.arrow), True, "covering map")
+        if set(ords) != set(base.elements):
+            raise InternalError("glued stage base does not match the expected total space")
+        if set(arrows) != set(base.covers()):
+            raise InternalError("a covering relation of the glued base crosses the seam")
+        d_g = DeltaDiagram(base, ords, arrows)
+        stages.append(d_g)
+        base = total_space(d_g).carrier
+    l1, l2 = b1.labels, b2.labels
+    if l1.target != l2.target:
+        raise CompositionError("bordisms are labelled in different categories")
+    on_obj = _reference_merge((l1.on_objects, l2.on_objects), False, "label")
+    on_rel = _reference_merge((l1.on_relations, l2.on_relations), True, "relation label")
+    if set(on_rel) != set(base.covers()):
+        raise InternalError("a top covering relation of the glued tower crosses the seam")
+    labels = Labeling(base, l1.target, on_obj, on_rel)
+    return TrussTower(path_poset(), stages, labels)
+
+
+def reference_unpack(p):
+    """Read the last stage's ordinals, covering maps and labels back out of
+    the fiber-truss labels of a well-formed packed tower."""
+    t = p.tower
+    lab = t.labels
+    dom = lab.domain
+    cat = lab.on_objects[dom.elements[0]].labels.target
+    ords = {x: lab.on_objects[x].stages[0].ord[POINT_ELEMENT] for x in dom.elements}
+    arrows = {cov: lab.on_relations[cov].stages[0].arrow[("0", "1")] for cov in dom.covers()}
+    d_last = DeltaDiagram(dom, ords, arrows)
+    carrier = total_space(d_last).carrier
+    on_obj = {}
+    on_rel = {}
+    for (x, e) in carrier.elements:
+        on_obj[(x, e)] = lab.on_objects[x].labels.on_objects[(POINT_ELEMENT, e)]
+    for ((x, e), (y, e2)) in carrier.covers():
+        if x == y:
+            on_rel[((x, e), (y, e2))] = lab.on_objects[x].labels.on_relations[
+                ((POINT_ELEMENT, e), (POINT_ELEMENT, e2))
+            ]
+        else:
+            g = lab.on_relations[(x, y)]
+            on_rel[((x, e), (y, e2))] = g.labels.on_relations[(("0", e), ("1", e2))]
+    labels = Labeling(carrier, cat, on_obj, on_rel)
+    return TrussTower(t.base, t.stages + (d_last,), labels)
+
+
+def test_glue_matches_reference():
+    for b1, b2 in composable_pairs():
+        assert _glue(b1, b2) == reference_glue(b1, b2)
+
+
+def test_unpack_matches_reference():
+    towers = [t for t in tower_family(0) if t.depth >= 1]
+    for t in towers:
+        p = pack(t)
+        assert dumps(unpack(p)) == dumps(reference_unpack(p))
+    assert len(towers) == 465
+
+
+def _null_category(objects, generators, zero):
+    """One object, an identity, and every composite of two non-identity
+    morphisms equal to ``zero``."""
+    (obj,) = objects
+    ident = identity_bordism(obj)
+    morphisms = [ident] + list(generators) + [zero]
+    compose = {}
+    for f in morphisms:
+        for g in morphisms:
+            compose[(f, g)] = g if f == ident else f if g == ident else zero
+    return LabelCategory(
+        objects=[obj],
+        morphisms=morphisms,
+        src={m: obj for m in morphisms},
+        dst={m: obj for m in morphisms},
+        identity={obj: ident},
+        compose=compose,
+    )
+
+
+def test_unpack_rejects_fibers_that_do_not_assemble():
+    # over the square a < b < d, a < c < d, four cover bordisms between
+    # constant [2] fibers whose maps compose differently along the two
+    # routes; the hand-built category composes both routes to one morphism
+    term = LabelCategory.terminal()
+    square = FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")])
+    fiber = constant_inclusion([2], "*", term)
+    maps = {
+        ("a", "b"): (0, 0, 0), ("b", "d"): (1, 1, 1),
+        ("a", "c"): (0, 0, 1), ("c", "d"): (2, 2, 2),
+    }
+    gens = {cov: constant_inclusion([DeltaMap(2, 2, v)], "*<=*", term) for cov, v in maps.items()}
+    assert compose_delta(DeltaMap(2, 2, maps[("a", "b")]), DeltaMap(2, 2, maps[("b", "d")])) != \
+        compose_delta(DeltaMap(2, 2, maps[("a", "c")]), DeltaMap(2, 2, maps[("c", "d")]))
+    zero = constant_inclusion([DeltaMap(2, 2, (0, 1, 1))], "*<=*", term)
+    cat = _null_category([fiber], gens.values(), zero)
+    lab = Labeling(square, cat, {x: fiber for x in square.elements}, gens)
+    with pytest.raises(PackingError, match="fiber labels do not assemble into a bundle") as info:
+        unpack(PackedTower(TrussTower(square, (), lab)))
+    assert isinstance(info.value.__cause__, DiagramError)
+
+
+def test_truss_label_category_rejects_non_bordism_generator(chain_cat):
+    # a truss over the point offered as a generator has no ends to compare
+    fiber = constant_inclusion([1], "a", chain_cat)
+    with pytest.raises(PackingError, match="a generator is not a bordism"):
+        truss_label_category([fiber], [fiber])
