@@ -12,8 +12,13 @@ mesh bundles (mesh.NablaDiagram) share one CoverFunctor core: it checks
 which elements and covers are assigned, proves functoriality with
 functor_table, keeps the resulting path table and defines equality.  The
 core also carries the two operations every walk over a tower needs: over()
-rebuilds a functor of the same kind over another base, and pullback()
-precomposes with a map of bases, reading each value from the path table.
+rebuilds a functor of the same kind over another base through the
+validating constructor, and pullback() precomposes with a map of bases.  A
+pullback of a functor along a monotone map is a functor, so pullback()
+proves nothing again: it inherits its path table from the parent's,
+reading each related pair's value at the pair's image, and reads its cover
+values from that table.  The oracles' "derived" suite rebuilds such
+pullbacks through over() and checks that they agree.
 """
 
 from __future__ import annotations
@@ -78,26 +83,27 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
 class CoverFunctor:
     """A functor out of a finite poset, given on its elements and covers.
 
-    A subclass keeps its value per element and its value per covering
-    relation under its own names, checks its values and endpoints in
-    ``_check_values`` and calls ``_extend`` from its constructor.  That
-    checks that exactly the base elements and covering relations are
-    assigned, extends the cover values to every related pair with
-    functor_table and stores that path table; functor_table's diagnostic
-    is raised as ``_error``.  Every subclass then reads alike through the
-    core: ``base``, the tables ``objects`` (per element) and ``covers`` (per
-    covering relation), and ``compose``, the composition the path table was
-    built with.  Equality and hashing go by ``_key``: the base, any target,
-    then the element and cover tables.
+    A subclass normalizes its arguments into a key (base, [target,] element
+    values, cover values), names the key's entries in ``_fields``, checks
+    its values and endpoints in ``_check_values(*key)`` and calls
+    ``_extend`` from its constructor.  That checks that exactly the base
+    elements and covering relations are assigned, extends the cover values
+    to every related pair with functor_table and stores that path table;
+    functor_table's diagnostic is raised as ``_error``.  ``pullback``
+    builds its result without any of these checks, from the parent's path
+    table; ``over`` goes through the subclass constructor.  Every subclass
+    then reads alike through the core: ``base``, the tables ``objects`` (per
+    element) and ``covers`` (per covering relation), and ``compose``, the
+    composition the path table was built with.  Equality and hashing go by
+    ``_key``: the base, any target, then the element and cover tables.
     """
 
     _error = DiagramError
     _names = ("ord", "arrow")
+    _fields = ("base", "ord", "arrow")
 
     def _extend(self, key, identity_at, compose):
-        """key is (base, [target,] element values, cover values)."""
         base, objects, covers = key[0], key[-2], key[-1]
-        self.base, self.objects, self.covers, self.compose = base, objects, covers, compose
         if set(objects) != set(base.elements):
             raise self._error(f"{self._names[0]} must assign exactly the base elements")
         expected = set(base.covers())
@@ -107,13 +113,20 @@ class CoverFunctor:
                 f" (missing {sorted(expected - set(covers), key=element_sort_key)},"
                 f" extra {sorted(set(covers) - expected, key=element_sort_key)})"
             )
-        self._check_values()
+        self._check_values(*key)
         table, diagnostic = functor_table(base, identity_at, covers.__getitem__, compose)
         if diagnostic is not None:
             raise self._error(diagnostic)
-        self._paths = table
-        self._key = key
-        self._hash = hash(key[:-2] + (frozenset(objects.items()), frozenset(covers.items())))
+        self._install(key, compose, table)
+
+    def _install(self, key, compose, paths):
+        """Store a key whose path table is known to be functorial, under
+        the core's names and the subclass's ``_fields``."""
+        self.base, self.objects, self.covers = key[0], key[-2], key[-1]
+        self.compose, self._paths, self._key = compose, paths, key
+        self._hash = hash(key[:-2] + (frozenset(self.objects.items()), frozenset(self.covers.items())))
+        for name, value in zip(self._fields, key):
+            setattr(self, name, value)
 
     def map_for(self, a, b):
         """The composite value of any related pair a <= b."""
@@ -129,15 +142,34 @@ class CoverFunctor:
 
     def pullback(self, base, image):
         """Precompose with the monotone map out of base whose value at x is
-        image[x]."""
-        return self.over(
-            base,
-            {x: self.objects[image[x]] for x in base.elements},
-            {(x, y): self.map_for(image[x], image[y]) for (x, y) in base.covers()},
-        )
+        image[x].  The path table is the parent's, read at the images of the
+        related pairs, and the covers are read from it; an image that misses
+        an element, leaves the parent's base or breaks an order relation
+        raises DomainError."""
+        try:
+            objects = {x: self.objects[image[x]] for x in base.elements}
+        except KeyError:
+            for x in base.elements:
+                if x not in image:
+                    raise DomainError(f"pullback image misses the base element {x!r}") from None
+                if image[x] not in self.objects:
+                    raise DomainError(f"pullback image {image[x]!r} of {x!r} is not in the base") from None
+            raise
+        parent = self._paths
+        try:
+            paths = {(x, y): parent[(image[x], image[y])] for (x, y) in base.leq}
+        except KeyError:
+            # a map monotone on the covers is monotone on their closure
+            for (x, y) in base.covers():
+                self.map_for(image[x], image[y])
+            raise
+        covers = {c: paths[c] for c in base.covers()}
+        new = object.__new__(type(self))
+        new._install((base,) + self._key[1:-2] + (objects, covers), self.compose, paths)
+        return new
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._key == other._key
+        return type(other) is type(self) and self._hash == other._hash and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -152,16 +184,15 @@ class DeltaDiagram(CoverFunctor):
     """
 
     def __init__(self, base: FinPoset, ord, arrow):
-        self.ord = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in dict(ord).items()}
-        self.arrow = dict(arrow)
-        ords = self.ord
-        self._extend((base, ords, self.arrow), lambda b: DeltaMap.identity(ords[b]), compose_delta)
+        ords = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in dict(ord).items()}
+        self._extend((base, ords, dict(arrow)), lambda b: DeltaMap.identity(ords[b]), compose_delta)
 
-    def _check_values(self):
-        for (a, b), f in self.arrow.items():
-            if f.src != self.ord[a] or f.dst != self.ord[b]:
+    @staticmethod
+    def _check_values(base, ords, arrow):
+        for (a, b), f in arrow.items():
+            if f.src != ords[a] or f.dst != ords[b]:
                 raise DiagramError(f"map on cover ({a!r}, {b!r}) is {f}, expected"
-                                   f" {self.ord[a]}->{self.ord[b]}")
+                                   f" {ords[a]}->{ords[b]}")
 
     def __repr__(self):
         return f"DeltaDiagram(base={self.base!r}, ords={[o.n for _, o in sorted(self.ord.items(), key=lambda kv: element_sort_key(kv[0]))]})"
@@ -409,29 +440,27 @@ class Labeling(CoverFunctor):
 
     _error = LabelingError
     _names = ("object labels", "relation labels")
+    _fields = ("domain", "target", "on_objects", "on_relations")
 
     def __init__(self, domain: FinPoset, target: LabelCategory, on_objects, on_relations):
-        self.domain = domain
-        self.target = target
-        self.on_objects = dict(on_objects)
-        self.on_relations = dict(on_relations)
-        objects = self.on_objects
+        objects = dict(on_objects)
         self._extend(
-            (domain, target, objects, self.on_relations),
+            (domain, target, objects, dict(on_relations)),
             lambda b: target.identity[objects[b]],
             target.compose_pair,
         )
 
-    def _check_values(self):
-        objs = set(self.target.objects)
-        mors = set(self.target.morphisms)
-        for b, o in self.on_objects.items():
+    @staticmethod
+    def _check_values(domain, target, on_objects, on_relations):
+        objs = set(target.objects)
+        mors = set(target.morphisms)
+        for b, o in on_objects.items():
             if o not in objs:
                 raise LabelingError(f"label {o!r} of {b!r} is not an object")
-        for (a, b), m in self.on_relations.items():
+        for (a, b), m in on_relations.items():
             if m not in mors:
                 raise LabelingError(f"label {m!r} of cover ({a!r}, {b!r}) is not a morphism")
-            if self.target.src[m] != self.on_objects[a] or self.target.dst[m] != self.on_objects[b]:
+            if target.src[m] != on_objects[a] or target.dst[m] != on_objects[b]:
                 raise LabelingError(f"label of cover ({a!r}, {b!r}) has wrong endpoints")
 
     morphism_for = CoverFunctor.map_for

@@ -118,24 +118,23 @@ class NablaDiagram(CoverFunctor):
     the composite backward map of any related pair."""
 
     def __init__(self, base: FinPoset, ord, arrow):
-        self.ord = dict(ord)
-        self.arrow = dict(arrow)
-        ords = self.ord
+        ords = dict(ord)
         # contravariant: the composite along x <= y <= z runs z -> y -> x
         self._extend(
-            (base, ords, self.arrow),
+            (base, ords, dict(arrow)),
             lambda x: NablaMap.identity(ords[x]),
             lambda m_xy, m_yz: compose_nabla(m_yz, m_xy),
         )
 
-    def _check_values(self):
-        for n in self.ord.values():
+    @staticmethod
+    def _check_values(base, ords, arrow):
+        for n in ords.values():
             if not isinstance(n, Ordinal) or n.n < 1:
                 raise DiagramError("interval objects must be ordinals [n] with n >= 1")
-        for (a, b), g in self.arrow.items():
-            if not isinstance(g, NablaMap) or g.src != self.ord[b] or g.dst != self.ord[a]:
+        for (a, b), g in arrow.items():
+            if not isinstance(g, NablaMap) or g.src != ords[b] or g.dst != ords[a]:
                 raise DiagramError(f"arrow on ({a!r}, {b!r}) is not an interval map"
-                                   f" {self.ord[b]}->{self.ord[a]}")
+                                   f" {ords[b]}->{ords[a]}")
 
 
 class PLMeshBundle:

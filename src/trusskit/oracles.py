@@ -508,6 +508,49 @@ def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400) -> Report:
     return Report.ok(counts)
 
 
+def _derived_from(t: TrussTower) -> list:
+    """The towers the library derives from t by pullback: the ends of a
+    tower over the arrow and their identity bordisms (or the identity
+    bordism of a tower over the point), and, from depth 1, the objects and
+    morphisms of pack's label category (the fiber trusses, their
+    identities, the cover bordisms and their composites)."""
+    if t.base == arrow_poset():
+        out = [t.end(0), t.end(1)]
+        out += [identity_bordism(e) for e in out]
+    else:
+        out = [identity_bordism(t)]
+    if t.depth >= 1:
+        cat = pack(t).tower.labels.target
+        out += list(cat.objects) + list(cat.morphisms)
+    return out
+
+
+def suite_derived(max_ordinal: int = 2, seed: int = 0) -> Report:
+    """Pullbacks inherit their path tables unchecked; rebuild every layer of
+    every derived tower through the validating over() and compare."""
+    counts = {"sources": 0, "derived": 0, "layers": 0}
+    sources = tower_family(seed, max_ordinal) + bordism_family(seed)
+    for t in sources:
+        counts["sources"] += 1
+        for d in _derived_from(t):
+            counts["derived"] += 1
+            layers = []
+            for k, layer in enumerate(d.layers):
+                try:
+                    again = layer.over(layer.base, layer.objects, layer.covers)
+                except (DiagramError, LabelingError) as exc:
+                    return Report.failure(f"layer {k}", f"pulled-back layer fails its checks: {exc}", counts)
+                if again.objects != layer.objects or again._paths != layer._paths:
+                    return Report.failure(
+                        f"layer {k}", "pulled-back layer differs from its rebuild:\n" + dumps(d), counts
+                    )
+                counts["layers"] += 1
+                layers.append(again)
+            if dumps(TrussTower(d.base, layers[:-1], layers[-1])) != dumps(d):
+                return Report.failure("dumps", "rebuilt tower prints differently:\n" + dumps(d), counts)
+    return Report.ok(counts)
+
+
 def _run_homsets(max_ordinal=None, seed=None):
     return suite_homsets(3 if max_ordinal is None else max_ordinal, seed)
 
@@ -532,6 +575,10 @@ def _run_bordism_assoc(max_ordinal=None, seed=None):
     return suite_bordism_assoc(0 if seed is None else seed)
 
 
+def _run_derived(max_ordinal=None, seed=None):
+    return suite_derived(2 if max_ordinal is None else max_ordinal, 0 if seed is None else seed)
+
+
 SUITES = {
     "homsets": _run_homsets,
     "factorization": _run_factorization,
@@ -539,4 +586,5 @@ SUITES = {
     "roundtrip-mesh": _run_roundtrip_mesh,
     "pack": _run_pack,
     "bordism-assoc": _run_bordism_assoc,
+    "derived": _run_derived,
 }

@@ -19,6 +19,7 @@ each one gives the composite's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     CompositionError,
@@ -84,6 +85,7 @@ class TrussTower:
     def __eq__(self, other):
         return (
             isinstance(other, TrussTower)
+            and self._hash == other._hash
             and self.base == other.base
             and self.stages == other.stages
             and self.labels == other.labels
@@ -141,20 +143,29 @@ def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
     return (Bordism if f.src == arrow_poset() else TrussTower)(f.src, layers[:-1], layers[-1])
 
 
+# The constant maps of bases are built once and shared, like the posets.
+@lru_cache(maxsize=None)
+def _end_inclusion(end: int) -> PosetMap:
+    return PosetMap(point_poset(), arrow_poset(), {POINT_ELEMENT: str(end)})
+
+
+@lru_cache(maxsize=None)
+def _collapse() -> PosetMap:
+    return PosetMap(arrow_poset(), point_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT})
+
+
 def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
     """The tower over the point at one end of a bordism; TrussTower.end keeps it."""
     if end not in (0, 1):
         raise DomainError("end must be 0 or 1")
-    incl = PosetMap(point_poset(), arrow_poset(), {POINT_ELEMENT: str(end)})
-    return pullback_tower(b, incl)
+    return pullback_tower(b, _end_inclusion(end))
 
 
 def identity_bordism(t: TrussTower) -> Bordism:
     """Pull a tower over the point back along the collapse of the arrow."""
     if t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
-    collapse = PosetMap(arrow_poset(), point_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT})
-    return pullback_tower(t, collapse)
+    return pullback_tower(t, _collapse())
 
 
 def _retag(el, rootmap):
@@ -220,6 +231,11 @@ def _via_middles(poset: FinPoset, a, b, value, compute) -> int:
 _OUTER = {"0": "0", "1": "2"}
 
 
+@lru_cache(maxsize=None)
+def _outer_inclusion() -> PosetMap:
+    return PosetMap(arrow_poset(), path_poset(), _OUTER)
+
+
 def _composite(b1: TrussTower, b2: TrussTower):
     """Check that b1 then b2 compose; returns (glued, composite)."""
     if b1.base != arrow_poset() or b2.base != arrow_poset():
@@ -229,7 +245,7 @@ def _composite(b1: TrussTower, b2: TrussTower):
     if b1.end(1) != b2.end(0):
         raise CompositionError("bordism endpoints do not match")
     glued = _glue(b1, b2)
-    return glued, pullback_tower(glued, PosetMap(arrow_poset(), path_poset(), _OUTER))
+    return glued, pullback_tower(glued, _outer_inclusion())
 
 
 def compose_bordisms(b1: TrussTower, b2: TrussTower) -> Bordism:

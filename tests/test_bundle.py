@@ -143,6 +143,22 @@ def test_pullback_identity_and_point():
         pullback_bundle(d, PosetMap.identity(point_poset()))
 
 
+def arrow_labeling():
+    cat = LabelCategory.from_poset(FinPoset.from_covers(["a", "b"], [("a", "b")]))
+    return Labeling(arrow_poset(), cat, {"0": "a", "1": "b"}, {("0", "1"): "a<=b"})
+
+
+@pytest.mark.parametrize("make", [lambda: arrow_diagram(1, 2, (0, 2)), arrow_labeling])
+def test_pullback_rejects_bad_images(make):
+    f = make()
+    with pytest.raises(DomainError, match="'zz' of 'pt' is not in the base"):
+        f.pullback(point_poset(), {"pt": "zz"})
+    with pytest.raises(DomainError, match="misses the base element '1'"):
+        f.pullback(arrow_poset(), {"0": "0"})
+    with pytest.raises(DomainError, match="'1' and '0' are not related in the base"):
+        f.pullback(arrow_poset(), {"0": "1", "1": "0"})
+
+
 def test_pullback_commutes_with_total_space():
     d = arrow_diagram(1, 2, (0, 1))
     incl = PosetMap(point_poset(), arrow_poset(), {"pt": "0"})

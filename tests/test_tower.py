@@ -31,6 +31,7 @@ from trusskit import (
     dumps,
     identity_bordism,
     pack,
+    parse,
     point_poset,
     pullback_tower,
     restrict_bordism,
@@ -38,7 +39,7 @@ from trusskit import (
     truss_label_category,
     unpack,
 )
-from trusskit.oracles import bordism_family, composable_triples, tower_family
+from trusskit.oracles import SUITES, bordism_family, composable_triples, tower_family
 from trusskit.poset import path_poset
 from trusskit.tower import _glue, root_of
 from conftest import terminal_labeling
@@ -71,6 +72,18 @@ def test_identity_bordism_ends(single_node):
     assert isinstance(b, Bordism)
     assert b.end(0) == single_node
     assert b.end(1) == single_node
+
+
+def test_equal_towers_from_different_routes_compare_equal(single_node, chain_cat):
+    # equality looks at the stored hashes first, so equal values must hash alike
+    b = constant_inclusion([DeltaMap(1, 2, (0, 2))], "a<=b", chain_cat)
+    for t in (single_node, b, b.end(1), identity_bordism(single_node)):
+        parsed = parse(dumps(t))
+        assert parsed is not t and parsed == t and hash(parsed) == hash(t)
+        for built, read in zip(t.layers, parsed.layers):
+            assert built == read and hash(built) == hash(read)
+    assert b.end(1) == constant_inclusion([2], "b", chain_cat)
+    assert b.end(0) != b.end(1) and b.end(1).stages != b.end(0).stages
 
 
 def test_restrict_bordism_of_constant(chain_cat):
@@ -557,3 +570,12 @@ def test_truss_label_category_rejects_non_bordism_generator(chain_cat):
     fiber = constant_inclusion([1], "a", chain_cat)
     with pytest.raises(PackingError, match="a generator is not a bordism"):
         truss_label_category([fiber], [fiber])
+
+
+def test_derived_suite_rebuilds_every_pulled_back_layer():
+    # pullbacks inherit their path tables; the suite re-proves each layer
+    report = SUITES["derived"](max_ordinal=None, seed=None)
+    assert report.is_ok, report.to_text()
+    counts = report.counts
+    assert counts["sources"] == 756
+    assert counts["layers"] > counts["derived"] > counts["sources"]
