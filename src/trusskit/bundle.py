@@ -89,9 +89,11 @@ class CoverFunctor:
     ``_extend`` from its constructor.  That checks that exactly the base
     elements and covering relations are assigned, extends the cover values
     to every related pair with functor_table and stores that path table;
-    functor_table's diagnostic is raised as ``_error``.  ``pullback``
-    builds its result without any of these checks, from the parent's path
-    table; ``over`` goes through the subclass constructor.  Every subclass
+    functor_table's diagnostic is raised as ``_error``.  ``_derive`` builds
+    a functor without any of these checks from a path table known to be
+    functorial: ``pullback`` reads one from the parent, and bordism
+    composition joins the two bordisms' tables.  ``over`` goes through the
+    subclass constructor.  Every subclass
     then reads alike through the core: ``base``, the tables ``objects`` (per
     element) and ``covers`` (per covering relation), and ``compose``, the
     composition the path table was built with.  Equality and hashing go by
@@ -163,6 +165,12 @@ class CoverFunctor:
             for (x, y) in base.covers():
                 self.map_for(image[x], image[y])
             raise
+        return self._derive(base, objects, paths)
+
+    def _derive(self, base, objects, paths):
+        """The same kind of functor, into the same target, over base from a
+        path table known to be functorial; reads its covers from the table
+        and runs no check."""
         covers = {c: paths[c] for c in base.covers()}
         new = object.__new__(type(self))
         new._install((base,) + self._key[1:-2] + (objects, covers), self.compose, paths)

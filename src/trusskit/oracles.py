@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .errors import CompositionError, DiagramError, DomainError, LabelingError
+from .errors import CompositionError, DiagramError, DomainError, LabelingError, TrussError
 from .ordinal import (
     DeltaMap,
     Ordinal,
@@ -23,7 +23,7 @@ from .ordinal import (
     enumerate_delta_maps,
     enumerate_nabla_maps,
 )
-from .poset import POINT_ELEMENT, FinPoset, PosetMap, arrow_poset, point_poset
+from .poset import POINT_ELEMENT, FinPoset, PosetMap, arrow_poset, path_poset, point_poset
 from .strata import (
     REGULAR,
     SINGULAR,
@@ -39,11 +39,13 @@ from .tower import (
     Bordism,
     PackedTower,
     TrussTower,
+    _assemble,
     compose_bordisms,
     compose_bordisms_audited,
     constant_inclusion,
     identity_bordism,
     pack,
+    pullback_tower,
     unpack,
 )
 from .mesh import StratSimplexPoint, interpolated_heights, realize_bundle, reg_extract, sing_extract
@@ -461,7 +463,34 @@ def suite_pack(max_ordinal: int = 2, seed: int = 0) -> Report:
     return Report.ok(counts)
 
 
+def _glue(b1: TrussTower, b2: TrussTower) -> TrussTower:
+    """Lay two boundary-matched bordisms side by side over {0 < 1 < 2};
+    every layer is built through the validating over(), so functor_table
+    proves the whole glued tower."""
+    layers = _assemble(path_poset(), ((b1, {"0": "0", "1": "1"}), (b2, {"0": "1", "1": "2"})))
+    return TrussTower(path_poset(), layers[:-1], layers[-1])
+
+
+def _glue_disagrees(b1: TrussTower, b2: TrussTower, composite: TrussTower):
+    """Why composite is not the glue of b1 and b2 restricted to {0 < 2}
+    (the composite's definition), or None when it is."""
+    outer = PosetMap(arrow_poset(), path_poset(), {"0": "0", "1": "2"})
+    try:
+        glued = pullback_tower(_glue(b1, b2), outer)
+    except TrussError as exc:
+        return f"the glued tower fails its checks: {exc}"
+    if dumps(glued) != dumps(composite):
+        return "the composite prints differently from the restricted glue"
+    for k, (mine, theirs) in enumerate(zip(composite.layers, glued.layers)):
+        if mine._paths != theirs._paths:
+            return f"layer {k}'s path table differs from the restricted glue's"
+    return None
+
+
 def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400) -> Report:
+    """Unit laws, boundary checks and associativity of composition, and
+    every composite formed compared with the glued tower over {0 < 1 < 2}
+    restricted to {0 < 2}."""
     rng = random.Random(seed or 0)
     counts = {
         "bordisms": 0,
@@ -469,17 +498,31 @@ def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400) -> Report:
         "triples": 0,
         "crossings_audited": 0,
         "alternatives_audited": 0,
+        "glue_checks": 0,
     }
+
+    def glue_failure(formed):
+        for b1, b2, composite in formed:
+            counts["glue_checks"] += 1
+            why = _glue_disagrees(b1, b2, composite)
+            if why is not None:
+                return Report.failure("glue", why + ":\n" + dumps(b1) + dumps(b2), counts)
+        return None
+
     bordisms = bordism_family(seed or 0)
     counts["bordisms"] = len(bordisms)
     for b in bordisms:
-        left = compose_bordisms(identity_bordism(b.end(0)), b)
-        right = compose_bordisms(b, identity_bordism(b.end(1)))
+        i0, i1 = identity_bordism(b.end(0)), identity_bordism(b.end(1))
+        left = compose_bordisms(i0, b)
+        right = compose_bordisms(b, i1)
         counts["identity_checks"] += 2
         if left != b:
             return Report.failure("identity", "left identity law failed:\n" + dumps(b), counts)
         if right != b:
             return Report.failure("identity", "right identity law failed:\n" + dumps(b), counts)
+        failure = glue_failure(((i0, b, left), (b, i1, right)))
+        if failure is not None:
+            return failure
     mismatched = 0
     for b1 in bordisms:
         for b2 in bordisms[:10]:
@@ -495,10 +538,14 @@ def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400) -> Report:
             break
     for (b1, b2, b3) in composable_triples(bordisms, triple_limit, rng):
         counts["triples"] += 1
-        left, audit_l = compose_bordisms_audited(compose_bordisms(b1, b2), b3)
-        right, audit_r = compose_bordisms_audited(b1, compose_bordisms(b2, b3))
+        b12, b23 = compose_bordisms(b1, b2), compose_bordisms(b2, b3)
+        left, audit_l = compose_bordisms_audited(b12, b3)
+        right, audit_r = compose_bordisms_audited(b1, b23)
         counts["crossings_audited"] += audit_l.crossings + audit_r.crossings
         counts["alternatives_audited"] += audit_l.alternatives + audit_r.alternatives
+        failure = glue_failure(((b1, b2, b12), (b2, b3, b23), (b12, b3, left), (b1, b23, right)))
+        if failure is not None:
+            return failure
         if left != right:
             return Report.failure(
                 "associativity",

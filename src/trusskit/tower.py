@@ -6,14 +6,16 @@ functor from the topmost total space into a label category.  The stages and
 then the labels are the tower's layers, and every walk goes over the layers
 alike, through the CoverFunctor core.  A bordism is a tower whose root base is
 the walking arrow.  Every restriction goes through pullback_tower, which
-returns a Bordism along a map out of the arrow: the identities and composites
-of bordisms, pack's fiber trusses and cover bordisms, and the two ends of a
-tower over the arrow, which TrussTower.end alone forms, once per tower.  One
-gluing, _assemble, merges towers over parts of a base: composition glues two
-bordisms over {0 < 1 < 2} and pulls back along {0 < 2}, and unpack glues the
-fiber trusses and cover bordisms.  Factorization middles of crossing
-composites are only looked at by compose_bordisms_audited, which checks that
-each one gives the composite's value.
+returns a Bordism along a map out of the arrow: the identities of bordisms,
+pack's fiber trusses and cover bordisms, and the two ends of a tower over the
+arrow, which TrussTower.end alone forms, once per tower.  Composition builds
+the composite directly over the arrow, layer by layer, from the two bordisms'
+path tables: a crossing path goes through the first factorization middle
+over the seam, and every other middle is checked to give the same value.
+One gluing, _assemble, merges towers over parts of a base for unpack; the
+oracles' "bordism-assoc" suite also uses it to glue two bordisms over
+{0 < 1 < 2} and checks each composite against that glue restricted to
+{0 < 2}.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .poset import (
     FinPoset,
     PosetMap,
     arrow_poset,
-    path_poset,
     point_poset,
 )
 from .bundle import DeltaDiagram, LabelCategory, Labeling, total_space
@@ -206,75 +207,65 @@ def _assemble(base: FinPoset, pieces) -> list:
     return layers
 
 
-def _glue(b1: TrussTower, b2: TrussTower) -> TrussTower:
-    """Lay two boundary-matched bordisms side by side over {0 < 1 < 2}."""
-    layers = _assemble(path_poset(), ((b1, {"0": "0", "1": "1"}), (b2, {"0": "1", "1": "2"})))
-    return TrussTower(path_poset(), layers[:-1], layers[-1])
-
-
-def _via_middles(poset: FinPoset, a, b, value, compute) -> int:
-    """Check that a crossing composite from a to b gives ``value`` through
-    every factorization middle over "1"; returns how many middles there are."""
-    mids = [
-        y for y in poset.elements
-        if root_of(y) == "1" and poset.le(a, y) and poset.le(y, b)
-    ]
-    if not mids:
-        raise InternalError(f"empty factorization middle set between {a!r} and {b!r}")
-    for y in mids:
-        if compute(y) != value:
-            raise InternalError(f"factorization middle {y!r} disagrees with the composite"
-                                f" from {a!r} to {b!r}")
-    return len(mids)
-
-
-_OUTER = {"0": "0", "1": "2"}
-
-
-@lru_cache(maxsize=None)
-def _outer_inclusion() -> PosetMap:
-    return PosetMap(arrow_poset(), path_poset(), _OUTER)
-
-
 def _composite(b1: TrussTower, b2: TrussTower):
-    """Check that b1 then b2 compose; returns (glued, composite)."""
+    """Check that b1 then b2 compose and build the composite over the arrow
+    layer by layer, as the module docstring says; returns (composite,
+    audit)."""
     if b1.base != arrow_poset() or b2.base != arrow_poset():
         raise CompositionError("both arguments must be bordisms over the arrow poset")
     if b1.depth != b2.depth:
         raise CompositionError("bordisms of different depth do not compose")
     if b1.end(1) != b2.end(0):
         raise CompositionError("bordism endpoints do not match")
-    glued = _glue(b1, b2)
-    return glued, pullback_tower(glued, _outer_inclusion())
+    layers, crossings, alternatives = [], 0, 0
+    for l1, l2 in zip(b1.layers, b2.layers):
+        base = total_space(layers[-1]).carrier if layers else arrow_poset()
+        # each element's middles, gathered once: b1's seam above x, in
+        # canonical order, and b2's seam below y, keyed by b1's names
+        seam = [m for m in l1.base.elements if root_of(m) == "1"]
+        ups = {x: list(filter(l1.base.up(x).__contains__, seam)) for x in l1.base.elements if root_of(x) == "0"}
+        downs = {y: {} for y in l2.base.elements if root_of(y) == "1"}
+        for m in seam:
+            m2 = _retag(m, {"1": "0"})
+            for y in l2.base.up(m2):
+                if y in downs:
+                    downs[y][m] = m2
+        p1, p2, compose = l1._paths, l2._paths, l1.compose
+        objects = {x: l1.objects[x] if x in ups else l2.objects[x] for x in base.elements}
+        paths = {k: v for k, v in p1.items() if k[1] in ups}
+        paths.update((k, v) for k, v in p2.items() if k[0] in downs)
+        middles = {}
+        for x, above in ups.items():
+            related = base.up(x)
+            for y, below in downs.items():
+                if y not in related:
+                    continue
+                mids = [m for m in above if m in below]
+                if not mids:
+                    raise InternalError(f"empty factorization middle set between {x!r} and {y!r}")
+                paths[(x, y)] = compose(p1[(x, mids[0])], p2[(below[mids[0]], y)])
+                for m in mids[1:]:
+                    if compose(p1[(x, m)], p2[(below[m], y)]) != paths[(x, y)]:
+                        raise InternalError(f"factorization middle {m!r} disagrees with the composite"
+                                            f" from {x!r} to {y!r} through {mids[0]!r}")
+                middles[(x, y)] = len(mids)
+        layers.append(l1._derive(base, objects, paths))
+        crossed = [middles[c] for c in base.covers() if c in middles]
+        crossings, alternatives = crossings + len(crossed), alternatives + sum(crossed)
+    return Bordism(arrow_poset(), layers[:-1], layers[-1]), CompositionAudit(crossings, alternatives)
 
 
 def compose_bordisms(b1: TrussTower, b2: TrussTower) -> Bordism:
-    """First b1, then b2: glue over {0 < 1 < 2} and restrict to {0 < 2}."""
-    return _composite(b1, b2)[1]
+    """First b1, then b2, built directly over the arrow from the two path
+    tables; raises InternalError if two factorization middles disagree."""
+    return _composite(b1, b2)[0]
 
 
 def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
-    """Compose two bordisms; returns (composite, audit).
-
-    Every covering relation of a composite stage base, and of the composite
-    top, whose image in the glued tower is not a glued cover crosses the
-    seam; the audit checks that each factorization middle of a crossing
-    gives the composite's map (or label) and counts crossings and middles.
-    """
-    glued, composite = _composite(b1, b2)
-    crossings = 0
-    alternatives = 0
-    for layer, glued_layer in zip(composite.layers, glued.layers):
-        for (u, v) in layer.base.covers():
-            a, b = _retag(u, _OUTER), _retag(v, _OUTER)
-            if (a, b) in glued_layer.covers:
-                continue
-            crossings += 1
-            alternatives += _via_middles(
-                glued_layer.base, a, b, layer.covers[(u, v)],
-                lambda y: glued_layer.compose(glued_layer.map_for(a, y), glued_layer.map_for(y, b)),
-            )
-    return composite, CompositionAudit(crossings, alternatives)
+    """Compose as compose_bordisms does; returns (composite, audit), the
+    audit counting the crossings (the covers of a composite layer whose
+    ends lie over different ends of the arrow) and their middles."""
+    return _composite(b1, b2)
 
 
 def truss_label_category(objects, generators) -> LabelCategory:
@@ -290,19 +281,24 @@ def truss_label_category(objects, generators) -> LabelCategory:
         if m.end(0) not in known or m.end(1) not in known:
             raise PackingError("a generator's endpoint is not among the objects")
     seen = set(morphisms)
+    # the morphisms out of each object, in morphism order
+    by_source = {o: [] for o in objs}
+    for m in morphisms:
+        by_source[m.end(0)].append(m)
     compose = {}
     changed = True
     while changed:
         changed = False
         for f in list(morphisms):
-            for g in list(morphisms):
-                if f.end(1) != g.end(0) or (f, g) in compose:
+            for g in list(by_source[f.end(1)]):
+                if (f, g) in compose:
                     continue
                 h = compose_bordisms(f, g)
                 compose[(f, g)] = h
                 if h not in seen:
                     seen.add(h)
                     morphisms.append(h)
+                    by_source[h.end(0)].append(h)
                     changed = True
     return LabelCategory(
         objects=objs,

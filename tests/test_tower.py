@@ -1,7 +1,10 @@
 """Towers, bordisms, composition, and the packing equivalence."""
 
+import copy
 import functools
+import itertools
 import random
+import re
 
 import pytest
 
@@ -21,6 +24,7 @@ from trusskit import (
     PackedTower,
     PackingError,
     PosetMap,
+    Stratum,
     TrussError,
     TrussTower,
     arrow_poset,
@@ -39,9 +43,10 @@ from trusskit import (
     truss_label_category,
     unpack,
 )
-from trusskit.oracles import SUITES, bordism_family, composable_triples, tower_family
+from trusskit import bundle
+from trusskit.oracles import SUITES, _glue, bordism_family, composable_triples, tower_family
 from trusskit.poset import path_poset
-from trusskit.tower import _glue, root_of
+from trusskit.tower import root_of
 from conftest import terminal_labeling
 
 
@@ -513,6 +518,36 @@ def reference_unpack(p):
 def test_glue_matches_reference():
     for b1, b2 in composable_pairs():
         assert _glue(b1, b2) == reference_glue(b1, b2)
+
+
+def test_composition_checks_every_factorization_middle(chain_cat):
+    # a copy of b1 whose label layer composes every pair to a fresh value,
+    # so two middles of one crossing pair disagree
+    b1 = constant_inclusion([DeltaMap.identity(1)], "a<=b", chain_cat)
+    b2 = constant_inclusion([DeltaMap.identity(1)], "b<=c", chain_cat)
+    assert compose_bordisms_audited(b1, b2)[1].alternatives == 4
+    labels = copy.copy(b1.labels)
+    fresh = itertools.count()
+    labels.compose = lambda f, g: next(fresh)
+    bad = copy.copy(b1)
+    bad.layers = b1.stages + (labels,)
+    middle = ("1", Stratum.singular(0, 1))
+    for compose in (compose_bordisms, compose_bordisms_audited):
+        with pytest.raises(InternalError, match=re.escape(f"factorization middle {middle!r} disagrees")):
+            compose(bad, b2)
+
+
+def test_composition_runs_no_functor_table(monkeypatch):
+    pairs = composable_pairs()
+    calls = []
+    real = bundle.functor_table
+    monkeypatch.setattr(bundle, "functor_table", lambda *args: calls.append(args) or real(*args))
+    for b1, b2 in pairs:
+        compose_bordisms(b1, b2)
+        compose_bordisms_audited(b1, b2)
+    assert calls == []
+    DeltaDiagram(point_poset(), {POINT_ELEMENT: 1}, {})
+    assert len(calls) == 1
 
 
 def test_unpack_matches_reference():
