@@ -32,8 +32,8 @@ from .errors import (
     LabelingError,
 )
 from .ordinal import DeltaMap, Ordinal, compose_delta
-from .poset import FinPoset, PosetMap, element_sort_key
-from .strata import Stratum, fiber_objects, stratum_targets
+from .poset import FinPoset, PosetMap, bits, element_sort_key
+from .strata import Stratum, fiber_objects
 
 
 def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
@@ -45,31 +45,34 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     Targets come in the order of ``base.linear_extension()``, sources x of
     a target in the canonical order of ``base.elements`` and covers into it
     in the order of ``base.covers()``, so the first diagnostic is
-    deterministic.  Down-sets and incoming covers are gathered once from
-    the up-sets and the cover list, so the bookkeeping costs O(|<=| log n)
-    and the checks one composite per pair x < z and cover y -> z with
-    x <= y.
+    deterministic.  Down-sets and incoming covers are gathered once, as
+    element indices, from the up-set masks and the upper covers, and x <= y
+    is one bit of x's mask, so the bookkeeping costs O(|<=| log n) and the
+    checks one composite per pair x < z and cover y -> z with x <= y.
     Returns (table, diagnostic): the first diagnostic ends the walk, and
     then the table is only partial; it is None on success.
     """
+    els, ups = base.elements, base.ups
     table = {}
-    below = {e: [] for e in base.elements}
-    for e in base.elements:
+    below = [[] for _ in els]
+    incoming = [[] for _ in els]
+    for i, (e, up, upper) in enumerate(zip(els, ups, base.upper)):
         table[(e, e)] = identity_at(e)
-        for z in base.up(e):
-            if z != e:
-                below[z].append(e)
-    incoming = {e: [] for e in base.elements}
-    for cov in base.covers():
-        incoming[cov[1]].append(cov)
+        for k in bits(up ^ (1 << i)):
+            below[k].append(i)
+        for k in upper:
+            incoming[k].append(i)
     for z in base.linear_extension():
-        for x in below[z]:
+        k = base.index[z]
+        into = [(j, els[j], cover_value((els[j], z))) for j in incoming[k]]
+        for i in below[k]:
+            x, up = els[i], ups[i]
             value = None
             witness = None
-            for (y, _) in incoming[z]:
-                if not base.le(x, y):
+            for j, y, c in into:
+                if not up >> j & 1:
                     continue
-                cand = compose_pair(table[(x, y)], cover_value((y, z)))
+                cand = compose_pair(table[(x, y)], c)
                 if value is None:
                     value, witness = cand, y
                 elif cand != value:
@@ -157,9 +160,14 @@ class CoverFunctor:
                 if image[x] not in self.objects:
                     raise DomainError(f"pullback image {image[x]!r} of {x!r} is not in the base") from None
             raise
-        parent = self._paths
+        parent, els = self._paths, base.elements
+        images = [image[x] for x in els]
         try:
-            paths = {(x, y): parent[(image[x], image[y])] for (x, y) in base.leq}
+            paths = {
+                (x, els[j]): parent[(fx, images[j])]
+                for x, fx, up in zip(els, images, base.ups)
+                for j in bits(up)
+            }
         except KeyError:
             # a map monotone on the covers is monotone on their closure
             for (x, y) in base.covers():
@@ -236,14 +244,38 @@ class TotalPoset:
 @lru_cache(maxsize=4096)
 def total_space(d: DeltaDiagram) -> TotalPoset:
     """Pair every base element with its fiber positions; relate (a, e) and
-    (b, e') when a <= b and e -> e' is valid over the composite map."""
-    fibers = {b: fiber_objects(d.ord[b].n) for b in d.base.elements}
-    elements = [(b, e) for b in d.base.elements for e in fibers[b]]
-    leq = []
-    for a, b in d.base.leq:
-        f = d.map_for(a, b)
-        leq.extend(((a, e), (b, e2)) for e in fibers[a] for e2 in stratum_targets(e, f))
-    return TotalPoset(FinPoset(elements, leq), d.base)
+    (b, e') when a <= b and e -> e' is valid over the composite map.
+
+    The pairs are laid out in canonical order by construction: base
+    elements in order, then each fiber in fiber_objects order (regulars,
+    then singulars).  Over each b >= a, the up-set of (a, e) is the interval
+    stratum_targets(e, f) gives for the composite f: one regular for a
+    regular e, and for a singular s_i a run of regulars r_f(i)..r_f(i+1)
+    and a run of singulars s_f(i)..s_f(i+1)-1.  The masks are set as those
+    bit intervals and installed without sorting or validating; the oracles
+    rebuild total spaces through the validating constructor."""
+    base = d.base
+    ns = [d.ord[b].n for b in base.elements]
+    offsets = [0]
+    for n in ns:
+        offsets.append(offsets[-1] + 2 * n + 1)
+    elements = [(b, e) for b, n in zip(base.elements, ns) for e in fiber_objects(n)]
+    ups = []
+    for a, n, up in zip(base.elements, ns, base.ups):
+        # (offset of the regulars over b, of the singulars over b, f's values)
+        over = [(offsets[k], offsets[k] + ns[k] + 1, d.map_for(a, base.elements[k]).values) for k in bits(up)]
+        for i in range(n + 1):
+            mask = 0
+            for reg, _, v in over:
+                mask |= 1 << (reg + v[i])
+            ups.append(mask)
+        for i in range(n):
+            mask = 0
+            for reg, sing, v in over:
+                lo, width = v[i], v[i + 1] - v[i]
+                mask |= ((2 << width) - 1) << (reg + lo) | ((1 << width) - 1) << (sing + lo)
+            ups.append(mask)
+    return TotalPoset(FinPoset._trusted(elements, ups), base)
 
 
 def pullback_bundle(d: DeltaDiagram, f: PosetMap) -> DeltaDiagram:

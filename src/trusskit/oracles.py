@@ -32,6 +32,7 @@ from .strata import (
     factorization_poset,
     fiber_objects,
     hom_strata,
+    stratum_targets,
     validate_stratum_map,
 )
 from .bundle import DeltaDiagram, LabelCategory, Labeling, classify, total_space
@@ -46,6 +47,7 @@ from .tower import (
     identity_bordism,
     pack,
     pullback_tower,
+    restrict_bordism,
     unpack,
 )
 from .mesh import StratSimplexPoint, interpolated_heights, realize_bundle, reg_extract, sing_extract
@@ -396,8 +398,37 @@ def suite_factorization(max_ordinal: int = 2, seed=None) -> Report:
     return Report.ok(counts, diagnostics)
 
 
+def _total_space_disagrees(d: DeltaDiagram, rng):
+    """Why total_space(d), laid out and installed unchecked, is not the poset
+    the validating constructor builds from the elements, shuffled, and the
+    relation spelled pair by pair from stratum_targets; None when it is."""
+    carrier = total_space(d).carrier
+    shuffled = list(carrier.elements)
+    rng.shuffle(shuffled)
+    pairs = [
+        ((a, e), (b, e2))
+        for a, b in d.base.leq
+        for e in fiber_objects(d.ord[a].n)
+        for e2 in stratum_targets(e, d.map_for(a, b))
+    ]
+    try:
+        again = FinPoset(shuffled, pairs)
+    except DomainError as exc:
+        return f"the validating rebuild fails: {exc}"
+    if again.elements != carrier.elements:
+        return "the elements are not in canonical order"
+    if again != carrier:
+        return "the order differs from its validating rebuild"
+    if again.covers() != carrier.covers() or again.linear_extension() != carrier.linear_extension():
+        return "the covers or the linear extension differ from the validating rebuild's"
+    return None
+
+
 def suite_roundtrip_bundle(max_elements: int = 3, max_ordinal: int = 2, seed=None) -> Report:
-    counts = {"bases": 0, "diagrams": 0}
+    """classify inverts total_space, and every total space equals its
+    validating rebuild (total_space_checks)."""
+    rng = random.Random(seed or 0)
+    counts = {"bases": 0, "diagrams": 0, "total_space_checks": 0}
     for base in all_posets(max_elements):
         counts["bases"] += 1
         for d in all_diagrams(base, max_ordinal):
@@ -407,6 +438,10 @@ def suite_roundtrip_bundle(max_elements: int = 3, max_ordinal: int = 2, seed=Non
                 return Report.failure(
                     "classify", "total space does not classify back:\n" + dumps(d), counts
                 )
+            why = _total_space_disagrees(d, rng)
+            if why is not None:
+                return Report.failure("total_space", why + ":\n" + dumps(d), counts)
+            counts["total_space_checks"] += 1
     return Report.ok(counts)
 
 
@@ -572,15 +607,44 @@ def _derived_from(t: TrussTower) -> list:
     return out
 
 
+def _unchecked_failure(d: TrussTower, rng, checked: set, counts: dict):
+    """Check what the library installs without checks on d: each stage's
+    total space (once per stage) against its validating rebuild, and each
+    recorded end, such as an identity bordism's, against restrict_bordism.
+    Returns a failing Report, or None."""
+    for stage in d.stages:
+        if stage not in checked:
+            checked.add(stage)
+            why = _total_space_disagrees(stage, rng)
+            if why is not None:
+                return Report.failure("total_space", why + ":\n" + dumps(stage), counts)
+            counts["total_space_checks"] += 1
+    for k, end in sorted(d._ends.items()):
+        again = restrict_bordism(d, k)
+        if again != end or any(a._paths != b._paths for a, b in zip(again.layers, end.layers)):
+            return Report.failure(f"end {k}", "recorded end differs from the restriction:\n" + dumps(d), counts)
+        counts["end_checks"] += 1
+    return None
+
+
 def suite_derived(max_ordinal: int = 2, seed: int = 0) -> Report:
     """Pullbacks inherit their path tables unchecked; rebuild every layer of
-    every derived tower through the validating over() and compare."""
-    counts = {"sources": 0, "derived": 0, "layers": 0}
+    every derived tower through the validating over() and compare.  Total
+    spaces and recorded ends are checked too (_unchecked_failure)."""
+    rng = random.Random(seed or 0)
+    counts = {"sources": 0, "derived": 0, "layers": 0, "total_space_checks": 0, "end_checks": 0}
     sources = tower_family(seed, max_ordinal) + bordism_family(seed)
+    checked = set()
     for t in sources:
         counts["sources"] += 1
+        failure = _unchecked_failure(t, rng, checked, counts)
+        if failure is not None:
+            return failure
         for d in _derived_from(t):
             counts["derived"] += 1
+            failure = _unchecked_failure(d, rng, checked, counts)
+            if failure is not None:
+                return failure
             layers = []
             for k, layer in enumerate(d.layers):
                 try:

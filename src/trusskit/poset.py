@@ -1,13 +1,19 @@
-"""Finite posets with explicit relation sets, and monotone maps between them.
+"""Finite posets stored as up-set bitmasks, and monotone maps between them.
 
 Elements are arbitrary hashables.  Total spaces of bundles use nested pairs
 (base element, stratum), so ordering of elements is defined structurally by
 element_sort_key rather than by relying on the elements being comparable.
+A poset keeps its elements in that canonical order, each element's index in
+it, and for each element one Python int whose bit j is set when the element
+is <= the j-th element.  Comparison, equality, hashing, the Hasse diagram
+(transitive reduction of the masks, after Aho, Garey and Ullman 1972) and the
+linear extension (Kahn 1962, over indices) all read the masks; the relation
+as a set of pairs is built only for a caller that asks for ``leq``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 
 from .errors import DomainError
@@ -23,168 +29,212 @@ def element_sort_key(el):
     return (0, str(el))
 
 
-class FinPoset:
-    """A finite poset: elements plus the full reflexive order relation.
+def bits(mask: int) -> list:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    The constructor checks reflexivity, antisymmetry and transitivity and
-    raises DomainError on any violation.
+
+class FinPoset:
+    """A finite poset: elements in canonical order plus one up-set mask each.
+
+    ``index`` maps each element to its position in ``elements``, and bit j
+    of ``ups[i]`` is set exactly when elements[i] <= elements[j].  The
+    constructor takes the full reflexive order relation as pairs, checks
+    reflexivity, antisymmetry and transitivity on the masks and raises
+    DomainError on the first violation in index order.  ``leq``, the
+    relation as a frozenset of pairs, is built on first use.
     """
 
     def __init__(self, elements, leq):
-        elements = list(elements)
-        if len(set(elements)) != len(elements):
-            raise DomainError("duplicate poset elements")
-        self.elements = tuple(sorted(elements, key=element_sort_key))
-        self.leq = frozenset((a, b) for a, b in leq)
-        self._eset = frozenset(self.elements)
-        self._validate()
-        self._covers = None
-        self._hash = hash((self.elements, self.leq))
+        order, index = _canonical(elements)
+        ups = [0] * len(order)
+        strays = []
+        for a, b in leq:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                strays.append((a, b))
+            else:
+                ups[i] |= 1 << j
+        self._install(order, index, ups)
+        self._validate(strays)
 
-    def _validate(self):
-        up = {e: set() for e in self.elements}
-        for a, b in self.leq:
-            if a not in self._eset or b not in self._eset:
-                raise DomainError(f"relation ({a!r}, {b!r}) mentions a non-element")
-            up[a].add(b)
-        for e in self.elements:
-            if e not in up[e]:
-                raise DomainError(f"relation is not reflexive at {e!r}")
-        for a, b in self.leq:
-            if a != b and (b, a) in self.leq:
-                raise DomainError(f"antisymmetry fails on {a!r}, {b!r}")
-            for c in up[b]:
-                if (a, c) not in self.leq:
-                    raise DomainError(f"transitivity fails: {a!r} <= {b!r} <= {c!r}")
-        self._up = {e: frozenset(s) for e, s in up.items()}
+    @classmethod
+    def _trusted(cls, elements, ups):
+        """A poset from elements already in canonical order and up-set masks
+        already reflexive, antisymmetric and transitive; nothing is sorted or
+        checked."""
+        new = object.__new__(cls)
+        new._install(elements, {e: i for i, e in enumerate(elements)}, ups)
+        return new
+
+    def _install(self, elements, index, ups):
+        self.elements, self.index, self.ups = tuple(elements), index, tuple(ups)
+        self._covers = None
+        self._hash = hash((self.elements, self.ups))
+
+    def _validate(self, strays=()):
+        """Raise on the first violation: reflexivity, antisymmetry and
+        transitivity in index order, then a pair naming a non-element."""
+        els, ups = self.elements, self.ups
+        for i, up in enumerate(ups):
+            if not up >> i & 1:
+                raise DomainError(f"relation is not reflexive at {els[i]!r}")
+        closed = all(up == _union(ups, up) for up in ups)
+        # a reflexive, transitive relation is antisymmetric iff no two
+        # elements share an up-set; otherwise search for the first violation
+        if not closed or len(set(ups)) != len(ups):
+            for i, up in enumerate(ups):
+                for j in bits(up ^ (1 << i)):
+                    if ups[j] >> i & 1:
+                        raise DomainError(f"antisymmetry fails on {els[i]!r}, {els[j]!r}")
+            for i, up in enumerate(ups):
+                for j in bits(up):
+                    extra = ups[j] & ~up
+                    if extra:
+                        c = els[(extra & -extra).bit_length() - 1]
+                        raise DomainError(f"transitivity fails: {els[i]!r} <= {els[j]!r} <= {c!r}")
+        if strays:
+            a, b = min(strays, key=lambda r: (element_sort_key(r[0]), element_sort_key(r[1])))
+            raise DomainError(f"relation ({a!r}, {b!r}) mentions a non-element")
 
     @classmethod
     def from_covers(cls, elements, covers):
         """Build from covering pairs; takes the reflexive transitive closure."""
-        elements = list(elements)
-        adj = {e: set() for e in elements}
+        order, index = _canonical(elements)
+        succ = [0] * len(order)
         for a, b in covers:
-            if a not in adj or b not in adj:
+            if a not in index or b not in index:
                 raise DomainError(f"cover ({a!r}, {b!r}) mentions a non-element")
-            adj[a].add(b)
-        leq = set()
-        for e in elements:
-            seen = {e}
-            stack = [e]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y == e:
-                        raise DomainError(f"cover relation has a cycle through {e!r}")
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            leq.update((e, y) for y in seen)
-        return cls(elements, leq)
+            succ[index[a]] |= 1 << index[b]
+        # widen each up-set by its members' until nothing grows; every pass
+        # doubles the length of the paths covered
+        ups = [s | 1 << i for i, s in enumerate(succ)]
+        while (wider := [_union(ups, up) for up in ups]) != ups:
+            ups = wider
+        for i, s in enumerate(succ):
+            if _union(ups, s) >> i & 1:
+                raise DomainError(f"cover relation has a cycle through {order[i]!r}")
+        new = cls._trusted(order, ups)
+        new._validate()
+        return new
 
     def le(self, a, b) -> bool:
-        return (a, b) in self.leq
+        index = self.index
+        try:
+            return bool(self.ups[index[a]] >> index[b] & 1)
+        except KeyError:
+            return False
 
-    def up(self, a):
-        return self._up[a]
-
-    def down(self, a):
-        return frozenset(x for x in self.elements if (x, a) in self.leq)
+    @cached_property
+    def upper(self):
+        """Per element index, the ascending indices of the elements covering
+        it: the strict up-set minus the strict up-sets of its members."""
+        strict = [up ^ (1 << i) for i, up in enumerate(self.ups)]
+        return tuple(bits(s & ~_union(strict, s)) for s in strict)
 
     def covers(self):
-        """Hasse diagram: pairs (a, b) with a < b and nothing strictly between."""
+        """Hasse diagram: pairs (a, b) with a < b and nothing strictly
+        between, in index order (the canonical order of the pairs)."""
         if self._covers is None:
-            out = []
-            for a, b in self.leq:
-                if a == b:
-                    continue
-                between = any(m != a and m != b and (m, b) in self.leq for m in self._up[a])
-                if not between:
-                    out.append((a, b))
-            self._covers = tuple(sorted(out, key=lambda p: (element_sort_key(p[0]), element_sort_key(p[1]))))
+            els = self.elements
+            self._covers = tuple((els[i], els[j]) for i, up in enumerate(self.upper) for j in up)
         return self._covers
 
     def covers_into(self, b):
         return tuple(p for p in self.covers() if p[1] == b)
+
+    @cached_property
+    def leq(self):
+        """The order relation as a frozenset of pairs, built on first use."""
+        els = self.elements
+        return frozenset((a, els[j]) for a, up in zip(els, self.ups) for j in bits(up))
 
     def linear_extension(self):
         """Deterministic topological order of the elements.
 
         Each step places the first element, in the canonical order of
         ``self.elements``, whose strict down-set is already placed.  Kahn's
-        algorithm with a heap of canonical indices gives exactly that order
-        in O(|<=| log n).
+        algorithm over the covers with a heap of indices gives exactly that
+        order: an element's lower covers are placed only after everything
+        below them.
         """
-        elements = self.elements
-        index = {e: i for i, e in enumerate(elements)}
-        indegree = [0] * len(elements)
-        for a, b in self.leq:
-            if a != b:
-                indegree[index[b]] += 1
+        upper = self.upper
+        indegree = [0] * len(upper)
+        for up in upper:
+            for j in up:
+                indegree[j] += 1
         ready = [i for i, d in enumerate(indegree) if not d]  # sorted, so a heap
         out = []
         while ready:
-            e = elements[heappop(ready)]
-            out.append(e)
-            for b in self._up[e]:
-                if b != e:
-                    j = index[b]
-                    indegree[j] -= 1
-                    if not indegree[j]:
-                        heappush(ready, j)
-        if len(out) != len(elements):
-            raise DomainError("no linear extension: relation is cyclic")
+            i = heappop(ready)
+            out.append(self.elements[i])
+            for j in upper[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    heappush(ready, j)
         return tuple(out)
 
     def minimum(self):
-        for e in self.elements:
-            if all((e, x) in self.leq for x in self.elements):
-                return e
-        return None
+        full = (1 << len(self.elements)) - 1
+        return next((e for e, up in zip(self.elements, self.ups) if up == full), None)
 
     def maximum(self):
-        for e in self.elements:
-            if all((x, e) in self.leq for x in self.elements):
-                return e
-        return None
+        common = (1 << len(self.elements)) - 1
+        for up in self.ups:
+            common &= up
+        return self.elements[common.bit_length() - 1] if common else None
 
     def is_connected(self) -> bool:
-        """Connectivity of the comparability graph."""
-        if not self.elements:
-            return True
-        seen = {self.elements[0]}
-        stack = [self.elements[0]]
-        while stack:
-            x = stack.pop()
-            for a, b in self.leq:
-                other = b if a == x else a if b == x else None
-                if other is not None and other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return len(seen) == len(self.elements)
-
-    def subposet(self, subset):
-        subset = set(subset)
-        return FinPoset(
-            [e for e in self.elements if e in subset],
-            [(a, b) for a, b in self.leq if a in subset and b in subset],
-        )
+        """Connectivity of the comparability graph: grow the component of
+        the first element by every up-set that meets it."""
+        full = (1 << len(self.elements)) - 1
+        reached, grown = 0, full & 1
+        while grown != reached:
+            reached = grown
+            for up in self.ups:
+                if up & reached:
+                    grown |= up
+        return reached == full
 
     def __contains__(self, el):
-        return el in self._eset
+        return el in self.index
 
     def __eq__(self, other):
         return (
             isinstance(other, FinPoset)
+            and self._hash == other._hash
             and self.elements == other.elements
-            and self.leq == other.leq
+            and self.ups == other.ups
         )
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"FinPoset({len(self.elements)} elements, {len(self.leq)} relations)"
+        return f"FinPoset({len(self.elements)} elements, {sum(up.bit_count() for up in self.ups)} relations)"
+
+
+def _canonical(elements):
+    """The elements in canonical order and the index of each; raises
+    DomainError on a duplicate."""
+    order = tuple(sorted(elements, key=element_sort_key))
+    index = {e: i for i, e in enumerate(order)}
+    if len(index) != len(order):
+        raise DomainError("duplicate poset elements")
+    return order, index
+
+
+def _union(masks, sel: int) -> int:
+    """The union of masks[j] over the set bits j of sel."""
+    out = 0
+    for j in bits(sel):
+        out |= masks[j]
+    return out
 
 
 class PosetMap:
@@ -200,9 +250,12 @@ class PosetMap:
                 raise DomainError(f"map undefined on {e!r}")
             if self.mapping[e] not in dst:
                 raise DomainError(f"image {self.mapping[e]!r} of {e!r} is not in the target")
-        for a, b in src.leq:
-            if not dst.le(self.mapping[a], self.mapping[b]):
-                raise DomainError(f"map is not monotone on {a!r} <= {b!r}")
+        # monotone on the covers is monotone on their closure
+        els = src.elements
+        for a, upper in zip(els, src.upper):
+            for j in upper:
+                if not dst.le(self.mapping[a], self.mapping[els[j]]):
+                    raise DomainError(f"map is not monotone on {a!r} <= {els[j]!r}")
 
     def __call__(self, e):
         return self.mapping[e]

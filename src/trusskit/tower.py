@@ -8,7 +8,8 @@ alike, through the CoverFunctor core.  A bordism is a tower whose root base is
 the walking arrow.  Every restriction goes through pullback_tower, which
 returns a Bordism along a map out of the arrow: the identities of bordisms,
 pack's fiber trusses and cover bordisms, and the two ends of a tower over the
-arrow, which TrussTower.end alone forms, once per tower.  Composition builds
+arrow, which TrussTower.end alone forms, once per tower; an identity bordism
+records both of its ends, the tower it was made from.  Composition builds
 the composite directly over the arrow, layer by layer, from the two bordisms'
 path tables: a crossing path goes through the first factorization middle
 over the seam, and every other middle is checked to give the same value.
@@ -36,6 +37,7 @@ from .poset import (
     FinPoset,
     PosetMap,
     arrow_poset,
+    bits,
     point_poset,
 )
 from .bundle import DeltaDiagram, LabelCategory, Labeling, total_space
@@ -74,7 +76,8 @@ class TrussTower:
 
     def end(self, which: int) -> TrussTower:
         """The tower over the point at end ``which`` (0 or 1) of a tower over
-        the arrow, memoized; raises DomainError on any other base."""
+        the arrow, memoized (or recorded, for an identity bordism); raises
+        DomainError on any other base."""
         if which not in self._ends:
             self._ends[which] = restrict_bordism(self, which)
         return self._ends[which]
@@ -163,10 +166,13 @@ def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
 
 
 def identity_bordism(t: TrussTower) -> Bordism:
-    """Pull a tower over the point back along the collapse of the arrow."""
+    """Pull a tower over the point back along the collapse of the arrow;
+    both of its ends are t, so they are recorded rather than derived."""
     if t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
-    return pullback_tower(t, _collapse())
+    b = pullback_tower(t, _collapse())
+    b._ends = {0: t, 1: t}
+    return b
 
 
 def _retag(el, rootmap):
@@ -222,23 +228,24 @@ def _composite(b1: TrussTower, b2: TrussTower):
         base = total_space(layers[-1]).carrier if layers else arrow_poset()
         # each element's middles, gathered once: b1's seam above x, in
         # canonical order, and b2's seam below y, keyed by b1's names
-        seam = [m for m in l1.base.elements if root_of(m) == "1"]
-        ups = {x: list(filter(l1.base.up(x).__contains__, seam)) for x in l1.base.elements if root_of(x) == "0"}
-        downs = {y: {} for y in l2.base.elements if root_of(y) == "1"}
-        for m in seam:
-            m2 = _retag(m, {"1": "0"})
-            for y in l2.base.up(m2):
-                if y in downs:
-                    downs[y][m] = m2
+        els1, els2 = l1.base.elements, l2.base.elements
+        seam = sum(1 << j for j, m in enumerate(els1) if root_of(m) == "1")
+        ups = {x: [els1[j] for j in bits(up & seam)] for x, up in zip(els1, l1.base.ups) if root_of(x) == "0"}
+        downs = {y: {} for y in els2 if root_of(y) == "1"}
+        for j in bits(seam):
+            m2 = _retag(els1[j], {"1": "0"})
+            for k in bits(l2.base.ups[l2.base.index[m2]]):
+                if els2[k] in downs:
+                    downs[els2[k]][els1[j]] = m2
         p1, p2, compose = l1._paths, l2._paths, l1.compose
         objects = {x: l1.objects[x] if x in ups else l2.objects[x] for x in base.elements}
         paths = {k: v for k, v in p1.items() if k[1] in ups}
         paths.update((k, v) for k, v in p2.items() if k[0] in downs)
         middles = {}
         for x, above in ups.items():
-            related = base.up(x)
+            related = base.ups[base.index[x]]
             for y, below in downs.items():
-                if y not in related:
+                if not related >> base.index[y] & 1:
                     continue
                 mids = [m for m in above if m in below]
                 if not mids:

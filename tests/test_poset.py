@@ -1,10 +1,17 @@
-"""Finite posets: linear extension order, cover construction errors, and the
-first diagnostic of a non-functorial diagram (bundle or interval) or
-labeling."""
+"""Finite posets: the mask representation against a pair-set reference,
+linear extension order, cover construction errors, the first diagnostic of
+an invalid relation, and the first diagnostic of a non-functorial diagram
+(bundle or interval) or labeling."""
 
+import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trusskit import (
     DeltaDiagram,
@@ -18,9 +25,11 @@ from trusskit import (
     NablaDiagram,
     NablaMap,
     Ordinal,
+    Stratum,
     constant_inclusion,
     oracles,
 )
+from trusskit.poset import element_sort_key
 
 
 def greedy_linear_extension(p):
@@ -31,7 +40,7 @@ def greedy_linear_extension(p):
     out = []
     while remaining:
         for e in remaining:
-            if all(x in placed or x == e for x in p.down(e)):
+            if all(x in placed or x == e for x in p.elements if p.le(x, e)):
                 out.append(e)
                 placed.add(e)
                 remaining.remove(e)
@@ -39,6 +48,156 @@ def greedy_linear_extension(p):
         else:
             raise AssertionError("relation is cyclic")
     return tuple(out)
+
+
+# -- the masks against a pair-set reference --------------------------------
+
+# Elements of every kind a poset meets: strings, strata and the nested
+# (name, stratum) pairs of total spaces.
+ELEMENT_POOL = (
+    list("abcdef")
+    + [Stratum.regular(i, 1) for i in range(2)]
+    + [Stratum.singular(0, 1), Stratum.regular(0, 0)]
+    + [(b, Stratum.regular(0, 1)) for b in "ab"]
+    + [("a", Stratum.singular(0, 1)), ("b", Stratum.regular(0, 0))]
+)
+
+
+def pair_key(pair):
+    return element_sort_key(pair[0]), element_sort_key(pair[1])
+
+
+def reference_accepts(elements, pairs) -> bool:
+    """Whether pairs is a partial order on elements, tested pair by pair."""
+    present = set(elements)
+    return (
+        all(a in present and b in present for a, b in pairs)
+        and all((e, e) in pairs for e in present)
+        and not any(a != b and (b, a) in pairs for a, b in pairs)
+        and all((a, c) in pairs for a, b in pairs for b2, c in pairs if b == b2)
+    )
+
+
+def reference_closure(elements, edges) -> set:
+    """The reflexive transitive closure of edges, by Warshall's loop."""
+    rel = {(e, e) for e in elements} | set(edges)
+    for m in elements:
+        rel |= {(a, c) for a, b in rel if b == m for b2, c in rel if b2 == m}
+    return rel
+
+
+def reference_hasse(pairs) -> list:
+    strict = {(a, b) for a, b in pairs if a != b}
+    return sorted(
+        ((a, b) for a, b in strict if not any((a, m) in strict and (m, b) in strict for _, m in strict)),
+        key=pair_key,
+    )
+
+
+@st.composite
+def relations(draw):
+    """Elements of mixed kinds with a relation on them: the closure of random
+    edges along a random order (a partial order), then a few pairs added or
+    dropped, some of which may name a non-element."""
+    elements = draw(st.lists(st.sampled_from(ELEMENT_POOL), max_size=6, unique=True))
+    ranked = draw(st.permutations(elements))
+    edges = [(a, b) for a, b in itertools.combinations(ranked, 2) if draw(st.booleans())]
+    pairs = reference_closure(elements, edges)
+    noise = draw(st.lists(st.tuples(st.sampled_from(ELEMENT_POOL), st.sampled_from(ELEMENT_POOL)), max_size=2))
+    for pair in noise:
+        pairs ^= {pair}
+    return elements, pairs
+
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@PROPERTY
+@given(relations(), st.randoms(use_true_random=False))
+def test_masks_agree_with_pair_set_reference(rel, rng):
+    elements, pairs = rel
+    shuffled = list(elements)
+    rng.shuffle(shuffled)
+    try:
+        p = FinPoset(shuffled, pairs)
+    except DomainError:
+        assert not reference_accepts(elements, pairs)
+        return
+    assert reference_accepts(elements, pairs)
+    assert p.elements == tuple(sorted(elements, key=element_sort_key))
+    assert p.leq == pairs
+    assert list(p.covers()) == reference_hasse(pairs)
+    for a in ELEMENT_POOL + ["z"]:
+        for b in ELEMENT_POOL + ["z"]:
+            assert p.le(a, b) == ((a, b) in pairs)
+    assert p.linear_extension() == greedy_linear_extension(p)
+    assert FinPoset.from_covers(elements, reference_hasse(pairs)) == p
+
+
+@PROPERTY
+@given(relations(), relations())
+def test_equality_and_hash_follow_elements_and_pairs(rel1, rel2):
+    posets = []
+    for elements, pairs in (rel1, rel2):
+        try:
+            posets.append((FinPoset(elements, pairs), set(elements), pairs))
+        except DomainError:
+            return
+    (p, e1, r1), (q, e2, r2) = posets
+    assert (p == q) == (e1 == e2 and r1 == r2)
+    again = FinPoset(reversed(list(p.elements)), set(p.leq))
+    assert again == p and hash(again) == hash(p)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(ELEMENT_POOL), max_size=6, unique=True), st.data())
+def test_from_covers_takes_the_reference_closure(elements, data):
+    edges = data.draw(st.lists(st.tuples(st.sampled_from(elements), st.sampled_from(elements)), max_size=8)
+                      if elements else st.just([]))
+    closure = reference_closure(elements, edges)
+    # a loop, even on one element, is a cycle of covers
+    if any(a == b for a, b in edges) or any(a != b and (b, a) in closure for a, b in closure):
+        with pytest.raises(DomainError, match="cycle"):
+            FinPoset.from_covers(elements, edges)
+    else:
+        assert FinPoset.from_covers(elements, edges).leq == closure
+
+
+# -- the first diagnostic does not depend on the hash seed ------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHAIN_SCRIPT = r"""
+from trusskit import DomainError, FinPoset
+names = list("abcdef")
+try:
+    FinPoset(names, [(e, e) for e in names] + list(zip(names, names[1:])))
+except DomainError as exc:
+    print(exc)
+"""
+
+
+def test_first_relation_violation_is_independent_of_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for seed in range(1, 7):
+        proc = subprocess.run(
+            [sys.executable, "-c", CHAIN_SCRIPT], env=dict(env, PYTHONHASHSEED=str(seed)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "transitivity fails: 'a' <= 'b' <= 'c'\n", f"hash seed {seed}"
+
+
+def test_first_relation_violation_order():
+    els = ["a", "b", "c"]
+    refl = [(e, e) for e in els]
+    with pytest.raises(DomainError, match="not reflexive at 'a'"):
+        FinPoset(els, refl[1:] + [("z", "a")])
+    with pytest.raises(DomainError, match="antisymmetry fails on 'a', 'b'"):
+        FinPoset(els, refl + [("a", "b"), ("b", "a"), ("b", "c"), ("z", "a")])
+    with pytest.raises(DomainError, match=r"relation \('a', 'z'\) mentions a non-element"):
+        FinPoset(els, refl + [("b", "z"), ("a", "z")])
 
 
 def test_linear_extension_matches_reference_on_all_small_posets():

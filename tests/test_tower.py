@@ -305,12 +305,10 @@ def _reference_via_middles(poset, a, b, compute):
         if root_of(y) == "1" and poset.le(a, y) and poset.le(y, b)
     ]
     assert mids
-    sub = poset.subposet(mids)
-    pick = sub.minimum()
-    if pick is None:
-        pick = sub.maximum()
-    if pick is None:
-        pick = sub.elements[0]
+    # the least middle, else the greatest, else the first
+    least = [y for y in mids if all(poset.le(y, z) for z in mids)]
+    greatest = [y for y in mids if all(poset.le(z, y) for z in mids)]
+    pick = (least or greatest or mids)[0]
     value = compute(pick)
     assert all(compute(y) == value for y in mids)
     return value, len(mids)
