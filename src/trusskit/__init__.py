@@ -68,11 +68,9 @@ from .tower import (
 )
 from .mesh import (
     CompactMesh1,
-    Mesh1,
     NablaDiagram,
     PLMeshBundle,
     StratSimplexPoint,
-    compactify,
     interpolated_heights,
     pullback_mesh,
     realize_1truss,

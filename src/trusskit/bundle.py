@@ -7,11 +7,11 @@ with (b, e) <= (b', e') exactly when b <= b' and some stratum morphism
 e -> e' exists over the composite map of the base relation.  classify
 recovers the functor from a total space, total_space being its inverse.
 
-Bundles, labelings (functors into a LabelCategory) and the attachment maps of
-mesh bundles (mesh.NablaDiagram) share one CoverFunctor core: it checks
-which elements and covers are assigned, proves functoriality with
-functor_table, keeps the resulting path table and defines equality.  The
-core also carries the two operations every walk over a tower needs: over()
+Bundles, labelings (functors into a LabelCategory), mesh bundles and their
+bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
+CoverFunctor core: it checks which elements and covers are assigned, proves
+functoriality with functor_table, keeps the resulting path table and
+defines equality.  The core also carries the two operations every walk over a tower needs: over()
 rebuilds a functor of the same kind over another base through the
 validating constructor, and pullback() precomposes with a map of bases.  A
 pullback of a functor along a monotone map is a functor, so pullback()
@@ -92,12 +92,12 @@ class CoverFunctor:
     ``_extend`` from its constructor.  That checks that exactly the base
     elements and covering relations are assigned, extends the cover values
     to every related pair with functor_table and stores that path table;
-    functor_table's diagnostic is raised as ``_error``.  ``_derive`` builds
+    functor_table's diagnostic is raised as ``_error``.  ``_trusted`` builds
     a functor without any of these checks from a path table known to be
-    functorial: ``pullback`` reads one from the parent, and bordism
-    composition joins the two bordisms' tables.  ``over`` goes through the
-    subclass constructor.  Every subclass
-    then reads alike through the core: ``base``, the tables ``objects`` (per
+    functorial: ``pullback`` reads one from the parent, bordism composition
+    joins the two bordisms' tables and mesh.realize_bundle dualizes one.
+    ``over`` goes through the subclass constructor.  Every subclass then
+    reads alike through the core: ``base``, the tables ``objects`` (per
     element) and ``covers`` (per covering relation), and ``compose``, the
     composition the path table was built with.  Equality and hashing go by
     ``_key``: the base, any target, then the element and cover tables.
@@ -175,14 +175,18 @@ class CoverFunctor:
             raise
         return self._derive(base, objects, paths)
 
-    def _derive(self, base, objects, paths):
-        """The same kind of functor, into the same target, over base from a
-        path table known to be functorial; reads its covers from the table
-        and runs no check."""
-        covers = {c: paths[c] for c in base.covers()}
-        new = object.__new__(type(self))
-        new._install((base,) + self._key[1:-2] + (objects, covers), self.compose, paths)
+    @classmethod
+    def _trusted(cls, key, compose, paths):
+        """A functor from its key less the covers, (base, [target,] objects),
+        and a functorial path table; reads its covers from the table."""
+        covers = {c: paths[c] for c in key[0].covers()}
+        new = object.__new__(cls)
+        new._install(key + (covers,), compose, paths)
         return new
+
+    def _derive(self, base, objects, paths):
+        """_trusted for the same kind of functor, into the same target."""
+        return self._trusted((base,) + self._key[1:-2] + (objects,), self.compose, paths)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._hash == other._hash and self._key == other._key

@@ -1,12 +1,14 @@
 """PL meshes with exact rational coordinates.
 
-A 1-mesh stratifies the open interval (-1, 1) by finitely many singular
-points; its compactification pads the endpoints.  A mesh bundle over a
-finite poset (triangulated by its nerve) stores one compactified fiber per
-vertex and, per covering relation, the interval map that says where each
-singular sheet of the upper fiber attaches in the lower one.  The attachment
-maps must form a NablaDiagram, a contravariant functor into intervals on the
-CoverFunctor core of bundle.py.
+A 1-mesh stratifies [-1, 1] by finitely many singular heights; CompactMesh1
+holds them with the endpoints.  A mesh bundle over a finite poset
+(triangulated by its nerve) is a functor on the CoverFunctor core: compact
+heights per vertex and, per covering relation, the interval map attaching
+each singular sheet of the upper fiber to a height of the lower one, with
+NablaDiagram's contravariant composition.  realize_bundle and pullback_mesh
+install path tables known to be functorial; PLMeshBundle(...) and parse
+check everything, and the roundtrip-mesh oracle rebuilds every realized
+mesh through the checking constructor.
 
 Heights over an interior point of a simplex are convex combinations, and they
 are strictly increasing by construction, so the constructor does not check
@@ -42,28 +44,9 @@ ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
-class Mesh1:
-    """Strictly increasing singular heights inside (-1, 1)."""
-
-    heights: tuple
-
-    def __post_init__(self):
-        hs = tuple(Fraction(h) for h in self.heights)
-        object.__setattr__(self, "heights", hs)
-        for h in hs:
-            if not -ONE < h < ONE:
-                raise MeshError(f"height {h} is not strictly inside (-1, 1)")
-        if any(a >= b for a, b in zip(hs, hs[1:])):
-            raise MeshError("heights must be strictly increasing")
-
-    @property
-    def ordinal(self) -> Ordinal:
-        return Ordinal(len(self.heights))
-
-
-@dataclass(frozen=True)
 class CompactMesh1:
-    """Heights with the endpoints -1 and 1 adjoined."""
+    """Strictly increasing heights from -1 to 1: the endpoints and, between
+    them, the singular heights of a 1-mesh."""
 
     heights: tuple
 
@@ -79,18 +62,20 @@ class CompactMesh1:
     def interior(self) -> tuple:
         return self.heights[1:-1]
 
+    @property
+    def interval(self) -> Ordinal:
+        """The interval [n + 1] indexing the heights."""
+        return Ordinal(len(self.heights) - 1)
+
     def __getitem__(self, i: int) -> Fraction:
         return self.heights[i]
 
 
-def realize_1truss(n) -> Mesh1:
-    """Evenly spaced singular heights for the fiber over [n]."""
+def realize_1truss(n) -> CompactMesh1:
+    """Evenly spaced singular heights for the fiber over [n], endpoints
+    included."""
     n = n.n if isinstance(n, Ordinal) else int(n)
-    return Mesh1(tuple(-ONE + 2 * Fraction(k + 1, n + 1) for k in range(n)))
-
-
-def compactify(m: Mesh1) -> CompactMesh1:
-    return CompactMesh1((-ONE,) + m.heights + (ONE,))
+    return CompactMesh1(tuple(-ONE + 2 * Fraction(k, n + 1) for k in range(n + 2)))
 
 
 @dataclass(frozen=True)
@@ -111,6 +96,17 @@ class StratSimplexPoint:
         return max(i for i, c in enumerate(self.coords) if c != 0)
 
 
+def _backward(m_xy, m_yz):
+    # contravariant: the composite along x <= y <= z runs z -> y -> x
+    return compose_nabla(m_yz, m_xy)
+
+
+def _check_attachments(ords, arrow, error):
+    for (a, b), g in arrow.items():
+        if not isinstance(g, NablaMap) or g.src != ords[b] or g.dst != ords[a]:
+            raise error(f"arrow on ({a!r}, {b!r}) is not an interval map {ords[b]}->{ords[a]}")
+
+
 class NablaDiagram(CoverFunctor):
     """A contravariant functor into strict intervals: an ordinal [n] with
     n >= 1 per base element and, per covering relation a <= b, a backward
@@ -119,61 +115,43 @@ class NablaDiagram(CoverFunctor):
 
     def __init__(self, base: FinPoset, ord, arrow):
         ords = dict(ord)
-        # contravariant: the composite along x <= y <= z runs z -> y -> x
-        self._extend(
-            (base, ords, dict(arrow)),
-            lambda x: NablaMap.identity(ords[x]),
-            lambda m_xy, m_yz: compose_nabla(m_yz, m_xy),
-        )
+        self._extend((base, ords, dict(arrow)), lambda x: NablaMap.identity(ords[x]), _backward)
 
     @staticmethod
     def _check_values(base, ords, arrow):
         for n in ords.values():
             if not isinstance(n, Ordinal) or n.n < 1:
                 raise DiagramError("interval objects must be ordinals [n] with n >= 1")
-        for (a, b), g in arrow.items():
-            if not isinstance(g, NablaMap) or g.src != ords[b] or g.dst != ords[a]:
-                raise DiagramError(f"arrow on ({a!r}, {b!r}) is not an interval map"
-                                   f" {ords[b]}->{ords[a]}")
+        _check_attachments(ords, arrow, DiagramError)
 
 
-class PLMeshBundle:
-    """Compactified fiber heights per base vertex plus, per covering
-    relation, the backward interval map attaching upper sheets to lower
-    heights.  Validation is exact: fiber monotonicity, and the attachment
-    maps must form a NablaDiagram over the fiber intervals, so they have the
-    fibers' shapes and are functorial (any two routes between two vertices
-    attach alike).  Interpolated heights are then strict at every interior
-    point (see the module docstring), so they are not re-checked here."""
+class PLMeshBundle(CoverFunctor):
+    """A NablaDiagram of attachments carrying compact heights per vertex:
+    ``heights`` per base vertex and, per covering relation, the backward
+    interval map ``sing`` attaching the upper sheets to lower heights.
+    Validation is exact: the heights are CompactMesh1, the attachments have
+    the fibers' shapes and are functorial (any two routes between two
+    vertices attach alike).  Interpolated heights are then strict at every
+    interior point (see the module docstring), so they are not re-checked
+    here."""
+
+    _error = MeshError
+    _names = ("heights", "sing")
+    _fields = ("base", "heights", "sing")
 
     def __init__(self, base: FinPoset, heights, sing):
-        self.base = base
-        self.heights = dict(heights)
-        self.sing = dict(sing)
-        for b, h in self.heights.items():
+        heights = dict(heights)
+        self._extend((base, heights, dict(sing)), lambda x: NablaMap.identity(heights[x].interval), _backward)
+
+    @staticmethod
+    def _check_values(base, heights, sing):
+        for b, h in heights.items():
             if not isinstance(h, CompactMesh1):
                 raise MeshError(f"heights over {b!r} are not a compactified 1-mesh")
-        try:
-            self._attach = NablaDiagram(
-                base, {b: Ordinal(len(h.heights) - 1) for b, h in self.heights.items()}, self.sing
-            )
-        except DiagramError as exc:
-            raise MeshError(f"heights and attachments are not an interval diagram: {exc}") from exc
+        _check_attachments({b: h.interval for b, h in heights.items()}, sing, MeshError)
 
     def fiber(self, b) -> CompactMesh1:
         return self.heights[b]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PLMeshBundle)
-            and self.base == other.base
-            and self.heights == other.heights
-            and self.sing == other.sing
-        )
-
-    def __hash__(self):
-        return hash((self.base, tuple(sorted(self.heights.items(), key=lambda kv: str(kv[0]))),
-                     tuple(sorted(self.sing.items(), key=lambda kv: str(kv[0])))))
 
     def __repr__(self):
         return f"PLMeshBundle(base={len(self.base.elements)} vertices)"
@@ -195,10 +173,9 @@ def interpolated_heights(m: PLMeshBundle, chain, point: StratSimplexPoint) -> tu
         if u == v or not m.base.le(u, v):
             raise DomainError("chain must be strictly increasing in the base")
     top = chain[point.stratum]
-    n_top = len(m.heights[top].heights) - 2
-    backs = [m._attach.map_for(chain[k], top) for k in range(point.stratum + 1)]
+    backs = [m.map_for(chain[k], top) for k in range(point.stratum + 1)]
     out = []
-    for j in range(n_top + 2):
+    for j in range(len(m.heights[top].heights)):
         total = Fraction(0)
         for k in range(point.stratum + 1):
             total += point.coords[k] * m.heights[chain[k]][backs[k](j)]
@@ -209,19 +186,23 @@ def interpolated_heights(m: PLMeshBundle, chain, point: StratSimplexPoint) -> tu
 def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
     """Choose heights for a combinatorial bundle.
 
-    Defaults to even spacing per fiber; any strictly monotone choice with
-    the right number of interior heights is accepted.  Sheet attachments
-    are the interval duals of the covering maps.
+    Defaults to even spacing per fiber; vertex_heights may supply a
+    CompactMesh1 with the right number of interior heights for any base
+    element.  Sheet attachments are the interval duals of d's maps: duality
+    is a contravariant isomorphism of Delta with Nabla^op, so the duals of
+    d's path table are a functorial path table, installed unchecked.
     """
-    supplied = vertex_heights or {}
-    heights = {}
-    for b in d.base.elements:
-        m1 = supplied[b] if b in supplied else realize_1truss(d.ord[b])
-        if m1.ordinal != d.ord[b]:
+    supplied = dict(vertex_heights or {})
+    for b, h in supplied.items():
+        if b not in d.ord:
+            raise MeshError(f"supplied heights name {b!r}, which is not a base element")
+        if not isinstance(h, CompactMesh1):
+            raise MeshError(f"supplied heights over {b!r} are not a CompactMesh1")
+        if len(h.interior) != d.ord[b].n:
             raise MeshError(f"supplied heights over {b!r} do not match ordinal {d.ord[b]}")
-        heights[b] = compactify(m1)
-    sing = {cov: dual_delta_to_nabla(d.arrow[cov]) for cov in d.base.covers()}
-    return PLMeshBundle(d.base, heights, sing)
+    heights = {b: supplied[b] if b in supplied else realize_1truss(d.ord[b]) for b in d.base.elements}
+    paths = {k: dual_delta_to_nabla(v) for k, v in d._paths.items()}
+    return PLMeshBundle._trusted((d.base, heights), _backward, paths)
 
 
 def reg_extract(m: PLMeshBundle) -> DeltaDiagram:
@@ -231,10 +212,10 @@ def reg_extract(m: PLMeshBundle) -> DeltaDiagram:
     tracks each regular interval's midpoint past the attachment heights of
     the upper fiber's sheets.
     """
-    ords = {b: Ordinal(len(m.heights[b].heights) - 2) for b in m.base.elements}
+    ords = {b: Ordinal(len(m.heights[b].interior)) for b in m.base.elements}
     arrows = {}
     for (a, b) in m.base.covers():
-        ha, hb = m.heights[a], m.heights[b]
+        ha = m.heights[a]
         na, nb = ords[a].n, ords[b].n
         sigma = m.sing[(a, b)]
         attach = [ha[sigma(j)] for j in range(1, nb + 1)]
@@ -256,7 +237,7 @@ def sing_extract(m: PLMeshBundle) -> NablaDiagram:
     attachment height is extrapolated from two interior samples and looked
     up in the lower fiber.
     """
-    ords = {b: Ordinal(len(m.heights[b].heights) - 1) for b in m.base.elements}
+    ords = {b: m.heights[b].interval for b in m.base.elements}
     arrows = {}
     quarter = StratSimplexPoint((Fraction(3, 4), Fraction(1, 4)))
     half = StratSimplexPoint((Fraction(1, 2), Fraction(1, 2)))
@@ -320,8 +301,4 @@ def pullback_mesh(m: PLMeshBundle, f: PosetMap) -> PLMeshBundle:
     table's composite between the images (the identity on a collapse)."""
     if f.dst != m.base:
         raise DomainError("pullback map must land in the bundle's base")
-    return PLMeshBundle(
-        f.src,
-        {b: m.heights[f(b)] for b in f.src.elements},
-        {(a, b): m._attach.map_for(f(a), f(b)) for (a, b) in f.src.covers()},
-    )
+    return m.pullback(f.src, f.mapping)

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .errors import CompositionError, DiagramError, DomainError, LabelingError, TrussError
+from .errors import CompositionError, DiagramError, DomainError, LabelingError, MeshError, TrussError
 from .ordinal import (
     DeltaMap,
     Ordinal,
@@ -50,7 +50,7 @@ from .tower import (
     restrict_bordism,
     unpack,
 )
-from .mesh import StratSimplexPoint, interpolated_heights, realize_bundle, reg_extract, sing_extract
+from .mesh import PLMeshBundle, StratSimplexPoint, interpolated_heights, realize_bundle, reg_extract, sing_extract
 from .report import Report
 from .serialize import dumps
 
@@ -355,8 +355,23 @@ def suite_homsets(max_ordinal: int = 3, seed=None) -> Report:
     return Report.ok(counts)
 
 
+def _not_a_tree(poset: FinPoset):
+    """Why a factorization poset's Hasse diagram is not a tree, or None."""
+    if not poset.elements:
+        return "factorization poset is empty"
+    if not poset.is_connected():
+        return "factorization poset is disconnected"
+    edges = len(poset.covers())
+    if edges != len(poset.elements) - 1:
+        return f"factorization poset is not a tree: {edges} Hasse edges on {len(poset.elements)} elements"
+    return None
+
+
 def suite_factorization(max_ordinal: int = 2, seed=None) -> Report:
-    counts = {"triangles": 0, "instances": 0, "with_min": 0, "with_max": 0, "cone_missing": 0}
+    """Every factorization poset's Hasse diagram is a tree (trees), so the
+    poset dismantles leaf by leaf (a leaf is a beat point) and is
+    contractible; cone points are counted and reported."""
+    counts = {"triangles": 0, "instances": 0, "trees": 0, "with_min": 0, "with_max": 0, "cone_missing": 0}
     diagnostics = []
     for a in range(max_ordinal + 1):
         for b in range(max_ordinal + 1):
@@ -372,18 +387,10 @@ def suite_factorization(max_ordinal: int = 2, seed=None) -> Report:
                                 h = StratumMap(x, z, composite)
                                 poset = factorization_poset(x, z, h, alpha, beta)
                                 counts["instances"] += 1
-                                if not poset.elements:
-                                    return Report.failure(
-                                        f"factor({x},{z} over {alpha};{beta})",
-                                        "factorization poset is empty",
-                                        counts,
-                                    )
-                                if not poset.is_connected():
-                                    return Report.failure(
-                                        f"factor({x},{z} over {alpha};{beta})",
-                                        "factorization poset is disconnected",
-                                        counts,
-                                    )
+                                why = _not_a_tree(poset)
+                                if why is not None:
+                                    return Report.failure(f"factor({x},{z} over {alpha};{beta})", why, counts)
+                                counts["trees"] += 1
                                 has_min = poset.minimum() is not None
                                 has_max = poset.maximum() is not None
                                 counts["with_min"] += has_min
@@ -446,12 +453,21 @@ def suite_roundtrip_bundle(max_elements: int = 3, max_ordinal: int = 2, seed=Non
 
 
 def suite_roundtrip_mesh(max_elements: int = 3, max_ordinal: int = 2, seed=None) -> Report:
-    counts = {"bundles": 0, "covers": 0}
+    """reg_extract inverts realize_bundle, duality and barycenter strictness
+    hold, and every realized mesh equals its checked rebuild (mesh_checks)."""
+    counts = {"bundles": 0, "covers": 0, "mesh_checks": 0}
     half = StratSimplexPoint((Fraction(1, 2), Fraction(1, 2)))
     for base in all_posets(max_elements):
         for d in all_diagrams(base, max_ordinal):
             m = realize_bundle(d)
             counts["bundles"] += 1
+            try:
+                again = PLMeshBundle(m.base, m.heights, m.sing)
+            except MeshError as exc:
+                return Report.failure("realize_bundle", f"the checked rebuild fails: {exc}:\n" + dumps(d), counts)
+            if again != m or again._paths != m._paths or dumps(again) != dumps(m):
+                return Report.failure("realize_bundle", "mesh differs from its checked rebuild:\n" + dumps(d), counts)
+            counts["mesh_checks"] += 1
             if reg_extract(m) != d:
                 return Report.failure(
                     "reg_extract", "mesh does not extract back:\n" + dumps(d), counts

@@ -20,13 +20,16 @@ from .errors import DomainError
 
 
 def element_sort_key(el):
-    """Canonical sort key: strings/ints first, then objects exposing
-    sort_key(), then tuples compared componentwise."""
+    """Canonical sort key: plain values first (a string s as (0, s), any
+    other value v as (0, str(v), v's type name), so "1" precedes 1), then
+    objects exposing sort_key(), then tuples compared componentwise."""
     if isinstance(el, tuple):
         return (2,) + tuple(element_sort_key(c) for c in el)
     if hasattr(el, "sort_key"):
         return (1,) + tuple(el.sort_key())
-    return (0, str(el))
+    if isinstance(el, str):
+        return (0, el)
+    return (0, str(el), type(el).__name__)
 
 
 def bits(mask: int) -> list:

@@ -9,7 +9,6 @@ from trusskit import (
     DeltaMap,
     LayoutError,
     Stratum,
-    compactify,
     constant_inclusion,
     dual_delta_to_nabla,
     layout_2truss,
@@ -124,7 +123,7 @@ def reference_layout(t):
     fibers and the interval dual of each covering map, band by band."""
     s1, s2 = t.stages
     n = s1.ord[POINT_ELEMENT].n
-    vertical = compactify(realize_1truss(n))
+    vertical = realize_1truss(n)
 
     def reg1(i):
         return (POINT_ELEMENT, Stratum.regular(i, n))
@@ -132,7 +131,7 @@ def reference_layout(t):
     def sing1(j):
         return (POINT_ELEMENT, Stratum.singular(j, n))
 
-    fiber = {x: compactify(realize_1truss(s2.ord[x])) for x in s2.base.elements}
+    fiber = {x: realize_1truss(s2.ord[x]) for x in s2.base.elements}
 
     def attach(band, idx, top):
         level = band if top else band - 1

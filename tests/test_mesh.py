@@ -1,5 +1,6 @@
 """Exact PL meshes: realization, extraction, duality, sections."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from trusskit import (
     DeltaDiagram,
     DeltaMap,
     DomainError,
-    Mesh1,
     MeshError,
     NablaMap,
     Ordinal,
@@ -19,8 +19,8 @@ from trusskit import (
     StratSimplexPoint,
     Stratum,
     arrow_poset,
-    compactify,
     dual_delta_to_nabla,
+    dumps,
     interpolated_heights,
     point_poset,
     pullback_mesh,
@@ -30,6 +30,7 @@ from trusskit import (
     section_to_strata,
     sing_extract,
 )
+from trusskit import bundle
 from trusskit.bundle import pullback_bundle
 from trusskit.oracles import all_diagrams, all_posets, poset_maps
 from trusskit.poset import FinPoset
@@ -47,28 +48,30 @@ def inner_face_diagram():
 
 
 def test_mesh1_validation():
-    Mesh1((F(-1, 3), F(1, 3)))
-    with pytest.raises(MeshError):
-        Mesh1((F(1, 3), F(-1, 3)))
-    with pytest.raises(MeshError):
-        Mesh1((F(-1), F(1, 2)))  # endpoint is not interior
-    with pytest.raises(MeshError):
-        Mesh1((F(0), F(0)))
+    CompactMesh1((F(-1), F(-1, 3), F(1, 3), F(1)))
+    with pytest.raises(MeshError, match="strictly increasing"):
+        CompactMesh1((F(-1), F(1, 3), F(-1, 3), F(1)))
+    with pytest.raises(MeshError, match="strictly increasing"):
+        CompactMesh1((F(-1), F(-1), F(1, 2), F(1)))  # endpoint is not interior
+    with pytest.raises(MeshError, match="strictly increasing"):
+        CompactMesh1((F(-1), F(0), F(0), F(1)))
 
 
 def test_compact_mesh_endpoints():
-    m = compactify(Mesh1((F(0),)))
+    m = CompactMesh1((-1, 0, 1))
     assert m.heights == (F(-1), F(0), F(1))
     assert m.interior == (F(0),)
+    assert m.interval == Ordinal(2)
     with pytest.raises(MeshError):
         CompactMesh1((F(0), F(1)))
 
 
 def test_realize_even_spacing():
-    assert realize_1truss(0).heights == ()
-    assert realize_1truss(1).heights == (F(0),)
-    assert realize_1truss(2).heights == (F(-1, 3), F(1, 3))
-    assert realize_1truss(3).heights == (F(-1, 2), F(0), F(1, 2))
+    assert realize_1truss(0).interior == ()
+    assert realize_1truss(1).interior == (F(0),)
+    assert realize_1truss(2).interior == (F(-1, 3), F(1, 3))
+    assert realize_1truss(Ordinal(3)).interior == (F(-1, 2), F(0), F(1, 2))
+    assert realize_1truss(1).heights == (F(-1), F(0), F(1))
 
 
 def test_strat_simplex_point():
@@ -128,8 +131,8 @@ def test_reg_extract_roundtrip():
 def test_reg_extract_roundtrip_custom_heights():
     d = inner_face_diagram()
     custom = {
-        "0": Mesh1((F(-1, 2),)),
-        "1": Mesh1((F(-7, 8), F(3, 4))),
+        "0": CompactMesh1((F(-1), F(-1, 2), F(1))),
+        "1": CompactMesh1((F(-1), F(-7, 8), F(3, 4), F(1))),
     }
     m = realize_bundle(d, vertex_heights=custom)
     assert m.fiber("1").heights == (F(-1), F(-7, 8), F(3, 4), F(1))
@@ -138,8 +141,24 @@ def test_reg_extract_roundtrip_custom_heights():
 
 def test_realize_bundle_rejects_wrong_height_count():
     d = inner_face_diagram()
-    with pytest.raises(MeshError):
-        realize_bundle(d, vertex_heights={"1": Mesh1((F(0),))})
+    with pytest.raises(MeshError, match=r"over '1' do not match ordinal \[2\]"):
+        realize_bundle(d, vertex_heights={"1": CompactMesh1((F(-1), F(0), F(1)))})
+
+
+def test_realize_bundle_rejects_bad_supplied_heights():
+    d = inner_face_diagram()
+    with pytest.raises(MeshError, match="over '1' are not a CompactMesh1"):
+        realize_bundle(d, vertex_heights={"1": (F(-1, 3), F(1, 3))})
+    with pytest.raises(MeshError, match="name 'zz', which is not a base element"):
+        realize_bundle(d, vertex_heights={"zz": CompactMesh1((F(-1), F(0), F(1)))})
+
+
+def test_realize_bundle_accepts_partial_supplied_heights():
+    d = inner_face_diagram()
+    m = realize_bundle(d, vertex_heights={"0": CompactMesh1((F(-1), F(1, 2), F(1)))})
+    assert m.fiber("0").heights == (F(-1), F(1, 2), F(1))
+    assert m.fiber("1") == realize_1truss(2)
+    assert m == PLMeshBundle(d.base, m.heights, m.sing)
 
 
 def test_duality_triangle():
@@ -229,24 +248,56 @@ def reference_pullback_mesh(m, f):
 
 def test_pullback_mesh_matches_reference_route():
     # every monotone map from a poset of at most two elements, collapses
-    # included, into a sample of the bundles over posets of three or fewer
+    # included, into a sample of the bundles over posets of three or fewer;
+    # the printed pullbacks are pinned by their sha256
     sources = all_posets(2)
     pulled = collapsed = 0
+    digest = hashlib.sha256()
     for p in all_posets(3):
         for d in all_diagrams(p, 2)[::30]:
             m = realize_bundle(d)
             for src in sources:
                 for f in poset_maps(src, p):
-                    assert pullback_mesh(m, f) == reference_pullback_mesh(m, f)
+                    mine = pullback_mesh(m, f)
+                    assert mine == reference_pullback_mesh(m, f)
+                    digest.update(dumps(mine).encode())
                     pulled += 1
                     collapsed += len(set(f.mapping.values())) < len(src.elements)
     assert (pulled, collapsed) == (4490, 1797)
+    assert digest.hexdigest() == "68e3a0a1d3193e6f2b917c0fc0618567b505b35b25b4515374558e14ce68cc39"
+
+
+def test_realized_mesh_bytes_are_pinned():
+    # every seventh bundle over each poset of three or fewer elements (the
+    # first over every base included), printed and hashed
+    digest = hashlib.sha256()
+    for p in all_posets(3):
+        for d in all_diagrams(p, 2)[::7]:
+            digest.update(dumps(realize_bundle(d)).encode())
+    assert digest.hexdigest() == "8d0594a065d858dd9823eeb5e4f125457591e72cb86e41e1ef03e3336cdfc89f"
+
+
+def test_realize_and_pullback_run_no_functor_table(monkeypatch):
+    # both install path tables known to be functorial; only the checking
+    # constructor proves one
+    diagrams = [d for p in all_posets(3) for d in all_diagrams(p, 2)[::30]]
+    maps = {p: [f for src in all_posets(2) for f in poset_maps(src, p)] for p in all_posets(3)}
+    calls = []
+    real = bundle.functor_table
+    monkeypatch.setattr(bundle, "functor_table", lambda *args: calls.append(args) or real(*args))
+    for d in diagrams:
+        m = realize_bundle(d)
+        for f in maps[d.base]:
+            pullback_mesh(m, f)
+    assert calls == []
+    PLMeshBundle(m.base, m.heights, m.sing)
+    assert len(calls) == 1
 
 
 def crowded_heights(n, toward):
     """n singular heights packed against one end of (-1, 1)."""
     low = tuple(-1 + F(k + 1, 4 * (n + 1)) for k in range(n))
-    return Mesh1(low if toward < 0 else tuple(-h for h in reversed(low)))
+    return CompactMesh1((-1,) + (low if toward < 0 else tuple(-h for h in reversed(low))) + (1,))
 
 
 def test_barycenter_strictness_holds_for_all_small_bundles():

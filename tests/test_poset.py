@@ -200,6 +200,15 @@ def test_first_relation_violation_order():
         FinPoset(els, refl + [("b", "z"), ("a", "z")])
 
 
+def test_values_with_equal_strings_have_one_canonical_order():
+    # 1 and "1" print alike; the key breaks the tie by type, "1" first
+    refl = [(1, 1), ("1", "1")]
+    p, q = FinPoset([1, "1"], refl), FinPoset(["1", 1], refl)
+    assert p == q and hash(p) == hash(q)
+    assert p.elements == q.elements == ("1", 1)
+    assert element_sort_key("1") < element_sort_key(1) < element_sort_key("10")
+
+
 def test_linear_extension_matches_reference_on_all_small_posets():
     posets = oracles.all_posets(4)
     assert len(posets) == 1 + 3 + 19 + 219

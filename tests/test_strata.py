@@ -32,6 +32,7 @@ from trusskit import (
     stratum_targets,
     validate_stratum_map,
 )
+from trusskit import oracles
 from trusskit.ordinal import compose_delta
 from trusskit.strata import fiber_objects
 
@@ -222,6 +223,28 @@ def test_factorization_zigzag_without_cone_point():
     assert mids.is_connected()
     assert mids.minimum() is None
     assert mids.maximum() is None
+
+
+def test_factorization_suite_counts_trees():
+    report = oracles.suite_factorization(2)
+    assert report.is_ok, report.to_text()
+    assert report.counts["trees"] == report.counts["instances"] > 0
+
+
+@pytest.mark.parametrize("elements, covers, message", [
+    ("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+     "factorization poset is not a tree: 4 Hasse edges on 4 elements"),
+    ("ab", [], "factorization poset is disconnected"),
+    ("", [], "factorization poset is empty"),
+])
+def test_factorization_suite_fails_off_trees(monkeypatch, elements, covers, message):
+    # a connected poset whose Hasse diagram has a cycle is not a tree
+    poset = FinPoset.from_covers(list(elements), covers)
+    monkeypatch.setattr(oracles, "factorization_poset", lambda *args: poset)
+    report = oracles.suite_factorization(1)
+    assert not report.is_ok
+    assert report.diagnostics[0][1] == message
+    assert report.counts["trees"] == 0
 
 
 @given(st.data())
