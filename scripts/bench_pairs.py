@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Compare the working tree with a parent commit on the benchmark, in pairs.
+
+Usage (from the repository root):
+    python3 scripts/bench_pairs.py PARENT [--seed-base 1]
+        [--claim WORKLOAD:METRIC] [--what TEXT]
+
+PARENT's committed files are extracted (``git archive``) into a temporary
+directory, which is removed at the end; the change side runs in the working
+tree.  For each workload of ``BENCHMARK.json``, pair i (of PAIRS = 10) runs
+``perfbench/run.py --workload W --seed SEED_BASE+i --seconds S`` once on each
+side, the parent first on even i and the change first on odd i, with S the
+``run_seconds`` of ``BENCHMARK.json``.
+
+The result, ``BENCH_<n>.json`` with n one more than the highest existing
+``BENCH_*.json``, holds per workload the seeds, failed and attempted ops per
+side and, per end-to-end metric, the quartiles of each side's runs, every
+run, the number of pairs the change won and the relative change of the
+median.  Stops (exit 2) when a run cannot be made; a run whose checks fail is
+recorded in ``failed_ops`` and the comparison goes on (exit 1 at the end).
+"""
+
+import argparse
+import io
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import quantile  # noqa: E402  (the quartiles the benchmark itself reports)
+
+PAIRS = 10  # a claimed gain is judged on ten pairs
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        print(f"bench_pairs: {' '.join(cmd)} in {tree} exited with {proc.returncode}", file=sys.stderr)
+        sys.exit(2)
+    return json.loads(lines[-1])
+
+
+def summarize(better: str, parent: list, change: list) -> dict:
+    def quartiles(xs):
+        return {"q1": round(quantile(xs, 0.25), 4), "median": round(quantile(xs, 0.5), 4),
+                "q3": round(quantile(xs, 0.75), 4)}
+
+    won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    pm, cm = quantile(parent, 0.5), quantile(change, 0.5)
+    return {
+        "better": better,
+        "parent": quartiles(parent),
+        "change": quartiles(change),
+        "parent_runs": [round(x, 4) for x in parent],
+        "change_runs": [round(x, 4) for x in change],
+        "change_better_pairs": won,
+        "relative_change_of_median": round((cm - pm) / pm, 4) if pm else None,
+    }
+
+
+def compare(parent_tree: Path, workload: str, seeds: list, seconds: float, metrics: dict) -> tuple:
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            tree = parent_tree if side == "parent" else ROOT
+            runs[side].append(run_bench(tree, workload, seed, seconds))
+            m = runs[side][-1]["metrics"]
+            print(f"{workload} pair {i + 1}/{len(seeds)} {side}: "
+                  + "  ".join(f"{k} {m[k]['value']:.4g}" for k in metrics), flush=True)
+    out = {
+        "seeds": seeds,
+        "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "attempted_ops": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+        "metrics": {
+            name: summarize(better, *([r["metrics"][name]["value"] for r in runs[side]]
+                                      for side in ("parent", "change")))
+            for name, better in metrics.items()
+        },
+    }
+    return out, any(not r["correct"] for rs in runs.values() for r in rs)
+
+
+def next_bench_path() -> Path:
+    taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json")
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    return ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
+
+
+def main(argv=None):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in bench["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="the commit to compare against")
+    ap.add_argument("--seed-base", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
+    ap.add_argument("--what", default="", help="one line saying what the change does")
+    args = ap.parse_args(argv)
+
+    parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
+                            stdout=subprocess.PIPE, text=True).stdout.strip()
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    seeds = [args.seed_base + i for i in range(PAIRS)]
+    out_path = next_bench_path()
+    claimed = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in names or metric not in metrics:
+            ap.error(f"--claim {args.claim!r} names no workload:metric of BENCHMARK.json")
+        claimed = {"workload": workload, "metric": metric}
+    result = {
+        "what": args.what,
+        "parent": parent,
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}",
+        "pairs": f"{PAIRS} per workload, parent and change alternating which runs first"
+                 " (parent first on even pair indices)",
+        "machine": f"{os.cpu_count()}-CPU {platform.system()}, Python {platform.python_version()}",
+        "claimed": claimed,
+        "workloads": {},
+    }
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", parent], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        for workload in names:
+            result["workloads"][workload], bad = compare(Path(tmp), workload, seeds, seconds, metrics)
+            failed = failed or bad
+            out_path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out_path}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import LayoutError
 from .mesh import realize_bundle
 from .poset import POINT_ELEMENT, point_poset
-from .serialize import element_key
+from .serialize import element_key, next_keys
 from .strata import Stratum
 from .tower import TrussTower
 
@@ -85,13 +85,13 @@ def layout_2truss(t: TrussTower) -> Scene:
         return lambda idx: m.heights[s][m.sing[(s, band)](idx)]
 
     regions, wires, nodes = [], [], []
-    for el in t.top.elements:
+    for el, key in zip(t.top.elements, next_keys(next_keys((element_key(POINT_ELEMENT),), s1), s2)):
         x, e = el
         pair = x[1].kind + e.kind
         if pair == "sr":
             continue
         i, k = x[1].index, e.index
-        key, label = element_key(el), t.labels.on_objects[el]
+        label = t.labels.on_objects[el]
         if pair == "ss":
             nodes.append(Node(key, label, m.heights[x][k + 1], vertical[i + 1]))
             continue

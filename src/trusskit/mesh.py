@@ -24,6 +24,7 @@ The roundtrip-mesh oracle recomputes it at every cover's barycenter.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,12 +47,15 @@ ONE = Fraction(1)
 @dataclass(frozen=True)
 class CompactMesh1:
     """Strictly increasing heights from -1 to 1: the endpoints and, between
-    them, the singular heights of a 1-mesh."""
+    them, the singular heights of a 1-mesh, given as ints or Fractions."""
 
     heights: tuple
 
     def __post_init__(self):
-        hs = tuple(Fraction(h) for h in self.heights)
+        hs = tuple(self.heights) if isinstance(self.heights, Iterable) else None
+        if hs is None or not all(type(h) in (int, Fraction) for h in hs):
+            raise MeshError(f"compact heights must be ints or Fractions, got {self.heights!r}")
+        hs = tuple(map(Fraction, hs))
         object.__setattr__(self, "heights", hs)
         if len(hs) < 2 or hs[0] != -ONE or hs[-1] != ONE:
             raise MeshError("compact heights must start at -1 and end at 1")

@@ -11,10 +11,13 @@ Five schemas, each a flat JSON object with a "schema" discriminator:
 Each table holds a value per element or per covering relation of a poset
 (diagram and stage ord/arrow, truss labels, mesh heights/sing, packed
 labels), keyed by element_key and cover_key of the reconstructed total
-spaces.  One codec, _keyed and _unkeyed, writes and reads all of them: the
-parser never splits key strings, it recomputes the expected keys and
-matches them, so printing and parsing are mutually inverse on canonical
-files.  Rational heights are read only in the p or p/q form dumps writes.
+spaces.  The keys are walked once per tower: total_space lays out each base
+element's fiber in fiber_objects order, so a layer's keys are its base's
+keys with a stratum suffix each (next_keys); cover keys join two by index
+(cover_keys).  One codec, _keyed and _unkeyed, writes and reads all tables:
+the parser never splits key strings, it recomputes and matches them, so
+printing and parsing are mutually inverse on canonical files.  Rational
+heights are read only in the p or p/q form dumps writes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 from .errors import DomainError, ParseError
 from .ordinal import DeltaMap, NablaMap, Ordinal
 from .poset import FinPoset, arrow_poset, point_poset
-from .strata import Stratum
+from .strata import Stratum, fiber_objects
 from .bundle import DeltaDiagram, LabelCategory, Labeling, total_space
 from .tower import Bordism, PackedTower, TrussTower, truss_label_category
 from .mesh import CompactMesh1, PLMeshBundle
@@ -55,6 +58,20 @@ def element_key(el) -> str:
 
 def cover_key(cov) -> str:
     return element_key(cov[0]) + "->" + element_key(cov[1])
+
+
+def _base_keys(p: FinPoset) -> tuple:
+    return tuple(map(element_key, p.elements))
+
+
+def next_keys(keys: tuple, d: DeltaDiagram) -> tuple:
+    """element_key of each element of total_space(d).carrier from those of d.base, in index order."""
+    return tuple(f"{k}.{s.kind}{s.index}" for k, b in zip(keys, d.base.elements) for s in fiber_objects(d.ord[b].n))
+
+
+def cover_keys(p: FinPoset, keys: tuple) -> tuple:
+    """cover_key of each of p.covers(), from the element keys of p."""
+    return tuple(keys[i] + "->" + keys[j] for i, up in enumerate(p.upper) for j in up)
 
 
 def _expect(obj, key, where: str):
@@ -135,39 +152,39 @@ def _parse_map(obj, where: str, cls=DeltaMap):
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _lookup(items, key, where: str) -> dict:
+def _lookup(items, keys, where: str) -> dict:
     """Items by their string keys; two items with one key cannot be told
     apart in a file."""
-    lookup = {key(x): x for x in items}
+    lookup = dict(zip(keys, items))
     if len(lookup) != len(items):
         seen = set()
-        dup = next(k for k in map(key, items) if k in seen or seen.add(k))
+        dup = next(k for k in keys if k in seen or seen.add(k))
         raise ParseError(f"{where}: keys collide at {dup!r}")
     return lookup
 
 
-def _keyed(poset: FinPoset, tables, encoders, where: str) -> tuple:
+def _keyed(poset: FinPoset, keys: tuple, tables, encoders, where: str) -> tuple:
     """A value per element and a value per covering relation of poset, as
-    two JSON objects keyed by element_key and cover_key."""
+    two JSON objects keyed by the element keys and their cover keys."""
     return tuple(
-        {k: encode(table[x]) for k, x in _lookup(items, key, where).items()}
-        for items, key, table, encode in zip(
-            (poset.elements, poset.covers()), (element_key, cover_key), tables, encoders
+        {k: encode(table[x]) for k, x in _lookup(items, ks, where).items()}
+        for items, ks, table, encode in zip(
+            (poset.elements, poset.covers()), (keys, cover_keys(poset, keys)), tables, encoders
         )
     )
 
 
-def _unkeyed(obj, fields, poset: FinPoset, decoders, where: str) -> list:
+def _unkeyed(obj, fields, poset: FinPoset, keys: tuple, decoders, where: str) -> list:
     """Inverse of _keyed: read the element and cover objects named by fields
     from obj.  Each must have exactly the keys of poset; a value that fails
     to decode is reported with its key."""
     found = []
-    for field, items, key in zip(fields, (poset.elements, poset.covers()), (element_key, cover_key)):
-        lookup = _lookup(items, key, where)
+    sides = zip(fields, (poset.elements, poset.covers()), (keys, cover_keys(poset, keys)))
+    for (field, items, ks), what in zip(sides, ("elements", "covering relations")):
+        lookup = _lookup(items, ks, where)
         table = _dict(_expect(obj, field, where), where)
         if table.keys() != lookup.keys():
-            raise ParseError(f"{where}: {field} keys do not match the "
-                             + ("elements" if key is element_key else "covering relations"))
+            raise ParseError(f"{where}: {field} keys do not match the {what}")
         found.append((field, table, lookup))
     out = []
     for (field, table, lookup), decode in zip(found, decoders):
@@ -223,24 +240,26 @@ def _named_base(name: str) -> FinPoset:
     raise ParseError(f"unknown base name {name!r}")
 
 
-def _stage_payloads(t: TrussTower) -> list:
-    stages = []
+def _tower_payload(t: TrussTower, encode, where: str) -> tuple:
+    """The stage payloads of t, then its top space's labels written by encode."""
+    stages, keys = [], _base_keys(t.base)
     for d in t.stages:
-        ordp, arrp = _keyed(d.base, (d.ord, d.arrow), (_ordinal_n, _map_payload), "stage")
+        ordp, arrp = _keyed(d.base, keys, (d.ord, d.arrow), (_ordinal_n, _map_payload), "stage")
         stages.append({"ord": ordp, "arrow": arrp})
-    return stages
+        keys = next_keys(keys, d)
+    return (stages,) + _keyed(t.top, keys, (t.labels.on_objects, t.labels.on_relations), (encode, encode), where)
 
 
 def _parse_stages(payload, base: FinPoset, where: str):
-    cur = base
-    stages = []
+    """The stages, their top space and its element keys."""
+    cur, keys, stages = base, _base_keys(base), []
     for i, sp in enumerate(_list(payload, where)):
         tag = f"{where} stage {i + 1}"
-        ords, arrows = _unkeyed(sp, ("ord", "arrow"), cur, (_ordinal, _parse_map), tag)
+        ords, arrows = _unkeyed(sp, ("ord", "arrow"), cur, keys, (_ordinal, _parse_map), tag)
         d = DeltaDiagram(cur, ords, arrows)
         stages.append(d)
-        cur = total_space(d).carrier
-    return stages, cur
+        cur, keys = total_space(d).carrier, next_keys(keys, d)
+    return stages, cur, keys
 
 
 def _token(value) -> str:
@@ -308,24 +327,23 @@ def _parse_labelcat(obj, where: str = "labelcat") -> LabelCategory:
 
 
 def _truss_payload(t: TrussTower) -> dict:
-    lab = t.labels
-    objects, relations = _keyed(t.top, (lab.on_objects, lab.on_relations), (_token, _token), "labels")
+    stages, objects, relations = _tower_payload(t, _token, "labels")
     return {
         "schema": SCHEMA_TRUSS,
         "base": _base_name(t.base),
-        "stages": _stage_payloads(t),
-        "labels": {"category": _labelcat_payload(lab.target), "objects": objects, "relations": relations},
+        "stages": stages,
+        "labels": {"category": _labelcat_payload(t.labels.target), "objects": objects, "relations": relations},
     }
 
 
 def _parse_truss(obj, where: str = "truss") -> TrussTower:
     _schema(obj, SCHEMA_TRUSS, where)
     base = _named_base(_str(_expect(obj, "base", where), where))
-    stages, top = _parse_stages(_expect(obj, "stages", where), base, where)
+    stages, top, keys = _parse_stages(_expect(obj, "stages", where), base, where)
     labp = _expect(obj, "labels", where)
     cat = _parse_labelcat(_expect(labp, "category", where), f"{where} labels")
     on_obj, on_rel = _unkeyed(
-        labp, ("objects", "relations"), top,
+        labp, ("objects", "relations"), top, keys,
         (_token_in(set(cat.objects)), _token_in(set(cat.morphisms))), f"{where} labels",
     )
     cls = Bordism if base == arrow_poset() else TrussTower
@@ -333,13 +351,13 @@ def _parse_truss(obj, where: str = "truss") -> TrussTower:
 
 
 def _diagram_payload(d: DeltaDiagram) -> dict:
-    ordp, arrp = _keyed(d.base, (d.ord, d.arrow), (_ordinal_n, _map_payload), "diagram")
+    ordp, arrp = _keyed(d.base, _base_keys(d.base), (d.ord, d.arrow), (_ordinal_n, _map_payload), "diagram")
     return {"schema": SCHEMA_DIAGRAM, "base": _poset_payload(d.base), "ord": ordp, "arrow": arrp}
 
 
 def _parse_diagram(obj, where: str = "diagram") -> DeltaDiagram:
     base = _parse_poset(_expect(obj, "base", where), where)
-    ords, arrows = _unkeyed(obj, ("ord", "arrow"), base, (_ordinal, _parse_map), where)
+    ords, arrows = _unkeyed(obj, ("ord", "arrow"), base, _base_keys(base), (_ordinal, _parse_map), where)
     return DeltaDiagram(base, ords, arrows)
 
 
@@ -352,27 +370,25 @@ def _parse_heights(hs, where: str) -> CompactMesh1:
 
 
 def _mesh_payload(m: PLMeshBundle) -> dict:
-    hp, sp = _keyed(m.base, (m.heights, m.sing), (_heights_payload, _map_payload), "mesh")
+    hp, sp = _keyed(m.base, _base_keys(m.base), (m.heights, m.sing), (_heights_payload, _map_payload), "mesh")
     return {"schema": SCHEMA_MESH, "base": _poset_payload(m.base), "heights": hp, "sing": sp}
 
 
 def _parse_mesh(obj, where: str = "mesh") -> PLMeshBundle:
     base = _parse_poset(_expect(obj, "base", where), where)
     heights, sing = _unkeyed(
-        obj, ("heights", "sing"), base, (_parse_heights, partial(_parse_map, cls=NablaMap)), where
+        obj, ("heights", "sing"), base, _base_keys(base), (_parse_heights, partial(_parse_map, cls=NablaMap)), where
     )
     return PLMeshBundle(base, heights, sing)
 
 
 def _packed_payload(p: PackedTower) -> dict:
     t = p.tower
-    objects, relations = _keyed(
-        t.top, (t.labels.on_objects, t.labels.on_relations), (_truss_payload, _truss_payload), "packed labels"
-    )
+    stages, objects, relations = _tower_payload(t, _truss_payload, "packed labels")
     return {
         "schema": SCHEMA_PACKED,
         "base": _base_name(t.base),
-        "stages": _stage_payloads(t),
+        "stages": stages,
         "objects": objects,
         "relations": relations,
     }
@@ -380,8 +396,8 @@ def _packed_payload(p: PackedTower) -> dict:
 
 def _parse_packed(obj, where: str = "packed") -> PackedTower:
     base = _named_base(_str(_expect(obj, "base", where), where))
-    stages, top = _parse_stages(_expect(obj, "stages", where), base, where)
-    fibers, gens = _unkeyed(obj, ("objects", "relations"), top, (_parse_truss, _parse_truss), where)
+    stages, top, keys = _parse_stages(_expect(obj, "stages", where), base, where)
+    fibers, gens = _unkeyed(obj, ("objects", "relations"), top, keys, (_parse_truss, _parse_truss), where)
     cat = truss_label_category(fibers.values(), gens.values())
     return PackedTower(TrussTower(base, stages, Labeling(top, cat, fibers, gens)))
 

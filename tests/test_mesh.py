@@ -66,6 +66,14 @@ def test_compact_mesh_endpoints():
         CompactMesh1((F(0), F(1)))
 
 
+@pytest.mark.parametrize("heights", [(-1, "x", 1), (-1, None, 1), 5, (-1, "1e99999999", 1), (-1, True, 1)])
+def test_compact_mesh_rejects_non_rational_heights(heights):
+    # refused before Fraction sees the value, so an exponent string cannot
+    # ask for a huge number
+    with pytest.raises(MeshError, match="ints or Fractions"):
+        CompactMesh1(heights)
+
+
 def test_realize_even_spacing():
     assert realize_1truss(0).interior == ()
     assert realize_1truss(1).interior == (F(0),)

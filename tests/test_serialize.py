@@ -1,5 +1,6 @@
 """Canonical JSON round trips for every schema."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from trusskit import (
     Bordism,
     DeltaDiagram,
     DeltaMap,
+    FinPoset,
     LabelCategory,
     Ordinal,
     PackedTower,
@@ -25,7 +27,9 @@ from trusskit import (
     save,
     unpack,
 )
-from trusskit.serialize import element_key, payload_for
+from trusskit.layout import layout_2truss
+from trusskit.oracles import tower_family
+from trusskit.serialize import cover_key, cover_keys, element_key, next_keys, payload_for
 
 
 def inner_face_diagram():
@@ -380,3 +384,111 @@ def test_parse_checks_embedded_schemas(single_node, schema):
     packed["objects"][key]["schema"] = "labelcat/v1" if schema == "truss/v1" else schema
     with pytest.raises(ParseError):
         parse(json.dumps(packed))
+
+
+# ---------------------------------------------------------------------------
+# key walk: dumps and parse key each layer from the one below it, by index
+
+
+@pytest.fixture(scope="module")
+def walk_towers():
+    """The towers of tower_family(s, 2) for s = 0, 1 and a depth-3 constant
+    tower, then the pack of each."""
+    towers = tower_family(0, 2) + tower_family(1, 2)
+    towers.append(constant_inclusion([1, 2, 1], "*", LabelCategory.terminal()))
+    return towers, [pack(t) for t in towers]
+
+
+def walked_layers(t):
+    """(layer poset, walked element keys) for the base and every total space."""
+    keys = tuple(map(element_key, t.base.elements))
+    layers = [(t.base, keys)]
+    for d, tot in zip(t.stages, t.totals):
+        keys = next_keys(keys, d)
+        layers.append((tot.carrier, keys))
+    return layers
+
+
+def test_key_walk_matches_element_key(walk_towers):
+    towers, packs = walk_towers
+    nested = [x for p in packs for table in (p.tower.labels.on_objects, p.tower.labels.on_relations)
+              for x in table.values()]
+    checked = 0
+    for t in towers + [p.tower for p in packs] + nested:
+        for poset, keys in walked_layers(t):
+            assert keys == tuple(map(element_key, poset.elements))
+            assert cover_keys(poset, keys) == tuple(map(cover_key, poset.covers()))
+            checked += 1
+    assert checked == 13369
+
+
+def test_dumps_bytes_are_pinned(walk_towers):
+    # sha256 of the concatenated dumps: the key walk must write exactly the
+    # bytes that keying every element through element_key writes
+    towers, packs = walk_towers
+    assert (len(towers), len(packs)) == (929, 929)
+    digest = hashlib.sha256("".join(map(dumps, towers + packs)).encode()).hexdigest()
+    assert digest == "4bbb6bcc8465caccf141fbd626d69e885082b7a8507c97cac337ba9f6da09233"
+
+
+def count_element_keys(monkeypatch, target):
+    """Patch target (element_key as a module sees it) to record its arguments."""
+    calls = []
+
+    def counting(el):
+        calls.append(el)
+        return element_key(el)
+
+    monkeypatch.setattr(target, counting)
+    return calls
+
+
+def test_only_root_elements_go_through_element_key(monkeypatch):
+    calls = count_element_keys(monkeypatch, "trusskit.serialize.element_key")
+    t = constant_inclusion([1, 2, 1], "*", LabelCategory.terminal())
+    text = dumps(t)
+    assert calls == list(t.base.elements)
+    calls.clear()
+    assert parse(text) == t
+    assert calls == list(t.base.elements)
+    p = pack(t)
+    nested = (*p.tower.labels.on_objects.values(), *p.tower.labels.on_relations.values())
+    roots = sorted(el for base in [p.tower.base] + [x.base for x in nested] for el in base.elements)
+    calls.clear()
+    text = dumps(p)
+    assert sorted(calls) == roots
+    calls.clear()
+    assert parse(text) == p
+    assert sorted(calls) == roots
+
+
+def test_layout_keys_only_the_root(monkeypatch, single_node):
+    calls = count_element_keys(monkeypatch, "trusskit.layout.element_key")
+    layout_2truss(single_node)
+    assert calls == list(single_node.base.elements)
+
+
+def collision_diagram():
+    # the covers (a, b->c) and (a->b, c) both key as "a->b->c"
+    base = FinPoset.from_covers(["a", "b->c", "a->b", "c"], [("a", "b->c"), ("a->b", "c")])
+    return DeltaDiagram(
+        base,
+        {x: Ordinal(0) for x in base.elements},
+        {cov: DeltaMap.identity(0) for cov in base.covers()},
+    )
+
+
+def test_cover_keys_collide():
+    message = "diagram: keys collide at 'a->b->c'"
+    with pytest.raises(ParseError) as err:
+        dumps(collision_diagram())
+    assert str(err.value) == message
+    text = """{
+      "schema": "diagram/v1",
+      "base": {"elements": ["a", "b->c", "a->b", "c"], "covers": [["a", "b->c"], ["a->b", "c"]]},
+      "ord": {"a": 0, "b->c": 0, "a->b": 0, "c": 0},
+      "arrow": {"a->b->c": {"src": 0, "dst": 0, "values": [0]}}
+    }"""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
