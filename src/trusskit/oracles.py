@@ -495,15 +495,64 @@ def suite_roundtrip_mesh(max_elements: int = 3, max_ordinal: int = 2, seed=None)
     return Report.ok(counts)
 
 
+def _label_disagrees(t: TrussTower, packed: PackedTower, counts: dict):
+    """Why a label of packed = pack(t) is not the fresh pullback of t's last
+    stage and labels along its element or cover (equal, with equal path
+    tables layer by layer), or is not the label category's own instance, or
+    the category's composition table holds another instance; None when all
+    is well.  Counts each label checked."""
+    last, lab = t.stages[-1], packed.tower.labels
+    dom = last.base
+    top = TrussTower(dom, (last,), t.labels)
+    own = {id(m) for m in lab.target.objects + lab.target.morphisms}
+    if any(id(h) not in own for h in lab.target.compose.values()):
+        return "the label category's composition table holds a copy of one of its morphisms"
+    labels = [(x, point_poset(), {POINT_ELEMENT: x}, lab.on_objects[x]) for x in dom.elements]
+    labels += [((x, y), arrow_poset(), {"0": x, "1": y}, lab.on_relations[(x, y)]) for x, y in dom.covers()]
+    for where, src, image, label in labels:
+        counts["label_checks"] += 1
+        fresh = pullback_tower(top, PosetMap(src, dom, image))
+        if label != fresh or any(a._paths != b._paths for a, b in zip(label.layers, fresh.layers)):
+            return f"the label of {where!r} differs from its fresh pullback:\n" + dumps(t)
+        if id(label) not in own:
+            return f"the label of {where!r} is not the label category's instance"
+    return None
+
+
+def _z2_relabelled(t: TrussTower, rng) -> TrussTower:
+    """t labelled in the cyclic group of order 2 instead: a random 2-colouring
+    of its top, and each cover labelled e where the colour changes (a
+    coboundary, so functorial).  Unlike a poset's, these cover labels are
+    not fixed by their ends' labels, so they reach the parts of pack's keys
+    that the poset-labelled family leaves idle."""
+    cat = LabelCategory(["*"], ["1", "e"], {"1": "*", "e": "*"}, {"1": "*", "e": "*"}, {"*": "1"},
+                        {(f, g): "1" if f == g else "e" for f in "1e" for g in "1e"})
+    colour = {x: rng.random() < 0.5 for x in t.top.elements}
+    on_rel = {(x, y): "e" if colour[x] != colour[y] else "1" for x, y in t.top.covers()}
+    return TrussTower(t.base, t.stages, Labeling(t.top, cat, dict.fromkeys(t.top.elements, "*"), on_rel))
+
+
 def suite_pack(max_ordinal: int = 2, seed: int = 0) -> Report:
-    counts = {"towers": 0, "double_packs": 0}
+    """pack/unpack round trips over tower_family and over its towers
+    relabelled in the cyclic group of order 2, each label of pack checked
+    against a fresh pullback (label_checks), and double packs."""
+    counts = {"towers": 0, "label_checks": 0, "double_packs": 0}
+    rng = random.Random(seed or 0)
     towers = tower_family(seed or 0, max_ordinal)
     for t in towers:
         if t.depth < 1:
             continue
         counts["towers"] += 1
-        if unpack(pack(t)) != t:
-            return Report.failure("pack", "pack/unpack did not round trip:\n" + dumps(t), counts)
+        for u in (t, _z2_relabelled(t, rng)):
+            try:
+                packed = pack(u)
+            except TrussError as exc:
+                return Report.failure("pack", f"pack raised {exc}:\n" + dumps(u), counts)
+            why = _label_disagrees(u, packed, counts)
+            if why is not None:
+                return Report.failure("pack labels", why, counts)
+            if unpack(packed) != u:
+                return Report.failure("pack", "pack/unpack did not round trip:\n" + dumps(u), counts)
     for t in towers:
         if t.depth >= 2 and counts["double_packs"] < 3:
             counts["double_packs"] += 1

@@ -107,24 +107,41 @@ class FinPoset:
 
     @classmethod
     def from_covers(cls, elements, covers):
-        """Build from covering pairs; takes the reflexive transitive closure."""
+        """Build from covering pairs; takes the reflexive transitive closure.
+
+        The closure is one pass in reverse topological order (Kahn 1962 on
+        the reversed pairs): an element's up-set is its own bit and the
+        up-sets of its successors, all already closed.  The closure of an
+        acyclic relation is a partial order, so it is installed unchecked.
+        """
         order, index = _canonical(elements)
         succ = [0] * len(order)
         for a, b in covers:
             if a not in index or b not in index:
                 raise DomainError(f"cover ({a!r}, {b!r}) mentions a non-element")
             succ[index[a]] |= 1 << index[b]
-        # widen each up-set by its members' until nothing grows; every pass
-        # doubles the length of the paths covered
+        pending = [s.bit_count() for s in succ]
+        preds = [[] for _ in order]
+        for i, s in enumerate(succ):
+            for j in bits(s):
+                preds[j].append(i)
+        ready = [i for i, n in enumerate(pending) if not n]
+        ups = [0] * len(order)
+        while ready:
+            j = ready.pop()
+            ups[j] = _union(ups, succ[j]) | 1 << j
+            for i in preds[j]:
+                pending[i] -= 1
+                if not pending[i]:
+                    ready.append(i)
+        if all(ups):
+            return cls._trusted(order, ups)
+        # a cycle: close by doubling and name its first element in order
         ups = [s | 1 << i for i, s in enumerate(succ)]
         while (wider := [_union(ups, up) for up in ups]) != ups:
             ups = wider
-        for i, s in enumerate(succ):
-            if _union(ups, s) >> i & 1:
-                raise DomainError(f"cover relation has a cycle through {order[i]!r}")
-        new = cls._trusted(order, ups)
-        new._validate()
-        return new
+        i = next(i for i, s in enumerate(succ) if _union(ups, s) >> i & 1)
+        raise DomainError(f"cover relation has a cycle through {order[i]!r}")
 
     def le(self, a, b) -> bool:
         index = self.index

@@ -34,7 +34,7 @@ from .ordinal import DeltaMap, NablaMap, Ordinal
 from .poset import FinPoset, arrow_poset, point_poset
 from .strata import Stratum, fiber_objects
 from .bundle import DeltaDiagram, LabelCategory, Labeling, total_space
-from .tower import Bordism, PackedTower, TrussTower, truss_label_category
+from .tower import Bordism, PackedTower, TrussTower, _packed_tower
 from .mesh import CompactMesh1, PLMeshBundle
 
 
@@ -211,14 +211,15 @@ def _parse_poset(obj, where: str) -> FinPoset:
     if not isinstance(elements, list) or not isinstance(covers, list):
         raise ParseError(f"{where}: elements and covers must be lists")
     names = [_str(e, where) for e in elements]
-    if len(set(names)) != len(names):
+    known = set(names)
+    if len(known) != len(names):
         raise ParseError(f"{where}: duplicate element names")
     pairs = []
     for c in covers:
         if not isinstance(c, list) or len(c) != 2:
             raise ParseError(f"{where}: covers must be two-element lists")
         u, v = _str(c[0], where), _str(c[1], where)
-        if u not in names or v not in names:
+        if u not in known or v not in known:
             raise ParseError(f"{where}: cover ({u!r}, {v!r}) names unknown elements")
         pairs.append((u, v))
     return FinPoset.from_covers(names, pairs)
@@ -398,8 +399,7 @@ def _parse_packed(obj, where: str = "packed") -> PackedTower:
     base = _named_base(_str(_expect(obj, "base", where), where))
     stages, top, keys = _parse_stages(_expect(obj, "stages", where), base, where)
     fibers, gens = _unkeyed(obj, ("objects", "relations"), top, keys, (_parse_truss, _parse_truss), where)
-    cat = truss_label_category(fibers.values(), gens.values())
-    return PackedTower(TrussTower(base, stages, Labeling(top, cat, fibers, gens)))
+    return _packed_tower(base, stages, top, fibers, gens)
 
 
 _PARSERS = {

@@ -7,9 +7,10 @@ then the labels are the tower's layers, and every walk goes over the layers
 alike, through the CoverFunctor core.  A bordism is a tower whose root base is
 the walking arrow.  Every restriction goes through pullback_tower, which
 returns a Bordism along a map out of the arrow: the identities of bordisms,
-pack's fiber trusses and cover bordisms, and the two ends of a tower over the
-arrow, which TrussTower.end alone forms, once per tower; an identity bordism
-records both of its ends, the tower it was made from.  Composition builds
+pack's fiber trusses and cover bordisms (once per distinct key, each the
+label category's own instance), and the two ends of a tower over the arrow,
+which TrussTower.end alone forms, once per tower; an identity bordism records
+both of its ends, the tower it was made from.  Composition builds
 the composite directly over the arrow, layer by layer, from the two bordisms'
 path tables: a crossing path goes through the first factorization middle
 over the seam, and every other middle is checked to give the same value.
@@ -87,7 +88,7 @@ class TrussTower:
         return len(self.stages)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, TrussTower)
             and self._hash == other._hash
             and self.base == other.base
@@ -277,7 +278,8 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
 
 def truss_label_category(objects, generators) -> LabelCategory:
     """The finite category generated by labelled trusses, their identity
-    bordisms and the given generators, closed under composition."""
+    bordisms and the given generators, closed under composition; a composite
+    equal to a known morphism enters the table as that instance."""
     objs = list(dict.fromkeys(objects))
     idents = {o: identity_bordism(o) for o in objs}
     morphisms = list(dict.fromkeys(list(idents.values()) + list(generators)))
@@ -287,7 +289,7 @@ def truss_label_category(objects, generators) -> LabelCategory:
             raise PackingError("a generator is not a bordism: its base is not the arrow poset")
         if m.end(0) not in known or m.end(1) not in known:
             raise PackingError("a generator's endpoint is not among the objects")
-    seen = set(morphisms)
+    seen = {m: m for m in morphisms}
     # the morphisms out of each object, in morphism order
     by_source = {o: [] for o in objs}
     for m in morphisms:
@@ -301,12 +303,12 @@ def truss_label_category(objects, generators) -> LabelCategory:
                 if (f, g) in compose:
                     continue
                 h = compose_bordisms(f, g)
-                compose[(f, g)] = h
                 if h not in seen:
-                    seen.add(h)
+                    seen[h] = h
                     morphisms.append(h)
                     by_source[h.end(0)].append(h)
                     changed = True
+                compose[(f, g)] = seen[h]
     return LabelCategory(
         objects=objs,
         morphisms=morphisms,
@@ -317,26 +319,49 @@ def truss_label_category(objects, generators) -> LabelCategory:
     )
 
 
+def _packed_tower(base: FinPoset, stages, domain: FinPoset, fibers: dict, gens: dict) -> PackedTower:
+    """The packed tower whose labels on domain are the fiber trusses and
+    cover bordisms given, each replaced by the equal instance of the
+    synthesized category; pack and the packed/v1 parser both end here."""
+    cat = truss_label_category(fibers.values(), gens.values())
+    own = {m: m for m in cat.objects + cat.morphisms}
+    lab = Labeling(domain, cat, {x: own[o] for x, o in fibers.items()}, {c: own[g] for c, g in gens.items()})
+    return PackedTower(TrussTower(base, stages, lab))
+
+
 def pack(t: TrussTower) -> PackedTower:
     """Trade the last stage for labels: each element of its base becomes a
     labelled fiber truss, each covering relation a cover bordism, and the
-    label category is synthesized by closing these under composition."""
+    label category is synthesized by closing these under composition.
+    pullback_tower runs once per distinct key, read in one pass over the top:
+    for the fiber truss over x, last.ord[x] and the labels on x's fiber in the
+    top's index order; for the cover bordism over (x, y), both fiber keys,
+    last.arrow[(x, y)] and the labels of the covers from x's fiber to y's."""
     if t.depth < 1:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
     dom = last.base
     top = TrussTower(dom, (last,), t.labels)
-    fibers = {
-        x: pullback_tower(top, PosetMap(point_poset(), dom, {POINT_ELEMENT: x}))
-        for x in dom.elements
-    }
+    els, lab = t.top.elements, t.labels
+    objs, covs, made = {x: [] for x in dom.elements}, {}, {}
+    for a, upper in zip(els, t.top.upper):
+        objs[a[0]].append(lab.objects[a])
+        for j in upper:
+            covs.setdefault((a[0], els[j][0]), []).append(lab.covers[(a, els[j])])
+
+    def once(key, src, image):
+        if key not in made:
+            made[key] = pullback_tower(top, PosetMap(src, dom, image))
+        return made[key]
+
+    keys = {x: (last.ord[x], tuple(objs[x]), tuple(covs.get((x, x), ()))) for x in dom.elements}
+    fibers = {x: once(keys[x], point_poset(), {POINT_ELEMENT: x}) for x in dom.elements}
     gens = {
-        (x, y): pullback_tower(top, PosetMap(arrow_poset(), dom, {"0": x, "1": y}))
+        (x, y): once((keys[x], keys[y], last.arrow[(x, y)], tuple(covs.get((x, y), ()))),
+                     arrow_poset(), {"0": x, "1": y})
         for (x, y) in dom.covers()
     }
-    cat = truss_label_category(fibers.values(), gens.values())
-    lab = Labeling(dom, cat, fibers, gens)
-    return PackedTower(TrussTower(t.base, t.stages[:-1], lab))
+    return _packed_tower(t.base, t.stages[:-1], dom, fibers, gens)
 
 
 def unpack(p: PackedTower) -> TrussTower:

@@ -43,7 +43,7 @@ from trusskit import (
     truss_label_category,
     unpack,
 )
-from trusskit import bundle
+from trusskit import bundle, tower
 from trusskit.oracles import SUITES, _glue, bordism_family, composable_triples, tower_family
 from trusskit.poset import path_poset
 from trusskit.tower import root_of
@@ -612,3 +612,52 @@ def test_derived_suite_rebuilds_every_pulled_back_layer():
     counts = report.counts
     assert counts["sources"] == 756
     assert counts["layers"] > counts["derived"] > counts["sources"]
+
+
+# -- pack makes each distinct truss once ------------------------------------
+
+
+def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
+    calls = []
+    real = tower.pullback_tower
+    monkeypatch.setattr(tower, "pullback_tower", lambda t, f: calls.append((t, f)) or real(t, f))
+    towers = [t for t in tower_family(0, 2) if t.depth >= 1]
+    shared = 0
+    for t in towers:
+        calls.clear()
+        lab = pack(t).tower.labels
+        # pack's own pullbacks are those of its last stage with t's labels
+        mine = [f for u, f in calls if u.labels is t.labels]
+        fibers, gens = list(lab.on_objects.values()), list(lab.on_relations.values())
+        assert sum(f.src == point_poset() for f in mine) == len(set(fibers))
+        assert sum(f.src == arrow_poset() for f in mine) == len(set(gens))
+        # equal labels are one instance
+        assert len({id(x) for x in fibers + gens}) == len(set(fibers + gens))
+        shared += len(fibers) + len(gens) - len(mine)
+    assert len(towers) == 465 and shared > 0
+
+
+def test_unpack_of_pack_restricts_no_bordism(monkeypatch):
+    packed = [pack(t) for t in tower_family(0, 2) if t.depth >= 1]
+    calls = []
+    real = tower.restrict_bordism
+    monkeypatch.setattr(tower, "restrict_bordism", lambda b, end: calls.append(end) or real(b, end))
+    for p in packed:
+        unpack(p)
+    assert calls == []
+
+
+def test_parsed_packed_labels_are_the_category_instances():
+    towers = [t for t in tower_family(0, 2) if t.depth >= 2][::20]
+    merged = 0
+    for t in towers:
+        p = pack(t)
+        q = parse(dumps(p))
+        lab, cat = q.tower.labels, q.tower.labels.target
+        own = {id(m) for m in cat.objects + cat.morphisms}
+        labels = list(lab.on_objects.values()) + list(lab.on_relations.values())
+        assert all(id(x) in own for x in labels)
+        assert all(id(h) in own for h in cat.compose.values())
+        assert q == p and dumps(q) == dumps(p) and unpack(q) == t
+        merged += len(labels) - len({id(x) for x in labels})
+    assert merged > 0
