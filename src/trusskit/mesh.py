@@ -1,7 +1,9 @@
 """PL meshes with exact rational coordinates.
 
 A 1-mesh stratifies [-1, 1] by finitely many singular heights; CompactMesh1
-holds them with the endpoints.  A mesh bundle over a finite poset
+holds them with the endpoints, plus two tables built on first use: interval
+midpoints and each height's position.  realize_1truss shares one evenly
+spaced CompactMesh1 per ordinal.  A mesh bundle over a finite poset
 (triangulated by its nerve) is a functor on the CoverFunctor core: compact
 heights per vertex and, per covering relation, the interval map attaching
 each singular sheet of the upper fiber to a height of the lower one, with
@@ -20,13 +22,19 @@ increasing (an interval map; g_s is the identity), every h_i is strictly
 increasing (CompactMesh1) and c_s > 0, so the sum strictly increases in j.
 At the barycenter of a cover (a, b) this reads (h_a[g(j)] + h_b[j]) / 2.
 The roundtrip-mesh oracle recomputes it at every cover's barycenter.
+reg_extract bisects the sorted attachment heights h_a[g(j)] at h_a's
+midpoints; sing_extract extrapolates each sheet from two samples in exact
+integer arithmetic (see there), and interpolated_heights stays the
+independent spelling of the same geometry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .errors import DiagramError, DomainError, MeshError, SectionError
 from .ordinal import (
@@ -44,23 +52,33 @@ from .bundle import CoverFunctor, DeltaDiagram
 ONE = Fraction(1)
 
 
+def _rationals(values, what: str) -> tuple:
+    """values as Fractions; MeshError unless each is an int or a Fraction."""
+    vs = tuple(values) if isinstance(values, Iterable) else None
+    if vs is None or not all(type(v) in (int, Fraction) for v in vs):
+        raise MeshError(f"{what} must be ints or Fractions, got {values!r}")
+    return tuple(map(Fraction, vs))
+
+
 @dataclass(frozen=True)
 class CompactMesh1:
     """Strictly increasing heights from -1 to 1: the endpoints and, between
-    them, the singular heights of a 1-mesh, given as ints or Fractions."""
+    them, the singular heights of a 1-mesh, given as ints or Fractions.
+    Equality, hashing, copies and pickles see only ``heights``, not the
+    cached tables."""
 
     heights: tuple
 
     def __post_init__(self):
-        hs = tuple(self.heights) if isinstance(self.heights, Iterable) else None
-        if hs is None or not all(type(h) in (int, Fraction) for h in hs):
-            raise MeshError(f"compact heights must be ints or Fractions, got {self.heights!r}")
-        hs = tuple(map(Fraction, hs))
+        hs = _rationals(self.heights, "compact heights")
         object.__setattr__(self, "heights", hs)
         if len(hs) < 2 or hs[0] != -ONE or hs[-1] != ONE:
             raise MeshError("compact heights must start at -1 and end at 1")
         if any(a >= b for a, b in zip(hs, hs[1:])):
             raise MeshError("heights must be strictly increasing")
+
+    def __reduce__(self):
+        return (CompactMesh1, (self.heights,))
 
     @property
     def interior(self) -> tuple:
@@ -71,26 +89,39 @@ class CompactMesh1:
         """The interval [n + 1] indexing the heights."""
         return Ordinal(len(self.heights) - 1)
 
+    @cached_property
+    def midpoints(self) -> tuple:
+        hs = self.heights
+        return tuple((a + b) / 2 for a, b in zip(hs, hs[1:]))
+
+    @cached_property
+    def index(self) -> dict:
+        return {h: i for i, h in enumerate(self.heights)}
+
     def __getitem__(self, i: int) -> Fraction:
         return self.heights[i]
 
 
+@lru_cache(maxsize=None)
+def _even_heights(n: Ordinal) -> CompactMesh1:
+    return CompactMesh1(tuple(-ONE + 2 * Fraction(k, n.size) for k in range(n.size + 1)))
+
+
 def realize_1truss(n) -> CompactMesh1:
-    """Evenly spaced singular heights for the fiber over [n], endpoints
-    included."""
-    n = n.n if isinstance(n, Ordinal) else int(n)
-    return CompactMesh1(tuple(-ONE + 2 * Fraction(k, n + 1) for k in range(n + 2)))
+    """Evenly spaced singular heights for the fiber over the ordinal [n],
+    endpoints included; one shared instance per ordinal."""
+    return _even_heights(n if isinstance(n, Ordinal) else Ordinal(n))
 
 
 @dataclass(frozen=True)
 class StratSimplexPoint:
-    """A point of a stratified simplex in barycentric coordinates; its
-    stratum is the last vertex with nonzero weight."""
+    """A point of a stratified simplex in barycentric coordinates (ints or
+    Fractions); its stratum is the last vertex with nonzero weight."""
 
     coords: tuple
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coords)
+        cs = _rationals(self.coords, "barycentric coordinates")
         object.__setattr__(self, "coords", cs)
         if not cs or any(c < 0 for c in cs) or sum(cs) != 1:
             raise MeshError("coordinates must be nonnegative rationals summing to 1")
@@ -205,7 +236,8 @@ def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
         if len(h.interior) != d.ord[b].n:
             raise MeshError(f"supplied heights over {b!r} do not match ordinal {d.ord[b]}")
     heights = {b: supplied[b] if b in supplied else realize_1truss(d.ord[b]) for b in d.base.elements}
-    paths = {k: dual_delta_to_nabla(v) for k, v in d._paths.items()}
+    duals = {f: dual_delta_to_nabla(f) for f in dict.fromkeys(d._paths.values())}
+    paths = {k: duals[f] for k, f in d._paths.items()}
     return PLMeshBundle._trusted((d.base, heights), _backward, paths)
 
 
@@ -219,15 +251,11 @@ def reg_extract(m: PLMeshBundle) -> DeltaDiagram:
     ords = {b: Ordinal(len(m.heights[b].interior)) for b in m.base.elements}
     arrows = {}
     for (a, b) in m.base.covers():
-        ha = m.heights[a]
-        na, nb = ords[a].n, ords[b].n
-        sigma = m.sing[(a, b)]
-        attach = [ha[sigma(j)] for j in range(1, nb + 1)]
-        vals = []
-        for i in range(na + 1):
-            mid = (ha[i] + ha[i + 1]) / 2
-            vals.append(sum(1 for t in attach if t < mid))
-        arrows[(a, b)] = DeltaMap(ords[a], ords[b], tuple(vals))
+        ha = m.heights[a].heights
+        # weakly increasing: sing is an interval map, the heights increase
+        attach = [ha[i] for i in m.sing[(a, b)].values[1:-1]]
+        vals = tuple(bisect_left(attach, mid) for mid in m.heights[a].midpoints)
+        arrows[(a, b)] = DeltaMap(ords[a], ords[b], vals)
     try:
         return DeltaDiagram(m.base, ords, arrows)
     except DiagramError as exc:
@@ -238,25 +266,29 @@ def sing_extract(m: PLMeshBundle) -> NablaDiagram:
     """Read the backward interval maps off the interpolated geometry.
 
     Each sheet over the upper vertex is affine along the edge, so its
-    attachment height is extrapolated from two interior samples and looked
-    up in the lower fiber.
+    attachment height is extrapolated from the samples at the edge's
+    barycentric points (3/4, 1/4) and (1/2, 1/2) and looked up in the lower
+    fiber.  Sheet j runs from height x over a to y over b, so the samples
+    are (3x + y) / 4 and (2x + 2y) / 4: integer numerators over the common
+    denominator 4 * den(x) * den(y).  The limit 2 * quarter - half is
+    formed over that denominator in exact integer arithmetic, and is the
+    one Fraction made per sheet.
     """
     ords = {b: m.heights[b].interval for b in m.base.elements}
     arrows = {}
-    quarter = StratSimplexPoint((Fraction(3, 4), Fraction(1, 4)))
-    half = StratSimplexPoint((Fraction(1, 2), Fraction(1, 2)))
     for (a, b) in m.base.covers():
         ha = m.heights[a]
-        at_quarter = interpolated_heights(m, (a, b), quarter)
-        at_half = interpolated_heights(m, (a, b), half)
         vals = []
-        for j in range(len(at_half)):
-            limit = 2 * at_quarter[j] - at_half[j]
-            if limit not in ha.heights:
+        ends = zip((ha[i] for i in m.map_for(a, b).values), m.heights[b].heights)
+        for j, (x, y) in enumerate(ends):
+            xn, yn = x.numerator * y.denominator, y.numerator * x.denominator
+            quarter, half = 3 * xn + yn, 2 * xn + 2 * yn
+            i = ha.index.get(Fraction(2 * quarter - half, 4 * x.denominator * y.denominator))
+            if i is None:
                 raise MeshError(
                     f"sheet {j} over {b!r} does not attach to a height over {a!r}"
                 )
-            vals.append(ha.heights.index(limit))
+            vals.append(i)
         try:
             arrows[(a, b)] = NablaMap(ords[b], ords[a], tuple(vals))
         except DomainError as exc:

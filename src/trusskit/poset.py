@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
+from itertools import count
 
 from .errors import DomainError
 
@@ -109,10 +110,13 @@ class FinPoset:
     def from_covers(cls, elements, covers):
         """Build from covering pairs; takes the reflexive transitive closure.
 
-        The closure is one pass in reverse topological order (Kahn 1962 on
-        the reversed pairs): an element's up-set is its own bit and the
-        up-sets of its successors, all already closed.  The closure of an
-        acyclic relation is a partial order, so it is installed unchecked.
+        The closure is one pass of Tarjan's strongly connected components
+        algorithm (1972), which finishes the components in reverse
+        topological order: an element's up-set is its own bit and the up-sets
+        of its successors, all already closed.  A component of two or more
+        elements, or a loop, is a cycle, refused naming its first element in
+        canonical order.  The closure of an acyclic relation is a partial
+        order, so it is installed unchecked.
         """
         order, index = _canonical(elements)
         succ = [0] * len(order)
@@ -120,28 +124,10 @@ class FinPoset:
             if a not in index or b not in index:
                 raise DomainError(f"cover ({a!r}, {b!r}) mentions a non-element")
             succ[index[a]] |= 1 << index[b]
-        pending = [s.bit_count() for s in succ]
-        preds = [[] for _ in order]
-        for i, s in enumerate(succ):
-            for j in bits(s):
-                preds[j].append(i)
-        ready = [i for i, n in enumerate(pending) if not n]
-        ups = [0] * len(order)
-        while ready:
-            j = ready.pop()
-            ups[j] = _union(ups, succ[j]) | 1 << j
-            for i in preds[j]:
-                pending[i] -= 1
-                if not pending[i]:
-                    ready.append(i)
-        if all(ups):
-            return cls._trusted(order, ups)
-        # a cycle: close by doubling and name its first element in order
-        ups = [s | 1 << i for i, s in enumerate(succ)]
-        while (wider := [_union(ups, up) for up in ups]) != ups:
-            ups = wider
-        i = next(i for i, s in enumerate(succ) if _union(ups, s) >> i & 1)
-        raise DomainError(f"cover relation has a cycle through {order[i]!r}")
+        ups, first = _closure(succ)
+        if first is not None:
+            raise DomainError(f"cover relation has a cycle through {order[first]!r}")
+        return cls._trusted(order, ups)
 
     def le(self, a, b) -> bool:
         index = self.index
@@ -247,6 +233,42 @@ def _canonical(elements):
     if len(index) != len(order):
         raise DomainError("duplicate poset elements")
     return order, index
+
+
+def _closure(succ) -> tuple:
+    """The reflexive transitive closure of successor masks, by one iterative
+    pass of Tarjan's algorithm, and the least index on a cycle (None if
+    acyclic).  ``order`` holds each element's visit number until its
+    component is finished, then len(succ), which lowers no low-link."""
+    n = len(succ)
+    ups, order, low, stack, cyclic, visits = [0] * n, [None] * n, [0] * n, [], [], count()
+    for root in range(n):
+        work = [] if order[root] is not None else [(root, None, 0)]
+        while work:
+            v, todo, base = work.pop()
+            if todo is None:
+                order[v] = low[v] = next(visits)
+                base, todo = len(stack), iter(bits(succ[v]))
+                stack.append(v)
+            for w in todo:
+                if order[w] is None:
+                    work += ((v, todo, base), (w, None, 0))
+                    break
+                low[v] = min(low[v], order[w])
+            else:
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    component = stack[base:]
+                    del stack[base:]
+                    for w in component:
+                        order[w] = n
+                    if len(component) > 1 or succ[v] >> v & 1:
+                        cyclic.append(min(component))
+                    else:
+                        ups[v] = _union(ups, succ[v]) | 1 << v
+    return ups, min(cyclic, default=None)
 
 
 def _union(masks, sel: int) -> int:

@@ -1,9 +1,12 @@
 """Exact PL meshes: realization, extraction, duality, sections."""
 
+import copy
 import hashlib
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trusskit import (
     CompactMesh1,
@@ -80,6 +83,28 @@ def test_realize_even_spacing():
     assert realize_1truss(2).interior == (F(-1, 3), F(1, 3))
     assert realize_1truss(Ordinal(3)).interior == (F(-1, 2), F(0), F(1, 2))
     assert realize_1truss(1).heights == (F(-1), F(0), F(1))
+    # one shared instance per ordinal, also inside realized bundles
+    assert realize_1truss(2) is realize_1truss(Ordinal(2)) is realize_bundle(inner_face_diagram()).fiber("1")
+
+
+@pytest.mark.parametrize("n", [-1, "x", None, 1.5, True])
+def test_realize_1truss_refuses_a_non_ordinal(n):
+    with pytest.raises(DomainError, match="ordinal index must be a nonnegative int"):
+        realize_1truss(n)
+
+
+def test_filled_tables_leave_a_compact_mesh_unchanged():
+    filled = CompactMesh1((-1, F(-2, 3), F(1, 5), 1))
+    assert filled.midpoints == (F(-5, 6), F(-7, 30), F(3, 5))
+    assert filled.index == {F(-1): 0, F(-2, 3): 1, F(1, 5): 2, F(1): 3}
+    fresh = CompactMesh1((-1, F(-2, 3), F(1, 5), 1))
+    assert "index" in vars(filled) and "index" not in vars(fresh)
+    assert filled == fresh and hash(filled) == hash(fresh)
+    bundles = [PLMeshBundle(point_poset(), {"pt": h}, {}) for h in (filled, fresh)]
+    assert dumps(bundles[0]) == dumps(bundles[1])
+    for twin in (copy.copy(filled), copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
+        assert twin == fresh and vars(twin) == vars(fresh) == {"heights": fresh.heights}
+    assert pickle.dumps(filled) == pickle.dumps(fresh)
 
 
 def test_strat_simplex_point():
@@ -90,6 +115,12 @@ def test_strat_simplex_point():
         StratSimplexPoint((F(1, 2), F(1, 4)))
     with pytest.raises(MeshError):
         StratSimplexPoint(())
+
+
+@pytest.mark.parametrize("coords", [("x",), (None,), 5, (F(1, 2), 0.5), (True,)])
+def test_strat_simplex_point_refuses_non_rational_coordinates(coords):
+    with pytest.raises(MeshError, match="barycentric coordinates must be ints or Fractions"):
+        StratSimplexPoint(coords)
 
 
 def test_realize_bundle_inner_face():
@@ -327,3 +358,34 @@ def test_barycenter_strictness_holds_for_all_small_bundles():
                 assert all(u < v for u, v in zip(hs, hs[1:]))
                 checked += 1
     assert checked == 2 * (31 + 393 * 3)
+
+
+SMALL_DIAGRAMS = [d for p in all_posets(3) for d in all_diagrams(p, 2)]
+
+
+@st.composite
+def uneven_heights(draw, n):
+    """n strictly increasing singular heights in (-1, 1), nonzero with odd
+    denominators, so no height is a dyadic rational."""
+    den = st.sampled_from((3, 5, 7, 9, 11, 13, 21))
+    inner = draw(st.lists(
+        den.flatmap(lambda q: st.integers(1 - q, q - 1).filter(bool).map(lambda p: F(p, q))),
+        min_size=n, max_size=n, unique=True,
+    ))
+    return CompactMesh1((-1, *sorted(inner), 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_DIAGRAMS), st.data())
+def test_mesh_kernels_on_uneven_heights(d, data):
+    heights = {b: data.draw(uneven_heights(d.ord[b].n)) for b in d.base.elements}
+    m = realize_bundle(d, heights)
+    assert reg_extract(m) == d
+    sing = sing_extract(m)
+    assert sing.arrow == m.sing
+    quarter = StratSimplexPoint((F(3, 4), F(1, 4)))
+    half = StratSimplexPoint((F(1, 2), F(1, 2)))
+    for (a, b) in d.base.covers():
+        q, h = interpolated_heights(m, (a, b), quarter), interpolated_heights(m, (a, b), half)
+        attached = [m.heights[a][i] for i in sing.arrow[(a, b)].values]
+        assert attached == [2 * qj - hj for qj, hj in zip(q, h)]

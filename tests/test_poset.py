@@ -150,9 +150,11 @@ def test_equality_and_hash_follow_elements_and_pairs(rel1, rel2):
 
 
 @PROPERTY
-@given(st.lists(st.sampled_from(ELEMENT_POOL), max_size=6, unique=True), st.data())
+@given(st.lists(st.sampled_from(ELEMENT_POOL), max_size=10, unique=True), st.data())
 def test_from_covers_takes_the_reference_closure(elements, data):
-    edges = data.draw(st.lists(st.tuples(st.sampled_from(elements), st.sampled_from(elements)), max_size=8)
+    # up to 16 covers on 10 elements: several cycles, loops and chains
+    # between them, so the components are finished in varied orders
+    edges = data.draw(st.lists(st.tuples(st.sampled_from(elements), st.sampled_from(elements)), max_size=16)
                       if elements else st.just([]))
     closure = reference_closure(elements, edges)
     # a loop, even on one element, is a cycle of covers; the message names
@@ -249,6 +251,17 @@ def test_from_covers_closes_a_long_chain_quickly():
     assert chain.ups[0] == (1 << 2000) - 1 and chain.ups[-1] == 1 << 1999
     assert chain.le(names[0], names[-1]) and not chain.le(names[-1], names[0])
     assert elapsed < 1.0, f"a 2000-element chain took {elapsed:.2f} s"
+
+
+def test_from_covers_names_a_long_cycle_quickly():
+    # one strongly-connected-components pass names the element; closing by
+    # doubling took about 3 s on this cycle
+    names = [f"e{i:04d}" for i in range(2000)]
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^cover relation has a cycle through 'e0000'$"):
+        FinPoset.from_covers(reversed(names), list(zip(names, names[1:] + names[:1])))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"a 2000-element cycle took {elapsed:.2f} s"
 
 
 def _grid():
