@@ -42,14 +42,11 @@ from .strata import (
 from .bundle import (
     DeltaDiagram,
     LabelCategory,
-    LabelFunctor,
     Labeling,
     TotalPoset,
     classify,
     pullback_bundle,
-    relabel,
     total_space,
-    validate_labeling,
 )
 from .tower import (
     Bordism,

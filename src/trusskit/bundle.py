@@ -17,8 +17,9 @@ validating constructor, and pullback() precomposes with a map of bases.  A
 pullback of a functor along a monotone map is a functor, so pullback()
 proves nothing again: it inherits its path table from the parent's,
 reading each related pair's value at the pair's image, and reads its cover
-values from that table.  The oracles' "derived" suite rebuilds such
-pullbacks through over() and checks that they agree.
+values from that table.  What the library installs unchecked (such
+functors, total spaces) is audited in one place, oracles.audited(), under
+which every oracle suite runs.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class CoverFunctor:
     functor_table's diagnostic is raised as ``_error``.  ``_trusted`` builds
     a functor without any of these checks from a path table known to be
     functorial: ``pullback`` reads one from the parent, bordism composition
-    joins the two bordisms' tables and mesh.realize_bundle dualizes one.
-    ``over`` goes through the subclass constructor.  Every subclass then
+    joins the two bordisms' tables and mesh.realize_bundle dualizes one;
+    oracles.audited() rebuilds each through ``over``, which goes through the
+    subclass constructor.  Every subclass then
     reads alike through the core: ``base``, the tables ``objects`` (per
     element) and ``covers`` (per covering relation), and ``compose``, the
     composition the path table was built with.  Equality and hashing go by
@@ -225,12 +227,6 @@ class TotalPoset:
         self.carrier = carrier
         self.base = base
 
-    def projection(self, el):
-        return el[0]
-
-    def fiber(self, b) -> tuple:
-        return tuple(e for e in self.carrier.elements if e[0] == b)
-
     def __eq__(self, other):
         return (
             isinstance(other, TotalPoset)
@@ -256,8 +252,8 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     stratum_targets(e, f) gives for the composite f: one regular for a
     regular e, and for a singular s_i a run of regulars r_f(i)..r_f(i+1)
     and a run of singulars s_f(i)..s_f(i+1)-1.  The masks are set as those
-    bit intervals and installed without sorting or validating; the oracles
-    rebuild total spaces through the validating constructor."""
+    bit intervals and installed without sorting or validating;
+    oracles.audited() checks each against a pair-by-pair spelling."""
     base = d.base
     ns = [d.ord[b].n for b in base.elements]
     offsets = [0]
@@ -447,34 +443,6 @@ class LabelCategory:
         return f"LabelCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
 
-class LabelFunctor:
-    """A functor between label categories, given on objects and morphisms."""
-
-    def __init__(self, src_cat: LabelCategory, dst_cat: LabelCategory, on_objects, on_morphisms):
-        self.src_cat = src_cat
-        self.dst_cat = dst_cat
-        self.on_objects = dict(on_objects)
-        self.on_morphisms = dict(on_morphisms)
-        for o in src_cat.objects:
-            if self.on_objects.get(o) not in set(dst_cat.objects):
-                raise DomainError(f"functor undefined or invalid on object {o!r}")
-        for m in src_cat.morphisms:
-            fm = self.on_morphisms.get(m)
-            if fm not in set(dst_cat.morphisms):
-                raise DomainError(f"functor undefined or invalid on morphism {m!r}")
-            if (
-                dst_cat.src[fm] != self.on_objects[src_cat.src[m]]
-                or dst_cat.dst[fm] != self.on_objects[src_cat.dst[m]]
-            ):
-                raise DomainError(f"functor breaks endpoints of {m!r}")
-        for o in src_cat.objects:
-            if self.on_morphisms[src_cat.identity[o]] != dst_cat.identity[self.on_objects[o]]:
-                raise DomainError(f"functor breaks the identity at {o!r}")
-        for (f, g), h in src_cat.compose.items():
-            if dst_cat.compose_pair(self.on_morphisms[f], self.on_morphisms[g]) != self.on_morphisms[h]:
-                raise DomainError(f"functor breaks the composite of {f!r}, {g!r}")
-
-
 class Labeling(CoverFunctor):
     """A functor from a finite poset into a label category.
 
@@ -511,25 +479,3 @@ class Labeling(CoverFunctor):
 
     def __repr__(self):
         return f"Labeling({len(self.on_objects)} objects into {self.target!r})"
-
-
-def validate_labeling(l: Labeling, t) -> tuple:
-    """Check a labeling against a total space (or a bare poset for towers of
-    depth zero).  Returns (ok, diagnostics) instead of raising; the labeling
-    itself was checked when it was built."""
-    carrier = t.carrier if isinstance(t, TotalPoset) else t
-    if l.domain != carrier:
-        return False, ["labeling domain differs from the given poset"]
-    return True, []
-
-
-def relabel(l: Labeling, functor: LabelFunctor) -> Labeling:
-    """Push a labeling forward along a functor of label categories."""
-    if functor.src_cat != l.target:
-        raise DomainError("functor source differs from the labeling's category")
-    return Labeling(
-        l.domain,
-        functor.dst_cat,
-        {b: functor.on_objects[o] for b, o in l.on_objects.items()},
-        {cov: functor.on_morphisms[m] for cov, m in l.on_relations.items()},
-    )

@@ -9,8 +9,8 @@ heights per vertex and, per covering relation, the interval map attaching
 each singular sheet of the upper fiber to a height of the lower one, with
 NablaDiagram's contravariant composition.  realize_bundle and pullback_mesh
 install path tables known to be functorial; PLMeshBundle(...) and parse
-check everything, and the roundtrip-mesh oracle rebuilds every realized
-mesh through the checking constructor.
+check everything, and oracles.audited() rebuilds every installed mesh
+through the checking constructor.
 
 Heights over an interior point of a simplex are convex combinations, and they
 are strictly increasing by construction, so the constructor does not check
@@ -225,7 +225,8 @@ def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
     CompactMesh1 with the right number of interior heights for any base
     element.  Sheet attachments are the interval duals of d's maps: duality
     is a contravariant isomorphism of Delta with Nabla^op, so the duals of
-    d's path table are a functorial path table, installed unchecked.
+    d's path table are a functorial path table, installed unchecked;
+    oracles.audited() rebuilds the result through the checking constructor.
     """
     supplied = dict(vertex_heights or {})
     for b, h in supplied.items():

@@ -3,17 +3,23 @@
 Everything here re-derives a law the library claims, by exhaustive (or
 seeded, where exhaustion is infeasible) enumeration at desk scale, and
 returns a Report.  The suites double as the CLI's `oracle` command and as
-the backing for the acceptance tests.
+the backing for the acceptance tests.  Every SUITES entry runs under
+audited(), the one audit of what the library installs without checks
+(trusted functors, total spaces, recorded ends); the enumeration families
+run unaudited when called on their own.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from .errors import CompositionError, DiagramError, DomainError, LabelingError, MeshError, TrussError
+from .errors import CompositionError, DiagramError, DomainError, LabelingError, ParseError, TrussError
 from .ordinal import (
     DeltaMap,
     Ordinal,
@@ -35,7 +41,7 @@ from .strata import (
     stratum_targets,
     validate_stratum_map,
 )
-from .bundle import DeltaDiagram, LabelCategory, Labeling, classify, total_space
+from .bundle import CoverFunctor, DeltaDiagram, LabelCategory, Labeling, classify, total_space
 from .tower import (
     Bordism,
     PackedTower,
@@ -405,87 +411,39 @@ def suite_factorization(max_ordinal: int = 2, seed=None) -> Report:
     return Report.ok(counts, diagnostics)
 
 
-def _total_space_disagrees(d: DeltaDiagram, rng):
-    """Why total_space(d), laid out and installed unchecked, is not the poset
-    the validating constructor builds from the elements, shuffled, and the
-    relation spelled pair by pair from stratum_targets; None when it is."""
-    carrier = total_space(d).carrier
-    shuffled = list(carrier.elements)
-    rng.shuffle(shuffled)
-    pairs = [
-        ((a, e), (b, e2))
-        for a, b in d.base.leq
-        for e in fiber_objects(d.ord[a].n)
-        for e2 in stratum_targets(e, d.map_for(a, b))
-    ]
-    try:
-        again = FinPoset(shuffled, pairs)
-    except DomainError as exc:
-        return f"the validating rebuild fails: {exc}"
-    if again.elements != carrier.elements:
-        return "the elements are not in canonical order"
-    if again != carrier:
-        return "the order differs from its validating rebuild"
-    if again.covers() != carrier.covers() or again.linear_extension() != carrier.linear_extension():
-        return "the covers or the linear extension differ from the validating rebuild's"
-    return None
-
-
 def suite_roundtrip_bundle(max_elements: int = 3, max_ordinal: int = 2, seed=None) -> Report:
-    """classify inverts total_space, and every total space equals its
-    validating rebuild (total_space_checks)."""
-    rng = random.Random(seed or 0)
-    counts = {"bases": 0, "diagrams": 0, "total_space_checks": 0}
+    """classify inverts total_space; as a SUITES entry, every total space is
+    also checked by audited() (total_space_checks)."""
+    counts = {"bases": 0, "diagrams": 0}
     for base in all_posets(max_elements):
         counts["bases"] += 1
         for d in all_diagrams(base, max_ordinal):
             counts["diagrams"] += 1
-            back = classify(total_space(d))
-            if back != d:
-                return Report.failure(
-                    "classify", "total space does not classify back:\n" + dumps(d), counts
-                )
-            why = _total_space_disagrees(d, rng)
-            if why is not None:
-                return Report.failure("total_space", why + ":\n" + dumps(d), counts)
-            counts["total_space_checks"] += 1
+            if classify(total_space(d)) != d:
+                return Report.failure("classify", "total space does not classify back:\n" + dumps(d), counts)
     return Report.ok(counts)
 
 
 def suite_roundtrip_mesh(max_elements: int = 3, max_ordinal: int = 2, seed=None) -> Report:
-    """reg_extract inverts realize_bundle, duality and barycenter strictness
-    hold, and every realized mesh equals its checked rebuild (mesh_checks)."""
-    counts = {"bundles": 0, "covers": 0, "mesh_checks": 0}
+    """reg_extract inverts realize_bundle and duality and barycenter
+    strictness hold; as a SUITES entry, every realized mesh is also rebuilt
+    by audited() (mesh_checks)."""
+    counts = {"bundles": 0, "covers": 0}
     half = StratSimplexPoint((Fraction(1, 2), Fraction(1, 2)))
     for base in all_posets(max_elements):
         for d in all_diagrams(base, max_ordinal):
             m = realize_bundle(d)
             counts["bundles"] += 1
-            try:
-                again = PLMeshBundle(m.base, m.heights, m.sing)
-            except MeshError as exc:
-                return Report.failure("realize_bundle", f"the checked rebuild fails: {exc}:\n" + dumps(d), counts)
-            if again != m or again._paths != m._paths or dumps(again) != dumps(m):
-                return Report.failure("realize_bundle", "mesh differs from its checked rebuild:\n" + dumps(d), counts)
-            counts["mesh_checks"] += 1
             if reg_extract(m) != d:
-                return Report.failure(
-                    "reg_extract", "mesh does not extract back:\n" + dumps(d), counts
-                )
+                return Report.failure("reg_extract", "mesh does not extract back:\n" + dumps(d), counts)
             sing = sing_extract(m)
             for cov in base.covers():
                 counts["covers"] += 1
                 if sing.arrow[cov] != dual_delta_to_nabla(d.arrow[cov]):
-                    return Report.failure(
-                        f"sing_extract {cov!r}",
-                        "duality triangle fails:\n" + dumps(d),
-                        counts,
-                    )
+                    return Report.failure(f"sing_extract {cov!r}", "duality triangle fails:\n" + dumps(d), counts)
                 if sing.arrow[cov] != m.sing[cov]:
                     return Report.failure(
-                        f"sing_extract {cov!r}",
-                        "extracted attachment differs from stored:\n" + dumps(d),
-                        counts,
+                        f"sing_extract {cov!r}", "extracted attachment differs from stored:\n" + dumps(d), counts
                     )
                 mid = interpolated_heights(m, cov, half)
                 if any(u >= v for u, v in zip(mid, mid[1:])):
@@ -497,8 +455,8 @@ def suite_roundtrip_mesh(max_elements: int = 3, max_ordinal: int = 2, seed=None)
 
 def _label_disagrees(t: TrussTower, packed: PackedTower, counts: dict):
     """Why a label of packed = pack(t) is not the fresh pullback of t's last
-    stage and labels along its element or cover (equal, with equal path
-    tables layer by layer), or is not the label category's own instance, or
+    stage and labels along its element or cover (path tables are audited as
+    they are installed), or is not the label category's own instance, or
     the category's composition table holds another instance; None when all
     is well.  Counts each label checked."""
     last, lab = t.stages[-1], packed.tower.labels
@@ -512,7 +470,7 @@ def _label_disagrees(t: TrussTower, packed: PackedTower, counts: dict):
     for where, src, image, label in labels:
         counts["label_checks"] += 1
         fresh = pullback_tower(top, PosetMap(src, dom, image))
-        if label != fresh or any(a._paths != b._paths for a, b in zip(label.layers, fresh.layers)):
+        if label != fresh:
             return f"the label of {where!r} differs from its fresh pullback:\n" + dumps(t)
         if id(label) not in own:
             return f"the label of {where!r} is not the label category's instance"
@@ -581,16 +539,13 @@ def _glue_disagrees(b1: TrussTower, b2: TrussTower, composite: TrussTower):
         return f"the glued tower fails its checks: {exc}"
     if dumps(glued) != dumps(composite):
         return "the composite prints differently from the restricted glue"
-    for k, (mine, theirs) in enumerate(zip(composite.layers, glued.layers)):
-        if mine._paths != theirs._paths:
-            return f"layer {k}'s path table differs from the restricted glue's"
     return None
 
 
-def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400) -> Report:
+def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400, max_ordinal=None) -> Report:
     """Unit laws, boundary checks and associativity of composition, and
     every composite formed compared with the glued tower over {0 < 1 < 2}
-    restricted to {0 < 2}."""
+    restricted to {0 < 2}; max_ordinal is unused (bordism_family fixes it)."""
     rng = random.Random(seed or 0)
     counts = {
         "bordisms": 0,
@@ -655,112 +610,156 @@ def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400) -> Report:
     return Report.ok(counts)
 
 
-def _derived_from(t: TrussTower) -> list:
-    """The towers the library derives from t by pullback: the ends of a
-    tower over the arrow and their identity bordisms (or the identity
-    bordism of a tower over the point), and, from depth 1, the objects and
-    morphisms of pack's label category (the fiber trusses, their
-    identities, the cover bordisms and their composites)."""
-    if t.base == arrow_poset():
-        out = [t.end(0), t.end(1)]
-        out += [identity_bordism(e) for e in out]
-    else:
-        out = [identity_bordism(t)]
-    if t.depth >= 1:
-        cat = pack(t).tower.labels.target
-        out += list(cat.objects) + list(cat.morphisms)
-    return out
-
-
-def _unchecked_failure(d: TrussTower, rng, checked: set, counts: dict):
-    """Check what the library installs without checks on d: each stage's
-    total space (once per stage) against its validating rebuild, and each
-    recorded end, such as an identity bordism's, against restrict_bordism.
-    Returns a failing Report, or None."""
-    for stage in d.stages:
-        if stage not in checked:
-            checked.add(stage)
-            why = _total_space_disagrees(stage, rng)
-            if why is not None:
-                return Report.failure("total_space", why + ":\n" + dumps(stage), counts)
-            counts["total_space_checks"] += 1
-    for k, end in sorted(d._ends.items()):
-        again = restrict_bordism(d, k)
-        if again != end or any(a._paths != b._paths for a, b in zip(again.layers, end.layers)):
-            return Report.failure(f"end {k}", "recorded end differs from the restriction:\n" + dumps(d), counts)
-        counts["end_checks"] += 1
-    return None
-
-
 def suite_derived(max_ordinal: int = 2, seed: int = 0) -> Report:
-    """Pullbacks inherit their path tables unchecked; rebuild every layer of
-    every derived tower through the validating over() and compare.  Total
-    spaces and recorded ends are checked too (_unchecked_failure)."""
-    rng = random.Random(seed or 0)
-    counts = {"sources": 0, "derived": 0, "layers": 0, "total_space_checks": 0, "end_checks": 0}
-    sources = tower_family(seed, max_ordinal) + bordism_family(seed)
-    checked = set()
-    for t in sources:
+    """Derive towers from every source as the library does, by pullback: the
+    ends of a tower over the arrow and their identity bordisms (or the
+    identity bordism of a tower over the point), and, from depth 1, the
+    objects and morphisms of pack's label category.  As a SUITES entry,
+    audited() checks every layer, total space and recorded end installed."""
+    counts = {"sources": 0, "derived": 0}
+    for t in tower_family(seed, max_ordinal) + bordism_family(seed):
         counts["sources"] += 1
-        failure = _unchecked_failure(t, rng, checked, counts)
-        if failure is not None:
-            return failure
-        for d in _derived_from(t):
-            counts["derived"] += 1
-            failure = _unchecked_failure(d, rng, checked, counts)
-            if failure is not None:
-                return failure
-            layers = []
-            for k, layer in enumerate(d.layers):
-                try:
-                    again = layer.over(layer.base, layer.objects, layer.covers)
-                except (DiagramError, LabelingError) as exc:
-                    return Report.failure(f"layer {k}", f"pulled-back layer fails its checks: {exc}", counts)
-                if again.objects != layer.objects or again._paths != layer._paths:
-                    return Report.failure(
-                        f"layer {k}", "pulled-back layer differs from its rebuild:\n" + dumps(d), counts
-                    )
-                counts["layers"] += 1
-                layers.append(again)
-            if dumps(TrussTower(d.base, layers[:-1], layers[-1])) != dumps(d):
-                return Report.failure("dumps", "rebuilt tower prints differently:\n" + dumps(d), counts)
+        out = [t.end(0), t.end(1)] if t.base == arrow_poset() else []
+        out += [identity_bordism(e) for e in out or [t]]
+        if t.depth >= 1:
+            cat = pack(t).tower.labels.target
+            out += cat.objects + cat.morphisms
+        counts["derived"] += len(out)
     return Report.ok(counts)
 
 
-def _run_homsets(max_ordinal=None, seed=None):
-    return suite_homsets(3 if max_ordinal is None else max_ordinal, seed)
+# ---------------------------------------------------------------------------
+# the audit of unchecked installs
 
 
-def _run_factorization(max_ordinal=None, seed=None):
-    return suite_factorization(2 if max_ordinal is None else max_ordinal, seed)
+class _Disagreement(Exception):
+    """An unchecked install that differs from its checked rebuild: (kind, why, value)."""
 
 
-def _run_roundtrip_bundle(max_ordinal=None, seed=None):
-    return suite_roundtrip_bundle(3, 2 if max_ordinal is None else max_ordinal, seed)
+def _shown(value) -> str:
+    """dumps(value), or the repr of its key where no schema holds it."""
+    try:
+        return dumps(value)
+    except ParseError:
+        return repr(getattr(value, "_key", value))
 
 
-def _run_roundtrip_mesh(max_ordinal=None, seed=None):
-    return suite_roundtrip_mesh(3, 2 if max_ordinal is None else max_ordinal, seed)
+def _total_space_disagrees(d: DeltaDiagram, carrier: FinPoset, rng):
+    """Why carrier, total_space(d) as laid out and installed unchecked, is
+    not the poset the validating constructor builds from its elements,
+    shuffled, and the relation spelled pair by pair from stratum_targets;
+    None when it is."""
+    shuffled = list(carrier.elements)
+    rng.shuffle(shuffled)
+    pairs = [
+        ((a, e), (b, e2))
+        for a, b in d.base.leq
+        for e in fiber_objects(d.ord[a].n)
+        for e2 in stratum_targets(e, d.map_for(a, b))
+    ]
+    try:
+        again = FinPoset(shuffled, pairs)
+    except DomainError as exc:
+        return f"the validating rebuild fails: {exc}"
+    if again.elements != carrier.elements:
+        return "the elements are not in canonical order"
+    if again != carrier:
+        return "the order differs from its validating rebuild"
+    if again.covers() != carrier.covers() or again.linear_extension() != carrier.linear_extension():
+        return "the covers or the linear extension differ from the validating rebuild's"
+    return None
 
 
-def _run_pack(max_ordinal=None, seed=None):
-    return suite_pack(2 if max_ordinal is None else max_ordinal, 0 if seed is None else seed)
+@contextmanager
+def audited():
+    """Audit what the library installs unchecked while the block runs; yields
+    the counts of installs audited.  Three install points are patched, and
+    restored on exit: CoverFunctor._trusted, each distinct functor and path
+    table rebuilt once through the validating over() and compared by == and
+    path table (layers; mesh_checks for mesh bundles); total_space wherever
+    trusskit binds it, each distinct diagram checked once against the
+    stratum_targets spelling (total_space_checks); TrussTower.end, each
+    tower's recorded ends (an identity bordism's) compared with
+    restrict_bordism (end_checks).  A disagreement raises _Disagreement."""
+    counts = dict.fromkeys(("layers", "mesh_checks", "total_space_checks", "end_checks"), 0)
+    trusted, end, space = CoverFunctor.__dict__["_trusted"], TrussTower.end, total_space
+    rng, spaces, functors, ends, ended = random.Random(0), set(), {}, {}, weakref.WeakValueDictionary()
+
+    def install(cls, key, compose, paths):
+        new = trusted.__func__(cls, key, compose, paths)
+        if functors.get(new) != paths:  # no equal functor with this table was rebuilt yet
+            try:
+                again = new.over(new.base, new.objects, new.covers)
+            except TrussError as exc:
+                raise _Disagreement("trusted functor", f"the validating rebuild fails: {exc}", new) from None
+            if again != new or again._paths != paths:
+                raise _Disagreement("trusted functor", "it differs from its validating rebuild", new)
+            functors[new] = paths
+        counts["mesh_checks" if isinstance(new, PLMeshBundle) else "layers"] += 1
+        return new
+
+    def total(d):
+        tot = space(d)
+        if d not in spaces:
+            why = _total_space_disagrees(d, tot.carrier, rng)
+            if why is not None:
+                raise _Disagreement("total space", why, d)
+            spaces.add(d)
+            counts["total_space_checks"] += 1
+        return tot
+
+    def end_of(tower, which):
+        if ended.get(id(tower)) is not tower:  # before a first call, every end is recorded
+            ended[id(tower)] = tower
+            for k, recorded in sorted(tower._ends.items()):
+                # every layer is audited as it is installed, so equal towers
+                # agree path for path, and an equal recorded end was checked
+                if ends.get((tower, k)) != recorded:
+                    if restrict_bordism(tower, k) != recorded:
+                        raise _Disagreement("recorded end", f"end {k} differs from restrict_bordism", tower)
+                    ends[(tower, k)] = recorded
+                counts["end_checks"] += 1
+        return end(tower, which)
+
+    bound = [
+        (module, name)
+        for module_name, module in list(sys.modules.items()) if module_name.partition(".")[0] == "trusskit"
+        for name, value in vars(module).items() if value is space
+    ]
+    CoverFunctor._trusted, TrussTower.end = classmethod(install), end_of
+    for module, name in bound:
+        setattr(module, name, total)
+    try:
+        yield counts
+    finally:
+        CoverFunctor._trusted, TrussTower.end = trusted, end
+        for module, name in bound:
+            setattr(module, name, space)
 
 
-def _run_bordism_assoc(max_ordinal=None, seed=None):
-    return suite_bordism_assoc(0 if seed is None else seed)
-
-
-def _run_derived(max_ordinal=None, seed=None):
-    return suite_derived(2 if max_ordinal is None else max_ordinal, 0 if seed is None else seed)
+def _audited_suite(suite):
+    """A SUITES entry: the suite under audited(), given max_ordinal and seed
+    unless None; nonzero audit counts join the report's, and a disagreement
+    ends the run as a failing Report naming the kind of install."""
+    def run(max_ordinal=None, seed=None):
+        options = {k: v for k, v in (("max_ordinal", max_ordinal), ("seed", seed)) if v is not None}
+        with audited() as audit:
+            try:
+                report = suite(**options)
+            except _Disagreement as exc:
+                kind, why, value = exc.args
+                report = Report.failure(kind, why + ":\n" + _shown(value))
+        report.counts.update((k, n) for k, n in audit.items() if n)
+        return report
+    return run
 
 
 SUITES = {
-    "homsets": _run_homsets,
-    "factorization": _run_factorization,
-    "roundtrip-bundle": _run_roundtrip_bundle,
-    "roundtrip-mesh": _run_roundtrip_mesh,
-    "pack": _run_pack,
-    "bordism-assoc": _run_bordism_assoc,
-    "derived": _run_derived,
+    "homsets": _audited_suite(suite_homsets),
+    "factorization": _audited_suite(suite_factorization),
+    "roundtrip-bundle": _audited_suite(suite_roundtrip_bundle),
+    "roundtrip-mesh": _audited_suite(suite_roundtrip_mesh),
+    "pack": _audited_suite(suite_pack),
+    "bordism-assoc": _audited_suite(suite_bordism_assoc),
+    "derived": _audited_suite(suite_derived),
 }

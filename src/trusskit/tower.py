@@ -168,7 +168,8 @@ def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
 
 def identity_bordism(t: TrussTower) -> Bordism:
     """Pull a tower over the point back along the collapse of the arrow;
-    both of its ends are t, so they are recorded rather than derived."""
+    both of its ends are t, so they are recorded rather than derived, and
+    oracles.audited() compares them with restrict_bordism."""
     if t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
     b = pullback_tower(t, _collapse())
