@@ -341,23 +341,30 @@ class LabelCategory:
 
     Morphism entries are arbitrary hashables; compose[(f, g)] is "first f,
     then g" and must be defined for every composable pair.  Identities,
-    unit laws and associativity are all checked on construction.
+    unit laws and associativity are all checked on construction; ``_trusted``
+    installs a category by construction (truss_label_category's closure)
+    unchecked, and oracles.audited() rebuilds each through the constructor.
     """
 
     def __init__(self, objects, morphisms, src, dst, identity, compose):
+        self._install(objects, morphisms, src, dst, identity, compose)
+        self._validate()
+
+    def _install(self, objects, morphisms, src, dst, identity, compose):
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         self.src = dict(src)
         self.dst = dict(dst)
         self.identity = dict(identity)
         self.compose = dict(compose)
-        self._validate()
-        self._hash = hash((
-            frozenset(self.objects),
-            frozenset(self.morphisms),
-            frozenset(self.identity.items()),
-            frozenset(self.compose.items()),
-        ))
+        self._hash = hash((frozenset(self.objects), frozenset(self.morphisms),
+                           frozenset(self.identity.items()), frozenset(self.compose.items())))
+
+    @classmethod
+    def _trusted(cls, objects, morphisms, src, dst, identity, compose):
+        new = object.__new__(cls)
+        new._install(objects, morphisms, src, dst, identity, compose)
+        return new
 
     def _validate(self):
         objs = set(self.objects)

@@ -5,8 +5,8 @@ seeded, where exhaustion is infeasible) enumeration at desk scale, and
 returns a Report.  The suites double as the CLI's `oracle` command and as
 the backing for the acceptance tests.  Every SUITES entry runs under
 audited(), the one audit of what the library installs without checks
-(trusted functors, total spaces, recorded ends); the enumeration families
-run unaudited when called on their own.
+(trusted functors, total spaces, recorded ends, closure categories); the
+enumeration families run unaudited when called on their own.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .tower import (
     PackedTower,
     TrussTower,
     _assemble,
+    _composite,
     compose_bordisms,
     compose_bordisms_audited,
     constant_inclusion,
@@ -670,19 +671,27 @@ def _total_space_disagrees(d: DeltaDiagram, carrier: FinPoset, rng):
     return None
 
 
+_MEMOS = (_composite, identity_bordism)  # captured, so a patched name cannot hide one
+
+
 @contextmanager
 def audited():
     """Audit what the library installs unchecked while the block runs; yields
-    the counts of installs audited.  Three install points are patched, and
+    the counts of installs audited.  Four install points are patched, and
     restored on exit: CoverFunctor._trusted, each distinct functor and path
     table rebuilt once through the validating over() and compared by == and
     path table (layers; mesh_checks for mesh bundles); total_space wherever
     trusskit binds it, each distinct diagram checked once against the
     stratum_targets spelling (total_space_checks); TrussTower.end, each
-    tower's recorded ends (an identity bordism's) compared with
-    restrict_bordism (end_checks).  A disagreement raises _Disagreement."""
-    counts = dict.fromkeys(("layers", "mesh_checks", "total_space_checks", "end_checks"), 0)
+    tower's recorded ends compared with restrict_bordism (end_checks);
+    LabelCategory._trusted, each category rebuilt through the validating
+    constructor and compared by == (category_checks).  The memos of
+    composites and identity bordisms are emptied on entry and exit, so what
+    the block uses is installed, and audited, inside it, and nothing made
+    inside outlives it.  A disagreement raises _Disagreement."""
+    counts = dict.fromkeys(("layers", "mesh_checks", "total_space_checks", "end_checks", "category_checks"), 0)
     trusted, end, space = CoverFunctor.__dict__["_trusted"], TrussTower.end, total_space
+    trusted_category = LabelCategory.__dict__["_trusted"]
     rng, spaces, functors, ends, ended = random.Random(0), set(), {}, {}, weakref.WeakValueDictionary()
 
     def install(cls, key, compose, paths):
@@ -721,26 +730,42 @@ def audited():
                 counts["end_checks"] += 1
         return end(tower, which)
 
+    def category(cls, *table):
+        cat = trusted_category.__func__(cls, *table)
+        try:
+            again = LabelCategory(*table)
+        except TrussError as exc:
+            raise _Disagreement("label category", f"the validating rebuild fails: {exc}", cat) from None
+        if again != cat:
+            raise _Disagreement("label category", "it differs from its validating rebuild", cat)
+        counts["category_checks"] += 1
+        return cat
+
     bound = [
         (module, name)
         for module_name, module in list(sys.modules.items()) if module_name.partition(".")[0] == "trusskit"
         for name, value in vars(module).items() if value is space
     ]
-    CoverFunctor._trusted, TrussTower.end = classmethod(install), end_of
+    for memo in _MEMOS:
+        memo.cache_clear()
+    CoverFunctor._trusted, TrussTower.end, LabelCategory._trusted = classmethod(install), end_of, classmethod(category)
     for module, name in bound:
         setattr(module, name, total)
     try:
         yield counts
     finally:
-        CoverFunctor._trusted, TrussTower.end = trusted, end
+        CoverFunctor._trusted, TrussTower.end, LabelCategory._trusted = trusted, end, trusted_category
         for module, name in bound:
             setattr(module, name, space)
+        for memo in _MEMOS:
+            memo.cache_clear()
 
 
 def _audited_suite(suite):
     """A SUITES entry: the suite under audited(), given max_ordinal and seed
     unless None; nonzero audit counts join the report's, and a disagreement
-    ends the run as a failing Report naming the kind of install."""
+    ends the run as a failing Report naming the kind of install, any other
+    library error as one located at "library error"."""
     def run(max_ordinal=None, seed=None):
         options = {k: v for k, v in (("max_ordinal", max_ordinal), ("seed", seed)) if v is not None}
         with audited() as audit:
@@ -749,6 +774,8 @@ def _audited_suite(suite):
             except _Disagreement as exc:
                 kind, why, value = exc.args
                 report = Report.failure(kind, why + ":\n" + _shown(value))
+            except TrussError as exc:
+                report = Report.failure("library error", f"{type(exc).__name__}: {exc}")
         report.counts.update((k, n) for k, n in audit.items() if n)
         return report
     return run

@@ -9,12 +9,18 @@ the walking arrow.  Every restriction goes through pullback_tower, which
 returns a Bordism along a map out of the arrow: the identities of bordisms,
 pack's fiber trusses and cover bordisms (once per distinct key, each the
 label category's own instance), and the two ends of a tower over the arrow,
-which TrussTower.end alone forms, once per tower; an identity bordism records
-both of its ends, the tower it was made from.  Composition builds
-the composite directly over the arrow, layer by layer, from the two bordisms'
-path tables: a crossing path goes through the first factorization middle
-over the seam, and every other middle is checked to give the same value.
-One gluing, _assemble, merges towers over parts of a base for unpack; the
+which TrussTower.end alone forms, once per tower, unless they are recorded:
+an identity bordism's are the tower it was made from, a cover bordism of
+pack's the fiber trusses over its cover, a composite's its factors' outer
+ends.  Composition builds the composite directly over the arrow, layer by
+layer, from the two bordisms' path tables: a crossing path goes through the
+first factorization middle over the seam, and every other middle is checked
+to give the same value.  Composites and identity bordisms are memoized by
+value in bounded caches that every caller shares, so separate pack calls
+close their label categories from the same composites; the closure, a
+category by construction, is installed through LabelCategory._trusted.
+oracles.audited() checks recorded ends and re-proves the closure.  One
+gluing, _assemble, merges towers over parts of a base for unpack; the
 oracles' "bordism-assoc" suite also uses it to glue two bordisms over
 {0 < 1 < 2} and checks each composite against that glue restricted to
 {0 < 2}.
@@ -77,7 +83,7 @@ class TrussTower:
 
     def end(self, which: int) -> TrussTower:
         """The tower over the point at end ``which`` (0 or 1) of a tower over
-        the arrow, memoized (or recorded, for an identity bordism); raises
+        the arrow, memoized (or recorded, as the module docstring says); raises
         DomainError on any other base."""
         if which not in self._ends:
             self._ends[which] = restrict_bordism(self, which)
@@ -166,10 +172,10 @@ def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
     return pullback_tower(b, _end_inclusion(end))
 
 
+@lru_cache(maxsize=2048)
 def identity_bordism(t: TrussTower) -> Bordism:
-    """Pull a tower over the point back along the collapse of the arrow;
-    both of its ends are t, so they are recorded rather than derived, and
-    oracles.audited() compares them with restrict_bordism."""
+    """Pull a tower over the point back along the collapse of the arrow
+    (memoized); its ends, both t, are recorded before it enters the memo."""
     if t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
     b = pullback_tower(t, _collapse())
@@ -215,10 +221,11 @@ def _assemble(base: FinPoset, pieces) -> list:
     return layers
 
 
+@lru_cache(maxsize=2048)
 def _composite(b1: TrussTower, b2: TrussTower):
     """Check that b1 then b2 compose and build the composite over the arrow
     layer by layer, as the module docstring says; returns (composite,
-    audit)."""
+    audit), memoized."""
     if b1.base != arrow_poset() or b2.base != arrow_poset():
         raise CompositionError("both arguments must be bordisms over the arrow poset")
     if b1.depth != b2.depth:
@@ -261,7 +268,9 @@ def _composite(b1: TrussTower, b2: TrussTower):
         layers.append(l1._derive(base, objects, paths))
         crossed = [middles[c] for c in base.covers() if c in middles]
         crossings, alternatives = crossings + len(crossed), alternatives + sum(crossed)
-    return Bordism(arrow_poset(), layers[:-1], layers[-1]), CompositionAudit(crossings, alternatives)
+    composite = Bordism(arrow_poset(), layers[:-1], layers[-1])
+    composite._ends = {k: b._ends[k] for k, b in ((0, b1), (1, b2)) if k in b._ends}
+    return composite, CompositionAudit(crossings, alternatives)
 
 
 def compose_bordisms(b1: TrussTower, b2: TrussTower) -> Bordism:
@@ -280,21 +289,20 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
 def truss_label_category(objects, generators) -> LabelCategory:
     """The finite category generated by labelled trusses, their identity
     bordisms and the given generators, closed under composition; a composite
-    equal to a known morphism enters the table as that instance."""
+    equal to a known morphism enters the table as that instance.  It is
+    installed unchecked, as the module docstring says."""
     objs = list(dict.fromkeys(objects))
     idents = {o: identity_bordism(o) for o in objs}
     morphisms = list(dict.fromkeys(list(idents.values()) + list(generators)))
-    known = set(objs)
-    for m in morphisms:
-        if m.base != arrow_poset():
-            raise PackingError("a generator is not a bordism: its base is not the arrow poset")
-        if m.end(0) not in known or m.end(1) not in known:
-            raise PackingError("a generator's endpoint is not among the objects")
-    seen = {m: m for m in morphisms}
     # the morphisms out of each object, in morphism order
     by_source = {o: [] for o in objs}
     for m in morphisms:
+        if m.base != arrow_poset():
+            raise PackingError("a generator is not a bordism: its base is not the arrow poset")
+        if m.end(0) not in by_source or m.end(1) not in by_source:
+            raise PackingError("a generator's endpoint is not among the objects")
         by_source[m.end(0)].append(m)
+    seen = {m: m for m in morphisms}
     compose = {}
     changed = True
     while changed:
@@ -310,13 +318,8 @@ def truss_label_category(objects, generators) -> LabelCategory:
                     by_source[h.end(0)].append(h)
                     changed = True
                 compose[(f, g)] = seen[h]
-    return LabelCategory(
-        objects=objs,
-        morphisms=morphisms,
-        src={m: m.end(0) for m in morphisms},
-        dst={m: m.end(1) for m in morphisms},
-        identity=idents,
-        compose=compose,
+    return LabelCategory._trusted(
+        objs, morphisms, {m: m.end(0) for m in morphisms}, {m: m.end(1) for m in morphisms}, idents, compose
     )
 
 
@@ -337,7 +340,8 @@ def pack(t: TrussTower) -> PackedTower:
     pullback_tower runs once per distinct key, read in one pass over the top:
     for the fiber truss over x, last.ord[x] and the labels on x's fiber in the
     top's index order; for the cover bordism over (x, y), both fiber keys,
-    last.arrow[(x, y)] and the labels of the covers from x's fiber to y's."""
+    last.arrow[(x, y)] and the labels of the covers from x's fiber to y's.
+    A cover bordism records its ends, the fiber trusses over x and y."""
     if t.depth < 1:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
@@ -362,6 +366,8 @@ def pack(t: TrussTower) -> PackedTower:
                      arrow_poset(), {"0": x, "1": y})
         for (x, y) in dom.covers()
     }
+    for (x, y), g in gens.items():
+        g._ends = {0: fibers[x], 1: fibers[y]}
     return _packed_tower(t.base, t.stages[:-1], dom, fibers, gens)
 
 

@@ -2,17 +2,26 @@
 SUITES entry runs, catches one wrong install of each kind as a failing
 Report and leaves the library as it found it."""
 
+import copy
+import itertools
 import sys
+from fractions import Fraction
 
 import pytest
 
-from trusskit import DeltaDiagram, DeltaMap, FinPoset, bundle, oracles, tower
-from trusskit.bundle import CoverFunctor, total_space
+from trusskit import DeltaDiagram, DeltaMap, FinPoset, bundle, mesh, oracles, tower
+from trusskit.bundle import CoverFunctor, LabelCategory, total_space
 from trusskit.mesh import PLMeshBundle
-from trusskit.oracles import SUITES, audited, chain3_poset, tower_family
-from trusskit.tower import TrussTower, pack
+from trusskit.oracles import SUITES, audited, bordism_family, chain3_poset, tower_family
+from trusskit.tower import TrussTower, compose_bordisms, identity_bordism, pack, unpack
 
-ORIGINALS = (CoverFunctor.__dict__["_trusted"], TrussTower.__dict__["end"], total_space)
+ORIGINALS = (
+    CoverFunctor.__dict__["_trusted"],
+    TrussTower.__dict__["end"],
+    total_space,
+    LabelCategory.__dict__["_trusted"],
+)
+MEMOS = (tower._composite, tower.identity_bordism)
 
 
 def one_wrong_entry(base, paths):
@@ -26,12 +35,15 @@ def one_wrong_entry(base, paths):
 
 
 def assert_restored():
-    trusted, end, space = ORIGINALS
+    trusted, end, space, trusted_category = ORIGINALS
     assert CoverFunctor.__dict__["_trusted"] is trusted
     assert TrussTower.__dict__["end"] is end
+    assert LabelCategory.__dict__["_trusted"] is trusted_category
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "trusskit" and hasattr(module, "total_space"):
             assert module.total_space is space, name
+    # nothing composed or made an identity inside the audit outlives it
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
 
 
 def assert_caught(report, kind):
@@ -89,6 +101,90 @@ def test_audit_catches_a_wrong_recorded_end(monkeypatch):
     monkeypatch.setattr(tower, "identity_bordism", wrong)
     monkeypatch.setattr(oracles, "identity_bordism", wrong)
     assert_caught(SUITES["derived"](), "recorded end")
+    # wrong() mutated memoized identity bordisms; the audit dropped them on
+    # exit, so pack outside any suite still works
+    monkeypatch.undo()
+    for t in [t for t in tower_family(0, 2) if t.depth >= 1][::10]:
+        assert unpack(pack(t)) == t
+
+
+def test_audit_catches_a_wrong_generator_end(monkeypatch):
+    real = tower.truss_label_category
+
+    def swapped(objects, generators):
+        for g in generators:
+            if g._ends[0] != g._ends[1]:
+                g._ends = {0: g._ends[1], 1: g._ends[1]}
+                break
+        return real(objects, generators)
+
+    monkeypatch.setattr(tower, "truss_label_category", swapped)
+    assert_caught(SUITES["pack"](), "recorded end")
+
+
+class OneWrongComposite(LabelCategory):
+    @classmethod
+    def _trusted(cls, objects, morphisms, src, dst, identity, compose):
+        # the first composite that is no identity becomes its source's identity
+        compose = dict(compose)
+        for (f, g), h in compose.items():
+            if h not in identity.values():
+                compose[(f, g)] = identity[src[f]]
+                break
+        return super()._trusted(objects, morphisms, src, dst, identity, compose)
+
+
+def test_audit_catches_a_wrong_closure_entry(monkeypatch):
+    monkeypatch.setattr(tower, "LabelCategory", OneWrongComposite)
+    assert_caught(SUITES["pack"](), "label category")
+
+
+def assert_library_error(report, message):
+    assert_caught(report, "library error")
+    assert report.diagnostics[0][1].startswith(message), report.diagnostics
+
+
+def test_a_library_error_in_a_suite_is_a_failing_report(monkeypatch):
+    # sing_extract with a wrong half sample: the limit 2 * quarter - half
+    # comes out one unit high, so a sheet attaches to no height
+    real = oracles.sing_extract
+
+    def wrong_half(m):
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh, "Fraction", lambda num, den: Fraction(num + 1, den))
+            return real(m)
+
+    monkeypatch.setattr(oracles, "sing_extract", wrong_half)
+    assert_library_error(SUITES["roundtrip-mesh"](), "MeshError: sheet 0 over")
+
+
+class OneMiddle(Exception):
+    """A composite's label layer was reached with no second middle to check."""
+
+
+def one_middle(*args):
+    raise OneMiddle
+
+
+def test_a_composition_error_in_a_suite_is_a_failing_report(monkeypatch):
+    # composites formed through a copy of b1 whose label layer composes every
+    # pair to a fresh value, so two factorization middles disagree; where no
+    # pair has two middles, the composite is formed as usual
+    real = tower._composite.__wrapped__
+
+    def wrong(b1, b2):
+        labels = copy.copy(b1.labels)
+        fresh = itertools.count()
+        labels.compose, labels._derive = lambda f, g: next(fresh), one_middle
+        bad = copy.copy(b1)
+        bad.layers = b1.stages + (labels,)
+        try:
+            return real(bad, b2)
+        except OneMiddle:
+            return real(b1, b2)
+
+    monkeypatch.setattr(tower, "_composite", wrong)
+    assert_library_error(SUITES["bordism-assoc"](), "InternalError: factorization middle")
 
 
 def test_audit_rebuilds_an_equal_functor_with_another_path_table():
@@ -125,3 +221,26 @@ def test_pack_outside_a_suite_rebuilds_nothing(monkeypatch):
     with audited():
         pack(towers[-1])
     assert calls
+
+
+def test_memoized_values_from_outside_are_installed_again_inside():
+    b = bordism_family(0)[0]
+    start = b.end(0)
+    ident = identity_bordism(start)
+    composite = compose_bordisms(ident, b)
+    with audited() as counts:
+        ident_again = identity_bordism(start)
+        after_identity = counts["layers"]
+        composite_again = compose_bordisms(ident_again, b)
+        assert counts["layers"] - after_identity >= len(b.layers)
+    assert after_identity >= len(b.layers)
+    assert ident_again == ident and ident_again is not ident
+    assert composite_again == composite and composite_again is not composite
+    assert_restored()
+
+
+def test_a_suite_reports_the_same_counts_twice():
+    first, second = SUITES["pack"](), SUITES["pack"]()
+    assert first.is_ok and second.is_ok
+    assert first.counts == second.counts
+    assert first.counts["category_checks"] > 0

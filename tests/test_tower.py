@@ -530,6 +530,8 @@ def test_composition_checks_every_factorization_middle(chain_cat):
     bad = copy.copy(b1)
     bad.layers = b1.stages + (labels,)
     middle = ("1", Stratum.singular(0, 1))
+    # bad == b1, so the value-keyed memo would return b1's good composite
+    tower._composite.cache_clear()
     for compose in (compose_bordisms, compose_bordisms_audited):
         with pytest.raises(InternalError, match=re.escape(f"factorization middle {middle!r} disagrees")):
             compose(bad, b2)
@@ -638,10 +640,14 @@ def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
 
 
 def test_unpack_of_pack_restricts_no_bordism(monkeypatch):
-    packed = [pack(t) for t in tower_family(0, 2) if t.depth >= 1]
+    # pack's generators, identities and their composites record their ends
     calls = []
     real = tower.restrict_bordism
     monkeypatch.setattr(tower, "restrict_bordism", lambda b, end: calls.append(end) or real(b, end))
+    tower._composite.cache_clear()
+    tower.identity_bordism.cache_clear()
+    packed = [pack(t) for t in tower_family(0, 2) if t.depth >= 1]
+    assert calls == []
     for p in packed:
         unpack(p)
     assert calls == []
@@ -661,3 +667,24 @@ def test_parsed_packed_labels_are_the_category_instances():
         assert q == p and dumps(q) == dumps(p) and unpack(q) == t
         merged += len(labels) - len({id(x) for x in labels})
     assert merged > 0
+
+
+# -- pack shares composites and identities across calls ----------------------
+
+
+def test_pack_composes_each_distinct_pair_once(monkeypatch):
+    memo = tower._composite
+    printed, pairs = {}, set()
+
+    def spelled(b):
+        # printed keeps each operand alive, so no id is reused
+        return printed.setdefault(id(b), (b, dumps(b)))[1]
+
+    monkeypatch.setattr(tower, "_composite", lambda b1, b2: pairs.add((spelled(b1), spelled(b2))) or memo(b1, b2))
+    memo.cache_clear()
+    towers = [t for t in tower_family(0, 2) if t.depth >= 1]
+    for t in towers:
+        pack(t)
+    info = memo.cache_info()
+    assert len(towers) == 465
+    assert info.misses == len(pairs) == 354 and info.hits > info.misses
