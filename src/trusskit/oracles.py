@@ -5,8 +5,8 @@ seeded, where exhaustion is infeasible) enumeration at desk scale, and
 returns a Report.  The suites double as the CLI's `oracle` command and as
 the backing for the acceptance tests.  Every SUITES entry runs under
 audited(), the one audit of what the library installs without checks
-(trusted functors, total spaces, recorded ends, closure categories); the
-enumeration families run unaudited when called on their own.
+(trusted functors, total spaces, recorded ends, closure categories, maps);
+the enumeration families run unaudited when called on their own.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from math import comb
 from .errors import CompositionError, DiagramError, DomainError, LabelingError, ParseError, TrussError
 from .ordinal import (
     DeltaMap,
+    MonotoneMap,
     Ordinal,
     compose_delta,
     dual_delta_to_nabla,
@@ -677,22 +678,25 @@ _MEMOS = (_composite, identity_bordism)  # captured, so a patched name cannot hi
 @contextmanager
 def audited():
     """Audit what the library installs unchecked while the block runs; yields
-    the counts of installs audited.  Four install points are patched, and
+    the counts of installs audited.  Five install points are patched, and
     restored on exit: CoverFunctor._trusted, each distinct functor and path
     table rebuilt once through the validating over() and compared by == and
     path table (layers; mesh_checks for mesh bundles); total_space wherever
     trusskit binds it, each distinct diagram checked once against the
     stratum_targets spelling (total_space_checks); TrussTower.end, each
     tower's recorded ends compared with restrict_bordism (end_checks);
-    LabelCategory._trusted, each category rebuilt through the validating
-    constructor and compared by == (category_checks).  The memos of
+    LabelCategory._trusted (category_checks) and MonotoneMap._trusted with
+    StratumMap._trusted (map_checks), each distinct value rebuilt once
+    through its validating constructor and compared by ==.  The memos of
     composites and identity bordisms are emptied on entry and exit, so what
     the block uses is installed, and audited, inside it, and nothing made
     inside outlives it.  A disagreement raises _Disagreement."""
-    counts = dict.fromkeys(("layers", "mesh_checks", "total_space_checks", "end_checks", "category_checks"), 0)
+    counts = dict.fromkeys(("layers", "mesh_checks", "total_space_checks", "end_checks", "category_checks", "map_checks"), 0)
     trusted, end, space = CoverFunctor.__dict__["_trusted"], TrussTower.end, total_space
     trusted_category = LabelCategory.__dict__["_trusted"]
+    trusted_map, trusted_stratum_map = MonotoneMap.__dict__["_trusted"], StratumMap.__dict__["_trusted"]
     rng, spaces, functors, ends, ended = random.Random(0), set(), {}, {}, weakref.WeakValueDictionary()
+    rebuilt = set()  # categories and maps
 
     def install(cls, key, compose, paths):
         new = trusted.__func__(cls, key, compose, paths)
@@ -730,16 +734,28 @@ def audited():
                 counts["end_checks"] += 1
         return end(tower, which)
 
+    def rebuilt_once(kind, key, new, rebuild):
+        if key not in rebuilt:  # no value with this key was rebuilt yet
+            try:
+                again = rebuild()
+            except TrussError as exc:
+                raise _Disagreement(kind, f"the validating rebuild fails: {exc}", new) from None
+            if again != new:
+                raise _Disagreement(kind, "it differs from its validating rebuild", new)
+            rebuilt.add(key)
+
     def category(cls, *table):
         cat = trusted_category.__func__(cls, *table)
-        try:
-            again = LabelCategory(*table)
-        except TrussError as exc:
-            raise _Disagreement("label category", f"the validating rebuild fails: {exc}", cat) from None
-        if again != cat:
-            raise _Disagreement("label category", "it differs from its validating rebuild", cat)
+        # == compares objects and morphisms as sets; equal lengths also rule out a duplicate
+        rebuilt_once("label category", (cat, len(cat.objects), len(cat.morphisms)), cat, lambda: LabelCategory(*table))
         counts["category_checks"] += 1
         return cat
+
+    def map_install(cls, *fields):
+        new = (trusted_stratum_map if cls is StratumMap else trusted_map).__func__(cls, *fields)
+        rebuilt_once("trusted map", new, new, lambda: cls(*fields))
+        counts["map_checks"] += 1
+        return new
 
     bound = [
         (module, name)
@@ -749,12 +765,14 @@ def audited():
     for memo in _MEMOS:
         memo.cache_clear()
     CoverFunctor._trusted, TrussTower.end, LabelCategory._trusted = classmethod(install), end_of, classmethod(category)
+    MonotoneMap._trusted = StratumMap._trusted = classmethod(map_install)
     for module, name in bound:
         setattr(module, name, total)
     try:
         yield counts
     finally:
         CoverFunctor._trusted, TrussTower.end, LabelCategory._trusted = trusted, end, trusted_category
+        MonotoneMap._trusted, StratumMap._trusted = trusted_map, trusted_stratum_map
         for module, name in bound:
             setattr(module, name, space)
         for memo in _MEMOS:

@@ -2,9 +2,11 @@
 
 Two arrow flavours live here: plain weakly increasing maps between the
 ordinals [n] = {0, ..., n}, and endpoint-preserving weakly increasing maps
-(the strict-interval side), both checked by one MonotoneMap base.  The two
-are exchanged by an explicit duality given by counting preimages,
-implemented in both directions below.
+(the strict-interval side), both checked by one MonotoneMap base; its
+_trusted installs unchecked the identities, composites, enumerations and
+duals of validated maps, valid by construction (oracles.audited() audits
+them).  The two are exchanged by an explicit duality given by counting
+preimages, implemented in both directions below.
 
 Ordinals are interned: there is exactly one Ordinal instance per n, so two
 ordinals are equal exactly when they are the same object, and equality and
@@ -14,6 +16,7 @@ hashing run in C.  Maps stay value objects compared field by field.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from operator import gt
 
@@ -91,6 +94,15 @@ class MonotoneMap:
         if any(map(gt, vs, vs[1:])):
             raise DomainError(f"values {vs} are not weakly increasing")
 
+    @classmethod
+    def _trusted(cls, src, dst, values):
+        """A map the constructor accepts, unchecked; fields set as it sets them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "values", values)
+        return self
+
     def __call__(self, i: int) -> int:
         return self.values[i]
 
@@ -100,7 +112,8 @@ class MonotoneMap:
     @classmethod
     def identity(cls, n):
         n = _as_ordinal(n)
-        return cls(n, n, tuple(range(n.size)))
+        make = cls._trusted if n.n or cls is DeltaMap else cls  # no interval map on [0]
+        return make(n, n, tuple(range(n.size)))
 
 
 class DeltaMap(MonotoneMap):
@@ -129,14 +142,16 @@ def compose_delta(f: DeltaMap, g: DeltaMap) -> DeltaMap:
     """First f, then g."""
     if f.dst != g.src:
         raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
-    return DeltaMap(f.src, g.dst, tuple(g.values[v] for v in f.values))
+    make = DeltaMap._trusted if isinstance(f, MonotoneMap) and isinstance(g, MonotoneMap) else DeltaMap
+    return make(f.src, g.dst, tuple(g.values[v] for v in f.values))
 
 
 def compose_nabla(f: NablaMap, g: NablaMap) -> NablaMap:
     """First f, then g.  Endpoint preservation is closed under composition."""
     if f.dst != g.src:
         raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
-    return NablaMap(f.src, g.dst, tuple(g.values[v] for v in f.values))
+    make = NablaMap._trusted if isinstance(f, NablaMap) and isinstance(g, NablaMap) else NablaMap
+    return make(f.src, g.dst, tuple(g.values[v] for v in f.values))
 
 
 def enumerate_delta_maps(n, m) -> list:
@@ -145,10 +160,8 @@ def enumerate_delta_maps(n, m) -> list:
     There are C(n+m+1, n+1) of them.
     """
     n, m = _as_ordinal(n), _as_ordinal(m)
-    out = []
-    for vs in itertools.combinations_with_replacement(range(m.size), n.size):
-        out.append(DeltaMap(n, m, vs))
-    return out
+    make = DeltaMap._trusted
+    return [make(n, m, vs) for vs in itertools.combinations_with_replacement(range(m.size), n.size)]
 
 
 def enumerate_nabla_maps(n, m) -> list:
@@ -156,11 +169,8 @@ def enumerate_nabla_maps(n, m) -> list:
     n, m = _as_ordinal(n), _as_ordinal(m)
     if n.n < 1 or m.n < 1:
         raise DomainError("interval maps need ordinals [n] with n >= 1")
-    out = []
-    for vs in itertools.combinations_with_replacement(range(m.size), n.size):
-        if vs[0] == 0 and vs[-1] == m.n:
-            out.append(NablaMap(n, m, vs))
-    return out
+    make, combos = NablaMap._trusted, itertools.combinations_with_replacement(range(m.size), n.size)
+    return [make(n, m, vs) for vs in combos if vs[0] == 0 and vs[-1] == m.n]
 
 
 def dual_delta_to_nabla(f: DeltaMap) -> NablaMap:
@@ -168,18 +178,19 @@ def dual_delta_to_nabla(f: DeltaMap) -> NablaMap:
 
         j  |->  #{ i : f(i) < j }.
 
-    It sends 0 to 0 and m+1 to n+1, so it preserves endpoints.
+    It sends 0 to 0 and m+1 to n+1, so it preserves endpoints.  The values
+    of f are sorted, so the count is a bisection.
     """
-    vals = tuple(sum(1 for v in f.values if v < j) for j in range(f.dst.n + 2))
-    return NablaMap(Ordinal(f.dst.n + 1), Ordinal(f.src.n + 1), vals)
+    vals = tuple(bisect_left(f.values, j) for j in range(f.dst.n + 2))
+    make = NablaMap._trusted if isinstance(f, MonotoneMap) else NablaMap
+    return make(Ordinal(f.dst.n + 1), Ordinal(f.src.n + 1), vals)
 
 
 def dual_nabla_to_delta(g: NablaMap) -> DeltaMap:
     """Inverse of dual_delta_to_nabla: for g: [m+1] -> [n+1] the dual
-    [n] -> [m] sends i to #{ j in {1, ..., m+1} : g(j) <= i }.
+    [n] -> [m] sends i to #{ j in {1, ..., m+1} : g(j) <= i } (a bisection).
     """
     n, m = g.dst.n - 1, g.src.n - 1
-    vals = tuple(
-        sum(1 for j in range(1, g.src.n + 1) if g.values[j] <= i) for i in range(n + 1)
-    )
-    return DeltaMap(Ordinal(n), Ordinal(m), vals)
+    vals = tuple(bisect_right(g.values, i, 1) - 1 for i in range(n + 1))
+    make = DeltaMap._trusted if isinstance(g, NablaMap) else DeltaMap
+    return make(Ordinal(n), Ordinal(m), vals)

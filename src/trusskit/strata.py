@@ -10,15 +10,16 @@ position with index i to one with index j exists exactly when
     singular -> regular :  a(i) <= j <= a(i+1)
     regular  -> singular:  never
 
-These constraints are closed under composition, so composing two valid
-morphisms only needs the underlying maps composed and the result rechecked.
+These constraints are closed under composition, so the composite of two
+valid morphisms is valid by construction.
 
 For a fixed a the targets of a position form an interval of the zigzag
 over [m]: a regular r_i has the single target r_{a(i)}, and a singular s_i
 has the targets r_j for a(i) <= j <= a(i+1) and s_j for a(i) <= j < a(i+1).
 stratum_targets returns that interval.  Fibers, factorization posets and
 bundle total spaces are built from it, and hom_strata generates its maps
-without filtering, so each costs time proportional to its output.
+without filtering and installs them unchecked (StratumMap._trusted, as
+compose_strata does), so each costs time proportional to its output.
 
 Strata are interned: there is exactly one Stratum instance per value
 (kind, index, n), however it was made (constructed, parsed, copied or
@@ -33,7 +34,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .ordinal import DeltaMap, Ordinal, compose_delta
 from .poset import FinPoset
 
@@ -120,8 +121,8 @@ class Stratum:
         return f"{self.kind}{self.index}@{self.n}"
 
 
-# Kept small: each map hom_strata builds is a fresh key, so a large cache
-# would only keep dead maps alive.
+# Kept small: the StratumMap constructor calls it with maps that are often
+# fresh keys, so a large cache would only keep dead maps alive.
 @lru_cache(maxsize=4096)
 def validate_stratum_map(src: Stratum, dst: Stratum, alpha: DeltaMap) -> bool:
     """Whether alpha carries a morphism src -> dst.  The ambient ordinals of
@@ -148,6 +149,15 @@ class StratumMap:
         if not validate_stratum_map(self.src, self.dst, self.underlying):
             raise DomainError(f"{self.underlying} carries no morphism {self.src} -> {self.dst}")
 
+    @classmethod
+    def _trusted(cls, src, dst, underlying):
+        """A morphism the constructor accepts, unchecked; fields set as it sets them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "underlying", underlying)
+        return self
+
     def __str__(self):
         return f"{self.src} -> {self.dst} via {list(self.underlying.values)}"
 
@@ -161,6 +171,8 @@ def hom_strata(x: Stratum, y: Stratum) -> tuple:
     tails are each enumerated in lexicographic order, so their product in
     head-major order is lexicographic too.
     """
+    if not (isinstance(x, Stratum) and isinstance(y, Stratum)):
+        raise DomainError(f"hom_strata needs two strata, got {x!r} and {y!r}")
     i, j, m = x.index, y.index, y.n
     if x.is_regular:
         if not y.is_regular:
@@ -170,22 +182,21 @@ def hom_strata(x: Stratum, y: Stratum) -> tuple:
         head, pin, low = i + 1, (), j if y.is_regular else j + 1
     tails = tuple(combinations_with_replacement(range(low, m + 1), x.n - i))
     src, dst = Ordinal(x.n), Ordinal(m)
+    make, under = StratumMap._trusted, DeltaMap._trusted
     return tuple(
-        StratumMap(x, y, DeltaMap(src, dst, h + pin + t))
+        make(x, y, under(src, dst, h + pin + t))
         for h in combinations_with_replacement(range(j + 1), head)
         for t in tails
     )
 
 
 def compose_strata(f: StratumMap, g: StratumMap) -> StratumMap:
-    """First f, then g.  Validity of the composite is a closure property; its
-    failure would mean corrupted inputs."""
+    """First f, then g.  The composite of two StratumMaps is valid by
+    closure; of anything else it is checked."""
     if f.dst != g.src:
         raise DomainError(f"cannot compose {f} before {g}")
-    try:
-        return StratumMap(f.src, g.dst, compose_delta(f.underlying, g.underlying))
-    except DomainError as exc:
-        raise InternalError(f"composite of valid morphisms invalid: {f}; {g}") from exc
+    make = StratumMap._trusted if isinstance(f, StratumMap) and isinstance(g, StratumMap) else StratumMap
+    return make(f.src, g.dst, compose_delta(f.underlying, g.underlying))
 
 
 def forget_to_delta(f: StratumMap) -> DeltaMap:

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from trusskit import DeltaDiagram, DeltaMap, FinPoset, bundle, mesh, oracles, tower
+from trusskit import DeltaDiagram, DeltaMap, FinPoset, StratumMap, bundle, mesh, oracles, tower
 from trusskit.bundle import CoverFunctor, LabelCategory, total_space
+from trusskit.ordinal import MonotoneMap
 from trusskit.mesh import PLMeshBundle
 from trusskit.oracles import SUITES, audited, bordism_family, chain3_poset, tower_family
 from trusskit.tower import TrussTower, compose_bordisms, identity_bordism, pack, unpack
@@ -20,6 +21,8 @@ ORIGINALS = (
     TrussTower.__dict__["end"],
     total_space,
     LabelCategory.__dict__["_trusted"],
+    MonotoneMap.__dict__["_trusted"],
+    StratumMap.__dict__["_trusted"],
 )
 MEMOS = (tower._composite, tower.identity_bordism)
 
@@ -35,10 +38,13 @@ def one_wrong_entry(base, paths):
 
 
 def assert_restored():
-    trusted, end, space, trusted_category = ORIGINALS
+    trusted, end, space, trusted_category, trusted_map, trusted_stratum_map = ORIGINALS
     assert CoverFunctor.__dict__["_trusted"] is trusted
     assert TrussTower.__dict__["end"] is end
     assert LabelCategory.__dict__["_trusted"] is trusted_category
+    assert MonotoneMap.__dict__["_trusted"] is trusted_map
+    assert StratumMap.__dict__["_trusted"] is trusted_stratum_map
+    assert "_trusted" not in vars(DeltaMap)
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "trusskit" and hasattr(module, "total_space"):
             assert module.total_space is space, name
@@ -244,3 +250,58 @@ def test_a_suite_reports_the_same_counts_twice():
     assert first.is_ok and second.is_ok
     assert first.counts == second.counts
     assert first.counts["category_checks"] > 0
+    assert first.counts["map_checks"] > 0
+
+
+def test_audit_checks_each_distinct_category_once(monkeypatch):
+    built = []
+    real = LabelCategory._validate
+    monkeypatch.setattr(LabelCategory, "_validate", lambda self: built.append(self) or real(self))
+    report = SUITES["derived"]()
+    assert report.is_ok and report.counts["category_checks"] == 756
+    rebuilt = [c for c in built if isinstance(c.objects[0], TrussTower)]  # not from_poset's
+    assert len(rebuilt) == len(set(rebuilt)) == 484
+
+
+def test_audit_rebuilds_an_equal_category_with_a_duplicate_entry():
+    cat = LabelCategory.from_poset(chain3_poset())
+    table = (cat.objects, cat.morphisms, cat.src, cat.dst, cat.identity, cat.compose)
+    with audited() as counts:
+        assert LabelCategory._trusted(*table) == cat
+        with pytest.raises(oracles._Disagreement, match="validating rebuild fails: duplicate"):
+            LabelCategory._trusted(cat.objects + cat.objects[:1], *table[1:])
+    assert counts["category_checks"] == 1
+    assert_restored()
+
+
+# the underlying map of a wrong x -> y made from the last map f of hom(x, y),
+# or None where this pair offers none
+WRONG_MAPS = {
+    "non-monotone values": lambda x, y, f: (
+        DeltaMap._trusted(f.underlying.src, f.underlying.dst, f.underlying.values[::-1])
+        if f.underlying.values[0] < f.underlying.values[-1] else None),
+    "no morphism": lambda x, y, f: (
+        DeltaMap.identity(x.n) if x.is_regular and x.n == y.n and x.index != y.index else None),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_MAPS)
+def test_audit_catches_a_wrong_trusted_map(monkeypatch, wrong):
+    real, bad = oracles.hom_strata, []
+
+    def wrong_hom(x, y):
+        maps = real(x, y)
+        under = None if bad or not maps else WRONG_MAPS[wrong](x, y, maps[-1])
+        if under is None:
+            return maps
+        bad.append(StratumMap._trusted(x, y, under))
+        return maps[:-1] + tuple(bad)
+
+    monkeypatch.setattr(oracles, "hom_strata", wrong_hom)
+    assert_caught(SUITES["homsets"](), "trusted map")
+
+
+def test_homsets_suite_at_ordinal_five():
+    report = SUITES["homsets"](5)
+    assert report.is_ok, report.to_text()
+    assert report.counts["strata_maps"] == 24947

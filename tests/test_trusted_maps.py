@@ -1,0 +1,97 @@
+"""The routes that install maps unchecked (MonotoneMap._trusted and
+StratumMap._trusted) give the values the validating constructors give, and
+every route that was refused before is refused still, with the same error."""
+
+import copy
+import json
+import pickle
+
+import pytest
+
+from trusskit import (
+    DeltaMap,
+    DomainError,
+    NablaMap,
+    Stratum,
+    StratumMap,
+    compose_delta,
+    compose_nabla,
+    compose_strata,
+    dual_delta_to_nabla,
+    dual_nabla_to_delta,
+    enumerate_delta_maps,
+    enumerate_nabla_maps,
+    hom_strata,
+)
+from trusskit.cli import main
+from trusskit.oracles import audited
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NablaMap.identity(0), "interval maps need ordinals"),
+    (lambda: dual_nabla_to_delta(DeltaMap(1, 1, (0, 0))), r"value 1 outside \[0\]"),
+    (lambda: compose_nabla(DeltaMap(1, 1, (0, 0)), NablaMap.identity(1)), "do not preserve the endpoints"),
+    (lambda: DeltaMap(1, 2, (2, 0)), "not weakly increasing"),
+    (lambda: compose_delta(DeltaMap(0, 1, (1,)), DeltaMap(2, 2, (0, 1, 2))), "middle ordinals differ"),
+    (lambda: StratumMap(Stratum.regular(0, 1), Stratum.regular(1, 1), DeltaMap.identity(1)), "carries no morphism"),
+    (lambda: hom_strata("r0@1", Stratum.regular(0, 1)), "needs two strata"),
+])
+def test_refusals_stay(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_a_non_monotone_diagram_file_is_a_parse_error(tmp_path, capsys):
+    payload = {
+        "schema": "diagram/v1",
+        "base": {"elements": ["0", "1"], "covers": [["0", "1"]]},
+        "ord": {"0": 1, "1": 2},
+        "arrow": {"0->1": {"src": 1, "dst": 2, "values": [2, 0]}},
+    }
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path)]) == 2
+    assert "not weakly increasing" in capsys.readouterr().err
+
+
+F, G = DeltaMap(1, 2, (0, 2)), DeltaMap(2, 1, (0, 1, 1))
+S, T = NablaMap(2, 3, (0, 1, 3)), NablaMap(3, 2, (0, 0, 1, 2))
+X, Y, Z = Stratum.singular(0, 1), Stratum.regular(1, 2), Stratum.regular(0, 1)
+
+# one call of each route that installs unchecked
+ROUTES = {
+    "compose_delta": lambda: compose_delta(F, G),
+    "compose_nabla": lambda: compose_nabla(S, T),
+    "DeltaMap.identity(0)": lambda: DeltaMap.identity(0),
+    "DeltaMap.identity(3)": lambda: DeltaMap.identity(3),
+    "NablaMap.identity": lambda: NablaMap.identity(2),
+    "enumerate_delta_maps": lambda: enumerate_delta_maps(2, 3)[7],
+    "enumerate_nabla_maps": lambda: enumerate_nabla_maps(3, 2)[1],
+    "dual_delta_to_nabla": lambda: dual_delta_to_nabla(F),
+    "dual_nabla_to_delta": lambda: dual_nabla_to_delta(S),
+    "hom_strata": lambda: hom_strata(X, Y)[2],
+    "compose_strata": lambda: compose_strata(hom_strata(X, Y)[1], hom_strata(Y, Z)[0]),
+}
+
+
+def rebuilt(m):
+    if isinstance(m, StratumMap):
+        return StratumMap(m.src, m.dst, rebuilt(m.underlying))
+    return type(m)(m.src.n, m.dst.n, list(m.values))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_trusted_map_is_its_validated_rebuild(route):
+    made = ROUTES[route]()
+    again = rebuilt(made)
+    assert made == again and hash(made) == hash(again) and str(made) == str(again)
+    assert type(made) is type(again)
+    for copied in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+        assert copied == again and hash(copied) == hash(again) and str(copied) == str(again)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_installs_through_the_audited_point(route):
+    with audited() as counts:
+        ROUTES[route]()
+    assert counts["map_checks"] > 0
