@@ -17,13 +17,14 @@ validating constructor, and pullback() precomposes with a map of bases.  A
 pullback of a functor along a monotone map is a functor, so pullback()
 proves nothing again: it inherits its path table from the parent's,
 reading each related pair's value at the pair's image, and reads its cover
-values from that table.  What the library installs unchecked (such
-functors, total spaces) is audited in one place, oracles.audited(), under
-which every oracle suite runs.
+values from that table.  What the library installs unchecked goes through
+a _trusted classmethod (CoverFunctor's, TotalPoset's, LabelCategory's), and
+oracles.audited(), under which every oracle suite runs, patches each.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -220,25 +221,17 @@ class DeltaDiagram(CoverFunctor):
         return f"DeltaDiagram(base={self.base!r}, ords={[o.n for _, o in sorted(self.ord.items(), key=lambda kv: element_sort_key(kv[0]))]})"
 
 
+@dataclass(frozen=True)
 class TotalPoset:
     """The total space of a bundle, remembering the base it projects to."""
 
-    def __init__(self, carrier: FinPoset, base: FinPoset):
-        self.carrier = carrier
-        self.base = base
+    carrier: FinPoset
+    base: FinPoset
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TotalPoset)
-            and self.carrier == other.carrier
-            and self.base == other.base
-        )
-
-    def __hash__(self):
-        return hash((self.carrier, self.base))
-
-    def __repr__(self):
-        return f"TotalPoset({len(self.carrier.elements)} elements over {len(self.base.elements)})"
+    @classmethod
+    def _trusted(cls, d, elements, ups):
+        """total_space(d) from its laid-out elements and up-set masks, unchecked."""
+        return cls(FinPoset._trusted(elements, ups), d.base)
 
 
 @lru_cache(maxsize=4096)
@@ -252,8 +245,8 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     stratum_targets(e, f) gives for the composite f: one regular for a
     regular e, and for a singular s_i a run of regulars r_f(i)..r_f(i+1)
     and a run of singulars s_f(i)..s_f(i+1)-1.  The masks are set as those
-    bit intervals and installed without sorting or validating;
-    oracles.audited() checks each against a pair-by-pair spelling."""
+    bit intervals and installed unchecked by TotalPoset._trusted, which
+    oracles.audited() patches to check each against a pair-by-pair spelling."""
     base = d.base
     ns = [d.ord[b].n for b in base.elements]
     offsets = [0]
@@ -275,7 +268,7 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
                 lo, width = v[i], v[i + 1] - v[i]
                 mask |= ((2 << width) - 1) << (reg + lo) | ((1 << width) - 1) << (sing + lo)
             ups.append(mask)
-    return TotalPoset(FinPoset._trusted(elements, ups), base)
+    return TotalPoset._trusted(d, elements, ups)
 
 
 def pullback_bundle(d: DeltaDiagram, f: PosetMap) -> DeltaDiagram:

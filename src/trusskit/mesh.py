@@ -319,11 +319,11 @@ def section_to_strata(m: PLMeshBundle, section) -> dict:
                 raise SectionError(f"section at {b!r} lives in the wrong fiber")
             out[b] = choice
         else:
-            kind, index = choice
             try:
+                kind, index = choice
                 out[b] = Stratum(kind, index, n)
-            except DomainError as exc:
-                raise SectionError(f"section at {b!r} is out of range: {exc}") from exc
+            except (TypeError, ValueError, DomainError) as exc:  # not a pair, or no such stratum
+                raise SectionError(f"section at {b!r} is not a stratum of its fiber: {exc}") from exc
     for (a, b) in m.base.covers():
         if not validate_stratum_map(out[a], out[b], reg.arrow[(a, b)]):
             raise SectionError(

@@ -4,17 +4,17 @@ Everything here re-derives a law the library claims, by exhaustive (or
 seeded, where exhaustion is infeasible) enumeration at desk scale, and
 returns a Report.  The suites double as the CLI's `oracle` command and as
 the backing for the acceptance tests.  Every SUITES entry runs under
-audited(), the one audit of what the library installs without checks
-(trusted functors, total spaces, recorded ends, closure categories, maps);
-the enumeration families run unaudited when called on their own.
+audited(), the one audit of what the library installs without checks (one
+_INSTALLS row per _trusted install point, and recorded ends); the
+enumeration families run unaudited when called on their own.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import sys
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
@@ -42,7 +42,7 @@ from .strata import (
     stratum_targets,
     validate_stratum_map,
 )
-from .bundle import CoverFunctor, DeltaDiagram, LabelCategory, Labeling, classify, total_space
+from .bundle import CoverFunctor, DeltaDiagram, LabelCategory, Labeling, TotalPoset, classify, total_space
 from .tower import (
     Bordism,
     PackedTower,
@@ -646,23 +646,26 @@ def _shown(value) -> str:
         return repr(getattr(value, "_key", value))
 
 
-def _total_space_disagrees(d: DeltaDiagram, carrier: FinPoset, rng):
-    """Why carrier, total_space(d) as laid out and installed unchecked, is
-    not the poset the validating constructor builds from its elements,
-    shuffled, and the relation spelled pair by pair from stratum_targets;
-    None when it is."""
-    shuffled = list(carrier.elements)
-    rng.shuffle(shuffled)
+def _functor_disagrees(new: CoverFunctor, fields):
+    """Why new differs from its rebuild through over(), path table included; or None."""
+    again = new.over(new.base, new.objects, new.covers)
+    return None if again == new and again._paths == new._paths else "it differs from its validating rebuild"
+
+
+def _total_space_disagrees(new: TotalPoset, fields):
+    """Why new, total_space(d) as laid out and installed unchecked, is not
+    the poset the validating constructor builds from its elements, shuffled,
+    and the relation spelled pair by pair from stratum_targets; None when it
+    is."""
+    d, carrier = fields[0], new.carrier
+    shuffled = random.Random(0).sample(carrier.elements, len(carrier.elements))
     pairs = [
         ((a, e), (b, e2))
         for a, b in d.base.leq
         for e in fiber_objects(d.ord[a].n)
         for e2 in stratum_targets(e, d.map_for(a, b))
     ]
-    try:
-        again = FinPoset(shuffled, pairs)
-    except DomainError as exc:
-        return f"the validating rebuild fails: {exc}"
+    again = FinPoset(shuffled, pairs)
     if again.elements != carrier.elements:
         return "the elements are not in canonical order"
     if again != carrier:
@@ -672,54 +675,61 @@ def _total_space_disagrees(d: DeltaDiagram, carrier: FinPoset, rng):
     return None
 
 
-_MEMOS = (_composite, identity_bordism)  # captured, so a patched name cannot hide one
+def _rebuild_disagrees(new, fields):
+    """Why new differs from what its class's constructor builds from the same fields; or None."""
+    return None if type(new)(*fields) == new else "it differs from its validating rebuild"
+
+
+# One row per class whose own _trusted installs unchecked: the kind a failure
+# names; the count (a name per install, or a function of the value and of
+# whether it is checked now); the key (subject, witness): a subject is checked
+# again only with another witness, and shown on failure; and the check.
+_INSTALLS = (
+    (CoverFunctor, "trusted functor", lambda new, fresh: "mesh_checks" if isinstance(new, PLMeshBundle) else "layers",
+     lambda new, fields: (new, fields[2]), _functor_disagrees),
+    # each distinct space once: a memo evicting one does not count it twice
+    (TotalPoset, "total space", lambda new, fresh: fresh and "total_space_checks",
+     lambda new, fields: (fields[0], ()), _total_space_disagrees),
+    # == compares objects and morphisms as sets; equal lengths also rule out a duplicate
+    (LabelCategory, "label category", "category_checks",
+     lambda new, fields: (new, (len(new.objects), len(new.morphisms))), _rebuild_disagrees),
+    (MonotoneMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
+    (StratumMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
+)
+_MEMOS = (_composite, identity_bordism, total_space)  # captured, so a patched name cannot hide one
 
 
 @contextmanager
 def audited():
     """Audit what the library installs unchecked while the block runs; yields
-    the counts of installs audited.  Five install points are patched, and
-    restored on exit: CoverFunctor._trusted, each distinct functor and path
-    table rebuilt once through the validating over() and compared by == and
-    path table (layers; mesh_checks for mesh bundles); total_space wherever
-    trusskit binds it, each distinct diagram checked once against the
-    stratum_targets spelling (total_space_checks); TrussTower.end, each
-    tower's recorded ends compared with restrict_bordism (end_checks);
-    LabelCategory._trusted (category_checks) and MonotoneMap._trusted with
-    StratumMap._trusted (map_checks), each distinct value rebuilt once
-    through its validating constructor and compared by ==.  The memos of
-    composites and identity bordisms are emptied on entry and exit, so what
-    the block uses is installed, and audited, inside it, and nothing made
-    inside outlives it.  A disagreement raises _Disagreement."""
-    counts = dict.fromkeys(("layers", "mesh_checks", "total_space_checks", "end_checks", "category_checks", "map_checks"), 0)
-    trusted, end, space = CoverFunctor.__dict__["_trusted"], TrussTower.end, total_space
-    trusted_category = LabelCategory.__dict__["_trusted"]
-    trusted_map, trusted_stratum_map = MonotoneMap.__dict__["_trusted"], StratumMap.__dict__["_trusted"]
-    rng, spaces, functors, ends, ended = random.Random(0), set(), {}, {}, weakref.WeakValueDictionary()
-    rebuilt = set()  # categories and maps
+    the counts of installs audited.  The _trusted of every _INSTALLS row, and
+    TrussTower.end, are patched and restored on exit: each distinct install
+    is checked once and counted as its row says, and each tower's recorded
+    ends are compared with restrict_bordism (end_checks).  The memos of
+    composites, identity bordisms and total spaces are emptied on entry and
+    exit, so what the block uses is installed, and audited, inside it, and
+    nothing made inside outlives it.  A disagreement raises _Disagreement."""
+    counts, checked, ended = Counter(), {}, weakref.WeakValueDictionary()  # checked: (kind, subject) -> witness
+    saved, end = {row[0]: row[0].__dict__["_trusted"] for row in _INSTALLS}, TrussTower.end
 
-    def install(cls, key, compose, paths):
-        new = trusted.__func__(cls, key, compose, paths)
-        if functors.get(new) != paths:  # no equal functor with this table was rebuilt yet
-            try:
-                again = new.over(new.base, new.objects, new.covers)
-            except TrussError as exc:
-                raise _Disagreement("trusted functor", f"the validating rebuild fails: {exc}", new) from None
-            if again != new or again._paths != paths:
-                raise _Disagreement("trusted functor", "it differs from its validating rebuild", new)
-            functors[new] = paths
-        counts["mesh_checks" if isinstance(new, PLMeshBundle) else "layers"] += 1
-        return new
-
-    def total(d):
-        tot = space(d)
-        if d not in spaces:
-            why = _total_space_disagrees(d, tot.carrier, rng)
-            if why is not None:
-                raise _Disagreement("total space", why, d)
-            spaces.add(d)
-            counts["total_space_checks"] += 1
-        return tot
+    def patched(owner, kind, count, key, check):
+        def install(cls, *fields):
+            new = saved[owner].__func__(cls, *fields)
+            subject, witness = key(new, fields)
+            fresh = checked.get((kind, subject)) != witness  # not yet checked with this witness
+            if fresh:
+                try:
+                    why = check(new, fields)
+                except TrussError as exc:
+                    why = f"the validating rebuild fails: {exc}"
+                if why is not None:
+                    raise _Disagreement(kind, why, subject)
+                checked[(kind, subject)] = witness
+            name = count(new, fresh) if callable(count) else count
+            if name:
+                counts[name] += 1
+            return new
+        return classmethod(install)
 
     def end_of(tower, which):
         if ended.get(id(tower)) is not tower:  # before a first call, every end is recorded
@@ -727,54 +737,24 @@ def audited():
             for k, recorded in sorted(tower._ends.items()):
                 # every layer is audited as it is installed, so equal towers
                 # agree path for path, and an equal recorded end was checked
-                if ends.get((tower, k)) != recorded:
+                if checked.get(("recorded end", (tower, k))) != recorded:
                     if restrict_bordism(tower, k) != recorded:
                         raise _Disagreement("recorded end", f"end {k} differs from restrict_bordism", tower)
-                    ends[(tower, k)] = recorded
+                    checked[("recorded end", (tower, k))] = recorded
                 counts["end_checks"] += 1
         return end(tower, which)
 
-    def rebuilt_once(kind, key, new, rebuild):
-        if key not in rebuilt:  # no value with this key was rebuilt yet
-            try:
-                again = rebuild()
-            except TrussError as exc:
-                raise _Disagreement(kind, f"the validating rebuild fails: {exc}", new) from None
-            if again != new:
-                raise _Disagreement(kind, "it differs from its validating rebuild", new)
-            rebuilt.add(key)
-
-    def category(cls, *table):
-        cat = trusted_category.__func__(cls, *table)
-        # == compares objects and morphisms as sets; equal lengths also rule out a duplicate
-        rebuilt_once("label category", (cat, len(cat.objects), len(cat.morphisms)), cat, lambda: LabelCategory(*table))
-        counts["category_checks"] += 1
-        return cat
-
-    def map_install(cls, *fields):
-        new = (trusted_stratum_map if cls is StratumMap else trusted_map).__func__(cls, *fields)
-        rebuilt_once("trusted map", new, new, lambda: cls(*fields))
-        counts["map_checks"] += 1
-        return new
-
-    bound = [
-        (module, name)
-        for module_name, module in list(sys.modules.items()) if module_name.partition(".")[0] == "trusskit"
-        for name, value in vars(module).items() if value is space
-    ]
     for memo in _MEMOS:
         memo.cache_clear()
-    CoverFunctor._trusted, TrussTower.end, LabelCategory._trusted = classmethod(install), end_of, classmethod(category)
-    MonotoneMap._trusted = StratumMap._trusted = classmethod(map_install)
-    for module, name in bound:
-        setattr(module, name, total)
+    for row in _INSTALLS:
+        row[0]._trusted = patched(*row)
+    TrussTower.end = end_of
     try:
         yield counts
     finally:
-        CoverFunctor._trusted, TrussTower.end, LabelCategory._trusted = trusted, end, trusted_category
-        MonotoneMap._trusted, StratumMap._trusted = trusted_map, trusted_stratum_map
-        for module, name in bound:
-            setattr(module, name, space)
+        for owner, install in saved.items():
+            owner._trusted = install
+        TrussTower.end = end
         for memo in _MEMOS:
             memo.cache_clear()
 
@@ -794,7 +774,7 @@ def _audited_suite(suite):
                 report = Report.failure(kind, why + ":\n" + _shown(value))
             except TrussError as exc:
                 report = Report.failure("library error", f"{type(exc).__name__}: {exc}")
-        report.counts.update((k, n) for k, n in audit.items() if n)
+        report.counts.update(audit)
         return report
     return run
 

@@ -262,6 +262,9 @@ def test_section_to_strata_rejects_bad_shapes():
         section_to_strata(m, {"0": ("r", 5), "1": ("r", 0)})
     with pytest.raises(SectionError):
         section_to_strata(m, {"0": Stratum.regular(0, 2), "1": ("r", 0)})
+    for shape in (5, ("r",), ("r", 0, 1)):
+        with pytest.raises(SectionError, match="section at '0'"):
+            section_to_strata(m, {"0": shape, "1": ("r", 0)})
 
 
 def test_pullback_mesh_point():

@@ -9,22 +9,26 @@ from fractions import Fraction
 
 import pytest
 
-from trusskit import DeltaDiagram, DeltaMap, FinPoset, StratumMap, bundle, mesh, oracles, tower
-from trusskit.bundle import CoverFunctor, LabelCategory, total_space
-from trusskit.ordinal import MonotoneMap
+from trusskit import DeltaDiagram, DeltaMap, FinPoset, StratumMap, mesh, oracles, tower
+from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
 from trusskit.mesh import PLMeshBundle
 from trusskit.oracles import SUITES, audited, bordism_family, chain3_poset, tower_family
 from trusskit.tower import TrussTower, compose_bordisms, identity_bordism, pack, unpack
 
-ORIGINALS = (
-    CoverFunctor.__dict__["_trusted"],
-    TrussTower.__dict__["end"],
-    total_space,
-    LabelCategory.__dict__["_trusted"],
-    MonotoneMap.__dict__["_trusted"],
-    StratumMap.__dict__["_trusted"],
-)
-MEMOS = (tower._composite, tower.identity_bordism)
+
+def trusted_classes():
+    """Every trusskit class whose own namespace defines _trusted."""
+    return {
+        cls
+        for name, module in list(sys.modules.items()) if name.partition(".")[0] == "trusskit"
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__.partition(".")[0] == "trusskit" and "_trusted" in vars(cls)
+    }
+
+
+TRUSTED = {cls: cls.__dict__["_trusted"] for cls in trusted_classes()}
+END = TrussTower.__dict__["end"]
+MEMOS = (tower._composite, tower.identity_bordism, total_space)
 
 
 def one_wrong_entry(base, paths):
@@ -38,18 +42,10 @@ def one_wrong_entry(base, paths):
 
 
 def assert_restored():
-    trusted, end, space, trusted_category, trusted_map, trusted_stratum_map = ORIGINALS
-    assert CoverFunctor.__dict__["_trusted"] is trusted
-    assert TrussTower.__dict__["end"] is end
-    assert LabelCategory.__dict__["_trusted"] is trusted_category
-    assert MonotoneMap.__dict__["_trusted"] is trusted_map
-    assert StratumMap.__dict__["_trusted"] is trusted_stratum_map
-    assert "_trusted" not in vars(DeltaMap)
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "trusskit" and hasattr(module, "total_space"):
-            assert module.total_space is space, name
-    # nothing composed or made an identity inside the audit outlives it
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
+    assert {cls: cls.__dict__["_trusted"] for cls in trusted_classes()} == TRUSTED
+    assert TrussTower.__dict__["end"] is END
+    # nothing composed, made an identity or laid out inside the audit outlives it
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
 
 
 def assert_caught(report, kind):
@@ -64,23 +60,22 @@ def test_audit_catches_a_wrong_realized_path(monkeypatch):
         return super(PLMeshBundle, cls)._trusted(key, compose, one_wrong_entry(key[0], paths))
 
     monkeypatch.setattr(PLMeshBundle, "_trusted", classmethod(wrong))
-    assert_caught(SUITES["roundtrip-mesh"](), "trusted functor")
+    report = SUITES["roundtrip-mesh"]()
+    monkeypatch.undo()
+    assert_caught(report, "trusted functor")
 
 
 def test_audit_catches_a_flipped_total_space_bit(monkeypatch):
-    real = bundle.TotalPoset
+    real = TotalPoset.__dict__["_trusted"].__func__
 
-    def flipped(carrier, base):
-        ups = list(carrier.ups)
+    def flipped(cls, d, elements, ups):
+        ups = list(ups)
         ups[0] ^= 1 << (len(ups) - 1)
-        return real(FinPoset._trusted(carrier.elements, ups), base)
+        return real(cls, d, elements, ups)
 
-    total_space.cache_clear()
-    monkeypatch.setattr(bundle, "TotalPoset", flipped)
-    try:
-        report = SUITES["roundtrip-bundle"]()
-    finally:
-        total_space.cache_clear()  # no flipped space may outlive the test
+    monkeypatch.setattr(TotalPoset, "_trusted", classmethod(flipped))
+    report = SUITES["roundtrip-bundle"]()
+    monkeypatch.undo()
     assert_caught(report, "total space")
 
 
@@ -204,6 +199,27 @@ def test_audit_rebuilds_an_equal_functor_with_another_path_table():
         with pytest.raises(oracles._Disagreement, match="differs from its validating rebuild"):
             d._derive(chain, d.objects, wrong)
     assert counts["layers"] == 1
+    assert_restored()
+
+
+def test_audit_patches_every_trusted_install():
+    # FinPoset._trusted's one caller, from_covers, has no independent
+    # spelling at install time; every other install point is audited
+    assert {FinPoset, CoverFunctor, TotalPoset} < set(TRUSTED)
+    with audited():
+        assert [cls for cls in TRUSTED if cls.__dict__["_trusted"] is TRUSTED[cls]] == [FinPoset]
+        assert TrussTower.__dict__["end"] is not END
+    assert_restored()
+
+
+def test_audit_counts_each_total_space_once():
+    d = DeltaDiagram(chain3_poset(), {"a": 0, "b": 1, "c": 1},
+                     {("a", "b"): DeltaMap(0, 1, (0,)), ("b", "c"): DeltaMap.identity(1)})
+    with audited() as counts:
+        for _ in range(2):
+            total_space.cache_clear()  # as when the memo evicts it
+            total_space(d)
+    assert counts["total_space_checks"] == 1
     assert_restored()
 
 

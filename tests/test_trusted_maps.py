@@ -5,6 +5,7 @@ every route that was refused before is refused still, with the same error."""
 import copy
 import json
 import pickle
+from types import SimpleNamespace as Like
 
 import pytest
 
@@ -12,6 +13,7 @@ from trusskit import (
     DeltaMap,
     DomainError,
     NablaMap,
+    Ordinal,
     Stratum,
     StratumMap,
     compose_delta,
@@ -37,6 +39,19 @@ from trusskit.oracles import audited
     (lambda: hom_strata("r0@1", Stratum.regular(0, 1)), "needs two strata"),
 ])
 def test_refusals_stay(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+# a map-like argument that is no map gets the checked result
+@pytest.mark.parametrize("call, message", [
+    (lambda: compose_delta(Like(src=Ordinal(1), dst=Ordinal(1), values=(1, 0)), DeltaMap.identity(1)),
+     "not weakly increasing"),
+    (lambda: dual_delta_to_nabla(Like(src=Ordinal(0), dst=Ordinal(1), values=(5,))), "do not preserve the endpoints"),
+    (lambda: compose_strata(Like(src=Stratum.regular(0, 1), dst=Stratum.regular(1, 1), underlying=DeltaMap.identity(1)),
+                            hom_strata(Stratum.regular(1, 1), Stratum.regular(1, 1))[0]), "carries no morphism"),
+])
+def test_map_likes_are_refused(call, message):
     with pytest.raises(DomainError, match=message):
         call()
 
