@@ -145,40 +145,24 @@ def cmd_compose(args) -> Report:
     return _deliver(dumps(composite), args.out, report)
 
 
-def cmd_pack(args) -> Report:
-    obj = load(args.path)
-    if not isinstance(obj, TrussTower):
-        raise ParseError("pack expects a truss/v1 file")
-    packed = pack(obj)
-    report = Report.ok(_counts_for(packed))
-    return _deliver(dumps(packed), args.out, report)
+def _converter(expected, message, build, counts=_counts_for, text=dumps):
+    """A command that loads one file, checks its type (raising ParseError with
+    message), builds from it and delivers the text of the result."""
+    def cmd(args) -> Report:
+        obj = load(args.path)
+        if not isinstance(obj, expected):
+            raise ParseError(message)
+        result = build(obj)
+        report = Report.ok(counts(result))
+        return _deliver(text(result), args.out, report)
+    return cmd
 
 
-def cmd_unpack(args) -> Report:
-    obj = load(args.path)
-    if not isinstance(obj, PackedTower):
-        raise ParseError("unpack expects a packed/v1 file")
-    tower = unpack(obj)
-    report = Report.ok(_counts_for(tower))
-    return _deliver(dumps(tower), args.out, report)
-
-
-def cmd_realize(args) -> Report:
-    obj = load(args.path)
-    if not isinstance(obj, DeltaDiagram):
-        raise ParseError("realize expects a diagram/v1 file")
-    mesh = realize_bundle(obj)
-    report = Report.ok(_counts_for(mesh))
-    return _deliver(dumps(mesh), args.out, report)
-
-
-def cmd_render(args) -> Report:
-    obj = load(args.path)
-    if not isinstance(obj, TrussTower):
-        raise ParseError("render expects a truss/v1 file")
-    scene = layout_2truss(obj)
-    report = Report.ok(scene.counts)
-    return _deliver(scene_to_svg(scene), args.out, report)
+cmd_pack = _converter(TrussTower, "pack expects a truss/v1 file", pack)
+cmd_unpack = _converter(PackedTower, "unpack expects a packed/v1 file", unpack)
+cmd_realize = _converter(DeltaDiagram, "realize expects a diagram/v1 file", realize_bundle)
+cmd_render = _converter(TrussTower, "render expects a truss/v1 file", layout_2truss,
+                        lambda scene: scene.counts, scene_to_svg)
 
 
 def cmd_oracle(args) -> Report:
@@ -193,62 +177,33 @@ def cmd_oracle(args) -> Report:
     return report
 
 
+# (name, help, arguments, function) of each subcommand, in --help order
+_COMMANDS = (
+    ("validate", "run the full invariant suite of a file", ("path",), cmd_validate),
+    ("hom", "list stratum morphisms, e.g. hom s0@1 r1@2", ("source", "target"), cmd_hom),
+    ("fiber", "print the fiber over an ordinal (2) or a map (0,2@2)", ("over",), cmd_fiber),
+    ("total", "print the total space of a diagram file", ("path",), cmd_total),
+    ("compose", "compose two bordism files", ("first", "second", "--out"), cmd_compose),
+    ("pack", "trade the last stage for truss-valued labels", ("path", "--out"), cmd_pack),
+    ("unpack", "inverse of pack", ("path", "--out"), cmd_unpack),
+    ("realize", "realize a diagram file as a PL mesh bundle", ("path", "--out"), cmd_realize),
+    ("render", "render a depth-2 truss file as SVG", ("path", "--out"), cmd_render),
+    ("oracle", "run a brute-force enumeration suite", ("suite", "--max-ordinal", "--seed"), cmd_oracle),
+)
+_INTEGER_OPTIONS = ("--max-ordinal", "--seed")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trusskit",
         description="Construct, validate, compose, pack and lay out labelled trusses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="run the full invariant suite of a file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("hom", help="list stratum morphisms, e.g. hom s0@1 r1@2")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("fiber", help="print the fiber over an ordinal (2) or a map (0,2@2)")
-    p.add_argument("over")
-    p.set_defaults(func=cmd_fiber)
-
-    p = sub.add_parser("total", help="print the total space of a diagram file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_total)
-
-    p = sub.add_parser("compose", help="compose two bordism files")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("pack", help="trade the last stage for truss-valued labels")
-    p.add_argument("path")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_pack)
-
-    p = sub.add_parser("unpack", help="inverse of pack")
-    p.add_argument("path")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_unpack)
-
-    p = sub.add_parser("realize", help="realize a diagram file as a PL mesh bundle")
-    p.add_argument("path")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser("render", help="render a depth-2 truss file as SVG")
-    p.add_argument("path")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("oracle", help="run a brute-force enumeration suite")
-    p.add_argument("suite")
-    p.add_argument("--max-ordinal", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_oracle)
-
+    for name, help_text, arguments, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            p.add_argument(arg, **({"type": int} if arg in _INTEGER_OPTIONS else {}))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -126,7 +126,7 @@ def _svg_id(prefix: str, key: str) -> str:
     return prefix + "-" + re.sub(r"[^A-Za-z0-9_-]", "-", key)
 
 
-def scene_to_svg(scene: Scene, node_radius=3) -> str:
+def scene_to_svg(scene: Scene) -> str:
     """Deterministic SVG 1.1 text for a scene; same scene, same bytes."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -147,7 +147,7 @@ def scene_to_svg(scene: Scene, node_radius=3) -> str:
     for p in scene.nodes:
         lines.append(
             f'  <circle id="{_svg_id("node", p.key)}" cx="{_sx(p.x)}" cy="{_sy(p.y)}" '
-            f'r="{node_radius}" fill="#132031"/>'
+            'r="3" fill="#132031"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -243,14 +243,15 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
     return towers
 
 
-def depth1_bordisms(max_ordinal: int = 2, label_posets=None, rng=None, samples: int = 1) -> list:
-    """Depth-1 bordisms over the arrow: exhaustive stage data up to the
-    ordinal bound, with constant, canonical, and seeded labels."""
+def depth1_bordisms(rng) -> list:
+    """Depth-1 bordisms over the arrow: exhaustive stage data up to fiber
+    ordinal 2, with constant, canonical, and one seeded label each into the
+    chain and the vee."""
     ab = arrow_poset()
     out = []
-    posets = label_posets if label_posets is not None else [chain3_poset(), vee3_poset()]
-    for n0 in range(max_ordinal + 1):
-        for n1 in range(max_ordinal + 1):
+    posets = [chain3_poset(), vee3_poset()]
+    for n0 in range(3):
+        for n1 in range(3):
             for alpha in enumerate_delta_maps(n0, n1):
                 d = DeltaDiagram(
                     ab,
@@ -259,7 +260,7 @@ def depth1_bordisms(max_ordinal: int = 2, label_posets=None, rng=None, samples: 
                 )
                 top = total_space(d).carrier
                 for p in posets:
-                    for lab in all_labelings(top, p, rng, samples=samples):
+                    for lab in all_labelings(top, p, rng, samples=1):
                         out.append(Bordism(ab, (d,), lab))
     return out
 
@@ -268,7 +269,7 @@ def bordism_family(seed: int = 0) -> list:
     """Depth-1 exhaustive small bordisms plus constants and identities at
     depths 2 and 3."""
     rng = random.Random(seed)
-    out = depth1_bordisms(2, rng=rng, samples=1)
+    out = depth1_bordisms(rng)
     chain = chain3_poset()
     cat = LabelCategory.from_poset(chain)
     morphs = [m for m in cat.morphisms]
@@ -413,11 +414,12 @@ def suite_factorization(max_ordinal: int = 2, seed=None) -> Report:
     return Report.ok(counts, diagnostics)
 
 
-def suite_roundtrip_bundle(max_elements: int = 3, max_ordinal: int = 2, seed=None) -> Report:
-    """classify inverts total_space; as a SUITES entry, every total space is
-    also checked by audited() (total_space_checks)."""
+def suite_roundtrip_bundle(max_ordinal: int = 2, seed=None) -> Report:
+    """classify inverts total_space over every poset of up to 3 elements;
+    as a SUITES entry, every total space is also checked by audited()
+    (total_space_checks)."""
     counts = {"bases": 0, "diagrams": 0}
-    for base in all_posets(max_elements):
+    for base in all_posets(3):
         counts["bases"] += 1
         for d in all_diagrams(base, max_ordinal):
             counts["diagrams"] += 1
@@ -426,13 +428,13 @@ def suite_roundtrip_bundle(max_elements: int = 3, max_ordinal: int = 2, seed=Non
     return Report.ok(counts)
 
 
-def suite_roundtrip_mesh(max_elements: int = 3, max_ordinal: int = 2, seed=None) -> Report:
+def suite_roundtrip_mesh(max_ordinal: int = 2, seed=None) -> Report:
     """reg_extract inverts realize_bundle and duality and barycenter
-    strictness hold; as a SUITES entry, every realized mesh is also rebuilt
-    by audited() (mesh_checks)."""
+    strictness hold over every poset of up to 3 elements; as a SUITES
+    entry, every realized mesh is also rebuilt by audited() (mesh_checks)."""
     counts = {"bundles": 0, "covers": 0}
     half = StratSimplexPoint((Fraction(1, 2), Fraction(1, 2)))
-    for base in all_posets(max_elements):
+    for base in all_posets(3):
         for d in all_diagrams(base, max_ordinal):
             m = realize_bundle(d)
             counts["bundles"] += 1
@@ -544,10 +546,11 @@ def _glue_disagrees(b1: TrussTower, b2: TrussTower, composite: TrussTower):
     return None
 
 
-def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400, max_ordinal=None) -> Report:
-    """Unit laws, boundary checks and associativity of composition, and
-    every composite formed compared with the glued tower over {0 < 1 < 2}
-    restricted to {0 < 2}; max_ordinal is unused (bordism_family fixes it)."""
+def suite_bordism_assoc(seed: int = 0, max_ordinal=None) -> Report:
+    """Unit laws, boundary checks and associativity of composition (on at
+    most 400 sampled triples), and every composite formed compared with the
+    glued tower over {0 < 1 < 2} restricted to {0 < 2}; max_ordinal is
+    unused (bordism_family fixes it)."""
     rng = random.Random(seed or 0)
     counts = {
         "bordisms": 0,
@@ -593,7 +596,7 @@ def suite_bordism_assoc(seed: int = 0, triple_limit: int = 400, max_ordinal=None
             break
         if mismatched >= 5:
             break
-    for (b1, b2, b3) in composable_triples(bordisms, triple_limit, rng):
+    for (b1, b2, b3) in composable_triples(bordisms, 400, rng):
         counts["triples"] += 1
         b12, b23 = compose_bordisms(b1, b2), compose_bordisms(b2, b3)
         left, audit_l = compose_bordisms_audited(b12, b3)

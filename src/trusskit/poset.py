@@ -282,11 +282,10 @@ def _union(masks, sel: int) -> int:
 class PosetMap:
     """A monotone map between finite posets, given by an element dictionary."""
 
-    def __init__(self, src: FinPoset, dst: FinPoset, mapping, label: str = ""):
+    def __init__(self, src: FinPoset, dst: FinPoset, mapping):
         self.src = src
         self.dst = dst
         self.mapping = dict(mapping)
-        self.label = label
         for e in src.elements:
             if e not in self.mapping:
                 raise DomainError(f"map undefined on {e!r}")

@@ -37,9 +37,6 @@ class Report:
     def is_ok(self) -> bool:
         return self.status == "ok"
 
-    def add(self, location: str, message: str):
-        self.diagnostics.append((location, message))
-
     def to_text(self) -> str:
         lines = [f"status: {self.status}"]
         for name in sorted(self.counts):

@@ -5,7 +5,10 @@ each later one over the total space of the one before, and the labels form a
 functor from the topmost total space into a label category.  The stages and
 then the labels are the tower's layers, and every walk goes over the layers
 alike, through the CoverFunctor core.  A bordism is a tower whose root base is
-the walking arrow.  Every restriction goes through pullback_tower, which
+the walking arrow.  Every tower the library builds is a pullback, a composite
+or a glue.  A constant tower is its layers' functors on the root (the point
+or the arrow), each pulled back along the root projection of the previous
+total space.  Every restriction goes through pullback_tower, which
 returns a Bordism along a map out of the arrow: the identities of bordisms,
 pack's fiber trusses and cover bordisms (once per distinct key, each the
 label category's own instance), and the two ends of a tower over the arrow,
@@ -407,7 +410,9 @@ def constant_inclusion(data, label, cat: LabelCategory):
     A list of ordinals with an object label gives the tower over the point
     whose stages are constant with identity maps; a list of maps with a
     morphism label gives the bordism whose stage k is constant at the k-th
-    map.  Depth 0 is allowed with an empty list.
+    map.  Depth 0 is allowed with an empty list.  Each stage, and then the
+    labels, is a functor on the root (the point or the arrow) pulled back
+    along the root projection of the previous total space.
     """
     entries = list(data)
     if entries and all(isinstance(e, DeltaMap) for e in entries):
@@ -423,34 +428,18 @@ def constant_inclusion(data, label, cat: LabelCategory):
     if not as_bordism:
         if label not in set(cat.objects):
             raise DomainError(f"{label!r} is not an object of the label category")
-        maps = [DeltaMap.identity(n if isinstance(n, Ordinal) else Ordinal(n)) for n in entries]
-        root, ends = point_poset(), (label, label)
+        root = point_poset()
+        roots = [DeltaDiagram(root, {POINT_ELEMENT: n}, {}) for n in entries]
+        roots.append(Labeling(root, cat, {POINT_ELEMENT: label}, {}))
     else:
         if label not in set(cat.morphisms):
             raise DomainError(f"{label!r} is not a morphism of the label category")
-        maps = entries
-        root, ends = arrow_poset(), (cat.src[label], cat.dst[label])
-
-    def side(el, pair):
-        # pair holds the values at the source end (or the point) and at the
-        # target end; an element takes the one at its root
-        return pair[root_of(el) == "1"]
-
-    def crosses(u, v):
-        return root_of(u) != root_of(v)
-
-    cur = root
-    stages = []
-    for m in maps:
-        fibers = (m.src, m.dst)
-        d = DeltaDiagram(
-            cur,
-            {el: side(el, fibers) for el in cur.elements},
-            {(u, v): m if crosses(u, v) else DeltaMap.identity(side(u, fibers)) for (u, v) in cur.covers()},
-        )
-        stages.append(d)
-        cur = total_space(d).carrier
-    on_obj = {el: side(el, ends) for el in cur.elements}
-    on_rel = {(u, v): label if crosses(u, v) else cat.identity[on_obj[u]] for (u, v) in cur.covers()}
-    lab = Labeling(cur, cat, on_obj, on_rel)
-    return (Bordism if as_bordism else TrussTower)(root, stages, lab)
+        root = arrow_poset()
+        roots = [DeltaDiagram(root, {"0": m.src, "1": m.dst}, {("0", "1"): m}) for m in entries]
+        roots.append(Labeling(root, cat, {"0": cat.src[label], "1": cat.dst[label]}, {("0", "1"): label}))
+    layers, base = [], root
+    for f in roots:
+        if layers:
+            base = total_space(layers[-1]).carrier
+        layers.append(f.pullback(base, {x: root_of(x) for x in base.elements}))
+    return (Bordism if as_bordism else TrussTower)(root, layers[:-1], layers[-1])

@@ -106,11 +106,6 @@ def test_svg_structure(single_node):
     assert 'r="3"' in svg
 
 
-def test_svg_node_radius_option(single_node):
-    svg = scene_to_svg(layout_2truss(single_node), node_radius=5)
-    assert 'r="5"' in svg
-
-
 def test_labels_carried_into_scene(chain_cat):
     t = constant_inclusion([1, 1], "b", chain_cat)
     scene = layout_2truss(t)

@@ -79,7 +79,7 @@ def test_audit_catches_a_flipped_total_space_bit(monkeypatch):
     assert_caught(report, "total space")
 
 
-@pytest.mark.parametrize("suite", ["derived", "pack"])
+@pytest.mark.parametrize("suite", ["derived", "pack", "bordism-assoc"])
 def test_audit_catches_a_wrong_pullback_entry(monkeypatch, suite):
     def wrong(self, base, image):
         objects = {x: self.objects[image[x]] for x in base.elements}

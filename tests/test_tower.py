@@ -32,6 +32,7 @@ from trusskit import (
     compose_bordisms_audited,
     compose_delta,
     constant_inclusion,
+    enumerate_delta_maps,
     dumps,
     identity_bordism,
     pack,
@@ -174,6 +175,54 @@ def test_constant_inclusion_rejects_mixed_data(chain_cat):
         constant_inclusion([Ordinal(1), DeltaMap.identity(1)], "a", chain_cat)
     with pytest.raises(DomainError):
         constant_inclusion([1], "a<=b", chain_cat)
+
+
+def _constant_by_stages(data, label, cat):
+    """constant_inclusion spelled stage by stage: each stage and the labels
+    built over the grown base through the validating constructors."""
+    if label in cat.objects:
+        root, maps, ends = point_poset(), [DeltaMap.identity(n) for n in data], (label, label)
+    else:
+        root, maps, ends = arrow_poset(), data, (cat.src[label], cat.dst[label])
+    cur, stages = root, []
+    for m in maps:
+        at = {el: (m.src, m.dst)[root_of(el) == "1"] for el in cur.elements}
+        arrow = {(u, v): m if root_of(u) != root_of(v) else DeltaMap.identity(at[u]) for u, v in cur.covers()}
+        stages.append(DeltaDiagram(cur, at, arrow))
+        cur = total_space(stages[-1]).carrier
+    on_obj = {el: ends[root_of(el) == "1"] for el in cur.elements}
+    on_rel = {(u, v): label if root_of(u) != root_of(v) else cat.identity[on_obj[u]] for u, v in cur.covers()}
+    return (TrussTower if label in cat.objects else Bordism)(root, stages, Labeling(cur, cat, on_obj, on_rel))
+
+
+def _constant_inputs(cat):
+    """Ordinal and map lists of depths 0 to 3, with labels, over both roots."""
+    rng = random.Random(3)
+    maps = [m for a in range(3) for b in range(3) for m in enumerate_delta_maps(a, b)]
+    out = [([], "b"), ([], "a<=c")]
+    for depth in (1, 2, 3):
+        for _ in range(4):
+            out.append(([rng.randint(0, 2) for _ in range(depth)], rng.choice(cat.objects)))
+            out.append(([rng.choice(maps) for _ in range(depth)], rng.choice(cat.morphisms)))
+    return out
+
+
+def test_constant_inclusion_matches_its_stagewise_spelling(chain_cat):
+    for data, label in _constant_inputs(chain_cat):
+        assert dumps(constant_inclusion(data, label, chain_cat)) == dumps(_constant_by_stages(data, label, chain_cat))
+
+
+def test_constant_inclusion_proves_functors_only_on_the_root(monkeypatch, chain_cat):
+    sizes, real = [], bundle.functor_table
+
+    def counted(base, *rest):
+        sizes.append(len(base.elements))
+        return real(base, *rest)
+
+    monkeypatch.setattr(bundle, "functor_table", counted)
+    for data, label in _constant_inputs(chain_cat) + [([1, 1], "a"), ([DeltaMap.identity(1)] * 2, "a<=b")]:
+        constant_inclusion(data, label, chain_cat)
+    assert sizes and max(sizes) <= 2
 
 
 def test_pack_unpack_roundtrip(single_node):
