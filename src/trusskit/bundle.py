@@ -97,12 +97,12 @@ class CoverFunctor:
     functor_table's diagnostic is raised as ``_error``.  ``_trusted`` builds
     a functor without any of these checks from a path table known to be
     functorial: ``pullback`` reads one from the parent, bordism composition
-    joins the two bordisms' tables and mesh.realize_bundle dualizes one;
-    oracles.audited() rebuilds each through ``over``, which goes through the
-    subclass constructor.  Every subclass then
-    reads alike through the core: ``base``, the tables ``objects`` (per
-    element) and ``covers`` (per covering relation), and ``compose``, the
-    composition the path table was built with.  Equality and hashing go by
+    joins the two bordisms' tables, mesh.realize_bundle dualizes one and
+    the mesh readbacks reuse or dualize the mesh's; oracles.audited()
+    rebuilds each through ``over``, the subclass constructor.  Every
+    subclass reads alike through the core: ``base``, the tables ``objects``
+    (per element) and ``covers`` (per covering relation), and ``compose``,
+    the composition the path table was built with.  Equality and hashing go by
     ``_key``: the base, any target, then the element and cover tables.
     """
 

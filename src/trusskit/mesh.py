@@ -1,16 +1,17 @@
 """PL meshes with exact rational coordinates.
 
 A 1-mesh stratifies [-1, 1] by finitely many singular heights; CompactMesh1
-holds them with the endpoints, plus two tables built on first use: interval
-midpoints and each height's position.  realize_1truss shares one evenly
-spaced CompactMesh1 per ordinal.  A mesh bundle over a finite poset
-(triangulated by its nerve) is a functor on the CoverFunctor core: compact
-heights per vertex and, per covering relation, the interval map attaching
-each singular sheet of the upper fiber to a height of the lower one, with
-NablaDiagram's contravariant composition.  realize_bundle and pullback_mesh
-install path tables known to be functorial; PLMeshBundle(...) and parse
-check everything, and oracles.audited() rebuilds every installed mesh
-through the checking constructor.
+holds them with the endpoints, plus tables built on first use: interval
+midpoints and each height's position (by height and by reduced pair).
+realize_1truss shares one evenly spaced CompactMesh1 per ordinal.  A mesh
+bundle over a finite poset (triangulated by its nerve) is a functor on the
+CoverFunctor core: compact heights per vertex and, per covering relation,
+the interval map attaching each singular sheet of the upper fiber to a
+height of the lower one, with NablaDiagram's contravariant composition.
+realize_bundle, pullback_mesh and the readbacks (the mesh's own table or
+its interval dual) install path tables known to be functorial;
+PLMeshBundle(...) and parse check everything, and oracles.audited()
+rebuilds every install through the checking constructor.
 
 Heights over an interior point of a simplex are convex combinations, and they
 are strictly increasing by construction, so the constructor does not check
@@ -24,26 +25,22 @@ At the barycenter of a cover (a, b) this reads (h_a[g(j)] + h_b[j]) / 2.
 The roundtrip-mesh oracle recomputes it at every cover's barycenter.
 reg_extract bisects the sorted attachment heights h_a[g(j)] at h_a's
 midpoints; sing_extract extrapolates each sheet from two samples in exact
-integer arithmetic (see there), and interpolated_heights stays the
-independent spelling of the same geometry.
+integer arithmetic (see there); both check what they read against the
+stored attachments, and interpolated_heights stays the independent
+spelling of the same geometry.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 
 from .errors import DiagramError, DomainError, MeshError, SectionError
-from .ordinal import (
-    DeltaMap,
-    NablaMap,
-    Ordinal,
-    compose_nabla,
-    dual_delta_to_nabla,
-)
+from .ordinal import NablaMap, Ordinal, compose_delta, compose_nabla, dual_delta_to_nabla, dual_nabla_to_delta
 from .poset import FinPoset, PosetMap
 from .strata import Stratum, validate_stratum_map
 from .bundle import CoverFunctor, DeltaDiagram
@@ -97,6 +94,10 @@ class CompactMesh1:
     @cached_property
     def index(self) -> dict:
         return {h: i for i, h in enumerate(self.heights)}
+
+    @cached_property
+    def positions(self) -> dict:
+        return {(h.numerator, h.denominator): i for i, h in enumerate(self.heights)}
 
     def __getitem__(self, i: int) -> Fraction:
         return self.heights[i]
@@ -199,6 +200,8 @@ def interpolated_heights(m: PLMeshBundle, chain, point: StratSimplexPoint) -> tu
     earlier vertex contributes its attachment height weighted by the
     barycentric coordinate.  Endpoints stay at -1 and 1.
     """
+    if not (isinstance(m, PLMeshBundle) and isinstance(chain, Iterable) and isinstance(point, StratSimplexPoint)):
+        raise DomainError("interpolated_heights needs a PLMeshBundle, a chain and a StratSimplexPoint")
     chain = tuple(chain)
     if len(point.coords) != len(chain):
         raise DomainError("barycentric coordinates must match the chain length")
@@ -228,6 +231,10 @@ def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
     d's path table are a functorial path table, installed unchecked;
     oracles.audited() rebuilds the result through the checking constructor.
     """
+    if not isinstance(d, DeltaDiagram):
+        raise DomainError(f"realize_bundle needs a DeltaDiagram, got {type(d).__name__}")
+    if not isinstance(vertex_heights, (Mapping, type(None))):
+        raise MeshError(f"supplied heights must map base elements to CompactMesh1, got {vertex_heights!r}")
     supplied = dict(vertex_heights or {})
     for b, h in supplied.items():
         if b not in d.ord:
@@ -247,20 +254,21 @@ def reg_extract(m: PLMeshBundle) -> DeltaDiagram:
 
     The ordinal over b counts regular intervals minus one; the covering map
     tracks each regular interval's midpoint past the attachment heights of
-    the upper fiber's sheets.
+    the upper fiber's sheets: the interval dual of the stored attachment,
+    or MeshError.  The dual of the mesh's path table is installed unchecked.
     """
+    if not isinstance(m, PLMeshBundle):
+        raise DomainError(f"reg_extract needs a PLMeshBundle, got {type(m).__name__}")
     ords = {b: Ordinal(len(m.heights[b].interior)) for b in m.base.elements}
-    arrows = {}
+    duals = {g: dual_nabla_to_delta(g) for g in dict.fromkeys(m._paths.values())}
+    paths = {k: duals[g] for k, g in m._paths.items()}
     for (a, b) in m.base.covers():
         ha = m.heights[a].heights
         # weakly increasing: sing is an interval map, the heights increase
         attach = [ha[i] for i in m.sing[(a, b)].values[1:-1]]
-        vals = tuple(bisect_left(attach, mid) for mid in m.heights[a].midpoints)
-        arrows[(a, b)] = DeltaMap(ords[a], ords[b], vals)
-    try:
-        return DeltaDiagram(m.base, ords, arrows)
-    except DiagramError as exc:
-        raise MeshError(f"extracted covering maps are not functorial: {exc}") from exc
+        if tuple(bisect_left(attach, mid) for mid in m.heights[a].midpoints) != paths[(a, b)].values:
+            raise MeshError(f"regular intervals over ({a!r}, {b!r}) do not track its stored attachment")
+    return DeltaDiagram._trusted((m.base, ords), compose_delta, paths)
 
 
 def sing_extract(m: PLMeshBundle) -> NablaDiagram:
@@ -272,32 +280,28 @@ def sing_extract(m: PLMeshBundle) -> NablaDiagram:
     fiber.  Sheet j runs from height x over a to y over b, so the samples
     are (3x + y) / 4 and (2x + 2y) / 4: integer numerators over the common
     denominator 4 * den(x) * den(y).  The limit 2 * quarter - half is
-    formed over that denominator in exact integer arithmetic, and is the
-    one Fraction made per sheet.
+    formed over that denominator in exact integer arithmetic and looked up
+    as a reduced pair.  The lifts must be the stored attachment, or
+    MeshError; the mesh's own path table is installed unchecked.
     """
-    ords = {b: m.heights[b].interval for b in m.base.elements}
-    arrows = {}
+    if not isinstance(m, PLMeshBundle):
+        raise DomainError(f"sing_extract needs a PLMeshBundle, got {type(m).__name__}")
     for (a, b) in m.base.covers():
-        ha = m.heights[a]
+        ha, g = m.heights[a], m.sing[(a, b)]
         vals = []
-        ends = zip((ha[i] for i in m.map_for(a, b).values), m.heights[b].heights)
-        for j, (x, y) in enumerate(ends):
+        for j, (x, y) in enumerate(zip((ha[i] for i in g.values), m.heights[b].heights)):
             xn, yn = x.numerator * y.denominator, y.numerator * x.denominator
             quarter, half = 3 * xn + yn, 2 * xn + 2 * yn
-            i = ha.index.get(Fraction(2 * quarter - half, 4 * x.denominator * y.denominator))
+            num, den = 2 * quarter - half, 4 * x.denominator * y.denominator
+            k = gcd(num, den)
+            i = ha.positions.get((num // k, den // k))
             if i is None:
-                raise MeshError(
-                    f"sheet {j} over {b!r} does not attach to a height over {a!r}"
-                )
+                raise MeshError(f"sheet {j} over {b!r} does not attach to a height over {a!r}")
             vals.append(i)
-        try:
-            arrows[(a, b)] = NablaMap(ords[b], ords[a], tuple(vals))
-        except DomainError as exc:
-            raise MeshError(f"backward lift over ({a!r}, {b!r}) is not an interval map: {exc}") from exc
-    try:
-        return NablaDiagram(m.base, ords, arrows)
-    except DiagramError as exc:
-        raise MeshError(f"backward lifts are not contravariantly functorial: {exc}") from exc
+        if tuple(vals) != g.values:
+            raise MeshError(f"sheets over ({a!r}, {b!r}) do not lift to its stored attachment")
+    ords = {b: m.heights[b].interval for b in m.base.elements}
+    return NablaDiagram._trusted((m.base, ords), _backward, m._paths)
 
 
 def section_to_strata(m: PLMeshBundle, section) -> dict:
@@ -336,6 +340,8 @@ def pullback_mesh(m: PLMeshBundle, f: PosetMap) -> PLMeshBundle:
     """Restrict a mesh bundle along a monotone map into its base: each vertex
     keeps the heights over its image, and each cover attaches by the path
     table's composite between the images (the identity on a collapse)."""
+    if not (isinstance(m, PLMeshBundle) and isinstance(f, PosetMap)):
+        raise DomainError("pullback_mesh needs a PLMeshBundle and a PosetMap")
     if f.dst != m.base:
         raise DomainError("pullback map must land in the bundle's base")
     return m.pullback(f.src, f.mapping)

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import pickle
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from trusskit import (
     DeltaMap,
     DomainError,
     MeshError,
+    NablaDiagram,
     NablaMap,
     Ordinal,
     PLMeshBundle,
@@ -33,9 +35,9 @@ from trusskit import (
     section_to_strata,
     sing_extract,
 )
-from trusskit import bundle
+from trusskit import bundle, mesh
 from trusskit.bundle import pullback_bundle
-from trusskit.oracles import all_diagrams, all_posets, poset_maps
+from trusskit.oracles import SUITES, all_diagrams, all_posets, poset_maps
 from trusskit.poset import FinPoset
 
 
@@ -336,6 +338,126 @@ def test_realize_and_pullback_run_no_functor_table(monkeypatch):
     assert len(calls) == 1
 
 
+def test_readbacks_run_no_functor_table(monkeypatch):
+    # both install the mesh's own path table or its interval dual; only the
+    # checking constructors prove one
+    meshes = [realize_bundle(d) for p in all_posets(3) for d in all_diagrams(p, 2)[::30]]
+    calls = []
+    real = bundle.functor_table
+    monkeypatch.setattr(bundle, "functor_table", lambda *args: calls.append(args) or real(*args))
+    for m in meshes:
+        reg_extract(m)
+        sing_extract(m)
+    assert calls == []
+    NablaDiagram(m.base, sing_extract(m).ord, m.sing)
+    assert len(calls) == 1
+
+
+def reference_reg_extract(m):
+    """reg_extract spelled through the validating constructors: each cover
+    bisects the attachment heights at the lower fiber's midpoints."""
+    ords = {b: Ordinal(len(m.heights[b].interior)) for b in m.base.elements}
+    arrows = {}
+    for (a, b) in m.base.covers():
+        attach = [m.heights[a][i] for i in m.sing[(a, b)].values[1:-1]]
+        arrows[(a, b)] = DeltaMap(ords[a], ords[b], tuple(bisect_left(attach, mid) for mid in m.heights[a].midpoints))
+    return DeltaDiagram(m.base, ords, arrows)
+
+
+def reference_sing_extract(m):
+    """sing_extract spelled through the validating constructors: each sheet
+    extrapolated from its samples at (3/4, 1/4) and (1/2, 1/2) in Fractions
+    and looked up by height."""
+    ords = {b: m.heights[b].interval for b in m.base.elements}
+    arrows = {}
+    for (a, b) in m.base.covers():
+        ha, hb = m.heights[a], m.heights[b].heights
+        ends = [(ha[i], y) for i, y in zip(m.map_for(a, b).values, hb)]
+        arrows[(a, b)] = NablaMap(ords[b], ords[a], tuple(ha.index[2 * (3 * x + y) / 4 - (x + y) / 2] for x, y in ends))
+    return NablaDiagram(m.base, ords, arrows)
+
+
+def assert_readbacks_match_reference(m):
+    reg, sing = reg_extract(m), sing_extract(m)
+    ref_reg, ref_sing = reference_reg_extract(m), reference_sing_extract(m)
+    assert reg == ref_reg and reg._paths == ref_reg._paths and dumps(reg) == dumps(ref_reg)
+    # no schema prints a bare NablaDiagram: print each as the mesh it attaches
+    assert sing == ref_sing and sing._paths == ref_sing._paths
+    assert dumps(PLMeshBundle(m.base, m.heights, sing.arrow)) == dumps(PLMeshBundle(m.base, m.heights, ref_sing.arrow))
+
+
+def test_readbacks_match_the_validating_reference():
+    for p in all_posets(3):
+        for d in all_diagrams(p, 2):
+            assert_readbacks_match_reference(realize_bundle(d))
+
+
+def test_a_wrong_bisection_fails_the_agreement_check(monkeypatch):
+    # one attachment height too many below every midpoint
+    monkeypatch.setattr(mesh, "bisect_left", lambda attach, mid: bisect_left(attach, mid) + 1)
+    with pytest.raises(MeshError, match=r"regular intervals over \('0', '1'\) do not track its stored attachment"):
+        reg_extract(realize_bundle(inner_face_diagram()))
+    report = SUITES["roundtrip-mesh"]()
+    [(where, why)] = report.diagnostics
+    assert where == "library error" and why.startswith("MeshError: regular intervals over"), why
+
+
+def test_a_limit_on_a_wrong_height_fails_the_agreement_check(monkeypatch):
+    # every limit x is looked up as -x, a height of every evenly spaced fiber
+    mirrored = property(lambda self: {(-h.numerator, h.denominator): i for i, h in enumerate(self.heights)})
+    monkeypatch.setattr(CompactMesh1, "positions", mirrored)
+    with pytest.raises(MeshError, match=r"sheets over \('0', '1'\) do not lift to its stored attachment"):
+        sing_extract(realize_bundle(inner_face_diagram()))
+    report = SUITES["roundtrip-mesh"]()
+    [(where, why)] = report.diagnostics
+    assert where == "library error" and why.startswith("MeshError: sheets over"), why
+
+
+def test_readbacks_refuse_a_non_mesh():
+    d = inner_face_diagram()
+    for readback in (reg_extract, sing_extract):
+        with pytest.raises(DomainError, match=f"{readback.__name__} needs a PLMeshBundle, got DeltaDiagram"):
+            readback(d)
+
+
+def test_section_to_strata_refuses_a_non_mesh():
+    with pytest.raises(DomainError, match="reg_extract needs a PLMeshBundle, got DeltaDiagram"):
+        section_to_strata(inner_face_diagram(), {"0": ("r", 0), "1": ("r", 0)})
+
+
+def test_realize_bundle_refuses_a_non_diagram():
+    m = realize_bundle(inner_face_diagram())
+    with pytest.raises(DomainError, match="realize_bundle needs a DeltaDiagram, got PLMeshBundle"):
+        realize_bundle(m)
+
+
+@pytest.mark.parametrize("heights", [5, "01", [("0", realize_1truss(1))]])
+def test_realize_bundle_refuses_supplied_heights_that_are_no_mapping(heights):
+    with pytest.raises(MeshError, match="supplied heights must map base elements to CompactMesh1"):
+        realize_bundle(inner_face_diagram(), heights)
+
+
+@pytest.mark.parametrize("which", ["map", "mesh"])
+def test_pullback_mesh_refuses_a_non_map_or_a_non_mesh(which):
+    d = inner_face_diagram()
+    args = (realize_bundle(d), 5) if which == "map" else (d, PosetMap.identity(d.base))
+    with pytest.raises(DomainError, match="pullback_mesh needs a PLMeshBundle and a PosetMap"):
+        pullback_mesh(*args)
+
+
+@pytest.mark.parametrize("which", ["chain", "mesh", "point"])
+def test_interpolated_heights_refuses_arguments_of_the_wrong_kind(which):
+    d = inner_face_diagram()
+    half = StratSimplexPoint((F(1, 2), F(1, 2)))
+    args = {
+        "chain": (realize_bundle(d), 5, half),
+        "mesh": (d, ("0", "1"), half),
+        "point": (realize_bundle(d), ("0", "1"), (F(1, 2), F(1, 2))),
+    }[which]
+    with pytest.raises(DomainError, match="interpolated_heights needs a PLMeshBundle, a chain and a StratSimplexPoint"):
+        interpolated_heights(*args)
+
+
 def crowded_heights(n, toward):
     """n singular heights packed against one end of (-1, 1)."""
     low = tuple(-1 + F(k + 1, 4 * (n + 1)) for k in range(n))
@@ -384,6 +506,7 @@ def test_mesh_kernels_on_uneven_heights(d, data):
     heights = {b: data.draw(uneven_heights(d.ord[b].n)) for b in d.base.elements}
     m = realize_bundle(d, heights)
     assert reg_extract(m) == d
+    assert_readbacks_match_reference(m)
     sing = sing_extract(m)
     assert sing.arrow == m.sing
     quarter = StratSimplexPoint((F(3, 4), F(1, 4)))

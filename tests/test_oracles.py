@@ -5,7 +5,7 @@ Report and leaves the library as it found it."""
 import copy
 import itertools
 import sys
-from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -146,16 +146,10 @@ def assert_library_error(report, message):
 
 
 def test_a_library_error_in_a_suite_is_a_failing_report(monkeypatch):
-    # sing_extract with a wrong half sample: the limit 2 * quarter - half
-    # comes out one unit high, so a sheet attaches to no height
-    real = oracles.sing_extract
-
-    def wrong_half(m):
-        with monkeypatch.context() as patch:
-            patch.setattr(mesh, "Fraction", lambda num, den: Fraction(num + 1, den))
-            return real(m)
-
-    monkeypatch.setattr(oracles, "sing_extract", wrong_half)
+    # sing_extract reducing each limit 2 * quarter - half by the gcd of a
+    # numerator one unit high: the pair it looks up is no height's, so a
+    # sheet attaches to no height
+    monkeypatch.setattr(mesh, "gcd", lambda num, den: gcd(num + 1, den))
     assert_library_error(SUITES["roundtrip-mesh"](), "MeshError: sheet 0 over")
 
 
