@@ -274,6 +274,8 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
 def pullback_bundle(d: DeltaDiagram, f: PosetMap) -> DeltaDiagram:
     """Restrict d along a monotone map into its base; fibers are reused and
     covering maps are the composites between the images."""
+    if not (isinstance(d, DeltaDiagram) and isinstance(f, PosetMap)):
+        raise DomainError("pullback_bundle needs a DeltaDiagram and a PosetMap")
     if f.dst != d.base:
         raise DomainError("pullback map must land in the diagram's base")
     return d.pullback(f.src, f.mapping)
@@ -288,6 +290,8 @@ def classify(t: TotalPoset) -> DeltaDiagram:
     regular position has no or several images, or the rebuilt bundle does
     not reproduce the total space.
     """
+    if not isinstance(t, TotalPoset):
+        raise DomainError(f"classify needs a TotalPoset, got {type(t).__name__}")
     by_base = {b: [] for b in t.base.elements}
     for el in t.carrier.elements:
         if not (isinstance(el, tuple) and len(el) == 2):

@@ -2,12 +2,13 @@
 
 A depth-2 picture is the projection of the tower's realized 2-mesh:
 mesh.realize_bundle alone decides where sheets sit and where they attach.
-The heights of the first stage's mesh over the point are the singular
-levels of the vertical axis; the second stage's mesh puts singular points
-on each level and band, and its attachment maps say where a band's sheets
-meet the levels above and below it (outer boundaries keep the band's own
-heights).  Each element of the stage-2 total space is drawn by its pair
-of strata, the second stage's over the first stage's:
+The heights of the first stage's mesh over the point, the shared
+realize_1truss instance of its ordinal, are the singular levels of the
+vertical axis; the second stage's mesh puts singular points on each level
+and band, and its attachment maps say where a band's sheets meet the
+levels above and below it (outer boundaries keep the band's own heights).
+Each element of the stage-2 total space is drawn by its pair of strata,
+the second stage's over the first stage's:
 
   regular over regular   -> region (a quad between attachment heights)
   singular over regular  -> wire (a segment crossing the band)
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import LayoutError
-from .mesh import realize_bundle
+from .mesh import realize_1truss, realize_bundle
 from .poset import POINT_ELEMENT, point_poset
 from .serialize import element_key, next_keys
 from .strata import Stratum
@@ -72,7 +73,7 @@ def layout_2truss(t: TrussTower) -> Scene:
     if t.depth != 2:
         raise LayoutError(f"layout supports depth 2 only, got depth {t.depth}")
     s1, s2 = t.stages
-    vertical = realize_bundle(s1).heights[POINT_ELEMENT]
+    vertical = realize_1truss(s1.ord[POINT_ELEMENT])
     m = realize_bundle(s2)
     n = s1.ord[POINT_ELEMENT].n
 

@@ -1,13 +1,12 @@
 """PL meshes with exact rational coordinates.
 
 A 1-mesh stratifies [-1, 1] by finitely many singular heights; CompactMesh1
-holds them with the endpoints, plus tables built on first use: interval
-midpoints and each height's position (by height and by reduced pair).
-realize_1truss shares one evenly spaced CompactMesh1 per ordinal.  A mesh
-bundle over a finite poset (triangulated by its nerve) is a functor on the
-CoverFunctor core: compact heights per vertex and, per covering relation,
-the interval map attaching each singular sheet of the upper fiber to a
-height of the lower one, with NablaDiagram's contravariant composition.
+holds them with the endpoints, plus each height's position, a table built on
+first use.  realize_1truss shares one evenly spaced CompactMesh1 per ordinal.
+A mesh bundle over a finite poset (triangulated by its nerve) is a functor
+on the CoverFunctor core: compact heights per vertex and, per covering
+relation, the interval map attaching each singular sheet of the upper fiber
+to a height of the lower one, with NablaDiagram's contravariant composition.
 realize_bundle, pullback_mesh and the readbacks (the mesh's own table or
 its interval dual) install path tables known to be functorial;
 PLMeshBundle(...) and parse check everything, and oracles.audited()
@@ -22,22 +21,23 @@ g_i the composite attachment map from a_s back to a_i.  Every g_i is weakly
 increasing (an interval map; g_s is the identity), every h_i is strictly
 increasing (CompactMesh1) and c_s > 0, so the sum strictly increases in j.
 At the barycenter of a cover (a, b) this reads (h_a[g(j)] + h_b[j]) / 2.
-The roundtrip-mesh oracle recomputes it at every cover's barycenter.
-reg_extract bisects the sorted attachment heights h_a[g(j)] at h_a's
-midpoints; sing_extract extrapolates each sheet from two samples in exact
-integer arithmetic (see there); both check what they read against the
-stored attachments, and interpolated_heights stays the independent
-spelling of the same geometry.
+
+The readbacks are the dualities and read no coordinates.  Along a cover
+(a, b) sheet j runs from h_a[g(j)] to h_b[j], so it extrapolates to
+h_a[g(j)] over a: sing_extract returns the stored g.  The i-th midpoint of
+h_a lies strictly between h_a[i] and h_a[i + 1], so the interior sheets
+landing below it are those with g(j) <= i, as many as the interval dual of
+g gives at i: reg_extract returns that dual.  The roundtrip-mesh oracle
+makes both readings through interpolated_heights, the independent
+spelling of the geometry, and checks every cover's barycenter.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
 
 from .errors import DiagramError, DomainError, MeshError, SectionError
 from .ordinal import NablaMap, Ordinal, compose_delta, compose_nabla, dual_delta_to_nabla, dual_nabla_to_delta
@@ -61,8 +61,8 @@ def _rationals(values, what: str) -> tuple:
 class CompactMesh1:
     """Strictly increasing heights from -1 to 1: the endpoints and, between
     them, the singular heights of a 1-mesh, given as ints or Fractions.
-    Equality, hashing, copies and pickles see only ``heights``, not the
-    cached tables."""
+    ``index`` maps each height to its position.  Equality, hashing, copies
+    and pickles see only ``heights``, not that cached table."""
 
     heights: tuple
 
@@ -87,17 +87,8 @@ class CompactMesh1:
         return Ordinal(len(self.heights) - 1)
 
     @cached_property
-    def midpoints(self) -> tuple:
-        hs = self.heights
-        return tuple((a + b) / 2 for a, b in zip(hs, hs[1:]))
-
-    @cached_property
     def index(self) -> dict:
         return {h: i for i, h in enumerate(self.heights)}
-
-    @cached_property
-    def positions(self) -> dict:
-        return {(h.numerator, h.denominator): i for i, h in enumerate(self.heights)}
 
     def __getitem__(self, i: int) -> Fraction:
         return self.heights[i]
@@ -250,56 +241,28 @@ def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
 
 
 def reg_extract(m: PLMeshBundle) -> DeltaDiagram:
-    """Read the combinatorial bundle back off the coordinates.
+    """Read the combinatorial bundle back off the mesh.
 
-    The ordinal over b counts regular intervals minus one; the covering map
-    tracks each regular interval's midpoint past the attachment heights of
-    the upper fiber's sheets: the interval dual of the stored attachment,
-    or MeshError.  The dual of the mesh's path table is installed unchecked.
+    The ordinal over b counts regular intervals minus one, and each
+    regular interval tracks past the attachment heights of the upper
+    fiber's sheets as the interval dual of the stored attachment says (see
+    the module docstring).  The dual of the mesh's path table is installed
+    unchecked.
     """
     if not isinstance(m, PLMeshBundle):
         raise DomainError(f"reg_extract needs a PLMeshBundle, got {type(m).__name__}")
     ords = {b: Ordinal(len(m.heights[b].interior)) for b in m.base.elements}
     duals = {g: dual_nabla_to_delta(g) for g in dict.fromkeys(m._paths.values())}
-    paths = {k: duals[g] for k, g in m._paths.items()}
-    for (a, b) in m.base.covers():
-        ha = m.heights[a].heights
-        # weakly increasing: sing is an interval map, the heights increase
-        attach = [ha[i] for i in m.sing[(a, b)].values[1:-1]]
-        if tuple(bisect_left(attach, mid) for mid in m.heights[a].midpoints) != paths[(a, b)].values:
-            raise MeshError(f"regular intervals over ({a!r}, {b!r}) do not track its stored attachment")
-    return DeltaDiagram._trusted((m.base, ords), compose_delta, paths)
+    return DeltaDiagram._trusted((m.base, ords), compose_delta, {k: duals[g] for k, g in m._paths.items()})
 
 
 def sing_extract(m: PLMeshBundle) -> NablaDiagram:
-    """Read the backward interval maps off the interpolated geometry.
-
-    Each sheet over the upper vertex is affine along the edge, so its
-    attachment height is extrapolated from the samples at the edge's
-    barycentric points (3/4, 1/4) and (1/2, 1/2) and looked up in the lower
-    fiber.  Sheet j runs from height x over a to y over b, so the samples
-    are (3x + y) / 4 and (2x + 2y) / 4: integer numerators over the common
-    denominator 4 * den(x) * den(y).  The limit 2 * quarter - half is
-    formed over that denominator in exact integer arithmetic and looked up
-    as a reduced pair.  The lifts must be the stored attachment, or
-    MeshError; the mesh's own path table is installed unchecked.
-    """
+    """Read the backward interval maps off the mesh: each sheet over the
+    upper vertex of a cover extrapolates to the height it attaches to (see
+    the module docstring), so the mesh's own path table is installed
+    unchecked."""
     if not isinstance(m, PLMeshBundle):
         raise DomainError(f"sing_extract needs a PLMeshBundle, got {type(m).__name__}")
-    for (a, b) in m.base.covers():
-        ha, g = m.heights[a], m.sing[(a, b)]
-        vals = []
-        for j, (x, y) in enumerate(zip((ha[i] for i in g.values), m.heights[b].heights)):
-            xn, yn = x.numerator * y.denominator, y.numerator * x.denominator
-            quarter, half = 3 * xn + yn, 2 * xn + 2 * yn
-            num, den = 2 * quarter - half, 4 * x.denominator * y.denominator
-            k = gcd(num, den)
-            i = ha.positions.get((num // k, den // k))
-            if i is None:
-                raise MeshError(f"sheet {j} over {b!r} does not attach to a height over {a!r}")
-            vals.append(i)
-        if tuple(vals) != g.values:
-            raise MeshError(f"sheets over ({a!r}, {b!r}) do not lift to its stored attachment")
     ords = {b: m.heights[b].interval for b in m.base.elements}
     return NablaDiagram._trusted((m.base, ords), _backward, m._paths)
 
@@ -312,6 +275,8 @@ def section_to_strata(m: PLMeshBundle, section) -> dict:
     interval or the i-th singular point of its fiber.
     """
     reg = reg_extract(m)
+    if not isinstance(section, Mapping):
+        raise SectionError(f"a section maps base elements to strata, got {type(section).__name__}")
     out = {}
     for b in m.base.elements:
         if b not in section:

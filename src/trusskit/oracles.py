@@ -428,32 +428,53 @@ def suite_roundtrip_bundle(max_ordinal: int = 2, seed=None) -> Report:
     return Report.ok(counts)
 
 
+def _geometry_disagrees(m: PLMeshBundle, cov, quarter: tuple, half: tuple, reg, sing):
+    """Why the sheets along the cover (a, b), each extrapolated to a from its
+    heights at (3/4, 1/4) and (1/2, 1/2), do not land on the heights sing
+    attaches them to, or the interior ones landing below each midpoint of
+    a's heights are not as many as reg's map says; None when all is well."""
+    a, b = cov
+    ha = m.heights[a]
+    limits = [2 * q - h for q, h in zip(quarter, half)]
+    lands = tuple(ha.index.get(x) for x in limits)
+    if None in lands:
+        j = lands.index(None)
+        return f"sheet {j} over {b!r} extrapolates to {limits[j]}, which is no height over {a!r}"
+    if lands != sing.arrow[cov].values:
+        return f"the sheets over {b!r} land on heights {lands} over {a!r}, not where sing_extract attaches them"
+    mids = [(u + v) / 2 for u, v in zip(ha.heights, ha.heights[1:])]
+    if tuple(sum(x < mid for x in limits[1:-1]) for mid in mids) != reg.arrow[cov].values:
+        return f"the regular intervals over {a!r} do not track the sheets as reg_extract says"
+    return None
+
+
 def suite_roundtrip_mesh(max_ordinal: int = 2, seed=None) -> Report:
-    """reg_extract inverts realize_bundle and duality and barycenter
-    strictness hold over every poset of up to 3 elements; as a SUITES
-    entry, every realized mesh is also rebuilt by audited() (mesh_checks)."""
+    """The readbacks agree with the geometry (_geometry_disagrees), reg_extract
+    inverts realize_bundle, and duality and barycenter strictness hold over
+    every poset of up to 3 elements; as a SUITES entry, every realized mesh
+    is also rebuilt by audited() (mesh_checks)."""
     counts = {"bundles": 0, "covers": 0}
+    quarter = StratSimplexPoint((Fraction(3, 4), Fraction(1, 4)))
     half = StratSimplexPoint((Fraction(1, 2), Fraction(1, 2)))
     for base in all_posets(3):
         for d in all_diagrams(base, max_ordinal):
             m = realize_bundle(d)
             counts["bundles"] += 1
-            if reg_extract(m) != d:
-                return Report.failure("reg_extract", "mesh does not extract back:\n" + dumps(d), counts)
-            sing = sing_extract(m)
+            reg, sing = reg_extract(m), sing_extract(m)
             for cov in base.covers():
                 counts["covers"] += 1
+                mid = interpolated_heights(m, cov, half)
+                why = _geometry_disagrees(m, cov, interpolated_heights(m, cov, quarter), mid, reg, sing)
+                if why is not None:
+                    return Report.failure(f"geometry {cov!r}", why + ":\n" + dumps(d), counts)
                 if sing.arrow[cov] != dual_delta_to_nabla(d.arrow[cov]):
                     return Report.failure(f"sing_extract {cov!r}", "duality triangle fails:\n" + dumps(d), counts)
-                if sing.arrow[cov] != m.sing[cov]:
-                    return Report.failure(
-                        f"sing_extract {cov!r}", "extracted attachment differs from stored:\n" + dumps(d), counts
-                    )
-                mid = interpolated_heights(m, cov, half)
                 if any(u >= v for u, v in zip(mid, mid[1:])):
                     return Report.failure(
                         f"barycenter {cov!r}", "interpolated heights collide:\n" + dumps(d), counts
                     )
+            if reg != d:
+                return Report.failure("reg_extract", "mesh does not extract back:\n" + dumps(d), counts)
     return Report.ok(counts)
 
 

@@ -145,6 +145,8 @@ class CompositionAudit:
 def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
     """Restrict a tower layer by layer along a monotone map into its base;
     the result is a Bordism when the map's source is the arrow."""
+    if not (isinstance(t, TrussTower) and isinstance(f, PosetMap)):
+        raise DomainError("pullback_tower needs a TrussTower and a PosetMap")
     if f.dst != t.base:
         raise DomainError("pullback map must land in the tower's base")
     base, image = f.src, f.mapping
@@ -179,7 +181,7 @@ def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
 def identity_bordism(t: TrussTower) -> Bordism:
     """Pull a tower over the point back along the collapse of the arrow
     (memoized); its ends, both t, are recorded before it enters the memo."""
-    if t.base != point_poset():
+    if not isinstance(t, TrussTower) or t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
     b = pullback_tower(t, _collapse())
     b._ends = {0: t, 1: t}
@@ -229,7 +231,7 @@ def _composite(b1: TrussTower, b2: TrussTower):
     """Check that b1 then b2 compose and build the composite over the arrow
     layer by layer, as the module docstring says; returns (composite,
     audit), memoized."""
-    if b1.base != arrow_poset() or b2.base != arrow_poset():
+    if not all(isinstance(b, TrussTower) and b.base == arrow_poset() for b in (b1, b2)):
         raise CompositionError("both arguments must be bordisms over the arrow poset")
     if b1.depth != b2.depth:
         raise CompositionError("bordisms of different depth do not compose")
@@ -345,7 +347,7 @@ def pack(t: TrussTower) -> PackedTower:
     top's index order; for the cover bordism over (x, y), both fiber keys,
     last.arrow[(x, y)] and the labels of the covers from x's fiber to y's.
     A cover bordism records its ends, the fiber trusses over x and y."""
-    if t.depth < 1:
+    if not isinstance(t, TrussTower) or t.depth < 1:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
     dom = last.base
@@ -377,6 +379,8 @@ def pack(t: TrussTower) -> PackedTower:
 def unpack(p: PackedTower) -> TrussTower:
     """Inverse of pack: glue the fiber trusses and cover bordisms back into
     the last stage and its labels."""
+    if not (isinstance(p, PackedTower) and isinstance(p.tower, TrussTower)):
+        raise PackingError("unpack needs a PackedTower holding a TrussTower")
     t = p.tower
     lab = t.labels
     dom = lab.domain

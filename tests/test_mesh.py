@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import pickle
+import re
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from trusskit import (
     section_to_strata,
     sing_extract,
 )
-from trusskit import bundle, mesh
+from trusskit import bundle, mesh, oracles
 from trusskit.bundle import pullback_bundle
 from trusskit.oracles import SUITES, all_diagrams, all_posets, poset_maps
 from trusskit.poset import FinPoset
@@ -97,7 +98,6 @@ def test_realize_1truss_refuses_a_non_ordinal(n):
 
 def test_filled_tables_leave_a_compact_mesh_unchanged():
     filled = CompactMesh1((-1, F(-2, 3), F(1, 5), 1))
-    assert filled.midpoints == (F(-5, 6), F(-7, 30), F(3, 5))
     assert filled.index == {F(-1): 0, F(-2, 3): 1, F(1, 5): 2, F(1): 3}
     fresh = CompactMesh1((-1, F(-2, 3), F(1, 5), 1))
     assert "index" in vars(filled) and "index" not in vars(fresh)
@@ -360,7 +360,9 @@ def reference_reg_extract(m):
     arrows = {}
     for (a, b) in m.base.covers():
         attach = [m.heights[a][i] for i in m.sing[(a, b)].values[1:-1]]
-        arrows[(a, b)] = DeltaMap(ords[a], ords[b], tuple(bisect_left(attach, mid) for mid in m.heights[a].midpoints))
+        hs = m.heights[a].heights
+        mids = [(u + v) / 2 for u, v in zip(hs, hs[1:])]
+        arrows[(a, b)] = DeltaMap(ords[a], ords[b], tuple(bisect_left(attach, mid) for mid in mids))
     return DeltaDiagram(m.base, ords, arrows)
 
 
@@ -392,25 +394,46 @@ def test_readbacks_match_the_validating_reference():
             assert_readbacks_match_reference(realize_bundle(d))
 
 
-def test_a_wrong_bisection_fails_the_agreement_check(monkeypatch):
-    # one attachment height too many below every midpoint
-    monkeypatch.setattr(mesh, "bisect_left", lambda attach, mid: bisect_left(attach, mid) + 1)
-    with pytest.raises(MeshError, match=r"regular intervals over \('0', '1'\) do not track its stored attachment"):
-        reg_extract(realize_bundle(inner_face_diagram()))
+def assert_geometry_fails(why):
     report = SUITES["roundtrip-mesh"]()
-    [(where, why)] = report.diagnostics
-    assert where == "library error" and why.startswith("MeshError: regular intervals over"), why
+    [(where, message)] = report.diagnostics
+    assert not report.is_ok and where.startswith("geometry ("), report.diagnostics
+    assert re.match(why, message), message
 
 
-def test_a_limit_on_a_wrong_height_fails_the_agreement_check(monkeypatch):
-    # every limit x is looked up as -x, a height of every evenly spaced fiber
-    mirrored = property(lambda self: {(-h.numerator, h.denominator): i for i, h in enumerate(self.heights)})
-    monkeypatch.setattr(CompactMesh1, "positions", mirrored)
-    with pytest.raises(MeshError, match=r"sheets over \('0', '1'\) do not lift to its stored attachment"):
-        sing_extract(realize_bundle(inner_face_diagram()))
-    report = SUITES["roundtrip-mesh"]()
-    [(where, why)] = report.diagnostics
-    assert where == "library error" and why.startswith("MeshError: sheets over"), why
+def test_a_limit_on_a_wrong_height_fails_the_geometry_check(monkeypatch):
+    # every height mirrored to -h: each limit x lands on -x, a height of
+    # every evenly spaced fiber, but not the one its sheet attaches to
+    real = oracles.interpolated_heights
+    monkeypatch.setattr(oracles, "interpolated_heights", lambda *args: tuple(-h for h in real(*args)))
+    assert_geometry_fails(r"the sheets over '\w' land on heights \(1, 0\) over '\w', not where sing_extract")
+
+
+def test_a_limit_on_no_height_fails_the_geometry_check(monkeypatch):
+    # sheet 0 nudged by 1/1000 at the quarter sample: its limit is no height
+    real = oracles.interpolated_heights
+    quarter = StratSimplexPoint((F(3, 4), F(1, 4)))
+
+    def nudged(m, chain, point):
+        hs = real(m, chain, point)
+        return (hs[0] + F(1, 1000),) + hs[1:] if point == quarter else hs
+
+    monkeypatch.setattr(oracles, "interpolated_heights", nudged)
+    assert_geometry_fails(r"sheet 0 over '\w' extrapolates to -499/500, which is no height over '\w'")
+
+
+def reflected(f):
+    """f conjugated by the order reversal of the ordinals: i -> m - f(n - i).
+    Reversal is a functor, so a table of reflected maps stays functorial
+    and passes the audit of installs."""
+    n, m = f.src.n, f.dst.n
+    return DeltaMap(f.src, f.dst, tuple(m - f(n - i) for i in range(n + 1)))
+
+
+def test_a_wrong_dual_in_reg_extract_fails_the_geometry_check(monkeypatch):
+    real = mesh.dual_nabla_to_delta
+    monkeypatch.setattr(mesh, "dual_nabla_to_delta", lambda g: reflected(real(g)))
+    assert_geometry_fails("the regular intervals over")
 
 
 def test_readbacks_refuse_a_non_mesh():

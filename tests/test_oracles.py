@@ -5,7 +5,6 @@ Report and leaves the library as it found it."""
 import copy
 import itertools
 import sys
-from math import gcd
 
 import pytest
 
@@ -146,11 +145,13 @@ def assert_library_error(report, message):
 
 
 def test_a_library_error_in_a_suite_is_a_failing_report(monkeypatch):
-    # sing_extract reducing each limit 2 * quarter - half by the gcd of a
-    # numerator one unit high: the pair it looks up is no height's, so a
-    # sheet attaches to no height
-    monkeypatch.setattr(mesh, "gcd", lambda num, den: gcd(num + 1, den))
-    assert_library_error(SUITES["roundtrip-mesh"](), "MeshError: sheet 0 over")
+    # each cover's chain handed to interpolated_heights reversed: the
+    # library refuses it as not strictly increasing
+    def backwards(m, chain, point):
+        return mesh.interpolated_heights(m, chain[::-1], point)
+
+    monkeypatch.setattr(oracles, "interpolated_heights", backwards)
+    assert_library_error(SUITES["roundtrip-mesh"](), "DomainError: chain must be strictly increasing in the base")
 
 
 class OneMiddle(Exception):

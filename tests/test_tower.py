@@ -24,10 +24,12 @@ from trusskit import (
     PackedTower,
     PackingError,
     PosetMap,
+    SectionError,
     Stratum,
     TrussError,
     TrussTower,
     arrow_poset,
+    classify,
     compose_bordisms,
     compose_bordisms_audited,
     compose_delta,
@@ -39,12 +41,15 @@ from trusskit import (
     parse,
     point_poset,
     pullback_tower,
+    realize_bundle,
     restrict_bordism,
+    section_to_strata,
     total_space,
     truss_label_category,
     unpack,
 )
 from trusskit import bundle, tower
+from trusskit.bundle import pullback_bundle
 from trusskit.oracles import SUITES, _glue, bordism_family, composable_triples, tower_family
 from trusskit.poset import path_poset
 from trusskit.tower import root_of
@@ -737,3 +742,38 @@ def test_pack_composes_each_distinct_pair_once(monkeypatch):
     info = memo.cache_info()
     assert len(towers) == 465
     assert info.misses == len(pairs) == 354 and info.hits > info.misses
+
+
+def _refusal_operands():
+    """A bordism, one of its stage diagrams and a monotone map into that
+    diagram's base, the well-typed operands beside each wrong one."""
+    b = bordism_family(0)[0]
+    return b, b.stages[0], PosetMap(point_poset(), arrow_poset(), {POINT_ELEMENT: "0"})
+
+
+BUNDLE_GUARD = "pullback_bundle needs a DeltaDiagram and a PosetMap"
+TOWER_GUARD = "pullback_tower needs a TrussTower and a PosetMap"
+UNPACK_GUARD = "unpack needs a PackedTower holding a TrussTower"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda b, d, f: pullback_bundle(d, 5), DomainError, BUNDLE_GUARD, id="pullback_bundle(d, 5)"),
+    pytest.param(lambda b, d, f: pullback_bundle(5, f), DomainError, BUNDLE_GUARD, id="pullback_bundle(5, f)"),
+    pytest.param(lambda b, d, f: pullback_tower(b, 5), DomainError, TOWER_GUARD, id="pullback_tower(t, 5)"),
+    pytest.param(lambda b, d, f: restrict_bordism(5, 0), DomainError, TOWER_GUARD, id="restrict_bordism(5, 0)"),
+    pytest.param(lambda b, d, f: identity_bordism(5), DomainError, "identity bordisms are formed on towers over",
+                 id="identity_bordism(5)"),
+    pytest.param(lambda b, d, f: compose_bordisms(5, b), CompositionError, "both arguments must be bordisms",
+                 id="compose_bordisms(5, b)"),
+    pytest.param(lambda b, d, f: compose_bordisms_audited(b, 5), CompositionError, "both arguments must be bordisms",
+                 id="compose_bordisms_audited(b, 5)"),
+    pytest.param(lambda b, d, f: pack(5), PackingError, "pack needs a tower", id="pack(5)"),
+    pytest.param(lambda b, d, f: unpack(5), PackingError, UNPACK_GUARD, id="unpack(5)"),
+    pytest.param(lambda b, d, f: unpack(PackedTower(5)), PackingError, UNPACK_GUARD, id="unpack(PackedTower(5))"),
+    pytest.param(lambda b, d, f: classify(5), DomainError, "classify needs a TotalPoset, got int", id="classify(5)"),
+    pytest.param(lambda b, d, f: section_to_strata(realize_bundle(d), 5), SectionError,
+                 "a section maps base elements to strata, got int", id="section_to_strata(m, 5)"),
+])
+def test_entry_points_refuse_a_wrong_type(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(*_refusal_operands())
