@@ -5,15 +5,15 @@ seeded, where exhaustion is infeasible) enumeration at desk scale, and
 returns a Report.  The suites double as the CLI's `oracle` command and as
 the backing for the acceptance tests.  Every SUITES entry runs under
 audited(), the one audit of what the library installs without checks (one
-_INSTALLS row per _trusted install point, and recorded ends); the
-enumeration families run unaudited when called on their own.
+_INSTALLS row per _trusted install point, trusted towers and their recorded
+ends included); the enumeration families run unaudited when called on their
+own.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -49,6 +49,7 @@ from .tower import (
     TrussTower,
     _assemble,
     _composite,
+    _identity,
     compose_bordisms,
     compose_bordisms_audited,
     constant_inclusion,
@@ -641,7 +642,7 @@ def suite_derived(max_ordinal: int = 2, seed: int = 0) -> Report:
     ends of a tower over the arrow and their identity bordisms (or the
     identity bordism of a tower over the point), and, from depth 1, the
     objects and morphisms of pack's label category.  As a SUITES entry,
-    audited() checks every layer, total space and recorded end installed."""
+    audited() checks every layer, total space and tower installed, ends too."""
     counts = {"sources": 0, "derived": 0}
     for t in tower_family(seed, max_ordinal) + bordism_family(seed):
         counts["sources"] += 1
@@ -694,14 +695,21 @@ def _total_space_disagrees(new: TotalPoset, fields):
         return "the elements are not in canonical order"
     if again != carrier:
         return "the order differs from its validating rebuild"
-    if again.covers() != carrier.covers() or again.linear_extension() != carrier.linear_extension():
-        return "the covers or the linear extension differ from the validating rebuild's"
     return None
 
 
 def _rebuild_disagrees(new, fields):
     """Why new differs from what its class's constructor builds from the same fields; or None."""
     return None if type(new)(*fields) == new else "it differs from its validating rebuild"
+
+
+def _tower_disagrees(new: TrussTower, fields):
+    """Why a recorded end of new differs from restrict_bordism's, or new from
+    its class's checking constructor on its layers; or None."""
+    for k, end in sorted(new._ends.items()):
+        if restrict_bordism(new, k) != end:
+            return f"end {k} differs from restrict_bordism"
+    return _rebuild_disagrees(new, (new.base, new.stages, new.labels))
 
 
 # One row per class whose own _trusted installs unchecked: the kind a failure
@@ -719,22 +727,23 @@ _INSTALLS = (
      lambda new, fields: (new, (len(new.objects), len(new.morphisms))), _rebuild_disagrees),
     (MonotoneMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
     (StratumMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
+    (TrussTower, "trusted tower", lambda new, fresh: "end_checks" if new._ends else None,
+     lambda new, fields: (new, tuple(sorted(new._ends.items()))), _tower_disagrees),
 )
-_MEMOS = (_composite, identity_bordism, total_space)  # captured, so a patched name cannot hide one
+_MEMOS = (_composite, _identity, total_space)  # captured, so a patched name cannot hide one
 
 
 @contextmanager
 def audited():
     """Audit what the library installs unchecked while the block runs; yields
-    the counts of installs audited.  The _trusted of every _INSTALLS row, and
-    TrussTower.end, are patched and restored on exit: each distinct install
-    is checked once and counted as its row says, and each tower's recorded
-    ends are compared with restrict_bordism (end_checks).  The memos of
-    composites, identity bordisms and total spaces are emptied on entry and
-    exit, so what the block uses is installed, and audited, inside it, and
-    nothing made inside outlives it.  A disagreement raises _Disagreement."""
-    counts, checked, ended = Counter(), {}, weakref.WeakValueDictionary()  # checked: (kind, subject) -> witness
-    saved, end = {row[0]: row[0].__dict__["_trusted"] for row in _INSTALLS}, TrussTower.end
+    the counts of installs audited.  The _trusted of every _INSTALLS row is
+    patched, and nothing else, and restored on exit: each distinct install is
+    checked once and counted as its row says.  The memos of composites,
+    identity bordisms and total spaces are emptied on entry and exit, so what
+    the block uses is installed, and audited, inside it, and nothing made
+    inside outlives it.  A disagreement raises _Disagreement."""
+    counts, checked = Counter(), {}  # checked: (kind, subject) -> witness
+    saved = {row[0]: row[0].__dict__["_trusted"] for row in _INSTALLS}
 
     def patched(owner, kind, count, key, check):
         def install(cls, *fields):
@@ -755,30 +764,15 @@ def audited():
             return new
         return classmethod(install)
 
-    def end_of(tower, which):
-        if ended.get(id(tower)) is not tower:  # before a first call, every end is recorded
-            ended[id(tower)] = tower
-            for k, recorded in sorted(tower._ends.items()):
-                # every layer is audited as it is installed, so equal towers
-                # agree path for path, and an equal recorded end was checked
-                if checked.get(("recorded end", (tower, k))) != recorded:
-                    if restrict_bordism(tower, k) != recorded:
-                        raise _Disagreement("recorded end", f"end {k} differs from restrict_bordism", tower)
-                    checked[("recorded end", (tower, k))] = recorded
-                counts["end_checks"] += 1
-        return end(tower, which)
-
     for memo in _MEMOS:
         memo.cache_clear()
     for row in _INSTALLS:
         row[0]._trusted = patched(*row)
-    TrussTower.end = end_of
     try:
         yield counts
     finally:
         for owner, install in saved.items():
             owner._trusted = install
-        TrussTower.end = end
         for memo in _MEMOS:
             memo.cache_clear()
 

@@ -5,28 +5,27 @@ each later one over the total space of the one before, and the labels form a
 functor from the topmost total space into a label category.  The stages and
 then the labels are the tower's layers, and every walk goes over the layers
 alike, through the CoverFunctor core.  A bordism is a tower whose root base is
-the walking arrow.  Every tower the library builds is a pullback, a composite
-or a glue.  A constant tower is its layers' functors on the root (the point
-or the arrow), each pulled back along the root projection of the previous
-total space.  Every restriction goes through pullback_tower, which
-returns a Bordism along a map out of the arrow: the identities of bordisms,
-pack's fiber trusses and cover bordisms (once per distinct key, each the
-label category's own instance), and the two ends of a tower over the arrow,
-which TrussTower.end alone forms, once per tower, unless they are recorded:
-an identity bordism's are the tower it was made from, a cover bordism of
-pack's the fiber trusses over its cover, a composite's its factors' outer
-ends.  Composition builds the composite directly over the arrow, layer by
-layer, from the two bordisms' path tables: a crossing path goes through the
-first factorization middle over the seam, and every other middle is checked
-to give the same value.  Composites and identity bordisms are memoized by
-value in bounded caches that every caller shares, so separate pack calls
-close their label categories from the same composites; the closure, a
-category by construction, is installed through LabelCategory._trusted.
-oracles.audited() checks recorded ends and re-proves the closure.  One
-gluing, _assemble, merges towers over parts of a base for unpack; the
-oracles' "bordism-assoc" suite also uses it to glue two bordisms over
-{0 < 1 < 2} and checks each composite against that glue restricted to
-{0 < 2}.
+the walking arrow.  Every tower the library builds is a pullback, a composite,
+a constant or a glue; all but the glue, and pack's last stage with its labels,
+chain by construction and end in TrussTower._trusted, unchecked, with the
+ends their builder knows.  A constant tower is its layers' functors on the
+root (the point or the arrow), each pulled back along the root projection of
+the previous total space.  Every restriction is pullback_tower's walk: the
+identities of bordisms, pack's fiber trusses and cover bordisms (once per
+distinct key, each the label category's own instance), and the ends of a
+tower over the arrow, which TrussTower.end forms once unless they were
+recorded: an identity bordism's are its tower, a cover bordism of pack's the
+fiber trusses over its cover, a composite's its factors' outer ends.
+Composition builds the composite directly over the arrow, layer by layer,
+from the two bordisms' path tables: a crossing path goes through the first
+factorization middle over the seam, and every other middle is checked to
+give the same value.  Composites and identity bordisms are memoized by value
+in bounded caches that every caller shares, so separate pack calls close
+their label categories from the same composites; the closure, a category by
+construction, is installed through LabelCategory._trusted.  oracles.audited()
+checks trusted towers with their recorded ends and re-proves the closure.
+_assemble glues towers over parts of a base for unpack, and for the oracles'
+"bordism-assoc" suite, which checks each composite against a glue.
 """
 
 from __future__ import annotations
@@ -61,33 +60,49 @@ def root_of(el):
 
 
 class TrussTower:
-    """A chain of bundles, each over the previous total space, plus labels;
-    ``layers`` is the stages followed by the labels."""
+    """A chain of bundles, each over the previous total space, plus labels
+    (``layers``: the stages, then the labels), checked unless ``_trusted``."""
 
     def __init__(self, base: FinPoset, stages, labels: Labeling):
-        self.base = base
-        self.stages = tuple(stages)
-        self.labels = labels
-        self.layers = self.stages + (labels,)
-        expected = base
-        totals = []
-        for k, d in enumerate(self.stages):
-            if d.base != expected:
+        if not isinstance(base, FinPoset):
+            raise DomainError("a tower's base must be a FinPoset")
+        try:
+            stages = tuple(stages)
+        except TypeError:
+            raise DomainError("a tower's stages must be a sequence of DeltaDiagrams") from None
+        for k, d in enumerate(stages):
+            if not isinstance(d, DeltaDiagram):
+                raise DomainError(f"stage {k + 1} is not a DeltaDiagram")
+        if not isinstance(labels, Labeling):
+            raise DomainError("labels must be a functor on the topmost total space")
+        # installed first, so the chain is checked against the installed total spaces
+        self._install(base, stages + (labels,))
+        below = (base,) + tuple(tot.carrier for tot in self.totals)
+        for k, d in enumerate(stages):
+            if d.base != below[k]:
                 raise DomainError(f"stage {k + 1} does not live over the previous total space")
-            tot = total_space(d)
-            totals.append(tot)
-            expected = tot.carrier
-        self.totals = tuple(totals)
-        self.top = expected
         if labels.domain != self.top:
             raise DomainError("labels must be a functor on the topmost total space")
-        self._hash = hash((self.base, self.stages, self.labels))
-        self._ends = {}
+
+    def _install(self, base, layers, ends=None):
+        """Store layers that form the chain, and the ends recorded for them."""
+        self.base, self.layers = base, tuple(layers)
+        self.stages, self.labels = self.layers[:-1], self.layers[-1]
+        self.totals = tuple(total_space(d) for d in self.stages)
+        self.top = self.totals[-1].carrier if self.totals else base
+        self._hash = hash((base, self.stages, self.labels))
+        self._ends = dict(ends or {})
+
+    @classmethod
+    def _trusted(cls, base, layers, ends=None):
+        """A Bordism if base is the arrow, else a TrussTower, installed unchecked."""
+        new = object.__new__(Bordism if base == arrow_poset() else TrussTower)
+        new._install(base, layers, ends)
+        return new
 
     def end(self, which: int) -> TrussTower:
         """The tower over the point at end ``which`` (0 or 1) of a tower over
-        the arrow, memoized (or recorded, as the module docstring says); raises
-        DomainError on any other base."""
+        the arrow, recorded at install or else formed once; DomainError elsewhere."""
         if which not in self._ends:
             self._ends[which] = restrict_bordism(self, which)
         return self._ends[which]
@@ -149,6 +164,11 @@ def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
         raise DomainError("pullback_tower needs a TrussTower and a PosetMap")
     if f.dst != t.base:
         raise DomainError("pullback map must land in the tower's base")
+    return _pullback(t, f)
+
+
+def _pullback(t: TrussTower, f: PosetMap, ends=None) -> TrussTower:
+    """pullback_tower's walk, with the ends the caller knows, unchecked."""
     base, image = f.src, f.mapping
     layers = []
     for layer in t.layers:
@@ -156,7 +176,7 @@ def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
             base = total_space(layers[-1]).carrier
             image = {(b, e): (image[b], e) for (b, e) in base.elements}
         layers.append(layer.pullback(base, image))
-    return (Bordism if f.src == arrow_poset() else TrussTower)(f.src, layers[:-1], layers[-1])
+    return TrussTower._trusted(f.src, layers, ends)
 
 
 # The constant maps of bases are built once and shared, like the posets.
@@ -177,15 +197,17 @@ def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
     return pullback_tower(b, _end_inclusion(end))
 
 
-@lru_cache(maxsize=2048)
 def identity_bordism(t: TrussTower) -> Bordism:
-    """Pull a tower over the point back along the collapse of the arrow
-    (memoized); its ends, both t, are recorded before it enters the memo."""
+    """Pull a tower over the point back along the collapse of the arrow,
+    recording t as both its ends; memoized by value in _identity."""
     if not isinstance(t, TrussTower) or t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
-    b = pullback_tower(t, _collapse())
-    b._ends = {0: t, 1: t}
-    return b
+    return _identity(t)
+
+
+@lru_cache(maxsize=2048)
+def _identity(t: TrussTower) -> Bordism:
+    return _pullback(t, _collapse(), {0: t, 1: t})
 
 
 def _retag(el, rootmap):
@@ -228,11 +250,9 @@ def _assemble(base: FinPoset, pieces) -> list:
 
 @lru_cache(maxsize=2048)
 def _composite(b1: TrussTower, b2: TrussTower):
-    """Check that b1 then b2 compose and build the composite over the arrow
-    layer by layer, as the module docstring says; returns (composite,
-    audit), memoized."""
-    if not all(isinstance(b, TrussTower) and b.base == arrow_poset() for b in (b1, b2)):
-        raise CompositionError("both arguments must be bordisms over the arrow poset")
+    """Check that the bordisms b1 then b2 compose and build the composite
+    over the arrow layer by layer, as the module docstring says; returns
+    (composite, audit), memoized."""
     if b1.depth != b2.depth:
         raise CompositionError("bordisms of different depth do not compose")
     if b1.end(1) != b2.end(0):
@@ -273,22 +293,28 @@ def _composite(b1: TrussTower, b2: TrussTower):
         layers.append(l1._derive(base, objects, paths))
         crossed = [middles[c] for c in base.covers() if c in middles]
         crossings, alternatives = crossings + len(crossed), alternatives + sum(crossed)
-    composite = Bordism(arrow_poset(), layers[:-1], layers[-1])
-    composite._ends = {k: b._ends[k] for k, b in ((0, b1), (1, b2)) if k in b._ends}
-    return composite, CompositionAudit(crossings, alternatives)
+    ends = {k: b._ends[k] for k, b in ((0, b1), (1, b2)) if k in b._ends}
+    return TrussTower._trusted(arrow_poset(), layers, ends), CompositionAudit(crossings, alternatives)
+
+
+def _compose(b1: TrussTower, b2: TrussTower):
+    """_composite, behind the type guard that its memo cannot run."""
+    if not all(isinstance(b, TrussTower) and b.base == arrow_poset() for b in (b1, b2)):
+        raise CompositionError("both arguments must be bordisms over the arrow poset")
+    return _composite(b1, b2)
 
 
 def compose_bordisms(b1: TrussTower, b2: TrussTower) -> Bordism:
     """First b1, then b2, built directly over the arrow from the two path
     tables; raises InternalError if two factorization middles disagree."""
-    return _composite(b1, b2)[0]
+    return _compose(b1, b2)[0]
 
 
 def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
     """Compose as compose_bordisms does; returns (composite, audit), the
     audit counting the crossings (the covers of a composite layer whose
     ends lie over different ends of the arrow) and their middles."""
-    return _composite(b1, b2)
+    return _compose(b1, b2)
 
 
 def truss_label_category(objects, generators) -> LabelCategory:
@@ -351,7 +377,7 @@ def pack(t: TrussTower) -> PackedTower:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
     dom = last.base
-    top = TrussTower(dom, (last,), t.labels)
+    top = TrussTower._trusted(dom, (last, t.labels))
     els, lab = t.top.elements, t.labels
     objs, covs, made = {x: [] for x in dom.elements}, {}, {}
     for a, upper in zip(els, t.top.upper):
@@ -359,20 +385,18 @@ def pack(t: TrussTower) -> PackedTower:
         for j in upper:
             covs.setdefault((a[0], els[j][0]), []).append(lab.covers[(a, els[j])])
 
-    def once(key, src, image):
+    def once(key, src, image, ends=None):
         if key not in made:
-            made[key] = pullback_tower(top, PosetMap(src, dom, image))
+            made[key] = _pullback(top, PosetMap(src, dom, image), ends)
         return made[key]
 
     keys = {x: (last.ord[x], tuple(objs[x]), tuple(covs.get((x, x), ()))) for x in dom.elements}
     fibers = {x: once(keys[x], point_poset(), {POINT_ELEMENT: x}) for x in dom.elements}
     gens = {
         (x, y): once((keys[x], keys[y], last.arrow[(x, y)], tuple(covs.get((x, y), ()))),
-                     arrow_poset(), {"0": x, "1": y})
+                     arrow_poset(), {"0": x, "1": y}, {0: fibers[x], 1: fibers[y]})
         for (x, y) in dom.covers()
     }
-    for (x, y), g in gens.items():
-        g._ends = {0: fibers[x], 1: fibers[y]}
     return _packed_tower(t.base, t.stages[:-1], dom, fibers, gens)
 
 
@@ -418,7 +442,12 @@ def constant_inclusion(data, label, cat: LabelCategory):
     labels, is a functor on the root (the point or the arrow) pulled back
     along the root projection of the previous total space.
     """
-    entries = list(data)
+    if not isinstance(cat, LabelCategory):
+        raise DomainError("constant_inclusion needs a LabelCategory")
+    try:
+        entries = list(data)
+    except TypeError:
+        raise DomainError("data must be all ordinals or all maps") from None
     if entries and all(isinstance(e, DeltaMap) for e in entries):
         as_bordism = True
     elif not all(isinstance(e, (int, Ordinal)) for e in entries):
@@ -446,4 +475,4 @@ def constant_inclusion(data, label, cat: LabelCategory):
         if layers:
             base = total_space(layers[-1]).carrier
         layers.append(f.pullback(base, {x: root_of(x) for x in base.elements}))
-    return (Bordism if as_bordism else TrussTower)(root, layers[:-1], layers[-1])
+    return TrussTower._trusted(root, layers)

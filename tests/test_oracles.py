@@ -27,7 +27,7 @@ def trusted_classes():
 
 TRUSTED = {cls: cls.__dict__["_trusted"] for cls in trusted_classes()}
 END = TrussTower.__dict__["end"]
-MEMOS = (tower._composite, tower.identity_bordism, total_space)
+MEMOS = (tower._composite, tower._identity, total_space)
 
 
 def one_wrong_entry(base, paths):
@@ -42,7 +42,6 @@ def one_wrong_entry(base, paths):
 
 def assert_restored():
     assert {cls: cls.__dict__["_trusted"] for cls in trusted_classes()} == TRUSTED
-    assert TrussTower.__dict__["end"] is END
     # nothing composed, made an identity or laid out inside the audit outlives it
     assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
 
@@ -89,37 +88,54 @@ def test_audit_catches_a_wrong_pullback_entry(monkeypatch, suite):
     assert_caught(SUITES[suite](), "trusted functor")
 
 
-def test_audit_catches_a_wrong_recorded_end(monkeypatch):
-    real, first = tower.identity_bordism, []
+def caught_with_wrong_ends(make_replace, message):
+    """Run derived and then pack with TrussTower._trusted passing each
+    install's recorded ends through a fresh make_replace(); both must fail
+    at "trusted tower" with message."""
+    real = TrussTower.__dict__["_trusted"].__func__
+    for suite in ("derived", "pack"):
+        replace = make_replace()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TrussTower, "_trusted",
+                       classmethod(lambda cls, base, layers, ends=None: real(cls, base, layers, ends and replace(ends))))
+            report = SUITES[suite]()
+        assert_caught(report, "trusted tower")
+        assert report.diagnostics[0][1].startswith(message), (suite, report.diagnostics)
 
-    def wrong(t):
-        b = real(t)
-        first.append(t)
-        b._ends = {0: t, 1: first[0]}
-        return b
 
-    monkeypatch.setattr(tower, "identity_bordism", wrong)
-    monkeypatch.setattr(oracles, "identity_bordism", wrong)
-    assert_caught(SUITES["derived"](), "recorded end")
-    # wrong() mutated memoized identity bordisms; the audit dropped them on
-    # exit, so pack outside any suite still works
-    monkeypatch.undo()
+def test_audit_catches_a_wrong_recorded_end():
+    # from the second install whose two ends are one tower (an identity
+    # bordism's, say) on, end 1 is the first such install's tower
+    def make_replace():
+        first = []
+
+        def replace(ends):
+            if ends.get(0) is not ends.get(1):
+                return ends
+            first.append(ends[0])
+            return {0: ends[0], 1: first[0]}
+        return replace
+
+    caught_with_wrong_ends(make_replace, "end 1 differs from restrict_bordism")
+    # the wrong identity bordisms were memoized inside the suites; the audit
+    # dropped them on exit, so pack outside any suite still works
     for t in [t for t in tower_family(0, 2) if t.depth >= 1][::10]:
         assert unpack(pack(t)) == t
 
 
-def test_audit_catches_a_wrong_generator_end(monkeypatch):
-    real = tower.truss_label_category
+def test_audit_catches_a_wrong_generator_end():
+    # the first bordism installed with two different ends gets end 1 as both
+    def make_replace():
+        swapped = []
 
-    def swapped(objects, generators):
-        for g in generators:
-            if g._ends[0] != g._ends[1]:
-                g._ends = {0: g._ends[1], 1: g._ends[1]}
-                break
-        return real(objects, generators)
+        def replace(ends):
+            if swapped or len(ends) < 2 or ends[0] == ends[1]:
+                return ends
+            swapped.append(ends)
+            return {0: ends[1], 1: ends[1]}
+        return replace
 
-    monkeypatch.setattr(tower, "truss_label_category", swapped)
-    assert_caught(SUITES["pack"](), "recorded end")
+    caught_with_wrong_ends(make_replace, "end 0 differs from restrict_bordism")
 
 
 class OneWrongComposite(LabelCategory):
@@ -199,11 +215,13 @@ def test_audit_rebuilds_an_equal_functor_with_another_path_table():
 
 def test_audit_patches_every_trusted_install():
     # FinPoset._trusted's one caller, from_covers, has no independent
-    # spelling at install time; every other install point is audited
-    assert {FinPoset, CoverFunctor, TotalPoset} < set(TRUSTED)
+    # spelling at install time; every other install point is audited, and
+    # nothing else is patched
+    assert {FinPoset, CoverFunctor, TotalPoset, TrussTower} < set(TRUSTED)
     with audited():
         assert [cls for cls in TRUSTED if cls.__dict__["_trusted"] is TRUSTED[cls]] == [FinPoset]
-        assert TrussTower.__dict__["end"] is not END
+        assert TrussTower.__dict__["end"] is END
+    assert TrussTower.__dict__["end"] is END
     assert_restored()
 
 

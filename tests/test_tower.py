@@ -1,10 +1,12 @@
 """Towers, bordisms, composition, and the packing equivalence."""
 
+import ast
 import copy
 import functools
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -675,8 +677,8 @@ def test_derived_suite_rebuilds_every_pulled_back_layer():
 
 def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
     calls = []
-    real = tower.pullback_tower
-    monkeypatch.setattr(tower, "pullback_tower", lambda t, f: calls.append((t, f)) or real(t, f))
+    real = tower._pullback
+    monkeypatch.setattr(tower, "_pullback", lambda t, f, ends=None: calls.append((t, f)) or real(t, f, ends))
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
     shared = 0
     for t in towers:
@@ -699,7 +701,7 @@ def test_unpack_of_pack_restricts_no_bordism(monkeypatch):
     real = tower.restrict_bordism
     monkeypatch.setattr(tower, "restrict_bordism", lambda b, end: calls.append(end) or real(b, end))
     tower._composite.cache_clear()
-    tower.identity_bordism.cache_clear()
+    tower._identity.cache_clear()
     packed = [pack(t) for t in tower_family(0, 2) if t.depth >= 1]
     assert calls == []
     for p in packed:
@@ -721,6 +723,77 @@ def test_parsed_packed_labels_are_the_category_instances():
         assert q == p and dumps(q) == dumps(p) and unpack(q) == t
         merged += len(labels) - len({id(x) for x in labels})
     assert merged > 0
+
+
+# -- one trusted install for every tower the library builds ------------------
+
+
+def test_trusted_builders_match_the_checking_constructor(chain_cat):
+    # pullbacks (restrictions, identities, pack's labels), composites and
+    # constants give the class and the bytes of TrussTower(...)/Bordism(...)
+    b = constant_inclusion([DeltaMap(1, 2, (0, 2))], "a<=b", chain_cat)
+    built = [constant_inclusion([1, 2], "a", chain_cat), b, restrict_bordism(b, 0), restrict_bordism(b, 1)]
+    built += [pullback_tower(b, PosetMap(arrow_poset(), arrow_poset(), {"0": "0", "1": "0"}))]
+    built += [h for pair in composable_pairs()[::5] for h in pair + (compose_bordisms(*pair),)]
+    for t in [t for t in tower_family(0, 1) if t.depth >= 1][::9]:
+        cat = pack(t).tower.labels.target
+        built += [identity_bordism(t), *cat.objects, *cat.morphisms]
+    for u in built:
+        checked = (Bordism if u.base == arrow_poset() else TrussTower)(u.base, u.stages, u.labels)
+        assert type(u) is type(checked) and dumps(u) == dumps(checked)
+    assert {type(u) for u in built} == {TrussTower, Bordism}
+
+
+_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _writes_ends(node) -> bool:
+    """Whether node writes a tower's ``_ends``: assigns or deletes the
+    attribute or an entry of it, calls a mutating method on it, or names it
+    in setattr/delattr or a ``__dict__`` subscript."""
+    def is_ends(n):
+        return isinstance(n, ast.Attribute) and n.attr == "_ends"
+
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return node.attr == "_ends"
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return is_ends(node.value) or (isinstance(node.slice, ast.Constant) and node.slice.value == "_ends")
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+        return is_ends(node.func.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("setattr", "delattr"):
+        return len(node.args) > 1 and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_ends"
+    return False
+
+
+def _ends_writes(source: str) -> list:
+    """(line, enclosing class names) of every write to ``_ends`` in source."""
+    found = []
+
+    def walk(node, classes):
+        if isinstance(node, ast.ClassDef):
+            classes = classes + (node.name,)
+        if _writes_ends(node):
+            found.append((node.lineno, classes))
+        for child in ast.iter_child_nodes(node):
+            walk(child, classes)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def test_no_module_writes_ends_outside_truss_tower():
+    assert [line for line, _ in _ends_writes(
+        "b._ends = {}\nb._ends[0] = t\ndel b._ends[1]\nb._ends.update(e)\nsetattr(b, '_ends', {})\n"
+        "vars(b)['_ends'] = {}\nb._ends.get(0)\nx = b._ends\n"
+    )] == [1, 2, 3, 4, 5, 6]
+    package = Path(tower.__file__).parent
+    inside, outside = [], []
+    for path in sorted(package.glob("*.py")):
+        for line, classes in _ends_writes(path.read_text()):
+            mine = path.name == "tower.py" and classes == ("TrussTower",)
+            (inside if mine else outside).append(f"{path.name}:{line}")
+    assert outside == []
+    assert len(inside) >= 2  # _install stores the recorded ends, end() its memo
 
 
 # -- pack shares composites and identities across calls ----------------------
@@ -763,10 +836,34 @@ UNPACK_GUARD = "unpack needs a PackedTower holding a TrussTower"
     pytest.param(lambda b, d, f: restrict_bordism(5, 0), DomainError, TOWER_GUARD, id="restrict_bordism(5, 0)"),
     pytest.param(lambda b, d, f: identity_bordism(5), DomainError, "identity bordisms are formed on towers over",
                  id="identity_bordism(5)"),
+    pytest.param(lambda b, d, f: identity_bordism([]), DomainError, "identity bordisms are formed on towers over",
+                 id="identity_bordism([])"),
     pytest.param(lambda b, d, f: compose_bordisms(5, b), CompositionError, "both arguments must be bordisms",
                  id="compose_bordisms(5, b)"),
+    pytest.param(lambda b, d, f: compose_bordisms([], b), CompositionError, "both arguments must be bordisms",
+                 id="compose_bordisms([], b)"),
+    pytest.param(lambda b, d, f: compose_bordisms_audited(b, []), CompositionError,
+                 "both arguments must be bordisms", id="compose_bordisms_audited(b, [])"),
     pytest.param(lambda b, d, f: compose_bordisms_audited(b, 5), CompositionError, "both arguments must be bordisms",
                  id="compose_bordisms_audited(b, 5)"),
+    pytest.param(lambda b, d, f: TrussTower(5, (), 5), DomainError, "a tower's base must be a FinPoset",
+                 id="TrussTower(5, (), 5)"),
+    pytest.param(lambda b, d, f: TrussTower(point_poset(), 5, b.labels), DomainError,
+                 "a tower's stages must be a sequence of DeltaDiagrams", id="TrussTower(pt, 5, lab)"),
+    pytest.param(lambda b, d, f: TrussTower(point_poset(), [5], b.labels), DomainError,
+                 "stage 1 is not a DeltaDiagram", id="TrussTower(pt, [5], lab)"),
+    pytest.param(lambda b, d, f: TrussTower(point_poset(), (), 5), DomainError,
+                 "labels must be a functor on the topmost total space", id="TrussTower(pt, (), 5)"),
+    pytest.param(lambda b, d, f: Bordism(5, (), 5), DomainError, "a bordism's root base must be the arrow poset",
+                 id="Bordism(5, (), 5)"),
+    pytest.param(lambda b, d, f: Bordism(arrow_poset(), 5, b.labels), DomainError,
+                 "a tower's stages must be a sequence of DeltaDiagrams", id="Bordism(arrow, 5, lab)"),
+    pytest.param(lambda b, d, f: Bordism(arrow_poset(), [5], b.labels), DomainError,
+                 "stage 1 is not a DeltaDiagram", id="Bordism(arrow, [5], lab)"),
+    pytest.param(lambda b, d, f: constant_inclusion(5, "a", b.labels.target), DomainError,
+                 "data must be all ordinals or all maps", id="constant_inclusion(5, 'a', cat)"),
+    pytest.param(lambda b, d, f: constant_inclusion([1], "*", 5), DomainError,
+                 "constant_inclusion needs a LabelCategory", id="constant_inclusion([1], '*', 5)"),
     pytest.param(lambda b, d, f: pack(5), PackingError, "pack needs a tower", id="pack(5)"),
     pytest.param(lambda b, d, f: unpack(5), PackingError, UNPACK_GUARD, id="unpack(5)"),
     pytest.param(lambda b, d, f: unpack(PackedTower(5)), PackingError, UNPACK_GUARD, id="unpack(PackedTower(5))"),
