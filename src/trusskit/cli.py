@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .errors import DomainError, ParseError, TrussError
@@ -166,15 +167,27 @@ cmd_render = _converter(TrussTower, "render expects a truss/v1 file", layout_2tr
 
 
 def cmd_oracle(args) -> Report:
-    fn = SUITES.get(args.suite)
-    if fn is None:
-        known = ", ".join(sorted(SUITES))
-        raise ParseError(f"unknown suite {args.suite!r}; known suites: {known}")
+    """Run the named suites (all, sorted, if none): each report on stdout
+    after "== NAME", its wall time on stderr, so stdout stays deterministic."""
+    names = args.suites or sorted(SUITES)
+    unknown = ", ".join(repr(n) for n in names if n not in SUITES)
+    if unknown:
+        raise ParseError(f"unknown suite(s) {unknown}; known suites: {', '.join(sorted(SUITES))}")
     if args.max_ordinal is not None and args.max_ordinal < 0:
         raise ParseError(f"--max-ordinal must be nonnegative, got {args.max_ordinal}")
-    report = fn(max_ordinal=args.max_ordinal, seed=args.seed)
-    print(report.to_text())
-    return report
+    failed = []
+    for name in names:
+        start = time.perf_counter()
+        report = SUITES[name](max_ordinal=args.max_ordinal, seed=args.seed)
+        print(f"== {name}\n{report.to_text()}")
+        print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+        if not report.is_ok:
+            failed.append(name)
+    if not failed:
+        print(f"all {len(names)} suite(s) ok")
+        return Report.ok()
+    print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
+    return Report.failure("oracle", "a suite failed")
 
 
 # (name, help, arguments, function) of each subcommand, in --help order
@@ -188,9 +201,10 @@ _COMMANDS = (
     ("unpack", "inverse of pack", ("path", "--out"), cmd_unpack),
     ("realize", "realize a diagram file as a PL mesh bundle", ("path", "--out"), cmd_realize),
     ("render", "render a depth-2 truss file as SVG", ("path", "--out"), cmd_render),
-    ("oracle", "run a brute-force enumeration suite", ("suite", "--max-ordinal", "--seed"), cmd_oracle),
+    ("oracle", "run the named brute-force suites, or all", ("suites", "--max-ordinal", "--seed"), cmd_oracle),
 )
-_INTEGER_OPTIONS = ("--max-ordinal", "--seed")
+_ARGUMENT_OPTIONS = {"suites": {"nargs": "*", "metavar": "SUITE"}, "--max-ordinal": {"type": int},
+                     "--seed": {"type": int}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, arguments, func in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for arg in arguments:
-            p.add_argument(arg, **({"type": int} if arg in _INTEGER_OPTIONS else {}))
+            p.add_argument(arg, **_ARGUMENT_OPTIONS.get(arg, {}))
         p.set_defaults(func=func)
     return parser
 

@@ -1,8 +1,8 @@
 """PL meshes with exact rational coordinates.
 
-A 1-mesh stratifies [-1, 1] by finitely many singular heights; CompactMesh1
-holds them with the endpoints, plus each height's position, a table built on
-first use.  realize_1truss shares one evenly spaced CompactMesh1 per ordinal.
+A 1-mesh stratifies [-1, 1] by finitely many singular heights; CompactMesh1,
+a plain value, holds them with the endpoints.  realize_1truss shares one
+evenly spaced CompactMesh1 per ordinal.
 A mesh bundle over a finite poset (triangulated by its nerve) is a functor
 on the CoverFunctor core: compact heights per vertex and, per covering
 relation, the interval map attaching each singular sheet of the upper fiber
@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import DiagramError, DomainError, MeshError, SectionError
 from .ordinal import NablaMap, Ordinal, compose_delta, compose_nabla, dual_delta_to_nabla, dual_nabla_to_delta
@@ -60,9 +60,7 @@ def _rationals(values, what: str) -> tuple:
 @dataclass(frozen=True)
 class CompactMesh1:
     """Strictly increasing heights from -1 to 1: the endpoints and, between
-    them, the singular heights of a 1-mesh, given as ints or Fractions.
-    ``index`` maps each height to its position.  Equality, hashing, copies
-    and pickles see only ``heights``, not that cached table."""
+    them, the singular heights of a 1-mesh, given as ints or Fractions."""
 
     heights: tuple
 
@@ -74,9 +72,6 @@ class CompactMesh1:
         if any(a >= b for a, b in zip(hs, hs[1:])):
             raise MeshError("heights must be strictly increasing")
 
-    def __reduce__(self):
-        return (CompactMesh1, (self.heights,))
-
     @property
     def interior(self) -> tuple:
         return self.heights[1:-1]
@@ -85,10 +80,6 @@ class CompactMesh1:
     def interval(self) -> Ordinal:
         """The interval [n + 1] indexing the heights."""
         return Ordinal(len(self.heights) - 1)
-
-    @cached_property
-    def index(self) -> dict:
-        return {h: i for i, h in enumerate(self.heights)}
 
     def __getitem__(self, i: int) -> Fraction:
         return self.heights[i]

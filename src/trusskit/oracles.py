@@ -2,12 +2,13 @@
 
 Everything here re-derives a law the library claims, by exhaustive (or
 seeded, where exhaustion is infeasible) enumeration at desk scale, and
-returns a Report.  The suites double as the CLI's `oracle` command and as
-the backing for the acceptance tests.  Every SUITES entry runs under
-audited(), the one audit of what the library installs without checks (one
-_INSTALLS row per _trusted install point, trusted towers and their recorded
-ends included); the enumeration families run unaudited when called on their
-own.
+returns a Report.  The suites back the acceptance tests and the CLI's
+`oracle` command, the one runner of any list of them.  Every SUITES entry
+runs under audited(), the one audit of what the library installs without
+checks (one _INSTALLS row per _trusted install point, trusted towers and
+their recorded ends included), and fails if an audit count would overwrite
+one of its own; the enumeration families run unaudited when called on
+their own.
 """
 
 from __future__ import annotations
@@ -159,9 +160,9 @@ def labeling_from_map(domain: FinPoset, cat: LabelCategory, f: dict) -> Labeling
     return Labeling(domain, cat, dict(f), on_rel)
 
 
-def monotone_label_maps(domain: FinPoset, p: FinPoset, rng=None, samples: int = 2) -> list:
-    """Constant, height-canonical, and seeded monotone object assignments
-    from a poset into a label poset."""
+def monotone_label_maps(domain: FinPoset, p: FinPoset, rng=None) -> list:
+    """Constant and height-canonical monotone object assignments from a poset
+    into a label poset, and one seeded assignment when given an rng."""
     h = _heights(domain)
     chain = _longest_chain(p)
     maps = []
@@ -170,11 +171,8 @@ def monotone_label_maps(domain: FinPoset, p: FinPoset, rng=None, samples: int = 
     maps.append({x: chain[min(h[x], len(chain) - 1)] for x in domain.elements})
     if rng is not None:
         top = max(h.values()) if h else 0
-        for _ in range(samples):
-            cuts = sorted(rng.randint(0, top + 1) for _ in range(len(chain) - 1))
-            maps.append({
-                x: chain[sum(1 for c in cuts if c <= h[x])] for x in domain.elements
-            })
+        cuts = sorted(rng.randint(0, top + 1) for _ in range(len(chain) - 1))
+        maps.append({x: chain[sum(1 for c in cuts if c <= h[x])] for x in domain.elements})
     seen = set()
     unique = []
     for f in maps:
@@ -185,9 +183,9 @@ def monotone_label_maps(domain: FinPoset, p: FinPoset, rng=None, samples: int = 
     return unique
 
 
-def all_labelings(domain: FinPoset, p: FinPoset, rng=None, samples: int = 2) -> list:
+def all_labelings(domain: FinPoset, p: FinPoset, rng=None) -> list:
     cat = LabelCategory.from_poset(p)
-    return [labeling_from_map(domain, cat, f) for f in monotone_label_maps(domain, p, rng, samples)]
+    return [labeling_from_map(domain, cat, f) for f in monotone_label_maps(domain, p, rng)]
 
 
 def random_diagram(base: FinPoset, max_ordinal: int, rng) -> DeltaDiagram:
@@ -218,7 +216,7 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
         d1 = DeltaDiagram(pt, {POINT_ELEMENT: Ordinal(n1)}, {})
         top1 = total_space(d1).carrier
         for p in (chain, vee):
-            for lab in all_labelings(top1, p, rng, samples=1):
+            for lab in all_labelings(top1, p, rng):
                 towers.append(TrussTower(pt, (d1,), lab))
     for n1 in range(2):
         d1 = DeltaDiagram(pt, {POINT_ELEMENT: Ordinal(n1)}, {})
@@ -231,7 +229,7 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
             towers.append(TrussTower(pt, (d1, d2), labeling_from_map(top2, cat, f)))
         for d2 in rng.sample(seconds, min(12, len(seconds))):
             top2 = total_space(d2).carrier
-            for lab in all_labelings(top2, vee, rng, samples=1):
+            for lab in all_labelings(top2, vee, rng):
                 towers.append(TrussTower(pt, (d1, d2), lab))
     for _ in range(8):
         d1 = DeltaDiagram(pt, {POINT_ELEMENT: Ordinal(rng.randint(0, 1))}, {})
@@ -239,7 +237,7 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
         d3 = random_diagram(total_space(d2).carrier, 1, rng)
         top3 = total_space(d3).carrier
         for p in (chain, vee):
-            f = monotone_label_maps(top3, p, rng, samples=1)[-1]
+            f = monotone_label_maps(top3, p, rng)[-1]
             towers.append(TrussTower(pt, (d1, d2, d3), labeling_from_map(top3, LabelCategory.from_poset(p), f)))
     return towers
 
@@ -261,7 +259,7 @@ def depth1_bordisms(rng) -> list:
                 )
                 top = total_space(d).carrier
                 for p in posets:
-                    for lab in all_labelings(top, p, rng, samples=1):
+                    for lab in all_labelings(top, p, rng):
                         out.append(Bordism(ab, (d,), lab))
     return out
 
@@ -437,7 +435,8 @@ def _geometry_disagrees(m: PLMeshBundle, cov, quarter: tuple, half: tuple, reg, 
     a, b = cov
     ha = m.heights[a]
     limits = [2 * q - h for q, h in zip(quarter, half)]
-    lands = tuple(ha.index.get(x) for x in limits)
+    position = {h: i for i, h in enumerate(ha.heights)}
+    lands = tuple(position.get(x) for x in limits)
     if None in lands:
         j = lands.index(None)
         return f"sheet {j} over {b!r} extrapolates to {limits[j]}, which is no height over {a!r}"
@@ -781,7 +780,8 @@ def _audited_suite(suite):
     """A SUITES entry: the suite under audited(), given max_ordinal and seed
     unless None; nonzero audit counts join the report's, and a disagreement
     ends the run as a failing Report naming the kind of install, any other
-    library error as one located at "library error"."""
+    library error as one located at "library error", and an audit count
+    named like one of the suite's as one located at "audit counts"."""
     def run(max_ordinal=None, seed=None):
         options = {k: v for k, v in (("max_ordinal", max_ordinal), ("seed", seed)) if v is not None}
         with audited() as audit:
@@ -792,6 +792,9 @@ def _audited_suite(suite):
                 report = Report.failure(kind, why + ":\n" + _shown(value))
             except TrussError as exc:
                 report = Report.failure("library error", f"{type(exc).__name__}: {exc}")
+        clashes = ", ".join(sorted(set(audit) & set(report.counts)))
+        if clashes:
+            return Report.failure("audit counts", f"the audit's {clashes} would overwrite the suite's", report.counts)
         report.counts.update(audit)
         return report
     return run

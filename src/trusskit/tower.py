@@ -164,30 +164,26 @@ def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
         raise DomainError("pullback_tower needs a TrussTower and a PosetMap")
     if f.dst != t.base:
         raise DomainError("pullback map must land in the tower's base")
-    return _pullback(t, f)
+    return _pullback(t, f.src, f.mapping)
 
 
-def _pullback(t: TrussTower, f: PosetMap, ends=None) -> TrussTower:
-    """pullback_tower's walk, with the ends the caller knows, unchecked."""
-    base, image = f.src, f.mapping
-    layers = []
+def _pullback(t: TrussTower, root: FinPoset, image: dict, ends=None) -> TrussTower:
+    """pullback_tower's walk along the monotone map out of root whose value at
+    x is image[x], as CoverFunctor.pullback takes it, with the ends the
+    caller knows, unchecked."""
+    base, layers = root, []
     for layer in t.layers:
         if layers:
             base = total_space(layers[-1]).carrier
             image = {(b, e): (image[b], e) for (b, e) in base.elements}
         layers.append(layer.pullback(base, image))
-    return TrussTower._trusted(f.src, layers, ends)
+    return TrussTower._trusted(root, layers, ends)
 
 
-# The constant maps of bases are built once and shared, like the posets.
+# The end inclusions are built once and shared, like the posets.
 @lru_cache(maxsize=None)
 def _end_inclusion(end: int) -> PosetMap:
     return PosetMap(point_poset(), arrow_poset(), {POINT_ELEMENT: str(end)})
-
-
-@lru_cache(maxsize=None)
-def _collapse() -> PosetMap:
-    return PosetMap(arrow_poset(), point_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT})
 
 
 def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
@@ -207,7 +203,7 @@ def identity_bordism(t: TrussTower) -> Bordism:
 
 @lru_cache(maxsize=2048)
 def _identity(t: TrussTower) -> Bordism:
-    return _pullback(t, _collapse(), {0: t, 1: t})
+    return _pullback(t, arrow_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT}, {0: t, 1: t})
 
 
 def _retag(el, rootmap):
@@ -322,9 +318,16 @@ def truss_label_category(objects, generators) -> LabelCategory:
     bordisms and the given generators, closed under composition; a composite
     equal to a known morphism enters the table as that instance.  It is
     installed unchecked, as the module docstring says."""
-    objs = list(dict.fromkeys(objects))
+    try:
+        objs, gens = list(objects), list(generators)
+        towers = all(isinstance(x, TrussTower) for x in objs + gens)
+    except TypeError:
+        towers = False
+    if not towers:
+        raise PackingError("the objects and the generators must be sequences of TrussTowers")
+    objs = list(dict.fromkeys(objs))
     idents = {o: identity_bordism(o) for o in objs}
-    morphisms = list(dict.fromkeys(list(idents.values()) + list(generators)))
+    morphisms = list(dict.fromkeys(list(idents.values()) + gens))
     # the morphisms out of each object, in morphism order
     by_source = {o: [] for o in objs}
     for m in morphisms:
@@ -387,7 +390,7 @@ def pack(t: TrussTower) -> PackedTower:
 
     def once(key, src, image, ends=None):
         if key not in made:
-            made[key] = _pullback(top, PosetMap(src, dom, image), ends)
+            made[key] = _pullback(top, src, image, ends)
         return made[key]
 
     keys = {x: (last.ord[x], tuple(objs[x]), tuple(covs.get((x, x), ()))) for x in dom.elements}
@@ -452,20 +455,20 @@ def constant_inclusion(data, label, cat: LabelCategory):
         as_bordism = True
     elif not all(isinstance(e, (int, Ordinal)) for e in entries):
         raise DomainError("data must be all ordinals or all maps")
-    elif entries or label in set(cat.objects):
+    elif entries or label in cat.objects:
         as_bordism = False
-    elif label in set(cat.morphisms):
+    elif label in cat.morphisms:
         as_bordism = True
     else:
         raise DomainError(f"{label!r} is neither an object nor a morphism")
     if not as_bordism:
-        if label not in set(cat.objects):
+        if label not in cat.objects:
             raise DomainError(f"{label!r} is not an object of the label category")
         root = point_poset()
         roots = [DeltaDiagram(root, {POINT_ELEMENT: n}, {}) for n in entries]
         roots.append(Labeling(root, cat, {POINT_ELEMENT: label}, {}))
     else:
-        if label not in set(cat.morphisms):
+        if label not in cat.morphisms:
             raise DomainError(f"{label!r} is not a morphism of the label category")
         root = arrow_poset()
         roots = [DeltaDiagram(root, {"0": m.src, "1": m.dst}, {("0", "1"): m}) for m in entries]

@@ -1,8 +1,7 @@
 """Exercise every subcommand through main(); exit codes are the contract."""
 
-import importlib.util
 import json
-from pathlib import Path
+import re
 
 import pytest
 
@@ -10,6 +9,7 @@ from trusskit import (
     DeltaDiagram,
     DeltaMap,
     Ordinal,
+    Report,
     arrow_poset,
     constant_inclusion,
     dumps,
@@ -18,6 +18,7 @@ from trusskit import (
     parse,
     save,
 )
+from trusskit import cli
 from trusskit.cli import main
 from trusskit.oracles import tower_family
 
@@ -296,15 +297,50 @@ def test_oracle_negative_max_ordinal(capsys):
         assert "status" not in captured.out
 
 
-def test_run_oracles_script_refuses_negative_max_ordinal(capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_oracles.py"
-    spec = importlib.util.spec_from_file_location("run_oracles", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    with pytest.raises(SystemExit) as err:
-        script.main(["homsets", "--max-ordinal", "-1"])
-    assert err.value.code == 2
-    assert "--max-ordinal must be nonnegative" in capsys.readouterr().err
+def _stub_suites(monkeypatch, failing=()):
+    """Replace the CLI's suites by stubs b, a, c that record their calls."""
+    ran = []
+
+    def suite(name):
+        def run(max_ordinal=None, seed=None):
+            ran.append((name, max_ordinal, seed))
+            return Report.failure(name, "stub failure") if name in failing else Report.ok({"runs": 1})
+        return run
+
+    monkeypatch.setattr(cli, "SUITES", {n: suite(n) for n in "bac"})
+    return ran
+
+
+def test_oracle_runs_every_suite_in_sorted_order_by_default(monkeypatch, capsys):
+    ran = _stub_suites(monkeypatch)
+    assert main(["oracle", "--seed", "1"]) == 0
+    assert ran == [("a", None, 1), ("b", None, 1), ("c", None, 1)]
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"== {n}\nstatus: ok\ncount runs: 1\n" for n in "abc") + "all 3 suite(s) ok\n"
+    # wall times go to stderr, so stdout stays byte-deterministic
+    assert re.fullmatch(r"a: \d+\.\d\d s\nb: \d+\.\d\d s\nc: \d+\.\d\d s\n", captured.err)
+
+
+def test_oracle_runs_two_suites_in_the_order_given(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["oracle", "homsets", "factorization", "--max-ordinal", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    out = outs[0]
+    assert out.startswith("== homsets\nstatus: ok\n") and out.count("status: ok") == 2
+    assert out.index("== homsets") < out.index("== factorization")
+    assert out.endswith("all 2 suite(s) ok\n")
+
+
+def test_oracle_failing_suite_exits_one_and_the_rest_still_run(monkeypatch, capsys):
+    ran = _stub_suites(monkeypatch, failing=("a", "c"))
+    assert main(["oracle", "c", "b", "a"]) == 1
+    assert [name for name, _, _ in ran] == ["c", "b", "a"]
+    captured = capsys.readouterr()
+    assert "note c: stub failure" in captured.out and "== b\nstatus: ok" in captured.out
+    assert "suite(s) ok" not in captured.out
+    assert captured.err.endswith("FAILED: c, a\n")
 
 
 def test_oracle_factorization_reports_cone_misses(capsys):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from trusskit import DeltaDiagram, DeltaMap, FinPoset, StratumMap, mesh, oracles, tower
+from trusskit import DeltaDiagram, DeltaMap, FinPoset, Report, StratumMap, mesh, oracles, tower
 from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
 from trusskit.mesh import PLMeshBundle
 from trusskit.oracles import SUITES, audited, bordism_family, chain3_poset, tower_family
@@ -153,6 +153,19 @@ class OneWrongComposite(LabelCategory):
 def test_audit_catches_a_wrong_closure_entry(monkeypatch):
     monkeypatch.setattr(tower, "LabelCategory", OneWrongComposite)
     assert_caught(SUITES["pack"](), "label category")
+
+
+def test_an_audit_count_named_like_a_suite_count_is_a_failing_report():
+    t = tower_family(0, 2)[0]
+
+    def stub():
+        identity_bordism(t)  # installs layers under the audit
+        return Report.ok({"layers": 1})
+
+    report = oracles._audited_suite(stub)()
+    assert_caught(report, "audit counts")
+    assert report.diagnostics[0][1] == "the audit's layers would overwrite the suite's"
+    assert report.counts == {"layers": 1}
 
 
 def assert_library_error(report, message):

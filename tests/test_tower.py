@@ -678,17 +678,18 @@ def test_derived_suite_rebuilds_every_pulled_back_layer():
 def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
     calls = []
     real = tower._pullback
-    monkeypatch.setattr(tower, "_pullback", lambda t, f, ends=None: calls.append((t, f)) or real(t, f, ends))
+    monkeypatch.setattr(tower, "_pullback",
+                        lambda t, root, image, ends=None: calls.append((t, root)) or real(t, root, image, ends))
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
     shared = 0
     for t in towers:
         calls.clear()
         lab = pack(t).tower.labels
         # pack's own pullbacks are those of its last stage with t's labels
-        mine = [f for u, f in calls if u.labels is t.labels]
+        mine = [root for u, root in calls if u.labels is t.labels]
         fibers, gens = list(lab.on_objects.values()), list(lab.on_relations.values())
-        assert sum(f.src == point_poset() for f in mine) == len(set(fibers))
-        assert sum(f.src == arrow_poset() for f in mine) == len(set(gens))
+        assert sum(root == point_poset() for root in mine) == len(set(fibers))
+        assert sum(root == arrow_poset() for root in mine) == len(set(gens))
         # equal labels are one instance
         assert len({id(x) for x in fibers + gens}) == len(set(fibers + gens))
         shared += len(fibers) + len(gens) - len(mine)
@@ -827,6 +828,7 @@ def _refusal_operands():
 BUNDLE_GUARD = "pullback_bundle needs a DeltaDiagram and a PosetMap"
 TOWER_GUARD = "pullback_tower needs a TrussTower and a PosetMap"
 UNPACK_GUARD = "unpack needs a PackedTower holding a TrussTower"
+CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTowers"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -864,6 +866,18 @@ UNPACK_GUARD = "unpack needs a PackedTower holding a TrussTower"
                  "data must be all ordinals or all maps", id="constant_inclusion(5, 'a', cat)"),
     pytest.param(lambda b, d, f: constant_inclusion([1], "*", 5), DomainError,
                  "constant_inclusion needs a LabelCategory", id="constant_inclusion([1], '*', 5)"),
+    pytest.param(lambda b, d, f: constant_inclusion([1], [], b.labels.target), DomainError,
+                 "[] is not an object of the label category", id="constant_inclusion([1], [], cat)"),
+    pytest.param(lambda b, d, f: constant_inclusion([], {}, b.labels.target), DomainError,
+                 "{} is neither an object nor a morphism", id="constant_inclusion([], {}, cat)"),
+    pytest.param(lambda b, d, f: truss_label_category(5, []), PackingError, CATEGORY_GUARD,
+                 id="truss_label_category(5, [])"),
+    pytest.param(lambda b, d, f: truss_label_category([], 5), PackingError, CATEGORY_GUARD,
+                 id="truss_label_category([], 5)"),
+    pytest.param(lambda b, d, f: truss_label_category([], [5]), PackingError, CATEGORY_GUARD,
+                 id="truss_label_category([], [5])"),
+    pytest.param(lambda b, d, f: truss_label_category([[]], []), PackingError, CATEGORY_GUARD,
+                 id="truss_label_category([[]], [])"),
     pytest.param(lambda b, d, f: pack(5), PackingError, "pack needs a tower", id="pack(5)"),
     pytest.param(lambda b, d, f: unpack(5), PackingError, UNPACK_GUARD, id="unpack(5)"),
     pytest.param(lambda b, d, f: unpack(PackedTower(5)), PackingError, UNPACK_GUARD, id="unpack(PackedTower(5))"),
