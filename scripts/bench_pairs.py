@@ -18,6 +18,9 @@ side and, per end-to-end metric, the quartiles of each side's runs, every
 run, the number of pairs the change won and the relative change of the
 median.  Stops (exit 2) when a run cannot be made; a run whose checks fail is
 recorded in ``failed_ops`` and the comparison goes on (exit 1 at the end).
+At the end it prints, from the result just written, one line per workload
+and end-to-end metric: parent median, change median, relative change and
+pairs won.
 """
 
 import argparse
@@ -91,6 +94,16 @@ def compare(parent_tree: Path, workload: str, seeds: list, seconds: float, metri
     return out, any(not r["correct"] for rs in runs.values() for r in rs)
 
 
+def print_summary(result: dict):
+    """One line per workload and end-to-end metric of a written result."""
+    for workload, out in result["workloads"].items():
+        for name, m in out["metrics"].items():
+            rel = m["relative_change_of_median"]
+            print(f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
+                  f" ({'n/a' if rel is None else f'{rel:+.1%}'}),"
+                  f" change better in {m['change_better_pairs']} of {len(out['seeds'])} pairs")
+
+
 def next_bench_path() -> Path:
     taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json")
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
@@ -140,6 +153,7 @@ def main(argv=None):
             failed = failed or bad
             out_path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
+    print_summary(json.loads(out_path.read_text(encoding="utf-8")))
     return 1 if failed else 0
 
 

@@ -11,9 +11,12 @@ Bundles, labelings (functors into a LabelCategory), mesh bundles and their
 bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
 CoverFunctor core: it checks which elements and covers are assigned, proves
 functoriality with functor_table, keeps the resulting path table and
-defines equality.  The core also carries the two operations every walk over a tower needs: over()
-rebuilds a functor of the same kind over another base through the
-validating constructor, and pullback() precomposes with a map of bases.  A
+defines equality.  It makes one proof per value while an equal one lives:
+a key equal to that of a functor functor_table has proved, and which is
+still alive, shares that functor's key and path table.  The core also
+carries the two operations every walk over a tower needs: over() rebuilds a
+functor of the same kind over another base through the validating
+constructor, and pullback() precomposes with a map of bases.  A
 pullback of a functor along a monotone map is a functor, so pullback()
 proves nothing again: it inherits its path table from the parent's,
 reading each related pair's value at the pair's image, and reads its cover
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 from .errors import (
     ClassificationError,
@@ -85,6 +89,16 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     return table, None
 
 
+def _key_hash(key) -> int:
+    """The hash of a CoverFunctor key, its two tables taken as sets of items."""
+    return hash(key[:-2] + (frozenset(key[-2].items()), frozenset(key[-1].items())))
+
+
+# The functors functor_table has proved, by the hash of their key; an entry
+# dies with its functor.  oracles.audited() empties it on entry and exit.
+_PROVED = WeakValueDictionary()
+
+
 class CoverFunctor:
     """A functor out of a finite poset, given on its elements and covers.
 
@@ -94,7 +108,11 @@ class CoverFunctor:
     ``_extend`` from its constructor.  That checks that exactly the base
     elements and covering relations are assigned, extends the cover values
     to every related pair with functor_table and stores that path table;
-    functor_table's diagnostic is raised as ``_error``.  ``_trusted`` builds
+    functor_table's diagnostic is raised as ``_error``.  One proof per value
+    while an equal one lives: a proved functor is kept, weakly, in
+    ``_PROVED`` under its key's hash, and a later key of the same type equal
+    to its key installs its key, ``compose`` and path table, shared, without
+    a proof.  ``_trusted`` builds
     a functor without any of these checks from a path table known to be
     functorial: ``pullback`` reads one from the parent, bordism composition
     joins the two bordisms' tables, mesh.realize_bundle dualizes one and
@@ -122,17 +140,27 @@ class CoverFunctor:
                 f" extra {sorted(set(covers) - expected, key=element_sort_key)})"
             )
         self._check_values(*key)
+        try:
+            h = _key_hash(key)
+        except TypeError:  # proved as ever, then refused by _install's hash
+            h = None
+        known = _PROVED.get(h)
+        if known is not None and type(known) is type(self) and known._key == key:
+            self._install(known._key, known.compose, known._paths, h)
+            return
         table, diagnostic = functor_table(base, identity_at, covers.__getitem__, compose)
         if diagnostic is not None:
             raise self._error(diagnostic)
-        self._install(key, compose, table)
+        self._install(key, compose, table, h)
+        _PROVED[h] = self
 
-    def _install(self, key, compose, paths):
+    def _install(self, key, compose, paths, h=None):
         """Store a key whose path table is known to be functorial, under
-        the core's names and the subclass's ``_fields``."""
+        the core's names and the subclass's ``_fields``; h is the key's hash
+        when already taken."""
         self.base, self.objects, self.covers = key[0], key[-2], key[-1]
         self.compose, self._paths, self._key = compose, paths, key
-        self._hash = hash(key[:-2] + (frozenset(self.objects.items()), frozenset(self.covers.items())))
+        self._hash = _key_hash(key) if h is None else h
         for name, value in zip(self._fields, key):
             setattr(self, name, value)
 

@@ -43,7 +43,7 @@ from .strata import (
     stratum_targets,
     validate_stratum_map,
 )
-from .bundle import CoverFunctor, DeltaDiagram, LabelCategory, Labeling, TotalPoset, classify, total_space
+from .bundle import _PROVED, CoverFunctor, DeltaDiagram, LabelCategory, Labeling, TotalPoset, classify, total_space
 from .tower import (
     Bordism,
     PackedTower,
@@ -738,9 +738,12 @@ def audited():
     the counts of installs audited.  The _trusted of every _INSTALLS row is
     patched, and nothing else, and restored on exit: each distinct install is
     checked once and counted as its row says.  The memos of composites,
-    identity bordisms and total spaces are emptied on entry and exit, so what
-    the block uses is installed, and audited, inside it, and nothing made
-    inside outlives it.  A disagreement raises _Disagreement."""
+    identity bordisms and total spaces, and bundle._PROVED, the functors
+    proved by their constructor, are emptied on entry and exit, so what the
+    block uses is installed, and audited, or proved inside it, and nothing
+    made inside outlives it.  A _trusted install never enters _PROVED, so
+    its rebuild is always checked against a real proof of an equal key.  A
+    disagreement raises _Disagreement."""
     counts, checked = Counter(), {}  # checked: (kind, subject) -> witness
     saved = {row[0]: row[0].__dict__["_trusted"] for row in _INSTALLS}
 
@@ -765,6 +768,7 @@ def audited():
 
     for memo in _MEMOS:
         memo.cache_clear()
+    _PROVED.clear()
     for row in _INSTALLS:
         row[0]._trusted = patched(*row)
     try:
@@ -774,6 +778,7 @@ def audited():
             owner._trusted = install
         for memo in _MEMOS:
             memo.cache_clear()
+        _PROVED.clear()
 
 
 def _audited_suite(suite):

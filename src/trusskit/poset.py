@@ -78,7 +78,7 @@ class FinPoset:
 
     def _install(self, elements, index, ups):
         self.elements, self.index, self.ups = tuple(elements), index, tuple(ups)
-        self._covers = None
+        self._covers = self._linear = None
         self._hash = hash((self.elements, self.ups))
 
     def _validate(self, strays=()):
@@ -167,23 +167,25 @@ class FinPoset:
         ``self.elements``, whose strict down-set is already placed.  Kahn's
         algorithm over the covers with a heap of indices gives exactly that
         order: an element's lower covers are placed only after everything
-        below them.
+        below them.  Computed once per poset, as covers() is.
         """
-        upper = self.upper
-        indegree = [0] * len(upper)
-        for up in upper:
-            for j in up:
-                indegree[j] += 1
-        ready = [i for i, d in enumerate(indegree) if not d]  # sorted, so a heap
-        out = []
-        while ready:
-            i = heappop(ready)
-            out.append(self.elements[i])
-            for j in upper[i]:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    heappush(ready, j)
-        return tuple(out)
+        if self._linear is None:
+            upper = self.upper
+            indegree = [0] * len(upper)
+            for up in upper:
+                for j in up:
+                    indegree[j] += 1
+            ready = [i for i, d in enumerate(indegree) if not d]  # sorted, so a heap
+            out = []
+            while ready:
+                i = heappop(ready)
+                out.append(self.elements[i])
+                for j in upper[i]:
+                    indegree[j] -= 1
+                    if not indegree[j]:
+                        heappush(ready, j)
+            self._linear = tuple(out)
+        return self._linear
 
     def minimum(self):
         full = (1 << len(self.elements)) - 1

@@ -326,6 +326,8 @@ def truss_label_category(objects, generators) -> LabelCategory:
     if not towers:
         raise PackingError("the objects and the generators must be sequences of TrussTowers")
     objs = list(dict.fromkeys(objs))
+    if any(o.base != point_poset() for o in objs):
+        raise PackingError("an object is not a tower over the point")
     idents = {o: identity_bordism(o) for o in objs}
     morphisms = list(dict.fromkeys(list(idents.values()) + gens))
     # the morphisms out of each object, in morphism order

@@ -39,6 +39,16 @@ def terminal_labeling(carrier):
     )
 
 
+def one_wrong_entry(base, paths):
+    """paths with its first related non-cover pair (x, z) set to the
+    identity at z."""
+    covers = set(base.covers())
+    for x, z in paths:
+        if x != z and (x, z) not in covers:
+            return {**paths, (x, z): paths[(z, z)]}
+    return paths
+
+
 def build_tower(stage_data):
     """Stack diagrams over the point; stage_data is a list of (ords, arrows)
     callables taking the current carrier."""

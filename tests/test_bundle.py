@@ -1,5 +1,7 @@
 """Bundles over finite posets: construction, total space, classification."""
 
+import gc
+
 import pytest
 
 from trusskit import (
@@ -12,6 +14,8 @@ from trusskit import (
     LabelCategory,
     Labeling,
     LabelingError,
+    NablaDiagram,
+    NablaMap,
     Ordinal,
     PosetMap,
     Stratum,
@@ -23,9 +27,12 @@ from trusskit import (
     total_space,
     validate_stratum_map,
 )
-from trusskit.oracles import all_diagrams, all_posets, random_diagram
+from trusskit import bundle
+from trusskit.bundle import CoverFunctor
+from trusskit.oracles import SUITES, all_diagrams, all_posets, audited, random_diagram
 from trusskit.strata import fiber_objects
 from trusskit.tower import root_of
+from conftest import one_wrong_entry
 
 
 def arrow_diagram(n, m, values):
@@ -224,3 +231,117 @@ def test_total_space_matches_reference():
             assert list(t.carrier.leq) == list(ref.carrier.leq)
             count += 1
     assert count > 1000
+
+
+# One proof per value while an equal one lives: bundle._PROVED
+
+
+def count_proofs(monkeypatch):
+    """Patch functor_table to record each proof it runs."""
+    calls, real = [], bundle.functor_table
+    monkeypatch.setattr(bundle, "functor_table", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def diamond_diagram(corner=DeltaMap.identity(7)):
+    """Ordinals [7] over the diamond a < b, c < d, which no family of the
+    library builds: identities on the covers, corner on (c, d)."""
+    base = FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    ident = DeltaMap.identity(7)
+    arrows = {("a", "b"): ident, ("a", "c"): ident, ("b", "d"): ident, ("c", "d"): corner}
+    return DeltaDiagram(base, {e: Ordinal(7) for e in base.elements}, arrows)
+
+
+def chain_labeling():
+    cat = LabelCategory.from_poset(FinPoset.from_covers(["u", "v", "w"], [("u", "v"), ("v", "w")]))
+    return Labeling(arrow_poset(), cat, {"0": "u", "1": "w"}, {("0", "1"): "u<=w"})
+
+
+@pytest.mark.parametrize("make", [diamond_diagram, chain_labeling], ids=["DeltaDiagram", "Labeling"])
+def test_an_equal_functor_shares_the_proof_of_a_live_one(monkeypatch, make):
+    calls = count_proofs(monkeypatch)
+    first, again = make(), make()
+    assert len(calls) == 1
+    assert again == first and again._paths is first._paths and again._key is first._key
+    del first, again
+    gc.collect()
+    make()
+    assert len(calls) == 2
+
+
+def test_an_equal_key_of_another_kind_is_proved_again(monkeypatch):
+    calls = count_proofs(monkeypatch)
+    base = FinPoset.from_covers(["s", "t"], [])
+    ords = {"s": Ordinal(5), "t": Ordinal(5)}
+    delta, nabla = DeltaDiagram(base, ords, {}), NablaDiagram(base, ords, {})
+    assert len(calls) == 2 and delta._key == nabla._key
+    assert isinstance(nabla.map_for("s", "s"), NablaMap) and nabla.compose is not delta.compose
+
+
+def test_an_unequal_key_hashing_alike_is_proved(monkeypatch):
+    monkeypatch.setattr(bundle, "_key_hash", lambda key: 0)
+    calls = count_proofs(monkeypatch)
+    first = diamond_diagram()
+    other = DeltaDiagram(arrow_poset(), {"0": Ordinal(7), "1": Ordinal(7)}, {("0", "1"): DeltaMap.identity(7)})
+    assert len(calls) == 2 and other != first and other.base == arrow_poset()
+
+
+def test_a_non_functorial_key_is_refused_alike_on_every_attempt(monkeypatch):
+    calls = count_proofs(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DiagramError) as caught:
+            diamond_diagram(DeltaMap(7, 7, (0,) * 8))
+        messages.append(str(caught.value))
+    assert len(calls) == 2
+    assert messages == ["composites from 'a' to 'd' disagree through 'b' and 'c'"] * 2
+
+
+@pytest.mark.parametrize("suite", ["derived", "pack"])
+def test_a_live_trusted_functor_with_a_wrong_table_is_proved_and_audited(monkeypatch, suite):
+    good = diamond_diagram()
+    bad = DeltaDiagram._trusted(good._key[:-1], good.compose, {**good._paths, ("a", "d"): DeltaMap(7, 7, (0,) * 8)})
+    del good
+    gc.collect()
+    calls = count_proofs(monkeypatch)
+    again = diamond_diagram()
+    assert len(calls) == 1 and again == bad and again._paths != bad._paths
+    # every pullback of the suite installs such a functor, and the audit's
+    # rebuild through the constructor still reports the first
+    real = CoverFunctor.pullback
+
+    def wrong(self, base, image):
+        right = real(self, base, image)
+        return right._derive(base, right.objects, one_wrong_entry(base, right._paths))
+
+    monkeypatch.setattr(CoverFunctor, "pullback", wrong)
+    report = SUITES[suite]()
+    assert not report.is_ok
+    assert report.diagnostics[0][0] == "trusted functor"
+
+
+def test_audited_leaves_the_table_empty():
+    outside = diamond_diagram()
+    with audited():
+        assert len(bundle._PROVED) == 0
+        inside = chain_labeling()
+        assert len(bundle._PROVED) == 1
+    assert len(bundle._PROVED) == 0
+    assert outside == diamond_diagram() and inside == chain_labeling()
+
+
+class UnhashableMap(DeltaMap):
+    __hash__ = None
+
+
+@pytest.mark.parametrize("collapse, error, message", [
+    (False, TypeError, "unhashable type: 'UnhashableMap'"),
+    (True, DiagramError, "composites from 'a' to 'd' disagree through 'b' and 'c'"),
+])
+def test_an_unhashable_key_is_proved_and_refused_as_ever(monkeypatch, collapse, error, message):
+    calls = count_proofs(monkeypatch)
+    corner = UnhashableMap(7, 7, (0,) * 8 if collapse else tuple(range(8)))
+    for attempt in (1, 2):
+        with pytest.raises(error, match=message):
+            diamond_diagram(corner)
+        assert len(calls) == attempt

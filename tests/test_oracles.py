@@ -13,6 +13,7 @@ from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
 from trusskit.mesh import PLMeshBundle
 from trusskit.oracles import SUITES, audited, bordism_family, chain3_poset, tower_family
 from trusskit.tower import TrussTower, compose_bordisms, identity_bordism, pack, unpack
+from conftest import one_wrong_entry
 
 
 def trusted_classes():
@@ -28,16 +29,6 @@ def trusted_classes():
 TRUSTED = {cls: cls.__dict__["_trusted"] for cls in trusted_classes()}
 END = TrussTower.__dict__["end"]
 MEMOS = (tower._composite, tower._identity, total_space)
-
-
-def one_wrong_entry(base, paths):
-    """paths with its first related non-cover pair (x, z) set to the
-    identity at z."""
-    covers = set(base.covers())
-    for x, z in paths:
-        if x != z and (x, z) not in covers:
-            return {**paths, (x, z): paths[(z, z)]}
-    return paths
 
 
 def assert_restored():

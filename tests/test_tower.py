@@ -602,6 +602,7 @@ def test_composition_runs_no_functor_table(monkeypatch):
         compose_bordisms(b1, b2)
         compose_bordisms_audited(b1, b2)
     assert calls == []
+    bundle._PROVED.clear()  # an equal diagram lives in the memos
     DeltaDiagram(point_poset(), {POINT_ELEMENT: 1}, {})
     assert len(calls) == 1
 
@@ -878,6 +879,8 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
                  id="truss_label_category([], [5])"),
     pytest.param(lambda b, d, f: truss_label_category([[]], []), PackingError, CATEGORY_GUARD,
                  id="truss_label_category([[]], [])"),
+    pytest.param(lambda b, d, f: truss_label_category([b], []), PackingError,
+                 "an object is not a tower over the point", id="truss_label_category([bordism], [])"),
     pytest.param(lambda b, d, f: pack(5), PackingError, "pack needs a tower", id="pack(5)"),
     pytest.param(lambda b, d, f: unpack(5), PackingError, UNPACK_GUARD, id="unpack(5)"),
     pytest.param(lambda b, d, f: unpack(PackedTower(5)), PackingError, UNPACK_GUARD, id="unpack(PackedTower(5))"),
