@@ -38,7 +38,7 @@ from .errors import (
     LabelingError,
 )
 from .ordinal import DeltaMap, Ordinal, compose_delta
-from .poset import FinPoset, PosetMap, bits, element_sort_key
+from .poset import FinPoset, PosetMap, _laid_out, bits, element_sort_key
 from .strata import Stratum, fiber_objects
 
 
@@ -259,7 +259,7 @@ class TotalPoset:
     @classmethod
     def _trusted(cls, d, elements, ups):
         """total_space(d) from its laid-out elements and up-set masks, unchecked."""
-        return cls(FinPoset._trusted(elements, ups), d.base)
+        return cls(_laid_out(FinPoset, elements, ups), d.base)
 
 
 @lru_cache(maxsize=4096)

@@ -31,7 +31,7 @@ from .ordinal import (
     enumerate_delta_maps,
     enumerate_nabla_maps,
 )
-from .poset import POINT_ELEMENT, FinPoset, PosetMap, arrow_poset, path_poset, point_poset
+from .poset import POINT_ELEMENT, FinPoset, PosetMap, arrow_poset, bits, path_poset, point_poset
 from .strata import (
     REGULAR,
     SINGULAR,
@@ -39,6 +39,8 @@ from .strata import (
     StratumMap,
     factorization_poset,
     fiber_objects,
+    fiber_over_map,
+    fiber_over_ordinal,
     hom_strata,
     stratum_targets,
     validate_stratum_map,
@@ -315,9 +317,34 @@ def _clause_filter(x: Stratum, y: Stratum, alpha: DeltaMap) -> bool:
     return False
 
 
+def _filtered(objs, ident: DeltaMap) -> FinPoset:
+    """The validating FinPoset on strata objs over one ordinal, x <= y when
+    validate_stratum_map(x, y, ident): fibers and factorization posets
+    spelled pair by pair, independently of their masks."""
+    return FinPoset(objs, [(x, y) for x in objs for y in objs if validate_stratum_map(x, y, ident)])
+
+
+def _fiber_over_map_filtered(alpha: DeltaMap, id_src: DeltaMap, id_dst: DeltaMap) -> FinPoset:
+    """fiber_over_map(alpha) spelled pair by pair: (s, x) <= (t, y) when the
+    map of the tags (s, t) carries a morphism x -> y."""
+    over = {("src", "src"): id_src, ("dst", "dst"): id_dst, ("src", "dst"): alpha}
+    els = [("src", x) for x in fiber_objects(alpha.src.n)] + [("dst", y) for y in fiber_objects(alpha.dst.n)]
+    return FinPoset(els, [
+        (p, q) for p in els for q in els
+        if (p[0], q[0]) in over and validate_stratum_map(p[1], q[1], over[p[0], q[0]])
+    ])
+
+
 def suite_homsets(max_ordinal: int = 3, seed=None) -> Report:
-    counts = {"delta_homs": 0, "nabla_homs": 0, "strata_pairs": 0, "strata_maps": 0}
+    """Hom sets against binomial counts and a brute-force filter, the
+    duality round trip, and every fiber over an ordinal or a map
+    (fibers) against its filter spelling."""
+    counts = {"delta_homs": 0, "nabla_homs": 0, "strata_pairs": 0, "strata_maps": 0, "fibers": 0}
+    idents = [DeltaMap(n, n, range(n + 1)) for n in range(max_ordinal + 1)]
     for n in range(max_ordinal + 1):
+        if fiber_over_ordinal(n) != _filtered(fiber_objects(n), idents[n]):
+            return Report.failure(f"fiber([{n}])", "it differs from its filter spelling")
+        counts["fibers"] += 1
         for m in range(max_ordinal + 1):
             maps = enumerate_delta_maps(n, m)
             if len(maps) != comb(n + m + 1, n + 1):
@@ -326,6 +353,9 @@ def suite_homsets(max_ordinal: int = 3, seed=None) -> Report:
             for f in maps:
                 if dual_nabla_to_delta(dual_delta_to_nabla(f)) != f:
                     return Report.failure(f"dual({f})", "duality round trip failed")
+                if fiber_over_map(f) != _fiber_over_map_filtered(f, idents[n], idents[m]):
+                    return Report.failure(f"fiber({f})", "it differs from its filter spelling")
+                counts["fibers"] += 1
     for n in range(1, max_ordinal + 2):
         for m in range(1, max_ordinal + 2):
             gs = enumerate_nabla_maps(n, m)
@@ -378,9 +408,11 @@ def _not_a_tree(poset: FinPoset):
 def suite_factorization(max_ordinal: int = 2, seed=None) -> Report:
     """Every factorization poset's Hasse diagram is a tree (trees), so the
     poset dismantles leaf by leaf (a leaf is a beat point) and is
-    contractible; cone points are counted and reported."""
+    contractible; cone points are counted and reported.  Each poset is also
+    compared with its filter spelling."""
     counts = {"triangles": 0, "instances": 0, "trees": 0, "with_min": 0, "with_max": 0, "cone_missing": 0}
     diagnostics = []
+    idents = [DeltaMap(n, n, range(n + 1)) for n in range(max_ordinal + 1)]
     for a in range(max_ordinal + 1):
         for b in range(max_ordinal + 1):
             for c in range(max_ordinal + 1):
@@ -396,6 +428,13 @@ def suite_factorization(max_ordinal: int = 2, seed=None) -> Report:
                                 poset = factorization_poset(x, z, h, alpha, beta)
                                 counts["instances"] += 1
                                 why = _not_a_tree(poset)
+                                if why is None:
+                                    mids = [
+                                        y for y in fiber_objects(b)
+                                        if validate_stratum_map(x, y, alpha) and validate_stratum_map(y, z, beta)
+                                    ]
+                                    if poset != _filtered(mids, idents[b]):
+                                        why = "it differs from its filter spelling"
                                 if why is not None:
                                     return Report.failure(f"factor({x},{z} over {alpha};{beta})", why, counts)
                                 counts["trees"] += 1
@@ -697,6 +736,16 @@ def _total_space_disagrees(new: TotalPoset, fields):
     return None
 
 
+def _poset_disagrees(new: FinPoset, fields):
+    """Why new, installed unchecked, is not the validating FinPoset(...) of
+    its elements and the pairs its masks name; None when it is."""
+    els = new.elements
+    if any(up >> len(els) for up in new.ups):
+        return "a mask names a non-element"
+    pairs = [(a, els[j]) for a, up in zip(els, new.ups) for j in bits(up)]
+    return None if FinPoset(els, pairs) == new else "it differs from its validating rebuild"
+
+
 def _rebuild_disagrees(new, fields):
     """Why new differs from what its class's constructor builds from the same fields; or None."""
     return None if type(new)(*fields) == new else "it differs from its validating rebuild"
@@ -716,6 +765,8 @@ def _tower_disagrees(new: TrussTower, fields):
 # whether it is checked now); the key (subject, witness): a subject is checked
 # again only with another witness, and shown on failure; and the check.
 _INSTALLS = (
+    # == compares elements in order and masks: a non-canonical order differs
+    (FinPoset, "trusted poset", "poset_checks", lambda new, fields: (new, ()), _poset_disagrees),
     (CoverFunctor, "trusted functor", lambda new, fresh: "mesh_checks" if isinstance(new, PLMeshBundle) else "layers",
      lambda new, fields: (new, fields[2]), _functor_disagrees),
     # each distinct space once: a memo evicting one does not count it twice

@@ -10,7 +10,10 @@ preimages, implemented in both directions below.
 
 Ordinals are interned: there is exactly one Ordinal instance per n, so two
 ordinals are equal exactly when they are the same object, and equality and
-hashing run in C.  Maps stay value objects compared field by field.
+hashing run in C.  Maps stay value objects compared field by field: slotted
+frozen dataclasses, whose installs set the three slots through their
+descriptors, and whose copies and unpickled values are rebuilt through the
+checking constructor.
 """
 
 from __future__ import annotations
@@ -76,15 +79,17 @@ class MonotoneMap:
     """A weakly increasing map [src] -> [dst], stored as its value sequence;
     the shared value object of DeltaMap and NablaMap."""
 
+    __slots__ = ("src", "dst", "values")
+
     src: Ordinal
     dst: Ordinal
     values: tuple
 
     def __post_init__(self):
         src, dst, vs = _as_ordinal(self.src), _as_ordinal(self.dst), tuple(self.values)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "values", vs)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_values(self, vs)
         if len(vs) != src.size:
             raise DomainError(f"map on {src} needs {src.size} values, got {len(vs)}")
         top = dst.n
@@ -97,11 +102,14 @@ class MonotoneMap:
     @classmethod
     def _trusted(cls, src, dst, values):
         """A map the constructor accepts, unchecked; fields set as it sets them."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "values", values)
+        self = _new(cls)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_values(self, values)
         return self
+
+    def __reduce__(self):
+        return (type(self), (self.src, self.dst, self.values))
 
     def __call__(self, i: int) -> int:
         return self.values[i]
@@ -116,8 +124,15 @@ class MonotoneMap:
         return make(n, n, tuple(range(n.size)))
 
 
+# the slots' own setters: a frozen dataclass refuses setattr
+_new = object.__new__
+_set_src, _set_dst, _set_values = (MonotoneMap.__dict__[f].__set__ for f in MonotoneMap.__slots__)
+
+
 class DeltaMap(MonotoneMap):
     """A weakly increasing map [src] -> [dst]."""
+
+    __slots__ = ()
 
     # bound here, not only inherited, so the class's own __dict__ holds it
     __post_init__ = MonotoneMap.__post_init__
@@ -125,6 +140,8 @@ class DeltaMap(MonotoneMap):
 
 class NablaMap(MonotoneMap):
     """A weakly increasing endpoint-preserving map between ordinals of size >= 2."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         MonotoneMap.__post_init__(self)

@@ -72,9 +72,7 @@ class FinPoset:
         """A poset from elements already in canonical order and up-set masks
         already reflexive, antisymmetric and transitive; nothing is sorted or
         checked."""
-        new = object.__new__(cls)
-        new._install(elements, {e: i for i, e in enumerate(elements)}, ups)
-        return new
+        return _laid_out(cls, elements, ups)
 
     def _install(self, elements, index, ups):
         self.elements, self.index, self.ups = tuple(elements), index, tuple(ups)
@@ -225,6 +223,15 @@ class FinPoset:
 
     def __repr__(self):
         return f"FinPoset({len(self.elements)} elements, {sum(up.bit_count() for up in self.ups)} relations)"
+
+
+def _laid_out(cls, elements, ups):
+    """The install of FinPoset._trusted.  TotalPoset._trusted calls it
+    directly: the audit checks a total space, carrier included, by its own
+    row, so its carrier is not checked a second time as a trusted poset."""
+    new = object.__new__(cls)
+    new._install(elements, {e: i for i, e in enumerate(elements)}, ups)
+    return new
 
 
 def _canonical(elements):

@@ -17,9 +17,15 @@ For a fixed a the targets of a position form an interval of the zigzag
 over [m]: a regular r_i has the single target r_{a(i)}, and a singular s_i
 has the targets r_j for a(i) <= j <= a(i+1) and s_j for a(i) <= j < a(i+1).
 stratum_targets returns that interval.  Fibers, factorization posets and
-bundle total spaces are built from it, and hom_strata generates its maps
-without filtering and installs them unchecked (StratumMap._trusted, as
-compose_strata does), so each costs time proportional to its output.
+bundle total spaces are built from it, laid out as masks: elements in
+canonical order by construction, and each up-set set as the bit interval of
+its targets, installed unchecked through FinPoset._trusted (TotalPoset's for
+total spaces).  hom_strata generates its maps without filtering and installs
+them unchecked (StratumMap._trusted, as compose_strata does), so each costs
+time proportional to its output.  oracles.audited() audits every unchecked
+install, posets through its FinPoset row, and the homsets and factorization
+suites compare fibers and factorization posets with a pair-by-pair filter
+spelling.  StratumMap is a slotted frozen dataclass, as the ordinal maps are.
 
 Strata are interned: there is exactly one Stratum instance per value
 (kind, index, n), however it was made (constructed, parsed, copied or
@@ -35,7 +41,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import DomainError
-from .ordinal import DeltaMap, Ordinal, compose_delta
+from .ordinal import DeltaMap, MonotoneMap, Ordinal, compose_delta
 from .poset import FinPoset
 
 REGULAR = "r"
@@ -141,6 +147,8 @@ def validate_stratum_map(src: Stratum, dst: Stratum, alpha: DeltaMap) -> bool:
 class StratumMap:
     """A valid morphism between stratum positions, over its underlying map."""
 
+    __slots__ = ("src", "dst", "underlying")
+
     src: Stratum
     dst: Stratum
     underlying: DeltaMap
@@ -152,14 +160,22 @@ class StratumMap:
     @classmethod
     def _trusted(cls, src, dst, underlying):
         """A morphism the constructor accepts, unchecked; fields set as it sets them."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "underlying", underlying)
+        self = _new(cls)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_underlying(self, underlying)
         return self
+
+    def __reduce__(self):
+        return (type(self), (self.src, self.dst, self.underlying))
 
     def __str__(self):
         return f"{self.src} -> {self.dst} via {list(self.underlying.values)}"
+
+
+# the slots' own setters: a frozen dataclass refuses setattr
+_new = object.__new__
+_set_src, _set_dst, _set_underlying = (StratumMap.__dict__[f].__set__ for f in StratumMap.__slots__)
 
 
 def hom_strata(x: Stratum, y: Stratum) -> tuple:
@@ -192,7 +208,9 @@ def hom_strata(x: Stratum, y: Stratum) -> tuple:
 
 def compose_strata(f: StratumMap, g: StratumMap) -> StratumMap:
     """First f, then g.  The composite of two StratumMaps is valid by
-    closure; of anything else it is checked."""
+    closure; of anything else with an underlying map it is checked."""
+    if not all(isinstance(k, StratumMap) or hasattr(k, "underlying") for k in (f, g)):
+        raise DomainError(f"compose_strata needs two stratum maps, got {f!r} and {g!r}")
     if f.dst != g.src:
         raise DomainError(f"cannot compose {f} before {g}")
     make = StratumMap._trusted if isinstance(f, StratumMap) and isinstance(g, StratumMap) else StratumMap
@@ -204,10 +222,13 @@ def forget_to_delta(f: StratumMap) -> DeltaMap:
     return f.underlying
 
 
-@lru_cache(maxsize=1024)
+# typed, so that only an int n can meet its cached fiber
+@lru_cache(maxsize=1024, typed=True)
 def fiber_objects(n: int) -> tuple:
     """The 2n+1 positions over [n], in canonical order: r_0..r_n, then
     s_0..s_(n-1)."""
+    if type(n) is bool or not isinstance(n, int) or n < 0:
+        raise DomainError(f"a fiber lies over an ordinal [n] with n a nonnegative int, got {n!r}")
     regs = [Stratum.regular(i, n) for i in range(n + 1)]
     sings = [Stratum.singular(i, n) for i in range(n)]
     return tuple(regs + sings)
@@ -216,6 +237,8 @@ def fiber_objects(n: int) -> tuple:
 def stratum_targets(x: Stratum, alpha: DeltaMap) -> tuple:
     """Every y over alpha's target with a morphism x -> y over alpha, in
     the order of fiber_objects: an interval of regulars, then of singulars."""
+    if not (isinstance(x, Stratum) and isinstance(alpha, MonotoneMap)):
+        raise DomainError(f"stratum_targets needs a stratum and a map, got {x!r} and {alpha!r}")
     if alpha.src.n != x.n:
         raise DomainError(f"{alpha} does not start at the ambient of {x}")
     m = alpha.dst.n
@@ -227,28 +250,36 @@ def stratum_targets(x: Stratum, alpha: DeltaMap) -> tuple:
     return objs[lo:hi + 1] + objs[m + 1 + lo:m + 1 + hi]
 
 
+def _fiber_ups(n: int, at: int = 0) -> list:
+    """The up-set masks of the fiber over [n] laid out from bit at: r_i is
+    bit at + i, and s_i is bit at + n + 1 + i, below r_i and r_(i+1)."""
+    return [1 << at + i for i in range(n + 1)] + [(3 << at + i) | 1 << at + n + 1 + i for i in range(n)]
+
+
 def fiber_over_ordinal(n: int) -> FinPoset:
     """The fiber over [n]: the zigzag r_0 > s_0 < r_1 > ... < r_n, with
     s_i below both r_i and r_{i+1}."""
-    objs = fiber_objects(n)
-    ident = DeltaMap.identity(n)
-    return FinPoset(objs, [(x, y) for x in objs for y in stratum_targets(x, ident)])
+    return FinPoset._trusted(fiber_objects(n), _fiber_ups(n))
 
 
 def fiber_over_map(alpha: DeltaMap) -> FinPoset:
     """Both fibers side by side, plus every cross relation realized by a
-    morphism over alpha.  Elements are tagged ("src", x) and ("dst", y)."""
-    src_objs = fiber_objects(alpha.src.n)
-    dst_objs = fiber_objects(alpha.dst.n)
-    elements = [("src", x) for x in src_objs] + [("dst", y) for y in dst_objs]
-    leq = []
-    for tag_x, tag_y, objs, f in (
-        ("src", "src", src_objs, DeltaMap.identity(alpha.src)),
-        ("dst", "dst", dst_objs, DeltaMap.identity(alpha.dst)),
-        ("src", "dst", src_objs, alpha),
-    ):
-        leq.extend(((tag_x, x), (tag_y, y)) for x in objs for y in stratum_targets(x, f))
-    return FinPoset(elements, leq)
+    morphism over alpha.  Elements are tagged ("src", x) and ("dst", y);
+    in canonical order the ("dst", y) come first, from bit 0, then the
+    ("src", x), and the up-set of ("src", x) adds the interval
+    stratum_targets(x, alpha) of the target fiber."""
+    if not isinstance(alpha, MonotoneMap):
+        raise DomainError(f"fiber_over_map needs a DeltaMap, got {alpha!r}")
+    n, m, v = alpha.src.n, alpha.dst.n, alpha.values
+    at = 2 * m + 1
+    ups = _fiber_ups(m) + _fiber_ups(n, at)
+    for i in range(n + 1):
+        ups[at + i] |= 1 << v[i]
+    for i in range(n):
+        lo, width = v[i], v[i + 1] - v[i]
+        ups[at + n + 1 + i] |= ((2 << width) - 1) << lo | ((1 << width) - 1) << m + 1 + lo
+    elements = [("dst", y) for y in fiber_objects(m)] + [("src", x) for x in fiber_objects(n)]
+    return FinPoset._trusted(elements, ups)
 
 
 def factorization_poset(
@@ -258,8 +289,16 @@ def factorization_poset(
     (x -> y over alpha) then (y -> z over beta), ordered as in the fiber.
 
     Since a morphism over a fixed underlying map either exists or not, a
-    factorization is determined by the object it passes through.
+    factorization is determined by the object it passes through.  The
+    middles are a subset of stratum_targets(x, alpha), so already in
+    canonical order; a singular middle s_j lies below the regular middles
+    r_j and r_(j+1).
     """
+    if not (
+        isinstance(x, Stratum) and isinstance(z, Stratum) and isinstance(h, StratumMap)
+        and isinstance(alpha, MonotoneMap) and isinstance(beta, MonotoneMap)
+    ):
+        raise DomainError("factorization_poset needs two strata, a stratum map and two maps")
     if alpha.dst != beta.src:
         raise DomainError(f"{alpha} and {beta} do not compose")
     if h.src != x or h.dst != z:
@@ -267,7 +306,14 @@ def factorization_poset(
     if h.underlying != compose_delta(alpha, beta):
         raise DomainError(f"{h} does not lie over the composite of {alpha} and {beta}")
     objs = [y for y in stratum_targets(x, alpha) if z in stratum_targets(y, beta)]
-    kept = set(objs)
-    ident = DeltaMap.identity(alpha.dst)
-    leq = [(a, b) for a in objs for b in stratum_targets(a, ident) if b in kept]
-    return FinPoset(objs, leq)
+    index = {y: k for k, y in enumerate(objs)}
+    fiber = fiber_objects(alpha.dst.n)
+    ups = []
+    for k, y in enumerate(objs):
+        up = 1 << k
+        if not y.is_regular:
+            for r in fiber[y.index:y.index + 2]:
+                if r in index:
+                    up |= 1 << index[r]
+        ups.append(up)
+    return FinPoset._trusted(objs, ups)

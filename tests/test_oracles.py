@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from trusskit import DeltaDiagram, DeltaMap, FinPoset, Report, StratumMap, mesh, oracles, tower
+from trusskit import DeltaDiagram, DeltaMap, FinPoset, Report, Stratum, StratumMap, mesh, oracles, tower
 from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
 from trusskit.mesh import PLMeshBundle
 from trusskit.oracles import SUITES, audited, bordism_family, chain3_poset, tower_family
@@ -52,6 +52,57 @@ def test_audit_catches_a_wrong_realized_path(monkeypatch):
     report = SUITES["roundtrip-mesh"]()
     monkeypatch.undo()
     assert_caught(report, "trusted functor")
+
+
+def _fiber_over_map_with(change):
+    """fiber_over_map with one up-set changed by change(p, ups), installed
+    through FinPoset._trusted as the library installs it."""
+    real = oracles.fiber_over_map
+
+    def wrong(alpha):
+        p = real(alpha)
+        ups = list(p.ups)
+        change(p, alpha, ups)
+        return FinPoset._trusted(p.elements, ups)
+    return wrong
+
+
+def _break_transitivity(p, alpha, ups):
+    # src s_0 <= src r_0 <= dst r_alpha(0), but no longer src s_0 <= dst r_alpha(0)
+    if alpha.src.n:
+        ups[p.index["src", Stratum.singular(0, alpha.src.n)]] &= ~(1 << alpha.values[0])
+
+
+def _drop_a_cross_relation(p, alpha, ups):
+    # src r_0 <= dst r_alpha(0) dropped: still an order, no longer the fiber
+    i = p.index["src", Stratum.regular(0, alpha.src.n)]
+    ups[i] = 1 << i
+
+
+def test_audit_catches_a_non_order_mask(monkeypatch):
+    monkeypatch.setattr(oracles, "fiber_over_map", _fiber_over_map_with(_break_transitivity))
+    report = SUITES["homsets"]()
+    monkeypatch.undo()
+    assert_caught(report, "trusted poset")
+    assert "the validating rebuild fails: transitivity fails" in report.diagnostics[0][1]
+
+
+def test_homsets_catches_a_dropped_cross_relation(monkeypatch):
+    monkeypatch.setattr(oracles, "fiber_over_map", _fiber_over_map_with(_drop_a_cross_relation))
+    report = SUITES["homsets"]()
+    monkeypatch.undo()
+    assert not report.is_ok
+    [(where, why)] = report.diagnostics
+    assert where == "fiber([0]->[0]:[0])" and why == "it differs from its filter spelling"
+    assert_restored()
+
+
+def test_audit_catches_a_non_canonical_order():
+    elements = ("b", "a")
+    with audited():
+        with pytest.raises(oracles._Disagreement, match="trusted poset"):
+            FinPoset._trusted(elements, (1, 2))
+    assert_restored()
 
 
 def test_audit_catches_a_flipped_total_space_bit(monkeypatch):
@@ -218,12 +269,10 @@ def test_audit_rebuilds_an_equal_functor_with_another_path_table():
 
 
 def test_audit_patches_every_trusted_install():
-    # FinPoset._trusted's one caller, from_covers, has no independent
-    # spelling at install time; every other install point is audited, and
-    # nothing else is patched
+    # every install point is audited, and nothing else is patched
     assert {FinPoset, CoverFunctor, TotalPoset, TrussTower} < set(TRUSTED)
     with audited():
-        assert [cls for cls in TRUSTED if cls.__dict__["_trusted"] is TRUSTED[cls]] == [FinPoset]
+        assert [cls for cls in TRUSTED if cls.__dict__["_trusted"] is TRUSTED[cls]] == []
         assert TrussTower.__dict__["end"] is END
     assert TrussTower.__dict__["end"] is END
     assert_restored()

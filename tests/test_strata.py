@@ -4,6 +4,7 @@ import copy
 import enum
 import itertools
 import pickle
+import re
 import time
 
 import pytest
@@ -434,3 +435,38 @@ def test_invalid_stratum_values_are_never_interned(kind, index, n):
     Stratum.singular(0, 1)
     with pytest.raises(DomainError):
         Stratum(kind, index, n)
+
+
+FIBER_GUARD = "a fiber lies over an ordinal [n] with n a nonnegative int"
+F12 = DeltaMap(1, 2, (0, 2))
+H = StratumMap(Stratum.singular(0, 1), Stratum.regular(0, 0), DeltaMap(1, 0, (0, 0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: fiber_over_ordinal("3"), FIBER_GUARD, id="fiber_over_ordinal('3')"),
+    pytest.param(lambda: fiber_over_ordinal(2.0), FIBER_GUARD, id="fiber_over_ordinal(2.0)"),
+    pytest.param(lambda: fiber_over_ordinal(True), FIBER_GUARD, id="fiber_over_ordinal(True)"),
+    pytest.param(lambda: fiber_over_ordinal(-1), FIBER_GUARD, id="fiber_over_ordinal(-1)"),
+    pytest.param(lambda: fiber_objects(-1), FIBER_GUARD, id="fiber_objects(-1)"),
+    pytest.param(lambda: fiber_objects(Ordinal(2)), FIBER_GUARD, id="fiber_objects(Ordinal(2))"),
+    pytest.param(lambda: fiber_over_map(5), "fiber_over_map needs a DeltaMap, got 5", id="fiber_over_map(5)"),
+    pytest.param(lambda: fiber_over_map(Stratum.regular(0, 1)), "fiber_over_map needs a DeltaMap",
+                 id="fiber_over_map(stratum)"),
+    pytest.param(lambda: stratum_targets(5, F12), "stratum_targets needs a stratum and a map, got 5",
+                 id="stratum_targets(5, f)"),
+    pytest.param(lambda: stratum_targets(Stratum.regular(0, 1), (0, 2)), "stratum_targets needs a stratum and a map",
+                 id="stratum_targets(x, (0, 2))"),
+    pytest.param(lambda: factorization_poset(H.src, H.dst, 5, F12, DeltaMap(2, 0, (0, 0, 0))),
+                 "factorization_poset needs two strata, a stratum map and two maps", id="factorization_poset(x, z, 5, a, b)"),
+    pytest.param(lambda: factorization_poset(H.src, H.dst, H, F12, (0, 0, 0)),
+                 "factorization_poset needs two strata, a stratum map and two maps", id="factorization_poset(x, z, h, a, 5)"),
+    pytest.param(lambda: factorization_poset("s0@1", H.dst, H, F12, DeltaMap(2, 0, (0, 0, 0))),
+                 "factorization_poset needs two strata, a stratum map and two maps", id="factorization_poset('s0@1', ...)"),
+    pytest.param(lambda: compose_strata(5, 6), "compose_strata needs two stratum maps, got 5 and 6",
+                 id="compose_strata(5, 6)"),
+    pytest.param(lambda: compose_strata(H, 6), "compose_strata needs two stratum maps", id="compose_strata(h, 6)"),
+])
+def test_strata_entry_points_refuse_a_wrong_type(call, message):
+    fiber_objects(2)  # cached, so a value equal to 2 could meet it
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

@@ -3,6 +3,7 @@ StratumMap._trusted) give the values the validating constructors give, and
 every route that was refused before is refused still, with the same error."""
 
 import copy
+from dataclasses import FrozenInstanceError, fields
 import json
 import pickle
 from types import SimpleNamespace as Like
@@ -101,8 +102,13 @@ def test_a_trusted_map_is_its_validated_rebuild(route):
     again = rebuilt(made)
     assert made == again and hash(made) == hash(again) and str(made) == str(again)
     assert type(made) is type(again)
-    for copied in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
-        assert copied == again and hash(copied) == hash(again) and str(copied) == str(again)
+    for value in (made, again):  # by both routes: copied alike, slotted and frozen
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == again and hash(copied) == hash(again) and str(copied) == str(again)
+        assert not hasattr(value, "__dict__")
+        for field in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, field.name, 0)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -110,3 +116,22 @@ def test_each_route_installs_through_the_audited_point(route):
     with audited() as counts:
         ROUTES[route]()
     assert counts["map_checks"] > 0
+
+
+def test_a_copy_is_rebuilt_through_the_checking_constructor():
+    # unpickling a map whose fields break the constructor's checks refuses it
+    bad = DeltaMap._trusted(Ordinal(1), Ordinal(1), (1, 0))
+    with pytest.raises(DomainError, match="not weakly increasing"):
+        copy.copy(bad)
+
+
+class UnslottedUnhashableMap(DeltaMap):
+    __hash__ = None
+
+
+def test_a_subclass_without_slots_still_works():
+    f = UnslottedUnhashableMap(1, 1, (0, 1))
+    assert (f.src, f.dst, f.values) == (Ordinal(1), Ordinal(1), (0, 1)) and f.__dict__ == {}
+    assert type(copy.deepcopy(f)) is UnslottedUnhashableMap and copy.copy(f) == f
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(f)
