@@ -53,6 +53,7 @@ from .tower import (
     _assemble,
     _composite,
     _identity,
+    _plan,
     compose_bordisms,
     compose_bordisms_audited,
     constant_inclusion,
@@ -64,7 +65,7 @@ from .tower import (
 )
 from .mesh import PLMeshBundle, StratSimplexPoint, interpolated_heights, realize_bundle, reg_extract, sing_extract
 from .report import Report
-from .serialize import dumps
+from .serialize import cover_key, dumps, element_key
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +703,11 @@ class _Disagreement(Exception):
 
 
 def _shown(value) -> str:
-    """dumps(value), or the repr of its key where no schema holds it."""
+    """dumps(value), a poset's elements and covers by key, else its key's repr."""
     try:
+        if isinstance(value, FinPoset):
+            return (f"elements {', '.join(map(element_key, value.elements))}\n"
+                    f"covers {', '.join(map(cover_key, value.covers()))}")
         return dumps(value)
     except ParseError:
         return repr(getattr(value, "_key", value))
@@ -780,7 +784,7 @@ _INSTALLS = (
     (TrussTower, "trusted tower", lambda new, fresh: "end_checks" if new._ends else None,
      lambda new, fields: (new, tuple(sorted(new._ends.items()))), _tower_disagrees),
 )
-_MEMOS = (_composite, _identity, total_space)  # captured, so a patched name cannot hide one
+_MEMOS = (_composite, _plan, _identity, total_space)  # captured, so a patched name cannot hide one
 
 
 @contextmanager
@@ -788,8 +792,8 @@ def audited():
     """Audit what the library installs unchecked while the block runs; yields
     the counts of installs audited.  The _trusted of every _INSTALLS row is
     patched, and nothing else, and restored on exit: each distinct install is
-    checked once and counted as its row says.  The memos of composites,
-    identity bordisms and total spaces, and bundle._PROVED, the functors
+    checked once and counted as its row says.  The memos (_MEMOS: composites,
+    plans, identities, total spaces), and bundle._PROVED, the functors
     proved by their constructor, are emptied on entry and exit, so what the
     block uses is installed, and audited, or proved inside it, and nothing
     made inside outlives it.  A _trusted install never enters _PROVED, so

@@ -19,9 +19,13 @@ fiber trusses over its cover, a composite's its factors' outer ends.
 Composition builds the composite directly over the arrow, layer by layer,
 from the two bordisms' path tables: a crossing path goes through the first
 factorization middle over the seam, and every other middle is checked to
-give the same value.  Composites and identity bordisms are memoized by value
-in bounded caches that every caller shares, so separate pack calls close
-their label categories from the same composites; the closure, a category by
+give the same value.  Once per pair of stage tuples, _plan builds and checks
+the composite's stages and its audit, and lays out its label layer: which
+elements and paths come from which bordism, and each crossing pair's
+middles; each composite only reads, composes and checks its label values.
+Composites, plans and identity bordisms are memoized by value in bounded
+caches that every caller shares, so separate pack calls close their label
+categories from the same composites; the closure, a category by
 construction, is installed through LabelCategory._trusted.  oracles.audited()
 checks trusted towers with their recorded ends and re-proves the closure.
 _assemble glues towers over parts of a base for unpack, and for the oracles'
@@ -244,53 +248,75 @@ def _assemble(base: FinPoset, pieces) -> list:
     return layers
 
 
+def _layer_plan(base1: FinPoset, base2: FinPoset, base: FinPoset):
+    """How a composite layer over base reads layers over base1 and base2:
+    (base, the elements whose objects come from b1, those from b2, the path
+    keys copied from b1, those from b2, and each crossing pair's middles in
+    canonical order, as (b1 key, b2 key) pairs)."""
+    els1, els2 = base1.elements, base2.elements
+    seam = sum(1 << j for j, m in enumerate(els1) if root_of(m) == "1")
+    # the middles as path keys: b1's seam above x, b2's below y by b1's names
+    ups = {x: [(x, els1[j]) for j in bits(up & seam)] for x, up in zip(els1, base1.ups) if root_of(x) == "0"}
+    downs = {y: {} for y in els2 if root_of(y) == "1"}
+    for j in bits(seam):
+        m2 = _retag(els1[j], {"1": "0"})
+        for k in bits(base2.ups[base2.index[m2]]):
+            if els2[k] in downs:
+                downs[els2[k]][els1[j]] = (m2, els2[k])
+    crossings = {}
+    for x, above in ups.items():
+        related = base.ups[base.index[x]]
+        for y, below in downs.items():
+            if related >> base.index[y] & 1:
+                mids = crossings[(x, y)] = tuple((k1, below[k1[1]]) for k1 in above if k1[1] in below)
+                if not mids:
+                    raise InternalError(f"empty factorization middle set between {x!r} and {y!r}")
+    return (base, tuple(x for x in base.elements if x in ups), tuple(x for x in base.elements if x not in ups),
+            tuple((x, els1[j]) for x, up in zip(els1, base1.ups) if x in ups for j in bits(up & ~seam)),
+            tuple((y, els2[j]) for y, up in zip(els2, base2.ups) if y in downs for j in bits(up)), crossings)
+
+
+def _apply(plan, l1, l2):
+    """The composite layer plan lays out, read from l1's and l2's path tables;
+    each crossing composes through its first middle, and the others must agree."""
+    base, left, right, keys1, keys2, crossings = plan
+    p1, p2, o1, o2, compose = l1._paths, l2._paths, l1.objects, l2.objects, l1.compose
+    paths = {k: p[k] for p, keys in ((p1, keys1), (p2, keys2)) for k in keys}
+    for (x, y), ((k1, k2), *others) in crossings.items():
+        value = paths[(x, y)] = compose(p1[k1], p2[k2])
+        for m1, m2 in others:
+            if compose(p1[m1], p2[m2]) != value:
+                raise InternalError(f"factorization middle {m1[1]!r} disagrees with the composite"
+                                    f" from {x!r} to {y!r} through {k1[1]!r}")
+    return l1._derive(base, {x: o[x] for o, xs in ((o1, left), (o2, right)) for x in xs}, paths)
+
+
+@lru_cache(maxsize=2048)
+def _plan(stages1: tuple, stages2: tuple):
+    """What two composable bordisms' stages determine, built once per pair:
+    the composite's stages, its label layer's plan and its CompositionAudit."""
+    bases1, bases2 = ([arrow_poset()] + [total_space(d).carrier for d in s] for s in (stages1, stages2))
+    stages, crossings, alternatives = [], 0, 0
+    for l1, l2, base1, base2 in zip(stages1 + (None,), stages2 + (None,), bases1, bases2):
+        plan = _layer_plan(base1, base2, total_space(stages[-1]).carrier if stages else arrow_poset())
+        crossed = [len(plan[-1][c]) for c in plan[0].covers() if c in plan[-1]]
+        crossings, alternatives = crossings + len(crossed), alternatives + sum(crossed)
+        if l1 is not None:
+            stages.append(_apply(plan, l1, l2))
+    return tuple(stages), plan, CompositionAudit(crossings, alternatives)
+
+
 @lru_cache(maxsize=2048)
 def _composite(b1: TrussTower, b2: TrussTower):
-    """Check that the bordisms b1 then b2 compose and build the composite
-    over the arrow layer by layer, as the module docstring says; returns
-    (composite, audit), memoized."""
+    """Check that the bordisms b1 then b2 compose and build the composite as
+    the module docstring says; returns (composite, audit), memoized."""
     if b1.depth != b2.depth:
         raise CompositionError("bordisms of different depth do not compose")
     if b1.end(1) != b2.end(0):
         raise CompositionError("bordism endpoints do not match")
-    layers, crossings, alternatives = [], 0, 0
-    for l1, l2 in zip(b1.layers, b2.layers):
-        base = total_space(layers[-1]).carrier if layers else arrow_poset()
-        # each element's middles, gathered once: b1's seam above x, in
-        # canonical order, and b2's seam below y, keyed by b1's names
-        els1, els2 = l1.base.elements, l2.base.elements
-        seam = sum(1 << j for j, m in enumerate(els1) if root_of(m) == "1")
-        ups = {x: [els1[j] for j in bits(up & seam)] for x, up in zip(els1, l1.base.ups) if root_of(x) == "0"}
-        downs = {y: {} for y in els2 if root_of(y) == "1"}
-        for j in bits(seam):
-            m2 = _retag(els1[j], {"1": "0"})
-            for k in bits(l2.base.ups[l2.base.index[m2]]):
-                if els2[k] in downs:
-                    downs[els2[k]][els1[j]] = m2
-        p1, p2, compose = l1._paths, l2._paths, l1.compose
-        objects = {x: l1.objects[x] if x in ups else l2.objects[x] for x in base.elements}
-        paths = {k: v for k, v in p1.items() if k[1] in ups}
-        paths.update((k, v) for k, v in p2.items() if k[0] in downs)
-        middles = {}
-        for x, above in ups.items():
-            related = base.ups[base.index[x]]
-            for y, below in downs.items():
-                if not related >> base.index[y] & 1:
-                    continue
-                mids = [m for m in above if m in below]
-                if not mids:
-                    raise InternalError(f"empty factorization middle set between {x!r} and {y!r}")
-                paths[(x, y)] = compose(p1[(x, mids[0])], p2[(below[mids[0]], y)])
-                for m in mids[1:]:
-                    if compose(p1[(x, m)], p2[(below[m], y)]) != paths[(x, y)]:
-                        raise InternalError(f"factorization middle {m!r} disagrees with the composite"
-                                            f" from {x!r} to {y!r} through {mids[0]!r}")
-                middles[(x, y)] = len(mids)
-        layers.append(l1._derive(base, objects, paths))
-        crossed = [middles[c] for c in base.covers() if c in middles]
-        crossings, alternatives = crossings + len(crossed), alternatives + sum(crossed)
+    stages, plan, audit = _plan(b1.stages, b2.stages)
     ends = {k: b._ends[k] for k, b in ((0, b1), (1, b2)) if k in b._ends}
-    return TrussTower._trusted(arrow_poset(), layers, ends), CompositionAudit(crossings, alternatives)
+    return TrussTower._trusted(arrow_poset(), stages + (_apply(plan, b1.layers[-1], b2.layers[-1]),), ends), audit
 
 
 def _compose(b1: TrussTower, b2: TrussTower):

@@ -28,13 +28,13 @@ def trusted_classes():
 
 TRUSTED = {cls: cls.__dict__["_trusted"] for cls in trusted_classes()}
 END = TrussTower.__dict__["end"]
-MEMOS = (tower._composite, tower._identity, total_space)
+MEMOS = (tower._composite, tower._plan, tower._identity, total_space)
 
 
 def assert_restored():
     assert {cls: cls.__dict__["_trusted"] for cls in trusted_classes()} == TRUSTED
     # nothing composed, made an identity or laid out inside the audit outlives it
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0, 0]
 
 
 def assert_caught(report, kind):
@@ -103,6 +103,25 @@ def test_audit_catches_a_non_canonical_order():
         with pytest.raises(oracles._Disagreement, match="trusted poset"):
             FinPoset._trusted(elements, (1, 2))
     assert_restored()
+
+
+def test_a_trusted_poset_failure_names_its_elements_and_covers(monkeypatch):
+    real = oracles.fiber_over_ordinal
+
+    def reversed_fiber(n):
+        # a true order laid out in reverse: only the poset shown can tell which
+        p = real(n)
+        last = len(p.elements) - 1
+        ups = [sum(1 << last - j for j in oracles.bits(up)) for up in reversed(p.ups)]
+        return FinPoset._trusted(p.elements[::-1], ups)
+
+    monkeypatch.setattr(oracles, "fiber_over_ordinal", reversed_fiber)
+    report = SUITES["homsets"]()
+    monkeypatch.undo()
+    assert_caught(report, "trusted poset")
+    assert report.diagnostics[0][1] == (
+        "it differs from its validating rebuild:\nelements s0, r1, r0\ncovers s0->r1, s0->r0"
+    )
 
 
 def test_audit_catches_a_flipped_total_space_bit(monkeypatch):

@@ -52,7 +52,15 @@ from trusskit import (
 )
 from trusskit import bundle, tower
 from trusskit.bundle import pullback_bundle
-from trusskit.oracles import SUITES, _glue, bordism_family, composable_triples, tower_family
+from trusskit.oracles import (
+    SUITES,
+    _glue,
+    bordism_family,
+    composable_triples,
+    labeling_from_map,
+    poset_maps,
+    tower_family,
+)
 from trusskit.poset import path_poset
 from trusskit.tower import root_of
 from conftest import terminal_labeling
@@ -586,11 +594,86 @@ def test_composition_checks_every_factorization_middle(chain_cat):
     bad = copy.copy(b1)
     bad.layers = b1.stages + (labels,)
     middle = ("1", Stratum.singular(0, 1))
-    # bad == b1, so the value-keyed memo would return b1's good composite
+    # bad == b1, so the value-keyed memo would return b1's good composite;
+    # the plan of b1's stages is warm, and still every label middle is checked
     tower._composite.cache_clear()
+    plans = tower._plan.cache_info()
     for compose in (compose_bordisms, compose_bordisms_audited):
         with pytest.raises(InternalError, match=re.escape(f"factorization middle {middle!r} disagrees")):
             compose(bad, b2)
+    assert tower._plan.cache_info()[:2] == (plans.hits + 2, plans.misses)
+
+
+def test_warm_plans_compose_as_cold_ones(monkeypatch):
+    bordisms = bordism_family(0)
+    by_source = {}
+    for b in bordisms:
+        by_source.setdefault(b.end(0), []).append(b)
+    pairs = [(b1, b2) for b1 in bordisms for b2 in by_source.get(b1.end(1), ())]
+
+    def composed():
+        tower._composite.cache_clear()
+        return [(dumps(c), audit) for c, audit in itertools.starmap(compose_bordisms_audited, pairs)]
+
+    with monkeypatch.context() as m:
+        m.setattr(tower, "_plan", tower._plan.__wrapped__)  # a fresh plan for every composite
+        cold = composed()
+    tower._plan.cache_clear()
+    for b1, b2 in pairs:
+        tower._plan(b1.stages, b2.stages)
+    built = tower._plan.cache_info().misses
+    assert composed() == cold
+    assert tower._plan.cache_info().misses == built < len(pairs) == 3237
+
+
+def test_depth_zero_bordisms_compose(chain_cat):
+    b1, b2 = (constant_inclusion([], label, chain_cat) for label in ("a<=b", "b<=c"))
+    composite, audit = compose_bordisms_audited(b1, b2)
+    assert composite == constant_inclusion([], "a<=c", chain_cat)
+    assert (audit.crossings, audit.alternatives) == (1, 1)
+
+
+def _depth1_trusses_and_bordisms(k: int, labels: FinPoset):
+    """Every depth-1 truss over the point and bordism with fibers <= k, with
+    every monotone labelling in labels (read as a thin category)."""
+    cat = LabelCategory.from_poset(labels)
+
+    def labelled(root, d):
+        top = total_space(d).carrier
+        return [TrussTower(root, (d,), labeling_from_map(top, cat, f.mapping)) for f in poset_maps(top, labels)]
+
+    objects = [
+        t for n in range(k + 1) for t in labelled(point_poset(), DeltaDiagram(point_poset(), {POINT_ELEMENT: n}, {}))
+    ]
+    bordisms = [
+        b
+        for n0, n1 in itertools.product(range(k + 1), repeat=2)
+        for alpha in enumerate_delta_maps(n0, n1)
+        for b in labelled(arrow_poset(), DeltaDiagram(arrow_poset(), {"0": n0, "1": n1}, {("0", "1"): alpha}))
+    ]
+    return objects, bordisms
+
+
+@pytest.mark.parametrize("k, labels, sizes", [
+    (1, FinPoset(["0", "1"], [("0", "0"), ("0", "1"), ("1", "1")]), (7, 73, 692)),
+    (2, FinPoset(["*"], [("*", "*")]), (3, 31, 393)),
+])
+def test_truss_category_closes_alike_cold_and_warm(k, labels, sizes):
+    # every depth-1 bordism between the trusses: the closure adds no morphism
+    objects, bordisms = _depth1_trusses_and_bordisms(k, labels)
+    assert len(bordisms) == sizes[1]
+
+    def closed():
+        cat = truss_label_category(objects, bordisms)
+        index = {m: i for i, m in enumerate(cat.morphisms)}
+        table = {(index[f], index[g]): index[h] for (f, g), h in cat.compose.items()}
+        return (len(cat.objects), len(cat.morphisms), len(table)), [dumps(m) for m in cat.morphisms], table
+
+    for memo in (tower._composite, tower._plan, tower._identity):
+        memo.cache_clear()
+    cold = closed()
+    assert cold[0] == sizes
+    assert closed() == cold
 
 
 def test_composition_runs_no_functor_table(monkeypatch):
