@@ -13,7 +13,9 @@ CoverFunctor core: it checks which elements and covers are assigned, proves
 functoriality with functor_table, keeps the resulting path table and
 defines equality.  It makes one proof per value while an equal one lives:
 a key equal to that of a functor functor_table has proved, and which is
-still alive, shares that functor's key and path table.  The core also
+still alive, shares that functor's key and path table.  A functor
+installed unchecked takes its hash on first use, so installs that nobody
+looks up never hash their tables.  The core also
 carries the two operations every walk over a tower needs: over() rebuilds a
 functor of the same kind over another base through the validating
 constructor, and pullback() precomposes with a map of bases.  A
@@ -112,7 +114,8 @@ class CoverFunctor:
     while an equal one lives: a proved functor is kept, weakly, in
     ``_PROVED`` under its key's hash, and a later key of the same type equal
     to its key installs its key, ``compose`` and path table, shared, without
-    a proof.  ``_trusted`` builds
+    a proof; so ``_extend`` hashes the key at once, and an unhashable key is
+    refused with the hash's TypeError once proved.  ``_trusted`` builds
     a functor without any of these checks from a path table known to be
     functorial: ``pullback`` reads one from the parent, bordism composition
     joins the two bordisms' tables, mesh.realize_bundle dualizes one and
@@ -121,7 +124,9 @@ class CoverFunctor:
     subclass reads alike through the core: ``base``, the tables ``objects``
     (per element) and ``covers`` (per covering relation), and ``compose``,
     the composition the path table was built with.  Equality and hashing go by
-    ``_key``: the base, any target, then the element and cover tables.
+    ``_key``: the base, any target, then the element and cover tables.  A
+    trusted functor's hash is taken on first use and kept, and ``==``
+    compares hashes only when both sides have one.
     """
 
     _error = DiagramError
@@ -130,6 +135,8 @@ class CoverFunctor:
 
     def _extend(self, key, identity_at, compose):
         base, objects, covers = key[0], key[-2], key[-1]
+        if not isinstance(base, FinPoset):
+            raise DomainError(f"a {type(self).__name__}'s base must be a FinPoset, got {type(base).__name__}")
         if set(objects) != set(base.elements):
             raise self._error(f"{self._names[0]} must assign exactly the base elements")
         expected = set(base.covers())
@@ -142,7 +149,7 @@ class CoverFunctor:
         self._check_values(*key)
         try:
             h = _key_hash(key)
-        except TypeError:  # proved as ever, then refused by _install's hash
+        except TypeError:  # proved as ever, then refused with the same error
             h = None
         known = _PROVED.get(h)
         if known is not None and type(known) is type(self) and known._key == key:
@@ -151,16 +158,17 @@ class CoverFunctor:
         table, diagnostic = functor_table(base, identity_at, covers.__getitem__, compose)
         if diagnostic is not None:
             raise self._error(diagnostic)
+        if h is None:
+            _key_hash(key)  # raises the TypeError
         self._install(key, compose, table, h)
         _PROVED[h] = self
 
     def _install(self, key, compose, paths, h=None):
         """Store a key whose path table is known to be functorial, under
         the core's names and the subclass's ``_fields``; h is the key's hash
-        when already taken."""
+        when already taken, else __hash__ takes it on first use."""
         self.base, self.objects, self.covers = key[0], key[-2], key[-1]
-        self.compose, self._paths, self._key = compose, paths, key
-        self._hash = _key_hash(key) if h is None else h
+        self.compose, self._paths, self._key, self._hash = compose, paths, key, h
         for name, value in zip(self._fields, key):
             setattr(self, name, value)
 
@@ -220,9 +228,16 @@ class CoverFunctor:
         return self._trusted((base,) + self._key[1:-2] + (objects,), self.compose, paths)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._hash == other._hash and self._key == other._key
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return False
+        h, g = self._hash, other._hash  # compared only when both are taken
+        return (h is None or g is None or h == g) and self._key == other._key
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = _key_hash(self._key)
         return self._hash
 
 
@@ -487,6 +502,8 @@ class Labeling(CoverFunctor):
     _fields = ("domain", "target", "on_objects", "on_relations")
 
     def __init__(self, domain: FinPoset, target: LabelCategory, on_objects, on_relations):
+        if not isinstance(target, LabelCategory):
+            raise LabelingError(f"a Labeling's target must be a LabelCategory, got {type(target).__name__}")
         objects = dict(on_objects)
         self._extend(
             (domain, target, objects, dict(on_relations)),

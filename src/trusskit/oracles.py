@@ -50,6 +50,7 @@ from .tower import (
     Bordism,
     PackedTower,
     TrussTower,
+    _BUILT,
     _assemble,
     _composite,
     _identity,
@@ -755,34 +756,43 @@ def _rebuild_disagrees(new, fields):
     return None if type(new)(*fields) == new else "it differs from its validating rebuild"
 
 
+def _recorded(new: TrussTower, fields) -> dict:
+    """The ends new holds where its TrussTower._trusted call records one,
+    whatever else the live tower has recorded before."""
+    return {k: new._ends[k] for k in (fields[2] or ())} if len(fields) > 2 else {}
+
+
 def _tower_disagrees(new: TrussTower, fields):
-    """Why a recorded end of new differs from restrict_bordism's, or new from
-    its class's checking constructor on its layers; or None."""
-    for k, end in sorted(new._ends.items()):
+    """Why an end the install records differs from restrict_bordism's, or
+    new from its class's checking constructor on its layers; or None."""
+    for k, end in sorted(_recorded(new, fields).items()):
         if restrict_bordism(new, k) != end:
             return f"end {k} differs from restrict_bordism"
     return _rebuild_disagrees(new, (new.base, new.stages, new.labels))
 
 
 # One row per class whose own _trusted installs unchecked: the kind a failure
-# names; the count (a name per install, or a function of the value and of
-# whether it is checked now); the key (subject, witness): a subject is checked
-# again only with another witness, and shown on failure; and the check.
+# names; the count (a name per install, or a function of the value, of the
+# install's fields and of whether it is checked now); the key (subject,
+# witness): a subject is checked again only with another witness, and shown
+# on failure; and the check.
 _INSTALLS = (
     # == compares elements in order and masks: a non-canonical order differs
     (FinPoset, "trusted poset", "poset_checks", lambda new, fields: (new, ()), _poset_disagrees),
-    (CoverFunctor, "trusted functor", lambda new, fresh: "mesh_checks" if isinstance(new, PLMeshBundle) else "layers",
+    (CoverFunctor, "trusted functor",
+     lambda new, fields, fresh: "mesh_checks" if isinstance(new, PLMeshBundle) else "layers",
      lambda new, fields: (new, fields[2]), _functor_disagrees),
     # each distinct space once: a memo evicting one does not count it twice
-    (TotalPoset, "total space", lambda new, fresh: fresh and "total_space_checks",
+    (TotalPoset, "total space", lambda new, fields, fresh: fresh and "total_space_checks",
      lambda new, fields: (fields[0], ()), _total_space_disagrees),
     # == compares objects and morphisms as sets; equal lengths also rule out a duplicate
     (LabelCategory, "label category", "category_checks",
      lambda new, fields: (new, (len(new.objects), len(new.morphisms))), _rebuild_disagrees),
     (MonotoneMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
     (StratumMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
-    (TrussTower, "trusted tower", lambda new, fresh: "end_checks" if new._ends else None,
-     lambda new, fields: (new, tuple(sorted(new._ends.items()))), _tower_disagrees),
+    # by the ends each install records: an interned tower may hold more
+    (TrussTower, "trusted tower", lambda new, fields, fresh: "end_checks" if _recorded(new, fields) else None,
+     lambda new, fields: (new, tuple(sorted(_recorded(new, fields).items()))), _tower_disagrees),
 )
 _MEMOS = (_composite, _plan, _identity, total_space)  # captured, so a patched name cannot hide one
 
@@ -793,12 +803,14 @@ def audited():
     the counts of installs audited.  The _trusted of every _INSTALLS row is
     patched, and nothing else, and restored on exit: each distinct install is
     checked once and counted as its row says.  The memos (_MEMOS: composites,
-    plans, identities, total spaces), and bundle._PROVED, the functors
-    proved by their constructor, are emptied on entry and exit, so what the
-    block uses is installed, and audited, or proved inside it, and nothing
-    made inside outlives it.  A _trusted install never enters _PROVED, so
-    its rebuild is always checked against a real proof of an equal key.  A
-    disagreement raises _Disagreement."""
+    plans, identities, total spaces), bundle._PROVED, the functors proved
+    by their constructor, and tower._BUILT, the towers _trusted interned,
+    are emptied on entry and exit, so what the block uses is installed,
+    and audited, or proved inside it, and nothing made inside outlives it.
+    A _trusted install never enters _PROVED, so its rebuild is always
+    checked against a real proof of an equal key.  A tower install is
+    counted and checked by the ends it records, whatever else the interned
+    tower holds.  A disagreement raises _Disagreement."""
     counts, checked = Counter(), {}  # checked: (kind, subject) -> witness
     saved = {row[0]: row[0].__dict__["_trusted"] for row in _INSTALLS}
 
@@ -815,7 +827,7 @@ def audited():
                 if why is not None:
                     raise _Disagreement(kind, why, subject)
                 checked[(kind, subject)] = witness
-            name = count(new, fresh) if callable(count) else count
+            name = count(new, fields, fresh) if callable(count) else count
             if name:
                 counts[name] += 1
             return new
@@ -824,6 +836,7 @@ def audited():
     for memo in _MEMOS:
         memo.cache_clear()
     _PROVED.clear()
+    _BUILT.clear()
     for row in _INSTALLS:
         row[0]._trusted = patched(*row)
     try:
@@ -834,6 +847,7 @@ def audited():
         for memo in _MEMOS:
             memo.cache_clear()
         _PROVED.clear()
+        _BUILT.clear()
 
 
 def _audited_suite(suite):

@@ -211,7 +211,7 @@ class FinPoset:
         return el in self.index
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FinPoset)
             and self._hash == other._hash
             and self.elements == other.elements

@@ -8,9 +8,13 @@ alike, through the CoverFunctor core.  A bordism is a tower whose root base is
 the walking arrow.  Every tower the library builds is a pullback, a composite,
 a constant or a glue; all but the glue, and pack's last stage with its labels,
 chain by construction and end in TrussTower._trusted, unchecked, with the
-ends their builder knows.  A constant tower is its layers' functors on the
-root (the point or the arrow), each pulled back along the root projection of
-the previous total space.  Every restriction is pullback_tower's walk: the
+ends their builder knows.  _trusted interns: while a tower it installed with
+equal layers over an equal base lives, it returns that one instance, the
+caller's ends merged into its own, so the memos, the closure's tables and
+the end comparisons below mostly match by identity; the checking
+constructors, parse and unpack build fresh towers.  A constant tower is its
+layers' functors on the root (the point or the arrow), each pulled back
+along the root projection of the previous total space.  Every restriction is pullback_tower's walk: the
 identities of bordisms, pack's fiber trusses and cover bordisms (once per
 distinct key, each the label category's own instance), and the ends of a
 tower over the arrow, which TrussTower.end forms once unless they were
@@ -27,7 +31,8 @@ Composites, plans and identity bordisms are memoized by value in bounded
 caches that every caller shares, so separate pack calls close their label
 categories from the same composites; the closure, a category by
 construction, is installed through LabelCategory._trusted.  oracles.audited()
-checks trusted towers with their recorded ends and re-proves the closure.
+checks trusted towers with their recorded ends, re-proves the closure and
+empties the memos and the intern table on entry and exit.
 _assemble glues towers over parts of a base for unpack, and for the oracles'
 "bordism-assoc" suite, which checks each composite against a glue.
 """
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 from .errors import (
     CompositionError,
@@ -63,6 +69,11 @@ def root_of(el):
     return el
 
 
+# The towers _trusted has installed, by (base, layers); an entry dies with
+# its tower.  oracles.audited() empties it on entry and exit.
+_BUILT = WeakValueDictionary()
+
+
 class TrussTower:
     """A chain of bundles, each over the previous total space, plus labels
     (``layers``: the stages, then the labels), checked unless ``_trusted``."""
@@ -88,25 +99,34 @@ class TrussTower:
         if labels.domain != self.top:
             raise DomainError("labels must be a functor on the topmost total space")
 
-    def _install(self, base, layers, ends=None):
-        """Store layers that form the chain, and the ends recorded for them."""
+    def _install(self, base, layers):
+        """Store layers that form the chain; no end is recorded yet."""
         self.base, self.layers = base, tuple(layers)
         self.stages, self.labels = self.layers[:-1], self.layers[-1]
         self.totals = tuple(total_space(d) for d in self.stages)
         self.top = self.totals[-1].carrier if self.totals else base
         self._hash = hash((base, self.stages, self.labels))
-        self._ends = dict(ends or {})
+        self._ends = {}
 
     @classmethod
     def _trusted(cls, base, layers, ends=None):
-        """A Bordism if base is the arrow, else a TrussTower, installed unchecked."""
-        new = object.__new__(Bordism if base == arrow_poset() else TrussTower)
-        new._install(base, layers, ends)
+        """The live tower _trusted installed with these layers over base, or
+        else a new one, unchecked (a Bordism if base is the arrow); the ends
+        the caller records are merged into the tower's."""
+        key = (base, tuple(layers))
+        new = _BUILT.get(key)
+        if new is None:
+            new = object.__new__(Bordism if base == arrow_poset() else TrussTower)
+            new._install(*key)
+            _BUILT[key] = new
+        new._ends.update(ends or ())
         return new
 
     def end(self, which: int) -> TrussTower:
         """The tower over the point at end ``which`` (0 or 1) of a tower over
         the arrow, recorded at install or else formed once; DomainError elsewhere."""
+        if which not in (0, 1):
+            raise DomainError("end must be 0 or 1")
         if which not in self._ends:
             self._ends[which] = restrict_bordism(self, which)
         return self._ends[which]
@@ -321,7 +341,8 @@ def _composite(b1: TrussTower, b2: TrussTower):
 
 def _compose(b1: TrussTower, b2: TrussTower):
     """_composite, behind the type guard that its memo cannot run."""
-    if not all(isinstance(b, TrussTower) and b.base == arrow_poset() for b in (b1, b2)):
+    arrow = arrow_poset()
+    if not (isinstance(b1, TrussTower) and isinstance(b2, TrussTower) and b1.base == arrow and b2.base == arrow):
         raise CompositionError("both arguments must be bordisms over the arrow poset")
     return _composite(b1, b2)
 

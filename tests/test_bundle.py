@@ -334,6 +334,24 @@ class UnhashableMap(DeltaMap):
     __hash__ = None
 
 
+def test_a_trusted_functor_hashes_on_first_use():
+    d = diamond_diagram()
+    same = {x: x for x in d.base.elements}
+    f, g = d.pullback(d.base, same), d.pullback(d.base, same)
+    assert f._hash is None and g._hash is None
+    assert f == g and f == d and f._hash is None and g._hash is None
+    assert hash(f) == hash(d) and f._hash == d._hash and g._hash is None
+
+
+def test_an_unhashable_trusted_functor_installs_and_is_refused_a_hash():
+    d = diamond_diagram()
+    corner = UnhashableMap(7, 7, tuple(range(8)))
+    f = DeltaDiagram._trusted(d._key[:-1], d.compose, {**d._paths, ("c", "d"): corner})
+    assert f.covers[("c", "d")] is corner and f == f
+    with pytest.raises(TypeError, match="unhashable type: 'UnhashableMap'"):
+        hash(f)
+
+
 @pytest.mark.parametrize("collapse, error, message", [
     (False, TypeError, "unhashable type: 'UnhashableMap'"),
     (True, DiagramError, "composites from 'a' to 'd' disagree through 'b' and 'c'"),

@@ -3,9 +3,12 @@
 import ast
 import copy
 import functools
+import gc
+import hashlib
 import itertools
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from trusskit import (
     InternalError,
     LabelCategory,
     Labeling,
+    LabelingError,
     Ordinal,
     PackedTower,
     PackingError,
@@ -760,17 +764,20 @@ def test_derived_suite_rebuilds_every_pulled_back_layer():
 
 
 def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
-    calls = []
-    real = tower._pullback
+    calls, mine = [], []
+    real, close = tower._pullback, tower._packed_tower
     monkeypatch.setattr(tower, "_pullback",
-                        lambda t, root, image, ends=None: calls.append((t, root)) or real(t, root, image, ends))
+                        lambda t, root, image, ends=None: calls.append(root) or real(t, root, image, ends))
+    # pack's own pullbacks are those of its last stage with t's labels, all
+    # made before it closes the label category; the closure's identities
+    # may pull back a fiber that is pack's own top, one interned instance
+    monkeypatch.setattr(tower, "_packed_tower", lambda *args: mine.extend(calls) or close(*args))
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
     shared = 0
     for t in towers:
         calls.clear()
+        mine.clear()
         lab = pack(t).tower.labels
-        # pack's own pullbacks are those of its last stage with t's labels
-        mine = [root for u, root in calls if u.labels is t.labels]
         fibers, gens = list(lab.on_objects.values()), list(lab.on_relations.values())
         assert sum(root == point_poset() for root in mine) == len(set(fibers))
         assert sum(root == arrow_poset() for root in mine) == len(set(gens))
@@ -878,7 +885,42 @@ def test_no_module_writes_ends_outside_truss_tower():
             mine = path.name == "tower.py" and classes == ("TrussTower",)
             (inside if mine else outside).append(f"{path.name}:{line}")
     assert outside == []
-    assert len(inside) >= 2  # _install stores the recorded ends, end() its memo
+    assert len(inside) >= 3  # _install starts the ends, _trusted merges the recorded ones, end() its memo
+
+
+# -- built towers are interned --------------------------------------------------
+
+
+def test_trusted_routes_to_an_equal_tower_share_its_live_instance(chain_cat):
+    tower._BUILT.clear()  # no equal tower another test keeps alive is found
+    bordism = constant_inclusion([DeltaMap.identity(1), DeltaMap.identity(2)], "a<=a", chain_cat)
+    t = constant_inclusion([1, 2], "a", chain_cat)
+    assert restrict_bordism(bordism, 0) is t and restrict_bordism(bordism, 1) is t
+    assert TrussTower(t.base, t.stages, t.labels) is not t  # checked, so never interned
+    printed, first = dumps(t), weakref.ref(t)
+    del t
+    gc.collect()
+    assert first() is None
+    again = restrict_bordism(bordism, 0)
+    assert dumps(again) == printed and restrict_bordism(bordism, 1) is again
+    # the identity bordism is the constant bordism, with the ends it records
+    assert identity_bordism(again) is bordism and bordism.end(0) is again and bordism.end(1) is again
+
+
+@pytest.mark.parametrize("reverse, emptied", [(False, False), (True, False), (False, True)],
+                         ids=["in order", "in reverse", "table emptied between packs"])
+def test_pack_prints_alike_whatever_the_intern_table_holds(reverse, emptied):
+    towers = [t for t in tower_family(0, 2) if t.depth >= 1]
+    for memo in (tower._composite, tower._identity, tower._plan):
+        memo.cache_clear()
+    tower._BUILT.clear()
+    printed = {}
+    for i in sorted(range(len(towers)), reverse=reverse):
+        if emptied:
+            tower._BUILT.clear()
+        printed[i] = dumps(pack(towers[i]))
+    digest = hashlib.sha256("".join(printed[i] for i in range(len(towers))).encode()).hexdigest()
+    assert digest[:12] == "1ff865e59377"
 
 
 # -- pack shares composites and identities across calls ----------------------
@@ -968,6 +1010,13 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: unpack(5), PackingError, UNPACK_GUARD, id="unpack(5)"),
     pytest.param(lambda b, d, f: unpack(PackedTower(5)), PackingError, UNPACK_GUARD, id="unpack(PackedTower(5))"),
     pytest.param(lambda b, d, f: classify(5), DomainError, "classify needs a TotalPoset, got int", id="classify(5)"),
+    pytest.param(lambda b, d, f: DeltaDiagram(5, {}, {}), DomainError,
+                 "a DeltaDiagram's base must be a FinPoset, got int", id="DeltaDiagram(5, {}, {})"),
+    pytest.param(lambda b, d, f: Labeling(5, b.labels.target, {}, {}), DomainError,
+                 "a Labeling's base must be a FinPoset, got int", id="Labeling(5, cat, {}, {})"),
+    pytest.param(lambda b, d, f: Labeling(point_poset(), 5, {POINT_ELEMENT: "a"}, {}), LabelingError,
+                 "a Labeling's target must be a LabelCategory, got int", id="Labeling(pt, 5, ...)"),
+    pytest.param(lambda b, d, f: b.end([]), DomainError, "end must be 0 or 1", id="bordism.end([])"),
     pytest.param(lambda b, d, f: section_to_strata(realize_bundle(d), 5), SectionError,
                  "a section maps base elements to strata, got int", id="section_to_strata(m, 5)"),
 ])
