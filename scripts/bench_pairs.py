@@ -6,8 +6,11 @@ Usage (from the repository root):
         [--claim WORKLOAD:METRIC] [--what TEXT]
 
 PARENT's committed files are extracted (``git archive``) into a temporary
-directory, which is removed at the end; the change side runs in the working
-tree.  For each workload of ``BENCHMARK.json``, pair i (of PAIRS = 10) runs
+directory under the repository's git-ignored ``.bench_build/``, which is
+removed at the end; the change side runs in the working tree.  So both sides
+run from the same kind of directory: the same files read about 0.35 MB lower
+``peak_rss_mb`` from ``/tmp`` than from under the home directory.  For each
+workload of ``BENCHMARK.json``, pair i (of PAIRS = 10) runs
 ``perfbench/run.py --workload W --seed SEED_BASE+i --seconds S`` once on each
 side, the parent first on even i and the change first on odd i, with S the
 ``run_seconds`` of ``BENCHMARK.json``.
@@ -143,7 +146,9 @@ def main(argv=None):
         "workloads": {},
     }
     failed = False
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+    build = ROOT / ".bench_build"
+    build.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=build) as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", parent], cwd=ROOT, check=True,
                                  stdout=subprocess.PIPE).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:

@@ -284,33 +284,43 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
 
     The pairs are laid out in canonical order by construction: base
     elements in order, then each fiber in fiber_objects order (regulars,
-    then singulars).  Over each b >= a, the up-set of (a, e) is the interval
-    stratum_targets(e, f) gives for the composite f: one regular for a
-    regular e, and for a singular s_i a run of regulars r_f(i)..r_f(i+1)
-    and a run of singulars s_f(i)..s_f(i+1)-1.  The masks are set as those
-    bit intervals and installed unchecked by TotalPoset._trusted, which
-    oracles.audited() patches to check each against a pair-by-pair spelling."""
+    then singulars).  The up-sets are closed over the upper covers, one
+    step per cover and fiber position.  Base elements are visited in
+    ascending order of up-set size: a < b makes b's up-set strictly
+    smaller, so every upper cover b of a is finished before a, and no
+    linear extension is needed.  For each upper cover (a, b), f its map:
+    the up-set of r_i over a is its own bit with that of r_f(i) over b;
+    the up-set of s_i over a is its own bit with those of r_i and r_(i+1)
+    over a and those of s_j over b for f(i) <= j < f(i+1).  The masks are
+    installed unchecked by TotalPoset._trusted, which oracles.audited()
+    patches to check each against a pair-by-pair stratum_targets spelling."""
+    if not isinstance(d, DeltaDiagram):
+        raise DomainError(f"total_space needs a DeltaDiagram, got {type(d).__name__}")
     base = d.base
-    ns = [d.ord[b].n for b in base.elements]
+    els = base.elements
+    ns = [d.ord[b].n for b in els]
     offsets = [0]
     for n in ns:
         offsets.append(offsets[-1] + 2 * n + 1)
-    elements = [(b, e) for b, n in zip(base.elements, ns) for e in fiber_objects(n)]
-    ups = []
-    for a, n, up in zip(base.elements, ns, base.ups):
+    elements = [(b, e) for b, n in zip(els, ns) for e in fiber_objects(n)]
+    ups = [0] * offsets[-1]
+    covers = d.covers
+    for k in sorted(range(len(els)), key=lambda k: base.ups[k].bit_count()):
+        a, n, reg = els[k], ns[k], offsets[k]
+        sing = reg + n + 1
         # (offset of the regulars over b, of the singulars over b, f's values)
-        over = [(offsets[k], offsets[k] + ns[k] + 1, d.map_for(a, base.elements[k]).values) for k in bits(up)]
+        over = [(offsets[j], offsets[j] + ns[j] + 1, covers[(a, els[j])].values) for j in base.upper[k]]
         for i in range(n + 1):
-            mask = 0
-            for reg, _, v in over:
-                mask |= 1 << (reg + v[i])
-            ups.append(mask)
+            mask = 1 << reg + i
+            for breg, _, v in over:
+                mask |= ups[breg + v[i]]
+            ups[reg + i] = mask
         for i in range(n):
-            mask = 0
-            for reg, sing, v in over:
-                lo, width = v[i], v[i + 1] - v[i]
-                mask |= ((2 << width) - 1) << (reg + lo) | ((1 << width) - 1) << (sing + lo)
-            ups.append(mask)
+            mask = 1 << sing + i | ups[reg + i] | ups[reg + i + 1]
+            for _, bsing, v in over:
+                for j in range(bsing + v[i], bsing + v[i + 1]):
+                    mask |= ups[j]
+            ups[sing + i] = mask
     return TotalPoset._trusted(d, elements, ups)
 
 
@@ -329,43 +339,45 @@ def classify(t: TotalPoset) -> DeltaDiagram:
 
     The fiber ordinal over b has one fewer than its regular positions, and
     the map on a covering relation sends i to the unique j with
-    (b, r_i) <= (b', r_j).  Fails if the fibers are not stratum zigzags, a
+    (b, r_i) <= (b', r_j): the one bit of (b, r_i)'s up-set mask among the
+    regulars over b'.  Fails if the fibers are not stratum zigzags, a
     regular position has no or several images, or the rebuilt bundle does
     not reproduce the total space.
     """
     if not isinstance(t, TotalPoset):
         raise DomainError(f"classify needs a TotalPoset, got {type(t).__name__}")
-    by_base = {b: [] for b in t.base.elements}
-    for el in t.carrier.elements:
+    for name, part in (("carrier", t.carrier), ("base", t.base)):
+        if not isinstance(part, FinPoset):
+            raise DomainError(f"a total space's {name} must be a FinPoset, got {type(part).__name__}")
+    els, ups = t.carrier.elements, t.carrier.ups
+    by_base = {b: [] for b in t.base.elements}  # element indices over each base element
+    for k, el in enumerate(els):
         if not (isinstance(el, tuple) and len(el) == 2):
             raise ClassificationError(f"element {el!r} is not a (base element, stratum) pair")
         fib = by_base.get(el[0])
         if fib is not None:
-            fib.append(el)
-    fibers = {}
+            fib.append(k)
+    fibers, regulars = {}, {}
     for b in t.base.elements:
-        fib = by_base[b]
-        regs = [e for _, e in fib if isinstance(e, Stratum) and e.is_regular]
+        fib = [els[k][1] for k in by_base[b]]
+        regs = [e for e in fib if isinstance(e, Stratum) and e.is_regular]
         if not regs:
             raise ClassificationError(f"fiber over {b!r} has no regular position")
         n = len(regs) - 1
-        if tuple(e for _, e in fib) != fiber_objects(n):
+        if tuple(fib) != fiber_objects(n):
             raise ClassificationError(f"fiber over {b!r} is not the zigzag over [{n}]")
         fibers[b] = n
+        regulars[b] = sum(1 << k for k in by_base[b][:n + 1])
     arrow = {}
     for a, b in t.base.covers():
         values = []
-        for i in range(fibers[a] + 1):
-            js = [
-                e.index
-                for _, e in by_base[b]
-                if e.is_regular and t.carrier.le((a, Stratum.regular(i, fibers[a])), (b, e))
-            ]
-            if len(js) != 1:
+        for i, k in enumerate(by_base[a][:fibers[a] + 1]):
+            image = ups[k] & regulars[b]
+            if image.bit_count() != 1:
                 raise ClassificationError(
-                    f"regular position {i} over {a!r} has {len(js)} images over {b!r}"
+                    f"regular position {i} over {a!r} has {image.bit_count()} images over {b!r}"
                 )
-            values.append(js[0])
+            values.append(els[image.bit_length() - 1][1].index)
         arrow[(a, b)] = DeltaMap(Ordinal(fibers[a]), Ordinal(fibers[b]), tuple(values))
     try:
         d = DeltaDiagram(t.base, {b: Ordinal(n) for b, n in fibers.items()}, arrow)

@@ -16,13 +16,15 @@ valid morphisms is valid by construction.
 For a fixed a the targets of a position form an interval of the zigzag
 over [m]: a regular r_i has the single target r_{a(i)}, and a singular s_i
 has the targets r_j for a(i) <= j <= a(i+1) and s_j for a(i) <= j < a(i+1).
-stratum_targets returns that interval.  Fibers, factorization posets and
-bundle total spaces are built from it, laid out as masks: elements in
-canonical order by construction, and each up-set set as the bit interval of
-its targets, installed unchecked through FinPoset._trusted (TotalPoset's for
-total spaces).  hom_strata generates its maps without filtering and installs
-them unchecked (StratumMap._trusted, as compose_strata does), so each costs
-time proportional to its output.  oracles.audited() audits every unchecked
+stratum_targets returns that interval.  Fibers and factorization posets
+are built from it, laid out as masks: elements in canonical order by
+construction, and each up-set set as the bit interval of its targets,
+installed unchecked through FinPoset._trusted.  Bundle total spaces are
+laid out in the same order, but close each up-set over the base's covers
+(bundle.total_space), and install through TotalPoset._trusted.  hom_strata
+generates its maps without filtering and installs them unchecked
+(StratumMap._trusted, as compose_strata does), so each costs time
+proportional to its output.  oracles.audited() audits every unchecked
 install, posets through its FinPoset row, and the homsets and factorization
 suites compare fibers and factorization posets with a pair-by-pair filter
 spelling.  StratumMap is a slotted frozen dataclass, as the ordinal maps are.

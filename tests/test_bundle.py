@@ -1,6 +1,9 @@
 """Bundles over finite posets: construction, total space, classification."""
 
 import gc
+import random
+import re
+import time
 
 import pytest
 
@@ -29,8 +32,16 @@ from trusskit import (
 )
 from trusskit import bundle
 from trusskit.bundle import CoverFunctor
-from trusskit.oracles import SUITES, all_diagrams, all_posets, audited, random_diagram
-from trusskit.strata import fiber_objects
+from trusskit.oracles import (
+    SUITES,
+    _total_space_disagrees,
+    all_diagrams,
+    all_posets,
+    audited,
+    random_diagram,
+    tower_family,
+)
+from trusskit.strata import fiber_objects, stratum_targets
 from trusskit.tower import root_of
 from conftest import one_wrong_entry
 
@@ -137,6 +148,75 @@ def test_classify_rejects_non_bundle():
             classify(TotalPoset(FinPoset([el], [(el, el)]), base))
 
 
+def spelled_on_covers(base, ords, arrows):
+    """The poset on base-and-fiber pairs generated by the fibers' zigzags and,
+    over each cover (a, b), (a, e) <= (b, e2) for e2 in stratum_targets(e, f):
+    a total space when the arrows are a functor, closed here either way."""
+    elements = [(b, e) for b in base.elements for e in fiber_objects(ords[b])]
+    gen = [((b, s), (b, r)) for b in base.elements for s in fiber_objects(ords[b]) if not s.is_regular
+           for r in fiber_objects(ords[b])[s.index:s.index + 2]]
+    gen += [((a, e), (b, e2)) for (a, b), f in arrows.items()
+            for e in fiber_objects(ords[a]) for e2 in stratum_targets(e, f)]
+    return FinPoset.from_covers(elements, gen)
+
+
+def discrete(*els):
+    return FinPoset(els, [(e, e) for e in els])
+
+
+def refusal_not_a_pair():
+    return TotalPoset(discrete("abc"), discrete("a"))
+
+
+def refusal_no_regular():
+    return TotalPoset(discrete(("a", Stratum.singular(0, 1))), discrete("a"))
+
+
+def refusal_not_the_zigzag():
+    return TotalPoset(discrete(("a", Stratum.regular(0, 1))), discrete("a"))
+
+
+def refusal_images(*targets):
+    """[0] over "0" and [1] over "1" of the arrow, the regular over "0"
+    below the regulars r_j over "1" for j in targets."""
+    base = arrow_poset()
+    fibers = {"0": fiber_objects(0), "1": fiber_objects(1)}
+    leq = [(x, x) for b in base.elements for x in ((b, e) for e in fibers[b])]
+    leq += [(("1", fibers["1"][2]), ("1", r)) for r in fibers["1"][:2]]
+    leq += [(("0", fibers["0"][0]), ("1", fibers["1"][j])) for j in targets]
+    return TotalPoset(FinPoset([x for x, y in leq if x == y], leq), base)
+
+
+def refusal_not_functorial():
+    base = FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    ident = DeltaMap.identity(1)
+    arrows = {("a", "b"): ident, ("a", "c"): ident, ("b", "d"): ident, ("c", "d"): DeltaMap(1, 1, (0, 0))}
+    return TotalPoset(spelled_on_covers(base, {e: 1 for e in base.elements}, arrows), base)
+
+
+def refusal_not_the_total_space():
+    # the arrow's total space over the discrete poset on the arrow's elements
+    return TotalPoset(total_space(arrow_diagram(1, 1, (0, 1))).carrier, discrete("0", "1"))
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(refusal_not_a_pair, "element 'abc' is not a (base element, stratum) pair", id="not-a-pair"),
+    pytest.param(refusal_no_regular, "fiber over 'a' has no regular position", id="no-regular"),
+    pytest.param(refusal_not_the_zigzag, "fiber over 'a' is not the zigzag over [0]", id="not-the-zigzag"),
+    pytest.param(refusal_images, "regular position 0 over '0' has 0 images over '1'",
+                 id="no-image"),
+    pytest.param(lambda: refusal_images(0, 1), "regular position 0 over '0' has 2 images over '1'",
+                 id="two-images"),
+    pytest.param(refusal_not_functorial, "recovered data is not a bundle: composites from 'a' to 'd'"
+                 " disagree through 'b' and 'c'", id="not-a-bundle"),
+    pytest.param(refusal_not_the_total_space, "poset is not the total space of the recovered bundle",
+                 id="not-the-total-space"),
+])
+def test_classify_refusals(make, message):
+    with pytest.raises(ClassificationError, match="^" + re.escape(message) + "$"):
+        classify(make())
+
+
 def test_pullback_identity_and_point():
     d = arrow_diagram(1, 2, (0, 2))
     assert pullback_bundle(d, PosetMap.identity(arrow_poset())) == d
@@ -231,6 +311,47 @@ def test_total_space_matches_reference():
             assert list(t.carrier.leq) == list(ref.carrier.leq)
             count += 1
     assert count > 1000
+
+
+def depth_two_stages():
+    return [d for t in tower_family(0, 2) if len(t.stages) == 2 for d in t.stages]
+
+
+def small_base_diagrams():
+    return [d for p in all_posets(3) for d in all_diagrams(p, 2)]
+
+
+def diamond_sample():
+    base = FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    rng = random.Random(3)
+    return [random_diagram(base, 3, rng) for _ in range(300)]
+
+
+@pytest.mark.parametrize("family, least", [
+    pytest.param(depth_two_stages, 800, id="tower_family(0, 2) depth 2"),
+    pytest.param(small_base_diagrams, 5000, id="all_posets(3), ordinals <= 2"),
+    pytest.param(diamond_sample, 300, id="diamond, ordinals <= 3"),
+])
+def test_total_space_closed_over_covers_is_the_pair_by_pair_spelling(family, least):
+    diagrams = family()
+    assert len(diagrams) >= least
+    assert any(d.ord[b].n == 0 for d in diagrams for b in d.base.elements)
+    for d in diagrams:
+        assert _total_space_disagrees(total_space.__wrapped__(d), (d,)) is None
+
+
+def test_total_space_of_a_long_chain_is_linear():
+    els = [str(i) for i in range(500)]
+    chain = FinPoset.from_covers(els, list(zip(els, els[1:])))
+    d = DeltaDiagram(chain, {e: Ordinal(1) for e in els}, {c: DeltaMap.identity(1) for c in chain.covers()})
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        t = total_space.__wrapped__(d)
+        best = min(best, time.perf_counter() - start)
+    assert len(t.carrier.elements) == 1500
+    assert t.carrier.ups[0].bit_count() == 1 + 499  # r_0 over "0" lies below r_0 over every element
+    assert best < 0.05  # 0.25 s when each related pair of the base set its own masks
 
 
 # One proof per value while an equal one lives: bundle._PROVED

@@ -32,6 +32,7 @@ from trusskit import (
     PosetMap,
     SectionError,
     Stratum,
+    TotalPoset,
     TrussError,
     TrussTower,
     arrow_poset,
@@ -1010,6 +1011,12 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: unpack(5), PackingError, UNPACK_GUARD, id="unpack(5)"),
     pytest.param(lambda b, d, f: unpack(PackedTower(5)), PackingError, UNPACK_GUARD, id="unpack(PackedTower(5))"),
     pytest.param(lambda b, d, f: classify(5), DomainError, "classify needs a TotalPoset, got int", id="classify(5)"),
+    pytest.param(lambda b, d, f: classify(TotalPoset(5, point_poset())), DomainError,
+                 "a total space's carrier must be a FinPoset, got int", id="classify(TotalPoset(5, pt))"),
+    pytest.param(lambda b, d, f: classify(TotalPoset(point_poset(), 5)), DomainError,
+                 "a total space's base must be a FinPoset, got int", id="classify(TotalPoset(pt, 5))"),
+    pytest.param(lambda b, d, f: total_space(5), DomainError, "total_space needs a DeltaDiagram, got int",
+                 id="total_space(5)"),
     pytest.param(lambda b, d, f: DeltaDiagram(5, {}, {}), DomainError,
                  "a DeltaDiagram's base must be a FinPoset, got int", id="DeltaDiagram(5, {}, {})"),
     pytest.param(lambda b, d, f: Labeling(5, b.labels.target, {}, {}), DomainError,
