@@ -392,10 +392,14 @@ class LabelCategory:
     """A finite category with an explicit, total composition table.
 
     Morphism entries are arbitrary hashables; compose[(f, g)] is "first f,
-    then g" and must be defined for every composable pair.  Identities,
-    unit laws and associativity are all checked on construction; ``_trusted``
-    installs a category by construction (truss_label_category's closure)
-    unchecked, and oracles.audited() rebuilds each through the constructor.
+    then g", defined for every composable pair, and no table names anything
+    else.  The install indexes the category once, duplicates and all:
+    ``_objects`` and ``_morphisms`` map each value to its instance here, and
+    ``_out`` each object to the morphisms out of it, in morphism order.  The
+    constructor checks the laws over composable pairs and triples only;
+    ``_trusted`` installs truss_label_category's closure unchecked, and
+    oracles.audited() rebuilds each through the constructor.  The hash
+    covers objects, morphisms and identities; ``==`` compares every table.
     """
 
     def __init__(self, objects, morphisms, src, dst, identity, compose):
@@ -403,14 +407,13 @@ class LabelCategory:
         self._validate()
 
     def _install(self, objects, morphisms, src, dst, identity, compose):
-        self.objects = tuple(objects)
-        self.morphisms = tuple(morphisms)
-        self.src = dict(src)
-        self.dst = dict(dst)
-        self.identity = dict(identity)
-        self.compose = dict(compose)
-        self._hash = hash((frozenset(self.objects), frozenset(self.morphisms),
-                           frozenset(self.identity.items()), frozenset(self.compose.items())))
+        self.objects, self.morphisms = tuple(objects), tuple(morphisms)
+        self.src, self.dst, self.identity, self.compose = dict(src), dict(dst), dict(identity), dict(compose)
+        self._objects, self._morphisms = {o: o for o in self.objects}, {m: m for m in self.morphisms}
+        self._out = {o: [] for o in self.objects}
+        for m in self.morphisms:
+            self._out.get(self.src.get(m), []).append(m)
+        self._hash = hash((frozenset(self._objects), frozenset(self._morphisms), frozenset(self.identity.items())))
 
     @classmethod
     def _trusted(cls, objects, morphisms, src, dst, identity, compose):
@@ -419,38 +422,42 @@ class LabelCategory:
         return new
 
     def _validate(self):
-        objs = set(self.objects)
-        mors = set(self.morphisms)
+        objs, mors, out, src, dst, compose = self._objects, self._morphisms, self._out, self.src, self.dst, self.compose
         if len(objs) != len(self.objects) or len(mors) != len(self.morphisms):
             raise DomainError("duplicate objects or morphisms")
         for m in self.morphisms:
-            if self.src.get(m) not in objs or self.dst.get(m) not in objs:
+            if src.get(m) not in objs or dst.get(m) not in objs:
                 raise DomainError(f"morphism {m!r} has no valid endpoints")
         for o in self.objects:
             i = self.identity.get(o)
-            if i not in mors or self.src[i] != o or self.dst[i] != o:
+            if i not in mors or src[i] != o or dst[i] != o:
                 raise DomainError(f"object {o!r} has no identity morphism")
+        for name, table, keys, kind in (("src", src, mors, "a morphism"), ("dst", dst, mors, "a morphism"),
+                                        ("identity", self.identity, objs, "an object")):
+            stray = [k for k in table if k not in keys]
+            if stray:
+                raise DomainError(f"the {name} table names {stray[0]!r}, which is not {kind}")
         for f in self.morphisms:
-            for g in self.morphisms:
-                if self.dst[f] != self.src[g]:
-                    if (f, g) in self.compose:
-                        raise DomainError(f"table composes non-composable {f!r}, {g!r}")
-                    continue
-                h = self.compose.get((f, g))
+            for g in out[dst[f]]:
+                h = compose.get((f, g))
                 if h not in mors:
                     raise DomainError(f"table misses the composite of {f!r}, {g!r}")
-                if self.src[h] != self.src[f] or self.dst[h] != self.dst[g]:
+                if src[h] != src[f] or dst[h] != dst[g]:
                     raise DomainError(f"composite of {f!r}, {g!r} has wrong endpoints")
+        # every composable pair has its entry, so an extra entry is a stray one
+        for key in compose if len(compose) != sum(len(out[dst[f]]) for f in self.morphisms) else ():
+            if not (isinstance(key, tuple) and len(key) == 2 and key[0] in mors and key[1] in mors):
+                raise DomainError(f"table composes {key!r}, which is not a pair of morphisms")
+            if dst[key[0]] != src[key[1]]:
+                raise DomainError(f"table composes non-composable {key[0]!r}, {key[1]!r}")
         for f in self.morphisms:
-            if self.compose[(self.identity[self.src[f]], f)] != f:
+            if compose[(self.identity[src[f]], f)] != f:
                 raise DomainError(f"left unit law fails at {f!r}")
-            if self.compose[(f, self.identity[self.dst[f]])] != f:
+            if compose[(f, self.identity[dst[f]])] != f:
                 raise DomainError(f"right unit law fails at {f!r}")
-        for (f, g), fg in self.compose.items():
-            for h in self.morphisms:
-                if self.src[h] != self.dst[g]:
-                    continue
-                if self.compose[(fg, h)] != self.compose[(f, self.compose[(g, h)])]:
+        for (f, g), fg in compose.items():
+            for h in out[dst[g]]:
+                if compose[(fg, h)] != compose[(f, compose[(g, h)])]:
                     raise DomainError(f"associativity fails on {f!r}, {g!r}, {h!r}")
 
     def compose_pair(self, f, g):
@@ -460,24 +467,24 @@ class LabelCategory:
             raise DomainError(f"{f!r} and {g!r} do not compose") from None
 
     def hom(self, a, b) -> tuple:
-        return tuple(m for m in self.morphisms if self.src[m] == a and self.dst[m] == b)
+        """The morphisms from a to b, in morphism order; () unless a is an object."""
+        try:
+            return tuple(m for m in self._out.get(a, ()) if self.dst[m] == b)
+        except TypeError:  # an unhashable a is no object
+            return ()
 
     @classmethod
     def from_poset(cls, p: FinPoset) -> "LabelCategory":
-        """The thin category of a poset; morphism names are "a<=b" strings."""
-        name = {(a, b): f"{a}<={b}" for a, b in p.leq}
+        """The thin category of a poset; morphism names are "a<=b" strings in
+        the pairs' canonical order, and a <= b composes with b's up-set."""
+        els = p.elements
+        above = {a: [els[j] for j in bits(up)] for a, up in zip(els, p.ups)}
+        name = {(a, b): f"{a}<={b}" for a, up in above.items() for b in up}
         return cls(
-            objects=p.elements,
-            morphisms=[name[r] for r in sorted(p.leq, key=lambda r: (element_sort_key(r[0]), element_sort_key(r[1])))],
-            src={name[(a, b)]: a for a, b in p.leq},
-            dst={name[(a, b)]: b for a, b in p.leq},
-            identity={a: name[(a, a)] for a in p.elements},
-            compose={
-                (name[(a, b)], name[(b2, c)]): name[(a, c)]
-                for a, b in p.leq
-                for b2, c in p.leq
-                if b == b2
-            },
+            objects=els, morphisms=name.values(),
+            src={m: a for (a, b), m in name.items()}, dst={m: b for (a, b), m in name.items()},
+            identity={a: name[(a, a)] for a in els},
+            compose={(m, name[(b, c)]): name[(a, c)] for (a, b), m in name.items() for c in above[b]},
         )
 
     @classmethod
@@ -485,14 +492,10 @@ class LabelCategory:
         return cls.from_poset(FinPoset(["*"], [("*", "*")]))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LabelCategory)
-            and set(self.objects) == set(other.objects)
-            and set(self.morphisms) == set(other.morphisms)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.identity == other.identity
-            and self.compose == other.compose
+        return other is self or (
+            isinstance(other, LabelCategory) and self._hash == other._hash
+            and (self._objects.keys(), self._morphisms.keys(), self.src, self.dst, self.identity, self.compose)
+            == (other._objects.keys(), other._morphisms.keys(), other.src, other.dst, other.identity, other.compose)
         )
 
     def __hash__(self):
@@ -525,13 +528,11 @@ class Labeling(CoverFunctor):
 
     @staticmethod
     def _check_values(domain, target, on_objects, on_relations):
-        objs = set(target.objects)
-        mors = set(target.morphisms)
         for b, o in on_objects.items():
-            if o not in objs:
+            if o not in target._objects:
                 raise LabelingError(f"label {o!r} of {b!r} is not an object")
         for (a, b), m in on_relations.items():
-            if m not in mors:
+            if m not in target._morphisms:
                 raise LabelingError(f"label {m!r} of cover ({a!r}, {b!r}) is not a morphism")
             if target.src[m] != on_objects[a] or target.dst[m] != on_objects[b]:
                 raise LabelingError(f"label of cover ({a!r}, {b!r}) has wrong endpoints")

@@ -45,16 +45,13 @@ from .strata import (
     stratum_targets,
     validate_stratum_map,
 )
-from .bundle import _PROVED, CoverFunctor, DeltaDiagram, LabelCategory, Labeling, TotalPoset, classify, total_space
+from .bundle import CoverFunctor, DeltaDiagram, LabelCategory, Labeling, TotalPoset, classify, total_space
 from .tower import (
     Bordism,
     PackedTower,
     TrussTower,
-    _BUILT,
     _assemble,
-    _composite,
-    _identity,
-    _plan,
+    _empty_tables,
     compose_bordisms,
     compose_bordisms_audited,
     constant_inclusion,
@@ -177,14 +174,10 @@ def monotone_label_maps(domain: FinPoset, p: FinPoset, rng=None) -> list:
         top = max(h.values()) if h else 0
         cuts = sorted(rng.randint(0, top + 1) for _ in range(len(chain) - 1))
         maps.append({x: chain[sum(1 for c in cuts if c <= h[x])] for x in domain.elements})
-    seen = set()
-    unique = []
+    unique = {}
     for f in maps:
-        key = tuple(sorted(((str(k), str(v)) for k, v in f.items())))
-        if key not in seen:
-            seen.add(key)
-            unique.append(f)
-    return unique
+        unique.setdefault(tuple(sorted((str(k), str(v)) for k, v in f.items())), f)
+    return list(unique.values())
 
 
 def all_labelings(domain: FinPoset, p: FinPoset, rng=None) -> list:
@@ -275,14 +268,13 @@ def bordism_family(seed: int = 0) -> list:
     out = depth1_bordisms(rng)
     chain = chain3_poset()
     cat = LabelCategory.from_poset(chain)
-    morphs = [m for m in cat.morphisms]
     for depth in (2, 3):
         for _ in range(6):
             maps = []
             for _ in range(depth):
                 n0, n1 = rng.randint(0, 1), rng.randint(0, 1)
                 maps.append(rng.choice(enumerate_delta_maps(n0, n1)))
-            out.append(constant_inclusion(maps, rng.choice(morphs), cat))
+            out.append(constant_inclusion(maps, rng.choice(cat.morphisms), cat))
     for t in tower_family(seed, max_ordinal=1)[:10]:
         out.append(identity_bordism(t))
     return out
@@ -794,7 +786,6 @@ _INSTALLS = (
     (TrussTower, "trusted tower", lambda new, fields, fresh: "end_checks" if _recorded(new, fields) else None,
      lambda new, fields: (new, tuple(sorted(_recorded(new, fields).items()))), _tower_disagrees),
 )
-_MEMOS = (_composite, _plan, _identity, total_space)  # captured, so a patched name cannot hide one
 
 
 @contextmanager
@@ -802,10 +793,10 @@ def audited():
     """Audit what the library installs unchecked while the block runs; yields
     the counts of installs audited.  The _trusted of every _INSTALLS row is
     patched, and nothing else, and restored on exit: each distinct install is
-    checked once and counted as its row says.  The memos (_MEMOS: composites,
-    plans, identities, total spaces), bundle._PROVED, the functors proved
-    by their constructor, and tower._BUILT, the towers _trusted interned,
-    are emptied on entry and exit, so what the block uses is installed,
+    checked once and counted as its row says.  tower._empty_tables() empties
+    the memos (composites, plans, identities, total spaces), bundle._PROVED,
+    the functors proved by their constructor, and tower._BUILT, the towers
+    _trusted interned, on entry and exit, so what the block uses is installed,
     and audited, or proved inside it, and nothing made inside outlives it.
     A _trusted install never enters _PROVED, so its rebuild is always
     checked against a real proof of an equal key.  A tower install is
@@ -833,10 +824,7 @@ def audited():
             return new
         return classmethod(install)
 
-    for memo in _MEMOS:
-        memo.cache_clear()
-    _PROVED.clear()
-    _BUILT.clear()
+    _empty_tables()
     for row in _INSTALLS:
         row[0]._trusted = patched(*row)
     try:
@@ -844,10 +832,7 @@ def audited():
     finally:
         for owner, install in saved.items():
             owner._trusted = install
-        for memo in _MEMOS:
-            memo.cache_clear()
-        _PROVED.clear()
-        _BUILT.clear()
+        _empty_tables()
 
 
 def _audited_suite(suite):

@@ -345,7 +345,7 @@ def _parse_truss(obj, where: str = "truss") -> TrussTower:
     cat = _parse_labelcat(_expect(labp, "category", where), f"{where} labels")
     on_obj, on_rel = _unkeyed(
         labp, ("objects", "relations"), top, keys,
-        (_token_in(set(cat.objects)), _token_in(set(cat.morphisms))), f"{where} labels",
+        (_token_in(cat._objects), _token_in(cat._morphisms)), f"{where} labels",
     )
     cls = Bordism if base == arrow_poset() else TrussTower
     return cls(base, stages, Labeling(top, cat, on_obj, on_rel))

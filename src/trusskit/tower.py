@@ -31,8 +31,8 @@ Composites, plans and identity bordisms are memoized by value in bounded
 caches that every caller shares, so separate pack calls close their label
 categories from the same composites; the closure, a category by
 construction, is installed through LabelCategory._trusted.  oracles.audited()
-checks trusted towers with their recorded ends, re-proves the closure and
-empties the memos and the intern table on entry and exit.
+checks trusted towers with their recorded ends, re-proves the closure and,
+through _empty_tables, empties every table on entry and exit.
 _assemble glues towers over parts of a base for unpack, and for the oracles'
 "bordism-assoc" suite, which checks each composite against a glue.
 """
@@ -59,7 +59,7 @@ from .poset import (
     bits,
     point_poset,
 )
-from .bundle import DeltaDiagram, LabelCategory, Labeling, total_space
+from .bundle import _PROVED, DeltaDiagram, LabelCategory, Labeling, total_space
 
 
 def root_of(el):
@@ -360,6 +360,17 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
     return _compose(b1, b2)
 
 
+_MEMOS = (_composite, _identity, _plan, total_space)  # captured, so a patched name cannot hide one
+
+
+def _empty_tables():
+    """Empty the memos, bundle._PROVED and _BUILT, as oracles.audited() does on entry and exit."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+    _PROVED.clear()
+    _BUILT.clear()
+
+
 def truss_label_category(objects, generators) -> LabelCategory:
     """The finite category generated by labelled trusses, their identity
     bordisms and the given generators, closed under composition; a composite
@@ -411,8 +422,8 @@ def _packed_tower(base: FinPoset, stages, domain: FinPoset, fibers: dict, gens: 
     cover bordisms given, each replaced by the equal instance of the
     synthesized category; pack and the packed/v1 parser both end here."""
     cat = truss_label_category(fibers.values(), gens.values())
-    own = {m: m for m in cat.objects + cat.morphisms}
-    lab = Labeling(domain, cat, {x: own[o] for x, o in fibers.items()}, {c: own[g] for c, g in gens.items()})
+    lab = Labeling(domain, cat, {x: cat._objects[o] for x, o in fibers.items()},
+                   {c: cat._morphisms[g] for c, g in gens.items()})
     return PackedTower(TrussTower(base, stages, lab))
 
 
@@ -500,24 +511,26 @@ def constant_inclusion(data, label, cat: LabelCategory):
         entries = list(data)
     except TypeError:
         raise DomainError("data must be all ordinals or all maps") from None
+    try:  # an unhashable label is neither
+        is_object, is_morphism = label in cat._objects, label in cat._morphisms
+    except TypeError:
+        is_object = is_morphism = False
     if entries and all(isinstance(e, DeltaMap) for e in entries):
         as_bordism = True
     elif not all(isinstance(e, (int, Ordinal)) for e in entries):
         raise DomainError("data must be all ordinals or all maps")
-    elif entries or label in cat.objects:
-        as_bordism = False
-    elif label in cat.morphisms:
-        as_bordism = True
-    else:
+    elif not (entries or is_object or is_morphism):
         raise DomainError(f"{label!r} is neither an object nor a morphism")
+    else:
+        as_bordism = not (entries or is_object)
     if not as_bordism:
-        if label not in cat.objects:
+        if not is_object:
             raise DomainError(f"{label!r} is not an object of the label category")
         root = point_poset()
         roots = [DeltaDiagram(root, {POINT_ELEMENT: n}, {}) for n in entries]
         roots.append(Labeling(root, cat, {POINT_ELEMENT: label}, {}))
     else:
-        if label not in cat.morphisms:
+        if not is_morphism:
             raise DomainError(f"{label!r} is not a morphism of the label category")
         root = arrow_poset()
         roots = [DeltaDiagram(root, {"0": m.src, "1": m.dst}, {("0", "1"): m}) for m in entries]

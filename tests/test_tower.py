@@ -674,11 +674,27 @@ def test_truss_category_closes_alike_cold_and_warm(k, labels, sizes):
         table = {(index[f], index[g]): index[h] for (f, g), h in cat.compose.items()}
         return (len(cat.objects), len(cat.morphisms), len(table)), [dumps(m) for m in cat.morphisms], table
 
-    for memo in (tower._composite, tower._plan, tower._identity):
-        memo.cache_clear()
+    tower._empty_tables()
     cold = closed()
     assert cold[0] == sizes
     assert closed() == cold
+
+
+def test_truss_category_hom_reads_the_index_as_the_filter_does():
+    objects, bordisms = _depth1_trusses_and_bordisms(1, FinPoset(["0", "1"], [("0", "0"), ("0", "1"), ("1", "1")]))
+    cat = truss_label_category(objects, bordisms)
+    assert (len(cat.objects), len(cat.morphisms)) == (7, 73)
+    for a in cat.objects:
+        for b in cat.objects:
+            assert cat.hom(a, b) == tuple(m for m in cat.morphisms if cat.src[m] == a and cat.dst[m] == b)
+    assert cat.hom(bordisms[0], cat.objects[0]) == () and cat.hom("zz", cat.objects[0]) == ()
+    # the closure installs one instance per value, and the index names it
+    assert all(cat._objects[o] is o for o in cat.objects) and all(cat._morphisms[m] is m for m in cat.morphisms)
+    # built apart, from fresh composites: equal, and hashed alike
+    tower._empty_tables()
+    again = truss_label_category(objects, bordisms)
+    assert again.identity[objects[0]] is not cat.identity[objects[0]]
+    assert again == cat and hash(again) == hash(cat)
 
 
 def test_composition_runs_no_functor_table(monkeypatch):
@@ -912,9 +928,7 @@ def test_trusted_routes_to_an_equal_tower_share_its_live_instance(chain_cat):
                          ids=["in order", "in reverse", "table emptied between packs"])
 def test_pack_prints_alike_whatever_the_intern_table_holds(reverse, emptied):
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
-    for memo in (tower._composite, tower._identity, tower._plan):
-        memo.cache_clear()
-    tower._BUILT.clear()
+    tower._empty_tables()
     printed = {}
     for i in sorted(range(len(towers)), reverse=reverse):
         if emptied:
