@@ -131,10 +131,11 @@ def vee3_poset() -> FinPoset:
 
 
 def _heights(p: FinPoset) -> dict:
-    h = {}
+    """Each element's longest chain from a minimal one, pushed up the covers."""
+    h, els = dict.fromkeys(p.elements, 0), p.elements
     for x in p.linear_extension():
-        below = [h[y] for (y, _) in p.covers_into(x)]
-        h[x] = 1 + max(below) if below else 0
+        for j in p.upper[p.index[x]]:
+            h[els[j]] = max(h[els[j]], h[x] + 1)
     return h
 
 
@@ -176,7 +177,7 @@ def monotone_label_maps(domain: FinPoset, p: FinPoset, rng=None) -> list:
         maps.append({x: chain[sum(1 for c in cuts if c <= h[x])] for x in domain.elements})
     unique = {}
     for f in maps:
-        unique.setdefault(tuple(sorted((str(k), str(v)) for k, v in f.items())), f)
+        unique.setdefault(tuple(f[x] for x in domain.elements), f)
     return list(unique.values())
 
 
@@ -200,6 +201,20 @@ def random_diagram(base: FinPoset, max_ordinal: int, rng) -> DeltaDiagram:
             continue
 
 
+def depth1_family(root: FinPoset, max_ordinal: int, labelings) -> list:
+    """Every depth-1 tower over root (the point or the arrow) whose stage is
+    one of all_diagrams(root, max_ordinal), in that order, labelled by each
+    labeling that labelings(top) lists for its top space: over the point
+    TrussTowers, over the arrow Bordisms."""
+    cls = Bordism if root == arrow_poset() else TrussTower
+    return [cls(root, (d,), lab) for d in all_diagrams(root, max_ordinal) for lab in labelings(total_space(d).carrier)]
+
+
+def _labelled_in(posets, rng):
+    """labelings for depth1_family: all_labelings into each poset in turn."""
+    return lambda top: [lab for p in posets for lab in all_labelings(top, p, rng)]
+
+
 def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
     """A bounded deterministic family of labelled towers over the point:
     exhaustive at depth 1, exhaustive stage data with canonical labels at
@@ -208,26 +223,16 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
     pt = point_poset()
     chain = chain3_poset()
     vee = vee3_poset()
-    towers = []
-    for n1 in range(max_ordinal + 1):
-        d1 = DeltaDiagram(pt, {POINT_ELEMENT: Ordinal(n1)}, {})
-        top1 = total_space(d1).carrier
-        for p in (chain, vee):
-            for lab in all_labelings(top1, p, rng):
-                towers.append(TrussTower(pt, (d1,), lab))
-    for n1 in range(2):
-        d1 = DeltaDiagram(pt, {POINT_ELEMENT: Ordinal(n1)}, {})
-        top1 = total_space(d1).carrier
-        seconds = all_diagrams(top1, max_ordinal)
-        cat = LabelCategory.from_poset(chain)
+    towers = depth1_family(pt, max_ordinal, _labelled_in((chain, vee), rng))
+    cat = LabelCategory.from_poset(chain)
+    for d1 in all_diagrams(pt, 1):
+        seconds = all_diagrams(total_space(d1).carrier, max_ordinal)
         for d2 in seconds:
             top2 = total_space(d2).carrier
             f = monotone_label_maps(top2, chain)[-1]
             towers.append(TrussTower(pt, (d1, d2), labeling_from_map(top2, cat, f)))
         for d2 in rng.sample(seconds, min(12, len(seconds))):
-            top2 = total_space(d2).carrier
-            for lab in all_labelings(top2, vee, rng):
-                towers.append(TrussTower(pt, (d1, d2), lab))
+            towers += [TrussTower(pt, (d1, d2), lab) for lab in all_labelings(total_space(d2).carrier, vee, rng)]
     for _ in range(8):
         d1 = DeltaDiagram(pt, {POINT_ELEMENT: Ordinal(rng.randint(0, 1))}, {})
         d2 = random_diagram(total_space(d1).carrier, 1, rng)
@@ -239,35 +244,13 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
     return towers
 
 
-def depth1_bordisms(rng) -> list:
-    """Depth-1 bordisms over the arrow: exhaustive stage data up to fiber
-    ordinal 2, with constant, canonical, and one seeded label each into the
-    chain and the vee."""
-    ab = arrow_poset()
-    out = []
-    posets = [chain3_poset(), vee3_poset()]
-    for n0 in range(3):
-        for n1 in range(3):
-            for alpha in enumerate_delta_maps(n0, n1):
-                d = DeltaDiagram(
-                    ab,
-                    {"0": Ordinal(n0), "1": Ordinal(n1)},
-                    {("0", "1"): alpha},
-                )
-                top = total_space(d).carrier
-                for p in posets:
-                    for lab in all_labelings(top, p, rng):
-                        out.append(Bordism(ab, (d,), lab))
-    return out
-
-
 def bordism_family(seed: int = 0) -> list:
-    """Depth-1 exhaustive small bordisms plus constants and identities at
-    depths 2 and 3."""
+    """Depth-1 bordisms over the arrow, exhaustive stage data up to fiber
+    ordinal 2 with constant, canonical and one seeded label each into the
+    chain and the vee, plus constants and identities at depths 2 and 3."""
     rng = random.Random(seed)
-    out = depth1_bordisms(rng)
-    chain = chain3_poset()
-    cat = LabelCategory.from_poset(chain)
+    out = depth1_family(arrow_poset(), 2, _labelled_in((chain3_poset(), vee3_poset()), rng))
+    cat = LabelCategory.from_poset(chain3_poset())
     for depth in (2, 3):
         for _ in range(6):
             maps = []

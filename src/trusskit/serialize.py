@@ -80,32 +80,18 @@ def _expect(obj, key, where: str):
     return obj[key]
 
 
-def _int(v, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"{where}: expected an integer, got {v!r}")
-    return v
+_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
 
 
-def _str(v, where: str) -> str:
-    if not isinstance(v, str):
-        raise ParseError(f"{where}: expected a string, got {v!r}")
-    return v
-
-
-def _dict(v, where: str) -> dict:
-    if not isinstance(v, dict):
-        raise ParseError(f"{where}: expected an object, got {v!r}")
-    return v
-
-
-def _list(v, where: str) -> list:
-    if not isinstance(v, list):
-        raise ParseError(f"{where}: expected a list, got {v!r}")
+def _typed(v, kind: type, where: str):
+    """v if it is an instance of kind, a key of _KINDS (a bool is no integer)."""
+    if not isinstance(v, kind) or kind is int and isinstance(v, bool):
+        raise ParseError(f"{where}: expected {_KINDS[kind]}, got {v!r}")
     return v
 
 
 def _ordinal(v, where: str) -> Ordinal:
-    n = _int(v, where)
+    n = _typed(v, int, where)
     if n < 0:
         raise ParseError(f"{where}: expected a nonnegative integer, got {n!r}")
     return Ordinal(n)
@@ -126,7 +112,7 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def _fraction(v, where: str) -> Fraction:
     """A height as dumps writes it, an integer or p/q; no exponents, so a
     short string cannot ask for a huge number."""
-    if not _RATIONAL.fullmatch(_str(v, where)):
+    if not _RATIONAL.fullmatch(_typed(v, str, where)):
         raise ParseError(f"{where}: bad rational {v!r}, expected p or p/q")
     try:
         return Fraction(v)
@@ -141,13 +127,13 @@ def _map_payload(f) -> dict:
 
 def _parse_map(obj, where: str, cls=DeltaMap):
     """Read a _map_payload back as a cls (DeltaMap or NablaMap)."""
-    src = _int(_expect(obj, "src", where), where)
-    dst = _int(_expect(obj, "dst", where), where)
+    src = _typed(_expect(obj, "src", where), int, where)
+    dst = _typed(_expect(obj, "dst", where), int, where)
     values = _expect(obj, "values", where)
     if not isinstance(values, list):
         raise ParseError(f"{where}: values must be a list")
     try:
-        return cls(Ordinal(src), Ordinal(dst), tuple(_int(v, where) for v in values))
+        return cls(Ordinal(src), Ordinal(dst), tuple(_typed(v, int, where) for v in values))
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -182,7 +168,7 @@ def _unkeyed(obj, fields, poset: FinPoset, keys: tuple, decoders, where: str) ->
     sides = zip(fields, (poset.elements, poset.covers()), (keys, cover_keys(poset, keys)))
     for (field, items, ks), what in zip(sides, ("elements", "covering relations")):
         lookup = _lookup(items, ks, where)
-        table = _dict(_expect(obj, field, where), where)
+        table = _typed(_expect(obj, field, where), dict, where)
         if table.keys() != lookup.keys():
             raise ParseError(f"{where}: {field} keys do not match the {what}")
         found.append((field, table, lookup))
@@ -210,7 +196,7 @@ def _parse_poset(obj, where: str) -> FinPoset:
     covers = _expect(obj, "covers", where)
     if not isinstance(elements, list) or not isinstance(covers, list):
         raise ParseError(f"{where}: elements and covers must be lists")
-    names = [_str(e, where) for e in elements]
+    names = [_typed(e, str, where) for e in elements]
     known = set(names)
     if len(known) != len(names):
         raise ParseError(f"{where}: duplicate element names")
@@ -218,27 +204,27 @@ def _parse_poset(obj, where: str) -> FinPoset:
     for c in covers:
         if not isinstance(c, list) or len(c) != 2:
             raise ParseError(f"{where}: covers must be two-element lists")
-        u, v = _str(c[0], where), _str(c[1], where)
+        u, v = _typed(c[0], str, where), _typed(c[1], str, where)
         if u not in known or v not in known:
             raise ParseError(f"{where}: cover ({u!r}, {v!r}) names unknown elements")
         pairs.append((u, v))
     return FinPoset.from_covers(names, pairs)
 
 
+_BASES = {"point": point_poset, "arrow": arrow_poset}
+
+
 def _base_name(p: FinPoset) -> str:
-    if p == point_poset():
-        return "point"
-    if p == arrow_poset():
-        return "arrow"
+    for name, base in _BASES.items():
+        if p == base():
+            return name
     raise ParseError("only towers over the point or the arrow serialize")
 
 
 def _named_base(name: str) -> FinPoset:
-    if name == "point":
-        return point_poset()
-    if name == "arrow":
-        return arrow_poset()
-    raise ParseError(f"unknown base name {name!r}")
+    if name not in _BASES:
+        raise ParseError(f"unknown base name {name!r}")
+    return _BASES[name]()
 
 
 def _tower_payload(t: TrussTower, encode, where: str) -> tuple:
@@ -254,7 +240,7 @@ def _tower_payload(t: TrussTower, encode, where: str) -> tuple:
 def _parse_stages(payload, base: FinPoset, where: str):
     """The stages, their top space and its element keys."""
     cur, keys, stages = base, _base_keys(base), []
-    for i, sp in enumerate(_list(payload, where)):
+    for i, sp in enumerate(_typed(payload, list, where)):
         tag = f"{where} stage {i + 1}"
         ords, arrows = _unkeyed(sp, ("ord", "arrow"), cur, keys, (_ordinal, _parse_map), tag)
         d = DeltaDiagram(cur, ords, arrows)
@@ -272,7 +258,7 @@ def _token(value) -> str:
 def _token_in(known):
     """A decoder for label tokens that must be among known."""
     def decode(v, where):
-        if _str(v, where) not in known:
+        if _typed(v, str, where) not in known:
             raise ParseError(f"{where}: unknown label token {v!r}")
         return v
     return decode
@@ -300,30 +286,31 @@ def _labelcat_payload(cat: LabelCategory) -> dict:
 
 def _parse_labelcat(obj, where: str = "labelcat") -> LabelCategory:
     _schema(obj, SCHEMA_LABELCAT, where)
-    objects = [_str(o, where) for o in _list(_expect(obj, "objects", where), where)]
-    morphisms = [_str(m, where) for m in _list(_expect(obj, "morphisms", where), where)]
+    objects = [_typed(o, str, where) for o in _typed(_expect(obj, "objects", where), list, where)]
+    morphisms = [_typed(m, str, where) for m in _typed(_expect(obj, "morphisms", where), list, where)]
     srcp = _expect(obj, "src", where)
     dstp = _expect(obj, "dst", where)
     identp = _expect(obj, "identity", where)
-    composep = _dict(_expect(obj, "compose", where), where)
+    composep = _typed(_expect(obj, "compose", where), dict, where)
     for table, keys in ((srcp, morphisms), (dstp, morphisms), (identp, objects)):
         if not isinstance(table, dict) or set(table) != set(keys):
             raise ParseError(f"{where}: endpoint tables do not match the morphism list")
-    src = {m: _str(srcp[m], where) for m in morphisms}
-    dst = {m: _str(dstp[m], where) for m in morphisms}
+    src = {m: _typed(srcp[m], str, where) for m in morphisms}
+    dst = {m: _typed(dstp[m], str, where) for m in morphisms}
+    out_of = {}
+    for g in morphisms:
+        out_of.setdefault(src[g], []).append(g)
     pair_for = {}
     for f in morphisms:
-        for g in morphisms:
-            if dst[f] != src[g]:
-                continue
+        for g in out_of.get(dst[f], ()):
             key = f + "|" + g
             if key in pair_for:
                 raise ParseError(f"{where}: composition keys collide at {key!r}")
             pair_for[key] = (f, g)
     if set(composep) != set(pair_for):
         raise ParseError(f"{where}: composition keys do not match the composable pairs")
-    compose = {pair_for[k]: _str(v, where) for k, v in composep.items()}
-    identity = {o: _str(identp[o], where) for o in objects}
+    compose = {pair_for[k]: _typed(v, str, where) for k, v in composep.items()}
+    identity = {o: _typed(identp[o], str, where) for o in objects}
     return LabelCategory(objects, morphisms, src, dst, identity, compose)
 
 
@@ -339,7 +326,7 @@ def _truss_payload(t: TrussTower) -> dict:
 
 def _parse_truss(obj, where: str = "truss") -> TrussTower:
     _schema(obj, SCHEMA_TRUSS, where)
-    base = _named_base(_str(_expect(obj, "base", where), where))
+    base = _named_base(_typed(_expect(obj, "base", where), str, where))
     stages, top, keys = _parse_stages(_expect(obj, "stages", where), base, where)
     labp = _expect(obj, "labels", where)
     cat = _parse_labelcat(_expect(labp, "category", where), f"{where} labels")
@@ -367,7 +354,7 @@ def _heights_payload(h: CompactMesh1) -> list:
 
 
 def _parse_heights(hs, where: str) -> CompactMesh1:
-    return CompactMesh1(tuple(_fraction(h, where) for h in _list(hs, where)))
+    return CompactMesh1(tuple(_fraction(h, where) for h in _typed(hs, list, where)))
 
 
 def _mesh_payload(m: PLMeshBundle) -> dict:
@@ -396,32 +383,27 @@ def _packed_payload(p: PackedTower) -> dict:
 
 
 def _parse_packed(obj, where: str = "packed") -> PackedTower:
-    base = _named_base(_str(_expect(obj, "base", where), where))
+    base = _named_base(_typed(_expect(obj, "base", where), str, where))
     stages, top, keys = _parse_stages(_expect(obj, "stages", where), base, where)
     fibers, gens = _unkeyed(obj, ("objects", "relations"), top, keys, (_parse_truss, _parse_truss), where)
     return _packed_tower(base, stages, top, fibers, gens)
 
 
-_PARSERS = {
-    SCHEMA_DIAGRAM: _parse_diagram,
-    SCHEMA_TRUSS: _parse_truss,
-    SCHEMA_LABELCAT: _parse_labelcat,
-    SCHEMA_MESH: _parse_mesh,
-    SCHEMA_PACKED: _parse_packed,
-}
+# (schema, class, payload, parser) of each file schema; payload_for takes
+# the first row whose class the value is an instance of
+_SCHEMAS = (
+    (SCHEMA_PACKED, PackedTower, _packed_payload, _parse_packed),
+    (SCHEMA_TRUSS, TrussTower, _truss_payload, _parse_truss),
+    (SCHEMA_DIAGRAM, DeltaDiagram, _diagram_payload, _parse_diagram),
+    (SCHEMA_LABELCAT, LabelCategory, _labelcat_payload, _parse_labelcat),
+    (SCHEMA_MESH, PLMeshBundle, _mesh_payload, _parse_mesh),
+)
 
 
 def payload_for(obj) -> dict:
-    if isinstance(obj, PackedTower):
-        return _packed_payload(obj)
-    if isinstance(obj, TrussTower):
-        return _truss_payload(obj)
-    if isinstance(obj, DeltaDiagram):
-        return _diagram_payload(obj)
-    if isinstance(obj, LabelCategory):
-        return _labelcat_payload(obj)
-    if isinstance(obj, PLMeshBundle):
-        return _mesh_payload(obj)
+    for _, cls, payload, _ in _SCHEMAS:
+        if isinstance(obj, cls):
+            return payload(obj)
     raise ParseError(f"no file schema for {type(obj).__name__}")
 
 
@@ -442,11 +424,11 @@ def parse(text: str):
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ParseError("file must be a JSON object with a 'schema' field")
     schema = obj["schema"]
-    parser = _PARSERS.get(schema) if isinstance(schema, str) else None
-    if parser is None:
-        known = ", ".join(sorted(_PARSERS))
-        raise ParseError(f"unknown schema {schema!r} (known: {known})")
-    return parser(obj)
+    for name, _, _, parser in _SCHEMAS:
+        if name == schema:
+            return parser(obj)
+    known = ", ".join(sorted(row[0] for row in _SCHEMAS))
+    raise ParseError(f"unknown schema {schema!r} (known: {known})")
 
 
 def save(obj, path) -> None:

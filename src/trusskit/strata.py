@@ -187,7 +187,8 @@ def hom_strata(x: Stratum, y: Stratum) -> tuple:
     the rest lie in [j, m]; for s_i -> y the values a(0..i) lie in [0, j]
     and the rest in [j, m] (in [j+1, m] when y is singular).  Heads and
     tails are each enumerated in lexicographic order, so their product in
-    head-major order is lexicographic too.
+    head-major order is lexicographic too.  A hom set whose ordinals pass
+    the machine's index size is refused with a DomainError.
     """
     if not (isinstance(x, Stratum) and isinstance(y, Stratum)):
         raise DomainError(f"hom_strata needs two strata, got {x!r} and {y!r}")
@@ -198,14 +199,17 @@ def hom_strata(x: Stratum, y: Stratum) -> tuple:
         head, pin, low = i, (j,), j
     else:
         head, pin, low = i + 1, (), j if y.is_regular else j + 1
-    tails = tuple(combinations_with_replacement(range(low, m + 1), x.n - i))
     src, dst = Ordinal(x.n), Ordinal(m)
     make, under = StratumMap._trusted, DeltaMap._trusted
-    return tuple(
-        make(x, y, under(src, dst, h + pin + t))
-        for h in combinations_with_replacement(range(j + 1), head)
-        for t in tails
-    )
+    try:
+        tails = tuple(combinations_with_replacement(range(low, m + 1), x.n - i))
+        return tuple(
+            make(x, y, under(src, dst, h + pin + t))
+            for h in combinations_with_replacement(range(j + 1), head)
+            for t in tails
+        )
+    except OverflowError:
+        raise DomainError(f"hom({x}, {y}) is too large to enumerate") from None
 
 
 def compose_strata(f: StratumMap, g: StratumMap) -> StratumMap:

@@ -294,7 +294,11 @@ def _two_morphism_tables():
     ("compose", ("zz", "id"), "e", "table composes ('zz', 'id'), which is not a pair of morphisms"),
     ("compose", ("id", "zz"), "e", "table composes ('id', 'zz'), which is not a pair of morphisms"),
     ("compose", ("zz", "yy"), "e", "table composes ('zz', 'yy'), which is not a pair of morphisms"),
-], ids=["identity key", "src key", "dst key", "compose (zz, id)", "compose (id, zz)", "compose (zz, yy)"])
+    ("src", "e", "zz", "morphism 'e' has no valid endpoints"),
+    ("compose", ("id", "e"), "id", "left unit law fails at 'e'"),
+    ("compose", ("e", "id"), "id", "right unit law fails at 'e'"),
+], ids=["identity key", "src key", "dst key", "compose (zz, id)", "compose (id, zz)", "compose (zz, yy)",
+        "src value", "left unit", "right unit"])
 def test_label_category_refuses_a_stray_entry(table, key, value, message):
     tables = _two_morphism_tables()
     LabelCategory(**tables)  # the clean category builds
@@ -313,6 +317,17 @@ def test_label_category_refuses_a_non_composable_entry_as_ever():
     LabelCategory(**tables)
     tables["compose"][("e", "idb")] = "e"
     with pytest.raises(DomainError, match=re.escape("table composes non-composable 'e', 'idb'")):
+        LabelCategory(**tables)
+
+
+def test_label_category_refuses_a_non_associative_table():
+    tables = _two_morphism_tables()
+    tables["morphisms"].append("f")
+    tables["src"]["f"] = tables["dst"]["f"] = "a"
+    tables["compose"].update({("id", "f"): "f", ("f", "id"): "f", ("e", "f"): "f", ("f", "e"): "e", ("f", "f"): "f"})
+    LabelCategory(**tables)  # x then y is y: associative
+    tables["compose"][("f", "f")] = "e"
+    with pytest.raises(DomainError, match=re.escape("associativity fails on 'f', 'e', 'f'")):
         LabelCategory(**tables)
 
 

@@ -43,6 +43,13 @@ def diagram_file(tmp_path):
 
 
 @pytest.fixture
+def labelcat_file(tmp_path, chain_cat):
+    path = tmp_path / "labelcat.json"
+    save(chain_cat, path)
+    return path
+
+
+@pytest.fixture
 def bordism_files(tmp_path, chain_cat):
     b1 = constant_inclusion([DeltaMap(1, 1, (0, 0))], "a<=b", chain_cat)
     b2 = constant_inclusion([DeltaMap(1, 1, (0, 1))], "b<=c", chain_cat)
@@ -57,6 +64,15 @@ def test_validate_ok(truss_file, capsys):
     out = capsys.readouterr().out
     assert "status: ok" in out
     assert "count depth: 2" in out
+
+
+@pytest.mark.parametrize("fixture, counts", [
+    ("diagram_file", "count base_elements: 2\ncount elements: 8\ncount relations: 10\n"),
+    ("labelcat_file", "count morphisms: 6\ncount objects: 3\n"),
+])
+def test_validate_counts_a_diagram_and_a_label_category(request, fixture, counts, capsys):
+    assert main(["validate", str(request.getfixturevalue(fixture))]) == 0
+    assert capsys.readouterr().out == "status: ok\n" + counts
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -109,6 +125,11 @@ def test_fiber_bad_argument(capsys):
 def test_fiber_invalid_map_literal_is_a_parse_error(literal, capsys):
     assert main(["fiber", literal]) == 2
     assert "bad map literal" in capsys.readouterr().err
+
+
+def test_hom_past_the_machine_size_is_refused(capsys):
+    assert main(["hom", "s0@3", "r0@99999999999999999999"]) == 1
+    assert capsys.readouterr().err == "error: hom(s0@3, r0@99999999999999999999) is too large to enumerate\n"
 
 
 def test_hom_negative_ambient_is_a_parse_error():

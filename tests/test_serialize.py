@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,12 @@ from trusskit import (
     DeltaMap,
     FinPoset,
     LabelCategory,
+    Labeling,
     Ordinal,
     PackedTower,
     ParseError,
     TrussError,
+    TrussTower,
     arrow_poset,
     constant_inclusion,
     dumps,
@@ -236,6 +239,64 @@ def test_parse_keeps_semantic_failures_separate():
     }
     with pytest.raises(DiagramError):
         parse(json.dumps(payload))
+
+
+# both "a|b" then "c" and "a" then "b|c" key their composite "a|b|c"
+COLLIDING = ["1", "a", "a|b", "c", "b|c"]
+
+
+def colliding_monoid_tables():
+    """A monoid on COLLIDING: "1" its unit, every other product "a"."""
+    ends = dict.fromkeys(COLLIDING, "*")
+    products = {(f, g): f if g == "1" else g if f == "1" else "a" for f in COLLIDING for g in COLLIDING}
+    return ["*"], COLLIDING, ends, ends, {"*": "1"}, products
+
+
+def elsewhere_tower(chain_cat):
+    """A depth-0 tower over a one-element poset that is not the point."""
+    x = FinPoset(["x"], [("x", "x")])
+    return TrussTower(x, (), Labeling(x, chain_cat, {"x": "a"}, {}))
+
+
+def colliding_labelcat_text():
+    objects, morphisms, src, dst, identity, _ = colliding_monoid_tables()
+    return json.dumps({"schema": "labelcat/v1", "objects": objects, "morphisms": morphisms, "src": src, "dst": dst,
+                       "identity": identity, "compose": {}})
+
+
+DUPLICATE_NAMES = json.dumps({"schema": "diagram/v1", "base": {"elements": ["a", "a"], "covers": []},
+                              "ord": {}, "arrow": {}})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda cat: element_key(5), "element 5 has no canonical key", id="element_key(5)"),
+    pytest.param(lambda cat: dumps(DeltaDiagram(FinPoset([("a",)], [(("a",), ("a",))]), {("a",): Ordinal(0)}, {})),
+                 "only posets with string-named elements serialize", id="dumps(diagram over ('a',))"),
+    pytest.param(lambda cat: parse(DUPLICATE_NAMES), "diagram: duplicate element names", id="parse(elements a, a)"),
+    pytest.param(lambda cat: dumps(elsewhere_tower(cat)), "only towers over the point or the arrow serialize",
+                 id="dumps(tower over x)"),
+    pytest.param(lambda cat: dumps(LabelCategory(*colliding_monoid_tables())),
+                 "labelcat: composition keys collide at 'a|b|c'", id="dumps(colliding labelcat)"),
+    pytest.param(lambda cat: parse(colliding_labelcat_text()), "labelcat: composition keys collide at 'a|b|c'",
+                 id="parse(colliding labelcat)"),
+])
+def test_key_and_name_refusals(chain_cat, call, message):
+    with pytest.raises(ParseError) as err:
+        call(chain_cat)
+    assert str(err.value) == message
+
+
+def test_a_large_discrete_category_parses_in_time():
+    # the composable pairs come from an index by source, not from every pair
+    objects = [f"o{i}" for i in range(5000)]
+    ids = [f"id{i}" for i in range(5000)]
+    cat = LabelCategory(objects, ids, dict(zip(ids, objects)), dict(zip(ids, objects)), dict(zip(objects, ids)),
+                        {(m, m): m for m in ids})
+    text = dumps(cat)
+    start = time.perf_counter()
+    back = parse(text)
+    assert time.perf_counter() - start < 0.5
+    assert back == cat
 
 
 def test_unsupported_object_rejected():

@@ -375,6 +375,18 @@ def test_hom_large_set_is_lexicographic():
     assert all(v[0] == 5 for v in values)
 
 
+HUGE = 10 ** 20  # past the machine's index size
+
+
+@pytest.mark.parametrize("x, y", [
+    (Stratum.regular(0, HUGE), Stratum.regular(0, 1)),
+    (Stratum.singular(0, 3), Stratum.regular(0, HUGE)),
+], ids=["huge source", "huge target"])
+def test_hom_past_the_machine_size_is_refused(x, y):
+    with pytest.raises(DomainError, match=re.escape(f"hom({x}, {y}) is too large to enumerate")):
+        hom_strata(x, y)
+
+
 class _Small(enum.IntEnum):
     ONE = 1
     TWO = 2
@@ -440,6 +452,7 @@ def test_invalid_stratum_values_are_never_interned(kind, index, n):
 FIBER_GUARD = "a fiber lies over an ordinal [n] with n a nonnegative int"
 F12 = DeltaMap(1, 2, (0, 2))
 H = StratumMap(Stratum.singular(0, 1), Stratum.regular(0, 0), DeltaMap(1, 0, (0, 0)))
+ID1 = StratumMap(Stratum.regular(0, 1), Stratum.regular(0, 1), DeltaMap.identity(1))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -465,6 +478,9 @@ H = StratumMap(Stratum.singular(0, 1), Stratum.regular(0, 0), DeltaMap(1, 0, (0,
     pytest.param(lambda: compose_strata(5, 6), "compose_strata needs two stratum maps, got 5 and 6",
                  id="compose_strata(5, 6)"),
     pytest.param(lambda: compose_strata(H, 6), "compose_strata needs two stratum maps", id="compose_strata(h, 6)"),
+    pytest.param(lambda: compose_strata(H, H), f"cannot compose {H} before {H}", id="compose_strata(h, h)"),
+    pytest.param(lambda: factorization_poset(ID1.src, ID1.dst, ID1, DeltaMap(1, 1, (0, 0)), DeltaMap(1, 1, (0, 0))),
+                 f"{ID1} does not lie over the composite of", id="factorization_poset(x, x, id, c, c)"),
 ])
 def test_strata_entry_points_refuse_a_wrong_type(call, message):
     fiber_objects(2)  # cached, so a value equal to 2 could meet it

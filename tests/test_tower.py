@@ -26,9 +26,12 @@ from trusskit import (
     LabelCategory,
     Labeling,
     LabelingError,
+    MeshError,
+    NablaDiagram,
     Ordinal,
     PackedTower,
     PackingError,
+    PLMeshBundle,
     PosetMap,
     SectionError,
     Stratum,
@@ -62,6 +65,7 @@ from trusskit.oracles import (
     _glue,
     bordism_family,
     composable_triples,
+    depth1_family,
     labeling_from_map,
     poset_maps,
     tower_family,
@@ -643,20 +647,10 @@ def _depth1_trusses_and_bordisms(k: int, labels: FinPoset):
     every monotone labelling in labels (read as a thin category)."""
     cat = LabelCategory.from_poset(labels)
 
-    def labelled(root, d):
-        top = total_space(d).carrier
-        return [TrussTower(root, (d,), labeling_from_map(top, cat, f.mapping)) for f in poset_maps(top, labels)]
+    def labelings(top):
+        return [labeling_from_map(top, cat, f.mapping) for f in poset_maps(top, labels)]
 
-    objects = [
-        t for n in range(k + 1) for t in labelled(point_poset(), DeltaDiagram(point_poset(), {POINT_ELEMENT: n}, {}))
-    ]
-    bordisms = [
-        b
-        for n0, n1 in itertools.product(range(k + 1), repeat=2)
-        for alpha in enumerate_delta_maps(n0, n1)
-        for b in labelled(arrow_poset(), DeltaDiagram(arrow_poset(), {"0": n0, "1": n1}, {("0", "1"): alpha}))
-    ]
-    return objects, bordisms
+    return depth1_family(point_poset(), k, labelings), depth1_family(arrow_poset(), k, labelings)
 
 
 @pytest.mark.parametrize("k, labels, sizes", [
@@ -966,6 +960,18 @@ def _refusal_operands():
     return b, b.stages[0], PosetMap(point_poset(), arrow_poset(), {POINT_ELEMENT: "0"})
 
 
+def _packed_over(base: FinPoset, fibers: dict) -> PackedTower:
+    """A tower over base, each element labelled by its fiber truss and each
+    cover by the identity at its source, in a bare category on the fibers
+    that holds no bordism."""
+    name = {t: str(i) for i, t in enumerate(dict.fromkeys(fibers.values()))}
+    truss_of = {n: t for t, n in name.items()}
+    cat = LabelCategory(list(name), list(truss_of), truss_of, truss_of, name, {(n, n): n for n in truss_of})
+    labels = Labeling(base, cat, fibers, {(x, y): name[fibers[x]] for x, y in base.covers()})
+    return PackedTower(TrussTower(base, (), labels))
+
+
+DISCRETE = FinPoset(["x", "y"], [("x", "x"), ("y", "y")])
 BUNDLE_GUARD = "pullback_bundle needs a DeltaDiagram and a PosetMap"
 TOWER_GUARD = "pullback_tower needs a TrussTower and a PosetMap"
 UNPACK_GUARD = "unpack needs a PackedTower holding a TrussTower"
@@ -977,6 +983,11 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: pullback_bundle(5, f), DomainError, BUNDLE_GUARD, id="pullback_bundle(5, f)"),
     pytest.param(lambda b, d, f: pullback_tower(b, 5), DomainError, TOWER_GUARD, id="pullback_tower(t, 5)"),
     pytest.param(lambda b, d, f: restrict_bordism(5, 0), DomainError, TOWER_GUARD, id="restrict_bordism(5, 0)"),
+    pytest.param(lambda b, d, f: restrict_bordism(b, 2), DomainError, "end must be 0 or 1",
+                 id="restrict_bordism(b, 2)"),
+    pytest.param(lambda b, d, f: compose_bordisms(b, constant_inclusion([d.arrow[("0", "1")]] * 2, "a<=a",
+                                                                          b.labels.target)),
+                 CompositionError, "bordisms of different depth do not compose", id="compose_bordisms(b, depth 2)"),
     pytest.param(lambda b, d, f: identity_bordism(5), DomainError, "identity bordisms are formed on towers over",
                  id="identity_bordism(5)"),
     pytest.param(lambda b, d, f: identity_bordism([]), DomainError, "identity bordisms are formed on towers over",
@@ -1011,6 +1022,8 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
                  "[] is not an object of the label category", id="constant_inclusion([1], [], cat)"),
     pytest.param(lambda b, d, f: constant_inclusion([], {}, b.labels.target), DomainError,
                  "{} is neither an object nor a morphism", id="constant_inclusion([], {}, cat)"),
+    pytest.param(lambda b, d, f: constant_inclusion([d.arrow[("0", "1")]], "a", b.labels.target), DomainError,
+                 "'a' is not a morphism of the label category", id="constant_inclusion([map], 'a', cat)"),
     pytest.param(lambda b, d, f: truss_label_category(5, []), PackingError, CATEGORY_GUARD,
                  id="truss_label_category(5, [])"),
     pytest.param(lambda b, d, f: truss_label_category([], 5), PackingError, CATEGORY_GUARD,
@@ -1024,6 +1037,13 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: pack(5), PackingError, "pack needs a tower", id="pack(5)"),
     pytest.param(lambda b, d, f: unpack(5), PackingError, UNPACK_GUARD, id="unpack(5)"),
     pytest.param(lambda b, d, f: unpack(PackedTower(5)), PackingError, UNPACK_GUARD, id="unpack(PackedTower(5))"),
+    pytest.param(lambda b, d, f: unpack(_packed_over(FinPoset([], []), {})), PackingError,
+                 "cannot unpack over an empty base", id="unpack(empty base)"),
+    pytest.param(lambda b, d, f: unpack(_packed_over(DISCRETE, {"x": b.end(0), "y": constant_inclusion(
+                     [0], "*", LabelCategory.terminal())})),
+                 PackingError, "fiber trusses are labelled in different categories", id="unpack(mixed categories)"),
+    pytest.param(lambda b, d, f: unpack(_packed_over(arrow_poset(), {"0": b.end(0), "1": b.end(0)})), PackingError,
+                 "label of cover ('0', '1') is not a depth-1 bordism", id="unpack(cover label no bordism)"),
     pytest.param(lambda b, d, f: classify(5), DomainError, "classify needs a TotalPoset, got int", id="classify(5)"),
     pytest.param(lambda b, d, f: classify(TotalPoset(5, point_poset())), DomainError,
                  "a total space's carrier must be a FinPoset, got int", id="classify(TotalPoset(5, pt))"),
@@ -1037,6 +1057,21 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
                  "a Labeling's base must be a FinPoset, got int", id="Labeling(5, cat, {}, {})"),
     pytest.param(lambda b, d, f: Labeling(point_poset(), 5, {POINT_ELEMENT: "a"}, {}), LabelingError,
                  "a Labeling's target must be a LabelCategory, got int", id="Labeling(pt, 5, ...)"),
+    pytest.param(lambda b, d, f: Labeling(point_poset(), b.labels.target, {POINT_ELEMENT: "zz"}, {}), LabelingError,
+                 "label 'zz' of 'pt' is not an object", id="Labeling(pt, cat, {pt: 'zz'}, {})"),
+    pytest.param(lambda b, d, f: Labeling(arrow_poset(), b.labels.target, {"0": "a", "1": "b"}, {("0", "1"): "zz"}),
+                 LabelingError, "label 'zz' of cover ('0', '1') is not a morphism",
+                 id="Labeling(arrow, cat, ..., {cover: 'zz'})"),
+    pytest.param(lambda b, d, f: FinPoset(["a", "a"], [("a", "a")]), DomainError, "duplicate poset elements",
+                 id="FinPoset(['a', 'a'], ...)"),
+    pytest.param(lambda b, d, f: PosetMap(point_poset(), arrow_poset(), {}), DomainError, "map undefined on 'pt'",
+                 id="PosetMap(pt, arrow, {})"),
+    pytest.param(lambda b, d, f: PosetMap(point_poset(), arrow_poset(), {POINT_ELEMENT: "zz"}), DomainError,
+                 "image 'zz' of 'pt' is not in the target", id="PosetMap(pt, arrow, {pt: 'zz'})"),
+    pytest.param(lambda b, d, f: NablaDiagram(point_poset(), {POINT_ELEMENT: Ordinal(0)}, {}), DiagramError,
+                 "interval objects must be ordinals [n] with n >= 1", id="NablaDiagram over [0]"),
+    pytest.param(lambda b, d, f: PLMeshBundle(point_poset(), {POINT_ELEMENT: 5}, {}), MeshError,
+                 "heights over 'pt' are not a compactified 1-mesh", id="PLMeshBundle(pt, {pt: 5}, {})"),
     pytest.param(lambda b, d, f: b.end([]), DomainError, "end must be 0 or 1", id="bordism.end([])"),
     pytest.param(lambda b, d, f: section_to_strata(realize_bundle(d), 5), SectionError,
                  "a section maps base elements to strata, got int", id="section_to_strata(m, 5)"),

@@ -38,6 +38,8 @@ from trusskit.oracles import audited
     (lambda: compose_delta(DeltaMap(0, 1, (1,)), DeltaMap(2, 2, (0, 1, 2))), "middle ordinals differ"),
     (lambda: StratumMap(Stratum.regular(0, 1), Stratum.regular(1, 1), DeltaMap.identity(1)), "carries no morphism"),
     (lambda: hom_strata("r0@1", Stratum.regular(0, 1)), "needs two strata"),
+    (lambda: compose_nabla(NablaMap.identity(1), NablaMap.identity(2)), r"\(interval\): middle ordinals differ"),
+    (lambda: enumerate_nabla_maps(0, 1), r"interval maps need ordinals \[n\] with n >= 1"),
 ])
 def test_refusals_stay(call, message):
     with pytest.raises(DomainError, match=message):
