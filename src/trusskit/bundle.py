@@ -53,34 +53,34 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     Targets come in the order of ``base.linear_extension()``, sources x of
     a target in the canonical order of ``base.elements`` and covers into it
     in the order of ``base.covers()``, so the first diagnostic is
-    deterministic.  Down-sets and incoming covers are gathered once, as
-    element indices, from the up-set masks and the upper covers, and x <= y
-    is one bit of x's mask, so the bookkeeping costs O(|<=| log n) and the
-    checks one composite per pair x < z and cover y -> z with x <= y.
-    Returns (table, diagnostic): the first diagnostic ends the walk, and
-    then the table is only partial; it is None on success.
+    deterministic.  Down-sets are gathered once, as element indices, from
+    the up-set masks, incoming covers with their values from covers(), and
+    x <= y is one bit of x's mask, so the bookkeeping costs O(|<=| log n)
+    and the checks one composite per pair x < z and cover y -> z with
+    x < y; a cover is its own route, by the unit law of Δ and ∇ maps and
+    of validated or closed label categories.  Returns (table, diagnostic):
+    the first diagnostic ends the walk, and then the table is only partial;
+    it is None on success.
     """
-    els, ups = base.elements, base.ups
-    table = {}
+    els, ups, index = base.elements, base.ups, base.index
+    table = {(e, e): identity_at(e) for e in els}
     below = [[] for _ in els]
     incoming = [[] for _ in els]
-    for i, (e, up, upper) in enumerate(zip(els, ups, base.upper)):
-        table[(e, e)] = identity_at(e)
+    for i, up in enumerate(ups):
         for k in bits(up ^ (1 << i)):
             below[k].append(i)
-        for k in upper:
-            incoming[k].append(i)
+    for a, b in base.covers():
+        incoming[index[b]].append((index[a], a, cover_value((a, b))))
     for z in base.linear_extension():
-        k = base.index[z]
-        into = [(j, els[j], cover_value((els[j], z))) for j in incoming[k]]
+        k = index[z]
         for i in below[k]:
             x, up = els[i], ups[i]
             value = None
             witness = None
-            for j, y, c in into:
+            for j, y, c in incoming[k]:
                 if not up >> j & 1:
                     continue
-                cand = compose_pair(table[(x, y)], c)
+                cand = c if j == i else compose_pair(table[(x, y)], c)
                 if value is None:
                     value, witness = cand, y
                 elif cand != value:
@@ -137,14 +137,14 @@ class CoverFunctor:
         base, objects, covers = key[0], key[-2], key[-1]
         if not isinstance(base, FinPoset):
             raise DomainError(f"a {type(self).__name__}'s base must be a FinPoset, got {type(base).__name__}")
-        if set(objects) != set(base.elements):
+        if objects.keys() != base.index.keys():
             raise self._error(f"{self._names[0]} must assign exactly the base elements")
-        expected = set(base.covers())
-        if set(covers) != expected:
-            raise self._error(
+        expected = base.covers()
+        if len(covers) != len(expected) or not all(map(covers.__contains__, expected)):
+            raise self._error(  # sets only to word the refusal
                 f"{self._names[1]} must assign exactly the covering relations"
-                f" (missing {sorted(expected - set(covers), key=element_sort_key)},"
-                f" extra {sorted(set(covers) - expected, key=element_sort_key)})"
+                f" (missing {sorted(set(expected) - set(covers), key=element_sort_key)},"
+                f" extra {sorted(set(covers) - set(expected), key=element_sort_key)})"
             )
         self._check_values(*key)
         try:
@@ -251,7 +251,14 @@ class DeltaDiagram(CoverFunctor):
 
     def __init__(self, base: FinPoset, ord, arrow):
         ords = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in dict(ord).items()}
-        self._extend((base, ords, dict(arrow)), lambda b: DeltaMap.identity(ords[b]), compose_delta)
+        ids = {}  # one identity per fiber ordinal, made only if a proof runs
+
+        def identity_at(b):
+            o = ords[b]
+            if o not in ids:
+                ids[o] = DeltaMap.identity(o)
+            return ids[o]
+        self._extend((base, ords, dict(arrow)), identity_at, compose_delta)
 
     @staticmethod
     def _check_values(base, ords, arrow):

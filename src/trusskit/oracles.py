@@ -162,14 +162,11 @@ def labeling_from_map(domain: FinPoset, cat: LabelCategory, f: dict) -> Labeling
     return Labeling(domain, cat, dict(f), on_rel)
 
 
-def monotone_label_maps(domain: FinPoset, p: FinPoset, rng=None) -> list:
-    """Constant and height-canonical monotone object assignments from a poset
-    into a label poset, and one seeded assignment when given an rng."""
+def monotone_label_maps(domain: FinPoset, p: FinPoset, chain: list, rng=None) -> list:
+    """Constant and height-canonical monotone object assignments into a label
+    poset p (chain: its _longest_chain), and a seeded one given an rng."""
     h = _heights(domain)
-    chain = _longest_chain(p)
-    maps = []
-    for c in p.elements:
-        maps.append({x: c for x in domain.elements})
+    maps = [{x: c for x in domain.elements} for c in p.elements]
     maps.append({x: chain[min(h[x], len(chain) - 1)] for x in domain.elements})
     if rng is not None:
         top = max(h.values()) if h else 0
@@ -181,9 +178,14 @@ def monotone_label_maps(domain: FinPoset, p: FinPoset, rng=None) -> list:
     return list(unique.values())
 
 
-def all_labelings(domain: FinPoset, p: FinPoset, rng=None) -> list:
-    cat = LabelCategory.from_poset(p)
-    return [labeling_from_map(domain, cat, f) for f in monotone_label_maps(domain, p, rng)]
+def all_labelings(domain: FinPoset, p: FinPoset, cat: LabelCategory, chain: list, rng=None) -> list:
+    """monotone_label_maps as labelings into cat, p's thin category."""
+    return [labeling_from_map(domain, cat, f) for f in monotone_label_maps(domain, p, chain, rng)]
+
+
+def _label_posets(*posets) -> list:
+    """(p, cat, chain) per label poset for all_labelings, made once per family."""
+    return [(p, LabelCategory.from_poset(p), _longest_chain(p)) for p in posets]
 
 
 def random_diagram(base: FinPoset, max_ordinal: int, rng) -> DeltaDiagram:
@@ -210,9 +212,9 @@ def depth1_family(root: FinPoset, max_ordinal: int, labelings) -> list:
     return [cls(root, (d,), lab) for d in all_diagrams(root, max_ordinal) for lab in labelings(total_space(d).carrier)]
 
 
-def _labelled_in(posets, rng):
-    """labelings for depth1_family: all_labelings into each poset in turn."""
-    return lambda top: [lab for p in posets for lab in all_labelings(top, p, rng)]
+def _labelled_in(labels, rng):
+    """labelings for depth1_family: all_labelings into each of _label_posets."""
+    return lambda top: [lab for p, cat, chain in labels for lab in all_labelings(top, p, cat, chain, rng)]
 
 
 def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
@@ -221,26 +223,25 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
     depth 2 (small first stage), and seeded deeper samples."""
     rng = random.Random(seed)
     pt = point_poset()
-    chain = chain3_poset()
-    vee = vee3_poset()
-    towers = depth1_family(pt, max_ordinal, _labelled_in((chain, vee), rng))
-    cat = LabelCategory.from_poset(chain)
+    labels = _label_posets(chain3_poset(), vee3_poset())
+    towers = depth1_family(pt, max_ordinal, _labelled_in(labels, rng))
+    (chain, cat, longest), in_vee = labels[0], _labelled_in(labels[1:], rng)
     for d1 in all_diagrams(pt, 1):
         seconds = all_diagrams(total_space(d1).carrier, max_ordinal)
         for d2 in seconds:
             top2 = total_space(d2).carrier
-            f = monotone_label_maps(top2, chain)[-1]
+            f = monotone_label_maps(top2, chain, longest)[-1]
             towers.append(TrussTower(pt, (d1, d2), labeling_from_map(top2, cat, f)))
         for d2 in rng.sample(seconds, min(12, len(seconds))):
-            towers += [TrussTower(pt, (d1, d2), lab) for lab in all_labelings(total_space(d2).carrier, vee, rng)]
+            towers += [TrussTower(pt, (d1, d2), lab) for lab in in_vee(total_space(d2).carrier)]
     for _ in range(8):
         d1 = DeltaDiagram(pt, {POINT_ELEMENT: Ordinal(rng.randint(0, 1))}, {})
         d2 = random_diagram(total_space(d1).carrier, 1, rng)
         d3 = random_diagram(total_space(d2).carrier, 1, rng)
         top3 = total_space(d3).carrier
-        for p in (chain, vee):
-            f = monotone_label_maps(top3, p, rng)[-1]
-            towers.append(TrussTower(pt, (d1, d2, d3), labeling_from_map(top3, LabelCategory.from_poset(p), f)))
+        for p, p_cat, p_chain in labels:
+            f = monotone_label_maps(top3, p, p_chain, rng)[-1]
+            towers.append(TrussTower(pt, (d1, d2, d3), labeling_from_map(top3, p_cat, f)))
     return towers
 
 
@@ -249,8 +250,9 @@ def bordism_family(seed: int = 0) -> list:
     ordinal 2 with constant, canonical and one seeded label each into the
     chain and the vee, plus constants and identities at depths 2 and 3."""
     rng = random.Random(seed)
-    out = depth1_family(arrow_poset(), 2, _labelled_in((chain3_poset(), vee3_poset()), rng))
-    cat = LabelCategory.from_poset(chain3_poset())
+    labels = _label_posets(chain3_poset(), vee3_poset())
+    out = depth1_family(arrow_poset(), 2, _labelled_in(labels, rng))
+    cat = labels[0][1]
     for depth in (2, 3):
         for _ in range(6):
             maps = []
@@ -258,8 +260,9 @@ def bordism_family(seed: int = 0) -> list:
                 n0, n1 = rng.randint(0, 1), rng.randint(0, 1)
                 maps.append(rng.choice(enumerate_delta_maps(n0, n1)))
             out.append(constant_inclusion(maps, rng.choice(cat.morphisms), cat))
-    for t in tower_family(seed, max_ordinal=1)[:10]:
-        out.append(identity_bordism(t))
+    # head[:10] is tower_family(seed, 1)[:10]
+    head = depth1_family(point_poset(), 1, _labelled_in(labels, random.Random(seed)))
+    out += [identity_bordism(t) for t in head[:10]]
     return out
 
 

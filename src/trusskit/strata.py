@@ -38,6 +38,7 @@ them runs in C.  Only values that pass every check are interned.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -235,6 +236,8 @@ def fiber_objects(n: int) -> tuple:
     s_0..s_(n-1)."""
     if type(n) is bool or not isinstance(n, int) or n < 0:
         raise DomainError(f"a fiber lies over an ordinal [n] with n a nonnegative int, got {n!r}")
+    if 2 * n + 1 > sys.maxsize:  # more positions than the machine can index
+        raise DomainError(f"the fiber over [{n}] is too large to enumerate")
     regs = [Stratum.regular(i, n) for i in range(n + 1)]
     sings = [Stratum.singular(i, n) for i in range(n)]
     return tuple(regs + sings)
@@ -277,6 +280,7 @@ def fiber_over_map(alpha: DeltaMap) -> FinPoset:
     if not isinstance(alpha, MonotoneMap):
         raise DomainError(f"fiber_over_map needs a DeltaMap, got {alpha!r}")
     n, m, v = alpha.src.n, alpha.dst.n, alpha.values
+    elements = [("dst", y) for y in fiber_objects(m)] + [("src", x) for x in fiber_objects(n)]
     at = 2 * m + 1
     ups = _fiber_ups(m) + _fiber_ups(n, at)
     for i in range(n + 1):
@@ -284,7 +288,6 @@ def fiber_over_map(alpha: DeltaMap) -> FinPoset:
     for i in range(n):
         lo, width = v[i], v[i + 1] - v[i]
         ups[at + n + 1 + i] |= ((2 << width) - 1) << lo | ((1 << width) - 1) << m + 1 + lo
-    elements = [("dst", y) for y in fiber_objects(m)] + [("src", x) for x in fiber_objects(n)]
     return FinPoset._trusted(elements, ups)
 
 

@@ -32,6 +32,7 @@ from trusskit import (
 )
 from trusskit import bundle
 from trusskit.bundle import CoverFunctor
+from trusskit.ordinal import compose_delta
 from trusskit.oracles import (
     SUITES,
     _total_space_disagrees,
@@ -67,6 +68,22 @@ def test_diagram_coverage_errors():
             {"0": Ordinal(1), "1": Ordinal(2)},
             {("0", "1"): DeltaMap.identity(1)},  # wrong endpoint shape
         )
+
+
+@pytest.mark.parametrize("ords, arrow, message", [
+    ({"0": 1}, {("0", "1"): DeltaMap.identity(1)}, "ord must assign exactly the base elements"),
+    ({"0": 1, "1": 1, "2": 1}, {("0", "1"): DeltaMap.identity(1)}, "ord must assign exactly the base elements"),
+    ({"0": 1, "2": 1}, {("0", "1"): DeltaMap.identity(1)}, "ord must assign exactly the base elements"),
+    ({"0": 1, "1": 1}, {}, "(missing [('0', '1')], extra [])"),
+    ({"0": 1, "1": 1}, {("1", "0"): DeltaMap.identity(1)}, "(missing [('0', '1')], extra [('1', '0')])"),
+    ({"0": 1, "1": 1}, {("0", "1"): DeltaMap.identity(1), ("1", "0"): DeltaMap.identity(1)},
+     "(missing [], extra [('1', '0')])"),
+], ids=["element missing", "element extra", "element renamed", "cover missing", "cover swapped", "cover extra"])
+def test_an_assignment_off_the_base_is_refused_with_what_is_missing_and_extra(ords, arrow, message):
+    if message.startswith("("):
+        message = "arrow must assign exactly the covering relations " + message
+    with pytest.raises(DiagramError, match=re.escape(message) + "$"):
+        DeltaDiagram(arrow_poset(), ords, arrow)
 
 
 def test_functoriality_no_diamond_counterexample():
@@ -511,6 +528,25 @@ def test_a_non_functorial_key_is_refused_alike_on_every_attempt(monkeypatch):
         messages.append(str(caught.value))
     assert len(calls) == 2
     assert messages == ["composites from 'a' to 'd' disagree through 'b' and 'c'"] * 2
+
+
+def test_functor_table_stops_at_the_first_routes_that_disagree():
+    ident, collapse = DeltaMap.identity(7), DeltaMap(7, 7, (0,) * 8)
+    base = diamond_diagram().base
+    covers = {**dict.fromkeys(base.covers(), ident), ("c", "d"): collapse}
+    table, why = bundle.functor_table(base, lambda e: ident, covers.__getitem__, compose_delta)
+    assert why == "composites from 'a' to 'd' disagree through 'b' and 'c'"
+    # d's sources come in element order, so the walk ends before any pair into d
+    assert sorted(table) == sorted([(e, e) for e in "abcd"] + [("a", "b"), ("a", "c")])
+
+
+def test_a_pair_joined_by_a_cover_reads_the_cover_itself():
+    base = diamond_diagram().base
+    ident, collapse = DeltaMap.identity(1), DeltaMap(1, 1, (0, 0))
+    arrows = {("a", "b"): collapse, ("a", "c"): ident, ("b", "d"): ident, ("c", "d"): collapse}
+    d = DeltaDiagram(base, dict.fromkeys(base.elements, Ordinal(1)), arrows)
+    assert all(d.map_for(a, b) is d.arrow[(a, b)] for a, b in base.covers())
+    assert d.map_for("a", "d") == collapse
 
 
 @pytest.mark.parametrize("suite", ["derived", "pack"])

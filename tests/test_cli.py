@@ -132,6 +132,12 @@ def test_hom_past_the_machine_size_is_refused(capsys):
     assert capsys.readouterr().err == "error: hom(s0@3, r0@99999999999999999999) is too large to enumerate\n"
 
 
+@pytest.mark.parametrize("over", ["99999999999999999999", "0@99999999999999999999"])
+def test_fiber_past_the_machine_size_is_refused(over, capsys):
+    assert main(["fiber", over]) == 1
+    assert capsys.readouterr().err == "error: the fiber over [99999999999999999999] is too large to enumerate\n"
+
+
 def test_hom_negative_ambient_is_a_parse_error():
     assert main(["hom", "r0@-1", "r0@1"]) == 2
 

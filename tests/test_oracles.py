@@ -8,10 +8,24 @@ import sys
 
 import pytest
 
-from trusskit import DeltaDiagram, DeltaMap, FinPoset, Report, Stratum, StratumMap, mesh, oracles, tower
+from trusskit import (
+    DeltaDiagram,
+    DeltaMap,
+    DiagramError,
+    FinPoset,
+    Ordinal,
+    Report,
+    Stratum,
+    StratumMap,
+    arrow_poset,
+    enumerate_delta_maps,
+    mesh,
+    oracles,
+    tower,
+)
 from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
 from trusskit.mesh import PLMeshBundle
-from trusskit.oracles import SUITES, audited, bordism_family, chain3_poset, tower_family
+from trusskit.oracles import SUITES, all_diagrams, audited, bordism_family, chain3_poset, tower_family
 from trusskit.tower import TrussTower, compose_bordisms, identity_bordism, pack, unpack
 from conftest import one_wrong_entry
 
@@ -406,3 +420,47 @@ def test_homsets_suite_at_ordinal_five():
     report = SUITES["homsets"](5)
     assert report.is_ok, report.to_text()
     assert report.counts["strata_maps"] == 24947
+
+
+def _diagrams_by_constructor(base, max_ordinal):
+    """all_diagrams spelled by brute force: every product of cover maps, each
+    given to DeltaDiagram(...), a DiagramError refusing it; (the diagrams
+    kept, the refusal messages)."""
+    kept, refused = [], []
+    covers = base.covers()
+    for ns in itertools.product(range(max_ordinal + 1), repeat=len(base.elements)):
+        ords = {e: Ordinal(k) for e, k in zip(base.elements, ns)}
+        for maps in itertools.product(*(enumerate_delta_maps(ords[a], ords[b]) for a, b in covers)):
+            try:
+                kept.append(DeltaDiagram(base, ords, dict(zip(covers, maps))))
+            except DiagramError as exc:
+                refused.append(str(exc))
+    return kept, refused
+
+
+S0, R1 = Stratum.singular(0, 1), Stratum.regular(1, 1)
+
+
+def _arrow_total_space():
+    """The 6-element total space of id: [1] -> [1] over the arrow."""
+    d = DeltaDiagram(arrow_poset(), {"0": Ordinal(1), "1": Ordinal(1)}, {("0", "1"): DeltaMap.identity(1)})
+    return total_space(d).carrier
+
+
+@pytest.mark.parametrize("base, max_ordinal, kept, refused, first", [
+    pytest.param(FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
+                 2, 6743, 22874, "composites from 'a' to 'd' disagree through 'b' and 'c'", id="diamond, <= 2"),
+    pytest.param(_arrow_total_space(), 1, 1714, 4888,
+                 f"composites from {('0', S0)!r} to {('1', R1)!r} disagree through {('0', R1)!r} and {('1', S0)!r}",
+                 id="total space of id over the arrow, <= 1"),
+])
+def test_all_diagrams_is_the_constructor_over_every_product(base, max_ordinal, kept, refused, first):
+    # each side proves every product itself: no proof is shared through _PROVED
+    tower._empty_tables()
+    got = all_diagrams(base, max_ordinal)
+    tower._empty_tables()
+    want, messages = _diagrams_by_constructor(base, max_ordinal)
+    assert (len(want), len(messages), messages[0]) == (kept, refused, first)
+    assert got == want  # element by element: base, ordinals and cover maps
+    assert all(d._paths == w._paths for d, w in zip(got, want))
+    assert all(type(d) is DeltaDiagram and d.map_for(*c) is d.arrow[c] for d in got for c in base.covers())

@@ -387,6 +387,16 @@ def test_hom_past_the_machine_size_is_refused(x, y):
         hom_strata(x, y)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fiber_over_ordinal(HUGE),
+    lambda: fiber_over_map(DeltaMap(0, HUGE, (0,))),
+    lambda: fiber_objects(HUGE),
+], ids=["over an ordinal", "over a map", "its positions"])
+def test_fiber_past_the_machine_size_is_refused(make):
+    with pytest.raises(DomainError, match=re.escape(f"the fiber over [{HUGE}] is too large to enumerate")):
+        make()
+
+
 class _Small(enum.IntEnum):
     ONE = 1
     TWO = 2
