@@ -263,7 +263,7 @@ class DeltaDiagram(CoverFunctor):
     @staticmethod
     def _check_values(base, ords, arrow):
         for (a, b), f in arrow.items():
-            if f.src != ords[a] or f.dst != ords[b]:
+            if not isinstance(f, DeltaMap) or f.src != ords[a] or f.dst != ords[b]:
                 raise DiagramError(f"map on cover ({a!r}, {b!r}) is {f}, expected"
                                    f" {ords[a]}->{ords[b]}")
 

@@ -64,10 +64,17 @@ def _counts_for(obj) -> dict:
     raise ParseError(f"no validator for {type(obj).__name__}")
 
 
-def cmd_validate(args) -> Report:
-    report = Report.ok(_counts_for(load(args.path)))
+def _listed(lines, counts: dict) -> Report:
+    """Print lines, then the ok report of counts, on stdout."""
+    for line in lines:
+        print(line)
+    report = Report.ok(counts)
     print(report.to_text())
     return report
+
+
+def cmd_validate(args) -> Report:
+    return _listed((), _counts_for(load(args.path)))
 
 
 def cmd_hom(args) -> Report:
@@ -77,11 +84,7 @@ def cmd_hom(args) -> Report:
     except TrussError as exc:
         raise ParseError(str(exc)) from exc
     maps = hom_strata(x, y)
-    for m in maps:
-        print(f"{x} -> {y} via {list(m.underlying.values)}")
-    report = Report.ok({"morphisms": len(maps)})
-    print(report.to_text())
-    return report
+    return _listed((f"{x} -> {y} via {list(m.underlying.values)}" for m in maps), {"morphisms": len(maps)})
 
 
 def _parse_map_literal(text: str) -> DeltaMap:
@@ -107,13 +110,9 @@ def cmd_fiber(args) -> Report:
         if n < 0:
             raise ParseError("fiber ordinal must be nonnegative")
         fiber = fiber_over_ordinal(n)
-    for el in fiber.elements:
-        print(element_key(el))
-    for (u, v) in fiber.covers():
-        print(f"{element_key(u)} < {element_key(v)}")
-    report = Report.ok({"objects": len(fiber.elements), "covers": len(fiber.covers())})
-    print(report.to_text())
-    return report
+    covers = fiber.covers()
+    lines = [element_key(el) for el in fiber.elements] + [f"{element_key(u)} < {element_key(v)}" for u, v in covers]
+    return _listed(lines, {"objects": len(fiber.elements), "covers": len(covers)})
 
 
 def cmd_total(args) -> Report:
@@ -121,11 +120,8 @@ def cmd_total(args) -> Report:
     if not isinstance(obj, DeltaDiagram):
         raise ParseError("total expects a diagram/v1 file")
     carrier = total_space(obj).carrier
-    for el in carrier.elements:
-        print(element_key(el))
-    report = Report.ok({"elements": len(carrier.elements), "relations": len(carrier.covers())})
-    print(report.to_text())
-    return report
+    counts = {"elements": len(carrier.elements), "relations": len(carrier.covers())}
+    return _listed(map(element_key, carrier.elements), counts)
 
 
 def _load_bordism(path) -> Bordism:

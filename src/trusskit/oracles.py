@@ -70,56 +70,48 @@ from .serialize import cover_key, dumps, element_key
 # enumeration families
 
 
+def _products(els, objects, covers, arrows, build, refusal) -> list:
+    """Every value build(at, on) returns, in product order: at holds one of
+    objects per element of els, then on one of arrows(at[a], at[b]) per
+    cover (a, b); a choice that build refuses by raising refusal is
+    dropped."""
+    out = []
+    for objs in itertools.product(objects, repeat=len(els)):
+        at = dict(zip(els, objs))
+        for values in itertools.product(*(arrows(at[a], at[b]) for a, b in covers)):
+            try:
+                out.append(build(at, dict(zip(covers, values))))
+            except refusal:
+                continue
+    return out
+
+
 def all_posets(max_elements: int = 3) -> list:
-    """Every partial order on labeled element sets of size 1..max_elements."""
-    names = ("a", "b", "c", "d", "e")[:max_elements]
+    """Every partial order on labeled element sets of size 1..max_elements:
+    every relation, a choice per pair of distinct elements, that FinPoset
+    accepts."""
     out = []
     for n in range(1, max_elements + 1):
-        els = list(names[:n])
+        els = "abcde"[:n]
         pairs = [(u, v) for u in els for v in els if u != v]
-        for bits in itertools.product((False, True), repeat=len(pairs)):
-            rel = {p for p, keep in zip(pairs, bits) if keep}
-            if any((v, u) in rel for (u, v) in rel):
-                continue
-            if any(
-                (u, w) not in rel
-                for (u, v) in rel
-                for (v2, w) in rel
-                if v == v2 and u != w
-            ):
-                continue
-            leq = rel | {(e, e) for e in els}
-            out.append(FinPoset(els, leq))
+        out += _products(pairs, (False, True), (), None,
+                         lambda keep, _: FinPoset(els, [(e, e) for e in els] + [p for p in pairs if keep[p]]),
+                         DomainError)
     return out
 
 
 def all_diagrams(base: FinPoset, max_ordinal: int = 2) -> list:
     """Every functorial bundle over the base with fiber ordinals up to the
-    bound."""
-    els = base.elements
-    covers = base.covers()
-    out = []
-    for ns in itertools.product(range(max_ordinal + 1), repeat=len(els)):
-        ords = {e: Ordinal(k) for e, k in zip(els, ns)}
-        choices = [enumerate_delta_maps(ords[a], ords[b]) for (a, b) in covers]
-        for maps in itertools.product(*choices):
-            try:
-                out.append(DeltaDiagram(base, ords, dict(zip(covers, maps))))
-            except DiagramError:
-                continue
-    return out
+    bound: every product of cover maps that DeltaDiagram(...) accepts."""
+    return _products(base.elements, [Ordinal(k) for k in range(max_ordinal + 1)], base.covers(),
+                     enumerate_delta_maps, lambda ords, arrow: DeltaDiagram(base, ords, arrow), DiagramError)
 
 
 def poset_maps(src: FinPoset, dst: FinPoset) -> list:
-    """Every monotone map between two finite posets."""
-    out = []
-    for values in itertools.product(dst.elements, repeat=len(src.elements)):
-        mapping = dict(zip(src.elements, values))
-        try:
-            out.append(PosetMap(src, dst, mapping))
-        except DomainError:
-            continue
-    return out
+    """Every monotone map between two finite posets: the functors into dst's
+    thin category, one arrow (u, v) when u <= v and none otherwise."""
+    return _products(src.elements, dst.elements, src.covers(), lambda u, v: [(u, v)] if dst.le(u, v) else [],
+                     lambda mapping, _: PosetMap(src, dst, mapping), DomainError)
 
 
 def chain3_poset() -> FinPoset:
@@ -178,13 +170,8 @@ def monotone_label_maps(domain: FinPoset, p: FinPoset, chain: list, rng=None) ->
     return list(unique.values())
 
 
-def all_labelings(domain: FinPoset, p: FinPoset, cat: LabelCategory, chain: list, rng=None) -> list:
-    """monotone_label_maps as labelings into cat, p's thin category."""
-    return [labeling_from_map(domain, cat, f) for f in monotone_label_maps(domain, p, chain, rng)]
-
-
 def _label_posets(*posets) -> list:
-    """(p, cat, chain) per label poset for all_labelings, made once per family."""
+    """(p, cat, chain) per label poset for _labelled_in, made once per family."""
     return [(p, LabelCategory.from_poset(p), _longest_chain(p)) for p in posets]
 
 
@@ -213,8 +200,11 @@ def depth1_family(root: FinPoset, max_ordinal: int, labelings) -> list:
 
 
 def _labelled_in(labels, rng):
-    """labelings for depth1_family: all_labelings into each of _label_posets."""
-    return lambda top: [lab for p, cat, chain in labels for lab in all_labelings(top, p, cat, chain, rng)]
+    """labelings for depth1_family: monotone_label_maps into each of
+    _label_posets, as labelings into its thin category."""
+    return lambda top: [
+        labeling_from_map(top, cat, f) for p, cat, chain in labels for f in monotone_label_maps(top, p, chain, rng)
+    ]
 
 
 def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:

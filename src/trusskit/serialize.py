@@ -208,7 +208,10 @@ def _parse_poset(obj, where: str) -> FinPoset:
         if u not in known or v not in known:
             raise ParseError(f"{where}: cover ({u!r}, {v!r}) names unknown elements")
         pairs.append((u, v))
-    return FinPoset.from_covers(names, pairs)
+    try:
+        return FinPoset.from_covers(names, pairs)
+    except DomainError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 _BASES = {"point": point_poset, "arrow": arrow_poset}

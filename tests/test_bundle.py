@@ -78,7 +78,11 @@ def test_diagram_coverage_errors():
     ({"0": 1, "1": 1}, {("1", "0"): DeltaMap.identity(1)}, "(missing [('0', '1')], extra [('1', '0')])"),
     ({"0": 1, "1": 1}, {("0", "1"): DeltaMap.identity(1), ("1", "0"): DeltaMap.identity(1)},
      "(missing [], extra [('1', '0')])"),
-], ids=["element missing", "element extra", "element renamed", "cover missing", "cover swapped", "cover extra"])
+    ({"0": 1, "1": 1}, {("0", "1"): NablaMap(1, 1, (0, 1))},
+     "map on cover ('0', '1') is [1]->[1]:[0, 1] (interval), expected [1]->[1]"),
+    ({"0": 1, "1": 1}, {("0", "1"): 5}, "map on cover ('0', '1') is 5, expected [1]->[1]"),
+], ids=["element missing", "element extra", "element renamed", "cover missing", "cover swapped", "cover extra",
+        "interval map", "int"])
 def test_an_assignment_off_the_base_is_refused_with_what_is_missing_and_extra(ords, arrow, message):
     if message.startswith("("):
         message = "arrow must assign exactly the covering relations " + message

@@ -199,6 +199,16 @@ def test_validate_rejects_non_functorial_mesh(tmp_path, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schema", ["diagram/v1", "mesh/v1"])
+def test_validate_refuses_a_cyclic_base_as_a_parse_error(tmp_path, schema, capsys):
+    path = tmp_path / "cycle.json"
+    base = {"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}
+    path.write_text(json.dumps({"schema": schema, "base": base}))
+    assert main(["validate", str(path)]) == 2
+    where = schema.partition("/")[0]
+    assert capsys.readouterr().err == f"error: {where}: cover relation has a cycle through 'a'\n"
+
+
 def test_validate_rejects_exponent_heights(tmp_path, capsys):
     # Fraction would expand the power of ten and never return
     payload = square_mesh_payload([0, 1, 2])

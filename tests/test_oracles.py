@@ -12,8 +12,10 @@ from trusskit import (
     DeltaDiagram,
     DeltaMap,
     DiagramError,
+    DomainError,
     FinPoset,
     Ordinal,
+    PosetMap,
     Report,
     Stratum,
     StratumMap,
@@ -25,7 +27,16 @@ from trusskit import (
 )
 from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
 from trusskit.mesh import PLMeshBundle
-from trusskit.oracles import SUITES, all_diagrams, audited, bordism_family, chain3_poset, tower_family
+from trusskit.oracles import (
+    SUITES,
+    all_diagrams,
+    all_posets,
+    audited,
+    bordism_family,
+    chain3_poset,
+    poset_maps,
+    tower_family,
+)
 from trusskit.tower import TrussTower, compose_bordisms, identity_bordism, pack, unpack
 from conftest import one_wrong_entry
 
@@ -438,7 +449,44 @@ def _diagrams_by_constructor(base, max_ordinal):
     return kept, refused
 
 
+def _maps_by_constructor(posets):
+    """poset_maps over every ordered pair of posets, spelled by brute force:
+    every assignment of target elements, given to PosetMap(...), a
+    DomainError refusing it; (the maps kept, the refusal messages)."""
+    kept, refused = [], []
+    for src in posets:
+        for dst in posets:
+            for values in itertools.product(dst.elements, repeat=len(src.elements)):
+                try:
+                    kept.append(PosetMap(src, dst, dict(zip(src.elements, values))))
+                except DomainError as exc:
+                    refused.append(str(exc))
+    return kept, refused
+
+
+def _posets_by_filter(max_elements):
+    """all_posets spelled by brute force: every relation on 1..max_elements
+    of a, b, c, d, a choice per pair of distinct elements, kept when it is
+    antisymmetric and transitive pair by pair; (the posets kept, the strict
+    relations refused)."""
+    kept, refused = [], []
+    for n in range(1, max_elements + 1):
+        els = "abcd"[:n]
+        pairs = [(u, v) for u in els for v in els if u != v]
+        for keep in itertools.product((False, True), repeat=len(pairs)):
+            rel = [p for p, k in zip(pairs, keep) if k]
+            if any((v, u) in rel for u, v in rel) or any(
+                (u, w) not in rel for u, v in rel for v2, w in rel if v == v2 and u != w
+            ):
+                refused.append(repr(rel))
+            else:
+                kept.append(FinPoset(els, rel + [(e, e) for e in els]))
+    return kept, refused
+
+
 S0, R1 = Stratum.singular(0, 1), Stratum.regular(1, 1)
+ANTISYMMETRY = repr([("a", "b"), ("b", "a")])
+DIAMOND = FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 
 
 def _arrow_total_space():
@@ -447,20 +495,32 @@ def _arrow_total_space():
     return total_space(d).carrier
 
 
-@pytest.mark.parametrize("base, max_ordinal, kept, refused, first", [
-    pytest.param(FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
-                 2, 6743, 22874, "composites from 'a' to 'd' disagree through 'b' and 'c'", id="diamond, <= 2"),
-    pytest.param(_arrow_total_space(), 1, 1714, 4888,
+ARROW_TOTAL = _arrow_total_space()
+
+
+@pytest.mark.parametrize("family, spelled, kept, refused, first", [
+    pytest.param(lambda: all_diagrams(DIAMOND, 2), lambda: _diagrams_by_constructor(DIAMOND, 2),
+                 6743, 22874, "composites from 'a' to 'd' disagree through 'b' and 'c'", id="diamond, <= 2"),
+    pytest.param(lambda: all_diagrams(ARROW_TOTAL, 1), lambda: _diagrams_by_constructor(ARROW_TOTAL, 1), 1714, 4888,
                  f"composites from {('0', S0)!r} to {('1', R1)!r} disagree through {('0', R1)!r} and {('1', S0)!r}",
                  id="total space of id over the arrow, <= 1"),
+    pytest.param(lambda: [f for p in all_posets(3) for q in all_posets(3) for f in poset_maps(p, q)],
+                 lambda: _maps_by_constructor(all_posets(3)), 4818, 6020, "map is not monotone on 'b' <= 'a'",
+                 id="poset_maps over all_posets(3) squared"),
+    *(pytest.param(lambda n=n: all_posets(n), lambda n=n: _posets_by_filter(n), kept, refused, first,
+                   id=f"all_posets({n})")
+      for n, kept, refused, first in [(1, 1, 0, None), (2, 4, 1, ANTISYMMETRY), (3, 23, 46, ANTISYMMETRY),
+                                      (4, 242, 3923, ANTISYMMETRY)]),
 ])
-def test_all_diagrams_is_the_constructor_over_every_product(base, max_ordinal, kept, refused, first):
+def test_all_diagrams_is_the_constructor_over_every_product(family, spelled, kept, refused, first):
     # each side proves every product itself: no proof is shared through _PROVED
     tower._empty_tables()
-    got = all_diagrams(base, max_ordinal)
+    got = family()
     tower._empty_tables()
-    want, messages = _diagrams_by_constructor(base, max_ordinal)
-    assert (len(want), len(messages), messages[0]) == (kept, refused, first)
-    assert got == want  # element by element: base, ordinals and cover maps
-    assert all(d._paths == w._paths for d, w in zip(got, want))
-    assert all(type(d) is DeltaDiagram and d.map_for(*c) is d.arrow[c] for d in got for c in base.covers())
+    want, messages = spelled()
+    assert (len(want), len(messages), next(iter(messages), None)) == (kept, refused, first)
+    assert got == want  # element by element: for a diagram its base, ordinals and cover maps
+    assert [type(x) for x in got] == [type(w) for w in want]
+    for d, w in zip(got, want):
+        if isinstance(d, DeltaDiagram):  # and its path table, each cover its own route
+            assert d._paths == w._paths and all(d.map_for(*c) is d.arrow[c] for c in d.base.covers())

@@ -268,11 +268,20 @@ DUPLICATE_NAMES = json.dumps({"schema": "diagram/v1", "base": {"elements": ["a",
                               "ord": {}, "arrow": {}})
 
 
+def cyclic_base(schema: str) -> str:
+    """A schema's file whose base covers form the cycle a -> b -> a."""
+    return json.dumps({"schema": schema, "base": {"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}})
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda cat: element_key(5), "element 5 has no canonical key", id="element_key(5)"),
     pytest.param(lambda cat: dumps(DeltaDiagram(FinPoset([("a",)], [(("a",), ("a",))]), {("a",): Ordinal(0)}, {})),
                  "only posets with string-named elements serialize", id="dumps(diagram over ('a',))"),
     pytest.param(lambda cat: parse(DUPLICATE_NAMES), "diagram: duplicate element names", id="parse(elements a, a)"),
+    pytest.param(lambda cat: parse(cyclic_base("diagram/v1")), "diagram: cover relation has a cycle through 'a'",
+                 id="parse(diagram over a cycle)"),
+    pytest.param(lambda cat: parse(cyclic_base("mesh/v1")), "mesh: cover relation has a cycle through 'a'",
+                 id="parse(mesh over a cycle)"),
     pytest.param(lambda cat: dumps(elsewhere_tower(cat)), "only towers over the point or the arrow serialize",
                  id="dumps(tower over x)"),
     pytest.param(lambda cat: dumps(LabelCategory(*colliding_monoid_tables())),
