@@ -11,11 +11,11 @@ Bundles, labelings (functors into a LabelCategory), mesh bundles and their
 bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
 CoverFunctor core: it checks which elements and covers are assigned, proves
 functoriality with functor_table, keeps the resulting path table and
-defines equality.  It makes one proof per value while an equal one lives:
-a key equal to that of a functor functor_table has proved, and which is
-still alive, shares that functor's key and path table.  A functor
-installed unchecked takes its hash on first use, so installs that nobody
-looks up never hash their tables.  The core also
+defines equality.  One proof per value while an equal one lives: a key
+equal to a live proved functor's shares its key and path table.  Tables
+proved over one base store the key tuples of its _walk, and DeltaDiagram
+proofs share one identity map per ordinal.  A functor installed unchecked
+hashes on first use, so installs nobody looks up never hash.  The core also
 carries the two operations every walk over a tower needs: over() rebuilds a
 functor of the same kind over another base through the validating
 constructor, and pullback() precomposes with a map of bases.  A
@@ -44,6 +44,23 @@ from .poset import FinPoset, PosetMap, _laid_out, bits, element_sort_key
 from .strata import Stratum, fiber_objects
 
 
+@lru_cache(maxsize=2)
+def _walk(base: FinPoset):
+    """functor_table's bookkeeping over a base: (steps, keys (e, e)).  A step is a
+    target z with something below it, in linear extension order: its strict
+    down-set, each x as (index, up-set mask, key (x, z)) in canonical order, and
+    its covers (y, z) as (index of y, y, position in covers()).  Tables share its keys."""
+    els, ups, index = base.elements, base.ups, base.index
+    below, incoming = [[] for _ in els], [[] for _ in els]
+    for i, up in enumerate(ups):
+        for k in bits(up ^ (1 << i)):
+            below[k].append((i, up, (els[i], els[k])))
+    for p, (a, b) in enumerate(base.covers()):
+        incoming[index[b]].append((index[a], a, p))
+    steps = [(below[k], incoming[k]) for k in map(index.__getitem__, base.linear_extension()) if below[k]]
+    return steps, [(e, e) for e in els]
+
+
 def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     """Extend an assignment on covering relations to all related pairs.
 
@@ -53,41 +70,33 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     Targets come in the order of ``base.linear_extension()``, sources x of
     a target in the canonical order of ``base.elements`` and covers into it
     in the order of ``base.covers()``, so the first diagnostic is
-    deterministic.  Down-sets are gathered once, as element indices, from
-    the up-set masks, incoming covers with their values from covers(), and
-    x <= y is one bit of x's mask, so the bookkeeping costs O(|<=| log n)
-    and the checks one composite per pair x < z and cover y -> z with
-    x < y; a cover is its own route, by the unit law of Δ and ∇ maps and
-    of validated or closed label categories.  Returns (table, diagnostic):
-    the first diagnostic ends the walk, and then the table is only partial;
-    it is None on success.
+    deterministic.  The bookkeeping is the base's _walk, built once for all
+    the tables over it, and the checks cost one composite per pair x < z and
+    cover y -> z with x < y; a cover is its own route, by the unit law of Δ
+    and ∇ maps and of validated or closed label categories.  Returns (table,
+    diagnostic): the first diagnostic ends the walk, and then the table is
+    only partial; it is None on success.
     """
-    els, ups, index = base.elements, base.ups, base.index
-    table = {(e, e): identity_at(e) for e in els}
-    below = [[] for _ in els]
-    incoming = [[] for _ in els]
-    for i, up in enumerate(ups):
-        for k in bits(up ^ (1 << i)):
-            below[k].append(i)
-    for a, b in base.covers():
-        incoming[index[b]].append((index[a], a, cover_value((a, b))))
-    for z in base.linear_extension():
-        k = index[z]
-        for i in below[k]:
-            x, up = els[i], ups[i]
+    steps, diagonal = _walk(base)
+    table = {key: identity_at(key[0]) for key in diagonal}
+    values = [cover_value(c) for c in base.covers()]
+    for below, incoming in steps:
+        routes = [(j, y, values[p]) for j, y, p in incoming]
+        for i, up, key in below:
+            x = key[0]
             value = None
             witness = None
-            for j, y, c in incoming[k]:
+            for j, y, c in routes:
                 if not up >> j & 1:
                     continue
                 cand = c if j == i else compose_pair(table[(x, y)], c)
                 if value is None:
                     value, witness = cand, y
                 elif cand != value:
-                    return table, f"composites from {x!r} to {z!r} disagree through {witness!r} and {y!r}"
+                    return table, f"composites from {x!r} to {key[1]!r} disagree through {witness!r} and {y!r}"
             if value is None:
-                return table, f"no covering route from {x!r} to {z!r}"
-            table[(x, z)] = value
+                return table, f"no covering route from {x!r} to {key[1]!r}"
+            table[key] = value
     return table, None
 
 
@@ -97,8 +106,10 @@ def _key_hash(key) -> int:
 
 
 # The functors functor_table has proved, by the hash of their key; an entry
-# dies with its functor.  oracles.audited() empties it on entry and exit.
+# dies with its functor.  oracles.audited() empties it on entry and exit, as
+# it does the identity maps every DeltaDiagram proof shares, one per ordinal.
 _PROVED = WeakValueDictionary()
+_delta_identity = lru_cache(maxsize=64)(DeltaMap.identity)
 
 
 class CoverFunctor:
@@ -251,14 +262,7 @@ class DeltaDiagram(CoverFunctor):
 
     def __init__(self, base: FinPoset, ord, arrow):
         ords = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in dict(ord).items()}
-        ids = {}  # one identity per fiber ordinal, made only if a proof runs
-
-        def identity_at(b):
-            o = ords[b]
-            if o not in ids:
-                ids[o] = DeltaMap.identity(o)
-            return ids[o]
-        self._extend((base, ords, dict(arrow)), identity_at, compose_delta)
+        self._extend((base, ords, dict(arrow)), lambda b: _delta_identity(ords[b]), compose_delta)
 
     @staticmethod
     def _check_values(base, ords, arrow):

@@ -18,6 +18,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import comb
 
 from .errors import CompositionError, DiagramError, DomainError, LabelingError, ParseError, TrussError
@@ -102,9 +103,10 @@ def all_posets(max_elements: int = 3) -> list:
 
 def all_diagrams(base: FinPoset, max_ordinal: int = 2) -> list:
     """Every functorial bundle over the base with fiber ordinals up to the
-    bound: every product of cover maps that DeltaDiagram(...) accepts."""
+    bound: every product of cover maps that DeltaDiagram(...) accepts, each
+    Δ hom list enumerated once."""
     return _products(base.elements, [Ordinal(k) for k in range(max_ordinal + 1)], base.covers(),
-                     enumerate_delta_maps, lambda ords, arrow: DeltaDiagram(base, ords, arrow), DiagramError)
+                     lru_cache(None)(enumerate_delta_maps), partial(DeltaDiagram, base), DiagramError)
 
 
 def poset_maps(src: FinPoset, dst: FinPoset) -> list:
@@ -770,7 +772,7 @@ def audited():
     the counts of installs audited.  The _trusted of every _INSTALLS row is
     patched, and nothing else, and restored on exit: each distinct install is
     checked once and counted as its row says.  tower._empty_tables() empties
-    the memos (composites, plans, identities, total spaces), bundle._PROVED,
+    the memos (composites, plans, identities, total spaces, walks), bundle._PROVED,
     the functors proved by their constructor, and tower._BUILT, the towers
     _trusted interned, on entry and exit, so what the block uses is installed,
     and audited, or proved inside it, and nothing made inside outlives it.

@@ -26,6 +26,7 @@ import json
 import re
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
 
@@ -410,9 +411,37 @@ def payload_for(obj) -> dict:
     raise ParseError(f"no file schema for {type(obj).__name__}")
 
 
+def _write(value, nl: str, out: list) -> None:
+    """Append to out json.dumps(value, sort_keys=True, indent=2)'s text, nested after
+    the break and indent nl; TypeError at a value not str, int, list, tuple or str-keyed dict."""
+    t = type(value)
+    if t is str:
+        out.append(_quote(value))
+    elif t is int:
+        out.append(repr(value))
+    elif t is list or t is tuple or t is dict and all(type(k) is str for k in value):
+        if not value:
+            out.append("{}" if t is dict else "[]")
+            return
+        inner, sep = nl + "  ", "{" if t is dict else "["
+        for k in sorted(value) if t is dict else range(len(value)):
+            out += (sep, inner, _quote(k) + ": ") if t is dict else (sep, inner)
+            _write(value[k], inner, out)
+            sep = ","
+        out += (nl, "}" if t is dict else "]")
+    else:
+        raise TypeError(value)
+
+
 def dumps(obj) -> str:
-    """Canonical text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload_for(obj), sort_keys=True, indent=2) + "\n"
+    """Canonical text: sorted keys, two-space indent, trailing newline.  An indent sends
+    json to its pure-Python encoder, so _write spells what it can, as json would."""
+    payload, out = payload_for(obj), []
+    try:
+        _write(payload, "\n", out)
+    except TypeError:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return "".join(out) + "\n"
 
 
 def parse(text: str):

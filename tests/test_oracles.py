@@ -3,8 +3,10 @@ SUITES entry runs, catches one wrong install of each kind as a failing
 Report and leaves the library as it found it."""
 
 import copy
+import hashlib
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 
@@ -20,6 +22,7 @@ from trusskit import (
     Stratum,
     StratumMap,
     arrow_poset,
+    bundle,
     enumerate_delta_maps,
     mesh,
     oracles,
@@ -53,13 +56,13 @@ def trusted_classes():
 
 TRUSTED = {cls: cls.__dict__["_trusted"] for cls in trusted_classes()}
 END = TrussTower.__dict__["end"]
-MEMOS = (tower._composite, tower._plan, tower._identity, total_space)
+MEMOS = (tower._composite, tower._plan, tower._identity, total_space, bundle._walk, bundle._delta_identity)
 
 
 def assert_restored():
     assert {cls: cls.__dict__["_trusted"] for cls in trusted_classes()} == TRUSTED
-    # nothing composed, made an identity or laid out inside the audit outlives it
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0, 0]
+    # nothing composed, made an identity, walked or laid out inside the audit outlives it
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0] * len(MEMOS)
 
 
 def assert_caught(report, kind):
@@ -524,3 +527,55 @@ def test_all_diagrams_is_the_constructor_over_every_product(family, spelled, kep
     for d, w in zip(got, want):
         if isinstance(d, DeltaDiagram):  # and its path table, each cover its own route
             assert d._paths == w._paths and all(d.map_for(*c) is d.arrow[c] for c in d.base.covers())
+
+
+def _paths_digest(diagrams) -> str:
+    """sha256 of every (key, value) of each diagram's path table, in order."""
+    h = hashlib.sha256()
+    for d in diagrams:
+        h.update(repr(list(d._paths.items())).encode())
+    return h.hexdigest()[:12]
+
+
+@pytest.mark.parametrize("family, digest", [
+    (lambda: [d for p in all_posets(3) for d in all_diagrams(p, 2)], "393e15df753a"),
+    (lambda: all_diagrams(DIAMOND, 2), "e65bbccbffd1"),
+], ids=["all_posets(3), <= 2", "diamond, <= 2"])
+def test_path_tables_are_pinned(family, digest):
+    # the walk keeps each table's pairs, values and insertion order
+    tower._empty_tables()
+    assert _paths_digest(family()) == digest
+
+
+def test_tables_over_one_base_share_their_keys_and_identities():
+    # every diagram over DIAMOND at <= 1, and one more over an equal base built apart
+    tower._empty_tables()
+    diagrams = all_diagrams(DIAMOND, 1)
+    again = FinPoset.from_covers(list(reversed(DIAMOND.elements)), DIAMOND.covers())
+    assert again == DIAMOND and again is not DIAMOND
+    diagrams.append(DeltaDiagram(again, dict.fromkeys("abcd", 2), {c: DeltaMap.identity(2) for c in again.covers()}))
+    keys, ids = list(diagrams[0]._paths), {}
+    for d in diagrams:
+        assert len(d._paths) == len(keys) and all(k is j for k, j in zip(d._paths, keys))
+        for x in d.base.elements:
+            assert ids.setdefault(d.ord[x], d.map_for(x, x)) is d.map_for(x, x)
+    assert len(ids) == 3
+
+
+def test_empty_tables_empties_the_walks_and_identities():
+    all_diagrams(chain3_poset(), 1)
+    assert bundle._walk.cache_info().currsize and bundle._delta_identity.cache_info().currsize
+    tower._empty_tables()
+    assert bundle._walk.cache_info().currsize == bundle._delta_identity.cache_info().currsize == 0
+
+
+def test_the_diamond_family_is_bounded_in_memory():
+    # 13.5 MB traced (Python 3.11) when every table made its own keys and identities
+    tower._empty_tables()
+    tracemalloc.start()
+    try:
+        diagrams = all_diagrams(DIAMOND, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(diagrams) == 6743 and peak < 10.5e6

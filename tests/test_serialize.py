@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trusskit import (
     Bordism,
@@ -32,6 +33,7 @@ from trusskit import (
 )
 from trusskit.layout import layout_2truss
 from trusskit.oracles import tower_family
+from trusskit import serialize
 from trusskit.serialize import cover_key, cover_keys, element_key, next_keys, payload_for
 
 
@@ -562,3 +564,49 @@ def test_cover_keys_collide():
     with pytest.raises(ParseError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+class Size(int):
+    """An int subclass: json writes int.__repr__ of it, and dumps hands it to json."""
+
+
+# strings with non-ASCII characters, quotes, backslashes and control characters
+TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀 '), max_size=6)
+PLAIN = st.recursive(
+    st.one_of(TEXT, st.integers()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+MIXED = st.recursive(
+    st.one_of(TEXT, st.integers(), st.booleans(), st.none(), st.integers().map(Size), st.floats(allow_nan=False)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(TEXT, inner, max_size=4), st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=20,
+)
+JSON_PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@JSON_PROPERTY
+@given(PLAIN)
+def test_dumps_writer_is_json_with_an_indent(payload):
+    # str, int, list, tuple and str-keyed dict: the writer spells all of it
+    out = []
+    serialize._write(payload, "\n", out)
+    assert "".join(out) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@JSON_PROPERTY
+@given(MIXED)
+def test_dumps_is_json_with_an_indent_on_any_payload(payload):
+    # bools, None, int subclasses, floats and int keys fall back to json
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "payload_for", lambda obj: obj)
+        assert dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{}, [], (), {"a": []}, {"a": {}}, [[], {}], "", 0, Size(3), True, None])
+def test_dumps_writes_empty_containers_and_scalars_as_json_does(payload):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "payload_for", lambda obj: obj)
+        assert dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
