@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the cost of three oracle families as a Markdown table.
+"""Print the cost of three oracle families and of a mesh round trip as a
+Markdown table.
 
 Usage (from the repository root):
     python3 scripts/family_cost.py
@@ -7,10 +8,15 @@ Usage (from the repository root):
 The families are ``oracles.all_diagrams`` over every poset of
 ``all_posets(3)`` with fiber ordinals <= 2, over the diamond a < b, c < d
 with ordinals <= 2, and over the 6-element total space of id: [1] -> [1]
-with ordinals <= 1.  For each, the table gives the number of diagrams, the
-CPU time (process time, best of ROUNDS untraced runs) and the tracemalloc
-peak of one more, traced run.  Every run starts from emptied library memos
-(``tower._empty_tables()``), so no run reuses a proof or a walk of another.
+with ordinals <= 1.  The last row takes each diagram of the first family
+(built once, untimed) through ``realize_bundle``, then ``reg_extract`` and
+``sing_extract`` of the mesh.  For each row, the table gives the number of
+diagrams, the CPU time (process time, best of ROUNDS untraced runs), the
+tracemalloc peak of one more, traced run, and the hits and misses of the
+two dual memos (``ordinal.dual_delta_to_nabla`` and
+``ordinal.dual_nabla_to_delta``, summed) in that run.  Every run starts
+from emptied library memos (``tower._empty_tables()``), so no run reuses a
+proof, a walk or a dual of another.
 """
 
 import sys
@@ -19,7 +25,20 @@ import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from trusskit import DeltaDiagram, DeltaMap, FinPoset, Ordinal, arrow_poset, tower, total_space  # noqa: E402
+from trusskit import (  # noqa: E402
+    DeltaDiagram,
+    DeltaMap,
+    FinPoset,
+    Ordinal,
+    arrow_poset,
+    dual_delta_to_nabla,
+    dual_nabla_to_delta,
+    realize_bundle,
+    reg_extract,
+    sing_extract,
+    tower,
+    total_space,
+)
 from trusskit.oracles import all_diagrams, all_posets  # noqa: E402
 
 ROUNDS = 3
@@ -32,15 +51,29 @@ def families():
     arrow = DeltaDiagram(arrow_poset(), {"0": one, "1": one}, {("0", "1"): DeltaMap.identity(one)})
     space = total_space(arrow).carrier
     posets = all_posets(3)
+    small = [d for p in posets for d in all_diagrams(p, 2)]
     return [
         ("all_posets(3), <= 2", lambda: [d for p in posets for d in all_diagrams(p, 2)]),
         ("diamond, <= 2", lambda: all_diagrams(diamond, 2)),
         ("total space of id: [1] -> [1], <= 1", lambda: all_diagrams(space, 1)),
+        ("mesh round trip over all_posets(3), <= 2", lambda: [round_trip(d) for d in small]),
     ]
 
 
+def round_trip(d):
+    m = realize_bundle(d)
+    return m, reg_extract(m), sing_extract(m)
+
+
+def dual_memo_counts():
+    """(hits, misses) of the two dual memos, summed."""
+    infos = [dual.cache_info() for dual in (dual_delta_to_nabla, dual_nabla_to_delta)]
+    return sum(i.hits for i in infos), sum(i.misses for i in infos)
+
+
 def cost(build):
-    """(diagrams, best CPU seconds of ROUNDS runs, traced peak in bytes)."""
+    """(diagrams, best CPU seconds of ROUNDS runs, traced peak in bytes,
+    (dual memo hits, misses) of the traced run)."""
     best = float("inf")
     for _ in range(ROUNDS):
         tower._empty_tables()
@@ -55,15 +88,15 @@ def cost(build):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return len(built), best, peak
+    return len(built), best, peak, dual_memo_counts()
 
 
 def main():
-    print("| family | diagrams | CPU s (best of %d) | traced peak MB |" % ROUNDS)
-    print("|---|---|---|---|")
+    print("| family | diagrams | CPU s (best of %d) | traced peak MB | dual memo hits / misses |" % ROUNDS)
+    print("|---|---|---|---|---|")
     for name, build in families():
-        n, seconds, peak = cost(build)
-        print(f"| {name} | {n} | {seconds:.3f} | {peak / 1e6:.2f} |")
+        n, seconds, peak, (hits, misses) = cost(build)
+        print(f"| {name} | {n} | {seconds:.3f} | {peak / 1e6:.2f} | {hits} / {misses} |")
     print()
     print(f"Python {sys.version.split()[0]}")
 

@@ -13,18 +13,19 @@ CoverFunctor core: it checks which elements and covers are assigned, proves
 functoriality with functor_table, keeps the resulting path table and
 defines equality.  One proof per value while an equal one lives: a key
 equal to a live proved functor's shares its key and path table.  Tables
-proved over one base store the key tuples of its _walk, and DeltaDiagram
-proofs share one identity map per ordinal.  A functor installed unchecked
-hashes on first use, so installs nobody looks up never hash.  The core also
-carries the two operations every walk over a tower needs: over() rebuilds a
-functor of the same kind over another base through the validating
-constructor, and pullback() precomposes with a map of bases.  A
-pullback of a functor along a monotone map is a functor, so pullback()
-proves nothing again: it inherits its path table from the parent's,
-reading each related pair's value at the pair's image, and reads its cover
-values from that table.  What the library installs unchecked goes through
-a _trusted classmethod (CoverFunctor's, TotalPoset's, LabelCategory's), and
-oracles.audited(), under which every oracle suite runs, patches each.
+proved over one base store the key tuples of its _walk, and every proof
+takes its identities from ordinal's table, one per class and ordinal.  A
+functor installed unchecked hashes on first use, so installs nobody looks
+up never hash.  The core also carries the two operations every walk over
+a tower needs: over() rebuilds a functor of the same kind over another
+base through the validating constructor, and pullback() precomposes with
+a map of bases.  A pullback of a functor along a monotone map is a
+functor, so pullback() proves nothing again: it inherits its path table
+from the parent's, reading each related pair's value at the pair's image,
+and reads its cover values from that table.  What the library installs
+unchecked goes through a _trusted classmethod (CoverFunctor's,
+TotalPoset's, LabelCategory's), and oracles.audited(), under which every
+oracle suite runs, patches each.
 """
 
 from __future__ import annotations
@@ -106,10 +107,8 @@ def _key_hash(key) -> int:
 
 
 # The functors functor_table has proved, by the hash of their key; an entry
-# dies with its functor.  oracles.audited() empties it on entry and exit, as
-# it does the identity maps every DeltaDiagram proof shares, one per ordinal.
+# dies with its functor.  oracles.audited() empties it on entry and exit.
 _PROVED = WeakValueDictionary()
-_delta_identity = lru_cache(maxsize=64)(DeltaMap.identity)
 
 
 class CoverFunctor:
@@ -262,7 +261,7 @@ class DeltaDiagram(CoverFunctor):
 
     def __init__(self, base: FinPoset, ord, arrow):
         ords = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in dict(ord).items()}
-        self._extend((base, ords, dict(arrow)), lambda b: _delta_identity(ords[b]), compose_delta)
+        self._extend((base, ords, dict(arrow)), lambda b: DeltaMap.identity(ords[b]), compose_delta)
 
     @staticmethod
     def _check_values(base, ords, arrow):

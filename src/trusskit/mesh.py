@@ -10,7 +10,10 @@ to a height of the lower one, with NablaDiagram's contravariant composition.
 realize_bundle, pullback_mesh and the readbacks (the mesh's own table or
 its interval dual) install path tables known to be functorial;
 PLMeshBundle(...) and parse check everything, and oracles.audited()
-rebuilds every install through the checking constructor.
+rebuilds every install through the checking constructor.  Duals and
+identities are memoized by value in ordinal's tables, so a round trip
+through realize_bundle and reg_extract reads each path entry's dual with
+one lookup, and every proof shares one identity per ordinal.
 
 Heights over an interior point of a simplex are convex combinations, and they
 are strictly increasing by construction, so the constructor does not check
@@ -226,8 +229,7 @@ def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
         if len(h.interior) != d.ord[b].n:
             raise MeshError(f"supplied heights over {b!r} do not match ordinal {d.ord[b]}")
     heights = {b: supplied[b] if b in supplied else realize_1truss(d.ord[b]) for b in d.base.elements}
-    duals = {f: dual_delta_to_nabla(f) for f in dict.fromkeys(d._paths.values())}
-    paths = {k: duals[f] for k, f in d._paths.items()}
+    paths = {k: dual_delta_to_nabla(f) for k, f in d._paths.items()}
     return PLMeshBundle._trusted((d.base, heights), _backward, paths)
 
 
@@ -243,8 +245,8 @@ def reg_extract(m: PLMeshBundle) -> DeltaDiagram:
     if not isinstance(m, PLMeshBundle):
         raise DomainError(f"reg_extract needs a PLMeshBundle, got {type(m).__name__}")
     ords = {b: Ordinal(len(m.heights[b].interior)) for b in m.base.elements}
-    duals = {g: dual_nabla_to_delta(g) for g in dict.fromkeys(m._paths.values())}
-    return DeltaDiagram._trusted((m.base, ords), compose_delta, {k: duals[g] for k, g in m._paths.items()})
+    paths = {k: dual_nabla_to_delta(g) for k, g in m._paths.items()}
+    return DeltaDiagram._trusted((m.base, ords), compose_delta, paths)
 
 
 def sing_extract(m: PLMeshBundle) -> NablaDiagram:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -259,17 +260,29 @@ def bordism_family(seed: int = 0) -> list:
 
 
 def composable_triples(bordisms, limit: int, rng) -> list:
+    """Every triple (b1, b2, b3) of bordisms, each starting at the end of
+    the one before, in the order of ``bordisms`` at each place; past
+    ``limit`` of them, the ``limit`` that ``rng.sample`` draws.  Triples are
+    counted per composable pair, and only those returned are built: the
+    indices ``rng.sample(range(total), limit)`` draws are those it draws
+    from the list of every triple."""
     by_source = {}
-    for b in bordisms:
-        by_source.setdefault(b.end(0), []).append(b)
-    triples = []
-    for b1 in bordisms:
-        for b2 in by_source.get(b1.end(1), ()):
-            for b3 in by_source.get(b2.end(1), ()):
-                triples.append((b1, b2, b3))
-    if len(triples) > limit:
-        triples = rng.sample(triples, limit)
-    return triples
+    for j, b in enumerate(bordisms):
+        by_source.setdefault(b.end(0), []).append(j)
+    nexts = [by_source.get(b.end(1), ()) for b in bordisms]
+    counts = [sum(len(nexts[j]) for j in after) for after in nexts]
+    ends = list(itertools.accumulate(counts))
+
+    def triple(t):
+        i = bisect_right(ends, t)
+        t -= ends[i] - counts[i]
+        for j in nexts[i]:
+            if t < len(nexts[j]):
+                return bordisms[i], bordisms[j], bordisms[nexts[j][t]]
+            t -= len(nexts[j])
+
+    total = ends[-1] if ends else 0
+    return [triple(t) for t in (range(total) if total <= limit else rng.sample(range(total), limit))]
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +785,7 @@ def audited():
     the counts of installs audited.  The _trusted of every _INSTALLS row is
     patched, and nothing else, and restored on exit: each distinct install is
     checked once and counted as its row says.  tower._empty_tables() empties
-    the memos (composites, plans, identities, total spaces, walks), bundle._PROVED,
+    the memos (composites, plans, identities, total spaces, walks, duals), bundle._PROVED,
     the functors proved by their constructor, and tower._BUILT, the towers
     _trusted interned, on entry and exit, so what the block uses is installed,
     and audited, or proved inside it, and nothing made inside outlives it.

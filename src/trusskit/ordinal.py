@@ -6,7 +6,12 @@ ordinals [n] = {0, ..., n}, and endpoint-preserving weakly increasing maps
 _trusted installs unchecked the identities, composites, enumerations and
 duals of validated maps, valid by construction (oracles.audited() audits
 them).  The two are exchanged by an explicit duality given by counting
-preimages, implemented in both directions below.
+preimages, implemented in both directions below.  Identities and duals are
+memoized by value: one identity per class and ordinal, and one dual per
+map in a bounded table for each direction, so a mesh round trip dualizes
+each distinct map once.  tower._empty_tables() empties these tables with
+the library's others, so oracles.audited() installs, and audits, what a
+block uses.
 
 Ordinals are interned: there is exactly one Ordinal instance per n, so two
 ordinals are equal exactly when they are the same object, and equality and
@@ -21,6 +26,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache, wraps
 from operator import gt
 
 from .errors import DomainError
@@ -119,14 +125,19 @@ class MonotoneMap:
 
     @classmethod
     def identity(cls, n):
-        n = _as_ordinal(n)
-        make = cls._trusted if n.n or cls is DeltaMap else cls  # no interval map on [0]
-        return make(n, n, tuple(range(n.size)))
+        """The identity on [n], one shared instance per class and ordinal."""
+        return _identities(cls, _as_ordinal(n))
 
 
 # the slots' own setters: a frozen dataclass refuses setattr
 _new = object.__new__
 _set_src, _set_dst, _set_values = (MonotoneMap.__dict__[f].__set__ for f in MonotoneMap.__slots__)
+
+
+@lru_cache(maxsize=128)
+def _identities(cls, n: Ordinal):
+    make = cls._trusted if n.n or cls is DeltaMap else cls  # no interval map on [0]
+    return make(n, n, tuple(range(n.size)))
 
 
 class DeltaMap(MonotoneMap):
@@ -190,6 +201,23 @@ def enumerate_nabla_maps(n, m) -> list:
     return [make(n, m, vs) for vs in combos if vs[0] == 0 and vs[-1] == m.n]
 
 
+def _by_value(dual):
+    """dual, memoized by its argument's value in a bounded table; a map-like
+    that cannot be hashed is dualized afresh, through the checks."""
+    memo = lru_cache(maxsize=1024)(dual)
+
+    @wraps(dual)
+    def by_value(f):
+        try:
+            return memo(f)
+        except TypeError:  # unhashable; a TypeError of dual itself recurs
+            return dual(f)
+
+    by_value.cache_info, by_value.cache_clear = memo.cache_info, memo.cache_clear
+    return by_value
+
+
+@_by_value
 def dual_delta_to_nabla(f: DeltaMap) -> NablaMap:
     """The dual of f: [n] -> [m] is the interval map [m+1] -> [n+1] with
 
@@ -203,6 +231,7 @@ def dual_delta_to_nabla(f: DeltaMap) -> NablaMap:
     return make(Ordinal(f.dst.n + 1), Ordinal(f.src.n + 1), vals)
 
 
+@_by_value
 def dual_nabla_to_delta(g: NablaMap) -> DeltaMap:
     """Inverse of dual_delta_to_nabla: for g: [m+1] -> [n+1] the dual
     [n] -> [m] sends i to #{ j in {1, ..., m+1} : g(j) <= i } (a bisection).

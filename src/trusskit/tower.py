@@ -50,7 +50,7 @@ from .errors import (
     InternalError,
     PackingError,
 )
-from .ordinal import DeltaMap, Ordinal
+from .ordinal import DeltaMap, Ordinal, _identities, dual_delta_to_nabla, dual_nabla_to_delta
 from .poset import (
     POINT_ELEMENT,
     FinPoset,
@@ -59,7 +59,7 @@ from .poset import (
     bits,
     point_poset,
 )
-from .bundle import _PROVED, DeltaDiagram, LabelCategory, Labeling, _delta_identity, _walk, total_space
+from .bundle import _PROVED, DeltaDiagram, LabelCategory, Labeling, _walk, total_space
 
 
 def root_of(el):
@@ -360,7 +360,8 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
     return _compose(b1, b2)
 
 
-_MEMOS = (_composite, _identity, _plan, total_space, _walk, _delta_identity)  # captured, so a patched name cannot hide one
+# captured, so a patched name cannot hide one
+_MEMOS = (_composite, _identity, _plan, total_space, _walk, _identities, dual_delta_to_nabla, dual_nabla_to_delta)
 
 
 def _empty_tables():

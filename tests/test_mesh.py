@@ -26,6 +26,7 @@ from trusskit import (
     Stratum,
     arrow_poset,
     dual_delta_to_nabla,
+    dual_nabla_to_delta,
     dumps,
     interpolated_heights,
     point_poset,
@@ -36,7 +37,7 @@ from trusskit import (
     section_to_strata,
     sing_extract,
 )
-from trusskit import bundle, mesh, oracles
+from trusskit import bundle, mesh, oracles, tower
 from trusskit.bundle import pullback_bundle
 from trusskit.oracles import SUITES, all_diagrams, all_posets, poset_maps
 from trusskit.poset import FinPoset
@@ -349,6 +350,19 @@ def test_readbacks_run_no_functor_table(monkeypatch):
     assert calls == []
     NablaDiagram(m.base, sing_extract(m).ord, m.sing)
     assert len(calls) == 1
+
+
+def test_a_round_trip_dualizes_each_distinct_map_once():
+    # every path entry is one lookup in the memo of its direction
+    diagrams = [d for p in all_posets(3) for d in all_diagrams(p, 2)]
+    tower._empty_tables()
+    meshes = [realize_bundle(d) for d in diagrams]
+    for m in meshes:
+        reg_extract(m)
+    for dual, tables in ((dual_delta_to_nabla, diagrams), (dual_nabla_to_delta, meshes)):
+        entries = [f for t in tables for f in t._paths.values()]
+        info = dual.cache_info()
+        assert (info.misses, info.hits) == (len(set(entries)), len(entries) - len(set(entries)))
 
 
 def reference_reg_extract(m):

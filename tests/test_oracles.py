@@ -5,6 +5,7 @@ Report and leaves the library as it found it."""
 import copy
 import hashlib
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -26,6 +27,7 @@ from trusskit import (
     enumerate_delta_maps,
     mesh,
     oracles,
+    ordinal,
     tower,
 )
 from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
@@ -56,7 +58,8 @@ def trusted_classes():
 
 TRUSTED = {cls: cls.__dict__["_trusted"] for cls in trusted_classes()}
 END = TrussTower.__dict__["end"]
-MEMOS = (tower._composite, tower._plan, tower._identity, total_space, bundle._walk, bundle._delta_identity)
+MEMOS = (tower._composite, tower._plan, tower._identity, total_space, bundle._walk, ordinal._identities,
+         ordinal.dual_delta_to_nabla, ordinal.dual_nabla_to_delta)
 
 
 def assert_restored():
@@ -430,6 +433,28 @@ def test_audit_catches_a_wrong_trusted_map(monkeypatch, wrong):
     assert_caught(SUITES["homsets"](), "trusted map")
 
 
+def _listed_triples(bordisms, limit, rng):
+    """composable_triples spelled as the list of every triple, sampled."""
+    by_source = {}
+    for b in bordisms:
+        by_source.setdefault(b.end(0), []).append(b)
+    triples = [(b1, b2, b3) for b1 in bordisms for b2 in by_source.get(b1.end(1), ())
+               for b3 in by_source.get(b2.end(1), ())]
+    return rng.sample(triples, limit) if len(triples) > limit else triples
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_composable_triples_samples_what_the_list_spelling_samples(seed):
+    bordisms = bordism_family(seed)
+    for limit in (400, 800):
+        got = oracles.composable_triples(bordisms, limit, random.Random(seed))
+        want = _listed_triples(bordisms, limit, random.Random(seed))
+        assert len(got) == len(want) == limit
+        assert all(x is y for g, w in zip(got, want) for x, y in zip(g, w))
+    # below the limit, every triple in order
+    assert oracles.composable_triples(bordisms[:40], 10**6, None) == _listed_triples(bordisms[:40], 10**6, None)
+
+
 def test_homsets_suite_at_ordinal_five():
     report = SUITES["homsets"](5)
     assert report.is_ok, report.to_text()
@@ -563,10 +588,12 @@ def test_tables_over_one_base_share_their_keys_and_identities():
 
 
 def test_empty_tables_empties_the_walks_and_identities():
-    all_diagrams(chain3_poset(), 1)
-    assert bundle._walk.cache_info().currsize and bundle._delta_identity.cache_info().currsize
+    # and the duals a mesh round trip reads
+    mesh.reg_extract(mesh.realize_bundle(all_diagrams(chain3_poset(), 1)[-1]))
+    memos = (bundle._walk, ordinal._identities, ordinal.dual_delta_to_nabla, ordinal.dual_nabla_to_delta)
+    assert all(memo.cache_info().currsize for memo in memos)
     tower._empty_tables()
-    assert bundle._walk.cache_info().currsize == bundle._delta_identity.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
 
 
 def test_the_diamond_family_is_bounded_in_memory():

@@ -19,6 +19,8 @@ from trusskit import (
     dual_nabla_to_delta,
     enumerate_delta_maps,
     enumerate_nabla_maps,
+    ordinal,
+    tower,
 )
 
 
@@ -115,6 +117,44 @@ def test_dual_roundtrip_exhaustive():
         for m in range(1, 4):
             for g in enumerate_nabla_maps(n, m):
                 assert dual_delta_to_nabla(dual_nabla_to_delta(g)) == g
+
+
+def _fresh_nabla(f):
+    """The dual of a Δ map by its checking constructor, counting preimages."""
+    return NablaMap(f.dst.n + 1, f.src.n + 1, [sum(1 for v in f.values if v < j) for j in range(f.dst.n + 2)])
+
+
+def _fresh_delta(g):
+    """The dual of a ∇ map by its checking constructor, counting the j >= 1 with g(j) <= i."""
+    return DeltaMap(g.dst.n - 1, g.src.n - 1, [sum(1 for v in g.values[1:] if v <= i) for i in range(g.dst.n)])
+
+
+@pytest.mark.parametrize("enumerate_maps, lowest, dual, fresh, inverse", [
+    (enumerate_delta_maps, 0, dual_delta_to_nabla, _fresh_nabla, dual_nabla_to_delta),
+    (enumerate_nabla_maps, 1, dual_nabla_to_delta, _fresh_delta, dual_delta_to_nabla),
+], ids=["delta", "nabla"])
+def test_memoized_duals_are_fresh_duals_up_to_four(enumerate_maps, lowest, dual, fresh, inverse):
+    tower._empty_tables()
+    maps = [f for n in range(lowest, 5) for m in range(lowest, 5) for f in enumerate_maps(n, m)]
+    first = [dual(f) for f in maps]
+    assert dual.cache_info().misses == len(maps) and dual.cache_info().hits == 0
+    for f, g in zip(maps, first):
+        again = dual(type(f)(f.src, f.dst, f.values))  # an equal map, built apart
+        assert again is g and g == fresh(f) and type(g) is type(fresh(f))
+        assert inverse(g) == f
+    assert dual.cache_info().hits == len(maps)
+
+
+def test_identities_are_shared_per_class_and_ordinal():
+    tower._empty_tables()
+    for n in range(5):
+        assert DeltaMap.identity(n) is DeltaMap.identity(Ordinal(n)) == DeltaMap(n, n, range(n + 1))
+    for n in range(1, 5):
+        assert NablaMap.identity(n) is NablaMap.identity(Ordinal(n)) == NablaMap(n, n, range(n + 1))
+        assert NablaMap.identity(n) != DeltaMap.identity(n)
+    assert ordinal._identities.cache_info().currsize == 9
+    with pytest.raises(DomainError, match="interval maps need ordinals"):
+        NablaMap.identity(0)
 
 
 def test_duality_is_contravariant():
