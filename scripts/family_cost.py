@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the cost of three oracle families and of a mesh round trip as a
-Markdown table.
+"""Print the cost of three oracle families, of a mesh round trip and of a
+streamed family as a Markdown table.
 
 Usage (from the repository root):
     python3 scripts/family_cost.py
@@ -14,9 +14,11 @@ with ordinals <= 1.  The last row takes each diagram of the first family
 diagrams, the CPU time (process time, best of ROUNDS untraced runs), the
 tracemalloc peak of one more, traced run, and the hits and misses of the
 two dual memos (``ordinal.dual_delta_to_nabla`` and
-``ordinal.dual_nabla_to_delta``, summed) in that run.  Every run starts
-from emptied library memos (``tower._empty_tables()``), so no run reuses a
-proof, a walk or a dual of another.
+``ordinal.dual_nabla_to_delta``, summed) in that run.  A last row counts
+the functors ``oracles.functors`` streams over the diamond with ordinals
+<= 3, keeping none, in one untraced run: a traced one takes minutes.
+Every run starts from emptied library memos (``tower._empty_tables()``), so
+no run reuses a proof, a walk or a dual of another.
 """
 
 import sys
@@ -31,22 +33,24 @@ from trusskit import (  # noqa: E402
     FinPoset,
     Ordinal,
     arrow_poset,
+    compose_delta,
     dual_delta_to_nabla,
     dual_nabla_to_delta,
+    enumerate_delta_maps,
     realize_bundle,
     reg_extract,
     sing_extract,
     tower,
     total_space,
 )
-from trusskit.oracles import all_diagrams, all_posets  # noqa: E402
+from trusskit.oracles import all_diagrams, all_posets, functors  # noqa: E402
 
 ROUNDS = 3
+DIAMOND = FinPoset.from_covers("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 
 
 def families():
     """(name, function building the family) of each measured family."""
-    diamond = FinPoset.from_covers("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
     one = Ordinal(1)
     arrow = DeltaDiagram(arrow_poset(), {"0": one, "1": one}, {("0", "1"): DeltaMap.identity(one)})
     space = total_space(arrow).carrier
@@ -54,7 +58,7 @@ def families():
     small = [d for p in posets for d in all_diagrams(p, 2)]
     return [
         ("all_posets(3), <= 2", lambda: [d for p in posets for d in all_diagrams(p, 2)]),
-        ("diamond, <= 2", lambda: all_diagrams(diamond, 2)),
+        ("diamond, <= 2", lambda: all_diagrams(DIAMOND, 2)),
         ("total space of id: [1] -> [1], <= 1", lambda: all_diagrams(space, 1)),
         ("mesh round trip over all_posets(3), <= 2", lambda: [round_trip(d) for d in small]),
     ]
@@ -91,12 +95,25 @@ def cost(build):
     return len(built), best, peak, dual_memo_counts()
 
 
+def streamed_cost():
+    """(functors over the diamond with ordinals <= 3, CPU seconds of one
+    untraced run that keeps none of them)."""
+    tower._empty_tables()
+    start = time.process_time()
+    streamed = functors(DIAMOND, [Ordinal(k) for k in range(4)], enumerate_delta_maps, compose_delta,
+                        DeltaMap.identity)
+    n = sum(1 for _ in streamed)
+    return n, time.process_time() - start
+
+
 def main():
     print("| family | diagrams | CPU s (best of %d) | traced peak MB | dual memo hits / misses |" % ROUNDS)
     print("|---|---|---|---|---|")
     for name, build in families():
         n, seconds, peak, (hits, misses) = cost(build)
         print(f"| {name} | {n} | {seconds:.3f} | {peak / 1e6:.2f} | {hits} / {misses} |")
+    n, seconds = streamed_cost()
+    print(f"| diamond, <= 3, streamed | {n} | {seconds:.3f} (one run) | not traced | not traced |")
     print()
     print(f"Python {sys.version.split()[0]}")
 

@@ -12,9 +12,10 @@ bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
 CoverFunctor core: it checks which elements and covers are assigned, proves
 functoriality with functor_table, keeps the resulting path table and
 defines equality.  One proof per value while an equal one lives: a key
-equal to a live proved functor's shares its key and path table.  Tables
-proved over one base store the key tuples of its _walk, and every proof
-takes its identities from ordinal's table, one per class and ordinal.  A
+equal to a live proved functor's, or to a live diagram of
+oracles.all_diagrams, shares its key and path table.  Tables proved over
+one base store the key tuples of its _walk, and every proof takes its
+identities from ordinal's table, one per class and ordinal.  A
 functor installed unchecked hashes on first use, so installs nobody looks
 up never hash.  The core also carries the two operations every walk over
 a tower needs: over() rebuilds a functor of the same kind over another
@@ -106,8 +107,9 @@ def _key_hash(key) -> int:
     return hash(key[:-2] + (frozenset(key[-2].items()), frozenset(key[-1].items())))
 
 
-# The functors functor_table has proved, by the hash of their key; an entry
-# dies with its functor.  oracles.audited() empties it on entry and exit.
+# The functors functor_table has proved, and those oracles.all_diagrams has
+# enumerated, by the hash of their key; an entry dies with its functor.
+# oracles.audited() empties it on entry and exit.
 _PROVED = WeakValueDictionary()
 
 
@@ -122,15 +124,18 @@ class CoverFunctor:
     to every related pair with functor_table and stores that path table;
     functor_table's diagnostic is raised as ``_error``.  One proof per value
     while an equal one lives: a proved functor is kept, weakly, in
-    ``_PROVED`` under its key's hash, and a later key of the same type equal
-    to its key installs its key, ``compose`` and path table, shared, without
-    a proof; so ``_extend`` hashes the key at once, and an unhashable key is
-    refused with the hash's TypeError once proved.  ``_trusted`` builds
-    a functor without any of these checks from a path table known to be
-    functorial: ``pullback`` reads one from the parent, bordism composition
-    joins the two bordisms' tables, mesh.realize_bundle dualizes one and
-    the mesh readbacks reuse or dualize the mesh's; oracles.audited()
-    rebuilds each through ``over``, the subclass constructor.  Every
+    ``_PROVED`` under its key's hash, as is each diagram that
+    oracles.all_diagrams installs, and a later key of the same type equal
+    to its key installs its key, ``compose`` and path table, shared,
+    without a proof; so ``_extend`` hashes the key at once, and an
+    unhashable key is refused with the hash's TypeError once proved.
+    ``_trusted`` builds a functor without any of these checks from a path
+    table known to be functorial: ``pullback`` reads one from the parent,
+    bordism composition joins the two bordisms' tables, mesh.realize_bundle
+    dualizes one, the mesh readbacks reuse or dualize the mesh's and
+    oracles.all_diagrams takes each that oracles.functors enumerates;
+    oracles.audited() rebuilds each through ``over``, the subclass
+    constructor.  Every
     subclass reads alike through the core: ``base``, the tables ``objects``
     (per element) and ``covers`` (per covering relation), and ``compose``,
     the composition the path table was built with.  Equality and hashing go by

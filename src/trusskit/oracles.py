@@ -8,7 +8,10 @@ runs under audited(), the one audit of what the library installs without
 checks (one _INSTALLS row per _trusted install point, trusted towers and
 their recorded ends included), and fails if an audit count would overwrite
 one of its own; the enumeration families run unaudited when called on
-their own.
+their own.  The diagram and map families come from one backtracking
+enumerator, functors(), which composes each pair once per prefix and cuts
+a prefix at its first disagreement; all_diagrams installs its diagrams
+unchecked, so each is one trusted functor to the audit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 from .errors import CompositionError, DiagramError, DomainError, LabelingError, ParseError, TrussError
@@ -47,7 +50,17 @@ from .strata import (
     stratum_targets,
     validate_stratum_map,
 )
-from .bundle import CoverFunctor, DeltaDiagram, LabelCategory, Labeling, TotalPoset, classify, total_space
+from .bundle import (
+    _PROVED,
+    CoverFunctor,
+    DeltaDiagram,
+    LabelCategory,
+    Labeling,
+    TotalPoset,
+    _walk,
+    classify,
+    total_space,
+)
 from .tower import (
     Bordism,
     PackedTower,
@@ -72,20 +85,64 @@ from .serialize import cover_key, dumps, element_key
 # enumeration families
 
 
-def _products(els, objects, covers, arrows, build, refusal) -> list:
-    """Every value build(at, on) returns, in product order: at holds one of
-    objects per element of els, then on one of arrows(at[a], at[b]) per
-    cover (a, b); a choice that build refuses by raising refusal is
-    dropped."""
-    out = []
-    for objs in itertools.product(objects, repeat=len(els)):
-        at = dict(zip(els, objs))
-        for values in itertools.product(*(arrows(at[a], at[b]) for a, b in covers)):
-            try:
-                out.append(build(at, dict(zip(covers, values))))
-            except refusal:
-                continue
-    return out
+def functors(base: FinPoset, objects, hom, compose, identity):
+    """Every functor from base into a category, as (at, paths): at holds
+    one of objects per element, paths the functor's path table.  They come
+    in product order: objects per element in element order, then one of
+    hom(at[a], at[b]) per cover (a, b) in covers() order, the last varying
+    fastest.  Each table holds the keys of the base's _walk in
+    functor_table's order, the diagonal valued identity(at[x]); a pair
+    x < z is composed along its first route, compose(value of (x, y),
+    cover (y, z)), as soon as every cover on its routes is chosen, so once
+    per prefix.  A prefix is cut at an empty hom between assigned elements,
+    or at two routes of a pair that disagree.  The functors of one object
+    assignment share its at."""
+    steps, diagonal = _walk(base)
+    covers, objects = base.covers(), tuple(objects)
+    ends = [(base.index[a], base.index[b]) for a, b in covers]
+    keys = diagonal + [key for below, _ in steps for _, _, key in below]
+    pos = {key: k for k, key in enumerate(keys)}
+    # per cover, the pairs it completes: (position, first route, other routes),
+    # a route as the positions of (x, y) and of the cover (y, z)
+    last, plan = {c: p for p, c in enumerate(covers)}, [[] for _ in covers]
+    for below, incoming in steps:
+        for i, up, key in below:
+            if key not in last:
+                routes = [((key[0], y), p) for j, y, p in incoming if up >> j & 1]
+                last[key] = max(max(p, last[xy]) for xy, p in routes)
+                first, *rest = [(pos[xy], pos[covers[p]]) for xy, p in routes]
+                plan[last[key]].append((pos[key], first, rest))
+    closing = [[] for _ in diagonal]  # per element, the covers between it and the elements before it
+    for ia, ib in ends:
+        closing[max(ia, ib)].append((ia, ib))
+    hom_of = lru_cache(None)(lambda u, v: tuple(hom(u, v)))
+    objs, vals = [None] * len(diagonal), [None] * len(keys)
+
+    def choose(p, at, homs):
+        if p == len(covers):
+            yield at, dict(zip(keys, vals))
+            return
+        here = pos[covers[p]]
+        for f in homs[p]:
+            vals[here] = f
+            for k, (xy, yz), rest in plan[p]:
+                value = vals[k] = compose(vals[xy], vals[yz])
+                if any(compose(vals[a], vals[b]) != value for a, b in rest):
+                    break
+            else:
+                yield from choose(p + 1, at, homs)
+
+    def assign(i):
+        if i == len(objs):
+            vals[:i] = map(identity, objs)
+            yield from choose(0, dict(zip(base.elements, objs)), [hom_of(objs[a], objs[b]) for a, b in ends])
+            return
+        for o in objects:
+            objs[i] = o
+            if all(hom_of(objs[a], objs[b]) for a, b in closing[i]):
+                yield from assign(i + 1)
+
+    return assign(0)
 
 
 def all_posets(max_elements: int = 3) -> list:
@@ -96,25 +153,34 @@ def all_posets(max_elements: int = 3) -> list:
     for n in range(1, max_elements + 1):
         els = "abcde"[:n]
         pairs = [(u, v) for u in els for v in els if u != v]
-        out += _products(pairs, (False, True), (), None,
-                         lambda keep, _: FinPoset(els, [(e, e) for e in els] + [p for p in pairs if keep[p]]),
-                         DomainError)
+        for keep in itertools.product((False, True), repeat=len(pairs)):
+            try:
+                out.append(FinPoset(els, [(e, e) for e in els] + list(itertools.compress(pairs, keep))))
+            except DomainError:
+                continue
     return out
 
 
 def all_diagrams(base: FinPoset, max_ordinal: int = 2) -> list:
     """Every functorial bundle over the base with fiber ordinals up to the
-    bound: every product of cover maps that DeltaDiagram(...) accepts, each
-    Δ hom list enumerated once."""
-    return _products(base.elements, [Ordinal(k) for k in range(max_ordinal + 1)], base.covers(),
-                     lru_cache(None)(enumerate_delta_maps), partial(DeltaDiagram, base), DiagramError)
+    bound, as functors() yields them into Δ: each installed through
+    DeltaDiagram._trusted with its path table, then kept in bundle._PROVED,
+    so a constructor given an equal key shares its proof."""
+    out = []
+    for ords, paths in functors(base, [Ordinal(k) for k in range(max_ordinal + 1)], enumerate_delta_maps,
+                                compose_delta, DeltaMap.identity):
+        d = DeltaDiagram._trusted((base, ords), compose_delta, paths)
+        _PROVED[hash(d)] = d  # after the install: audited() checks it against a real proof
+        out.append(d)
+    return out
 
 
 def poset_maps(src: FinPoset, dst: FinPoset) -> list:
     """Every monotone map between two finite posets: the functors into dst's
     thin category, one arrow (u, v) when u <= v and none otherwise."""
-    return _products(src.elements, dst.elements, src.covers(), lambda u, v: [(u, v)] if dst.le(u, v) else [],
-                     lambda mapping, _: PosetMap(src, dst, mapping), DomainError)
+    thin = functors(src, dst.elements, lambda u, v: ((u, v),) if dst.le(u, v) else (),
+                    lambda f, g: (f[0], g[1]), lambda u: (u, u))
+    return [PosetMap(src, dst, mapping) for mapping, _ in thin]
 
 
 def chain3_poset() -> FinPoset:
@@ -789,8 +855,9 @@ def audited():
     the functors proved by their constructor, and tower._BUILT, the towers
     _trusted interned, on entry and exit, so what the block uses is installed,
     and audited, or proved inside it, and nothing made inside outlives it.
-    A _trusted install never enters _PROVED, so its rebuild is always
-    checked against a real proof of an equal key.  A tower install is
+    A _trusted install enters _PROVED only from all_diagrams, once its
+    install has returned, so its own rebuild is a real proof, and a later
+    rebuild of an equal key shares an audited table.  A tower install is
     counted and checked by the ends it records, whatever else the interned
     tower holds.  A disagreement raises _Disagreement."""
     counts, checked = Counter(), {}  # checked: (kind, subject) -> witness

@@ -4,6 +4,7 @@ Report and leaves the library as it found it."""
 
 import copy
 import hashlib
+import inspect
 import itertools
 import random
 import sys
@@ -17,6 +18,8 @@ from trusskit import (
     DiagramError,
     DomainError,
     FinPoset,
+    Labeling,
+    LabelingError,
     Ordinal,
     PosetMap,
     Report,
@@ -24,6 +27,7 @@ from trusskit import (
     StratumMap,
     arrow_poset,
     bundle,
+    compose_delta,
     enumerate_delta_maps,
     mesh,
     oracles,
@@ -39,6 +43,7 @@ from trusskit.oracles import (
     audited,
     bordism_family,
     chain3_poset,
+    functors,
     poset_maps,
     tower_family,
 )
@@ -606,3 +611,74 @@ def test_the_diamond_family_is_bounded_in_memory():
     finally:
         tracemalloc.stop()
     assert len(diagrams) == 6743 and peak < 10.5e6
+
+
+# functors, the enumerator behind all_diagrams and poset_maps
+
+ROUTE_CHECK = "if any(compose(vals[a], vals[b]) != value for a, b in rest):"
+
+
+def test_an_enumerator_that_skips_its_route_check_is_caught_by_the_audit(monkeypatch):
+    # unpatched, every diagram is one trusted install, audited as one layer
+    with audited() as counts:
+        assert len(all_diagrams(DIAMOND, 2)) == counts["layers"] == 6743
+    source = inspect.getsource(oracles.functors)
+    assert source.count(ROUTE_CHECK) == 1
+    space = dict(vars(oracles))
+    exec(source.replace(ROUTE_CHECK, "if False:"), space)
+    monkeypatch.setattr(oracles, "functors", space["functors"])
+    with audited():
+        with pytest.raises(oracles._Disagreement, match="trusted functor"):
+            all_diagrams(DIAMOND, 2)
+    assert_restored()
+
+
+def test_a_constructor_shares_the_table_of_a_listed_diagram(monkeypatch):
+    # classify's rebuild of a listed diagram proves nothing again
+    tower._empty_tables()
+    diagrams = all_diagrams(DIAMOND, 1)
+    calls, real = [], bundle.functor_table
+    monkeypatch.setattr(bundle, "functor_table", lambda *args: calls.append(args) or real(*args))
+    again = [DeltaDiagram(d.base, d.ord, d.arrow) for d in diagrams]
+    assert not calls and all(a._paths is d._paths for a, d in zip(again, diagrams))
+
+
+Z2 = LabelCategory(["*"], ["1", "e"], {"1": "*", "e": "*"}, {"1": "*", "e": "*"}, {"*": "1"},
+                   {(f, g): "1" if f == g else "e" for f in "1e" for g in "1e"})
+
+
+def _labelings_by_constructor(base, cat):
+    """Every product of object and cover labels that Labeling(...) accepts."""
+    kept, covers = [], base.covers()
+    for objs in itertools.product(cat.objects, repeat=len(base.elements)):
+        at = dict(zip(base.elements, objs))
+        for labels in itertools.product(*(cat.hom(at[a], at[b]) for a, b in covers)):
+            try:
+                kept.append(Labeling(base, cat, at, dict(zip(covers, labels))))
+            except LabelingError:
+                continue
+    return kept
+
+
+@pytest.mark.parametrize("base", [*all_posets(3), DIAMOND], ids=lambda p: "diamond" if p is DIAMOND else None)
+def test_functors_into_a_category_that_is_not_thin_are_the_labelings(base):
+    # Z/2, one object and two morphisms: every route check compares labels
+    want = _labelings_by_constructor(base, Z2)
+    got = list(functors(base, Z2.objects, Z2.hom, Z2.compose_pair, Z2.identity.__getitem__))
+    assert len(got) == len(want) == (8 if base is DIAMOND else 2 ** len(base.covers()))
+    for (at, paths), w in zip(got, want):
+        assert at == w.on_objects and list(paths.items()) == list(w._paths.items())
+
+
+def test_the_diamond_streams_in_bounded_memory():
+    # 7.6 MB traced (Python 3.11) for the list all_diagrams(DIAMOND, 2) builds
+    tower._empty_tables()
+    tracemalloc.start()
+    try:
+        streamed = functors(DIAMOND, [Ordinal(k) for k in range(3)], enumerate_delta_maps, compose_delta,
+                            DeltaMap.identity)
+        count = sum(1 for _ in streamed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 6743 and peak < 2e6
