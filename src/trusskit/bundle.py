@@ -66,9 +66,11 @@ def _walk(base: FinPoset):
 def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     """Extend an assignment on covering relations to all related pairs.
 
-    Processes targets along a linear extension; for a pair x < z every route
-    (x -> y, then the cover y -> z) must give the same composite.  Checking
-    all incoming covers of every pair is a complete functoriality test.
+    Processes targets along a linear extension; for a pair x < z the first
+    route (x -> y, then the cover y -> z) gives the value and every later
+    route must compose to it, as in oracles.functors and bordism
+    composition; no value, None included, stands for "none yet".  Checking all
+    incoming covers of every pair is a complete functoriality test.
     Targets come in the order of ``base.linear_extension()``, sources x of
     a target in the canonical order of ``base.elements`` and covers into it
     in the order of ``base.covers()``, so the first diagnostic is
@@ -85,19 +87,16 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
     for below, incoming in steps:
         routes = [(j, y, values[p]) for j, y, p in incoming]
         for i, up, key in below:
-            x = key[0]
-            value = None
-            witness = None
-            for j, y, c in routes:
-                if not up >> j & 1:
-                    continue
-                cand = c if j == i else compose_pair(table[(x, y)], c)
-                if value is None:
-                    value, witness = cand, y
-                elif cand != value:
-                    return table, f"composites from {x!r} to {key[1]!r} disagree through {witness!r} and {y!r}"
-            if value is None:
+            x, rest = key[0], iter(routes)
+            for j, witness, c in rest:
+                if up >> j & 1:
+                    value = c if j == i else compose_pair(table[(x, witness)], c)
+                    break
+            else:
                 return table, f"no covering route from {x!r} to {key[1]!r}"
+            for j, y, c in rest:
+                if up >> j & 1 and compose_pair(table[(x, y)], c) != value:
+                    return table, f"composites from {x!r} to {key[1]!r} disagree through {witness!r} and {y!r}"
             table[key] = value
     return table, None
 
@@ -403,6 +402,10 @@ def classify(t: TotalPoset) -> DeltaDiagram:
     return d
 
 
+# What a table lookup reads for a missing entry: None may name an object or a morphism.
+_ABSENT = object()
+
+
 class LabelCategory:
     """A finite category with an explicit, total composition table.
 
@@ -427,7 +430,7 @@ class LabelCategory:
         self._objects, self._morphisms = {o: o for o in self.objects}, {m: m for m in self.morphisms}
         self._out = {o: [] for o in self.objects}
         for m in self.morphisms:
-            self._out.get(self.src.get(m), []).append(m)
+            self._out.get(self.src.get(m, _ABSENT), []).append(m)
         self._hash = hash((frozenset(self._objects), frozenset(self._morphisms), frozenset(self.identity.items())))
 
     @classmethod
@@ -441,10 +444,10 @@ class LabelCategory:
         if len(objs) != len(self.objects) or len(mors) != len(self.morphisms):
             raise DomainError("duplicate objects or morphisms")
         for m in self.morphisms:
-            if src.get(m) not in objs or dst.get(m) not in objs:
+            if src.get(m, _ABSENT) not in objs or dst.get(m, _ABSENT) not in objs:
                 raise DomainError(f"morphism {m!r} has no valid endpoints")
         for o in self.objects:
-            i = self.identity.get(o)
+            i = self.identity.get(o, _ABSENT)
             if i not in mors or src[i] != o or dst[i] != o:
                 raise DomainError(f"object {o!r} has no identity morphism")
         for name, table, keys, kind in (("src", src, mors, "a morphism"), ("dst", dst, mors, "a morphism"),
@@ -454,7 +457,7 @@ class LabelCategory:
                 raise DomainError(f"the {name} table names {stray[0]!r}, which is not {kind}")
         for f in self.morphisms:
             for g in out[dst[f]]:
-                h = compose.get((f, g))
+                h = compose.get((f, g), _ABSENT)
                 if h not in mors:
                     raise DomainError(f"table misses the composite of {f!r}, {g!r}")
                 if src[h] != src[f] or dst[h] != dst[g]:

@@ -419,7 +419,7 @@ def _write(value, nl: str, out: list) -> None:
         out.append(_quote(value))
     elif t is int:
         out.append(repr(value))
-    elif t is list or t is tuple or t is dict and all(type(k) is str for k in value):
+    elif t is list or t is tuple or t is dict:
         if not value:
             out.append("{}" if t is dict else "[]")
             return

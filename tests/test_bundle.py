@@ -1,6 +1,7 @@
 """Bundles over finite posets: construction, total space, classification."""
 
 import gc
+import itertools
 import random
 import re
 import time
@@ -328,6 +329,16 @@ def test_label_category_refuses_a_stray_entry(table, key, value, message):
         LabelCategory(**tables)
 
 
+@pytest.mark.parametrize("objects, morphism, src, identity, message", [
+    (["*"], None, {None: "*"}, {}, "object '*' has no identity morphism"),
+    (["*"], None, {None: "*"}, {"*": None}, "table misses the composite of None, None"),
+    ([None], "1", {}, {None: "1"}, "morphism '1' has no valid endpoints"),
+], ids=["identity", "composite", "src"])
+def test_label_category_refuses_a_missing_entry_where_none_is_a_name(objects, morphism, src, identity, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        LabelCategory(objects, [morphism], src, {morphism: objects[0]}, identity, {})
+
+
 def test_label_category_refuses_a_non_composable_entry_as_ever():
     tables = _two_morphism_tables()
     tables["objects"].append("b")
@@ -551,6 +562,44 @@ def test_a_pair_joined_by_a_cover_reads_the_cover_itself():
     d = DeltaDiagram(base, dict.fromkeys(base.elements, Ordinal(1)), arrows)
     assert all(d.map_for(a, b) is d.arrow[(a, b)] for a, b in base.covers())
     assert d.map_for("a", "d") == collapse
+
+
+def _square_zero_monoid(zero):
+    """The one-object category {1, g, zero} where g;g = zero and zero absorbs."""
+    mors = ["1", "g", zero]
+    compose = {(f, h): zero for f in mors for h in mors}
+    compose.update({**{("1", m): m for m in mors}, **{(m, "1"): m for m in mors}})
+    return LabelCategory(["*"], mors, dict.fromkeys(mors, "*"), dict.fromkeys(mors, "*"), {"*": "1"}, compose)
+
+
+def test_a_morphism_named_none_is_a_value_like_any_other():
+    cat = _square_zero_monoid(None)
+    labels = {("a", "b"): "g", ("b", "d"): "g", ("a", "c"): "1", ("c", "d"): "g"}
+    with pytest.raises(LabelingError, match=re.escape("composites from 'a' to 'd' disagree through 'b' and 'c'")):
+        Labeling(diamond_diagram().base, cat, dict.fromkeys("abcd", "*"), labels)
+    on_cover = Labeling(arrow_poset(), cat, {"0": "*", "1": "*"}, {("0", "1"): None})
+    assert on_cover.map_for("0", "1") is None
+
+
+def test_renaming_a_morphism_named_none_changes_no_verdict_and_no_diagnostic():
+    fresh = object()
+    named = {None: _square_zero_monoid(None), fresh: _square_zero_monoid(fresh)}
+
+    def verdict(base, zero, choice):
+        labels = {c: zero if m is None else m for c, m in zip(base.covers(), choice)}
+        try:
+            lab = Labeling(base, named[zero], dict.fromkeys(base.elements, "*"), labels)
+        except LabelingError as exc:
+            return "refused", str(exc)
+        return "accepted", {k: None if v is zero else v for k, v in lab._paths.items()}
+
+    seen = set()
+    for base in all_posets(3) + [diamond_diagram().base]:  # the diamond has two routes, so refusals too
+        for choice in itertools.product(("1", "g", None), repeat=len(base.covers())):
+            outcome = verdict(base, None, choice)
+            assert verdict(base, fresh, choice) == outcome
+            seen.add(outcome[0])
+    assert seen == {"accepted", "refused"}
 
 
 @pytest.mark.parametrize("suite", ["derived", "pack"])

@@ -119,6 +119,9 @@ def test_fiber_over_map(capsys):
 def test_fiber_bad_argument(capsys):
     assert main(["fiber", "x"]) == 2
     assert main(["fiber", "0,2@"]) == 2
+    capsys.readouterr()
+    assert main(["fiber", "-1"]) == 2
+    assert capsys.readouterr().err == "error: fiber ordinal must be nonnegative\n"
 
 
 @pytest.mark.parametrize("literal", ["0,5@2", "2,1@3", "0@-1", "0,-1@2"])

@@ -174,6 +174,13 @@ def test_audit_catches_a_flipped_total_space_bit(monkeypatch):
     assert_caught(report, "total space")
 
 
+def test_roundtrip_bundle_suite_default_report():
+    report = SUITES["roundtrip-bundle"]()
+    assert report.is_ok, report.to_text()
+    assert report.counts == {"bases": 23, "diagrams": 5453, "layers": 5453, "map_checks": 5339,
+                             "total_space_checks": 5453}
+
+
 @pytest.mark.parametrize("suite", ["derived", "pack", "bordism-assoc"])
 def test_audit_catches_a_wrong_pullback_entry(monkeypatch, suite):
     def wrong(self, base, image):
