@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the cost of three oracle families, of a mesh round trip and of a
-streamed family as a Markdown table.
+"""Print the cost of three oracle families, of a mesh round trip, of a pack
+round trip and of a streamed family as a Markdown table.
 
 Usage (from the repository root):
     python3 scripts/family_cost.py
@@ -8,17 +8,20 @@ Usage (from the repository root):
 The families are ``oracles.all_diagrams`` over every poset of
 ``all_posets(3)`` with fiber ordinals <= 2, over the diamond a < b, c < d
 with ordinals <= 2, and over the 6-element total space of id: [1] -> [1]
-with ordinals <= 1.  The last row takes each diagram of the first family
+with ordinals <= 1.  The next row takes each diagram of the first family
 (built once, untimed) through ``realize_bundle``, then ``reg_extract`` and
-``sing_extract`` of the mesh.  For each row, the table gives the number of
-diagrams, the CPU time (process time, best of ROUNDS untraced runs), the
-tracemalloc peak of one more, traced run, and the hits and misses of the
-two dual memos (``ordinal.dual_delta_to_nabla`` and
+``sing_extract`` of the mesh, and the one after it each tower of depth >= 1
+of ``oracles.tower_family(0, 2)`` (built once, untimed) through ``pack`` and
+``unpack``.  For each row, the table gives the number of items (diagrams,
+or towers for the pack row), the CPU time (process time, best of ROUNDS
+untraced runs), the tracemalloc peak of one more, traced run, and the hits
+and misses of the two dual memos (``ordinal.dual_delta_to_nabla`` and
 ``ordinal.dual_nabla_to_delta``, summed) in that run.  A last row counts
 the functors ``oracles.functors`` streams over the diamond with ordinals
 <= 3, keeping none, in one untraced run: a traced one takes minutes.
 Every run starts from emptied library memos (``tower._empty_tables()``), so
-no run reuses a proof, a walk or a dual of another.
+no run reuses a proof, a walk, a dual or a packed piece of another, and the
+traced peak of the pack row includes what pack's memo retains.
 """
 
 import sys
@@ -37,13 +40,15 @@ from trusskit import (  # noqa: E402
     dual_delta_to_nabla,
     dual_nabla_to_delta,
     enumerate_delta_maps,
+    pack,
     realize_bundle,
     reg_extract,
     sing_extract,
     tower,
     total_space,
+    unpack,
 )
-from trusskit.oracles import all_diagrams, all_posets, functors  # noqa: E402
+from trusskit.oracles import all_diagrams, all_posets, functors, tower_family  # noqa: E402
 
 ROUNDS = 3
 DIAMOND = FinPoset.from_covers("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
@@ -56,11 +61,13 @@ def families():
     space = total_space(arrow).carrier
     posets = all_posets(3)
     small = [d for p in posets for d in all_diagrams(p, 2)]
+    towers = [t for t in tower_family(0, 2) if t.depth >= 1]
     return [
         ("all_posets(3), <= 2", lambda: [d for p in posets for d in all_diagrams(p, 2)]),
         ("diamond, <= 2", lambda: all_diagrams(DIAMOND, 2)),
         ("total space of id: [1] -> [1], <= 1", lambda: all_diagrams(space, 1)),
         ("mesh round trip over all_posets(3), <= 2", lambda: [round_trip(d) for d in small]),
+        ("pack round trip over tower_family(0, 2), depth >= 1", lambda: [unpack(pack(t)) for t in towers]),
     ]
 
 
@@ -76,7 +83,7 @@ def dual_memo_counts():
 
 
 def cost(build):
-    """(diagrams, best CPU seconds of ROUNDS runs, traced peak in bytes,
+    """(items, best CPU seconds of ROUNDS runs, traced peak in bytes,
     (dual memo hits, misses) of the traced run)."""
     best = float("inf")
     for _ in range(ROUNDS):
@@ -107,7 +114,7 @@ def streamed_cost():
 
 
 def main():
-    print("| family | diagrams | CPU s (best of %d) | traced peak MB | dual memo hits / misses |" % ROUNDS)
+    print("| family | items | CPU s (best of %d) | traced peak MB | dual memo hits / misses |" % ROUNDS)
     print("|---|---|---|---|---|")
     for name, build in families():
         n, seconds, peak, (hits, misses) = cost(build)

@@ -851,9 +851,10 @@ def audited():
     the counts of installs audited.  The _trusted of every _INSTALLS row is
     patched, and nothing else, and restored on exit: each distinct install is
     checked once and counted as its row says.  tower._empty_tables() empties
-    the memos (composites, plans, identities, total spaces, walks, duals), bundle._PROVED,
-    the functors proved by their constructor, and tower._BUILT, the towers
-    _trusted interned, on entry and exit, so what the block uses is installed,
+    the memos (composites, plans, identities, total spaces, walks, duals),
+    tower._PACKED, pack's pieces, bundle._PROVED, the functors proved by
+    their constructor, and tower._BUILT, the towers _trusted interned, on
+    entry and exit, so what the block uses is installed,
     and audited, or proved inside it, and nothing made inside outlives it.
     A _trusted install enters _PROVED only from all_diagrams, once its
     install has returned, so its own rebuild is a real proof, and a later

@@ -14,12 +14,13 @@ caller's ends merged into its own, so the memos, the closure's tables and
 the end comparisons below mostly match by identity; the checking
 constructors, parse and unpack build fresh towers.  A constant tower is its
 layers' functors on the root (the point or the arrow), each pulled back
-along the root projection of the previous total space.  Every restriction is pullback_tower's walk: the
-identities of bordisms, pack's fiber trusses and cover bordisms (once per
-distinct key, each the label category's own instance), and the ends of a
-tower over the arrow, which TrussTower.end forms once unless they were
-recorded: an identity bordism's are its tower, a cover bordism of pack's the
-fiber trusses over its cover, a composite's its factors' outer ends.
+along the root projection of the previous total space.  Every restriction
+is pullback_tower's walk: the identities of bordisms, pack's fiber trusses
+and cover bordisms (once per distinct label category and content key, each
+the label category's own instance), and the ends of a tower over the arrow,
+which TrussTower.end forms once unless they were recorded: an identity
+bordism's are its tower, a cover bordism of pack's the fiber trusses over
+its cover, a composite's its factors' outer ends.
 Composition builds the composite directly over the arrow, layer by layer,
 from the two bordisms' path tables: a crossing path goes through the first
 factorization middle over the seam, and every other middle is checked to
@@ -28,7 +29,8 @@ the composite's stages and its audit, and lays out its label layer: which
 elements and paths come from which bordism, and each crossing pair's
 middles; each composite only reads, composes and checks its label values.
 Composites, plans and identity bordisms are memoized by value in bounded
-caches that every caller shares, so separate pack calls close their label
+caches that every caller shares, and pack's pieces in _PACKED, bounded too,
+so separate pack calls pull back a repeated piece once and close their label
 categories from the same composites; the closure, a category by
 construction, is installed through LabelCategory._trusted.  oracles.audited()
 checks trusted towers with their recorded ends, re-proves the closure and,
@@ -365,11 +367,12 @@ _MEMOS = (_composite, _identity, _plan, total_space, _walk, _identities, dual_de
 
 
 def _empty_tables():
-    """Empty the memos, bundle._PROVED and _BUILT, as oracles.audited() does on entry and exit."""
+    """Empty the memos, bundle._PROVED, _BUILT and _PACKED, as oracles.audited() does on entry and exit."""
     for memo in _MEMOS:
         memo.cache_clear()
     _PROVED.clear()
     _BUILT.clear()
+    _PACKED.clear()
 
 
 def truss_label_category(objects, generators) -> LabelCategory:
@@ -428,31 +431,43 @@ def _packed_tower(base: FinPoset, stages, domain: FinPoset, fibers: dict, gens: 
     return PackedTower(TrussTower(base, stages, lab))
 
 
+# pack's fiber trusses and cover bordisms by (label category, content key),
+# shared by every call; bounded like the memos, emptied by _empty_tables.
+_PACKED = {}
+
+
 def pack(t: TrussTower) -> PackedTower:
     """Trade the last stage for labels: each element of its base becomes a
     labelled fiber truss, each covering relation a cover bordism, and the
     label category is synthesized by closing these under composition.
-    pullback_tower runs once per distinct key, read in one pass over the top:
-    for the fiber truss over x, last.ord[x] and the labels on x's fiber in the
-    top's index order; for the cover bordism over (x, y), both fiber keys,
+    Each piece's content key is read in one pass over the top: for the fiber
+    truss over x, last.ord[x] and the labels on x's fiber in the top's index
+    order; for the cover bordism over (x, y), both fiber keys,
     last.arrow[(x, y)] and the labels of the covers from x's fiber to y's.
-    A cover bordism records its ends, the fiber trusses over x and y."""
+    pullback_tower runs once per distinct (label category, key) across
+    calls: _PACKED keeps the pieces made, its oldest entry leaving first
+    past 2048, and _empty_tables empties it.  A cover bordism records its
+    ends, the fiber trusses over x and y."""
     if not isinstance(t, TrussTower) or t.depth < 1:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
     dom = last.base
     top = TrussTower._trusted(dom, (last, t.labels))
     els, lab = t.top.elements, t.labels
-    objs, covs, made = {x: [] for x in dom.elements}, {}, {}
+    objs, covs = {x: [] for x in dom.elements}, {}
     for a, upper in zip(els, t.top.upper):
         objs[a[0]].append(lab.objects[a])
         for j in upper:
             covs.setdefault((a[0], els[j][0]), []).append(lab.covers[(a, els[j])])
 
     def once(key, src, image, ends=None):
-        if key not in made:
-            made[key] = _pullback(top, src, image, ends)
-        return made[key]
+        key = (lab.target, key)
+        made = _PACKED.get(key)
+        if made is None:
+            if len(_PACKED) >= 2048:  # the oldest entry leaves first
+                del _PACKED[next(iter(_PACKED))]
+            made = _PACKED[key] = _pullback(top, src, image, ends)
+        return made
 
     keys = {x: (last.ord[x], tuple(objs[x]), tuple(covs.get((x, x), ()))) for x in dom.elements}
     fibers = {x: once(keys[x], point_poset(), {POINT_ELEMENT: x}) for x in dom.elements}

@@ -69,8 +69,9 @@ MEMOS = (tower._composite, tower._plan, tower._identity, total_space, bundle._wa
 
 def assert_restored():
     assert {cls: cls.__dict__["_trusted"] for cls in trusted_classes()} == TRUSTED
-    # nothing composed, made an identity, walked or laid out inside the audit outlives it
+    # nothing composed, made an identity, walked, laid out or packed inside the audit outlives it
     assert [memo.cache_info().currsize for memo in MEMOS] == [0] * len(MEMOS)
+    assert tower._PACKED == {}
 
 
 def assert_caught(report, kind):
@@ -386,6 +387,26 @@ def test_memoized_values_from_outside_are_installed_again_inside():
     assert after_identity >= len(b.layers)
     assert ident_again == ident and ident_again is not ident
     assert composite_again == composite and composite_again is not composite
+    assert_restored()
+
+
+def test_audited_empties_packs_memo_on_entry_and_exit():
+    # a piece pack memoized outside is installed, audited and counted again inside
+    t = next(t for t in tower_family(0, 2) if t.depth >= 1 and t.stages[-1].base.covers())
+    tower._empty_tables()
+    with audited() as cold:
+        pack(t)
+    assert tower._PACKED == {}
+    pack(t)
+    outside = dict(tower._PACKED)
+    assert outside
+    with audited() as warm:
+        assert tower._PACKED == {}
+        pack(t)
+        inside = dict(tower._PACKED)
+    assert inside.keys() == outside.keys()
+    assert all(inside[k] == outside[k] and inside[k] is not outside[k] for k in outside)
+    assert warm == cold and warm["layers"] > 0 and warm["end_checks"] > 0
     assert_restored()
 
 

@@ -63,6 +63,7 @@ from trusskit.bundle import pullback_bundle
 from trusskit.oracles import (
     SUITES,
     _glue,
+    _z2_relabelled,
     bordism_family,
     composable_triples,
     depth1_family,
@@ -771,7 +772,7 @@ def test_derived_suite_rebuilds_every_pulled_back_layer():
     assert counts["layers"] > counts["derived"] > counts["sources"]
 
 
-# -- pack makes each distinct truss once ------------------------------------
+# -- pack makes each distinct truss once, across calls ----------------------
 
 
 def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
@@ -784,18 +785,40 @@ def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
     # may pull back a fiber that is pack's own top, one interned instance
     monkeypatch.setattr(tower, "_packed_tower", lambda *args: mine.extend(calls) or close(*args))
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
-    shared = 0
+    tower._empty_tables()
+    made, labels = 0, []
     for t in towers:
         calls.clear()
         mine.clear()
         lab = pack(t).tower.labels
         fibers, gens = list(lab.on_objects.values()), list(lab.on_relations.values())
-        assert sum(root == point_poset() for root in mine) == len(set(fibers))
-        assert sum(root == arrow_poset() for root in mine) == len(set(gens))
-        # equal labels are one instance
-        assert len({id(x) for x in fibers + gens}) == len(set(fibers + gens))
-        shared += len(fibers) + len(gens) - len(mine)
-    assert len(towers) == 465 and shared > 0
+        # at most one pullback per distinct label in each call
+        assert sum(root == point_poset() for root in mine) <= len(set(fibers))
+        assert sum(root == arrow_poset() for root in mine) <= len(set(gens))
+        made += len(mine)
+        labels += fibers + gens
+    # one pullback per distinct (label category, content key) over the
+    # family: a piece's value fixes both, and both fix it
+    distinct = set(labels)
+    assert len(towers) == 465 and made == len(distinct) < len(labels)
+    # equal labels are one instance across calls, not only within one
+    assert len({id(x) for x in labels}) == len(distinct)
+
+
+def test_pack_shares_no_piece_across_label_categories():
+    # suite_pack's Z/2 relabelling, and the family tower with every label
+    # the identity in the trivial group and in Z/2, whose content keys agree
+    t = [t for t in tower_family(0, 2) if t.depth >= 1][100]
+    z2 = _z2_relabelled(t, random.Random(0))
+    trivial = LabelCategory(["*"], ["1"], {"1": "*"}, {"1": "*"}, {"*": "1"}, {("1", "1"): "1"})
+    plain = [TrussTower(t.base, t.stages, Labeling(t.top, cat, dict.fromkeys(t.top.elements, "*"),
+                                                   dict.fromkeys(t.top.covers(), "1")))
+             for cat in (trivial, z2.labels.target)]
+    tower._empty_tables()
+    for u in [t, z2] + plain + [t, z2] + plain[::-1]:
+        lab = pack(u).tower.labels
+        for x in list(lab.on_objects.values()) + list(lab.on_relations.values()):
+            assert x.labels.target == u.labels.target
 
 
 def test_unpack_of_pack_restricts_no_bordism(monkeypatch):
@@ -918,15 +941,25 @@ def test_trusted_routes_to_an_equal_tower_share_its_live_instance(chain_cat):
     assert identity_bordism(again) is bordism and bordism.end(0) is again and bordism.end(1) is again
 
 
-@pytest.mark.parametrize("reverse, emptied", [(False, False), (True, False), (False, True)],
-                         ids=["in order", "in reverse", "table emptied between packs"])
-def test_pack_prints_alike_whatever_the_intern_table_holds(reverse, emptied):
+@pytest.mark.parametrize("reverse, between, warmed", [
+    (False, None, False),
+    (True, None, False),
+    (False, lambda: tower._BUILT.clear(), False),
+    (False, lambda: tower._empty_tables(), False),
+    (False, None, True),
+], ids=["in order", "in reverse", "table emptied between packs", "every table emptied between packs",
+        "memo warmed in reverse"])
+def test_pack_prints_alike_whatever_the_intern_table_holds(reverse, between, warmed):
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
     tower._empty_tables()
+    if warmed:  # pack's memo then holds pieces a reverse pass made
+        for t in reversed(towers):
+            pack(t)
+        assert tower._PACKED
     printed = {}
     for i in sorted(range(len(towers)), reverse=reverse):
-        if emptied:
-            tower._BUILT.clear()
+        if between:
+            between()
         printed[i] = dumps(pack(towers[i]))
     digest = hashlib.sha256("".join(printed[i] for i in range(len(towers))).encode()).hexdigest()
     assert digest[:12] == "1ff865e59377"
