@@ -10,7 +10,8 @@ The families are ``oracles.all_diagrams`` over every poset of
 with ordinals <= 2, and over the 6-element total space of id: [1] -> [1]
 with ordinals <= 1.  The next row takes each diagram of the first family
 (built once, untimed) through ``realize_bundle``, then ``reg_extract`` and
-``sing_extract`` of the mesh, and the one after it each tower of depth >= 1
+``sing_extract`` of the mesh, the next each of them through ``total_space``
+and then ``classify``, and the one after it each tower of depth >= 1
 of ``oracles.tower_family(0, 2)`` (built once, untimed) through ``pack`` and
 ``unpack``.  For each row, the table gives the number of items (diagrams,
 or towers for the pack row), the CPU time (process time, best of ROUNDS
@@ -21,7 +22,8 @@ the functors ``oracles.functors`` streams over the diamond with ordinals
 <= 3, keeping none, in one untraced run: a traced one takes minutes.
 Every run starts from emptied library memos (``tower._empty_tables()``), so
 no run reuses a proof, a walk, a dual or a packed piece of another, and the
-traced peak of the pack row includes what pack's memo retains.
+traced peak of the pack row includes what pack's memo retains, and that of
+the classify row what the total-space and layout memos retain.
 """
 
 import sys
@@ -36,6 +38,7 @@ from trusskit import (  # noqa: E402
     FinPoset,
     Ordinal,
     arrow_poset,
+    classify,
     compose_delta,
     dual_delta_to_nabla,
     dual_nabla_to_delta,
@@ -67,6 +70,7 @@ def families():
         ("diamond, <= 2", lambda: all_diagrams(DIAMOND, 2)),
         ("total space of id: [1] -> [1], <= 1", lambda: all_diagrams(space, 1)),
         ("mesh round trip over all_posets(3), <= 2", lambda: [round_trip(d) for d in small]),
+        ("classify round trip over all_posets(3), <= 2", lambda: [classify(total_space(d)) for d in small]),
         ("pack round trip over tower_family(0, 2), depth >= 1", lambda: [unpack(pack(t)) for t in towers]),
     ]
 

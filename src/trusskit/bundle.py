@@ -6,6 +6,12 @@ relation.  Its total space is the poset of pairs (base element, stratum)
 with (b, e) <= (b', e') exactly when b <= b' and some stratum morphism
 e -> e' exists over the composite map of the base relation.  classify
 recovers the functor from a total space, total_space being its inverse.
+Both directions read one canonical layout per base and fiber sizes from the
+bounded memo _layout: total_space installs its elements and index and only
+computes the up-set masks; classify reads the fiber sizes from the head of
+each run and compares the carrier's elements with the layout at once,
+walking the elements one by one only to word a refusal.  tower._empty_tables
+empties _layout with the other memos.
 
 Bundles, labelings (functors into a LabelCategory), mesh bundles and their
 bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
@@ -287,8 +293,25 @@ class TotalPoset:
 
     @classmethod
     def _trusted(cls, d, elements, ups):
-        """total_space(d) from its laid-out elements and up-set masks, unchecked."""
-        return cls(_laid_out(FinPoset, elements, ups), d.base)
+        """total_space(d) from its laid-out elements and up-set masks,
+        unchecked; laid out by _layout, the carrier shares its index."""
+        laid, index, _ = _layout(d.base, tuple([d.ord[b].n for b in d.base.elements]))
+        return cls(_laid_out(FinPoset, elements, ups, index if elements is laid else None), d.base)
+
+
+@lru_cache(maxsize=4096)
+def _layout(base: FinPoset, sizes: tuple):
+    """The canonical layout of a total space over base whose k-th fiber is
+    over the ordinal [sizes[k]]: (elements, index, offsets).  The elements
+    are the fibers in base order, each in fiber_objects order; index maps
+    each to its position, and offsets holds each fiber's first position,
+    then the length.  total_space and classify read one per (base, sizes);
+    tower._empty_tables empties it."""
+    elements = tuple((b, e) for b, n in zip(base.elements, sizes) for e in fiber_objects(n))
+    offsets = [0]
+    for n in sizes:
+        offsets.append(offsets[-1] + 2 * n + 1)
+    return elements, {e: i for i, e in enumerate(elements)}, offsets
 
 
 @lru_cache(maxsize=4096)
@@ -296,9 +319,10 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     """Pair every base element with its fiber positions; relate (a, e) and
     (b, e') when a <= b and e -> e' is valid over the composite map.
 
-    The pairs are laid out in canonical order by construction: base
-    elements in order, then each fiber in fiber_objects order (regulars,
-    then singulars).  The up-sets are closed over the upper covers, one
+    The pairs are _layout's for the base and the fiber sizes, shared with
+    every total space and classify call over them: base elements in order,
+    then each fiber in fiber_objects order (regulars, then singulars).  The
+    only work per diagram is the up-sets, closed over the upper covers, one
     step per cover and fiber position.  Base elements are visited in
     ascending order of up-set size: a < b makes b's up-set strictly
     smaller, so every upper cover b of a is finished before a, and no
@@ -313,10 +337,7 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     base = d.base
     els = base.elements
     ns = [d.ord[b].n for b in els]
-    offsets = [0]
-    for n in ns:
-        offsets.append(offsets[-1] + 2 * n + 1)
-    elements = [(b, e) for b, n in zip(els, ns) for e in fiber_objects(n)]
+    elements, _, offsets = _layout(base, tuple(ns))
     ups = [0] * offsets[-1]
     covers = d.covers
     for k in sorted(range(len(els)), key=lambda k: base.ups[k].bit_count()):
@@ -354,9 +375,11 @@ def classify(t: TotalPoset) -> DeltaDiagram:
     The fiber ordinal over b has one fewer than its regular positions, and
     the map on a covering relation sends i to the unique j with
     (b, r_i) <= (b', r_j): the one bit of (b, r_i)'s up-set mask among the
-    regulars over b'.  Fails if the fibers are not stratum zigzags, a
-    regular position has no or several images, or the rebuilt bundle does
-    not reproduce the total space.
+    regulars over b'.  The regular positions come from the layout total_space
+    shares (_laid_regulars), else from a walk over the elements that words
+    the refusal.  Fails if the fibers are not stratum zigzags, a regular
+    position has no or several images, or the rebuilt bundle does not
+    reproduce the total space.
     """
     if not isinstance(t, TotalPoset):
         raise DomainError(f"classify needs a TotalPoset, got {type(t).__name__}")
@@ -364,42 +387,70 @@ def classify(t: TotalPoset) -> DeltaDiagram:
         if not isinstance(part, FinPoset):
             raise DomainError(f"a total space's {name} must be a FinPoset, got {type(part).__name__}")
     els, ups = t.carrier.elements, t.carrier.ups
-    by_base = {b: [] for b in t.base.elements}  # element indices over each base element
+    regular = _laid_regulars(t.base, els)
+    if regular is None:
+        regular = _walked_regulars(t.base, els)
+    over = {b: sum(1 << k for k in ks) for b, ks in regular.items()}  # each fiber's regulars as a mask
+    ords = {b: Ordinal(len(ks) - 1) for b, ks in regular.items()}
+    arrow = {}
+    for a, b in t.base.covers():
+        values = []
+        for i, k in enumerate(regular[a]):
+            image = ups[k] & over[b]
+            if image.bit_count() != 1:
+                raise ClassificationError(
+                    f"regular position {i} over {a!r} has {image.bit_count()} images over {b!r}"
+                )
+            values.append(els[image.bit_length() - 1][1].index)
+        arrow[(a, b)] = DeltaMap(ords[a], ords[b], tuple(values))
+    try:
+        d = DeltaDiagram(t.base, ords, arrow)
+    except DiagramError as exc:
+        raise ClassificationError(f"recovered data is not a bundle: {exc}") from exc
+    if total_space(d) != t:
+        raise ClassificationError("poset is not the total space of the recovered bundle")
+    return d
+
+
+def _laid_regulars(base: FinPoset, els):
+    """The carrier indices of each base element's regular positions when els
+    is _layout's tuple for the base, else None.  Each fiber's size is read
+    from the head of its run, and the sizes are bounded by the carrier's
+    length before any layout is built; then one tuple comparison decides."""
+    sizes, end = [], 0
+    for _ in base.elements:
+        head = els[end] if end < len(els) else None  # None past the end: a run cut short
+        if not (isinstance(head, tuple) and len(head) == 2 and isinstance(head[1], Stratum)):
+            return None
+        sizes.append(head[1].n)
+        end += 2 * head[1].n + 1
+    if end != len(els):
+        return None
+    laid, _, offsets = _layout(base, tuple(sizes))
+    return {b: range(k, k + n + 1) for b, k, n in zip(base.elements, offsets, sizes)} if els == laid else None
+
+
+def _walked_regulars(base: FinPoset, els) -> dict:
+    """The carrier indices of each base element's regular positions, found
+    element by element; refuses an element that is not a pair, and a fiber
+    that has no regular position or is not the zigzag over its ordinal."""
+    by_base = {b: [] for b in base.elements}  # element indices over each base element
     for k, el in enumerate(els):
         if not (isinstance(el, tuple) and len(el) == 2):
             raise ClassificationError(f"element {el!r} is not a (base element, stratum) pair")
         fib = by_base.get(el[0])
         if fib is not None:
             fib.append(k)
-    fibers, regulars = {}, {}
-    for b in t.base.elements:
-        fib = [els[k][1] for k in by_base[b]]
-        regs = [e for e in fib if isinstance(e, Stratum) and e.is_regular]
-        if not regs:
+    regular = {}
+    for b, ks in by_base.items():
+        fib = [els[k][1] for k in ks]
+        n = sum(1 for e in fib if isinstance(e, Stratum) and e.is_regular) - 1
+        if n < 0:
             raise ClassificationError(f"fiber over {b!r} has no regular position")
-        n = len(regs) - 1
         if tuple(fib) != fiber_objects(n):
             raise ClassificationError(f"fiber over {b!r} is not the zigzag over [{n}]")
-        fibers[b] = n
-        regulars[b] = sum(1 << k for k in by_base[b][:n + 1])
-    arrow = {}
-    for a, b in t.base.covers():
-        values = []
-        for i, k in enumerate(by_base[a][:fibers[a] + 1]):
-            image = ups[k] & regulars[b]
-            if image.bit_count() != 1:
-                raise ClassificationError(
-                    f"regular position {i} over {a!r} has {image.bit_count()} images over {b!r}"
-                )
-            values.append(els[image.bit_length() - 1][1].index)
-        arrow[(a, b)] = DeltaMap(Ordinal(fibers[a]), Ordinal(fibers[b]), tuple(values))
-    try:
-        d = DeltaDiagram(t.base, {b: Ordinal(n) for b, n in fibers.items()}, arrow)
-    except DiagramError as exc:
-        raise ClassificationError(f"recovered data is not a bundle: {exc}") from exc
-    if total_space(d) != t:
-        raise ClassificationError("poset is not the total space of the recovered bundle")
-    return d
+        regular[b] = ks[:n + 1]
+    return regular
 
 
 # What a table lookup reads for a missing entry: None may name an object or a morphism.

@@ -177,10 +177,13 @@ def all_diagrams(base: FinPoset, max_ordinal: int = 2) -> list:
 
 def poset_maps(src: FinPoset, dst: FinPoset) -> list:
     """Every monotone map between two finite posets: the functors into dst's
-    thin category, one arrow (u, v) when u <= v and none otherwise."""
+    thin category, one arrow (u, v) when u <= v and none otherwise.  A
+    functor is monotone by construction, so each map installs through
+    PosetMap._trusted with its object assignment as its mapping: a thin
+    target gives one functor per assignment, so no two maps share one."""
     thin = functors(src, dst.elements, lambda u, v: ((u, v),) if dst.le(u, v) else (),
                     lambda f, g: (f[0], g[1]), lambda u: (u, u))
-    return [PosetMap(src, dst, mapping) for mapping, _ in thin]
+    return [PosetMap._trusted(src, dst, mapping) for mapping, _ in thin]
 
 
 def chain3_poset() -> FinPoset:
@@ -839,6 +842,7 @@ _INSTALLS = (
      lambda new, fields: (new, (len(new.objects), len(new.morphisms))), _rebuild_disagrees),
     (MonotoneMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
     (StratumMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
+    (PosetMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
     # by the ends each install records: an interned tower may hold more
     (TrussTower, "trusted tower", lambda new, fields, fresh: "end_checks" if _recorded(new, fields) else None,
      lambda new, fields: (new, tuple(sorted(_recorded(new, fields).items()))), _tower_disagrees),
@@ -851,11 +855,11 @@ def audited():
     the counts of installs audited.  The _trusted of every _INSTALLS row is
     patched, and nothing else, and restored on exit: each distinct install is
     checked once and counted as its row says.  tower._empty_tables() empties
-    the memos (composites, plans, identities, total spaces, walks, duals),
-    tower._PACKED, pack's pieces, bundle._PROVED, the functors proved by
-    their constructor, and tower._BUILT, the towers _trusted interned, on
-    entry and exit, so what the block uses is installed,
-    and audited, or proved inside it, and nothing made inside outlives it.
+    the memos (composites, plans, identities, total spaces, layouts, walks,
+    duals), tower._PACKED, pack's pieces, bundle._PROVED, the functors
+    proved by their constructor, and tower._BUILT, the towers _trusted
+    interned, on entry and exit, so what the block uses is installed, and
+    audited, or proved inside it, and nothing made inside outlives it.
     A _trusted install enters _PROVED only from all_diagrams, once its
     install has returned, so its own rebuild is a real proof, and a later
     rebuild of an equal key shares an audited table.  A tower install is

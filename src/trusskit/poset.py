@@ -225,12 +225,13 @@ class FinPoset:
         return f"FinPoset({len(self.elements)} elements, {sum(up.bit_count() for up in self.ups)} relations)"
 
 
-def _laid_out(cls, elements, ups):
-    """The install of FinPoset._trusted.  TotalPoset._trusted calls it
-    directly: the audit checks a total space, carrier included, by its own
-    row, so its carrier is not checked a second time as a trusted poset."""
+def _laid_out(cls, elements, ups, index=None):
+    """The install of FinPoset._trusted, with the index of elements given or
+    built.  TotalPoset._trusted calls it directly: the audit checks a total
+    space, carrier included, by its own row, so its carrier is not checked a
+    second time as a trusted poset."""
     new = object.__new__(cls)
-    new._install(elements, {e: i for i, e in enumerate(elements)}, ups)
+    new._install(elements, {e: i for i, e in enumerate(elements)} if index is None else index, ups)
     return new
 
 
@@ -289,7 +290,11 @@ def _union(masks, sel: int) -> int:
 
 
 class PosetMap:
-    """A monotone map between finite posets, given by an element dictionary."""
+    """A monotone map between finite posets, given by an element dictionary.
+
+    The constructor checks totality and monotonicity on the covers;
+    ``_trusted`` installs oracles.poset_maps' enumeration unchecked, and
+    oracles.audited() rebuilds each through the constructor."""
 
     def __init__(self, src: FinPoset, dst: FinPoset, mapping):
         self.src = src
@@ -306,6 +311,14 @@ class PosetMap:
             for j in upper:
                 if not dst.le(self.mapping[a], self.mapping[els[j]]):
                     raise DomainError(f"map is not monotone on {a!r} <= {els[j]!r}")
+
+    @classmethod
+    def _trusted(cls, src, dst, mapping):
+        """A map from a dictionary known to be total and monotone, kept as
+        given; nothing is checked."""
+        new = object.__new__(cls)
+        new.src, new.dst, new.mapping = src, dst, mapping
+        return new
 
     def __call__(self, e):
         return self.mapping[e]

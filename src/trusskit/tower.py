@@ -61,7 +61,7 @@ from .poset import (
     bits,
     point_poset,
 )
-from .bundle import _PROVED, DeltaDiagram, LabelCategory, Labeling, _walk, total_space
+from .bundle import _PROVED, DeltaDiagram, LabelCategory, Labeling, _layout, _walk, total_space
 
 
 def root_of(el):
@@ -363,7 +363,8 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
 
 
 # captured, so a patched name cannot hide one
-_MEMOS = (_composite, _identity, _plan, total_space, _walk, _identities, dual_delta_to_nabla, dual_nabla_to_delta)
+_MEMOS = (_composite, _identity, _plan, total_space, _layout, _walk, _identities, dual_delta_to_nabla,
+          dual_nabla_to_delta)
 
 
 def _empty_tables():

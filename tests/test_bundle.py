@@ -221,6 +221,35 @@ def refusal_not_the_total_space():
     return TotalPoset(total_space(arrow_diagram(1, 1, (0, 1))).carrier, discrete("0", "1"))
 
 
+R00 = Stratum.regular(0, 0)
+
+
+def refusal_head_not_a_pair():
+    # the fiber over "a" is the zigzag over [0]; the run over "b" opens with a triple
+    return TotalPoset(discrete(("a", R00), ("b", R00, "x")), discrete("a", "b"))
+
+
+def refusal_cut_short():
+    # r0@1 opens a run of three positions; the carrier ends after two
+    return TotalPoset(discrete(("a", Stratum.regular(0, 1)), ("a", Stratum.regular(1, 1))), discrete("a"))
+
+
+def refusal_stray_pair():
+    # a pair over "b", which is not a base element, sorts between the fibers over "a" and "c"
+    return TotalPoset(discrete(("a", R00), ("b", R00), ("c", R00)), discrete("a", "c"))
+
+
+def refusal_huge_head():
+    # the one element names the first of 2 * 10**12 + 1 positions
+    return TotalPoset(discrete(("a", Stratum.regular(0, 10**12))), discrete("a"))
+
+
+def refusal_not_the_layout():
+    # as long as the zigzag over [1], which sorts s0@1 where s0@2 stands
+    return TotalPoset(discrete(*(("a", e) for e in fiber_objects(1)[:2]), ("a", Stratum.singular(0, 2))),
+                      discrete("a"))
+
+
 @pytest.mark.parametrize("make, message", [
     pytest.param(refusal_not_a_pair, "element 'abc' is not a (base element, stratum) pair", id="not-a-pair"),
     pytest.param(refusal_no_regular, "fiber over 'a' has no regular position", id="no-regular"),
@@ -233,10 +262,57 @@ def refusal_not_the_total_space():
                  " disagree through 'b' and 'c'", id="not-a-bundle"),
     pytest.param(refusal_not_the_total_space, "poset is not the total space of the recovered bundle",
                  id="not-the-total-space"),
+    pytest.param(refusal_head_not_a_pair, f"element {('b', R00, 'x')!r} is not a (base element, stratum) pair",
+                 id="run-head-not-a-pair"),
+    pytest.param(refusal_cut_short, "fiber over 'a' is not the zigzag over [1]", id="fiber-cut-short"),
+    pytest.param(refusal_stray_pair, "poset is not the total space of the recovered bundle", id="stray-pair"),
+    pytest.param(refusal_huge_head, "fiber over 'a' is not the zigzag over [0]", id="huge-run-head"),
+    pytest.param(refusal_not_the_layout, "fiber over 'a' is not the zigzag over [1]", id="not-the-layout"),
 ])
 def test_classify_refusals(make, message):
     with pytest.raises(ClassificationError, match="^" + re.escape(message) + "$"):
         classify(make())
+
+
+@pytest.mark.parametrize("make, laid", [
+    (refusal_head_not_a_pair, False),
+    (refusal_cut_short, False),
+    (refusal_stray_pair, False),
+    (refusal_huge_head, False),
+    (refusal_not_the_layout, True),
+], ids=["run-head-not-a-pair", "fiber-cut-short", "stray-pair", "huge-run-head", "not-the-layout"])
+def test_classify_leaves_the_shared_layout_for_the_walk(monkeypatch, make, laid):
+    # each bail-out of the layout check; all but the last before any layout is built
+    t, real, asked = make(), bundle._layout, []
+    monkeypatch.setattr(bundle, "_layout", lambda base, sizes: asked.append(sizes) or real(base, sizes))
+    assert bundle._laid_regulars(t.base, t.carrier.elements) is None
+    assert bool(asked) == laid
+
+
+def test_a_huge_run_head_is_refused_without_enumerating_its_fiber(monkeypatch):
+    asked = []
+    monkeypatch.setattr(bundle, "fiber_objects", lambda n: asked.append(n) or fiber_objects(n))
+    start = time.process_time()
+    with pytest.raises(ClassificationError):
+        classify(refusal_huge_head())
+    assert asked == [0] and time.process_time() - start < 1
+
+
+def test_total_spaces_over_one_base_and_sizes_share_one_layout():
+    a, b = total_space(arrow_diagram(1, 2, (0, 2))).carrier, total_space(arrow_diagram(1, 2, (1, 1))).carrier
+    assert a != b
+    assert a.elements is b.elements and a.index is b.index
+    assert total_space(arrow_diagram(2, 1, (0, 0, 1))).carrier.elements != a.elements
+
+
+def test_a_carrier_rebuilt_from_shuffled_elements_classifies_alike():
+    # an equal element tuple, not the shared one: classify compares values
+    rng = random.Random(7)
+    for d in all_diagrams(FinPoset.from_covers("abc", [("a", "b"), ("a", "c")]), 2)[::40]:
+        t = total_space(d)
+        carrier = FinPoset(rng.sample(t.carrier.elements, len(t.carrier.elements)), t.carrier.leq)
+        assert carrier.elements == t.carrier.elements and carrier.elements is not t.carrier.elements
+        assert classify(TotalPoset(carrier, t.base)) == d
 
 
 def test_pullback_identity_and_point():

@@ -63,8 +63,8 @@ def trusted_classes():
 
 TRUSTED = {cls: cls.__dict__["_trusted"] for cls in trusted_classes()}
 END = TrussTower.__dict__["end"]
-MEMOS = (tower._composite, tower._plan, tower._identity, total_space, bundle._walk, ordinal._identities,
-         ordinal.dual_delta_to_nabla, ordinal.dual_nabla_to_delta)
+MEMOS = (tower._composite, tower._plan, tower._identity, total_space, bundle._layout, bundle._walk,
+         ordinal._identities, ordinal.dual_delta_to_nabla, ordinal.dual_nabla_to_delta)
 
 
 def assert_restored():
@@ -173,6 +173,39 @@ def test_audit_catches_a_flipped_total_space_bit(monkeypatch):
     report = SUITES["roundtrip-bundle"]()
     monkeypatch.undo()
     assert_caught(report, "total space")
+
+
+def test_empty_tables_and_audited_empty_the_layouts():
+    d = DeltaDiagram(chain3_poset(), {"a": 0, "b": 1, "c": 1},
+                     {("a", "b"): DeltaMap(0, 1, (0,)), ("b", "c"): DeltaMap.identity(1)})
+    bundle.classify(total_space(d))
+    assert bundle._layout.cache_info().currsize
+    tower._empty_tables()
+    assert bundle._layout.cache_info().currsize == 0
+    total_space(d)
+    with audited():
+        assert bundle._layout.cache_info().currsize == 0
+        assert bundle.classify(total_space(d)) == d
+        assert bundle._layout.cache_info().currsize
+    assert_restored()
+
+
+def test_audit_catches_a_wrong_poset_map(monkeypatch):
+    chain = chain3_poset()
+    with audited() as counts:
+        maps = poset_maps(chain, chain)
+    assert counts["map_checks"] == len(maps) == 10
+    real = PosetMap.__dict__["_trusted"].__func__
+
+    def reversed_values(cls, src, dst, mapping):
+        return real(cls, src, dst, dict(zip(mapping, list(mapping.values())[::-1])))
+
+    monkeypatch.setattr(PosetMap, "_trusted", classmethod(reversed_values))
+    with audited():
+        with pytest.raises(oracles._Disagreement, match="trusted map"):
+            poset_maps(chain, chain)
+    monkeypatch.undo()
+    assert_restored()
 
 
 def test_roundtrip_bundle_suite_default_report():
