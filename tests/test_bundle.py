@@ -245,7 +245,7 @@ def refusal_huge_head():
 
 
 def refusal_not_the_layout():
-    # as long as the zigzag over [1], which sorts s0@1 where s0@2 stands
+    # three positions, as many as the zigzag over [1], but s0@2 where that has s0@1
     return TotalPoset(discrete(*(("a", e) for e in fiber_objects(1)[:2]), ("a", Stratum.singular(0, 2))),
                       discrete("a"))
 
