@@ -47,7 +47,7 @@ from .errors import (
     DomainError,
     LabelingError,
 )
-from .ordinal import DeltaMap, Ordinal, compose_delta
+from .ordinal import DeltaMap, Ordinal, _by_value, compose_delta
 from .poset import FinPoset, PosetMap, _laid_out, bits, element_sort_key
 from .strata import Stratum, fiber_objects
 
@@ -314,7 +314,7 @@ def _layout(base: FinPoset, sizes: tuple):
     return elements, {e: i for i, e in enumerate(elements)}, offsets
 
 
-@lru_cache(maxsize=4096)
+@_by_value(4096)
 def total_space(d: DeltaDiagram) -> TotalPoset:
     """Pair every base element with its fiber positions; relate (a, e) and
     (b, e') when a <= b and e -> e' is valid over the composite map.
@@ -331,7 +331,9 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     the up-set of s_i over a is its own bit with those of r_i and r_(i+1)
     over a and those of s_j over b for f(i) <= j < f(i+1).  The masks are
     installed unchecked by TotalPoset._trusted, which oracles.audited()
-    patches to check each against a pair-by-pair stratum_targets spelling."""
+    patches to check each against a pair-by-pair stratum_targets spelling.
+    Memoized by value (ordinal._by_value, 4096 entries); a wrong type, an
+    unhashable one included, is refused by the guard below."""
     if not isinstance(d, DeltaDiagram):
         raise DomainError(f"total_space needs a DeltaDiagram, got {type(d).__name__}")
     base = d.base
@@ -402,10 +404,10 @@ def classify(t: TotalPoset) -> DeltaDiagram:
                     f"regular position {i} over {a!r} has {image.bit_count()} images over {b!r}"
                 )
             values.append(els[image.bit_length() - 1][1].index)
-        arrow[(a, b)] = DeltaMap(ords[a], ords[b], tuple(values))
+        arrow[(a, b)] = tuple(values)
     try:
-        d = DeltaDiagram(t.base, ords, arrow)
-    except DiagramError as exc:
+        d = DeltaDiagram(t.base, ords, {(a, b): DeltaMap(ords[a], ords[b], vs) for (a, b), vs in arrow.items()})
+    except (DiagramError, DomainError) as exc:
         raise ClassificationError(f"recovered data is not a bundle: {exc}") from exc
     if total_space(d) != t:
         raise ClassificationError("poset is not the total space of the recovered bundle")

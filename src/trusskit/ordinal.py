@@ -201,23 +201,29 @@ def enumerate_nabla_maps(n, m) -> list:
     return [make(n, m, vs) for vs in combos if vs[0] == 0 and vs[-1] == m.n]
 
 
-def _by_value(dual):
-    """dual, memoized by its argument's value in a bounded table; a map-like
-    that cannot be hashed is dualized afresh, through the checks."""
-    memo = lru_cache(maxsize=1024)(dual)
+def _by_value(maxsize):
+    """The library's one memo for a public function: fn, memoized by its
+    arguments' values in an lru_cache of maxsize entries that every caller
+    shares.  Arguments that cannot be hashed run fn itself, so the type
+    guard in fn's body refuses them as it refuses any other wrong type.
+    Like an lru_cache, the wrapper has the table's cache_info and
+    cache_clear, and __wrapped__ is fn."""
+    def memoize(fn):
+        memo = lru_cache(maxsize=maxsize)(fn)
 
-    @wraps(dual)
-    def by_value(f):
-        try:
-            return memo(f)
-        except TypeError:  # unhashable; a TypeError of dual itself recurs
-            return dual(f)
+        @wraps(fn)
+        def by_value(*args):
+            try:
+                return memo(*args)
+            except TypeError:  # unhashable; a TypeError of fn itself recurs
+                return fn(*args)
 
-    by_value.cache_info, by_value.cache_clear = memo.cache_info, memo.cache_clear
-    return by_value
+        by_value.cache_info, by_value.cache_clear = memo.cache_info, memo.cache_clear
+        return by_value
+    return memoize
 
 
-@_by_value
+@_by_value(1024)
 def dual_delta_to_nabla(f: DeltaMap) -> NablaMap:
     """The dual of f: [n] -> [m] is the interval map [m+1] -> [n+1] with
 
@@ -231,7 +237,7 @@ def dual_delta_to_nabla(f: DeltaMap) -> NablaMap:
     return make(Ordinal(f.dst.n + 1), Ordinal(f.src.n + 1), vals)
 
 
-@_by_value
+@_by_value(1024)
 def dual_nabla_to_delta(g: NablaMap) -> DeltaMap:
     """Inverse of dual_delta_to_nabla: for g: [m+1] -> [n+1] the dual
     [n] -> [m] sends i to #{ j in {1, ..., m+1} : g(j) <= i } (a bisection).

@@ -136,6 +136,8 @@ class Stratum:
 def validate_stratum_map(src: Stratum, dst: Stratum, alpha: DeltaMap) -> bool:
     """Whether alpha carries a morphism src -> dst.  The ambient ordinals of
     src and dst must match alpha's endpoints."""
+    if not (isinstance(src, Stratum) and isinstance(dst, Stratum) and isinstance(alpha, MonotoneMap)):
+        raise DomainError(f"validate_stratum_map needs two strata and a map, got {src!r}, {dst!r} and {alpha!r}")
     if alpha.src.n != src.n or alpha.dst.n != dst.n:
         raise DomainError(f"{alpha} does not run between the ambients of {src} and {dst}")
     i, j = src.index, dst.index

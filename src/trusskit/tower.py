@@ -52,7 +52,7 @@ from .errors import (
     InternalError,
     PackingError,
 )
-from .ordinal import DeltaMap, Ordinal, _identities, dual_delta_to_nabla, dual_nabla_to_delta
+from .ordinal import DeltaMap, Ordinal, _by_value, _identities, dual_delta_to_nabla, dual_nabla_to_delta
 from .poset import (
     POINT_ELEMENT,
     FinPoset,
@@ -219,16 +219,13 @@ def restrict_bordism(b: TrussTower, end: int) -> TrussTower:
     return pullback_tower(b, _end_inclusion(end))
 
 
+@_by_value(2048)
 def identity_bordism(t: TrussTower) -> Bordism:
     """Pull a tower over the point back along the collapse of the arrow,
-    recording t as both its ends; memoized by value in _identity."""
+    recording t as both its ends.  Memoized by value (ordinal._by_value);
+    a wrong type, an unhashable one included, is refused by the guard."""
     if not isinstance(t, TrussTower) or t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
-    return _identity(t)
-
-
-@lru_cache(maxsize=2048)
-def _identity(t: TrussTower) -> Bordism:
     return _pullback(t, arrow_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT}, {0: t, 1: t})
 
 
@@ -328,10 +325,13 @@ def _plan(stages1: tuple, stages2: tuple):
     return tuple(stages), plan, CompositionAudit(crossings, alternatives)
 
 
-@lru_cache(maxsize=2048)
+@_by_value(2048)
 def _composite(b1: TrussTower, b2: TrussTower):
     """Check that the bordisms b1 then b2 compose and build the composite as
-    the module docstring says; returns (composite, audit), memoized."""
+    the module docstring says; returns (composite, audit), memoized by value."""
+    arrow = arrow_poset()
+    if not (isinstance(b1, TrussTower) and isinstance(b2, TrussTower) and b1.base == arrow and b2.base == arrow):
+        raise CompositionError("both arguments must be bordisms over the arrow poset")
     if b1.depth != b2.depth:
         raise CompositionError("bordisms of different depth do not compose")
     if b1.end(1) != b2.end(0):
@@ -341,29 +341,21 @@ def _composite(b1: TrussTower, b2: TrussTower):
     return TrussTower._trusted(arrow_poset(), stages + (_apply(plan, b1.layers[-1], b2.layers[-1]),), ends), audit
 
 
-def _compose(b1: TrussTower, b2: TrussTower):
-    """_composite, behind the type guard that its memo cannot run."""
-    arrow = arrow_poset()
-    if not (isinstance(b1, TrussTower) and isinstance(b2, TrussTower) and b1.base == arrow and b2.base == arrow):
-        raise CompositionError("both arguments must be bordisms over the arrow poset")
-    return _composite(b1, b2)
-
-
 def compose_bordisms(b1: TrussTower, b2: TrussTower) -> Bordism:
     """First b1, then b2, built directly over the arrow from the two path
     tables; raises InternalError if two factorization middles disagree."""
-    return _compose(b1, b2)[0]
+    return _composite(b1, b2)[0]
 
 
 def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
     """Compose as compose_bordisms does; returns (composite, audit), the
     audit counting the crossings (the covers of a composite layer whose
     ends lie over different ends of the arrow) and their middles."""
-    return _compose(b1, b2)
+    return _composite(b1, b2)
 
 
 # captured, so a patched name cannot hide one
-_MEMOS = (_composite, _identity, _plan, total_space, _layout, _walk, _identities, dual_delta_to_nabla,
+_MEMOS = (_composite, identity_bordism, _plan, total_space, _layout, _walk, _identities, dual_delta_to_nabla,
           dual_nabla_to_delta)
 
 

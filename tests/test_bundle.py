@@ -250,6 +250,18 @@ def refusal_not_the_layout():
                       discrete("a"))
 
 
+def refusal_crossed_regulars():
+    # the total space of a diagram installed over the arrow with the map (1, 0), rebuilt through the
+    # checking constructor: a valid poset, whose recovered map (1, 0) is not weakly increasing
+    good = arrow_diagram(1, 1, (0, 1))
+    crossed = DeltaDiagram._trusted(good._key[:-1], good.compose,
+                                    {**good._paths, ("0", "1"): DeltaMap._trusted(Ordinal(1), Ordinal(1), (1, 0))})
+    carrier = total_space(crossed).carrier
+    els, ups = carrier.elements, carrier.ups
+    return TotalPoset(FinPoset(els, [(x, els[j]) for x, up in zip(els, ups) for j in range(len(els)) if up >> j & 1]),
+                      arrow_poset())
+
+
 @pytest.mark.parametrize("make, message", [
     pytest.param(refusal_not_a_pair, "element 'abc' is not a (base element, stratum) pair", id="not-a-pair"),
     pytest.param(refusal_no_regular, "fiber over 'a' has no regular position", id="no-regular"),
@@ -268,6 +280,8 @@ def refusal_not_the_layout():
     pytest.param(refusal_stray_pair, "poset is not the total space of the recovered bundle", id="stray-pair"),
     pytest.param(refusal_huge_head, "fiber over 'a' is not the zigzag over [0]", id="huge-run-head"),
     pytest.param(refusal_not_the_layout, "fiber over 'a' is not the zigzag over [1]", id="not-the-layout"),
+    pytest.param(refusal_crossed_regulars, "recovered data is not a bundle: values (1, 0) are not weakly increasing",
+                 id="crossed-regulars"),
 ])
 def test_classify_refusals(make, message):
     with pytest.raises(ClassificationError, match="^" + re.escape(message) + "$"):

@@ -4,14 +4,17 @@ Report and leaves the library as it found it."""
 
 import copy
 import hashlib
+import importlib
 import inspect
 import itertools
+import pkgutil
 import random
 import sys
 import tracemalloc
 
 import pytest
 
+import trusskit
 from trusskit import (
     DeltaDiagram,
     DeltaMap,
@@ -32,6 +35,8 @@ from trusskit import (
     mesh,
     oracles,
     ordinal,
+    poset,
+    strata,
     tower,
 )
 from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
@@ -63,7 +68,7 @@ def trusted_classes():
 
 TRUSTED = {cls: cls.__dict__["_trusted"] for cls in trusted_classes()}
 END = TrussTower.__dict__["end"]
-MEMOS = (tower._composite, tower._plan, tower._identity, total_space, bundle._layout, bundle._walk,
+MEMOS = (tower._composite, tower._plan, tower.identity_bordism, total_space, bundle._layout, bundle._walk,
          ordinal._identities, ordinal.dual_delta_to_nabla, ordinal.dual_nabla_to_delta)
 
 
@@ -660,6 +665,21 @@ def test_empty_tables_empties_the_walks_and_identities():
     assert all(memo.cache_info().currsize for memo in memos)
     tower._empty_tables()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+
+
+# the tables of constants, shared for the life of the process
+CONSTANT_TABLES = (poset.point_poset, poset.arrow_poset, poset.path_poset, tower._end_inclusion, mesh._even_heights,
+                   strata.fiber_objects, strata.validate_stratum_map)
+
+
+def test_every_memo_is_emptied_or_a_table_of_constants():
+    # so a memo added later cannot outlive _empty_tables() and oracles.audited()
+    modules = [importlib.import_module(f"trusskit.{m.name}") for m in pkgutil.iter_modules(trusskit.__path__)]
+    memos = {id(fn): f"{module.__name__}.{name}" for module in [trusskit] + modules
+             for name, fn in vars(module).items() if callable(fn) and hasattr(fn, "cache_clear")}
+    known = {id(fn) for fn in tower._MEMOS + CONSTANT_TABLES}
+    assert [name for key, name in memos.items() if key not in known] == []
+    assert known <= memos.keys()
 
 
 def test_the_diamond_family_is_bounded_in_memory():

@@ -57,6 +57,7 @@ from trusskit import (
     total_space,
     truss_label_category,
     unpack,
+    validate_stratum_map,
 )
 from trusskit import bundle, tower
 from trusskit.bundle import pullback_bundle
@@ -827,7 +828,7 @@ def test_unpack_of_pack_restricts_no_bordism(monkeypatch):
     real = tower.restrict_bordism
     monkeypatch.setattr(tower, "restrict_bordism", lambda b, end: calls.append(end) or real(b, end))
     tower._composite.cache_clear()
-    tower._identity.cache_clear()
+    tower.identity_bordism.cache_clear()
     packed = [pack(t) for t in tower_family(0, 2) if t.depth >= 1]
     assert calls == []
     for p in packed:
@@ -986,6 +987,22 @@ def test_pack_composes_each_distinct_pair_once(monkeypatch):
     assert info.misses == len(pairs) == 354 and info.hits > info.misses
 
 
+def test_packed_pieces_past_the_bound_evict_the_oldest_first():
+    t = next(t for t in tower_family(0, 2) if t.depth >= 1 and t.stages[-1].base.covers())
+    tower._empty_tables()
+    printed = dumps(pack(t))
+    made = len(tower._PACKED)
+    dummies = [("dummy", k) for k in range(2048)]
+    try:
+        tower._empty_tables()
+        tower._PACKED.update((key, object()) for key in dummies)
+        assert dumps(pack(t)) == printed
+        assert len(tower._PACKED) == 2048 and dummies[0] not in tower._PACKED
+        assert list(tower._PACKED)[:2048 - made] == dummies[made:]
+    finally:
+        tower._empty_tables()
+
+
 def _refusal_operands():
     """A bordism, one of its stage diagrams and a monotone map into that
     diagram's base, the well-typed operands beside each wrong one."""
@@ -1029,6 +1046,8 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
                  id="compose_bordisms(5, b)"),
     pytest.param(lambda b, d, f: compose_bordisms([], b), CompositionError, "both arguments must be bordisms",
                  id="compose_bordisms([], b)"),
+    pytest.param(lambda b, d, f: compose_bordisms([], []), CompositionError, "both arguments must be bordisms",
+                 id="compose_bordisms([], [])"),
     pytest.param(lambda b, d, f: compose_bordisms_audited(b, []), CompositionError,
                  "both arguments must be bordisms", id="compose_bordisms_audited(b, [])"),
     pytest.param(lambda b, d, f: compose_bordisms_audited(b, 5), CompositionError, "both arguments must be bordisms",
@@ -1084,6 +1103,11 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
                  "a total space's base must be a FinPoset, got int", id="classify(TotalPoset(pt, 5))"),
     pytest.param(lambda b, d, f: total_space(5), DomainError, "total_space needs a DeltaDiagram, got int",
                  id="total_space(5)"),
+    pytest.param(lambda b, d, f: total_space([]), DomainError, "total_space needs a DeltaDiagram, got list",
+                 id="total_space([])"),
+    pytest.param(lambda b, d, f: validate_stratum_map("x", Stratum.regular(0, 1), d.arrow[("0", "1")]), DomainError,
+                 "validate_stratum_map needs two strata and a map, got 'x', Stratum(",
+                 id="validate_stratum_map('x', r0@1, map)"),
     pytest.param(lambda b, d, f: DeltaDiagram(5, {}, {}), DomainError,
                  "a DeltaDiagram's base must be a FinPoset, got int", id="DeltaDiagram(5, {}, {})"),
     pytest.param(lambda b, d, f: Labeling(5, b.labels.target, {}, {}), DomainError,
