@@ -94,12 +94,11 @@ def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
         routes = [(j, y, values[p]) for j, y, p in incoming]
         for i, up, key in below:
             x, rest = key[0], iter(routes)
+            # x < z, so some lower cover y of z has x <= y: a first route exists
             for j, witness, c in rest:
                 if up >> j & 1:
                     value = c if j == i else compose_pair(table[(x, witness)], c)
                     break
-            else:
-                return table, f"no covering route from {x!r} to {key[1]!r}"
             for j, y, c in rest:
                 if up >> j & 1 and compose_pair(table[(x, y)], c) != value:
                     return table, f"composites from {x!r} to {key[1]!r} disagree through {witness!r} and {y!r}"
@@ -292,11 +291,12 @@ class TotalPoset:
     base: FinPoset
 
     @classmethod
-    def _trusted(cls, d, elements, ups):
-        """total_space(d) from its laid-out elements and up-set masks,
-        unchecked; laid out by _layout, the carrier shares its index."""
-        laid, index, _ = _layout(d.base, tuple([d.ord[b].n for b in d.base.elements]))
-        return cls(_laid_out(FinPoset, elements, ups, index if elements is laid else None), d.base)
+    def _trusted(cls, d, layout, ups):
+        """total_space(d) from _layout's record (elements, index, offsets)
+        for d's base and fiber sizes and from its up-set masks, unchecked;
+        the carrier shares the layout's elements and index."""
+        elements, index, _ = layout
+        return cls(_laid_out(FinPoset, elements, ups, index), d.base)
 
 
 @lru_cache(maxsize=4096)
@@ -329,9 +329,10 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     linear extension is needed.  For each upper cover (a, b), f its map:
     the up-set of r_i over a is its own bit with that of r_f(i) over b;
     the up-set of s_i over a is its own bit with those of r_i and r_(i+1)
-    over a and those of s_j over b for f(i) <= j < f(i+1).  The masks are
-    installed unchecked by TotalPoset._trusted, which oracles.audited()
-    patches to check each against a pair-by-pair stratum_targets spelling.
+    over a and those of s_j over b for f(i) <= j < f(i+1).  The masks and
+    the layout, read once, are installed unchecked by TotalPoset._trusted,
+    which oracles.audited() patches to check each against a pair-by-pair
+    stratum_targets spelling.
     Memoized by value (ordinal._by_value, 4096 entries); a wrong type, an
     unhashable one included, is refused by the guard below."""
     if not isinstance(d, DeltaDiagram):
@@ -339,7 +340,8 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     base = d.base
     els = base.elements
     ns = [d.ord[b].n for b in els]
-    elements, _, offsets = _layout(base, tuple(ns))
+    layout = _layout(base, tuple(ns))
+    offsets = layout[2]
     ups = [0] * offsets[-1]
     covers = d.covers
     for k in sorted(range(len(els)), key=lambda k: base.ups[k].bit_count()):
@@ -358,7 +360,7 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
                 for j in range(bsing + v[i], bsing + v[i + 1]):
                     mask |= ups[j]
             ups[sing + i] = mask
-    return TotalPoset._trusted(d, elements, ups)
+    return TotalPoset._trusted(d, layout, ups)
 
 
 def pullback_bundle(d: DeltaDiagram, f: PosetMap) -> DeltaDiagram:

@@ -16,9 +16,12 @@ block uses.
 Ordinals are interned: there is exactly one Ordinal instance per n, so two
 ordinals are equal exactly when they are the same object, and equality and
 hashing run in C.  Maps stay value objects compared field by field: slotted
-frozen dataclasses, whose installs set the three slots through their
-descriptors, and whose copies and unpickled values are rebuilt through the
-checking constructor.
+frozen dataclasses.  The value layer spells each half once, here, for
+strata.py too: _Interned is the immutable base of Ordinal and Stratum, whose
+copies and unpickled values are rebuilt from their value fields, and
+_slotted gives MonotoneMap and StratumMap their _trusted, which sets the
+three slots through their descriptors, and a __reduce__ that rebuilds
+copies and unpickled values through the checking constructor.
 """
 
 from __future__ import annotations
@@ -27,16 +30,52 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache, wraps
-from operator import gt
+from operator import attrgetter, gt
 
 from .errors import DomainError
+
+
+class _Interned:
+    """The immutable base of an interned value: its fields are set once, in
+    __new__, and a copy or an unpickled value is rebuilt from the fields
+    _value names, which returns the one instance with that value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._value))
+
+
+def _slotted(cls):
+    """Give a slotted frozen dataclass of three fields _trusted, an install
+    the constructor would accept, unchecked, that sets the slots through
+    their own descriptors, and a __reduce__ that rebuilds copies and
+    unpickled values through the checking constructor."""
+    new, fields = object.__new__, attrgetter(*cls.__slots__)
+    set_a, set_b, set_c = (cls.__dict__[f].__set__ for f in cls.__slots__)
+
+    def _trusted(cls, a, b, c):
+        self = new(cls)
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+        return self
+
+    cls._trusted, cls.__reduce__ = classmethod(_trusted), lambda self: (type(self), fields(self))
+    return cls
 
 
 # One instance per ordinal, keyed by n.
 _ORDINALS = {}
 
 
-class Ordinal:
+class Ordinal(_Interned):
     """The ordinal [n] = {0, 1, ..., n}, so always nonempty.
 
     Ordinals are interned: constructing, copying or unpickling one returns
@@ -45,6 +84,7 @@ class Ordinal:
     """
 
     __slots__ = ("n", "size")
+    _value = ("n",)
 
     def __new__(cls, n):
         if type(n) is int:
@@ -60,15 +100,6 @@ class Ordinal:
         object.__setattr__(self, "size", n + 1)
         return _ORDINALS.setdefault(n, self)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Ordinal, (self.n,))
-
     def __repr__(self):
         return f"Ordinal(n={self.n!r})"
 
@@ -80,6 +111,7 @@ def _as_ordinal(x) -> Ordinal:
     return x if isinstance(x, Ordinal) else Ordinal(x)
 
 
+@_slotted
 @dataclass(frozen=True)
 class MonotoneMap:
     """A weakly increasing map [src] -> [dst], stored as its value sequence;
@@ -105,18 +137,6 @@ class MonotoneMap:
         if any(map(gt, vs, vs[1:])):
             raise DomainError(f"values {vs} are not weakly increasing")
 
-    @classmethod
-    def _trusted(cls, src, dst, values):
-        """A map the constructor accepts, unchecked; fields set as it sets them."""
-        self = _new(cls)
-        _set_src(self, src)
-        _set_dst(self, dst)
-        _set_values(self, values)
-        return self
-
-    def __reduce__(self):
-        return (type(self), (self.src, self.dst, self.values))
-
     def __call__(self, i: int) -> int:
         return self.values[i]
 
@@ -129,8 +149,7 @@ class MonotoneMap:
         return _identities(cls, _as_ordinal(n))
 
 
-# the slots' own setters: a frozen dataclass refuses setattr
-_new = object.__new__
+# the slots' own setters, for __post_init__: a frozen dataclass refuses setattr
 _set_src, _set_dst, _set_values = (MonotoneMap.__dict__[f].__set__ for f in MonotoneMap.__slots__)
 
 
@@ -168,16 +187,22 @@ class NablaMap(MonotoneMap):
 
 def compose_delta(f: DeltaMap, g: DeltaMap) -> DeltaMap:
     """First f, then g."""
-    if f.dst != g.src:
-        raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
+    try:
+        if f.dst != g.src:
+            raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
+    except AttributeError:
+        raise DomainError(f"compose_delta needs two maps, got {type(f).__name__} and {type(g).__name__}") from None
     make = DeltaMap._trusted if isinstance(f, MonotoneMap) and isinstance(g, MonotoneMap) else DeltaMap
     return make(f.src, g.dst, tuple(g.values[v] for v in f.values))
 
 
 def compose_nabla(f: NablaMap, g: NablaMap) -> NablaMap:
     """First f, then g.  Endpoint preservation is closed under composition."""
-    if f.dst != g.src:
-        raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
+    try:
+        if f.dst != g.src:
+            raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
+    except AttributeError:
+        raise DomainError(f"compose_nabla needs two maps, got {type(f).__name__} and {type(g).__name__}") from None
     make = NablaMap._trusted if isinstance(f, NablaMap) and isinstance(g, NablaMap) else NablaMap
     return make(f.src, g.dst, tuple(g.values[v] for v in f.values))
 
@@ -232,7 +257,10 @@ def dual_delta_to_nabla(f: DeltaMap) -> NablaMap:
     It sends 0 to 0 and m+1 to n+1, so it preserves endpoints.  The values
     of f are sorted, so the count is a bisection.
     """
-    vals = tuple(bisect_left(f.values, j) for j in range(f.dst.n + 2))
+    try:
+        vals = tuple(bisect_left(f.values, j) for j in range(f.dst.n + 2))
+    except AttributeError:
+        raise DomainError(f"dual_delta_to_nabla needs a map, got {type(f).__name__}") from None
     make = NablaMap._trusted if isinstance(f, MonotoneMap) else NablaMap
     return make(Ordinal(f.dst.n + 1), Ordinal(f.src.n + 1), vals)
 
@@ -242,7 +270,10 @@ def dual_nabla_to_delta(g: NablaMap) -> DeltaMap:
     """Inverse of dual_delta_to_nabla: for g: [m+1] -> [n+1] the dual
     [n] -> [m] sends i to #{ j in {1, ..., m+1} : g(j) <= i } (a bisection).
     """
-    n, m = g.dst.n - 1, g.src.n - 1
+    try:
+        n, m = g.dst.n - 1, g.src.n - 1
+    except AttributeError:
+        raise DomainError(f"dual_nabla_to_delta needs a map, got {type(g).__name__}") from None
     vals = tuple(bisect_right(g.values, i, 1) - 1 for i in range(n + 1))
     make = DeltaMap._trusted if isinstance(g, NablaMap) else DeltaMap
     return make(Ordinal(n), Ordinal(m), vals)

@@ -72,7 +72,7 @@ class FinPoset:
         """A poset from elements already in canonical order and up-set masks
         already reflexive, antisymmetric and transitive; nothing is sorted or
         checked."""
-        return _laid_out(cls, elements, ups)
+        return _laid_out(cls, elements, ups, {e: i for i, e in enumerate(elements)})
 
     def _install(self, elements, index, ups):
         self.elements, self.index, self.ups = tuple(elements), index, tuple(ups)
@@ -225,13 +225,14 @@ class FinPoset:
         return f"FinPoset({len(self.elements)} elements, {sum(up.bit_count() for up in self.ups)} relations)"
 
 
-def _laid_out(cls, elements, ups, index=None):
-    """The install of FinPoset._trusted, with the index of elements given or
-    built.  TotalPoset._trusted calls it directly: the audit checks a total
-    space, carrier included, by its own row, so its carrier is not checked a
-    second time as a trusted poset."""
+def _laid_out(cls, elements, ups, index):
+    """The install of FinPoset._trusted, with the index of elements its
+    caller holds: FinPoset._trusted builds it, and TotalPoset._trusted
+    passes its layout's.  TotalPoset._trusted calls it directly: the audit
+    checks a total space, carrier included, by its own row, so its carrier
+    is not checked a second time as a trusted poset."""
     new = object.__new__(cls)
-    new._install(elements, {e: i for i, e in enumerate(elements)} if index is None else index, ups)
+    new._install(elements, index, ups)
     return new
 
 

@@ -27,24 +27,27 @@ generates its maps without filtering and installs them unchecked
 proportional to its output.  oracles.audited() audits every unchecked
 install, posets through its FinPoset row, and the homsets and factorization
 suites compare fibers and factorization posets with a pair-by-pair filter
-spelling.  StratumMap is a slotted frozen dataclass, as the ordinal maps are.
+spelling.  StratumMap is a slotted frozen dataclass whose _trusted and
+copies come from ordinal._slotted, as the ordinal maps' do.
 
 Strata are interned: there is exactly one Stratum instance per value
 (kind, index, n), however it was made (constructed, parsed, copied or
 unpickled), so two strata are equal exactly when they are the same object.
-Total-space elements are nested tuples of strata, so hashing and comparing
-them runs in C.  Only values that pass every check are interned.
+Like Ordinal, Stratum is an ordinal._Interned: immutable, and copied or
+unpickled by its value.  Total-space elements are nested tuples of strata,
+so hashing and comparing them runs in C.  Only values that pass every check
+are interned.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import DomainError
-from .ordinal import DeltaMap, MonotoneMap, Ordinal, compose_delta
+from .ordinal import DeltaMap, MonotoneMap, Ordinal, _Interned, _slotted, compose_delta
 from .poset import FinPoset
 
 REGULAR = "r"
@@ -55,7 +58,7 @@ SINGULAR = "s"
 _STRATA = {}
 
 
-class Stratum:
+class Stratum(_Interned):
     """A regular or singular position in the fiber over the ordinal [n].
 
     Strata are interned: constructing, parsing, copying or unpickling a
@@ -65,6 +68,7 @@ class Stratum:
     """
 
     __slots__ = ("kind", "index", "n", "is_regular", "_sort_key")
+    _value = ("kind", "index", "n")
 
     def __new__(cls, kind, index, n):
         if type(index) is int and type(n) is int:
@@ -93,15 +97,6 @@ class Stratum:
         set_field(self, "_sort_key", key)
         return _STRATA.setdefault(key, self)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Stratum, (self.kind, self.index, self.n))
-
     @staticmethod
     def regular(i: int, n: int) -> "Stratum":
         return Stratum(REGULAR, i, n)
@@ -117,7 +112,7 @@ class Stratum:
             kind = text[0]
             i, n = text[1:].split("@")
             return Stratum(kind, int(i), int(n))
-        except (IndexError, ValueError) as exc:
+        except (IndexError, TypeError, ValueError) as exc:
             raise DomainError(f"bad stratum literal {text!r}, expected e.g. 's0@1'") from exc
 
     def sort_key(self):
@@ -148,6 +143,7 @@ def validate_stratum_map(src: Stratum, dst: Stratum, alpha: DeltaMap) -> bool:
     return alpha(i) <= j < alpha(i + 1)
 
 
+@_slotted
 @dataclass(frozen=True)
 class StratumMap:
     """A valid morphism between stratum positions, over its underlying map."""
@@ -162,25 +158,8 @@ class StratumMap:
         if not validate_stratum_map(self.src, self.dst, self.underlying):
             raise DomainError(f"{self.underlying} carries no morphism {self.src} -> {self.dst}")
 
-    @classmethod
-    def _trusted(cls, src, dst, underlying):
-        """A morphism the constructor accepts, unchecked; fields set as it sets them."""
-        self = _new(cls)
-        _set_src(self, src)
-        _set_dst(self, dst)
-        _set_underlying(self, underlying)
-        return self
-
-    def __reduce__(self):
-        return (type(self), (self.src, self.dst, self.underlying))
-
     def __str__(self):
         return f"{self.src} -> {self.dst} via {list(self.underlying.values)}"
-
-
-# the slots' own setters: a frozen dataclass refuses setattr
-_new = object.__new__
-_set_src, _set_dst, _set_underlying = (StratumMap.__dict__[f].__set__ for f in StratumMap.__slots__)
 
 
 def hom_strata(x: Stratum, y: Stratum) -> tuple:
@@ -270,7 +249,11 @@ def _fiber_ups(n: int, at: int = 0) -> list:
 def fiber_over_ordinal(n: int) -> FinPoset:
     """The fiber over [n]: the zigzag r_0 > s_0 < r_1 > ... < r_n, with
     s_i below both r_i and r_{i+1}."""
-    return FinPoset._trusted(fiber_objects(n), _fiber_ups(n))
+    try:
+        objs = fiber_objects(n)
+    except TypeError:  # unhashable: the cache refuses it before the guard
+        raise DomainError(f"a fiber lies over an ordinal [n], n an int, got {type(n).__name__}") from None
+    return FinPoset._trusted(objs, _fiber_ups(n))
 
 
 def fiber_over_map(alpha: DeltaMap) -> FinPoset:

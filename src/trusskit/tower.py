@@ -6,21 +6,23 @@ functor from the topmost total space into a label category.  The stages and
 then the labels are the tower's layers, and every walk goes over the layers
 alike, through the CoverFunctor core.  A bordism is a tower whose root base is
 the walking arrow.  Every tower the library builds is a pullback, a composite,
-a constant or a glue; all but the glue, and pack's last stage with its labels,
-chain by construction and end in TrussTower._trusted, unchecked, with the
-ends their builder knows.  _trusted interns: while a tower it installed with
-equal layers over an equal base lives, it returns that one instance, the
-caller's ends merged into its own, so the memos, the closure's tables and
-the end comparisons below mostly match by identity; the checking
-constructors, parse and unpack build fresh towers.  A constant tower is its
-layers' functors on the root (the point or the arrow), each pulled back
-along the root projection of the previous total space.  Every restriction
-is pullback_tower's walk: the identities of bordisms, pack's fiber trusses
-and cover bordisms (once per distinct label category and content key, each
-the label category's own instance), and the ends of a tower over the arrow,
-which TrussTower.end forms once unless they were recorded: an identity
-bordism's are its tower, a cover bordism of pack's the fiber trusses over
-its cover, a composite's its factors' outer ends.
+a constant or a glue; all but the glue chain by construction and end in
+TrussTower._trusted, unchecked, with the ends their builder knows, and every
+tower _trusted installs is one the library returns or keeps.  _trusted
+interns: while a tower it installed with equal layers over an equal base
+lives, it returns that one instance, the caller's ends merged into its own,
+so the memos, the closure's tables and the end comparisons below mostly
+match by identity; the checking constructors, parse and unpack build fresh
+towers.  A constant tower is its layers' functors on the root (the point or
+the arrow), each pulled back along the root projection of the previous total
+space.  Every restriction is _pullback's walk over a chain of layers: the
+identities of bordisms, pack's fiber trusses and cover bordisms (a walk of
+the last stage with the labels, which installs no tower for that chain,
+once per distinct label category and content key, each the label
+category's own instance), and the ends of a tower over the arrow, which
+TrussTower.end forms once unless they were recorded: an identity bordism's
+are its tower, a cover bordism of pack's the fiber trusses over its cover,
+a composite's its factors' outer ends.
 Composition builds the composite directly over the arrow, layer by layer,
 from the two bordisms' path tables: a crossing path goes through the first
 factorization middle over the seam, and every other middle is checked to
@@ -190,15 +192,16 @@ def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
         raise DomainError("pullback_tower needs a TrussTower and a PosetMap")
     if f.dst != t.base:
         raise DomainError("pullback map must land in the tower's base")
-    return _pullback(t, f.src, f.mapping)
+    return _pullback(t.layers, f.src, f.mapping)
 
 
-def _pullback(t: TrussTower, root: FinPoset, image: dict, ends=None) -> TrussTower:
-    """pullback_tower's walk along the monotone map out of root whose value at
-    x is image[x], as CoverFunctor.pullback takes it, with the ends the
-    caller knows, unchecked."""
+def _pullback(chain, root: FinPoset, image: dict, ends=None) -> TrussTower:
+    """pullback_tower's walk of a chain of layers (stages, each over the
+    previous total space, then labels on the last) along the monotone map
+    out of root whose value at x is image[x], as CoverFunctor.pullback takes
+    it; installs the result, with the ends the caller knows, unchecked."""
     base, layers = root, []
-    for layer in t.layers:
+    for layer in chain:
         if layers:
             base = total_space(layers[-1]).carrier
             image = {(b, e): (image[b], e) for (b, e) in base.elements}
@@ -226,7 +229,7 @@ def identity_bordism(t: TrussTower) -> Bordism:
     a wrong type, an unhashable one included, is refused by the guard."""
     if not isinstance(t, TrussTower) or t.base != point_poset():
         raise DomainError("identity bordisms are formed on towers over the point")
-    return _pullback(t, arrow_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT}, {0: t, 1: t})
+    return _pullback(t.layers, arrow_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT}, {0: t, 1: t})
 
 
 def _retag(el, rootmap):
@@ -437,15 +440,15 @@ def pack(t: TrussTower) -> PackedTower:
     truss over x, last.ord[x] and the labels on x's fiber in the top's index
     order; for the cover bordism over (x, y), both fiber keys,
     last.arrow[(x, y)] and the labels of the covers from x's fiber to y's.
-    pullback_tower runs once per distinct (label category, key) across
-    calls: _PACKED keeps the pieces made, its oldest entry leaving first
-    past 2048, and _empty_tables empties it.  A cover bordism records its
-    ends, the fiber trusses over x and y."""
+    Each piece is _pullback's walk of the chain (last, t.labels), which
+    installs no tower for the chain itself, and runs once per distinct
+    (label category, key) across calls: _PACKED keeps the pieces made, its
+    oldest entry leaving first past 2048, and _empty_tables empties it.  A
+    cover bordism records its ends, the fiber trusses over x and y."""
     if not isinstance(t, TrussTower) or t.depth < 1:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
     dom = last.base
-    top = TrussTower._trusted(dom, (last, t.labels))
     els, lab = t.top.elements, t.labels
     objs, covs = {x: [] for x in dom.elements}, {}
     for a, upper in zip(els, t.top.upper):
@@ -459,7 +462,7 @@ def pack(t: TrussTower) -> PackedTower:
         if made is None:
             if len(_PACKED) >= 2048:  # the oldest entry leaves first
                 del _PACKED[next(iter(_PACKED))]
-            made = _PACKED[key] = _pullback(top, src, image, ends)
+            made = _PACKED[key] = _pullback((last, lab), src, image, ends)
         return made
 
     keys = {x: (last.ord[x], tuple(objs[x]), tuple(covs.get((x, x), ()))) for x in dom.elements}

@@ -319,6 +319,14 @@ def test_total_spaces_over_one_base_and_sizes_share_one_layout():
     assert total_space(arrow_diagram(2, 1, (0, 0, 1))).carrier.elements != a.elements
 
 
+def test_a_total_space_miss_reads_its_layout_once(monkeypatch):
+    d, real, asked = arrow_diagram(1, 2, (0, 2)), bundle._layout, []
+    monkeypatch.setattr(bundle, "_layout", lambda base, sizes: asked.append(sizes) or real(base, sizes))
+    t = total_space.__wrapped__(d)  # the function past its memo: a miss
+    assert asked == [(1, 2)]
+    assert t.carrier.elements is real(d.base, (1, 2))[0] and t.carrier.index is real(d.base, (1, 2))[1]
+
+
 def test_a_carrier_rebuilt_from_shuffled_elements_classifies_alike():
     # an equal element tuple, not the shared one: classify compares values
     rng = random.Random(7)

@@ -43,9 +43,13 @@ from trusskit import (
     compose_bordisms,
     compose_bordisms_audited,
     compose_delta,
+    compose_nabla,
     constant_inclusion,
+    dual_delta_to_nabla,
+    dual_nabla_to_delta,
     enumerate_delta_maps,
     dumps,
+    fiber_over_ordinal,
     identity_bordism,
     pack,
     parse,
@@ -806,6 +810,24 @@ def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
     assert len({id(x) for x in labels}) == len(distinct)
 
 
+def test_pack_installs_towers_only_over_the_point_or_the_arrow(monkeypatch):
+    # pack's pieces, their identities and composites, and the ends it
+    # restricts; no tower over the last stage's base is installed and dropped
+    towers, roots = [t for t in tower_family(0, 2) if t.depth >= 1], []
+    real = TrussTower.__dict__["_trusted"].__func__
+
+    def install(cls, base, layers, ends=None):
+        roots.append(base)
+        return real(cls, base, layers, ends)
+
+    monkeypatch.setattr(TrussTower, "_trusted", classmethod(install))
+    tower._empty_tables()
+    for t in towers:
+        pack(t)
+    assert any(t.depth == 2 for t in towers) and roots
+    assert all(root == point_poset() or root == arrow_poset() for root in roots)
+
+
 def test_pack_shares_no_piece_across_label_categories():
     # suite_pack's Z/2 relabelling, and the family tower with every label
     # the identity in the trivial group and in Z/2, whose content keys agree
@@ -1132,6 +1154,19 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: b.end([]), DomainError, "end must be 0 or 1", id="bordism.end([])"),
     pytest.param(lambda b, d, f: section_to_strata(realize_bundle(d), 5), SectionError,
                  "a section maps base elements to strata, got int", id="section_to_strata(m, 5)"),
+    pytest.param(lambda b, d, f: compose_delta([1], [2]), DomainError,
+                 "compose_delta needs two maps, got list and list", id="compose_delta([1], [2])"),
+    pytest.param(lambda b, d, f: compose_delta(5, 6), DomainError, "compose_delta needs two maps, got int and int",
+                 id="compose_delta(5, 6)"),
+    pytest.param(lambda b, d, f: compose_nabla([1], [2]), DomainError,
+                 "compose_nabla needs two maps, got list and list", id="compose_nabla([1], [2])"),
+    pytest.param(lambda b, d, f: dual_delta_to_nabla([1]), DomainError, "dual_delta_to_nabla needs a map, got list",
+                 id="dual_delta_to_nabla([1])"),
+    pytest.param(lambda b, d, f: dual_nabla_to_delta([1]), DomainError, "dual_nabla_to_delta needs a map, got list",
+                 id="dual_nabla_to_delta([1])"),
+    pytest.param(lambda b, d, f: fiber_over_ordinal([3]), DomainError,
+                 "a fiber lies over an ordinal [n], n an int, got list", id="fiber_over_ordinal([3])"),
+    pytest.param(lambda b, d, f: Stratum.parse(5), DomainError, "bad stratum literal 5", id="Stratum.parse(5)"),
 ])
 def test_entry_points_refuse_a_wrong_type(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
