@@ -16,12 +16,13 @@ empties _layout with the other memos.
 Bundles, labelings (functors into a LabelCategory), mesh bundles and their
 bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
 CoverFunctor core: it checks which elements and covers are assigned, proves
-functoriality with functor_table, keeps the resulting path table and
-defines equality.  One proof per value while an equal one lives: a key
-equal to a live proved functor's, or to a live diagram of
-oracles.all_diagrams, shares its key and path table.  Tables proved over
-one base store the key tuples of its _walk, and every proof takes its
-identities from ordinal's table, one per class and ordinal.  A
+functoriality with functor_table and keeps the resulting path table.  It
+and LabelCategory compare, hash and install unchecked through poset._Keyed,
+the structure layer's one base, by their keys.  One proof per value while
+an equal one lives: a key equal to a live proved functor's, or to a live
+diagram of oracles.all_diagrams, shares its key and path table.  Tables
+proved over one base store the key tuples of its _walk, and every proof
+takes its identities from ordinal's table, one per class and ordinal.  A
 functor installed unchecked hashes on first use, so installs nobody looks
 up never hash.  The core also carries the two operations every walk over
 a tower needs: over() rebuilds a functor of the same kind over another
@@ -48,7 +49,7 @@ from .errors import (
     LabelingError,
 )
 from .ordinal import DeltaMap, Ordinal, _by_value, compose_delta
-from .poset import FinPoset, PosetMap, _laid_out, bits, element_sort_key
+from .poset import FinPoset, PosetMap, _Keyed, bits, element_sort_key
 from .strata import Stratum, fiber_objects
 
 
@@ -117,13 +118,14 @@ def _key_hash(key) -> int:
 _PROVED = WeakValueDictionary()
 
 
-class CoverFunctor:
+class CoverFunctor(_Keyed):
     """A functor out of a finite poset, given on its elements and covers.
 
     A subclass normalizes its arguments into a key (base, [target,] element
     values, cover values), names the key's entries in ``_fields``, checks
     its values and endpoints in ``_check_values(*key)`` and calls
-    ``_extend`` from its constructor.  That checks that exactly the base
+    ``_extend`` from its constructor, its two tables read through
+    ``_tables``.  That checks that exactly the base
     elements and covering relations are assigned, extends the cover values
     to every related pair with functor_table and stores that path table;
     functor_table's diagnostic is raised as ``_error``.  One proof per value
@@ -143,9 +145,10 @@ class CoverFunctor:
     subclass reads alike through the core: ``base``, the tables ``objects``
     (per element) and ``covers`` (per covering relation), and ``compose``,
     the composition the path table was built with.  Equality and hashing go by
-    ``_key``: the base, any target, then the element and cover tables.  A
-    trusted functor's hash is taken on first use and kept, and ``==``
-    compares hashes only when both sides have one.
+    ``_key``, through poset._Keyed: the base, any target, then the element
+    and cover tables.  A trusted functor's hash is taken on first use
+    (``_hashed``) and kept, ``==`` compares hashes only when both sides have
+    one, and functors of two sibling classes are never equal.
     """
 
     _error = DiagramError
@@ -181,6 +184,14 @@ class CoverFunctor:
             _key_hash(key)  # raises the TypeError
         self._install(key, compose, table, h)
         _PROVED[h] = self
+
+    def _tables(self, objects, covers):
+        """A constructor's element and cover tables as dicts; DomainError
+        names a table that is not one."""
+        try:
+            return dict(objects), dict(covers)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"a {type(self).__name__}'s {' and '.join(self._names)} must be tables: {exc}") from None
 
     def _install(self, key, compose, paths, h=None):
         """Store a key whose path table is known to be functorial, under
@@ -238,26 +249,14 @@ class CoverFunctor:
         """A functor from its key less the covers, (base, [target,] objects),
         and a functorial path table; reads its covers from the table."""
         covers = {c: paths[c] for c in key[0].covers()}
-        new = object.__new__(cls)
-        new._install(key + (covers,), compose, paths)
-        return new
+        return cls._made(key + (covers,), compose, paths)
 
     def _derive(self, base, objects, paths):
         """_trusted for the same kind of functor, into the same target."""
         return self._trusted((base,) + self._key[1:-2] + (objects,), self.compose, paths)
 
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if type(other) is not type(self):
-            return False
-        h, g = self._hash, other._hash  # compared only when both are taken
-        return (h is None or g is None or h == g) and self._key == other._key
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = _key_hash(self._key)
-        return self._hash
+    def _hashed(self):
+        return _key_hash(self._key)
 
 
 class DeltaDiagram(CoverFunctor):
@@ -269,8 +268,9 @@ class DeltaDiagram(CoverFunctor):
     """
 
     def __init__(self, base: FinPoset, ord, arrow):
-        ords = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in dict(ord).items()}
-        self._extend((base, ords, dict(arrow)), lambda b: DeltaMap.identity(ords[b]), compose_delta)
+        ord, arrow = self._tables(ord, arrow)
+        ords = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in ord.items()}
+        self._extend((base, ords, arrow), lambda b: DeltaMap.identity(ords[b]), compose_delta)
 
     @staticmethod
     def _check_values(base, ords, arrow):
@@ -294,9 +294,12 @@ class TotalPoset:
     def _trusted(cls, d, layout, ups):
         """total_space(d) from _layout's record (elements, index, offsets)
         for d's base and fiber sizes and from its up-set masks, unchecked;
-        the carrier shares the layout's elements and index."""
+        the carrier shares the layout's elements and index.  The carrier is
+        FinPoset._made, not FinPoset._trusted: the audit checks a total
+        space, carrier included, by its own row, so its carrier is not
+        checked a second time as a trusted poset."""
         elements, index, _ = layout
-        return cls(_laid_out(FinPoset, elements, ups, index), d.base)
+        return cls(FinPoset._made(elements, index, ups), d.base)
 
 
 @lru_cache(maxsize=4096)
@@ -461,7 +464,7 @@ def _walked_regulars(base: FinPoset, els) -> dict:
 _ABSENT = object()
 
 
-class LabelCategory:
+class LabelCategory(_Keyed):
     """A finite category with an explicit, total composition table.
 
     Morphism entries are arbitrary hashables; compose[(f, g)] is "first f,
@@ -471,12 +474,17 @@ class LabelCategory:
     ``_out`` each object to the morphisms out of it, in morphism order.  The
     constructor checks the laws over composable pairs and triples only;
     ``_trusted`` installs truss_label_category's closure unchecked, and
-    oracles.audited() rebuilds each through the constructor.  The hash
-    covers objects, morphisms and identities; ``==`` compares every table.
+    oracles.audited() rebuilds each through the constructor.  Equality goes
+    through poset._Keyed by the key (objects and morphisms as sets, then the
+    src, dst, identity and compose tables); the hash covers objects,
+    morphisms and identities.
     """
 
     def __init__(self, objects, morphisms, src, dst, identity, compose):
-        self._install(objects, morphisms, src, dst, identity, compose)
+        try:
+            self._install(objects, morphisms, src, dst, identity, compose)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"a LabelCategory takes iterables of hashables and four tables: {exc}") from None
         self._validate()
 
     def _install(self, objects, morphisms, src, dst, identity, compose):
@@ -486,13 +494,12 @@ class LabelCategory:
         self._out = {o: [] for o in self.objects}
         for m in self.morphisms:
             self._out.get(self.src.get(m, _ABSENT), []).append(m)
+        self._key = (self._objects.keys(), self._morphisms.keys(), self.src, self.dst, self.identity, self.compose)
         self._hash = hash((frozenset(self._objects), frozenset(self._morphisms), frozenset(self.identity.items())))
 
     @classmethod
     def _trusted(cls, objects, morphisms, src, dst, identity, compose):
-        new = object.__new__(cls)
-        new._install(objects, morphisms, src, dst, identity, compose)
-        return new
+        return cls._made(objects, morphisms, src, dst, identity, compose)
 
     def _validate(self):
         objs, mors, out, src, dst, compose = self._objects, self._morphisms, self._out, self.src, self.dst, self.compose
@@ -550,6 +557,8 @@ class LabelCategory:
     def from_poset(cls, p: FinPoset) -> "LabelCategory":
         """The thin category of a poset; morphism names are "a<=b" strings in
         the pairs' canonical order, and a <= b composes with b's up-set."""
+        if not isinstance(p, FinPoset):
+            raise DomainError(f"from_poset needs a FinPoset, got {type(p).__name__}")
         els = p.elements
         above = {a: [els[j] for j in bits(up)] for a, up in zip(els, p.ups)}
         name = {(a, b): f"{a}<={b}" for a, up in above.items() for b in up}
@@ -563,16 +572,6 @@ class LabelCategory:
     @classmethod
     def terminal(cls) -> "LabelCategory":
         return cls.from_poset(FinPoset(["*"], [("*", "*")]))
-
-    def __eq__(self, other):
-        return other is self or (
-            isinstance(other, LabelCategory) and self._hash == other._hash
-            and (self._objects.keys(), self._morphisms.keys(), self.src, self.dst, self.identity, self.compose)
-            == (other._objects.keys(), other._morphisms.keys(), other.src, other.dst, other.identity, other.compose)
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"LabelCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -592,9 +591,9 @@ class Labeling(CoverFunctor):
     def __init__(self, domain: FinPoset, target: LabelCategory, on_objects, on_relations):
         if not isinstance(target, LabelCategory):
             raise LabelingError(f"a Labeling's target must be a LabelCategory, got {type(target).__name__}")
-        objects = dict(on_objects)
+        objects, relations = self._tables(on_objects, on_relations)
         self._extend(
-            (domain, target, objects, dict(on_relations)),
+            (domain, target, objects, relations),
             lambda b: target.identity[objects[b]],
             target.compose_pair,
         )
@@ -602,10 +601,18 @@ class Labeling(CoverFunctor):
     @staticmethod
     def _check_values(domain, target, on_objects, on_relations):
         for b, o in on_objects.items():
-            if o not in target._objects:
+            try:
+                known = o in target._objects
+            except TypeError:  # an unhashable label is no object
+                known = False
+            if not known:
                 raise LabelingError(f"label {o!r} of {b!r} is not an object")
         for (a, b), m in on_relations.items():
-            if m not in target._morphisms:
+            try:
+                known = m in target._morphisms
+            except TypeError:  # nor a morphism
+                known = False
+            if not known:
                 raise LabelingError(f"label {m!r} of cover ({a!r}, {b!r}) is not a morphism")
             if target.src[m] != on_objects[a] or target.dst[m] != on_objects[b]:
                 raise LabelingError(f"label of cover ({a!r}, {b!r}) has wrong endpoints")

@@ -129,6 +129,8 @@ def _svg_id(prefix: str, key: str) -> str:
 
 def scene_to_svg(scene: Scene) -> str:
     """Deterministic SVG 1.1 text for a scene; same scene, same bytes."""
+    if not isinstance(scene, Scene):
+        raise LayoutError(f"scene_to_svg needs a Scene, got {type(scene).__name__}")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 100 100">',

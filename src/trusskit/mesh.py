@@ -135,8 +135,8 @@ class NablaDiagram(CoverFunctor):
     the composite backward map of any related pair."""
 
     def __init__(self, base: FinPoset, ord, arrow):
-        ords = dict(ord)
-        self._extend((base, ords, dict(arrow)), lambda x: NablaMap.identity(ords[x]), _backward)
+        ords, arrow = self._tables(ord, arrow)
+        self._extend((base, ords, arrow), lambda x: NablaMap.identity(ords[x]), _backward)
 
     @staticmethod
     def _check_values(base, ords, arrow):
@@ -161,8 +161,8 @@ class PLMeshBundle(CoverFunctor):
     _fields = ("base", "heights", "sing")
 
     def __init__(self, base: FinPoset, heights, sing):
-        heights = dict(heights)
-        self._extend((base, heights, dict(sing)), lambda x: NablaMap.identity(heights[x].interval), _backward)
+        heights, sing = self._tables(heights, sing)
+        self._extend((base, heights, sing), lambda x: NablaMap.identity(heights[x].interval), _backward)
 
     @staticmethod
     def _check_values(base, heights, sing):

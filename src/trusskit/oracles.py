@@ -826,8 +826,8 @@ def _tower_disagrees(new: TrussTower, fields):
 # One row per class whose own _trusted installs unchecked: the kind a failure
 # names; the count (a name per install, or a function of the value, of the
 # install's fields and of whether it is checked now); the key (subject,
-# witness): a subject is checked again only with another witness, and shown
-# on failure; and the check.
+# witness): a subject is checked once per distinct witness, every witness
+# checked being kept, and shown on failure; and the check.
 _INSTALLS = (
     # == compares elements in order and masks: a non-canonical order differs
     (FinPoset, "trusted poset", "poset_checks", lambda new, fields: (new, ()), _poset_disagrees),
@@ -865,14 +865,15 @@ def audited():
     rebuild of an equal key shares an audited table.  A tower install is
     counted and checked by the ends it records, whatever else the interned
     tower holds.  A disagreement raises _Disagreement."""
-    counts, checked = Counter(), {}  # checked: (kind, subject) -> witness
+    counts, checked = Counter(), {}  # checked: (kind, subject) -> the witnesses checked
     saved = {row[0]: row[0].__dict__["_trusted"] for row in _INSTALLS}
 
     def patched(owner, kind, count, key, check):
         def install(cls, *fields):
             new = saved[owner].__func__(cls, *fields)
             subject, witness = key(new, fields)
-            fresh = checked.get((kind, subject)) != witness  # not yet checked with this witness
+            # a list, not a set: a functor's witness is its path table, a dict
+            fresh = witness not in checked.setdefault((kind, subject), [])
             if fresh:
                 try:
                     why = check(new, fields)
@@ -880,7 +881,7 @@ def audited():
                     why = f"the validating rebuild fails: {exc}"
                 if why is not None:
                     raise _Disagreement(kind, why, subject)
-                checked[(kind, subject)] = witness
+                checked[(kind, subject)].append(witness)
             name = count(new, fields, fresh) if callable(count) else count
             if name:
                 counts[name] += 1

@@ -9,6 +9,12 @@ is <= the j-th element.  Comparison, equality, hashing, the Hasse diagram
 (transitive reduction of the masks, after Aho, Garey and Ullman 1972) and the
 linear extension (Kahn 1962, over indices) all read the masks; the relation
 as a set of pairs is built only for a caller that asks for ``leq``.
+
+_Keyed is the one equality, hash and unchecked install of the structure
+layer: FinPoset and PosetMap here, and bundle's CoverFunctor and
+LabelCategory and tower's TrussTower.  Each stores its value as a ``_key``
+and its hash as ``_hash``, and two values compare stored hashes before keys,
+the hash-consing discipline of Filliâtre and Conchon (2006).
 """
 
 from __future__ import annotations
@@ -43,7 +49,39 @@ def bits(mask: int) -> list:
     return out
 
 
-class FinPoset:
+class _Keyed:
+    """The base of a structure value: equal exactly when its ``_key`` is.
+
+    ``==`` is identity first; a value not of the left side's class is
+    NotImplemented, so Python tries the reflected side and falls back to
+    identity: a tower and a bordism with equal layers are equal both ways,
+    and sibling functors never are.  Otherwise the stored hashes are
+    compared, only when both are taken, and then the keys.  A class whose
+    install leaves ``_hash`` None takes it on first use through its
+    ``_hashed()``.  ``_made`` is the unchecked install behind each class's
+    own ``_trusted``: no constructor, only the class's ``_install``."""
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        h, g = self._hash, other._hash  # compared only when both are taken
+        return (h is None or g is None or h == g) and self._key == other._key
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = self._hashed()
+        return self._hash
+
+    @classmethod
+    def _made(cls, *fields):
+        new = object.__new__(cls)
+        new._install(*fields)
+        return new
+
+
+class FinPoset(_Keyed):
     """A finite poset: elements in canonical order plus one up-set mask each.
 
     ``index`` maps each element to its position in ``elements``, and bit j
@@ -56,14 +94,7 @@ class FinPoset:
 
     def __init__(self, elements, leq):
         order, index = _canonical(elements)
-        ups = [0] * len(order)
-        strays = []
-        for a, b in leq:
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                strays.append((a, b))
-            else:
-                ups[i] |= 1 << j
+        ups, strays = _masks(index, leq, "a poset's relation")
         self._install(order, index, ups)
         self._validate(strays)
 
@@ -72,12 +103,13 @@ class FinPoset:
         """A poset from elements already in canonical order and up-set masks
         already reflexive, antisymmetric and transitive; nothing is sorted or
         checked."""
-        return _laid_out(cls, elements, ups, {e: i for i, e in enumerate(elements)})
+        return cls._made(elements, {e: i for i, e in enumerate(elements)}, ups)
 
     def _install(self, elements, index, ups):
         self.elements, self.index, self.ups = tuple(elements), index, tuple(ups)
         self._covers = self._linear = None
-        self._hash = hash((self.elements, self.ups))
+        self._key = (self.elements, self.ups)
+        self._hash = hash(self._key)
 
     def _validate(self, strays=()):
         """Raise on the first violation: reflexivity, antisymmetry and
@@ -117,11 +149,9 @@ class FinPoset:
         order, so it is installed unchecked.
         """
         order, index = _canonical(elements)
-        succ = [0] * len(order)
-        for a, b in covers:
-            if a not in index or b not in index:
-                raise DomainError(f"cover ({a!r}, {b!r}) mentions a non-element")
-            succ[index[a]] |= 1 << index[b]
+        succ, strays = _masks(index, covers, "covers")
+        if strays:
+            raise DomainError(f"cover {strays[0]!r} mentions a non-element")
         ups, first = _closure(succ)
         if first is not None:
             raise DomainError(f"cover relation has a cycle through {order[first]!r}")
@@ -210,40 +240,39 @@ class FinPoset:
     def __contains__(self, el):
         return el in self.index
 
-    def __eq__(self, other):
-        return other is self or (
-            isinstance(other, FinPoset)
-            and self._hash == other._hash
-            and self.elements == other.elements
-            and self.ups == other.ups
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"FinPoset({len(self.elements)} elements, {sum(up.bit_count() for up in self.ups)} relations)"
 
 
-def _laid_out(cls, elements, ups, index):
-    """The install of FinPoset._trusted, with the index of elements its
-    caller holds: FinPoset._trusted builds it, and TotalPoset._trusted
-    passes its layout's.  TotalPoset._trusted calls it directly: the audit
-    checks a total space, carrier included, by its own row, so its carrier
-    is not checked a second time as a trusted poset."""
-    new = object.__new__(cls)
-    new._install(elements, index, ups)
-    return new
-
-
 def _canonical(elements):
     """The elements in canonical order and the index of each; raises
-    DomainError on a duplicate."""
-    order = tuple(sorted(elements, key=element_sort_key))
-    index = {e: i for i, e in enumerate(order)}
+    DomainError on a duplicate, and on elements that are not an iterable
+    of hashables."""
+    try:
+        order = tuple(sorted(elements, key=element_sort_key))
+        index = {e: i for i, e in enumerate(order)}
+    except TypeError as exc:
+        raise DomainError(f"poset elements must be an iterable of hashables: {exc}") from None
     if len(index) != len(order):
         raise DomainError("duplicate poset elements")
     return order, index
+
+
+def _masks(index, pairs, what) -> tuple:
+    """Per element of index, the mask with bit j set for each pair of it and
+    the j-th element; and the pairs that name a non-element, in order.
+    Raises DomainError unless pairs is an iterable of pairs of hashables."""
+    masks, strays = [0] * len(index), []
+    try:
+        for a, b in pairs:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                strays.append((a, b))
+            else:
+                masks[i] |= 1 << j
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be an iterable of pairs of hashables: {exc}") from None
+    return masks, strays
 
 
 def _closure(succ) -> tuple:
@@ -290,17 +319,19 @@ def _union(masks, sel: int) -> int:
     return out
 
 
-class PosetMap:
+class PosetMap(_Keyed):
     """A monotone map between finite posets, given by an element dictionary.
 
     The constructor checks totality and monotonicity on the covers;
     ``_trusted`` installs oracles.poset_maps' enumeration unchecked, and
-    oracles.audited() rebuilds each through the constructor."""
+    oracles.audited() rebuilds each through the constructor.  The key is
+    (src, dst, mapping), hashed on first use with the mapping as a set of
+    items."""
 
     def __init__(self, src: FinPoset, dst: FinPoset, mapping):
-        self.src = src
-        self.dst = dst
-        self.mapping = dict(mapping)
+        if not (isinstance(src, FinPoset) and isinstance(dst, FinPoset)):
+            raise DomainError(f"a PosetMap runs between FinPosets, got {type(src).__name__} and {type(dst).__name__}")
+        self._install(src, dst, dict(mapping))
         for e in src.elements:
             if e not in self.mapping:
                 raise DomainError(f"map undefined on {e!r}")
@@ -317,27 +348,22 @@ class PosetMap:
     def _trusted(cls, src, dst, mapping):
         """A map from a dictionary known to be total and monotone, kept as
         given; nothing is checked."""
-        new = object.__new__(cls)
-        new.src, new.dst, new.mapping = src, dst, mapping
-        return new
+        return cls._made(src, dst, mapping)
+
+    def _install(self, src, dst, mapping):
+        self.src, self.dst, self.mapping = src, dst, mapping
+        self._key, self._hash = (src, dst, mapping), None
+
+    def _hashed(self):
+        return hash((self.src, self.dst, frozenset(self.mapping.items())))
 
     def __call__(self, e):
         return self.mapping[e]
 
     @staticmethod
     def identity(p: FinPoset) -> "PosetMap":
-        return PosetMap(p, p, {e: e for e in p.elements})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PosetMap)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.mapping == other.mapping
-        )
-
-    def __hash__(self):
-        return hash((self.src, self.dst, frozenset(self.mapping.items())))
+        # a p that is no FinPoset gets an empty table, and the constructor refuses it
+        return PosetMap(p, p, {e: e for e in p.elements} if isinstance(p, FinPoset) else {})
 
     def __repr__(self):
         return f"PosetMap({self.mapping})"

@@ -453,6 +453,8 @@ def parse(text: str):
         ) from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except TypeError:
+        raise ParseError(f"parse needs JSON text, got {type(text).__name__}") from None
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ParseError("file must be a JSON object with a 'schema' field")
     schema = obj["schema"]
@@ -470,6 +472,6 @@ def save(obj, path) -> None:
 def load(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, TypeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse(text)

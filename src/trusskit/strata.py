@@ -207,6 +207,8 @@ def compose_strata(f: StratumMap, g: StratumMap) -> StratumMap:
 
 def forget_to_delta(f: StratumMap) -> DeltaMap:
     """The underlying map; strictly functorial by construction."""
+    if not isinstance(f, StratumMap):
+        raise DomainError(f"forget_to_delta needs a stratum map, got {type(f).__name__}")
     return f.underlying
 
 

@@ -13,7 +13,9 @@ interns: while a tower it installed with equal layers over an equal base
 lives, it returns that one instance, the caller's ends merged into its own,
 so the memos, the closure's tables and the end comparisons below mostly
 match by identity; the checking constructors, parse and unpack build fresh
-towers.  A constant tower is its layers' functors on the root (the point or
+towers.  Towers compare and hash through poset._Keyed by (base, stages,
+labels), so a Bordism and a TrussTower with equal layers are equal both ways.
+A constant tower is its layers' functors on the root (the point or
 the arrow), each pulled back along the root projection of the previous total
 space.  Every restriction is _pullback's walk over a chain of layers: the
 identities of bordisms, pack's fiber trusses and cover bordisms (a walk of
@@ -59,6 +61,7 @@ from .poset import (
     POINT_ELEMENT,
     FinPoset,
     PosetMap,
+    _Keyed,
     arrow_poset,
     bits,
     point_poset,
@@ -78,7 +81,7 @@ def root_of(el):
 _BUILT = WeakValueDictionary()
 
 
-class TrussTower:
+class TrussTower(_Keyed):
     """A chain of bundles, each over the previous total space, plus labels
     (``layers``: the stages, then the labels), checked unless ``_trusted``."""
 
@@ -109,7 +112,8 @@ class TrussTower:
         self.stages, self.labels = self.layers[:-1], self.layers[-1]
         self.totals = tuple(total_space(d) for d in self.stages)
         self.top = self.totals[-1].carrier if self.totals else base
-        self._hash = hash((base, self.stages, self.labels))
+        self._key = (base, self.stages, self.labels)
+        self._hash = hash(self._key)
         self._ends = {}
 
     @classmethod
@@ -120,9 +124,7 @@ class TrussTower:
         key = (base, tuple(layers))
         new = _BUILT.get(key)
         if new is None:
-            new = object.__new__(Bordism if base == arrow_poset() else TrussTower)
-            new._install(*key)
-            _BUILT[key] = new
+            new = _BUILT[key] = (Bordism if base == arrow_poset() else TrussTower)._made(*key)
         new._ends.update(ends or ())
         return new
 
@@ -138,18 +140,6 @@ class TrussTower:
     @property
     def depth(self) -> int:
         return len(self.stages)
-
-    def __eq__(self, other):
-        return other is self or (
-            isinstance(other, TrussTower)
-            and self._hash == other._hash
-            and self.base == other.base
-            and self.stages == other.stages
-            and self.labels == other.labels
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"TrussTower(depth={self.depth}, top={len(self.top.elements)} elements)"

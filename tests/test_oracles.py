@@ -390,6 +390,22 @@ def test_audit_counts_each_total_space_once():
     assert_restored()
 
 
+def test_audit_checks_each_witness_of_a_tower_once(monkeypatch):
+    # a tower installed with its ends, then without, then with them again:
+    # the audit keeps both witnesses, so the ends are restricted once
+    b = bordism_family(0)[0]
+    restricted = []
+    real = oracles.restrict_bordism
+    monkeypatch.setattr(oracles, "restrict_bordism", lambda t, k: restricted.append(k) or real(t, k))
+    with audited() as counts:
+        ends = {0: b.end(0), 1: b.end(1)}
+        restricted.clear()
+        for recorded in (ends, None, ends, None):
+            assert TrussTower._trusted(b.base, b.layers, recorded) == b
+    assert restricted == [0, 1] and counts["end_checks"] == 2
+    assert_restored()
+
+
 def test_audit_leaves_nothing_behind():
     assert SUITES["homsets"]().is_ok
     assert_restored()

@@ -26,11 +26,13 @@ from trusskit import (
     LabelCategory,
     Labeling,
     LabelingError,
+    LayoutError,
     MeshError,
     NablaDiagram,
     Ordinal,
     PackedTower,
     PackingError,
+    ParseError,
     PLMeshBundle,
     PosetMap,
     SectionError,
@@ -50,13 +52,16 @@ from trusskit import (
     enumerate_delta_maps,
     dumps,
     fiber_over_ordinal,
+    forget_to_delta,
     identity_bordism,
+    load,
     pack,
     parse,
     point_poset,
     pullback_tower,
     realize_bundle,
     restrict_bordism,
+    scene_to_svg,
     section_to_strata,
     total_space,
     truss_label_category,
@@ -1167,6 +1172,41 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: fiber_over_ordinal([3]), DomainError,
                  "a fiber lies over an ordinal [n], n an int, got list", id="fiber_over_ordinal([3])"),
     pytest.param(lambda b, d, f: Stratum.parse(5), DomainError, "bad stratum literal 5", id="Stratum.parse(5)"),
+    pytest.param(lambda b, d, f: FinPoset(5, []), DomainError,
+                 "poset elements must be an iterable of hashables: 'int'", id="FinPoset(5, [])"),
+    pytest.param(lambda b, d, f: FinPoset([[1]], []), DomainError,
+                 "poset elements must be an iterable of hashables: unhashable type: 'list'", id="FinPoset([[1]], [])"),
+    pytest.param(lambda b, d, f: FinPoset(["a"], [5]), DomainError,
+                 "a poset's relation must be an iterable of pairs of hashables: cannot unpack non-iterable int",
+                 id="FinPoset(['a'], [5])"),
+    pytest.param(lambda b, d, f: FinPoset.from_covers(5, []), DomainError,
+                 "poset elements must be an iterable of hashables: 'int'", id="FinPoset.from_covers(5, [])"),
+    pytest.param(lambda b, d, f: PosetMap(5, 5, {}), DomainError, "a PosetMap runs between FinPosets, got int and int",
+                 id="PosetMap(5, 5, {})"),
+    pytest.param(lambda b, d, f: PosetMap.identity(5), DomainError,
+                 "a PosetMap runs between FinPosets, got int and int", id="PosetMap.identity(5)"),
+    pytest.param(lambda b, d, f: LabelCategory(5, [], {}, {}, {}, {}), DomainError,
+                 "a LabelCategory takes iterables of hashables and four tables: 'int'",
+                 id="LabelCategory(5, [], {}, {}, {}, {})"),
+    pytest.param(lambda b, d, f: LabelCategory.from_poset(5), DomainError, "from_poset needs a FinPoset, got int",
+                 id="LabelCategory.from_poset(5)"),
+    pytest.param(lambda b, d, f: DeltaDiagram(point_poset(), 5, {}), DomainError,
+                 "a DeltaDiagram's ord and arrow must be tables: 'int'", id="DeltaDiagram(pt, 5, {})"),
+    pytest.param(lambda b, d, f: NablaDiagram(point_poset(), 5, {}), DomainError,
+                 "a NablaDiagram's ord and arrow must be tables: 'int'", id="NablaDiagram(pt, 5, {})"),
+    pytest.param(lambda b, d, f: PLMeshBundle(point_poset(), {}, 5), DomainError,
+                 "a PLMeshBundle's heights and sing must be tables: 'int'", id="PLMeshBundle(pt, {}, 5)"),
+    pytest.param(lambda b, d, f: Labeling(point_poset(), LabelCategory.terminal(), 5, {}), DomainError,
+                 "a Labeling's object labels and relation labels must be tables: 'int'",
+                 id="Labeling(pt, terminal, 5, {})"),
+    pytest.param(lambda b, d, f: Labeling(point_poset(), LabelCategory.terminal(), {POINT_ELEMENT: ["*"]}, {}),
+                 LabelingError, "label ['*'] of 'pt' is not an object", id="Labeling(pt, terminal, {pt: ['*']}, {})"),
+    pytest.param(lambda b, d, f: forget_to_delta(5), DomainError, "forget_to_delta needs a stratum map, got int",
+                 id="forget_to_delta(5)"),
+    pytest.param(lambda b, d, f: scene_to_svg(5), LayoutError, "scene_to_svg needs a Scene, got int",
+                 id="scene_to_svg(5)"),
+    pytest.param(lambda b, d, f: parse(5), ParseError, "parse needs JSON text, got int", id="parse(5)"),
+    pytest.param(lambda b, d, f: load(5), ParseError, "cannot read 5: ", id="load(5)"),
 ])
 def test_entry_points_refuse_a_wrong_type(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
