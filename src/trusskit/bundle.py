@@ -7,11 +7,16 @@ with (b, e) <= (b', e') exactly when b <= b' and some stratum morphism
 e -> e' exists over the composite map of the base relation.  classify
 recovers the functor from a total space, total_space being its inverse.
 Both directions read one canonical layout per base and fiber sizes from the
-bounded memo _layout: total_space installs its elements and index and only
-computes the up-set masks; classify reads the fiber sizes from the head of
-each run and compares the carrier's elements with the layout at once,
-walking the elements one by one only to word a refusal.  tower._empty_tables
-empties _layout with the other memos.
+bounded memo _layout, which also holds what each reads of it: total_space
+installs its elements and index and walks its step plan, reading only the
+cover values to compute the up-set masks; classify reads the fiber sizes
+from the head of each run, compares the carrier's elements with the layout
+at once and reads each fiber's regulars off it, walking the elements one by
+one only to word a refusal.  classify then only proves: its maps are
+installed unchecked, and its diagram goes through CoverFunctor's proof step
+alone, since its construction makes the shape checks true and its last
+check, total_space of the result, checks the rest again.
+tower._empty_tables empties _layout with the other memos.
 
 Bundles, labelings (functors into a LabelCategory), mesh bundles and their
 bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from weakref import WeakValueDictionary
 
 from .errors import (
@@ -125,16 +131,19 @@ class CoverFunctor(_Keyed):
     values, cover values), names the key's entries in ``_fields``, checks
     its values and endpoints in ``_check_values(*key)`` and calls
     ``_extend`` from its constructor, its two tables read through
-    ``_tables``.  That checks that exactly the base
-    elements and covering relations are assigned, extends the cover values
-    to every related pair with functor_table and stores that path table;
-    functor_table's diagnostic is raised as ``_error``.  One proof per value
-    while an equal one lives: a proved functor is kept, weakly, in
-    ``_PROVED`` under its key's hash, as is each diagram that
-    oracles.all_diagrams installs, and a later key of the same type equal
-    to its key installs its key, ``compose`` and path table, shared,
-    without a proof; so ``_extend`` hashes the key at once, and an
-    unhashable key is refused with the hash's TypeError once proved.
+    ``_tables``.  That checks that exactly the base elements and covering
+    relations are assigned, checks the values, and hands the key to
+    ``_prove``, the proof step, which extends the cover values to every
+    related pair with functor_table and stores that path table;
+    functor_table's diagnostic is raised as ``_error``.  ``_proved`` is the
+    proof step's class-level entry, for a key whose shape and values hold
+    by construction (classify's).  One proof per value while an equal one
+    lives: a proved functor is kept, weakly, in ``_PROVED`` under its key's
+    hash, as is each diagram that oracles.all_diagrams installs, and a
+    later key of the same type equal to its key installs its key,
+    ``compose`` and path table, shared, without a proof; so ``_prove``
+    hashes the key at once, and an unhashable key is refused with the
+    hash's TypeError once proved.
     ``_trusted`` builds a functor without any of these checks from a path
     table known to be functorial: ``pullback`` reads one from the parent,
     bordism composition joins the two bordisms' tables, mesh.realize_bundle
@@ -169,6 +178,12 @@ class CoverFunctor(_Keyed):
                 f" extra {sorted(set(covers) - set(expected), key=element_sort_key)})"
             )
         self._check_values(*key)
+        self._prove(key, identity_at, compose)
+
+    def _prove(self, key, identity_at, compose):
+        """_extend's proof step: share the key, compose and path table of a
+        live proved functor of this type with an equal key, else prove the
+        key with functor_table, install it and keep it in ``_PROVED``."""
         try:
             h = _key_hash(key)
         except TypeError:  # proved as ever, then refused with the same error
@@ -177,13 +192,24 @@ class CoverFunctor(_Keyed):
         if known is not None and type(known) is type(self) and known._key == key:
             self._install(known._key, known.compose, known._paths, h)
             return
-        table, diagnostic = functor_table(base, identity_at, covers.__getitem__, compose)
+        table, diagnostic = functor_table(key[0], identity_at, key[-1].__getitem__, compose)
         if diagnostic is not None:
             raise self._error(diagnostic)
         if h is None:
             _key_hash(key)  # raises the TypeError
         self._install(key, compose, table, h)
         _PROVED[h] = self
+
+    @classmethod
+    def _proved(cls, key, identity_at, compose):
+        """A functor from a key whose shape and values hold by construction
+        (its element and cover tables assign exactly the base elements and
+        covers, with values of the right ends), through the proof step only:
+        no constructor, no shape or value check.  classify builds its
+        diagram through it."""
+        new = object.__new__(cls)
+        new._prove(key, identity_at, compose)
+        return new
 
     def _tables(self, objects, covers):
         """A constructor's element and cover tables as dicts; DomainError
@@ -298,23 +324,33 @@ class TotalPoset:
         FinPoset._made, not FinPoset._trusted: the audit checks a total
         space, carrier included, by its own row, so its carrier is not
         checked a second time as a trusted poset."""
-        elements, index, _ = layout
+        elements, index = layout[:2]
         return cls(FinPoset._made(elements, index, ups), d.base)
 
 
 @lru_cache(maxsize=4096)
 def _layout(base: FinPoset, sizes: tuple):
     """The canonical layout of a total space over base whose k-th fiber is
-    over the ordinal [sizes[k]]: (elements, index, offsets).  The elements
-    are the fibers in base order, each in fiber_objects order; index maps
-    each to its position, and offsets holds each fiber's first position,
-    then the length.  total_space and classify read one per (base, sizes);
-    tower._empty_tables empties it."""
-    elements = tuple((b, e) for b, n in zip(base.elements, sizes) for e in fiber_objects(n))
+    over the ordinal [sizes[k]]: (elements, index, offsets, plan, fibers).
+    The elements are the fibers in base order, each in fiber_objects order;
+    index maps each to its position, and offsets holds each fiber's first
+    position, then the length.  plan is total_space's walk: the base
+    elements in ascending order of up-set size, each as (offset of its
+    regulars, its fiber size, its upper covers), an upper cover (a, b) as
+    (offset of the regulars over b, of the singulars over b, the cover (a, b)).
+    fibers maps each base element to its regulars' positions, as a range and
+    as a mask, which classify reads.  total_space and classify read one per
+    (base, sizes); tower._empty_tables empties it."""
+    els = base.elements
+    elements = tuple((b, e) for b, n in zip(els, sizes) for e in fiber_objects(n))
     offsets = [0]
     for n in sizes:
         offsets.append(offsets[-1] + 2 * n + 1)
-    return elements, {e: i for i, e in enumerate(elements)}, offsets
+    plan = tuple((offsets[k], sizes[k], tuple((offsets[j], offsets[j] + sizes[j] + 1, (els[k], els[j]))
+                                              for j in base.upper[k]))
+                 for k in sorted(range(len(els)), key=lambda k: base.ups[k].bit_count()))
+    fibers = {b: (range(k, k + n + 1), (1 << n + 1) - 1 << k) for b, k, n in zip(els, offsets, sizes)}
+    return elements, {e: i for i, e in enumerate(elements)}, offsets, plan, fibers
 
 
 @_by_value(4096)
@@ -326,10 +362,11 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     every total space and classify call over them: base elements in order,
     then each fiber in fiber_objects order (regulars, then singulars).  The
     only work per diagram is the up-sets, closed over the upper covers, one
-    step per cover and fiber position.  Base elements are visited in
-    ascending order of up-set size: a < b makes b's up-set strictly
-    smaller, so every upper cover b of a is finished before a, and no
-    linear extension is needed.  For each upper cover (a, b), f its map:
+    step per cover and fiber position, along the layout's plan, so a call
+    reads nothing of the base but the cover values.  The plan visits the
+    base elements in ascending order of up-set size: a < b makes b's up-set
+    strictly smaller, so every upper cover b of a is finished before a, and
+    no linear extension is needed.  For each upper cover (a, b), f its map:
     the up-set of r_i over a is its own bit with that of r_f(i) over b;
     the up-set of s_i over a is its own bit with those of r_i and r_(i+1)
     over a and those of s_j over b for f(i) <= j < f(i+1).  The masks and
@@ -340,18 +377,12 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
     unhashable one included, is refused by the guard below."""
     if not isinstance(d, DeltaDiagram):
         raise DomainError(f"total_space needs a DeltaDiagram, got {type(d).__name__}")
-    base = d.base
-    els = base.elements
-    ns = [d.ord[b].n for b in els]
-    layout = _layout(base, tuple(ns))
-    offsets = layout[2]
-    ups = [0] * offsets[-1]
-    covers = d.covers
-    for k in sorted(range(len(els)), key=lambda k: base.ups[k].bit_count()):
-        a, n, reg = els[k], ns[k], offsets[k]
+    layout = _layout(d.base, tuple([d.ord[b].n for b in d.base.elements]))
+    ups, covers = [0] * len(layout[0]), d.covers
+    for reg, n, uppers in layout[3]:
         sing = reg + n + 1
         # (offset of the regulars over b, of the singulars over b, f's values)
-        over = [(offsets[j], offsets[j] + ns[j] + 1, covers[(a, els[j])].values) for j in base.upper[k]]
+        over = [(breg, bsing, covers[key].values) for breg, bsing, key in uppers]
         for i in range(n + 1):
             mask = 1 << reg + i
             for breg, _, v in over:
@@ -384,9 +415,16 @@ def classify(t: TotalPoset) -> DeltaDiagram:
     (b, r_i) <= (b', r_j): the one bit of (b, r_i)'s up-set mask among the
     regulars over b'.  The regular positions come from the layout total_space
     shares (_laid_regulars), else from a walk over the elements that words
-    the refusal.  Fails if the fibers are not stratum zigzags, a regular
-    position has no or several images, or the rebuilt bundle does not
-    reproduce the total space.
+    the refusal.  Every cover's images are read first, then each map is
+    checked weakly increasing in cover order; a crossed one is worded by the
+    checking DeltaMap constructor, the others are installed by
+    DeltaMap._trusted, their length and range holding by construction.  The
+    diagram is built by DeltaDiagram._proved: its tables assign exactly the
+    base elements and covers, with maps between their ordinals, so only the
+    proof step runs, shared with a live equal diagram's.  Fails if the
+    fibers are not stratum zigzags, a regular position has no or several
+    images, a map is not weakly increasing, the maps are not functorial, or
+    the rebuilt bundle does not reproduce the total space.
     """
     if not isinstance(t, TotalPoset):
         raise DomainError(f"classify needs a TotalPoset, got {type(t).__name__}")
@@ -397,21 +435,22 @@ def classify(t: TotalPoset) -> DeltaDiagram:
     regular = _laid_regulars(t.base, els)
     if regular is None:
         regular = _walked_regulars(t.base, els)
-    over = {b: sum(1 << k for k in ks) for b, ks in regular.items()}  # each fiber's regulars as a mask
-    ords = {b: Ordinal(len(ks) - 1) for b, ks in regular.items()}
+    ords = {b: Ordinal(len(ks) - 1) for b, (ks, _) in regular.items()}
     arrow = {}
     for a, b in t.base.covers():
-        values = []
-        for i, k in enumerate(regular[a]):
-            image = ups[k] & over[b]
+        values, over = [], regular[b][1]
+        for i, k in enumerate(regular[a][0]):
+            image = ups[k] & over
             if image.bit_count() != 1:
                 raise ClassificationError(
                     f"regular position {i} over {a!r} has {image.bit_count()} images over {b!r}"
                 )
             values.append(els[image.bit_length() - 1][1].index)
         arrow[(a, b)] = tuple(values)
-    try:
-        d = DeltaDiagram(t.base, ords, {(a, b): DeltaMap(ords[a], ords[b], vs) for (a, b), vs in arrow.items()})
+    try:  # a map that is not weakly increasing is refused by the checking constructor
+        maps = {(a, b): (DeltaMap._trusted if all(map(le, vs, vs[1:])) else DeltaMap)(ords[a], ords[b], vs)
+                for (a, b), vs in arrow.items()}
+        d = DeltaDiagram._proved((t.base, ords, maps), lambda b: DeltaMap.identity(ords[b]), compose_delta)
     except (DiagramError, DomainError) as exc:
         raise ClassificationError(f"recovered data is not a bundle: {exc}") from exc
     if total_space(d) != t:
@@ -420,10 +459,11 @@ def classify(t: TotalPoset) -> DeltaDiagram:
 
 
 def _laid_regulars(base: FinPoset, els):
-    """The carrier indices of each base element's regular positions when els
-    is _layout's tuple for the base, else None.  Each fiber's size is read
-    from the head of its run, and the sizes are bounded by the carrier's
-    length before any layout is built; then one tuple comparison decides."""
+    """Each base element's regular positions in the carrier, as the layout's
+    (range, mask), when els is _layout's tuple for the base, else None.
+    Each fiber's size is read from the head of its run, and the sizes are
+    bounded by the carrier's length before any layout is built; then one
+    tuple comparison decides."""
     sizes, end = [], 0
     for _ in base.elements:
         head = els[end] if end < len(els) else None  # None past the end: a run cut short
@@ -433,14 +473,15 @@ def _laid_regulars(base: FinPoset, els):
         end += 2 * head[1].n + 1
     if end != len(els):
         return None
-    laid, _, offsets = _layout(base, tuple(sizes))
-    return {b: range(k, k + n + 1) for b, k, n in zip(base.elements, offsets, sizes)} if els == laid else None
+    layout = _layout(base, tuple(sizes))
+    return layout[4] if els == layout[0] else None
 
 
 def _walked_regulars(base: FinPoset, els) -> dict:
-    """The carrier indices of each base element's regular positions, found
-    element by element; refuses an element that is not a pair, and a fiber
-    that has no regular position or is not the zigzag over its ordinal."""
+    """Each base element's regular positions in the carrier, as a list of
+    indices and a mask, found element by element; refuses an element that
+    is not a pair, and a fiber that has no regular position or is not the
+    zigzag over its ordinal."""
     by_base = {b: [] for b in base.elements}  # element indices over each base element
     for k, el in enumerate(els):
         if not (isinstance(el, tuple) and len(el) == 2):
@@ -456,7 +497,7 @@ def _walked_regulars(base: FinPoset, els) -> dict:
             raise ClassificationError(f"fiber over {b!r} has no regular position")
         if tuple(fib) != fiber_objects(n):
             raise ClassificationError(f"fiber over {b!r} is not the zigzag over [{n}]")
-        regular[b] = ks[:n + 1]
+        regular[b] = ks[:n + 1], sum(1 << k for k in ks[:n + 1])
     return regular
 
 

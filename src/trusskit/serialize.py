@@ -466,7 +466,11 @@ def parse(text: str):
 
 
 def save(obj, path) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    text = dumps(obj)  # a value dumps refuses writes nothing
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, TypeError) as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 def load(path):

@@ -44,6 +44,7 @@ from trusskit.oracles import (
     tower_family,
 )
 from trusskit.strata import fiber_objects, stratum_targets
+from trusskit import tower
 from trusskit.tower import root_of
 from conftest import one_wrong_entry
 
@@ -262,6 +263,20 @@ def refusal_crossed_regulars():
                       arrow_poset())
 
 
+def refusal_image_after_crossed_regulars():
+    # over x < y, x < z: the crossed map (1, 0) on the earlier cover (x, y), and r0 over x stripped of its
+    # relation to the fiber over z, so the later cover (x, z) gives position 0 over x no image
+    base = FinPoset.from_covers("xyz", [("x", "y"), ("x", "z")])
+    good = DeltaDiagram(base, {e: Ordinal(1) for e in "xyz"},
+                        {("x", "y"): DeltaMap.identity(1), ("x", "z"): DeltaMap.identity(1)})
+    crossed = DeltaDiagram._trusted(good._key[:-1], good.compose,
+                                    {**good._paths, ("x", "y"): DeltaMap._trusted(Ordinal(1), Ordinal(1), (1, 0))})
+    carrier = total_space(crossed).carrier
+    els, ups, r0 = carrier.elements, carrier.ups, ("x", Stratum.regular(0, 1))
+    return TotalPoset(FinPoset(els, [(x, els[j]) for x, up in zip(els, ups) for j in range(len(els))
+                                     if up >> j & 1 and not (x == r0 and els[j][0] == "z")]), base)
+
+
 @pytest.mark.parametrize("make, message", [
     pytest.param(refusal_not_a_pair, "element 'abc' is not a (base element, stratum) pair", id="not-a-pair"),
     pytest.param(refusal_no_regular, "fiber over 'a' has no regular position", id="no-regular"),
@@ -282,6 +297,8 @@ def refusal_crossed_regulars():
     pytest.param(refusal_not_the_layout, "fiber over 'a' is not the zigzag over [1]", id="not-the-layout"),
     pytest.param(refusal_crossed_regulars, "recovered data is not a bundle: values (1, 0) are not weakly increasing",
                  id="crossed-regulars"),
+    pytest.param(refusal_image_after_crossed_regulars, "regular position 0 over 'x' has 0 images over 'z'",
+                 id="image-after-crossed-regulars"),
 ])
 def test_classify_refusals(make, message):
     with pytest.raises(ClassificationError, match="^" + re.escape(message) + "$"):
@@ -325,6 +342,26 @@ def test_a_total_space_miss_reads_its_layout_once(monkeypatch):
     t = total_space.__wrapped__(d)  # the function past its memo: a miss
     assert asked == [(1, 2)]
     assert t.carrier.elements is real(d.base, (1, 2))[0] and t.carrier.index is real(d.base, (1, 2))[1]
+
+
+def test_the_layout_plans_each_cover_target_first_and_lays_each_fiber_at_its_offset():
+    for base in all_posets(3):
+        for sizes in itertools.product(range(3), repeat=len(base.elements)):
+            elements, _, offsets, plan, fibers = bundle._layout(base, sizes)
+            done, planned = set(), []
+            for reg, n, uppers in plan:
+                a = elements[reg][0]
+                assert n == sizes[base.index[a]] and offsets[base.index[a]] == reg
+                for breg, bsing, (x, b) in uppers:
+                    assert x == a and b in done and elements[breg] == (b, Stratum.regular(0, sizes[base.index[b]]))
+                    assert bsing == breg + sizes[base.index[b]] + 1
+                    planned.append((x, b))
+                done.add(a)
+            assert done == set(base.elements) and sorted(planned) == sorted(base.covers())
+            for b, k, n in zip(base.elements, offsets, sizes):
+                laid, mask = fibers[b]
+                assert laid == range(k, k + n + 1) and mask == sum(1 << i for i in laid)
+                assert [elements[i] for i in laid] == [(b, Stratum.regular(i, n)) for i in range(n + 1)]
 
 
 def test_a_carrier_rebuilt_from_shuffled_elements_classifies_alike():
@@ -613,6 +650,27 @@ def test_an_equal_functor_shares_the_proof_of_a_live_one(monkeypatch, make):
     gc.collect()
     make()
     assert len(calls) == 2
+
+
+def test_classify_of_a_listed_diagram_shares_its_proof_and_checks_no_map(monkeypatch):
+    d = all_diagrams(FinPoset.from_covers("abc", [("a", "b"), ("a", "c")]), 2)[-1]
+    t, calls, made = total_space(d), count_proofs(monkeypatch), []
+    init, post_init = DeltaDiagram.__init__, DeltaMap.__post_init__
+    monkeypatch.setattr(DeltaDiagram, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    monkeypatch.setattr(DeltaMap, "__post_init__", lambda self: made.append(self) or post_init(self))
+    back = classify(t)
+    assert back == d and back._paths is d._paths
+    assert not calls and not made
+
+
+def test_classify_proves_once_and_an_equal_total_space_shares_the_proof(monkeypatch):
+    d = all_diagrams(FinPoset.from_covers("abc", [("a", "b"), ("b", "c")]), 2)[-1]
+    tower._empty_tables()  # so no live proved key is equal to d's
+    calls = count_proofs(monkeypatch)
+    first = classify(total_space(d))
+    assert len(calls) == 1 and first == d and first._paths is not d._paths
+    again = classify(total_space.__wrapped__(d))  # an equal total space, not the memo's
+    assert len(calls) == 1 and again == first and again._paths is first._paths
 
 
 def test_an_equal_key_of_another_kind_is_proved_again(monkeypatch):

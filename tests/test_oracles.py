@@ -216,7 +216,7 @@ def test_audit_catches_a_wrong_poset_map(monkeypatch):
 def test_roundtrip_bundle_suite_default_report():
     report = SUITES["roundtrip-bundle"]()
     assert report.is_ok, report.to_text()
-    assert report.counts == {"bases": 23, "diagrams": 5453, "layers": 5453, "map_checks": 5339,
+    assert report.counts == {"bases": 23, "diagrams": 5453, "layers": 5453, "map_checks": 15547,
                              "total_space_checks": 5453}
 
 

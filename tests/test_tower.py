@@ -61,6 +61,7 @@ from trusskit import (
     pullback_tower,
     realize_bundle,
     restrict_bordism,
+    save,
     scene_to_svg,
     section_to_strata,
     total_space,
@@ -1030,6 +1031,10 @@ def test_packed_pieces_past_the_bound_evict_the_oldest_first():
         tower._empty_tables()
 
 
+# a directory no test makes, so a path in it cannot be written
+_MISSING_DIRECTORY = Path(__file__).parent / "no-such-directory"
+
+
 def _refusal_operands():
     """A bordism, one of its stage diagrams and a monotone map into that
     diagram's base, the well-typed operands beside each wrong one."""
@@ -1207,6 +1212,9 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
                  id="scene_to_svg(5)"),
     pytest.param(lambda b, d, f: parse(5), ParseError, "parse needs JSON text, got int", id="parse(5)"),
     pytest.param(lambda b, d, f: load(5), ParseError, "cannot read 5: ", id="load(5)"),
+    pytest.param(lambda b, d, f: save(d, 5), DomainError, "cannot write 5: ", id="save(d, 5)"),
+    pytest.param(lambda b, d, f: save(d, _MISSING_DIRECTORY / "d.json"), DomainError,
+                 f"cannot write {_MISSING_DIRECTORY / 'd.json'}: ", id="save(d, missing-directory/d.json)"),
 ])
 def test_entry_points_refuse_a_wrong_type(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
