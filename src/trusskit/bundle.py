@@ -243,30 +243,21 @@ class CoverFunctor(_Keyed):
     def pullback(self, base, image):
         """Precompose with the monotone map out of base whose value at x is
         image[x].  The path table is the parent's, read at the images of the
-        related pairs, and the covers are read from it; an image that misses
-        an element, leaves the parent's base or breaks an order relation
-        raises DomainError."""
-        try:
-            objects = {x: self.objects[image[x]] for x in base.elements}
-        except KeyError:
-            for x in base.elements:
-                if x not in image:
-                    raise DomainError(f"pullback image misses the base element {x!r}") from None
-                if image[x] not in self.objects:
-                    raise DomainError(f"pullback image {image[x]!r} of {x!r} is not in the base") from None
-            raise
+        related pairs, and the covers are read from it.  An image that is
+        not such a map fails a lookup, and PosetMap(base, self.base, image)
+        words the refusal as a DomainError: undefined, not in the target,
+        or not monotone on a cover."""
         parent, els = self._paths, base.elements
-        images = [image[x] for x in els]
         try:
+            objects = {x: self.objects[image[x]] for x in els}
+            images = [image[x] for x in els]
             paths = {
                 (x, els[j]): parent[(fx, images[j])]
                 for x, fx, up in zip(els, images, base.ups)
                 for j in bits(up)
             }
-        except KeyError:
-            # a map monotone on the covers is monotone on their closure
-            for (x, y) in base.covers():
-                self.map_for(image[x], image[y])
+        except (KeyError, TypeError):
+            PosetMap(base, self.base, image)
             raise
         return self._derive(base, objects, paths)
 

@@ -190,7 +190,7 @@ def interpolated_heights(m: PLMeshBundle, chain, point: StratSimplexPoint) -> tu
     chain = tuple(chain)
     if len(point.coords) != len(chain):
         raise DomainError("barycentric coordinates must match the chain length")
-    if any(v not in m.heights for v in chain):
+    if any(v not in m.base for v in chain):
         raise DomainError("chain vertices must be elements of the base")
     for u, v in zip(chain, chain[1:]):
         if u == v or not m.base.le(u, v):

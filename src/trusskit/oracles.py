@@ -756,13 +756,14 @@ class _Disagreement(Exception):
 
 
 def _shown(value) -> str:
-    """dumps(value), a poset's elements and covers by key, else its key's repr."""
+    """dumps(value), a poset's elements and covers by key, else its key's
+    repr (a poset whose masks name a non-element has no covers)."""
     try:
         if isinstance(value, FinPoset):
             return (f"elements {', '.join(map(element_key, value.elements))}\n"
                     f"covers {', '.join(map(cover_key, value.covers()))}")
         return dumps(value)
-    except ParseError:
+    except (ParseError, IndexError):
         return repr(getattr(value, "_key", value))
 
 

@@ -124,7 +124,11 @@ class MonotoneMap:
     values: tuple
 
     def __post_init__(self):
-        src, dst, vs = _as_ordinal(self.src), _as_ordinal(self.dst), tuple(self.values)
+        src, dst = _as_ordinal(self.src), _as_ordinal(self.dst)
+        try:
+            vs = tuple(self.values)
+        except TypeError:
+            raise DomainError(f"a map's values must be a sequence, got {type(self.values).__name__}") from None
         _set_src(self, src)
         _set_dst(self, dst)
         _set_values(self, vs)

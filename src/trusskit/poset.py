@@ -161,7 +161,7 @@ class FinPoset(_Keyed):
         index = self.index
         try:
             return bool(self.ups[index[a]] >> index[b] & 1)
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable value is no element
             return False
 
     @cached_property
@@ -238,7 +238,10 @@ class FinPoset(_Keyed):
         return reached == full
 
     def __contains__(self, el):
-        return el in self.index
+        try:
+            return el in self.index
+        except TypeError:  # an unhashable value is no element
+            return False
 
     def __repr__(self):
         return f"FinPoset({len(self.elements)} elements, {sum(up.bit_count() for up in self.ups)} relations)"
@@ -331,7 +334,11 @@ class PosetMap(_Keyed):
     def __init__(self, src: FinPoset, dst: FinPoset, mapping):
         if not (isinstance(src, FinPoset) and isinstance(dst, FinPoset)):
             raise DomainError(f"a PosetMap runs between FinPosets, got {type(src).__name__} and {type(dst).__name__}")
-        self._install(src, dst, dict(mapping))
+        try:
+            mapping = dict(mapping)
+        except (TypeError, ValueError):
+            raise DomainError(f"a PosetMap's mapping must be a table, got {type(mapping).__name__}") from None
+        self._install(src, dst, mapping)
         for e in src.elements:
             if e not in self.mapping:
                 raise DomainError(f"map undefined on {e!r}")

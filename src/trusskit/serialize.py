@@ -193,22 +193,19 @@ def _poset_payload(p: FinPoset) -> dict:
 
 
 def _parse_poset(obj, where: str) -> FinPoset:
+    """A poset payload's string names and two-name covers, read back by
+    FinPoset.from_covers, which refuses a duplicate name, a cover naming a
+    non-element and a cycle; its DomainError is reported at where."""
     elements = _expect(obj, "elements", where)
     covers = _expect(obj, "covers", where)
     if not isinstance(elements, list) or not isinstance(covers, list):
         raise ParseError(f"{where}: elements and covers must be lists")
     names = [_typed(e, str, where) for e in elements]
-    known = set(names)
-    if len(known) != len(names):
-        raise ParseError(f"{where}: duplicate element names")
     pairs = []
     for c in covers:
         if not isinstance(c, list) or len(c) != 2:
             raise ParseError(f"{where}: covers must be two-element lists")
-        u, v = _typed(c[0], str, where), _typed(c[1], str, where)
-        if u not in known or v not in known:
-            raise ParseError(f"{where}: cover ({u!r}, {v!r}) names unknown elements")
-        pairs.append((u, v))
+        pairs.append((_typed(c[0], str, where), _typed(c[1], str, where)))
     try:
         return FinPoset.from_covers(names, pairs)
     except DomainError as exc:
@@ -231,26 +228,31 @@ def _named_base(name: str) -> FinPoset:
     return _BASES[name]()
 
 
-def _tower_payload(t: TrussTower, encode, where: str) -> tuple:
-    """The stage payloads of t, then its top space's labels written by encode."""
+def _tower_payload(t: TrussTower, schema: str, encode, where: str) -> tuple:
+    """The head of a truss or packed file, its schema, base name and stage
+    payloads, then its top space's labels written by encode."""
     stages, keys = [], _base_keys(t.base)
     for d in t.stages:
         ordp, arrp = _keyed(d.base, keys, (d.ord, d.arrow), (_ordinal_n, _map_payload), "stage")
         stages.append({"ord": ordp, "arrow": arrp})
         keys = next_keys(keys, d)
-    return (stages,) + _keyed(t.top, keys, (t.labels.on_objects, t.labels.on_relations), (encode, encode), where)
+    labels = _keyed(t.top, keys, (t.labels.on_objects, t.labels.on_relations), (encode, encode), where)
+    return ({"schema": schema, "base": _base_name(t.base), "stages": stages},) + labels
 
 
-def _parse_stages(payload, base: FinPoset, where: str):
-    """The stages, their top space and its element keys."""
+def _parse_tower_head(obj, schema: str, where: str):
+    """Inverse of _tower_payload's head: the base, the stages, their top
+    space and its element keys."""
+    _schema(obj, schema, where)
+    base = _named_base(_typed(_expect(obj, "base", where), str, where))
     cur, keys, stages = base, _base_keys(base), []
-    for i, sp in enumerate(_typed(payload, list, where)):
+    for i, sp in enumerate(_typed(_expect(obj, "stages", where), list, where)):
         tag = f"{where} stage {i + 1}"
         ords, arrows = _unkeyed(sp, ("ord", "arrow"), cur, keys, (_ordinal, _parse_map), tag)
         d = DeltaDiagram(cur, ords, arrows)
         stages.append(d)
         cur, keys = total_space(d).carrier, next_keys(keys, d)
-    return stages, cur, keys
+    return base, stages, cur, keys
 
 
 def _token(value) -> str:
@@ -319,19 +321,13 @@ def _parse_labelcat(obj, where: str = "labelcat") -> LabelCategory:
 
 
 def _truss_payload(t: TrussTower) -> dict:
-    stages, objects, relations = _tower_payload(t, _token, "labels")
-    return {
-        "schema": SCHEMA_TRUSS,
-        "base": _base_name(t.base),
-        "stages": stages,
-        "labels": {"category": _labelcat_payload(t.labels.target), "objects": objects, "relations": relations},
-    }
+    head, objects, relations = _tower_payload(t, SCHEMA_TRUSS, _token, "labels")
+    head["labels"] = {"category": _labelcat_payload(t.labels.target), "objects": objects, "relations": relations}
+    return head
 
 
 def _parse_truss(obj, where: str = "truss") -> TrussTower:
-    _schema(obj, SCHEMA_TRUSS, where)
-    base = _named_base(_typed(_expect(obj, "base", where), str, where))
-    stages, top, keys = _parse_stages(_expect(obj, "stages", where), base, where)
+    base, stages, top, keys = _parse_tower_head(obj, SCHEMA_TRUSS, where)
     labp = _expect(obj, "labels", where)
     cat = _parse_labelcat(_expect(labp, "category", where), f"{where} labels")
     on_obj, on_rel = _unkeyed(
@@ -375,20 +371,13 @@ def _parse_mesh(obj, where: str = "mesh") -> PLMeshBundle:
 
 
 def _packed_payload(p: PackedTower) -> dict:
-    t = p.tower
-    stages, objects, relations = _tower_payload(t, _truss_payload, "packed labels")
-    return {
-        "schema": SCHEMA_PACKED,
-        "base": _base_name(t.base),
-        "stages": stages,
-        "objects": objects,
-        "relations": relations,
-    }
+    head, objects, relations = _tower_payload(p.tower, SCHEMA_PACKED, _truss_payload, "packed labels")
+    head.update(objects=objects, relations=relations)
+    return head
 
 
 def _parse_packed(obj, where: str = "packed") -> PackedTower:
-    base = _named_base(_typed(_expect(obj, "base", where), str, where))
-    stages, top, keys = _parse_stages(_expect(obj, "stages", where), base, where)
+    base, stages, top, keys = _parse_tower_head(obj, SCHEMA_PACKED, where)
     fibers, gens = _unkeyed(obj, ("objects", "relations"), top, keys, (_parse_truss, _parse_truss), where)
     return _packed_tower(base, stages, top, fibers, gens)
 

@@ -155,7 +155,12 @@ class StratumMap:
     underlying: DeltaMap
 
     def __post_init__(self):
-        if not validate_stratum_map(self.src, self.dst, self.underlying):
+        try:
+            valid = validate_stratum_map(self.src, self.dst, self.underlying)
+        except TypeError:  # the cache hashes its arguments first
+            names = ", ".join(type(v).__name__ for v in (self.src, self.dst, self.underlying))
+            raise DomainError(f"a StratumMap needs two strata and a map, got {names}") from None
+        if not valid:
             raise DomainError(f"{self.underlying} carries no morphism {self.src} -> {self.dst}")
 
     def __str__(self):

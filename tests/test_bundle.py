@@ -393,11 +393,11 @@ def arrow_labeling():
 @pytest.mark.parametrize("make", [lambda: arrow_diagram(1, 2, (0, 2)), arrow_labeling])
 def test_pullback_rejects_bad_images(make):
     f = make()
-    with pytest.raises(DomainError, match="'zz' of 'pt' is not in the base"):
+    with pytest.raises(DomainError, match="image 'zz' of 'pt' is not in the target"):
         f.pullback(point_poset(), {"pt": "zz"})
-    with pytest.raises(DomainError, match="misses the base element '1'"):
+    with pytest.raises(DomainError, match="map undefined on '1'"):
         f.pullback(arrow_poset(), {"0": "0"})
-    with pytest.raises(DomainError, match="'1' and '0' are not related in the base"):
+    with pytest.raises(DomainError, match="map is not monotone on '0' <= '1'"):
         f.pullback(arrow_poset(), {"0": "1", "1": "0"})
 
 

@@ -9,6 +9,7 @@ import inspect
 import itertools
 import pkgutil
 import random
+import re
 import sys
 import tracemalloc
 
@@ -49,6 +50,7 @@ from trusskit.oracles import (
     bordism_family,
     chain3_poset,
     functors,
+    labeling_from_map,
     poset_maps,
     tower_family,
 )
@@ -353,6 +355,104 @@ def test_a_composition_error_in_a_suite_is_a_failing_report(monkeypatch):
 
     monkeypatch.setattr(tower, "_composite", wrong)
     assert_library_error(SUITES["bordism-assoc"](), "InternalError: factorization middle")
+
+
+def refuse(*args):
+    raise DomainError("refused")
+
+
+def fresh_texts(real):
+    """A dumps whose every text differs from the last."""
+    made = itertools.count()
+    return lambda value: str(next(made))
+
+
+# (suite, max_ordinal, the name the suite imports, its replacement given the
+# real one, the failing report's location, the start of its message)
+FAULTS = [
+    pytest.param("homsets", 3, "fiber_over_ordinal", lambda real: lambda n: FinPoset(["x"], [("x", "x")]),
+                 "fiber([0])", "it differs from its filter spelling", id="homsets-fiber"),
+    pytest.param("homsets", 3, "enumerate_delta_maps", lambda real: lambda n, m: real(n, m)[1:],
+                 "delta([0],[0])", "expected 1 maps, got 0", id="homsets-delta-count"),
+    pytest.param("homsets", 3, "dual_nabla_to_delta", lambda real: lambda g: DeltaMap(0, 1, (1,)),
+                 "dual([0]->[0]:[0])", "duality round trip failed", id="homsets-delta-dual"),
+    pytest.param("homsets", 3, "enumerate_nabla_maps", lambda real: lambda n, m: real(n, m)[1:],
+                 "nabla([1],[1])", "expected 1 maps, got 0", id="homsets-nabla-count"),
+    pytest.param("homsets", 3, "hom_strata", lambda real: lambda x, y: real(x, y)[:-1],
+                 "hom(r0@0,r0@0)", "library 0 maps, brute force 1", id="homsets-hom"),
+    pytest.param("homsets", 0, "hom_strata", lambda real: lambda x, y: real(x, y) if x.is_regular else (),
+                 "hom(s0@1,r1@2)", "expected 4 maps, got 0", id="homsets-spot"),
+    pytest.param("factorization", 2, "_filtered", lambda real: lambda objs, ident: FinPoset(["x"], [("x", "x")]),
+                 "factor(r0@0,r0@0 over [0]->[0]:[0];[0]->[0]:[0])", "it differs from its filter spelling",
+                 id="factorization-filter"),
+    pytest.param("roundtrip-bundle", 2, "classify", lambda real: lambda t: None,
+                 "classify", "total space does not classify back", id="roundtrip-bundle-classify"),
+    pytest.param("roundtrip-mesh", 2, "reg_extract", lambda real: lambda m: None,
+                 "reg_extract", "mesh does not extract back", id="roundtrip-mesh-reg"),
+    pytest.param("roundtrip-mesh", 2, "dual_delta_to_nabla", lambda real: lambda f: None,
+                 "sing_extract ('b', 'a')", "duality triangle fails", id="roundtrip-mesh-sing"),
+    pytest.param("pack", 1, "pack", lambda real: refuse, "pack", "pack raised refused", id="pack-raises"),
+    pytest.param("pack", 1, "unpack", lambda real: lambda p: None,
+                 "pack", "pack/unpack did not round trip", id="pack-unpack"),
+    pytest.param("pack", 1, "pullback_tower", lambda real: lambda t, f: None,
+                 "pack labels", "the label of 'pt' differs from its fresh pullback", id="pack-labels"),
+    pytest.param("pack", 1, "PackedTower", lambda real: oracles.pack,
+                 "pack", "double pack did not round trip", id="pack-double"),
+    pytest.param("bordism-assoc", None, "compose_bordisms", lambda real: lambda b1, b2: None,
+                 "identity", "left identity law failed", id="bordism-assoc-left"),
+    pytest.param("bordism-assoc", None, "compose_bordisms", lambda real: lambda b1, b2: b2,
+                 "identity", "right identity law failed", id="bordism-assoc-right"),
+    pytest.param("bordism-assoc", None, "dumps", fresh_texts,
+                 "glue", "the composite prints differently from the restricted glue", id="bordism-assoc-glue"),
+    pytest.param("bordism-assoc", None, "pullback_tower", lambda real: refuse,
+                 "glue", "the glued tower fails its checks: refused", id="bordism-assoc-glue-refused"),
+    pytest.param("bordism-assoc", None, "compose_bordisms",
+                 lambda real: lambda b1, b2: real(b1, b2) if b1.end(1) == b2.end(0) else b1,
+                 "boundary", "mismatched bordisms composed", id="bordism-assoc-boundary"),
+    pytest.param("bordism-assoc", None, "compose_bordisms_audited", lambda real: lambda b1, b2: (b1, real(b1, b2)[1]),
+                 "glue", "the composite prints differently from the restricted glue", id="bordism-assoc-triple"),
+]
+
+
+@pytest.mark.parametrize("suite, max_ordinal, name, fault, where, why", FAULTS)
+def test_each_suite_reports_an_injected_fault_at_its_location(monkeypatch, suite, max_ordinal, name, fault, where,
+                                                               why):
+    monkeypatch.setattr(oracles, name, fault(getattr(oracles, name)))
+    report = SUITES[suite](max_ordinal)
+    monkeypatch.undo()
+    assert_caught(report, where)
+    assert report.diagnostics[0][1].startswith(why), report.diagnostics
+
+
+def test_labeling_from_map_refuses_a_cover_with_no_morphism():
+    cat = LabelCategory.from_poset(arrow_poset())
+    with pytest.raises(LabelingError, match=re.escape("no morphism '1' -> '0' for cover ('0', '1')")):
+        labeling_from_map(arrow_poset(), cat, {"0": "1", "1": "0"})
+
+
+def test_audit_words_a_total_space_out_of_canonical_order(monkeypatch):
+    real = TotalPoset.__dict__["_trusted"].__func__
+    monkeypatch.setattr(TotalPoset, "_trusted",
+                        classmethod(lambda cls, d, layout, ups: real(cls, d, (layout[0][::-1],) + layout[1:], ups)))
+    report = SUITES["roundtrip-bundle"]()
+    monkeypatch.undo()
+    assert_caught(report, "total space")
+    assert report.diagnostics[0][1].startswith("the elements are not in canonical order")
+
+
+def _name_a_non_element(p, alpha, ups):
+    ups[0] |= 1 << len(ups)
+
+
+def test_audit_words_a_mask_naming_a_non_element(monkeypatch):
+    monkeypatch.setattr(oracles, "fiber_over_map", _fiber_over_map_with(_name_a_non_element))
+    report = SUITES["homsets"]()
+    monkeypatch.undo()
+    assert_caught(report, "trusted poset")
+    assert report.diagnostics[0][1] == (
+        "a mask names a non-element:\n"
+        "((('dst', Stratum(kind='r', index=0, n=0)), ('src', Stratum(kind='r', index=0, n=0))), (5, 3))"
+    )
 
 
 def test_audit_rebuilds_an_equal_functor_with_another_path_table():

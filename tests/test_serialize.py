@@ -279,7 +279,7 @@ def cyclic_base(schema: str) -> str:
     pytest.param(lambda cat: element_key(5), "element 5 has no canonical key", id="element_key(5)"),
     pytest.param(lambda cat: dumps(DeltaDiagram(FinPoset([("a",)], [(("a",), ("a",))]), {("a",): Ordinal(0)}, {})),
                  "only posets with string-named elements serialize", id="dumps(diagram over ('a',))"),
-    pytest.param(lambda cat: parse(DUPLICATE_NAMES), "diagram: duplicate element names", id="parse(elements a, a)"),
+    pytest.param(lambda cat: parse(DUPLICATE_NAMES), "diagram: duplicate poset elements", id="parse(elements a, a)"),
     pytest.param(lambda cat: parse(cyclic_base("diagram/v1")), "diagram: cover relation has a cycle through 'a'",
                  id="parse(diagram over a cycle)"),
     pytest.param(lambda cat: parse(cyclic_base("mesh/v1")), "mesh: cover relation has a cycle through 'a'",

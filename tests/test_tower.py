@@ -29,14 +29,18 @@ from trusskit import (
     LayoutError,
     MeshError,
     NablaDiagram,
+    NablaMap,
     Ordinal,
     PackedTower,
     PackingError,
     ParseError,
     PLMeshBundle,
     PosetMap,
+    Report,
     SectionError,
+    StratSimplexPoint,
     Stratum,
+    StratumMap,
     TotalPoset,
     TrussError,
     TrussTower,
@@ -54,6 +58,7 @@ from trusskit import (
     fiber_over_ordinal,
     forget_to_delta,
     identity_bordism,
+    interpolated_heights,
     load,
     pack,
     parse,
@@ -1215,6 +1220,23 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: save(d, 5), DomainError, "cannot write 5: ", id="save(d, 5)"),
     pytest.param(lambda b, d, f: save(d, _MISSING_DIRECTORY / "d.json"), DomainError,
                  f"cannot write {_MISSING_DIRECTORY / 'd.json'}: ", id="save(d, missing-directory/d.json)"),
+    pytest.param(lambda b, d, f: DeltaMap(5, 5, 5), DomainError, "a map's values must be a sequence, got int",
+                 id="DeltaMap(5, 5, 5)"),
+    pytest.param(lambda b, d, f: NablaMap(1, 1, 5), DomainError, "a map's values must be a sequence, got int",
+                 id="NablaMap(1, 1, 5)"),
+    pytest.param(lambda b, d, f: PosetMap(point_poset(), point_poset(), None), DomainError,
+                 "a PosetMap's mapping must be a table, got NoneType", id="PosetMap(pt, pt, None)"),
+    pytest.param(lambda b, d, f: PosetMap(point_poset(), point_poset(), "x"), DomainError,
+                 "a PosetMap's mapping must be a table, got str", id="PosetMap(pt, pt, 'x')"),
+    pytest.param(lambda b, d, f: PosetMap(point_poset(), point_poset(), {POINT_ELEMENT: [1]}), DomainError,
+                 "image [1] of 'pt' is not in the target", id="PosetMap(pt, pt, {pt: [1]})"),
+    pytest.param(lambda b, d, f: StratumMap([], Stratum.regular(0, 0), DeltaMap.identity(0)), DomainError,
+                 "a StratumMap needs two strata and a map, got list, Stratum, DeltaMap", id="StratumMap([], s, f)"),
+    pytest.param(lambda b, d, f: interpolated_heights(realize_bundle(d), [[1]], StratSimplexPoint((1,))),
+                 DomainError, "chain vertices must be elements of the base", id="interpolated_heights(m, [[1]], p)"),
+    pytest.param(lambda b, d, f: Labeling(arrow_poset(), b.labels.target, {"0": "a", "1": "b"}, {("0", "1"): ["a"]}),
+                 LabelingError, "label ['a'] of cover ('0', '1') is not a morphism", id="Labeling(cover label ['a'])"),
+    pytest.param(lambda b, d, f: Report("maybe"), DomainError, "unknown report status 'maybe'", id="Report('maybe')"),
 ])
 def test_entry_points_refuse_a_wrong_type(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
