@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the cost of three oracle families, of a mesh round trip, of a pack
-round trip and of a streamed family as a Markdown table.
+round trip, of the monotone maps between small posets and of a streamed
+family as a Markdown table.
 
 Usage (from the repository root):
     python3 scripts/family_cost.py
@@ -13,13 +14,17 @@ with ordinals <= 1.  The next row takes each diagram of the first family
 ``sing_extract`` of the mesh, the next each of them through ``total_space``
 and then ``classify``, and the one after it each tower of depth >= 1
 of ``oracles.tower_family(0, 2)`` (built once, untimed) through ``pack`` and
-``unpack``.  For each row, the table gives the number of items (diagrams,
-or towers for the pack row), the CPU time (process time, best of ROUNDS
-untraced runs), the tracemalloc peak of one more, traced run, and the hits
-and misses of the two dual memos (``ordinal.dual_delta_to_nabla`` and
+``unpack``, and the last timed row every monotone map between two posets
+of ``all_posets(3)`` through ``oracles.poset_maps``, which enumerates the
+functors into ``LabelCategory.from_poset`` of the target, built per call.
+For each row, the table gives the number of items (diagrams, towers for
+the pack row, maps for the poset_maps row), the CPU time (process time,
+best of ROUNDS untraced runs), the tracemalloc peak of one more, traced
+run, and the hits and misses of the two dual memos (``ordinal.dual_delta_to_nabla`` and
 ``ordinal.dual_nabla_to_delta``, summed) in that run.  A last row counts
-the functors ``oracles.functors`` streams over the diamond with ordinals
-<= 3, keeping none, in one untraced run: a traced one takes minutes.
+the functors ``oracles.functors`` streams over the diamond into
+``ordinal.Delta(3)``, Δ on the ordinals <= 3, keeping none, in one untraced
+run: a traced one takes minutes.
 Every run starts from emptied library memos (``tower._empty_tables()``), so
 no run reuses a proof, a walk, a dual or a packed piece of another, and the
 traced peak of the pack row includes what pack's memo retains, and that of
@@ -39,10 +44,8 @@ from trusskit import (  # noqa: E402
     Ordinal,
     arrow_poset,
     classify,
-    compose_delta,
     dual_delta_to_nabla,
     dual_nabla_to_delta,
-    enumerate_delta_maps,
     pack,
     realize_bundle,
     reg_extract,
@@ -51,7 +54,8 @@ from trusskit import (  # noqa: E402
     total_space,
     unpack,
 )
-from trusskit.oracles import all_diagrams, all_posets, functors, tower_family  # noqa: E402
+from trusskit.oracles import all_diagrams, all_posets, functors, poset_maps, tower_family  # noqa: E402
+from trusskit.ordinal import Delta  # noqa: E402
 
 ROUNDS = 3
 DIAMOND = FinPoset.from_covers("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
@@ -72,6 +76,7 @@ def families():
         ("mesh round trip over all_posets(3), <= 2", lambda: [round_trip(d) for d in small]),
         ("classify round trip over all_posets(3), <= 2", lambda: [classify(total_space(d)) for d in small]),
         ("pack round trip over tower_family(0, 2), depth >= 1", lambda: [unpack(pack(t)) for t in towers]),
+        ("poset_maps over all_posets(3)², maps", lambda: [f for p in posets for q in posets for f in poset_maps(p, q)]),
     ]
 
 
@@ -111,8 +116,7 @@ def streamed_cost():
     untraced run that keeps none of them)."""
     tower._empty_tables()
     start = time.process_time()
-    streamed = functors(DIAMOND, [Ordinal(k) for k in range(4)], enumerate_delta_maps, compose_delta,
-                        DeltaMap.identity)
+    streamed = functors(DIAMOND, Delta(3))
     n = sum(1 for _ in streamed)
     return n, time.process_time() - start
 

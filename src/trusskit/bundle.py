@@ -21,8 +21,13 @@ tower._empty_tables empties _layout with the other memos.
 Bundles, labelings (functors into a LabelCategory), mesh bundles and their
 bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
 CoverFunctor core: it checks which elements and covers are assigned, proves
-functoriality with functor_table and keeps the resulting path table.  It
-and LabelCategory compare, hash and install unchecked through poset._Keyed,
+functoriality with functor_table and keeps the resulting path table.  Each
+class names the category its values live in as ``target``, read at use:
+ordinal.Delta for bundles, ordinal.NablaOp (∇^op) for attachment diagrams,
+mesh.Meshes for mesh bundles and a labeling's own LabelCategory; every
+proof and every composite reads its identities (identity_of) and its
+composition (compose_pair) from that one value.  It and LabelCategory
+compare, hash and install unchecked through poset._Keyed,
 the structure layer's one base, by their keys.  One proof per value while
 an equal one lives: a key equal to a live proved functor's, or to a live
 diagram of oracles.all_diagrams, shares its key and path table.  Tables
@@ -54,8 +59,8 @@ from .errors import (
     DomainError,
     LabelingError,
 )
-from .ordinal import DeltaMap, Ordinal, _by_value, compose_delta
-from .poset import FinPoset, PosetMap, _Keyed, bits, element_sort_key
+from .ordinal import Delta, DeltaMap, Ordinal, _by_value
+from .poset import FinPoset, PosetMap, _Keyed, _along, bits, element_sort_key
 from .strata import Stratum, fiber_objects
 
 
@@ -76,27 +81,32 @@ def _walk(base: FinPoset):
     return steps, [(e, e) for e in els]
 
 
-def functor_table(base: FinPoset, identity_at, cover_value, compose_pair):
-    """Extend an assignment on covering relations to all related pairs.
+def functor_table(base: FinPoset, target, objects, covers):
+    """Extend an assignment on covering relations to all related pairs: a
+    functor into the category target, objects its value per element and
+    covers per covering relation; target's identity_of and compose_pair,
+    read once per proof, give the diagonal and the composites.
 
-    Processes targets along a linear extension; for a pair x < z the first
-    route (x -> y, then the cover y -> z) gives the value and every later
-    route must compose to it, as in oracles.functors and bordism
-    composition; no value, None included, stands for "none yet".  Checking all
-    incoming covers of every pair is a complete functoriality test.
-    Targets come in the order of ``base.linear_extension()``, sources x of
-    a target in the canonical order of ``base.elements`` and covers into it
-    in the order of ``base.covers()``, so the first diagnostic is
-    deterministic.  The bookkeeping is the base's _walk, built once for all
-    the tables over it, and the checks cost one composite per pair x < z and
-    cover y -> z with x < y; a cover is its own route, by the unit law of Δ
-    and ∇ maps and of validated or closed label categories.  Returns (table,
-    diagnostic): the first diagnostic ends the walk, and then the table is
-    only partial; it is None on success.
+    Processes the upper ends z along a linear extension; for a pair x < z
+    the first route (x -> y, then the cover y -> z) gives the value and
+    every later route must compose to it, as in oracles.functors and
+    bordism composition; no value, None included, stands for "none yet".
+    Checking all incoming covers of every pair is a complete functoriality
+    test.  Upper ends come in the order of ``base.linear_extension()``,
+    sources x of one in the canonical order of ``base.elements`` and
+    covers into it in the order of ``base.covers()``, so the first
+    diagnostic is deterministic.  The bookkeeping is the base's _walk,
+    built once for all the tables over it, and the checks cost one
+    composite per pair x < z and cover y -> z with x < y; a cover is its
+    own route, by the unit law of the target (Δ, ∇^op, meshes, validated
+    or closed label categories).  Returns (table, diagnostic): the first
+    diagnostic ends the walk, and then the table is only partial; it is
+    None on success.
     """
     steps, diagonal = _walk(base)
-    table = {key: identity_at(key[0]) for key in diagonal}
-    values = [cover_value(c) for c in base.covers()]
+    identity_of, compose_pair = target.identity_of, target.compose_pair
+    table = {key: identity_of(objects[key[0]]) for key in diagonal}
+    values = [covers[c] for c in base.covers()]
     for below, incoming in steps:
         routes = [(j, y, values[p]) for j, y, p in incoming]
         for i, up, key in below:
@@ -134,15 +144,16 @@ class CoverFunctor(_Keyed):
     ``_tables``.  That checks that exactly the base elements and covering
     relations are assigned, checks the values, and hands the key to
     ``_prove``, the proof step, which extends the cover values to every
-    related pair with functor_table and stores that path table;
+    related pair with functor_table into ``target``, the category the
+    values live in, read at use (a class attribute, or a labeling's
+    LabelCategory), and stores that path table;
     functor_table's diagnostic is raised as ``_error``.  ``_proved`` is the
     proof step's class-level entry, for a key whose shape and values hold
     by construction (classify's).  One proof per value while an equal one
     lives: a proved functor is kept, weakly, in ``_PROVED`` under its key's
     hash, as is each diagram that oracles.all_diagrams installs, and a
-    later key of the same type equal to its key installs its key,
-    ``compose`` and path table, shared, without a proof; so ``_prove``
-    hashes the key at once, and an unhashable key is refused with the
+    later key of the same type equal to its key installs its key and path
+    table, shared, without a proof; so ``_prove`` hashes the key at once, and an unhashable key is refused with the
     hash's TypeError once proved.
     ``_trusted`` builds a functor without any of these checks from a path
     table known to be functorial: ``pullback`` reads one from the parent,
@@ -152,8 +163,9 @@ class CoverFunctor(_Keyed):
     oracles.audited() rebuilds each through ``over``, the subclass
     constructor.  Every
     subclass reads alike through the core: ``base``, the tables ``objects``
-    (per element) and ``covers`` (per covering relation), and ``compose``,
-    the composition the path table was built with.  Equality and hashing go by
+    (per element) and ``covers`` (per covering relation), and ``target``,
+    the category the path table composes in, read at use by the proof and
+    by bordism composition.  Equality and hashing go by
     ``_key``, through poset._Keyed: the base, any target, then the element
     and cover tables.  A trusted functor's hash is taken on first use
     (``_hashed``) and kept, ``==`` compares hashes only when both sides have
@@ -164,7 +176,7 @@ class CoverFunctor(_Keyed):
     _names = ("ord", "arrow")
     _fields = ("base", "ord", "arrow")
 
-    def _extend(self, key, identity_at, compose):
+    def _extend(self, key):
         base, objects, covers = key[0], key[-2], key[-1]
         if not isinstance(base, FinPoset):
             raise DomainError(f"a {type(self).__name__}'s base must be a FinPoset, got {type(base).__name__}")
@@ -178,37 +190,38 @@ class CoverFunctor(_Keyed):
                 f" extra {sorted(set(covers) - set(expected), key=element_sort_key)})"
             )
         self._check_values(*key)
-        self._prove(key, identity_at, compose)
+        self._prove(key)
 
-    def _prove(self, key, identity_at, compose):
-        """_extend's proof step: share the key, compose and path table of a
-        live proved functor of this type with an equal key, else prove the
-        key with functor_table, install it and keep it in ``_PROVED``."""
+    def _prove(self, key):
+        """_extend's proof step: share the key and path table of a live
+        proved functor of this type with an equal key, else prove the key
+        with functor_table into ``target``, install it and keep it in
+        ``_PROVED``."""
         try:
             h = _key_hash(key)
         except TypeError:  # proved as ever, then refused with the same error
             h = None
         known = _PROVED.get(h)
         if known is not None and type(known) is type(self) and known._key == key:
-            self._install(known._key, known.compose, known._paths, h)
+            self._install(known._key, known._paths, h)
             return
-        table, diagnostic = functor_table(key[0], identity_at, key[-1].__getitem__, compose)
+        table, diagnostic = functor_table(key[0], self.target, key[-2], key[-1])
         if diagnostic is not None:
             raise self._error(diagnostic)
         if h is None:
             _key_hash(key)  # raises the TypeError
-        self._install(key, compose, table, h)
+        self._install(key, table, h)
         _PROVED[h] = self
 
     @classmethod
-    def _proved(cls, key, identity_at, compose):
+    def _proved(cls, key):
         """A functor from a key whose shape and values hold by construction
         (its element and cover tables assign exactly the base elements and
         covers, with values of the right ends), through the proof step only:
         no constructor, no shape or value check.  classify builds its
         diagram through it."""
         new = object.__new__(cls)
-        new._prove(key, identity_at, compose)
+        new._prove(key)
         return new
 
     def _tables(self, objects, covers):
@@ -219,12 +232,12 @@ class CoverFunctor(_Keyed):
         except (TypeError, ValueError) as exc:
             raise DomainError(f"a {type(self).__name__}'s {' and '.join(self._names)} must be tables: {exc}") from None
 
-    def _install(self, key, compose, paths, h=None):
+    def _install(self, key, paths, h=None):
         """Store a key whose path table is known to be functorial, under
         the core's names and the subclass's ``_fields``; h is the key's hash
         when already taken, else __hash__ takes it on first use."""
         self.base, self.objects, self.covers = key[0], key[-2], key[-1]
-        self.compose, self._paths, self._key, self._hash = compose, paths, key, h
+        self._paths, self._key, self._hash = paths, key, h
         for name, value in zip(self._fields, key):
             setattr(self, name, value)
 
@@ -232,7 +245,7 @@ class CoverFunctor(_Keyed):
         """The composite value of any related pair a <= b."""
         try:
             return self._paths[(a, b)]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable one is no element
             raise DomainError(f"{a!r} and {b!r} are not related in the base") from None
 
     def over(self, base, objects, covers):
@@ -244,11 +257,12 @@ class CoverFunctor(_Keyed):
         """Precompose with the monotone map out of base whose value at x is
         image[x].  The path table is the parent's, read at the images of the
         related pairs, and the covers are read from it.  An image that is
-        not such a map fails a lookup, and PosetMap(base, self.base, image)
-        words the refusal as a DomainError: undefined, not in the target,
-        or not monotone on a cover."""
-        parent, els = self._paths, base.elements
+        not such a map, or a base that is no poset, fails a lookup, and
+        PosetMap(base, self.base, image) words the refusal as a DomainError:
+        no FinPoset, undefined, not in the target, or not monotone on a
+        cover."""
         try:
+            parent, els = self._paths, base.elements
             objects = {x: self.objects[image[x]] for x in els}
             images = [image[x] for x in els]
             paths = {
@@ -256,21 +270,21 @@ class CoverFunctor(_Keyed):
                 for x, fx, up in zip(els, images, base.ups)
                 for j in bits(up)
             }
-        except (KeyError, TypeError):
+        except (AttributeError, KeyError, TypeError):
             PosetMap(base, self.base, image)
             raise
         return self._derive(base, objects, paths)
 
     @classmethod
-    def _trusted(cls, key, compose, paths):
+    def _trusted(cls, key, paths):
         """A functor from its key less the covers, (base, [target,] objects),
         and a functorial path table; reads its covers from the table."""
         covers = {c: paths[c] for c in key[0].covers()}
-        return cls._made(key + (covers,), compose, paths)
+        return cls._made(key + (covers,), paths)
 
     def _derive(self, base, objects, paths):
         """_trusted for the same kind of functor, into the same target."""
-        return self._trusted((base,) + self._key[1:-2] + (objects,), self.compose, paths)
+        return self._trusted((base,) + self._key[1:-2] + (objects,), paths)
 
     def _hashed(self):
         return _key_hash(self._key)
@@ -284,10 +298,12 @@ class DeltaDiagram(CoverFunctor):
     unless the covering data extends coherently to all related pairs.
     """
 
+    target = Delta()
+
     def __init__(self, base: FinPoset, ord, arrow):
         ord, arrow = self._tables(ord, arrow)
         ords = {b: o if isinstance(o, Ordinal) else Ordinal(o) for b, o in ord.items()}
-        self._extend((base, ords, arrow), lambda b: DeltaMap.identity(ords[b]), compose_delta)
+        self._extend((base, ords, arrow))
 
     @staticmethod
     def _check_values(base, ords, arrow):
@@ -391,11 +407,8 @@ def total_space(d: DeltaDiagram) -> TotalPoset:
 def pullback_bundle(d: DeltaDiagram, f: PosetMap) -> DeltaDiagram:
     """Restrict d along a monotone map into its base; fibers are reused and
     covering maps are the composites between the images."""
-    if not (isinstance(d, DeltaDiagram) and isinstance(f, PosetMap)):
-        raise DomainError("pullback_bundle needs a DeltaDiagram and a PosetMap")
-    if f.dst != d.base:
-        raise DomainError("pullback map must land in the diagram's base")
-    return d.pullback(f.src, f.mapping)
+    src, image = _along(f, d, DeltaDiagram, "pullback_bundle", "diagram")
+    return d.pullback(src, image)
 
 
 def classify(t: TotalPoset) -> DeltaDiagram:
@@ -441,7 +454,7 @@ def classify(t: TotalPoset) -> DeltaDiagram:
     try:  # a map that is not weakly increasing is refused by the checking constructor
         maps = {(a, b): (DeltaMap._trusted if all(map(le, vs, vs[1:])) else DeltaMap)(ords[a], ords[b], vs)
                 for (a, b), vs in arrow.items()}
-        d = DeltaDiagram._proved((t.base, ords, maps), lambda b: DeltaMap.identity(ords[b]), compose_delta)
+        d = DeltaDiagram._proved((t.base, ords, maps))
     except (DiagramError, DomainError) as exc:
         raise ClassificationError(f"recovered data is not a bundle: {exc}") from exc
     if total_space(d) != t:
@@ -575,8 +588,15 @@ class LabelCategory(_Keyed):
     def compose_pair(self, f, g):
         try:
             return self.compose[(f, g)]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable one is no morphism
             raise DomainError(f"{f!r} and {g!r} do not compose") from None
+
+    def identity_of(self, o):
+        """The identity of the object o, as a functor's target gives it."""
+        try:
+            return self.identity[o]
+        except (KeyError, TypeError):  # an unhashable one is no object
+            raise DomainError(f"{o!r} is not an object") from None
 
     def hom(self, a, b) -> tuple:
         """The morphisms from a to b, in morphism order; () unless a is an object."""
@@ -623,12 +643,8 @@ class Labeling(CoverFunctor):
     def __init__(self, domain: FinPoset, target: LabelCategory, on_objects, on_relations):
         if not isinstance(target, LabelCategory):
             raise LabelingError(f"a Labeling's target must be a LabelCategory, got {type(target).__name__}")
-        objects, relations = self._tables(on_objects, on_relations)
-        self._extend(
-            (domain, target, objects, relations),
-            lambda b: target.identity[objects[b]],
-            target.compose_pair,
-        )
+        self.target = target  # the proof step's target, before the install sets it again
+        self._extend((domain, target, *self._tables(on_objects, on_relations)))
 
     @staticmethod
     def _check_values(domain, target, on_objects, on_relations):

@@ -222,12 +222,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except ParseError as exc:
+    except TrussError as exc:  # a ParseError is a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TrussError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     return 0 if report.is_ok else 1
 
 

@@ -6,7 +6,9 @@ evenly spaced CompactMesh1 per ordinal.
 A mesh bundle over a finite poset (triangulated by its nerve) is a functor
 on the CoverFunctor core: compact heights per vertex and, per covering
 relation, the interval map attaching each singular sheet of the upper fiber
-to a height of the lower one, with NablaDiagram's contravariant composition.
+to a height of the lower one.  Its target, read at use, is Meshes, the
+1-meshes with backward attachments: ∇^op (ordinal.NablaOp, NablaDiagram's
+target) on the meshes' intervals, so both compose contravariantly.
 realize_bundle, pullback_mesh and the readbacks (the mesh's own table or
 its interval dual) install path tables known to be functorial;
 PLMeshBundle(...) and parse check everything, and oracles.audited()
@@ -43,8 +45,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DiagramError, DomainError, MeshError, SectionError
-from .ordinal import NablaMap, Ordinal, compose_delta, compose_nabla, dual_delta_to_nabla, dual_nabla_to_delta
-from .poset import FinPoset, PosetMap
+from .ordinal import NablaMap, NablaOp, Ordinal, dual_delta_to_nabla, dual_nabla_to_delta
+from .poset import FinPoset, PosetMap, _along
 from .strata import Stratum, validate_stratum_map
 from .bundle import CoverFunctor, DeltaDiagram
 
@@ -117,15 +119,21 @@ class StratSimplexPoint:
         return max(i for i, c in enumerate(self.coords) if c != 0)
 
 
-def _backward(m_xy, m_yz):
-    # contravariant: the composite along x <= y <= z runs z -> y -> x
-    return compose_nabla(m_yz, m_xy)
-
-
 def _check_attachments(ords, arrow, error):
     for (a, b), g in arrow.items():
         if not isinstance(g, NablaMap) or g.src != ords[b] or g.dst != ords[a]:
             raise error(f"arrow on ({a!r}, {b!r}) is not an interval map {ords[b]}->{ords[a]}")
+
+
+class Meshes(NablaOp):
+    """1-meshes with backward attachments, as the target category of a
+    functor (PLMeshBundle's): an object is a CompactMesh1 and a morphism
+    h -> k an interval map from k's interval to h's, composed as in ∇^op.
+    A value that is no CompactMesh1 is read as ∇^op reads an object, so a
+    wrong type is refused there."""
+
+    def identity_of(self, h):
+        return NablaMap.identity(h.interval if isinstance(h, CompactMesh1) else h)
 
 
 class NablaDiagram(CoverFunctor):
@@ -134,9 +142,10 @@ class NablaDiagram(CoverFunctor):
     interval map from the one over b to the one over a.  map_for(a, b) is
     the composite backward map of any related pair."""
 
+    target = NablaOp()
+
     def __init__(self, base: FinPoset, ord, arrow):
-        ords, arrow = self._tables(ord, arrow)
-        self._extend((base, ords, arrow), lambda x: NablaMap.identity(ords[x]), _backward)
+        self._extend((base, *self._tables(ord, arrow)))
 
     @staticmethod
     def _check_values(base, ords, arrow):
@@ -159,10 +168,10 @@ class PLMeshBundle(CoverFunctor):
     _error = MeshError
     _names = ("heights", "sing")
     _fields = ("base", "heights", "sing")
+    target = Meshes()
 
     def __init__(self, base: FinPoset, heights, sing):
-        heights, sing = self._tables(heights, sing)
-        self._extend((base, heights, sing), lambda x: NablaMap.identity(heights[x].interval), _backward)
+        self._extend((base, *self._tables(heights, sing)))
 
     @staticmethod
     def _check_values(base, heights, sing):
@@ -172,7 +181,10 @@ class PLMeshBundle(CoverFunctor):
         _check_attachments({b: h.interval for b, h in heights.items()}, sing, MeshError)
 
     def fiber(self, b) -> CompactMesh1:
-        return self.heights[b]
+        try:
+            return self.heights[b]
+        except (KeyError, TypeError):  # an unhashable one is no element
+            raise DomainError(f"{b!r} is not a base element") from None
 
     def __repr__(self):
         return f"PLMeshBundle(base={len(self.base.elements)} vertices)"
@@ -196,14 +208,9 @@ def interpolated_heights(m: PLMeshBundle, chain, point: StratSimplexPoint) -> tu
         if u == v or not m.base.le(u, v):
             raise DomainError("chain must be strictly increasing in the base")
     top = chain[point.stratum]
-    backs = [m.map_for(chain[k], top) for k in range(point.stratum + 1)]
-    out = []
-    for j in range(len(m.heights[top].heights)):
-        total = Fraction(0)
-        for k in range(point.stratum + 1):
-            total += point.coords[k] * m.heights[chain[k]][backs[k](j)]
-        out.append(total)
-    return tuple(out)
+    # per vertex up to the stratum's: its weight, its heights and its attachment map from top
+    terms = [(point.coords[k], m.heights[chain[k]], m.map_for(chain[k], top)) for k in range(point.stratum + 1)]
+    return tuple(sum((c * h[g(j)] for c, h, g in terms), Fraction(0)) for j in range(len(m.heights[top].heights)))
 
 
 def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
@@ -230,7 +237,7 @@ def realize_bundle(d: DeltaDiagram, vertex_heights=None) -> PLMeshBundle:
             raise MeshError(f"supplied heights over {b!r} do not match ordinal {d.ord[b]}")
     heights = {b: supplied[b] if b in supplied else realize_1truss(d.ord[b]) for b in d.base.elements}
     paths = {k: dual_delta_to_nabla(f) for k, f in d._paths.items()}
-    return PLMeshBundle._trusted((d.base, heights), _backward, paths)
+    return PLMeshBundle._trusted((d.base, heights), paths)
 
 
 def reg_extract(m: PLMeshBundle) -> DeltaDiagram:
@@ -246,7 +253,7 @@ def reg_extract(m: PLMeshBundle) -> DeltaDiagram:
         raise DomainError(f"reg_extract needs a PLMeshBundle, got {type(m).__name__}")
     ords = {b: Ordinal(len(m.heights[b].interior)) for b in m.base.elements}
     paths = {k: dual_nabla_to_delta(g) for k, g in m._paths.items()}
-    return DeltaDiagram._trusted((m.base, ords), compose_delta, paths)
+    return DeltaDiagram._trusted((m.base, ords), paths)
 
 
 def sing_extract(m: PLMeshBundle) -> NablaDiagram:
@@ -257,7 +264,7 @@ def sing_extract(m: PLMeshBundle) -> NablaDiagram:
     if not isinstance(m, PLMeshBundle):
         raise DomainError(f"sing_extract needs a PLMeshBundle, got {type(m).__name__}")
     ords = {b: m.heights[b].interval for b in m.base.elements}
-    return NablaDiagram._trusted((m.base, ords), _backward, m._paths)
+    return NablaDiagram._trusted((m.base, ords), m._paths)
 
 
 def section_to_strata(m: PLMeshBundle, section) -> dict:
@@ -298,8 +305,5 @@ def pullback_mesh(m: PLMeshBundle, f: PosetMap) -> PLMeshBundle:
     """Restrict a mesh bundle along a monotone map into its base: each vertex
     keeps the heights over its image, and each cover attaches by the path
     table's composite between the images (the identity on a collapse)."""
-    if not (isinstance(m, PLMeshBundle) and isinstance(f, PosetMap)):
-        raise DomainError("pullback_mesh needs a PLMeshBundle and a PosetMap")
-    if f.dst != m.base:
-        raise DomainError("pullback map must land in the bundle's base")
-    return m.pullback(f.src, f.mapping)
+    src, image = _along(f, m, PLMeshBundle, "pullback_mesh", "bundle")
+    return m.pullback(src, image)

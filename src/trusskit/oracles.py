@@ -27,6 +27,7 @@ from math import comb
 
 from .errors import CompositionError, DiagramError, DomainError, LabelingError, ParseError, TrussError
 from .ordinal import (
+    Delta,
     DeltaMap,
     MonotoneMap,
     Ordinal,
@@ -85,20 +86,22 @@ from .serialize import cover_key, dumps, element_key
 # enumeration families
 
 
-def functors(base: FinPoset, objects, hom, compose, identity):
-    """Every functor from base into a category, as (at, paths): at holds
-    one of objects per element, paths the functor's path table.  They come
-    in product order: objects per element in element order, then one of
-    hom(at[a], at[b]) per cover (a, b) in covers() order, the last varying
-    fastest.  Each table holds the keys of the base's _walk in
-    functor_table's order, the diagonal valued identity(at[x]); a pair
-    x < z is composed along its first route, compose(value of (x, y),
-    cover (y, z)), as soon as every cover on its routes is chosen, so once
-    per prefix.  A prefix is cut at an empty hom between assigned elements,
-    or at two routes of a pair that disagree.  The functors of one object
-    assignment share its at."""
+def functors(base: FinPoset, cat):
+    """Every functor from base into the category cat, as (at, paths): at
+    holds one of cat.objects per element, paths the functor's path table.
+    They come in product order: objects per element in element order, then
+    one of cat.hom(at[a], at[b]) per cover (a, b) in covers() order, the
+    last varying fastest.  cat is read as a functor's target is, at use:
+    a LabelCategory, a bounded ordinal.Delta, any value with objects, hom,
+    identity_of and compose_pair.  Each table holds the keys of the base's
+    _walk in functor_table's order, the diagonal valued
+    cat.identity_of(at[x]); a pair x < z is composed along its first route,
+    cat.compose_pair(value of (x, y), cover (y, z)), as soon as every cover
+    on its routes is chosen, so once per prefix.  A prefix is cut at an
+    empty hom between assigned elements, or at two routes of a pair that
+    disagree.  The functors of one object assignment share its at."""
     steps, diagonal = _walk(base)
-    covers, objects = base.covers(), tuple(objects)
+    covers, objects, compose = base.covers(), tuple(cat.objects), cat.compose_pair
     ends = [(base.index[a], base.index[b]) for a, b in covers]
     keys = diagonal + [key for below, _ in steps for _, _, key in below]
     pos = {key: k for k, key in enumerate(keys)}
@@ -115,7 +118,7 @@ def functors(base: FinPoset, objects, hom, compose, identity):
     closing = [[] for _ in diagonal]  # per element, the covers between it and the elements before it
     for ia, ib in ends:
         closing[max(ia, ib)].append((ia, ib))
-    hom_of = lru_cache(None)(lambda u, v: tuple(hom(u, v)))
+    hom_of = lru_cache(None)(lambda u, v: tuple(cat.hom(u, v)))
     objs, vals = [None] * len(diagonal), [None] * len(keys)
 
     def choose(p, at, homs):
@@ -134,7 +137,7 @@ def functors(base: FinPoset, objects, hom, compose, identity):
 
     def assign(i):
         if i == len(objs):
-            vals[:i] = map(identity, objs)
+            vals[:i] = map(cat.identity_of, objs)
             yield from choose(0, dict(zip(base.elements, objs)), [hom_of(objs[a], objs[b]) for a, b in ends])
             return
         for o in objects:
@@ -166,23 +169,20 @@ def all_diagrams(base: FinPoset, max_ordinal: int = 2) -> list:
     bound, as functors() yields them into Δ: each installed through
     DeltaDiagram._trusted with its path table, then kept in bundle._PROVED,
     so a constructor given an equal key shares its proof."""
-    out = []
-    for ords, paths in functors(base, [Ordinal(k) for k in range(max_ordinal + 1)], enumerate_delta_maps,
-                                compose_delta, DeltaMap.identity):
-        d = DeltaDiagram._trusted((base, ords), compose_delta, paths)
-        _PROVED[hash(d)] = d  # after the install: audited() checks it against a real proof
-        out.append(d)
+    out = [DeltaDiagram._trusted((base, ords), paths) for ords, paths in functors(base, Delta(max_ordinal))]
+    for d in out:  # after the installs: audited() checks each against a real proof
+        _PROVED[hash(d)] = d
     return out
 
 
 def poset_maps(src: FinPoset, dst: FinPoset) -> list:
     """Every monotone map between two finite posets: the functors into dst's
-    thin category, one arrow (u, v) when u <= v and none otherwise.  A
-    functor is monotone by construction, so each map installs through
-    PosetMap._trusted with its object assignment as its mapping: a thin
-    target gives one functor per assignment, so no two maps share one."""
-    thin = functors(src, dst.elements, lambda u, v: ((u, v),) if dst.le(u, v) else (),
-                    lambda f, g: (f[0], g[1]), lambda u: (u, u))
+    thin category, LabelCategory.from_poset(dst), one arrow "u<=v" when
+    u <= v and none otherwise.  A functor is monotone by construction, so
+    each map installs through PosetMap._trusted with its object assignment
+    as its mapping: a thin target gives one functor per assignment, so no
+    two maps share one."""
+    thin = functors(src, LabelCategory.from_poset(dst))
     return [PosetMap._trusted(src, dst, mapping) for mapping, _ in thin]
 
 
@@ -253,9 +253,7 @@ def random_diagram(base: FinPoset, max_ordinal: int, rng) -> DeltaDiagram:
     covers = base.covers()
     while True:
         ords = {e: Ordinal(rng.randint(0, max_ordinal)) for e in els}
-        arrow = {}
-        for (a, b) in covers:
-            arrow[(a, b)] = rng.choice(enumerate_delta_maps(ords[a], ords[b]))
+        arrow = {(a, b): rng.choice(enumerate_delta_maps(ords[a], ords[b])) for a, b in covers}
         try:
             return DeltaDiagram(base, ords, arrow)
         except DiagramError:
@@ -317,10 +315,8 @@ def bordism_family(seed: int = 0) -> list:
     cat = labels[0][1]
     for depth in (2, 3):
         for _ in range(6):
-            maps = []
-            for _ in range(depth):
-                n0, n1 = rng.randint(0, 1), rng.randint(0, 1)
-                maps.append(rng.choice(enumerate_delta_maps(n0, n1)))
+            # per stage: the source and target ordinals drawn in turn, then the map
+            maps = [rng.choice(enumerate_delta_maps(rng.randint(0, 1), rng.randint(0, 1))) for _ in range(depth)]
             out.append(constant_inclusion(maps, rng.choice(cat.morphisms), cat))
     # head[:10] is tower_family(seed, 1)[:10]
     head = depth1_family(point_poset(), 1, _labelled_in(labels, random.Random(seed)))
@@ -616,8 +612,6 @@ def suite_pack(max_ordinal: int = 2, seed: int = 0) -> Report:
     rng = random.Random(seed or 0)
     towers = tower_family(seed or 0, max_ordinal)
     for t in towers:
-        if t.depth < 1:
-            continue
         counts["towers"] += 1
         for u in (t, _z2_relabelled(t, rng)):
             try:
@@ -732,17 +726,17 @@ def suite_bordism_assoc(seed: int = 0, max_ordinal=None) -> Report:
 def suite_derived(max_ordinal: int = 2, seed: int = 0) -> Report:
     """Derive towers from every source as the library does, by pullback: the
     ends of a tower over the arrow and their identity bordisms (or the
-    identity bordism of a tower over the point), and, from depth 1, the
-    objects and morphisms of pack's label category.  As a SUITES entry,
-    audited() checks every layer, total space and tower installed, ends too."""
+    identity bordism of a tower over the point), and the objects and
+    morphisms of pack's label category: every source has depth 1 or more.
+    As a SUITES entry, audited() checks every layer, total space and tower
+    installed, ends too."""
     counts = {"sources": 0, "derived": 0}
     for t in tower_family(seed, max_ordinal) + bordism_family(seed):
         counts["sources"] += 1
         out = [t.end(0), t.end(1)] if t.base == arrow_poset() else []
         out += [identity_bordism(e) for e in out or [t]]
-        if t.depth >= 1:
-            cat = pack(t).tower.labels.target
-            out += cat.objects + cat.morphisms
+        cat = pack(t).tower.labels.target
+        out += cat.objects + cat.morphisms
         counts["derived"] += len(out)
     return Report.ok(counts)
 
@@ -834,7 +828,7 @@ _INSTALLS = (
     (FinPoset, "trusted poset", "poset_checks", lambda new, fields: (new, ()), _poset_disagrees),
     (CoverFunctor, "trusted functor",
      lambda new, fields, fresh: "mesh_checks" if isinstance(new, PLMeshBundle) else "layers",
-     lambda new, fields: (new, fields[2]), _functor_disagrees),
+     lambda new, fields: (new, fields[1]), _functor_disagrees),
     # each distinct space once: a memo evicting one does not count it twice
     (TotalPoset, "total space", lambda new, fields, fresh: fresh and "total_space_checks",
      lambda new, fields: (fields[0], ()), _total_space_disagrees),

@@ -230,6 +230,35 @@ def enumerate_nabla_maps(n, m) -> list:
     return [make(n, m, vs) for vs in combos if vs[0] == 0 and vs[-1] == m.n]
 
 
+class Delta:
+    """Δ, the ordinals and weakly increasing maps, as the target category of
+    a functor (bundle.DeltaDiagram's): identity_of(n) is n's identity and
+    compose_pair(f, g), first f then g, is compose_delta.  compose_pair and
+    hom are read at use, not bound here, so a rebound compose_delta or
+    enumerate_delta_maps (a tracer's) is the one called.  Delta(k) is the
+    full subcategory on [0], ..., [k], whose objects and hom(a, b)
+    oracles.functors enumerates; Delta(), Δ itself, lists no objects."""
+
+    identity_of = DeltaMap.identity
+    compose_pair = property(lambda self: compose_delta)
+    hom = property(lambda self: enumerate_delta_maps)
+
+    def __init__(self, bound=-1):
+        self.objects = tuple(map(Ordinal, range(bound + 1)))
+
+
+class NablaOp:
+    """∇^op, the strict intervals [n], n >= 1, with interval maps taken
+    backward, as the target category of a functor (mesh.NablaDiagram's): a
+    morphism a -> b is an interval map [b] -> [a], so compose_pair(f, g),
+    first f then g, is compose_nabla(g, f), read at use."""
+
+    identity_of = NablaMap.identity
+
+    def compose_pair(self, f, g):
+        return compose_nabla(g, f)
+
+
 def _by_value(maxsize):
     """The library's one memo for a public function: fn, memoized by its
     arguments' values in an lru_cache of maxsize entries that every caller

@@ -365,7 +365,10 @@ class PosetMap(_Keyed):
         return hash((self.src, self.dst, frozenset(self.mapping.items())))
 
     def __call__(self, e):
-        return self.mapping[e]
+        try:
+            return self.mapping[e]
+        except (KeyError, TypeError):  # an unhashable one is no element
+            raise DomainError(f"map undefined on {e!r}") from None
 
     @staticmethod
     def identity(p: FinPoset) -> "PosetMap":
@@ -374,6 +377,17 @@ class PosetMap(_Keyed):
 
     def __repr__(self):
         return f"PosetMap({self.mapping})"
+
+
+def _along(f, x, cls, name: str, what: str) -> tuple:
+    """The source and mapping of f, once x is a cls and f a PosetMap into
+    x's base: the checks of the public pullbacks, each refusal worded for
+    the caller name and x's kind, what."""
+    if not (isinstance(x, cls) and isinstance(f, PosetMap)):
+        raise DomainError(f"{name} needs a {cls.__name__} and a PosetMap")
+    if f.dst != x.base:
+        raise DomainError(f"pullback map must land in the {what}'s base")
+    return f.src, f.mapping
 
 
 POINT_ELEMENT = "pt"

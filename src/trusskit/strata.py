@@ -112,7 +112,7 @@ class Stratum(_Interned):
             kind = text[0]
             i, n = text[1:].split("@")
             return Stratum(kind, int(i), int(n))
-        except (IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:  # no str, or no literal
             raise DomainError(f"bad stratum literal {text!r}, expected e.g. 's0@1'") from exc
 
     def sort_key(self):

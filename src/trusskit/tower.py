@@ -62,6 +62,7 @@ from .poset import (
     FinPoset,
     PosetMap,
     _Keyed,
+    _along,
     arrow_poset,
     bits,
     point_poset,
@@ -178,11 +179,8 @@ class CompositionAudit:
 def pullback_tower(t: TrussTower, f: PosetMap) -> TrussTower:
     """Restrict a tower layer by layer along a monotone map into its base;
     the result is a Bordism when the map's source is the arrow."""
-    if not (isinstance(t, TrussTower) and isinstance(f, PosetMap)):
-        raise DomainError("pullback_tower needs a TrussTower and a PosetMap")
-    if f.dst != t.base:
-        raise DomainError("pullback map must land in the tower's base")
-    return _pullback(t.layers, f.src, f.mapping)
+    src, image = _along(f, t, TrussTower, "pullback_tower", "tower")
+    return _pullback(t.layers, src, image)
 
 
 def _pullback(chain, root: FinPoset, image: dict, ends=None) -> TrussTower:
@@ -292,7 +290,7 @@ def _apply(plan, l1, l2):
     """The composite layer plan lays out, read from l1's and l2's path tables;
     each crossing composes through its first middle, and the others must agree."""
     base, left, right, keys1, keys2, crossings = plan
-    p1, p2, o1, o2, compose = l1._paths, l2._paths, l1.objects, l2.objects, l1.compose
+    p1, p2, o1, o2, compose = l1._paths, l2._paths, l1.objects, l2.objects, l1.target.compose_pair
     paths = {k: p[k] for p, keys in ((p1, keys1), (p2, keys2)) for k in keys}
     for (x, y), ((k1, k2), *others) in crossings.items():
         value = paths[(x, y)] = compose(p1[k1], p2[k2])

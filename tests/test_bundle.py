@@ -33,7 +33,6 @@ from trusskit import (
 )
 from trusskit import bundle
 from trusskit.bundle import CoverFunctor
-from trusskit.ordinal import compose_delta
 from trusskit.oracles import (
     SUITES,
     _total_space_disagrees,
@@ -255,7 +254,7 @@ def refusal_crossed_regulars():
     # the total space of a diagram installed over the arrow with the map (1, 0), rebuilt through the
     # checking constructor: a valid poset, whose recovered map (1, 0) is not weakly increasing
     good = arrow_diagram(1, 1, (0, 1))
-    crossed = DeltaDiagram._trusted(good._key[:-1], good.compose,
+    crossed = DeltaDiagram._trusted(good._key[:-1],
                                     {**good._paths, ("0", "1"): DeltaMap._trusted(Ordinal(1), Ordinal(1), (1, 0))})
     carrier = total_space(crossed).carrier
     els, ups = carrier.elements, carrier.ups
@@ -269,7 +268,7 @@ def refusal_image_after_crossed_regulars():
     base = FinPoset.from_covers("xyz", [("x", "y"), ("x", "z")])
     good = DeltaDiagram(base, {e: Ordinal(1) for e in "xyz"},
                         {("x", "y"): DeltaMap.identity(1), ("x", "z"): DeltaMap.identity(1)})
-    crossed = DeltaDiagram._trusted(good._key[:-1], good.compose,
+    crossed = DeltaDiagram._trusted(good._key[:-1],
                                     {**good._paths, ("x", "y"): DeltaMap._trusted(Ordinal(1), Ordinal(1), (1, 0))})
     carrier = total_space(crossed).carrier
     els, ups, r0 = carrier.elements, carrier.ups, ("x", Stratum.regular(0, 1))
@@ -679,7 +678,7 @@ def test_an_equal_key_of_another_kind_is_proved_again(monkeypatch):
     ords = {"s": Ordinal(5), "t": Ordinal(5)}
     delta, nabla = DeltaDiagram(base, ords, {}), NablaDiagram(base, ords, {})
     assert len(calls) == 2 and delta._key == nabla._key
-    assert isinstance(nabla.map_for("s", "s"), NablaMap) and nabla.compose is not delta.compose
+    assert isinstance(nabla.map_for("s", "s"), NablaMap) and type(nabla.target) is not type(delta.target)
 
 
 def test_an_unequal_key_hashing_alike_is_proved(monkeypatch):
@@ -705,7 +704,7 @@ def test_functor_table_stops_at_the_first_routes_that_disagree():
     ident, collapse = DeltaMap.identity(7), DeltaMap(7, 7, (0,) * 8)
     base = diamond_diagram().base
     covers = {**dict.fromkeys(base.covers(), ident), ("c", "d"): collapse}
-    table, why = bundle.functor_table(base, lambda e: ident, covers.__getitem__, compose_delta)
+    table, why = bundle.functor_table(base, DeltaDiagram.target, dict.fromkeys(base.elements, Ordinal(7)), covers)
     assert why == "composites from 'a' to 'd' disagree through 'b' and 'c'"
     # d's sources come in element order, so the walk ends before any pair into d
     assert sorted(table) == sorted([(e, e) for e in "abcd"] + [("a", "b"), ("a", "c")])
@@ -761,7 +760,7 @@ def test_renaming_a_morphism_named_none_changes_no_verdict_and_no_diagnostic():
 @pytest.mark.parametrize("suite", ["derived", "pack"])
 def test_a_live_trusted_functor_with_a_wrong_table_is_proved_and_audited(monkeypatch, suite):
     good = diamond_diagram()
-    bad = DeltaDiagram._trusted(good._key[:-1], good.compose, {**good._paths, ("a", "d"): DeltaMap(7, 7, (0,) * 8)})
+    bad = DeltaDiagram._trusted(good._key[:-1], {**good._paths, ("a", "d"): DeltaMap(7, 7, (0,) * 8)})
     del good
     gc.collect()
     calls = count_proofs(monkeypatch)
@@ -807,7 +806,7 @@ def test_a_trusted_functor_hashes_on_first_use():
 def test_an_unhashable_trusted_functor_installs_and_is_refused_a_hash():
     d = diamond_diagram()
     corner = UnhashableMap(7, 7, tuple(range(8)))
-    f = DeltaDiagram._trusted(d._key[:-1], d.compose, {**d._paths, ("c", "d"): corner})
+    f = DeltaDiagram._trusted(d._key[:-1], {**d._paths, ("c", "d"): corner})
     assert f.covers[("c", "d")] is corner and f == f
     with pytest.raises(TypeError, match="unhashable type: 'UnhashableMap'"):
         hash(f)

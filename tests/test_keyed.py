@@ -68,6 +68,6 @@ def test_a_trusted_and_a_checked_poset_map_are_one_value():
 
 def test_comparing_a_trusted_functor_with_a_checked_one_takes_no_hash():
     d = bordism_family(0)[0].stages[0]
-    f = DeltaDiagram._trusted(d._key[:-1], d.compose, d._paths)
+    f = DeltaDiagram._trusted(d._key[:-1], d._paths)
     assert f is not d and f._hash is None
     assert f == d and d == f and f._hash is None

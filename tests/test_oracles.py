@@ -12,6 +12,7 @@ import random
 import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +32,6 @@ from trusskit import (
     StratumMap,
     arrow_poset,
     bundle,
-    compose_delta,
     enumerate_delta_maps,
     mesh,
     oracles,
@@ -42,6 +42,7 @@ from trusskit import (
 )
 from trusskit.bundle import CoverFunctor, LabelCategory, TotalPoset, total_space
 from trusskit.mesh import PLMeshBundle
+from trusskit.ordinal import Delta
 from trusskit.oracles import (
     SUITES,
     all_diagrams,
@@ -89,8 +90,8 @@ def assert_caught(report, kind):
 
 
 def test_audit_catches_a_wrong_realized_path(monkeypatch):
-    def wrong(cls, key, compose, paths):
-        return super(PLMeshBundle, cls)._trusted(key, compose, one_wrong_entry(key[0], paths))
+    def wrong(cls, key, paths):
+        return super(PLMeshBundle, cls)._trusted(key, one_wrong_entry(key[0], paths))
 
     monkeypatch.setattr(PLMeshBundle, "_trusted", classmethod(wrong))
     report = SUITES["roundtrip-mesh"]()
@@ -337,15 +338,15 @@ def one_middle(*args):
 
 
 def test_a_composition_error_in_a_suite_is_a_failing_report(monkeypatch):
-    # composites formed through a copy of b1 whose label layer composes every
-    # pair to a fresh value, so two factorization middles disagree; where no
+    # composites formed through a copy of b1 whose label layer's target
+    # composes every pair to a fresh value, so two factorization middles disagree; where no
     # pair has two middles, the composite is formed as usual
     real = tower._composite.__wrapped__
 
     def wrong(b1, b2):
         labels = copy.copy(b1.labels)
         fresh = itertools.count()
-        labels.compose, labels._derive = lambda f, g: next(fresh), one_middle
+        labels.target, labels._derive = SimpleNamespace(compose_pair=lambda f, g: next(fresh)), one_middle
         bad = copy.copy(b1)
         bad.layers = b1.stages + (labels,)
         try:
@@ -861,7 +862,7 @@ def _labelings_by_constructor(base, cat):
 def test_functors_into_a_category_that_is_not_thin_are_the_labelings(base):
     # Z/2, one object and two morphisms: every route check compares labels
     want = _labelings_by_constructor(base, Z2)
-    got = list(functors(base, Z2.objects, Z2.hom, Z2.compose_pair, Z2.identity.__getitem__))
+    got = list(functors(base, Z2))
     assert len(got) == len(want) == (8 if base is DIAMOND else 2 ** len(base.covers()))
     for (at, paths), w in zip(got, want):
         assert at == w.on_objects and list(paths.items()) == list(w._paths.items())
@@ -872,8 +873,7 @@ def test_the_diamond_streams_in_bounded_memory():
     tower._empty_tables()
     tracemalloc.start()
     try:
-        streamed = functors(DIAMOND, [Ordinal(k) for k in range(3)], enumerate_delta_maps, compose_delta,
-                            DeltaMap.identity)
+        streamed = functors(DIAMOND, Delta(2))
         count = sum(1 for _ in streamed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

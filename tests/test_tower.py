@@ -10,6 +10,7 @@ import random
 import re
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -609,14 +610,14 @@ def test_glue_matches_reference():
 
 
 def test_composition_checks_every_factorization_middle(chain_cat):
-    # a copy of b1 whose label layer composes every pair to a fresh value,
-    # so two middles of one crossing pair disagree
+    # a copy of b1 whose label layer's target composes every pair to a fresh
+    # value, so two middles of one crossing pair disagree
     b1 = constant_inclusion([DeltaMap.identity(1)], "a<=b", chain_cat)
     b2 = constant_inclusion([DeltaMap.identity(1)], "b<=c", chain_cat)
     assert compose_bordisms_audited(b1, b2)[1].alternatives == 4
     labels = copy.copy(b1.labels)
     fresh = itertools.count()
-    labels.compose = lambda f, g: next(fresh)
+    labels.target = SimpleNamespace(compose_pair=lambda f, g: next(fresh))
     bad = copy.copy(b1)
     bad.layers = b1.stages + (labels,)
     middle = ("1", Stratum.singular(0, 1))

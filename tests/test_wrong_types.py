@@ -11,6 +11,7 @@ from trusskit import (
     POINT_ELEMENT,
     DeltaMap,
     NablaMap,
+    Ordinal,
     PosetMap,
     StratSimplexPoint,
     Stratum,
@@ -146,5 +147,52 @@ def test_a_wrong_argument_returns_or_raises_a_truss_error(valid, name, tmp_path,
                 # documented: the bare cache hashes its arguments first
                 if not (name == "validate_stratum_map" and "unhashable" in str(exc)):
                     raise AssertionError(f"{name} with {wrong!r} at argument {i}: {exc!r}") from exc
+            except Exception as exc:
+                raise AssertionError(f"{name} with {wrong!r} at argument {i}: {exc!r}") from exc
+
+
+def methods() -> dict:
+    """A public method per name, bound, with valid operands.  Report.ok is
+    left out on purpose: the suites build it from the counts and notes they
+    write themselves, so no caller hands it an input, and like the plain
+    records it checks nothing but its status."""
+    b = bordism_family(0)[0]
+    d, lab, cat = b.stages[0], b.labels, b.labels.target
+    m = realize_bundle(d)
+    f = PosetMap(point_poset(), arrow_poset(), {POINT_ELEMENT: "0"})
+    g, x = cat.morphisms[-1], lab.domain.elements[0]
+    n, alpha = sing_extract(m), d.arrow[("0", "1")]
+    beta = n.arrow[("0", "1")]
+    return {
+        "Stratum.parse": (Stratum.parse, ("r0@1",)),
+        "DeltaDiagram.map_for": (d.map_for, ("0", "1")),
+        "NablaDiagram.map_for": (n.map_for, ("0", "1")),
+        "PLMeshBundle.map_for": (m.map_for, ("0", "1")),
+        "Labeling.morphism_for": (lab.morphism_for, (x, x)),
+        "LabelCategory.compose_pair": (cat.compose_pair, (cat.identity[cat.src[g]], g)),
+        "LabelCategory.identity_of": (cat.identity_of, (cat.objects[0],)),
+        "DeltaDiagram.pullback": (d.pullback, (f.src, f.mapping)),
+        "PLMeshBundle.fiber": (m.fiber, ("0",)),
+        "PosetMap.__call__": (f, (POINT_ELEMENT,)),
+        # the fixed targets of the functor classes
+        "Delta.identity_of": (d.target.identity_of, (Ordinal(1),)),
+        "Delta.compose_pair": (d.target.compose_pair, (alpha, DeltaMap.identity(alpha.dst))),
+        "Delta.hom": (d.target.hom, (1, 2)),
+        "NablaOp.identity_of": (n.target.identity_of, (Ordinal(1),)),
+        "NablaOp.compose_pair": (n.target.compose_pair, (beta, NablaMap.identity(beta.src))),
+        "Meshes.identity_of": (m.target.identity_of, (m.heights["0"],)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(methods()))
+def test_a_wrong_argument_to_a_method_returns_or_raises_a_truss_error(name):
+    call, args = methods()[name]
+    call(*args)
+    for i in range(len(args)):
+        for wrong in WRONG:
+            try:
+                call(*args[:i], wrong, *args[i + 1:])
+            except TrussError:
+                pass
             except Exception as exc:
                 raise AssertionError(f"{name} with {wrong!r} at argument {i}: {exc!r}") from exc
