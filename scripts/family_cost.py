@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the cost of three oracle families, of a mesh round trip, of a pack
-round trip, of the monotone maps between small posets and of a streamed
-family as a Markdown table.
+round trip, of the monotone maps between small posets, of a streamed
+family and of closing a truss category as a Markdown table.
 
 Usage (from the repository root):
     python3 scripts/family_cost.py
@@ -16,7 +16,7 @@ and then ``classify``, and the one after it each tower of depth >= 1
 of ``oracles.tower_family(0, 2)`` (built once, untimed) through ``pack`` and
 ``unpack``, and the last timed row every monotone map between two posets
 of ``all_posets(3)`` through ``oracles.poset_maps``, which enumerates the
-functors into ``LabelCategory.from_poset`` of the target, built per call.
+functors into ``LabelCategory.from_poset`` of the target, installed per call.
 For each row, the table gives the number of items (diagrams, towers for
 the pack row, maps for the poset_maps row), the CPU time (process time,
 best of ROUNDS untraced runs), the tracemalloc peak of one more, traced
@@ -24,7 +24,12 @@ run, and the hits and misses of the two dual memos (``ordinal.dual_delta_to_nabl
 ``ordinal.dual_nabla_to_delta``, summed) in that run.  A last row counts
 the functors ``oracles.functors`` streams over the diamond into
 ``ordinal.Delta(3)``, Δ on the ordinals <= 3, keeping none, in one untraced
-run: a traced one takes minutes.
+run: a traced one takes minutes.  The row after it closes Trs_{<=2}([1]),
+``tower.truss_label_category`` of ``oracles.depth1_family`` over the point
+(the objects) and over the arrow (the generators) with fiber ordinals <= 2,
+each top labelled by every monotone map into the arrow poset [1] (built once,
+untimed), and gives its objects, morphisms and composites and the CPU time of
+one untraced run.
 Every run starts from emptied library memos (``tower._empty_tables()``), so
 no run reuses a proof, a walk, a dual or a packed piece of another, and the
 traced peak of the pack row includes what pack's memo retains, and that of
@@ -41,20 +46,31 @@ from trusskit import (  # noqa: E402
     DeltaDiagram,
     DeltaMap,
     FinPoset,
+    LabelCategory,
     Ordinal,
     arrow_poset,
     classify,
     dual_delta_to_nabla,
     dual_nabla_to_delta,
     pack,
+    point_poset,
     realize_bundle,
     reg_extract,
     sing_extract,
     tower,
     total_space,
+    truss_label_category,
     unpack,
 )
-from trusskit.oracles import all_diagrams, all_posets, functors, poset_maps, tower_family  # noqa: E402
+from trusskit.oracles import (  # noqa: E402
+    all_diagrams,
+    all_posets,
+    depth1_family,
+    functors,
+    labeling_from_map,
+    poset_maps,
+    tower_family,
+)
 from trusskit.ordinal import Delta  # noqa: E402
 
 ROUNDS = 3
@@ -121,6 +137,22 @@ def streamed_cost():
     return n, time.process_time() - start
 
 
+def closure_cost():
+    """(objects, morphisms, composites, CPU seconds) of closing Trs_{<=2}([1])
+    in one untraced run."""
+    cat = LabelCategory.from_poset(arrow_poset())
+
+    def labelings(top):
+        return [labeling_from_map(top, cat, f.mapping) for f in poset_maps(top, arrow_poset())]
+
+    objects, generators = (depth1_family(root, 2, labelings) for root in (point_poset(), arrow_poset()))
+    tower._empty_tables()
+    start = time.process_time()
+    closed = truss_label_category(objects, generators)
+    seconds = time.process_time() - start
+    return len(closed.objects), len(closed.morphisms), len(closed.compose), seconds
+
+
 def main():
     print("| family | items | CPU s (best of %d) | traced peak MB | dual memo hits / misses |" % ROUNDS)
     print("|---|---|---|---|---|")
@@ -129,6 +161,9 @@ def main():
         print(f"| {name} | {n} | {seconds:.3f} | {peak / 1e6:.2f} | {hits} / {misses} |")
     n, seconds = streamed_cost()
     print(f"| diamond, <= 3, streamed | {n} | {seconds:.3f} (one run) | not traced | not traced |")
+    objects, morphisms, composites, seconds = closure_cost()
+    print(f"| Trs_{{<=2}}([1]) closed: {objects} objects, {morphisms} morphisms, composites | {composites}"
+          f" | {seconds:.3f} (one run) | not traced | not traced |")
     print()
     print(f"Python {sys.version.split()[0]}")
 

@@ -518,7 +518,8 @@ class LabelCategory(_Keyed):
     ``_objects`` and ``_morphisms`` map each value to its instance here, and
     ``_out`` each object to the morphisms out of it, in morphism order.  The
     constructor checks the laws over composable pairs and triples only;
-    ``_trusted`` installs truss_label_category's closure unchecked, and
+    ``_trusted`` installs truss_label_category's closure and from_poset's
+    thin categories (once their names are distinct) unchecked, and
     oracles.audited() rebuilds each through the constructor.  Equality goes
     through poset._Keyed by the key (objects and morphisms as sets, then the
     src, dst, identity and compose tables); the hash covers objects,
@@ -608,17 +609,20 @@ class LabelCategory(_Keyed):
     @classmethod
     def from_poset(cls, p: FinPoset) -> "LabelCategory":
         """The thin category of a poset; morphism names are "a<=b" strings in
-        the pairs' canonical order, and a <= b composes with b's up-set."""
+        the pairs' canonical order, and a <= b composes with b's up-set.  A
+        category by construction once no two pairs print alike, it is
+        installed through _trusted."""
         if not isinstance(p, FinPoset):
             raise DomainError(f"from_poset needs a FinPoset, got {type(p).__name__}")
         els = p.elements
         above = {a: [els[j] for j in bits(up)] for a, up in zip(els, p.ups)}
         name = {(a, b): f"{a}<={b}" for a, up in above.items() for b in up}
-        return cls(
-            objects=els, morphisms=name.values(),
-            src={m: a for (a, b), m in name.items()}, dst={m: b for (a, b), m in name.items()},
-            identity={a: name[(a, a)] for a in els},
-            compose={(m, name[(b, c)]): name[(a, c)] for (a, b), m in name.items() for c in above[b]},
+        if len(set(name.values())) != len(name):  # 1 and "1" print alike, and so do "1<=2", "3" and "1", "2<=3"
+            raise DomainError("duplicate objects or morphisms")
+        return cls._trusted(
+            els, name.values(), {m: a for (a, b), m in name.items()}, {m: b for (a, b), m in name.items()},
+            {a: name[(a, a)] for a in els},
+            {(m, name[(b, c)]): name[(a, c)] for (a, b), m in name.items() for c in above[b]},
         )
 
     @classmethod

@@ -803,6 +803,19 @@ def _rebuild_disagrees(new, fields):
     return None if type(new)(*fields) == new else "it differs from its validating rebuild"
 
 
+def _category_disagrees(new: LabelCategory, fields):
+    """Why new differs from its validating rebuild, or why compose_bordisms
+    of a bordism in it and the identity at one of its ends is not that
+    bordism (truss_label_category enters these unit entries uncomposed); or
+    None."""
+    why = _rebuild_disagrees(new, fields)
+    for i, f in enumerate(new.morphisms if why is None else ()):
+        units = (new.identity[new.src[f]], f), (f, new.identity[new.dst[f]])
+        if isinstance(f, TrussTower) and any(compose_bordisms(*pair) != f for pair in units):
+            return f"a unit law fails at morphism {i}: its composite with an identity differs from it"
+    return why
+
+
 def _recorded(new: TrussTower, fields) -> dict:
     """The ends new holds where its TrussTower._trusted call records one,
     whatever else the live tower has recorded before."""
@@ -834,7 +847,7 @@ _INSTALLS = (
      lambda new, fields: (fields[0], ()), _total_space_disagrees),
     # == compares objects and morphisms as sets; equal lengths also rule out a duplicate
     (LabelCategory, "label category", "category_checks",
-     lambda new, fields: (new, (len(new.objects), len(new.morphisms))), _rebuild_disagrees),
+     lambda new, fields: (new, (len(new.objects), len(new.morphisms))), _category_disagrees),
     (MonotoneMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
     (StratumMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),
     (PosetMap, "trusted map", "map_checks", lambda new, fields: (new, ()), _rebuild_disagrees),

@@ -32,19 +32,25 @@ give the same value.  Once per pair of stage tuples, _plan builds and checks
 the composite's stages and its audit, and lays out its label layer: which
 elements and paths come from which bordism, and each crossing pair's
 middles; each composite only reads, composes and checks its label values.
+A layer's layout, _layer_plan, is read by position off the three bases'
+up-set masks (the elements over "0" come first, and b2's are b1's seam) and
+memoized per triple of bases.
 Composites, plans and identity bordisms are memoized by value in bounded
 caches that every caller shares, and pack's pieces in _PACKED, bounded too,
 so separate pack calls pull back a repeated piece once and close their label
-categories from the same composites; the closure, a category by
-construction, is installed through LabelCategory._trusted.  oracles.audited()
-checks trusted towers with their recorded ends, re-proves the closure and,
-through _empty_tables, empties every table on entry and exit.
+categories from the same composites.  The closure enters each morphism's
+composites with the identities at its ends as the morphism itself, uncomposed
+(the unit laws), and, a category by construction, is installed through
+LabelCategory._trusted.  oracles.audited() checks trusted towers with their
+recorded ends, re-proves the closure, composes its unit entries to prove them
+and, through _empty_tables, empties every table on entry and exit.
 _assemble glues towers over parts of a base for unpack, and for the oracles'
 "bordism-assoc" suite, which checks each composite against a glue.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from weakref import WeakValueDictionary
@@ -258,32 +264,30 @@ def _assemble(base: FinPoset, pieces) -> list:
     return layers
 
 
+@lru_cache(maxsize=2048)
 def _layer_plan(base1: FinPoset, base2: FinPoset, base: FinPoset):
     """How a composite layer over base reads layers over base1 and base2:
     (base, the elements whose objects come from b1, those from b2, the path
     keys copied from b1, those from b2, and each crossing pair's middles in
-    canonical order, as (b1 key, b2 key) pairs)."""
-    els1, els2 = base1.elements, base2.elements
-    seam = sum(1 << j for j, m in enumerate(els1) if root_of(m) == "1")
-    # the middles as path keys: b1's seam above x, b2's below y by b1's names
-    ups = {x: [(x, els1[j]) for j in bits(up & seam)] for x, up in zip(els1, base1.ups) if root_of(x) == "0"}
-    downs = {y: {} for y in els2 if root_of(y) == "1"}
-    for j in bits(seam):
-        m2 = _retag(els1[j], {"1": "0"})
-        for k in bits(base2.ups[base2.index[m2]]):
-            if els2[k] in downs:
-                downs[els2[k]][els1[j]] = (m2, els2[k])
+    canonical order, as (b1 key, b2 key) pairs).  Read by position: the
+    elements over "0" come first, so base1's p over "0" are base's first p,
+    base2's over "1" are base's rest, and base2's s over "0" are base1's seam,
+    its s over "1", in order (_composite has checked the ends)."""
+    (els1, ups1), (els2, ups2), (els, ups) = ((b.elements, b.ups) for b in (base1, base2, base))
+    p, s = (bisect_left(e, "1", key=root_of) for e in (els1, els2))
+    if len(els1) - p != s or bisect_left(els, "1", key=root_of) != p or len(els) - p != len(els2) - s:
+        raise InternalError("the factors' seam or prefix lengths disagree")
+    # per base2 element over "1", the mask of the seam positions below it
+    below = [sum(1 << t for t in range(s) if ups2[t] >> k & 1) for k in range(s, len(els2))]
     crossings = {}
-    for x, above in ups.items():
-        related = base.ups[base.index[x]]
-        for y, below in downs.items():
-            if related >> base.index[y] & 1:
-                mids = crossings[(x, y)] = tuple((k1, below[k1[1]]) for k1 in above if k1[1] in below)
-                if not mids:
-                    raise InternalError(f"empty factorization middle set between {x!r} and {y!r}")
-    return (base, tuple(x for x in base.elements if x in ups), tuple(x for x in base.elements if x not in ups),
-            tuple((x, els1[j]) for x, up in zip(els1, base1.ups) if x in ups for j in bits(up & ~seam)),
-            tuple((y, els2[j]) for y, up in zip(els2, base2.ups) if y in downs for j in bits(up)), crossings)
+    for i in range(p):
+        for k in bits(ups[i] >> p):
+            x, y = els1[i], els2[s + k]
+            mids = crossings[(x, y)] = tuple(((x, els1[p + t]), (els2[t], y)) for t in bits(ups1[i] >> p & below[k]))
+            if not mids:
+                raise InternalError(f"empty factorization middle set between {x!r} and {y!r}")
+    return (base, els[:p], els[p:], tuple((x, els1[j]) for x, up in zip(els1[:p], ups1) for j in bits(up % (1 << p))),
+            tuple((y, els2[j]) for y, up in zip(els2[s:], ups2[s:]) for j in bits(up)), crossings)
 
 
 def _apply(plan, l1, l2):
@@ -346,8 +350,8 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
 
 
 # captured, so a patched name cannot hide one
-_MEMOS = (_composite, identity_bordism, _plan, total_space, _layout, _walk, _identities, dual_delta_to_nabla,
-          dual_nabla_to_delta)
+_MEMOS = (_composite, identity_bordism, _plan, _layer_plan, total_space, _layout, _walk, _identities,
+          dual_delta_to_nabla, dual_nabla_to_delta)
 
 
 def _empty_tables():
@@ -362,8 +366,9 @@ def _empty_tables():
 def truss_label_category(objects, generators) -> LabelCategory:
     """The finite category generated by labelled trusses, their identity
     bordisms and the given generators, closed under composition; a composite
-    equal to a known morphism enters the table as that instance.  It is
-    installed unchecked, as the module docstring says."""
+    equal to a known morphism enters the table as that instance, and each
+    morphism's composites with the identities at its ends enter as itself,
+    uncomposed.  It is installed unchecked, as the module docstring says."""
     try:
         objs, gens = list(objects), list(generators)
         towers = all(isinstance(x, TrussTower) for x in objs + gens)
@@ -375,33 +380,35 @@ def truss_label_category(objects, generators) -> LabelCategory:
     if any(o.base != point_poset() for o in objs):
         raise PackingError("an object is not a tower over the point")
     idents = {o: identity_bordism(o) for o in objs}
-    morphisms = list(dict.fromkeys(list(idents.values()) + gens))
+    # seen: the morphisms, in morphism order, each to its instance; by_source:
     # the morphisms out of each object, in morphism order
-    by_source = {o: [] for o in objs}
-    for m in morphisms:
+    seen, by_source, compose = {}, {o: [] for o in objs}, {}
+
+    def join(m):  # its unit laws enter the table uncomposed
+        seen[m] = m
+        by_source[m.end(0)].append(m)
+        compose[(idents[m.end(0)], m)] = compose[(m, idents[m.end(1)])] = m
+
+    for m in dict.fromkeys(list(idents.values()) + gens):
         if m.base != arrow_poset():
             raise PackingError("a generator is not a bordism: its base is not the arrow poset")
         if m.end(0) not in by_source or m.end(1) not in by_source:
             raise PackingError("a generator's endpoint is not among the objects")
-        by_source[m.end(0)].append(m)
-    seen = {m: m for m in morphisms}
-    compose = {}
+        join(m)
     changed = True
     while changed:
         changed = False
-        for f in list(morphisms):
+        for f in list(seen):
             for g in list(by_source[f.end(1)]):
                 if (f, g) in compose:
                     continue
                 h = compose_bordisms(f, g)
                 if h not in seen:
-                    seen[h] = h
-                    morphisms.append(h)
-                    by_source[h.end(0)].append(h)
+                    join(h)
                     changed = True
                 compose[(f, g)] = seen[h]
     return LabelCategory._trusted(
-        objs, morphisms, {m: m.end(0) for m in morphisms}, {m: m.end(1) for m in morphisms}, idents, compose
+        objs, list(seen), {m: m.end(0) for m in seen}, {m: m.end(1) for m in seen}, idents, compose
     )
 
 

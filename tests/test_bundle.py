@@ -418,6 +418,16 @@ def test_label_category_from_poset_laws():
         cat.compose_pair("b<=c", "a<=b")
 
 
+@pytest.mark.parametrize("els, covers", [
+    ([1, "1"], []),  # both identities print "1<=1"
+    (["1", "2<=3", "1<=2", "3"], [("1", "2<=3"), ("1<=2", "3")]),  # both covers print "1<=2<=3"
+])
+def test_label_category_from_poset_refuses_pairs_that_print_alike(els, covers):
+    p = FinPoset.from_covers(els, covers)
+    with pytest.raises(DomainError, match="duplicate objects or morphisms"):
+        LabelCategory.from_poset(p)
+
+
 def test_label_category_validates_table():
     with pytest.raises(DomainError):
         LabelCategory(
@@ -527,9 +537,9 @@ def test_label_categories_built_apart_compare_and_hash_alike():
 
 def test_label_category_of_a_long_chain_builds_at_pair_and_triple_cost():
     els = [f"{i:02d}" for i in range(60)]
-    chain = FinPoset.from_covers(els, list(zip(els, els[1:])))
-    start = time.perf_counter()
-    cat = LabelCategory.from_poset(chain)
+    thin = LabelCategory.from_poset(FinPoset.from_covers(els, list(zip(els, els[1:]))))
+    start = time.perf_counter()  # the checking constructor: from_poset installs unchecked
+    cat = LabelCategory(thin.objects, thin.morphisms, thin.src, thin.dst, thin.identity, thin.compose)
     elapsed = time.perf_counter() - start
     assert (len(cat.morphisms), len(cat.compose)) == (1830, 37820)
     assert elapsed < 2  # 5.9 s when the checks scanned every pair and every (composite, morphism) pair

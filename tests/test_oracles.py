@@ -301,6 +301,19 @@ def test_audit_catches_a_wrong_closure_entry(monkeypatch):
     assert_caught(SUITES["pack"](), "label category")
 
 
+def test_audit_catches_a_wrong_seeded_unit_entry(monkeypatch):
+    # identity_bordism gives a loop g with g then g not g for g's end, so the
+    # closure enters g then g as g uncomposed, and its table is still a category
+    loop = next(m for t in tower_family(0, 2) if t.depth >= 1 for m in pack(t).tower.labels.target.morphisms
+                if m.end(0) == m.end(1) and compose_bordisms(m, m) != m)
+    real = tower.identity_bordism
+    monkeypatch.setattr(tower, "identity_bordism", lambda o: loop if o == loop.end(0) else real(o))
+    report = SUITES["pack"]()
+    monkeypatch.undo()
+    assert_caught(report, "label category")
+    assert report.diagnostics[0][1].startswith("a unit law fails at morphism"), report.diagnostics
+
+
 def test_an_audit_count_named_like_a_suite_count_is_a_failing_report():
     t = tower_family(0, 2)[0]
 
@@ -578,9 +591,12 @@ def test_audit_checks_each_distinct_category_once(monkeypatch):
     real = LabelCategory._validate
     monkeypatch.setattr(LabelCategory, "_validate", lambda self: built.append(self) or real(self))
     report = SUITES["derived"]()
-    assert report.is_ok and report.counts["category_checks"] == 756
+    # 756 closure installs and 4 of from_poset's, which installs through _trusted
+    assert report.is_ok and report.counts["category_checks"] == 760
     rebuilt = [c for c in built if isinstance(c.objects[0], TrussTower)]  # not from_poset's
     assert len(rebuilt) == len(set(rebuilt)) == 484
+    thin = [c for c in built if not isinstance(c.objects[0], TrussTower)]  # the chain's and the vee's
+    assert len(thin) == len(set(thin)) == 2
 
 
 def test_audit_rebuilds_an_equal_category_with_a_duplicate_entry():

@@ -88,7 +88,7 @@ from trusskit.oracles import (
     poset_maps,
     tower_family,
 )
-from trusskit.poset import path_poset
+from trusskit.poset import bits, path_poset
 from trusskit.tower import root_of
 from conftest import terminal_labeling
 
@@ -660,6 +660,58 @@ def test_depth_zero_bordisms_compose(chain_cat):
     assert (audit.crossings, audit.alternatives) == (1, 1)
 
 
+def reference_layer_plan(base1, base2, base):
+    """_layer_plan spelled by name: the seam found by root, b2's middles
+    named by retagging b1's seam from "1" to "0", every position looked up
+    in the bases' indexes."""
+    els1, els2 = base1.elements, base2.elements
+    seam = sum(1 << j for j, m in enumerate(els1) if root_of(m) == "1")
+    ups = {x: [(x, els1[j]) for j in bits(up & seam)] for x, up in zip(els1, base1.ups) if root_of(x) == "0"}
+    downs = {y: {} for y in els2 if root_of(y) == "1"}
+    for j in bits(seam):
+        m2 = tower._retag(els1[j], {"1": "0"})
+        for k in bits(base2.ups[base2.index[m2]]):
+            if els2[k] in downs:
+                downs[els2[k]][els1[j]] = (m2, els2[k])
+    crossings = {}
+    for x, above in ups.items():
+        related = base.ups[base.index[x]]
+        for y, below in downs.items():
+            if related >> base.index[y] & 1:
+                mids = crossings[(x, y)] = tuple((k1, below[k1[1]]) for k1 in above if k1[1] in below)
+                if not mids:
+                    raise InternalError(f"empty factorization middle set between {x!r} and {y!r}")
+    return (base, tuple(x for x in base.elements if x in ups), tuple(x for x in base.elements if x not in ups),
+            tuple((x, els1[j]) for x, up in zip(els1, base1.ups) if x in ups for j in bits(up & ~seam)),
+            tuple((y, els2[j]) for y, up in zip(els2, base2.ups) if y in downs for j in bits(up)), crossings)
+
+
+def test_layer_plan_reads_by_position_as_the_reference_reads_by_name():
+    bordisms = bordism_family(0)
+    by_source = {}
+    for b in bordisms:
+        by_source.setdefault(b.end(0), []).append(b)
+    layers, depths = set(), set()
+    for b1 in bordisms:
+        for b2 in by_source.get(b1.end(1), ()):
+            depths.add(b1.depth)
+            bases = [[arrow_poset()] + [t.carrier for t in b.totals] for b in (b1, b2, compose_bordisms(b1, b2))]
+            layers.update(zip(*bases))
+    assert depths == {1, 2, 3} and len(layers) == 400
+    for triple in layers:
+        plan, ref = tower._layer_plan.__wrapped__(*triple), reference_layer_plan(*triple)
+        assert plan == ref and list(plan[-1]) == list(ref[-1])  # the crossings in the same order too
+
+
+def test_layer_plan_refuses_a_related_pair_with_no_middle_and_unaligned_factors():
+    discrete = FinPoset(["0", "1"], [("0", "0"), ("1", "1")])  # nothing of base2's over "0" lies below "1"
+    for plan in (tower._layer_plan, reference_layer_plan):
+        with pytest.raises(InternalError, match="empty factorization middle set between '0' and '1'"):
+            plan(arrow_poset(), discrete, arrow_poset())
+    with pytest.raises(InternalError, match="seam or prefix lengths disagree"):
+        tower._layer_plan(arrow_poset(), point_poset(), arrow_poset())
+
+
 def _depth1_trusses_and_bordisms(k: int, labels: FinPoset):
     """Every depth-1 truss over the point and bordism with fibers <= k, with
     every monotone labelling in labels (read as a thin category)."""
@@ -1005,20 +1057,27 @@ def test_pack_prints_alike_whatever_the_intern_table_holds(reverse, between, war
 
 def test_pack_composes_each_distinct_pair_once(monkeypatch):
     memo = tower._composite
-    printed, pairs = {}, set()
+    printed, pairs, operands = {}, set(), []
 
     def spelled(b):
         # printed keeps each operand alive, so no id is reused
         return printed.setdefault(id(b), (b, dumps(b)))[1]
 
-    monkeypatch.setattr(tower, "_composite", lambda b1, b2: pairs.add((spelled(b1), spelled(b2))) or memo(b1, b2))
+    def composite(b1, b2):
+        pairs.add((spelled(b1), spelled(b2)))
+        operands.append((b1, b2))
+        return memo(b1, b2)
+
+    monkeypatch.setattr(tower, "_composite", composite)
     memo.cache_clear()
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
     for t in towers:
         pack(t)
     info = memo.cache_info()
     assert len(towers) == 465
-    assert info.misses == len(pairs) == 354 and info.hits > info.misses
+    # the closures enter their unit laws uncomposed, so no identity reaches _composite
+    assert info.misses == len(pairs) == 81 and info.hits == 23
+    assert not any(b == identity_bordism(b.end(0)) for pair in operands for b in pair)
 
 
 def test_packed_pieces_past_the_bound_evict_the_oldest_first():
