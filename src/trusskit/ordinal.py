@@ -5,13 +5,15 @@ ordinals [n] = {0, ..., n}, and endpoint-preserving weakly increasing maps
 (the strict-interval side), both checked by one MonotoneMap base; its
 _trusted installs unchecked the identities, composites, enumerations and
 duals of validated maps, valid by construction (oracles.audited() audits
-them).  The two are exchanged by an explicit duality given by counting
-preimages, implemented in both directions below.  Identities and duals are
-memoized by value: one identity per class and ordinal, and one dual per
-map in a bounded table for each direction, so a mesh round trip dualizes
-each distinct map once.  tower._empty_tables() empties these tables with
-the library's others, so oracles.audited() installs, and audits, what a
-block uses.
+them).  The composites and duals take only maps of these classes, interval
+maps on the ∇ side, and refuse any other type, a look-alike with the same
+fields included, by its type.  The two are exchanged by an explicit duality
+given by counting preimages, implemented in both directions below.
+Identities and duals are memoized by value: one identity per class and
+ordinal, and one dual per map in a bounded table for each direction, so a
+mesh round trip dualizes each distinct map once.  tower._empty_tables()
+empties these tables with the library's others, so oracles.audited()
+installs, and audits, what a block uses.
 
 Ordinals are interned: there is exactly one Ordinal instance per n, so two
 ordinals are equal exactly when they are the same object, and equality and
@@ -191,24 +193,20 @@ class NablaMap(MonotoneMap):
 
 def compose_delta(f: DeltaMap, g: DeltaMap) -> DeltaMap:
     """First f, then g."""
-    try:
-        if f.dst != g.src:
-            raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
-    except AttributeError:
-        raise DomainError(f"compose_delta needs two maps, got {type(f).__name__} and {type(g).__name__}") from None
-    make = DeltaMap._trusted if isinstance(f, MonotoneMap) and isinstance(g, MonotoneMap) else DeltaMap
-    return make(f.src, g.dst, tuple(g.values[v] for v in f.values))
+    if not (isinstance(f, MonotoneMap) and isinstance(g, MonotoneMap)):
+        raise DomainError(f"compose_delta needs two maps, got {type(f).__name__} and {type(g).__name__}")
+    if f.dst != g.src:
+        raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
+    return DeltaMap._trusted(f.src, g.dst, tuple(g.values[v] for v in f.values))
 
 
 def compose_nabla(f: NablaMap, g: NablaMap) -> NablaMap:
     """First f, then g.  Endpoint preservation is closed under composition."""
-    try:
-        if f.dst != g.src:
-            raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
-    except AttributeError:
-        raise DomainError(f"compose_nabla needs two maps, got {type(f).__name__} and {type(g).__name__}") from None
-    make = NablaMap._trusted if isinstance(f, NablaMap) and isinstance(g, NablaMap) else NablaMap
-    return make(f.src, g.dst, tuple(g.values[v] for v in f.values))
+    if not (isinstance(f, NablaMap) and isinstance(g, NablaMap)):
+        raise DomainError(f"compose_nabla needs two interval maps, got {type(f).__name__} and {type(g).__name__}")
+    if f.dst != g.src:
+        raise DomainError(f"cannot compose {f} before {g}: middle ordinals differ")
+    return NablaMap._trusted(f.src, g.dst, tuple(g.values[v] for v in f.values))
 
 
 def enumerate_delta_maps(n, m) -> list:
@@ -290,12 +288,10 @@ def dual_delta_to_nabla(f: DeltaMap) -> NablaMap:
     It sends 0 to 0 and m+1 to n+1, so it preserves endpoints.  The values
     of f are sorted, so the count is a bisection.
     """
-    try:
-        vals = tuple(bisect_left(f.values, j) for j in range(f.dst.n + 2))
-    except AttributeError:
-        raise DomainError(f"dual_delta_to_nabla needs a map, got {type(f).__name__}") from None
-    make = NablaMap._trusted if isinstance(f, MonotoneMap) else NablaMap
-    return make(Ordinal(f.dst.n + 1), Ordinal(f.src.n + 1), vals)
+    if not isinstance(f, MonotoneMap):
+        raise DomainError(f"dual_delta_to_nabla needs a map, got {type(f).__name__}")
+    vals = tuple(bisect_left(f.values, j) for j in range(f.dst.n + 2))
+    return NablaMap._trusted(Ordinal(f.dst.n + 1), Ordinal(f.src.n + 1), vals)
 
 
 @_by_value(1024)
@@ -303,10 +299,8 @@ def dual_nabla_to_delta(g: NablaMap) -> DeltaMap:
     """Inverse of dual_delta_to_nabla: for g: [m+1] -> [n+1] the dual
     [n] -> [m] sends i to #{ j in {1, ..., m+1} : g(j) <= i } (a bisection).
     """
-    try:
-        n, m = g.dst.n - 1, g.src.n - 1
-    except AttributeError:
-        raise DomainError(f"dual_nabla_to_delta needs a map, got {type(g).__name__}") from None
+    if not isinstance(g, NablaMap):
+        raise DomainError(f"dual_nabla_to_delta needs an interval map, got {type(g).__name__}")
+    n, m = g.dst.n - 1, g.src.n - 1
     vals = tuple(bisect_right(g.values, i, 1) - 1 for i in range(n + 1))
-    make = DeltaMap._trusted if isinstance(g, NablaMap) else DeltaMap
-    return make(Ordinal(n), Ordinal(m), vals)
+    return DeltaMap._trusted(Ordinal(n), Ordinal(m), vals)

@@ -200,14 +200,12 @@ def hom_strata(x: Stratum, y: Stratum) -> tuple:
 
 
 def compose_strata(f: StratumMap, g: StratumMap) -> StratumMap:
-    """First f, then g.  The composite of two StratumMaps is valid by
-    closure; of anything else with an underlying map it is checked."""
-    if not all(isinstance(k, StratumMap) or hasattr(k, "underlying") for k in (f, g)):
+    """First f, then g; the composite of two StratumMaps is valid by closure."""
+    if not (isinstance(f, StratumMap) and isinstance(g, StratumMap)):
         raise DomainError(f"compose_strata needs two stratum maps, got {f!r} and {g!r}")
     if f.dst != g.src:
         raise DomainError(f"cannot compose {f} before {g}")
-    make = StratumMap._trusted if isinstance(f, StratumMap) and isinstance(g, StratumMap) else StratumMap
-    return make(f.src, g.dst, compose_delta(f.underlying, g.underlying))
+    return StratumMap._trusted(f.src, g.dst, compose_delta(f.underlying, g.underlying))
 
 
 def forget_to_delta(f: StratumMap) -> DeltaMap:

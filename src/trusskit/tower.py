@@ -444,6 +444,8 @@ def pack(t: TrussTower) -> PackedTower:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
     dom = last.base
+    if not dom.elements:  # unpack could not tell the label category
+        raise PackingError("cannot pack over an empty base")
     els, lab = t.top.elements, t.labels
     objs, covs = {x: [] for x in dom.elements}, {}
     for a, upper in zip(els, t.top.upper):

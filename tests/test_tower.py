@@ -1118,6 +1118,13 @@ def _packed_over(base: FinPoset, fibers: dict) -> PackedTower:
     return PackedTower(TrussTower(base, (), labels))
 
 
+def _over_empty_base(cat: LabelCategory) -> TrussTower:
+    """A depth-1 tower over the empty poset, labelled in cat; towers in two
+    categories differ, but nothing over the empty base records which."""
+    d = DeltaDiagram(FinPoset([], []), {}, {})
+    return TrussTower(d.base, (d,), Labeling(total_space(d).carrier, cat, {}, {}))
+
+
 DISCRETE = FinPoset(["x", "y"], [("x", "x"), ("y", "y")])
 BUNDLE_GUARD = "pullback_bundle needs a DeltaDiagram and a PosetMap"
 TOWER_GUARD = "pullback_tower needs a TrussTower and a PosetMap"
@@ -1188,6 +1195,8 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: unpack(PackedTower(5)), PackingError, UNPACK_GUARD, id="unpack(PackedTower(5))"),
     pytest.param(lambda b, d, f: unpack(_packed_over(FinPoset([], []), {})), PackingError,
                  "cannot unpack over an empty base", id="unpack(empty base)"),
+    pytest.param(lambda b, d, f: pack(_over_empty_base(LabelCategory.terminal())), PackingError,
+                 "cannot pack over an empty base", id="pack(empty base)"),
     pytest.param(lambda b, d, f: unpack(_packed_over(DISCRETE, {"x": b.end(0), "y": constant_inclusion(
                      [0], "*", LabelCategory.terminal())})),
                  PackingError, "fiber trusses are labelled in different categories", id="unpack(mixed categories)"),
@@ -1234,11 +1243,11 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: compose_delta(5, 6), DomainError, "compose_delta needs two maps, got int and int",
                  id="compose_delta(5, 6)"),
     pytest.param(lambda b, d, f: compose_nabla([1], [2]), DomainError,
-                 "compose_nabla needs two maps, got list and list", id="compose_nabla([1], [2])"),
+                 "compose_nabla needs two interval maps, got list and list", id="compose_nabla([1], [2])"),
     pytest.param(lambda b, d, f: dual_delta_to_nabla([1]), DomainError, "dual_delta_to_nabla needs a map, got list",
                  id="dual_delta_to_nabla([1])"),
-    pytest.param(lambda b, d, f: dual_nabla_to_delta([1]), DomainError, "dual_nabla_to_delta needs a map, got list",
-                 id="dual_nabla_to_delta([1])"),
+    pytest.param(lambda b, d, f: dual_nabla_to_delta([1]), DomainError,
+                 "dual_nabla_to_delta needs an interval map, got list", id="dual_nabla_to_delta([1])"),
     pytest.param(lambda b, d, f: fiber_over_ordinal([3]), DomainError,
                  "a fiber lies over an ordinal [n], n an int, got list", id="fiber_over_ordinal([3])"),
     pytest.param(lambda b, d, f: Stratum.parse(5), DomainError, "bad stratum literal 5", id="Stratum.parse(5)"),

@@ -1,6 +1,8 @@
 """The routes that install maps unchecked (MonotoneMap._trusted and
-StratumMap._trusted) give the values the validating constructors give, and
-every route that was refused before is refused still, with the same error."""
+StratumMap._trusted) give the values the validating constructors give.
+Every route that was refused before is refused still, with a DomainError,
+and an argument that is no map of the entry point's classes, a look-alike
+with the same fields included, is refused by its type."""
 
 import copy
 from dataclasses import FrozenInstanceError, fields
@@ -32,8 +34,9 @@ from trusskit.oracles import audited
 
 @pytest.mark.parametrize("call, message", [
     (lambda: NablaMap.identity(0), "interval maps need ordinals"),
-    (lambda: dual_nabla_to_delta(DeltaMap(1, 1, (0, 0))), r"value 1 outside \[0\]"),
-    (lambda: compose_nabla(DeltaMap(1, 1, (0, 0)), NablaMap.identity(1)), "do not preserve the endpoints"),
+    (lambda: dual_nabla_to_delta(DeltaMap(1, 1, (0, 0))), "dual_nabla_to_delta needs an interval map, got DeltaMap"),
+    (lambda: compose_nabla(DeltaMap(1, 1, (0, 0)), NablaMap.identity(1)),
+     "compose_nabla needs two interval maps, got DeltaMap and NablaMap"),
     (lambda: DeltaMap(1, 2, (2, 0)), "not weakly increasing"),
     (lambda: compose_delta(DeltaMap(0, 1, (1,)), DeltaMap(2, 2, (0, 1, 2))), "middle ordinals differ"),
     (lambda: StratumMap(Stratum.regular(0, 1), Stratum.regular(1, 1), DeltaMap.identity(1)), "carries no morphism"),
@@ -46,13 +49,20 @@ def test_refusals_stay(call, message):
         call()
 
 
-# a map-like argument that is no map gets the checked result
+# a map-like argument that is no map of the entry point's classes is refused by its type, valid or not
 @pytest.mark.parametrize("call, message", [
     (lambda: compose_delta(Like(src=Ordinal(1), dst=Ordinal(1), values=(1, 0)), DeltaMap.identity(1)),
-     "not weakly increasing"),
-    (lambda: dual_delta_to_nabla(Like(src=Ordinal(0), dst=Ordinal(1), values=(5,))), "do not preserve the endpoints"),
+     "compose_delta needs two maps, got SimpleNamespace and DeltaMap"),
+    pytest.param(lambda: compose_delta(Like(src=Ordinal(1), dst=Ordinal(1), values=(0, 1)), DeltaMap.identity(1)),
+                 "compose_delta needs two maps, got SimpleNamespace and DeltaMap", id="a valid look-alike"),
+    (lambda: dual_delta_to_nabla(Like(src=Ordinal(0), dst=Ordinal(1), values=(5,))),
+     "dual_delta_to_nabla needs a map, got SimpleNamespace"),
     (lambda: compose_strata(Like(src=Stratum.regular(0, 1), dst=Stratum.regular(1, 1), underlying=DeltaMap.identity(1)),
-                            hom_strata(Stratum.regular(1, 1), Stratum.regular(1, 1))[0]), "carries no morphism"),
+                            hom_strata(Stratum.regular(1, 1), Stratum.regular(1, 1))[0]),
+     "compose_strata needs two stratum maps, got namespace"),
+    pytest.param(lambda: compose_nabla(DeltaMap(1, 1, (0, 1)), NablaMap.identity(1)),
+                 "compose_nabla needs two interval maps, got DeltaMap and NablaMap",
+                 id="an endpoint-preserving DeltaMap"),
 ])
 def test_map_likes_are_refused(call, message):
     with pytest.raises(DomainError, match=message):

@@ -3,6 +3,7 @@ returns or raises a TrussError when one of its arguments is replaced by a
 value of the wrong type."""
 
 from fractions import Fraction
+import inspect
 
 import pytest
 
@@ -10,6 +11,8 @@ import trusskit
 from trusskit import (
     POINT_ELEMENT,
     DeltaMap,
+    FinPoset,
+    LabelCategory,
     NablaMap,
     Ordinal,
     PosetMap,
@@ -17,6 +20,7 @@ from trusskit import (
     Stratum,
     StratumMap,
     TrussError,
+    TrussTower,
     arrow_poset,
     compose_delta,
     dual_delta_to_nabla,
@@ -151,11 +155,35 @@ def test_a_wrong_argument_returns_or_raises_a_truss_error(valid, name, tmp_path,
                 raise AssertionError(f"{name} with {wrong!r} at argument {i}: {exc!r}") from exc
 
 
+# the public methods of the exported classes that the method sweep leaves out, with the reason
+UNSWEPT = {
+    **dict.fromkeys(("Bordism.depth", "CompactMesh1.interior", "CompactMesh1.interval", "PackedTower.depth",
+                     "Report.is_ok", "Scene.counts", "StratSimplexPoint.stratum", "TrussTower.depth"),
+                    "a property, so it takes no argument"),
+    **dict.fromkeys(("FinPoset.covers", "FinPoset.is_connected", "FinPoset.linear_extension", "FinPoset.maximum",
+                     "FinPoset.minimum", "LabelCategory.terminal", "Report.to_text", "Stratum.sort_key"),
+                    "takes no argument"),
+    **dict.fromkeys(("Report.ok", "Report.failure"),
+                    "the suites build it from the counts and notes they write themselves, so no caller hands it"
+                    " an input, and like the plain records it checks nothing but its status"),
+}
+
+
+def public_methods() -> set:
+    """Class.name of each public method and property of an exported class,
+    inherited ones included."""
+    classes = {name: value for name in exported_callables() if isinstance(value := getattr(trusskit, name), type)}
+    return {
+        f"{name}.{attr}" for name, cls in classes.items() for attr in dir(cls)
+        if not attr.startswith("_")
+        and (callable(getattr(cls, attr)) or isinstance(inspect.getattr_static(cls, attr), property))
+    }
+
+
 def methods() -> dict:
-    """A public method per name, bound, with valid operands.  Report.ok is
-    left out on purpose: the suites build it from the counts and notes they
-    write themselves, so no caller hands it an input, and like the plain
-    records it checks nothing but its status."""
+    """A public method per name, bound, with valid operands: each public
+    method of an exported class but those UNSWEPT names, and the fixed
+    targets' of the functor classes."""
     b = bordism_family(0)[0]
     d, lab, cat = b.stages[0], b.labels, b.labels.target
     m = realize_bundle(d)
@@ -163,15 +191,36 @@ def methods() -> dict:
     g, x = cat.morphisms[-1], lab.domain.elements[0]
     n, alpha = sing_extract(m), d.arrow[("0", "1")]
     beta = n.arrow[("0", "1")]
+    arrow = arrow_poset()
     return {
         "Stratum.parse": (Stratum.parse, ("r0@1",)),
+        "Stratum.regular": (Stratum.regular, (0, 1)),
+        "Stratum.singular": (Stratum.singular, (0, 1)),
+        "DeltaMap.identity": (DeltaMap.identity, (1,)),
+        "NablaMap.identity": (NablaMap.identity, (1,)),
+        "FinPoset.from_covers": (FinPoset.from_covers, (("a", "b"), (("a", "b"),))),
+        "FinPoset.le": (arrow.le, ("0", "1")),
+        "FinPoset.covers_into": (arrow.covers_into, ("1",)),
+        "PosetMap.identity": (PosetMap.identity, (arrow,)),
+        "TrussTower.end": (TrussTower(b.base, b.stages, b.labels).end, (0,)),
+        "Bordism.end": (b.end, (1,)),
         "DeltaDiagram.map_for": (d.map_for, ("0", "1")),
         "NablaDiagram.map_for": (n.map_for, ("0", "1")),
         "PLMeshBundle.map_for": (m.map_for, ("0", "1")),
+        "Labeling.map_for": (lab.map_for, (x, x)),
         "Labeling.morphism_for": (lab.morphism_for, (x, x)),
         "LabelCategory.compose_pair": (cat.compose_pair, (cat.identity[cat.src[g]], g)),
         "LabelCategory.identity_of": (cat.identity_of, (cat.objects[0],)),
+        "LabelCategory.hom": (cat.hom, (cat.src[g], cat.dst[g])),
+        "LabelCategory.from_poset": (LabelCategory.from_poset, (arrow,)),
+        "DeltaDiagram.over": (d.over, (d.base, d.ord, d.arrow)),
+        "NablaDiagram.over": (n.over, (n.base, n.ord, n.arrow)),
+        "PLMeshBundle.over": (m.over, (m.base, m.heights, m.sing)),
+        "Labeling.over": (lab.over, (lab.domain, lab.on_objects, lab.on_relations)),
         "DeltaDiagram.pullback": (d.pullback, (f.src, f.mapping)),
+        "NablaDiagram.pullback": (n.pullback, (f.src, f.mapping)),
+        "PLMeshBundle.pullback": (m.pullback, (f.src, f.mapping)),
+        "Labeling.pullback": (lab.pullback, (point_poset(), {POINT_ELEMENT: x})),
         "PLMeshBundle.fiber": (m.fiber, ("0",)),
         "PosetMap.__call__": (f, (POINT_ELEMENT,)),
         # the fixed targets of the functor classes
@@ -182,6 +231,11 @@ def methods() -> dict:
         "NablaOp.compose_pair": (n.target.compose_pair, (beta, NablaMap.identity(beta.src))),
         "Meshes.identity_of": (m.target.identity_of, (m.heights["0"],)),
     }
+
+
+def test_the_method_sweep_covers_every_public_method_but_the_unswept():
+    assert public_methods() - set(UNSWEPT) == public_methods() & set(methods())
+    assert set(UNSWEPT) <= public_methods()
 
 
 @pytest.mark.parametrize("name", sorted(methods()))
