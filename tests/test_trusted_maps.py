@@ -38,6 +38,7 @@ from trusskit.oracles import audited
     (lambda: compose_nabla(DeltaMap(1, 1, (0, 0)), NablaMap.identity(1)),
      "compose_nabla needs two interval maps, got DeltaMap and NablaMap"),
     (lambda: DeltaMap(1, 2, (2, 0)), "not weakly increasing"),
+    (lambda: DeltaMap(1, 0, (0, 1)), r"value 1 outside \[0\]"),
     (lambda: compose_delta(DeltaMap(0, 1, (1,)), DeltaMap(2, 2, (0, 1, 2))), "middle ordinals differ"),
     (lambda: StratumMap(Stratum.regular(0, 1), Stratum.regular(1, 1), DeltaMap.identity(1)), "carries no morphism"),
     (lambda: hom_strata("r0@1", Stratum.regular(0, 1)), "needs two strata"),
@@ -49,7 +50,8 @@ def test_refusals_stay(call, message):
         call()
 
 
-# a map-like argument that is no map of the entry point's classes is refused by its type, valid or not
+# a map-like argument that is no map of the entry point's classes is refused by its type, valid or not;
+# rebuilt through the checking constructor, an invalid one is refused by its values
 @pytest.mark.parametrize("call, message", [
     (lambda: compose_delta(Like(src=Ordinal(1), dst=Ordinal(1), values=(1, 0)), DeltaMap.identity(1)),
      "compose_delta needs two maps, got SimpleNamespace and DeltaMap"),
@@ -60,6 +62,8 @@ def test_refusals_stay(call, message):
     (lambda: compose_strata(Like(src=Stratum.regular(0, 1), dst=Stratum.regular(1, 1), underlying=DeltaMap.identity(1)),
                             hom_strata(Stratum.regular(1, 1), Stratum.regular(1, 1))[0]),
      "compose_strata needs two stratum maps, got namespace"),
+    (lambda: StratumMap(**vars(Like(src=Stratum.regular(0, 1), dst=Stratum.regular(1, 1),
+                                    underlying=DeltaMap.identity(1)))), "carries no morphism"),
     pytest.param(lambda: compose_nabla(DeltaMap(1, 1, (0, 1)), NablaMap.identity(1)),
                  "compose_nabla needs two interval maps, got DeltaMap and NablaMap",
                  id="an endpoint-preserving DeltaMap"),
