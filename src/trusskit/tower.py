@@ -32,9 +32,11 @@ give the same value.  Once per pair of stage tuples, _plan builds and checks
 the composite's stages and its audit, and lays out its label layer: which
 elements and paths come from which bordism, and each crossing pair's
 middles; each composite only reads, composes and checks its label values.
-A layer's layout, _layer_plan, is read by position off the three bases'
-up-set masks (the elements over "0" come first, and b2's are b1's seam) and
-memoized per triple of bases.
+_plan extends the plan of the pair's prefixes (the tuples without their last
+stages) by one layer, as _pullback walks a tower, so a prefix shared by two
+pairs, the empty one over the arrow above all, is built once while held.  A
+layer's layout, _layer_plan, is read by position off the three bases' up-set
+masks (the elements over "0" come first, and b2's are b1's seam).
 Composites, plans and identity bordisms are memoized by value in bounded
 caches that every caller shares, and pack's pieces in _PACKED, bounded too,
 so separate pack calls pull back a repeated piece once and close their label
@@ -45,7 +47,8 @@ LabelCategory._trusted.  oracles.audited() checks trusted towers with their
 recorded ends, re-proves the closure, composes its unit entries to prove them
 and, through _empty_tables, empties every table on entry and exit.
 _assemble glues towers over parts of a base for unpack, and for the oracles'
-"bordism-assoc" suite, which checks each composite against a glue.
+"bordism-assoc" suite, which checks each composite against a glue; it lifts
+each piece's root map up the layers as _pullback lifts its map.
 """
 
 from __future__ import annotations
@@ -226,19 +229,13 @@ def identity_bordism(t: TrussTower) -> Bordism:
     return _pullback(t.layers, arrow_poset(), {"0": POINT_ELEMENT, "1": POINT_ELEMENT}, {0: t, 1: t})
 
 
-def _retag(el, rootmap):
-    if isinstance(el, tuple):
-        return (_retag(el[0], rootmap), el[1])
-    return rootmap[el]
-
-
 def _merge(tables, on_covers: bool) -> dict:
-    """Retag the pieces' tables (keyed by elements, or by covering pairs)
-    by their root maps; the pieces must agree where they meet."""
+    """Move the pieces' tables (keyed by elements, or by covering pairs)
+    along their maps into the glued base; the pieces must agree where they meet."""
     merged = {}
-    for table, rmap in tables:
+    for table, image in tables:
         for key, value in table.items():
-            g = (_retag(key[0], rmap), _retag(key[1], rmap)) if on_covers else _retag(key, rmap)
+            g = (image[key[0]], image[key[1]]) if on_covers else image[key]
             if merged.setdefault(g, value) != value:
                 raise InternalError(f"glued pieces disagree at {g!r}")
     return merged
@@ -248,23 +245,25 @@ def _assemble(base: FinPoset, pieces) -> list:
     """Glue towers of one depth into the layers of a tower over base.
 
     A piece is (tower, root map), the root map sending its base elements
-    into base; layer by layer, the pieces' element and cover tables are
-    retagged and merged, and the merged layer is built over the previous
-    merged total space by the first piece's layer, so every check runs.
+    into base.  Layer by layer, each piece's map is lifted to the base of its
+    next layer as _pullback lifts its map, (b, e) going to (image[b], e); the
+    pieces' element and cover tables are moved along their maps and merged,
+    and the merged layer is built over the previous merged total space by the
+    first piece's layer, so every check runs.
     """
     layers = []
     for k, layer in enumerate(pieces[0][0].layers):
         if layers:
             base = total_space(layers[-1]).carrier
+            pieces = [(t, {(b, e): (image[b], e) for b, e in t.layers[k].base.elements}) for t, image in pieces]
         layers.append(layer.over(
             base,
-            _merge(((t.layers[k].objects, rmap) for t, rmap in pieces), False),
-            _merge(((t.layers[k].covers, rmap) for t, rmap in pieces), True),
+            _merge(((t.layers[k].objects, image) for t, image in pieces), False),
+            _merge(((t.layers[k].covers, image) for t, image in pieces), True),
         ))
     return layers
 
 
-@lru_cache(maxsize=2048)
 def _layer_plan(base1: FinPoset, base2: FinPoset, base: FinPoset):
     """How a composite layer over base reads layers over base1 and base2:
     (base, the elements whose objects come from b1, those from b2, the path
@@ -307,17 +306,21 @@ def _apply(plan, l1, l2):
 
 @lru_cache(maxsize=2048)
 def _plan(stages1: tuple, stages2: tuple):
-    """What two composable bordisms' stages determine, built once per pair:
-    the composite's stages, its label layer's plan and its CompositionAudit."""
-    bases1, bases2 = ([arrow_poset()] + [total_space(d).carrier for d in s] for s in (stages1, stages2))
-    stages, crossings, alternatives = [], 0, 0
-    for l1, l2, base1, base2 in zip(stages1 + (None,), stages2 + (None,), bases1, bases2):
-        plan = _layer_plan(base1, base2, total_space(stages[-1]).carrier if stages else arrow_poset())
-        crossed = [len(plan[-1][c]) for c in plan[0].covers() if c in plan[-1]]
-        crossings, alternatives = crossings + len(crossed), alternatives + sum(crossed)
-        if l1 is not None:
-            stages.append(_apply(plan, l1, l2))
-    return tuple(stages), plan, CompositionAudit(crossings, alternatives)
+    """What two composable bordisms' stages (tuples of one length) determine,
+    built once per pair: the composite's stages, the plan of the layer over
+    its top and its CompositionAudit.  It extends the plan of the pair's
+    prefixes, so a prefix shared by two pairs is built once: that plan lays
+    out the last composite stage, and the one new layer is planned; the
+    empty pair plans the layer over the arrow."""
+    if stages1:
+        stages, plan, audit = _plan(stages1[:-1], stages2[:-1])
+        stages += (_apply(plan, stages1[-1], stages2[-1]),)
+        bases = (total_space(s[-1]).carrier for s in (stages1, stages2, stages))
+    else:
+        stages, audit, bases = (), CompositionAudit(0, 0), (arrow_poset(),) * 3
+    plan = _layer_plan(*bases)
+    crossed = [len(plan[-1][c]) for c in plan[0].covers() if c in plan[-1]]
+    return stages, plan, CompositionAudit(audit.crossings + len(crossed), audit.alternatives + sum(crossed))
 
 
 @_by_value(2048)
@@ -350,7 +353,7 @@ def compose_bordisms_audited(b1: TrussTower, b2: TrussTower):
 
 
 # captured, so a patched name cannot hide one
-_MEMOS = (_composite, identity_bordism, _plan, _layer_plan, total_space, _layout, _walk, _identities,
+_MEMOS = (_composite, identity_bordism, _plan, total_space, _layout, _walk, _identities,
           dual_delta_to_nabla, dual_nabla_to_delta)
 
 

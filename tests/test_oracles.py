@@ -805,6 +805,16 @@ CONSTANT_TABLES = (poset.point_poset, poset.arrow_poset, poset.path_poset, tower
                    strata.fiber_objects, strata.validate_stratum_map)
 
 
+def test_no_audit_counts_the_constant_posets():
+    # built by the checking constructor, so a suite's counts do not depend on
+    # which suite ran first in the process
+    tables = (poset.point_poset, poset.arrow_poset, poset.path_poset)
+    with audited() as counts:
+        built = [table.__wrapped__() for table in tables]
+    assert built == [table() for table in tables] and counts == {}
+    assert_restored()
+
+
 def test_every_memo_is_emptied_or_a_table_of_constants():
     # so a memo added later cannot outlive _empty_tables() and oracles.audited()
     modules = [importlib.import_module(f"trusskit.{m.name}") for m in pkgutil.iter_modules(trusskit.__path__)]

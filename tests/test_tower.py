@@ -1,6 +1,7 @@
 """Towers, bordisms, composition, and the packing equivalence."""
 
 import ast
+import collections
 import copy
 import functools
 import gc
@@ -669,7 +670,7 @@ def reference_layer_plan(base1, base2, base):
     ups = {x: [(x, els1[j]) for j in bits(up & seam)] for x, up in zip(els1, base1.ups) if root_of(x) == "0"}
     downs = {y: {} for y in els2 if root_of(y) == "1"}
     for j in bits(seam):
-        m2 = tower._retag(els1[j], {"1": "0"})
+        m2 = _reference_retag(els1[j], {"1": "0"})
         for k in bits(base2.ups[base2.index[m2]]):
             if els2[k] in downs:
                 downs[els2[k]][els1[j]] = (m2, els2[k])
@@ -686,21 +687,41 @@ def reference_layer_plan(base1, base2, base):
             tuple((y, els2[j]) for y, up in zip(els2, base2.ups) if y in downs for j in bits(up)), crossings)
 
 
-def test_layer_plan_reads_by_position_as_the_reference_reads_by_name():
+def family_pairs() -> list:
+    """The 3237 composable pairs of bordism_family(0), depths 1-3."""
     bordisms = bordism_family(0)
     by_source = {}
     for b in bordisms:
         by_source.setdefault(b.end(0), []).append(b)
+    return [(b1, b2) for b1 in bordisms for b2 in by_source.get(b1.end(1), ())]
+
+
+def test_layer_plan_reads_by_position_as_the_reference_reads_by_name():
     layers, depths = set(), set()
-    for b1 in bordisms:
-        for b2 in by_source.get(b1.end(1), ()):
-            depths.add(b1.depth)
-            bases = [[arrow_poset()] + [t.carrier for t in b.totals] for b in (b1, b2, compose_bordisms(b1, b2))]
-            layers.update(zip(*bases))
+    for b1, b2 in family_pairs():
+        depths.add(b1.depth)
+        bases = [[arrow_poset()] + [t.carrier for t in b.totals] for b in (b1, b2, compose_bordisms(b1, b2))]
+        layers.update(zip(*bases))
     assert depths == {1, 2, 3} and len(layers) == 400
     for triple in layers:
-        plan, ref = tower._layer_plan.__wrapped__(*triple), reference_layer_plan(*triple)
+        plan, ref = tower._layer_plan(*triple), reference_layer_plan(*triple)
         assert plan == ref and list(plan[-1]) == list(ref[-1])  # the crossings in the same order too
+
+
+def test_plans_extend_their_stage_prefix(monkeypatch):
+    # each pair's plan extends its prefixes' plans, so the layer over the
+    # arrow, which every pair starts from, is planned once
+    pairs, plan, asked = family_pairs(), tower._layer_plan, collections.Counter()
+
+    def layer_plan(*bases):
+        asked[bases == (arrow_poset(),) * 3] += 1
+        return plan(*bases)
+
+    monkeypatch.setattr(tower, "_layer_plan", layer_plan)
+    tower._empty_tables()
+    for b1, b2 in pairs:
+        compose_bordisms(b1, b2)
+    assert len(pairs) == 3237 and asked == {True: 1, False: 399}
 
 
 def test_layer_plan_refuses_a_related_pair_with_no_middle_and_unaligned_factors():
