@@ -13,7 +13,10 @@ run from the same kind of directory: the same files read about 0.35 MB lower
 workload of ``BENCHMARK.json``, pair i (of PAIRS = 10) runs
 ``perfbench/run.py --workload W --seed SEED_BASE+i --seconds S`` once on each
 side, the parent first on even i and the change first on odd i, with S the
-``run_seconds`` of ``BENCHMARK.json``.
+``run_seconds`` of ``BENCHMARK.json``.  Before the workloads, it times one
+family-cost row the same way: ``closure_cost()`` of each side's
+``scripts/family_cost.py`` (closing Trs_{<=2}([1]) on that side's ``src``),
+once per side in each of FAMILY_COST_PAIRS = 3 pairs, in a fresh process.
 
 The result, ``BENCH_<n>.json`` with n one more than the highest existing
 ``BENCH_*.json``, holds per workload the seeds, failed and attempted ops per
@@ -21,9 +24,11 @@ side and, per end-to-end metric, the quartiles of each side's runs, every
 run, the number of pairs the change won and the relative change of the
 median.  Stops (exit 2) when a run cannot be made; a run whose checks fail is
 recorded in ``failed_ops`` and the comparison goes on (exit 1 at the end).
-At the end it prints, from the result just written, one line per workload
-and end-to-end metric: parent median, change median, relative change and
-pairs won.
+Its ``family_cost`` entry holds each side's closure counts (objects,
+morphisms, composites), CPU seconds per run and their median.  At the end it
+prints, from the result just written, one line for the family-cost row and
+one per workload and end-to-end metric: parent median, change median,
+relative change and pairs won.
 """
 
 import argparse
@@ -43,6 +48,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import quantile  # noqa: E402  (the quartiles the benchmark itself reports)
 
 PAIRS = 10  # a claimed gain is judged on ten pairs
+FAMILY_COST_PAIRS = 3  # one closure takes seconds: enough to see its spread, not to claim a gain
+CLOSURE = ("import sys; sys.path.insert(0, 'scripts'); from family_cost import closure_cost;"
+           " print(*closure_cost())")
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -54,6 +62,35 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         print(f"bench_pairs: {' '.join(cmd)} in {tree} exited with {proc.returncode}", file=sys.stderr)
         sys.exit(2)
     return json.loads(lines[-1])
+
+
+def run_closure(tree: Path) -> tuple:
+    """(objects, morphisms, composites, CPU seconds) of one closure_cost() run
+    of tree's scripts/family_cost.py, which imports tree's src."""
+    proc = subprocess.run([sys.executable, "-c", CLOSURE], cwd=tree, stdout=subprocess.PIPE, text=True)
+    fields = proc.stdout.split()
+    if proc.returncode != 0 or len(fields) != 4:
+        print(f"bench_pairs: closure_cost() in {tree} exited with {proc.returncode}", file=sys.stderr)
+        sys.exit(2)
+    return tuple(int(x) for x in fields[:3]) + (float(fields[3]),)
+
+
+def family_cost(parent_tree: Path) -> dict:
+    """The family_cost entry: closure_cost() per side in FAMILY_COST_PAIRS
+    pairs, the parent first on even pair indices."""
+    runs = {"parent": [], "change": []}
+    for i in range(FAMILY_COST_PAIRS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_closure(parent_tree if side == "parent" else ROOT))
+            print(f"family_cost pair {i + 1}/{FAMILY_COST_PAIRS} {side}: {runs[side][-1][3]:.3f} s", flush=True)
+    out = {"row": "closure_cost(): Trs_{<=2}([1]) closed, CPU s of one untraced run", "pairs": FAMILY_COST_PAIRS}
+    for side, rs in runs.items():
+        seconds = [r[3] for r in rs]
+        out[side] = {"objects_morphisms_composites": sorted({r[:3] for r in rs}),
+                     "cpu_s": [round(x, 4) for x in seconds], "median": round(quantile(seconds, 0.5), 4)}
+    pm, cm = out["parent"]["median"], out["change"]["median"]
+    out["relative_change_of_median"] = round((cm - pm) / pm, 4) if pm else None
+    return out
 
 
 def summarize(better: str, parent: list, change: list) -> dict:
@@ -98,7 +135,13 @@ def compare(parent_tree: Path, workload: str, seeds: list, seconds: float, metri
 
 
 def print_summary(result: dict):
-    """One line per workload and end-to-end metric of a written result."""
+    """One line for the family-cost row, and one per workload and end-to-end
+    metric, of a written result."""
+    fc = result.get("family_cost")
+    if fc:
+        rel = fc["relative_change_of_median"]
+        print(f"family_cost closure CPU s: {fc['parent']['median']:.4g} -> {fc['change']['median']:.4g}"
+              f" ({'n/a' if rel is None else f'{rel:+.1%}'}), {fc['pairs']} pairs")
     for workload, out in result["workloads"].items():
         for name, m in out["metrics"].items():
             rel = m["relative_change_of_median"]
@@ -153,6 +196,7 @@ def main(argv=None):
                                  stdout=subprocess.PIPE).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
+        result["family_cost"] = family_cost(Path(tmp))
         for workload in names:
             result["workloads"][workload], bad = compare(Path(tmp), workload, seeds, seconds, metrics)
             failed = failed or bad

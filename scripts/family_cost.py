@@ -27,9 +27,9 @@ the functors ``oracles.functors`` streams over the diamond into
 run: a traced one takes minutes.  The row after it closes Trs_{<=2}([1]),
 ``tower.truss_label_category`` of ``oracles.depth1_family`` over the point
 (the objects) and over the arrow (the generators) with fiber ordinals <= 2,
-each top labelled by every monotone map into the arrow poset [1] (built once,
-untimed), and gives its objects, morphisms and composites and the CPU time of
-one untraced run.
+each top labelled by every functor ``oracles.functors`` yields into the thin
+category of the arrow poset [1] (built once, untimed), and gives its
+objects, morphisms and composites and the CPU time of one untraced run.
 Every run starts from emptied library memos (``tower._empty_tables()``), so
 no run reuses a proof, a walk, a dual or a packed piece of another, and the
 traced peak of the pack row includes what pack's memo retains, and that of
@@ -47,6 +47,7 @@ from trusskit import (  # noqa: E402
     DeltaMap,
     FinPoset,
     LabelCategory,
+    Labeling,
     Ordinal,
     arrow_poset,
     classify,
@@ -67,7 +68,6 @@ from trusskit.oracles import (  # noqa: E402
     all_posets,
     depth1_family,
     functors,
-    labeling_from_map,
     poset_maps,
     tower_family,
 )
@@ -143,7 +143,7 @@ def closure_cost():
     cat = LabelCategory.from_poset(arrow_poset())
 
     def labelings(top):
-        return [labeling_from_map(top, cat, f.mapping) for f in poset_maps(top, arrow_poset())]
+        return [Labeling(top, cat, at, {c: paths[c] for c in top.covers()}) for at, paths in functors(top, cat)]
 
     objects, generators = (depth1_family(root, 2, labelings) for root in (point_poset(), arrow_poset()))
     tower._empty_tables()

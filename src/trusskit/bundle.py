@@ -18,17 +18,18 @@ alone, since its construction makes the shape checks true and its last
 check, total_space of the result, checks the rest again.
 tower._empty_tables empties _layout with the other memos.
 
-Bundles, labelings (functors into a LabelCategory), mesh bundles and their
+Bundles, labelings (functors into a label category), mesh bundles and their
 bare attachment diagrams (mesh.PLMeshBundle, mesh.NablaDiagram) share one
 CoverFunctor core: it checks which elements and covers are assigned, proves
 functoriality with functor_table and keeps the resulting path table.  Each
 class names the category its values live in as ``target``, read at use:
 ordinal.Delta for bundles, ordinal.NablaOp (∇^op) for attachment diagrams,
-mesh.Meshes for mesh bundles and a labeling's own LabelCategory; every
-proof and every composite reads its identities (identity_of) and its
+mesh.Meshes for mesh bundles and a labeling's own category value (a
+LabelCategory, or any hashable value with identity, src and dst tables);
+every proof and every composite reads its identities (identity_of) and its
 composition (compose_pair) from that one value.  It and LabelCategory
-compare, hash and install unchecked through poset._Keyed,
-the structure layer's one base, by their keys.  One proof per value while
+compare, hash and install unchecked through poset._Keyed, the structure
+layer's one base, by their keys.  One proof per value while
 an equal one lives: a key equal to a live proved functor's, or to a live
 diagram of oracles.all_diagrams, shares its key and path table.  Tables
 proved over one base store the key tuples of its _walk, and every proof
@@ -146,7 +147,7 @@ class CoverFunctor(_Keyed):
     ``_prove``, the proof step, which extends the cover values to every
     related pair with functor_table into ``target``, the category the
     values live in, read at use (a class attribute, or a labeling's
-    LabelCategory), and stores that path table;
+    category value), and stores that path table;
     functor_table's diagnostic is raised as ``_error``.  ``_proved`` is the
     proof step's class-level entry, for a key whose shape and values hold
     by construction (classify's).  One proof per value while an equal one
@@ -515,9 +516,11 @@ class LabelCategory(_Keyed):
     Morphism entries are arbitrary hashables; compose[(f, g)] is "first f,
     then g", defined for every composable pair, and no table names anything
     else.  The install indexes the category once, duplicates and all:
-    ``_objects`` and ``_morphisms`` map each value to its instance here, and
-    ``_out`` each object to the morphisms out of it, in morphism order.  The
-    constructor checks the laws over composable pairs and triples only;
+    ``_objects`` and ``_morphisms`` map each value to its instance here (for
+    tower._packed_tower; every other reader outside the class reads the
+    public tables), and ``_out`` each object to the morphisms out of it, in
+    morphism order.  The constructor checks the laws over composable pairs
+    and triples only;
     ``_trusted`` installs truss_label_category's closure and from_poset's
     thin categories (once their names are distinct) unchecked, and
     oracles.audited() rebuilds each through the constructor.  Equality goes
@@ -637,16 +640,23 @@ class Labeling(CoverFunctor):
     """A functor from a finite poset into a label category.
 
     Given on objects and on covering relations; composites along any two
-    routes between the same pair must agree.
+    routes between the same pair must agree.  The target is any hashable
+    category value, a LabelCategory or another, read through its public
+    tables: the keys of ``identity`` are its objects, those of ``src`` its
+    morphisms, each with its ends in ``src`` and ``dst``, and the proof
+    composes with ``identity_of`` and ``compose_pair``.  A value without
+    these five names, or an unhashable one, is refused with LabelingError.
     """
 
     _error = LabelingError
     _names = ("object labels", "relation labels")
     _fields = ("domain", "target", "on_objects", "on_relations")
 
-    def __init__(self, domain: FinPoset, target: LabelCategory, on_objects, on_relations):
-        if not isinstance(target, LabelCategory):
-            raise LabelingError(f"a Labeling's target must be a LabelCategory, got {type(target).__name__}")
+    def __init__(self, domain: FinPoset, target, on_objects, on_relations):
+        try:  # the key is hashed, _check_values reads the tables and the proof the operations
+            hash(target), target.identity, target.src, target.dst, target.identity_of, target.compose_pair
+        except (AttributeError, TypeError):
+            raise LabelingError(f"a Labeling's target must be a category, got {type(target).__name__}") from None
         self.target = target  # the proof step's target, before the install sets it again
         self._extend((domain, target, *self._tables(on_objects, on_relations)))
 
@@ -654,19 +664,15 @@ class Labeling(CoverFunctor):
     def _check_values(domain, target, on_objects, on_relations):
         for b, o in on_objects.items():
             try:
-                known = o in target._objects
-            except TypeError:  # an unhashable label is no object
-                known = False
-            if not known:
-                raise LabelingError(f"label {o!r} of {b!r} is not an object")
+                target.identity[o]
+            except (KeyError, TypeError):  # an unhashable label is no object
+                raise LabelingError(f"label {o!r} of {b!r} is not an object") from None
         for (a, b), m in on_relations.items():
             try:
-                known = m in target._morphisms
-            except TypeError:  # nor a morphism
-                known = False
-            if not known:
-                raise LabelingError(f"label {m!r} of cover ({a!r}, {b!r}) is not a morphism")
-            if target.src[m] != on_objects[a] or target.dst[m] != on_objects[b]:
+                ends = target.src[m], target.dst[m]
+            except (KeyError, TypeError):  # nor a morphism
+                raise LabelingError(f"label {m!r} of cover ({a!r}, {b!r}) is not a morphism") from None
+            if ends != (on_objects[a], on_objects[b]):
                 raise LabelingError(f"label of cover ({a!r}, {b!r}) has wrong endpoints")
 
     morphism_for = CoverFunctor.map_for

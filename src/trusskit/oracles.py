@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import CompositionError, DiagramError, DomainError, LabelingError, ParseError, TrussError
+from .errors import CompositionError, DiagramError, DomainError, ParseError, TrussError
 from .ordinal import (
     Delta,
     DeltaMap,
@@ -214,23 +214,14 @@ def _longest_chain(p: FinPoset) -> list:
         chain.insert(0, sorted(lower, key=str)[0])
 
 
-def labeling_from_map(domain: FinPoset, cat: LabelCategory, f: dict) -> Labeling:
-    """The labeling induced by a monotone object assignment into a thin
-    category (covering relations get the unique morphism)."""
-    on_rel = {}
-    for (u, v) in domain.covers():
-        hom = cat.hom(f[u], f[v])
-        if not hom:
-            raise LabelingError(f"no morphism {f[u]!r} -> {f[v]!r} for cover ({u!r}, {v!r})")
-        on_rel[(u, v)] = hom[0]
-    return Labeling(domain, cat, dict(f), on_rel)
-
-
-def monotone_label_maps(domain: FinPoset, p: FinPoset, chain: list, rng=None) -> list:
-    """Constant and height-canonical monotone object assignments into a label
-    poset p (chain: its _longest_chain), and a seeded one given an rng."""
+def monotone_label_maps(domain: FinPoset, cat: LabelCategory, chain: list, rng=None) -> list:
+    """The tables (on objects, on covers) of the constant and height-canonical
+    labelings of domain into a thin category cat (chain: a longest chain of
+    its objects), and of a seeded one given an rng.  Each object assignment
+    is monotone, so each cover takes the one morphism between its labels;
+    a family builds through Labeling(...) only the tables it keeps."""
     h = _heights(domain)
-    maps = [{x: c for x in domain.elements} for c in p.elements]
+    maps = [{x: c for x in domain.elements} for c in cat.objects]
     maps.append({x: chain[min(h[x], len(chain) - 1)] for x in domain.elements})
     if rng is not None:
         top = max(h.values()) if h else 0
@@ -239,12 +230,14 @@ def monotone_label_maps(domain: FinPoset, p: FinPoset, chain: list, rng=None) ->
     unique = {}
     for f in maps:
         unique.setdefault(tuple(f[x] for x in domain.elements), f)
-    return list(unique.values())
+    arrow = {(cat.src[m], cat.dst[m]): m for m in cat.morphisms}  # thin: one morphism per pair of ends
+    return [(f, {(u, v): arrow[f[u], f[v]] for u, v in domain.covers()}) for f in unique.values()]
 
 
 def _label_posets(*posets) -> list:
-    """(p, cat, chain) per label poset for _labelled_in, made once per family."""
-    return [(p, LabelCategory.from_poset(p), _longest_chain(p)) for p in posets]
+    """(thin category, longest chain) per label poset for _labelled_in, made
+    once per family."""
+    return [(LabelCategory.from_poset(p), _longest_chain(p)) for p in posets]
 
 
 def random_diagram(base: FinPoset, max_ordinal: int, rng) -> DeltaDiagram:
@@ -270,10 +263,10 @@ def depth1_family(root: FinPoset, max_ordinal: int, labelings) -> list:
 
 
 def _labelled_in(labels, rng):
-    """labelings for depth1_family: monotone_label_maps into each of
-    _label_posets, as labelings into its thin category."""
+    """labelings for depth1_family: monotone_label_maps into the thin
+    category of each of _label_posets."""
     return lambda top: [
-        labeling_from_map(top, cat, f) for p, cat, chain in labels for f in monotone_label_maps(top, p, chain, rng)
+        Labeling(top, cat, *tables) for cat, chain in labels for tables in monotone_label_maps(top, cat, chain, rng)
     ]
 
 
@@ -285,13 +278,13 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
     pt = point_poset()
     labels = _label_posets(chain3_poset(), vee3_poset())
     towers = depth1_family(pt, max_ordinal, _labelled_in(labels, rng))
-    (chain, cat, longest), in_vee = labels[0], _labelled_in(labels[1:], rng)
+    (cat, longest), in_vee = labels[0], _labelled_in(labels[1:], rng)
     for d1 in all_diagrams(pt, 1):
         seconds = all_diagrams(total_space(d1).carrier, max_ordinal)
         for d2 in seconds:
             top2 = total_space(d2).carrier
-            f = monotone_label_maps(top2, chain, longest)[-1]
-            towers.append(TrussTower(pt, (d1, d2), labeling_from_map(top2, cat, f)))
+            tables = monotone_label_maps(top2, cat, longest)[-1]
+            towers.append(TrussTower(pt, (d1, d2), Labeling(top2, cat, *tables)))
         for d2 in rng.sample(seconds, min(12, len(seconds))):
             towers += [TrussTower(pt, (d1, d2), lab) for lab in in_vee(total_space(d2).carrier)]
     for _ in range(8):
@@ -299,9 +292,9 @@ def tower_family(seed: int = 0, max_ordinal: int = 2) -> list:
         d2 = random_diagram(total_space(d1).carrier, 1, rng)
         d3 = random_diagram(total_space(d2).carrier, 1, rng)
         top3 = total_space(d3).carrier
-        for p, p_cat, p_chain in labels:
-            f = monotone_label_maps(top3, p, p_chain, rng)[-1]
-            towers.append(TrussTower(pt, (d1, d2, d3), labeling_from_map(top3, p_cat, f)))
+        for p_cat, p_chain in labels:
+            tables = monotone_label_maps(top3, p_cat, p_chain, rng)[-1]
+            towers.append(TrussTower(pt, (d1, d2, d3), Labeling(top3, p_cat, *tables)))
     return towers
 
 
@@ -312,7 +305,7 @@ def bordism_family(seed: int = 0) -> list:
     rng = random.Random(seed)
     labels = _label_posets(chain3_poset(), vee3_poset())
     out = depth1_family(arrow_poset(), 2, _labelled_in(labels, rng))
-    cat = labels[0][1]
+    cat = labels[0][0]
     for depth in (2, 3):
         for _ in range(6):
             # per stage: the source and target ordinals drawn in turn, then the map

@@ -29,6 +29,7 @@ copies and unpickled values through the checking constructor.
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache, wraps
@@ -161,6 +162,8 @@ _set_src, _set_dst, _set_values = (MonotoneMap.__dict__[f].__set__ for f in Mono
 
 @lru_cache(maxsize=128)
 def _identities(cls, n: Ordinal):
+    if n.size > sys.maxsize:  # more values than the machine can index
+        raise DomainError(f"the identity on [{n.n}] is too large to build")
     make = cls._trusted if n.n or cls is DeltaMap else cls  # no interval map on [0]
     return make(n, n, tuple(range(n.size)))
 

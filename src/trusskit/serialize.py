@@ -271,6 +271,8 @@ def _token_in(known):
 
 
 def _labelcat_payload(cat: LabelCategory) -> dict:
+    if not isinstance(cat, LabelCategory):  # a labeling's target may be any category value
+        raise ParseError(f"only a LabelCategory serializes, got {type(cat).__name__}")
     objects = [_token(o) for o in cat.objects]
     morphisms = [_token(m) for m in cat.morphisms]
     composep = {}
@@ -332,7 +334,7 @@ def _parse_truss(obj, where: str = "truss") -> TrussTower:
     cat = _parse_labelcat(_expect(labp, "category", where), f"{where} labels")
     on_obj, on_rel = _unkeyed(
         labp, ("objects", "relations"), top, keys,
-        (_token_in(cat._objects), _token_in(cat._morphisms)), f"{where} labels",
+        (_token_in(cat.identity), _token_in(cat.src)), f"{where} labels",
     )
     cls = Bordism if base == arrow_poset() else TrussTower
     return cls(base, stages, Labeling(top, cat, on_obj, on_rel))

@@ -524,7 +524,7 @@ def constant_inclusion(data, label, cat: LabelCategory):
     except TypeError:
         raise DomainError("data must be all ordinals or all maps") from None
     try:  # an unhashable label is neither
-        is_object, is_morphism = label in cat._objects, label in cat._morphisms
+        is_object, is_morphism = label in cat.identity, label in cat.src
     except TypeError:
         is_object = is_morphism = False
     if entries and all(isinstance(e, DeltaMap) for e in entries):

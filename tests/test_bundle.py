@@ -833,3 +833,13 @@ def test_an_unhashable_key_is_proved_and_refused_as_ever(monkeypatch, collapse, 
         with pytest.raises(error, match=message):
             diamond_diagram(corner)
         assert len(calls) == attempt
+
+
+HUGE = 2 ** 63  # one past the largest index of a 64-bit machine
+
+
+@pytest.mark.parametrize("cls", [DeltaDiagram, NablaDiagram])
+def test_an_ordinal_past_the_machine_size_is_refused(cls):
+    # the proof's identity on [HUGE] would need more values than an index reaches
+    with pytest.raises(DomainError, match=re.escape(f"the identity on [{HUGE}] is too large to build")):
+        cls(point_poset(), {"pt": Ordinal(HUGE)}, {})

@@ -141,6 +141,16 @@ def test_fiber_past_the_machine_size_is_refused(over, capsys):
     assert capsys.readouterr().err == "error: the fiber over [99999999999999999999] is too large to enumerate\n"
 
 
+@pytest.mark.parametrize("packed", [False, True], ids=["truss/v1", "packed/v1"])
+def test_validate_refuses_a_stage_ordinal_past_the_machine_size(tmp_path, single_node, packed, capsys):
+    payload = json.loads(dumps(pack(single_node) if packed else single_node))
+    payload["stages"][0]["ord"]["pt"] = 10 ** 30
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: the identity on [{10 ** 30}] is too large to build\n"
+
+
 def test_hom_negative_ambient_is_a_parse_error():
     assert main(["hom", "r0@-1", "r0@1"]) == 2
 

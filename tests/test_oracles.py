@@ -9,7 +9,6 @@ import inspect
 import itertools
 import pkgutil
 import random
-import re
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -51,7 +50,6 @@ from trusskit.oracles import (
     bordism_family,
     chain3_poset,
     functors,
-    labeling_from_map,
     poset_maps,
     tower_family,
 )
@@ -436,12 +434,6 @@ def test_each_suite_reports_an_injected_fault_at_its_location(monkeypatch, suite
     monkeypatch.undo()
     assert_caught(report, where)
     assert report.diagnostics[0][1].startswith(why), report.diagnostics
-
-
-def test_labeling_from_map_refuses_a_cover_with_no_morphism():
-    cat = LabelCategory.from_poset(arrow_poset())
-    with pytest.raises(LabelingError, match=re.escape("no morphism '1' -> '0' for cover ('0', '1')")):
-        labeling_from_map(arrow_poset(), cat, {"0": "1", "1": "0"})
 
 
 def test_audit_words_a_total_space_out_of_canonical_order(monkeypatch):

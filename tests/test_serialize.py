@@ -32,7 +32,7 @@ from trusskit import (
     unpack,
 )
 from trusskit.layout import layout_2truss
-from trusskit.oracles import tower_family
+from trusskit.oracles import bordism_family, chain3_poset, tower_family, vee3_poset
 from trusskit import serialize
 from trusskit.serialize import cover_key, cover_keys, element_key, next_keys, payload_for
 
@@ -380,6 +380,37 @@ def test_parse_fuzz_one_field(chain_cat):
                     assert exc is None or isinstance(exc, TrussError), where
                 checked += 1
     assert checked > 3000
+
+
+LEAF_VALUES = (None, True, 1.5, -1, 10 ** 30, "x", [], {}, "1/0")
+
+
+def leaf_paths(obj, prefix=()):
+    """The path of every leaf: a value that is no object or list, or an empty one."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    if not items:
+        yield prefix
+    for key, value in items:
+        yield from leaf_paths(value, prefix + (key,))
+
+
+def test_parse_survives_every_leaf_mutated():
+    # every leaf of one canonical file per schema, replaced in turn by each
+    # LEAF_VALUES entry, parses or is refused with a TrussError; 10 ** 30 as
+    # an ordinal once escaped as an OverflowError
+    t = next(u for u in tower_family(0, 1) if u.depth == 2)
+    vee = DeltaDiagram(vee3_poset(), {"a": Ordinal(1), "b": Ordinal(0), "c": Ordinal(1)},
+                       {("a", "c"): DeltaMap.identity(1), ("b", "c"): DeltaMap(0, 1, (1,))})
+    values = [t, pack(t), bordism_family(0)[3], vee, realize_bundle(vee), LabelCategory.from_poset(chain3_poset())]
+    checked = []
+    for payload in (json.loads(dumps(v)) for v in values):
+        for path in leaf_paths(payload):
+            for value in LEAF_VALUES:
+                exc = parse_failure(mutated(payload, [(path, value)]))
+                assert exc is None or isinstance(exc, TrussError), (payload["schema"], path, value, exc)
+                checked.append(payload["schema"])
+    assert sorted(set(checked)) == ["diagram/v1", "labelcat/v1", "mesh/v1", "packed/v1", "truss/v1"]
+    assert len(checked) == 9 * 213
 
 
 def test_parse_fuzz_two_fields(chain_cat):

@@ -85,8 +85,7 @@ from trusskit.oracles import (
     bordism_family,
     composable_triples,
     depth1_family,
-    labeling_from_map,
-    poset_maps,
+    functors,
     tower_family,
 )
 from trusskit.poset import bits, path_poset
@@ -739,7 +738,7 @@ def _depth1_trusses_and_bordisms(k: int, labels: FinPoset):
     cat = LabelCategory.from_poset(labels)
 
     def labelings(top):
-        return [labeling_from_map(top, cat, f.mapping) for f in poset_maps(top, labels)]
+        return [Labeling(top, cat, at, {c: paths[c] for c in top.covers()}) for at, paths in functors(top, cat)]
 
     return depth1_family(point_poset(), k, labelings), depth1_family(arrow_poset(), k, labelings)
 
@@ -1240,7 +1239,7 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: Labeling(5, b.labels.target, {}, {}), DomainError,
                  "a Labeling's base must be a FinPoset, got int", id="Labeling(5, cat, {}, {})"),
     pytest.param(lambda b, d, f: Labeling(point_poset(), 5, {POINT_ELEMENT: "a"}, {}), LabelingError,
-                 "a Labeling's target must be a LabelCategory, got int", id="Labeling(pt, 5, ...)"),
+                 "a Labeling's target must be a category, got int", id="Labeling(pt, 5, ...)"),
     pytest.param(lambda b, d, f: Labeling(point_poset(), b.labels.target, {POINT_ELEMENT: "zz"}, {}), LabelingError,
                  "label 'zz' of 'pt' is not an object", id="Labeling(pt, cat, {pt: 'zz'}, {})"),
     pytest.param(lambda b, d, f: Labeling(arrow_poset(), b.labels.target, {"0": "a", "1": "b"}, {("0", "1"): "zz"}),
