@@ -25,7 +25,8 @@ functoriality with functor_table and keeps the resulting path table.  Each
 class names the category its values live in as ``target``, read at use:
 ordinal.Delta for bundles, ordinal.NablaOp (∇^op) for attachment diagrams,
 mesh.Meshes for mesh bundles and a labeling's own category value (a
-LabelCategory, or any hashable value with identity, src and dst tables);
+LabelCategory, a tower.truss_category, or any hashable value with
+identity, src and dst tables);
 every proof and every composite reads its identities (identity_of) and its
 composition (compose_pair) from that one value.  It and LabelCategory
 compare, hash and install unchecked through poset._Keyed, the structure
@@ -100,9 +101,9 @@ def functor_table(base: FinPoset, target, objects, covers):
     built once for all the tables over it, and the checks cost one
     composite per pair x < z and cover y -> z with x < y; a cover is its
     own route, by the unit law of the target (Δ, ∇^op, meshes, validated
-    or closed label categories).  Returns (table, diagnostic): the first
-    diagnostic ends the walk, and then the table is only partial; it is
-    None on success.
+    or closed label categories, truss categories).  Returns (table,
+    diagnostic): the first diagnostic ends the walk, and then the table is
+    only partial; it is None on success.
     """
     steps, diagonal = _walk(base)
     identity_of, compose_pair = target.identity_of, target.compose_pair
@@ -516,9 +517,9 @@ class LabelCategory(_Keyed):
     Morphism entries are arbitrary hashables; compose[(f, g)] is "first f,
     then g", defined for every composable pair, and no table names anything
     else.  The install indexes the category once, duplicates and all:
-    ``_objects`` and ``_morphisms`` map each value to its instance here (for
-    tower._packed_tower; every other reader outside the class reads the
-    public tables), and ``_out`` each object to the morphisms out of it, in
+    ``_objects`` and ``_morphisms`` map each value to its instance here
+    (read only inside the class: every other reader reads the public
+    tables), and ``_out`` each object to the morphisms out of it, in
     morphism order.  The constructor checks the laws over composable pairs
     and triples only;
     ``_trusted`` installs truss_label_category's closure and from_poset's
@@ -636,6 +637,17 @@ class LabelCategory(_Keyed):
         return f"LabelCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
 
+def _check_category(value, error, refusal: str):
+    """Refuse with error(refusal, got value's type) a value that is not a
+    category as a Labeling reads one: hashable (a functor's key is hashed),
+    with the identity, src and dst tables its labels are checked against
+    and the identity_of and compose_pair its proof composes with."""
+    try:
+        hash(value), value.identity, value.src, value.dst, value.identity_of, value.compose_pair
+    except (AttributeError, TypeError):
+        raise error(f"{refusal}, got {type(value).__name__}") from None
+
+
 class Labeling(CoverFunctor):
     """A functor from a finite poset into a label category.
 
@@ -653,10 +665,7 @@ class Labeling(CoverFunctor):
     _fields = ("domain", "target", "on_objects", "on_relations")
 
     def __init__(self, domain: FinPoset, target, on_objects, on_relations):
-        try:  # the key is hashed, _check_values reads the tables and the proof the operations
-            hash(target), target.identity, target.src, target.dst, target.identity_of, target.compose_pair
-        except (AttributeError, TypeError):
-            raise LabelingError(f"a Labeling's target must be a category, got {type(target).__name__}") from None
+        _check_category(target, LabelingError, "a Labeling's target must be a category")
         self.target = target  # the proof step's target, before the install sets it again
         self._extend((domain, target, *self._tables(on_objects, on_relations)))
 

@@ -6,25 +6,24 @@ functor from the topmost total space into a label category.  The stages and
 then the labels are the tower's layers, and every walk goes over the layers
 alike, through the CoverFunctor core.  A bordism is a tower whose root base is
 the walking arrow.  Every tower the library builds is a pullback, a composite,
-a constant or a glue; all but the glue chain by construction and end in
-TrussTower._trusted, unchecked, with the ends their builder knows, and every
-tower _trusted installs is one the library returns or keeps.  _trusted
-interns: while a tower it installed with equal layers over an equal base
-lives, it returns that one instance, the caller's ends merged into its own,
-so the memos, the closure's tables and the end comparisons below mostly
-match by identity; the checking constructors, parse and unpack build fresh
-towers.  Towers compare and hash through poset._Keyed by (base, stages,
-labels), so a Bordism and a TrussTower with equal layers are equal both ways.
-A constant tower is its layers' functors on the root (the point or
-the arrow), each pulled back along the root projection of the previous total
-space.  Every restriction is _pullback's walk over a chain of layers: the
-identities of bordisms, pack's fiber trusses and cover bordisms (a walk of
-the last stage with the labels, which installs no tower for that chain,
-once per distinct label category and content key, each the label
-category's own instance), and the ends of a tower over the arrow, which
-TrussTower.end forms once unless they were recorded: an identity bordism's
-are its tower, a cover bordism of pack's the fiber trusses over its cover,
-a composite's its factors' outer ends.
+a constant, a packed tower or a glue; all but the glue chain by construction
+and end in TrussTower._trusted, unchecked, with the ends their builder knows,
+and every tower _trusted installs is one the library returns or keeps.
+_trusted interns: while a tower it installed with equal layers over an equal
+base lives, it returns that one instance, the caller's ends merged into its
+own, so the memos and the end comparisons below mostly match by identity; the
+checking constructors, parse and unpack build fresh towers.  Towers compare
+and hash through poset._Keyed by (base, stages, labels), so a Bordism and a
+TrussTower with equal layers are equal both ways.  A constant tower is its
+layers' functors on the root (the point or the arrow), each pulled back along
+the root projection of the previous total space.  Every restriction is
+_pullback's walk over a chain of layers: the identities of bordisms, pack's
+fiber trusses and cover bordisms (a walk of the last stage with the labels,
+which installs no tower for that chain, once per distinct label category and
+content key), and the ends of a tower over the arrow, which TrussTower.end
+forms once unless they were recorded: an identity bordism's are its tower, a
+cover bordism of pack's the fiber trusses over its cover, a composite's its
+factors' outer ends.
 Composition builds the composite directly over the arrow, layer by layer,
 from the two bordisms' path tables: a crossing path goes through the first
 factorization middle over the seam, and every other middle is checked to
@@ -39,13 +38,20 @@ layer's layout, _layer_plan, is read by position off the three bases' up-set
 masks (the elements over "0" come first, and b2's are b1's seam).
 Composites, plans and identity bordisms are memoized by value in bounded
 caches that every caller shares, and pack's pieces in _PACKED, bounded too,
-so separate pack calls pull back a repeated piece once and close their label
-categories from the same composites.  The closure enters each morphism's
-composites with the identities at its ends as the morphism itself, uncomposed
-(the unit laws), and, a category by construction, is installed through
-LabelCategory._trusted.  oracles.audited() checks trusted towers with their
-recorded ends, re-proves the closure, composes its unit entries to prove them
-and, through _empty_tables, empties every table on entry and exit.
+so separate pack calls pull back a repeated piece once and compose its
+cover bordisms from the same composites.  pack labels in truss_category(C),
+C the tower's label category: one value per C that answers for any depth-1
+tower labelled in C and composes with compose_bordisms, so nothing is
+enumerated or closed.  pack proves its labels' path table with functor_table
+and installs the labels and the packed tower through their _trusted; the
+packed/v1 parser builds both through the checking constructors.
+truss_label_category, the explicit closure of some pieces under composition,
+enters each morphism's composites with the identities at its ends as the
+morphism itself, uncomposed (the unit laws), and, a category by
+construction, is installed through LabelCategory._trusted.
+oracles.audited() checks trusted towers with their recorded ends, trusted
+labels, and each closure, whose unit entries it composes to prove them, and,
+through _empty_tables, empties every table on entry and exit.
 _assemble glues towers over parts of a base for unpack, and for the oracles'
 "bordism-assoc" suite, which checks each composite against a glue; it lifts
 each piece's root map up the layers as _pullback lifts its map.
@@ -77,6 +83,7 @@ from .poset import (
     point_poset,
 )
 from .bundle import _PROVED, DeltaDiagram, LabelCategory, Labeling, _layout, _walk, total_space
+from .bundle import _check_category, functor_table
 
 
 def root_of(el):
@@ -167,7 +174,7 @@ class Bordism(TrussTower):
 @dataclass(frozen=True)
 class PackedTower:
     """A tower one level shallower whose labels are fiber trusses and cover
-    bordisms in a synthesized truss category."""
+    bordisms, in truss_category of the unpacked tower's label category."""
 
     tower: TrussTower
 
@@ -366,6 +373,39 @@ def _empty_tables():
     _PACKED.clear()
 
 
+class _Members:
+    """A table of truss_category: value(x) for a depth-1 tower x over root
+    labelled in the category labels; KeyError for anything else."""
+
+    def __init__(self, root: FinPoset, labels, value):
+        self._root, self._labels, self._value = root, labels, value
+
+    def __contains__(self, x):
+        return isinstance(x, TrussTower) and x.depth == 1 and x.base == self._root and x.labels.target == self._labels
+
+    def __getitem__(self, x):
+        if x not in self:
+            raise KeyError(x)
+        return self._value(x)
+
+
+class truss_category(_Keyed):
+    """Trs(C), the depth-1 towers labelled in the category C, on demand: its
+    objects are those over the point, identity[t] being identity_bordism(t),
+    and its morphisms those over the arrow, src[g] and dst[g] being g.end(0)
+    and g.end(1); any other key is a KeyError.  compose_pair is
+    compose_bordisms.  Nothing is enumerated or closed, and the value
+    equals and hashes by C, so it needs no memo."""
+
+    compose_pair = staticmethod(compose_bordisms)
+    identity_of = property(lambda self: self.identity.__getitem__)
+
+    def __init__(self, labels):
+        self.labels, self._key, self._hash = labels, (labels,), hash((labels,))
+        self.identity = _Members(point_poset(), labels, identity_bordism)
+        self.src, self.dst = (_Members(arrow_poset(), labels, lambda g, k=k: g.end(k)) for k in (0, 1))
+
+
 def truss_label_category(objects, generators) -> LabelCategory:
     """The finite category generated by labelled trusses, their identity
     bordisms and the given generators, closed under composition; a composite
@@ -416,13 +456,22 @@ def truss_label_category(objects, generators) -> LabelCategory:
 
 
 def _packed_tower(base: FinPoset, stages, domain: FinPoset, fibers: dict, gens: dict) -> PackedTower:
-    """The packed tower whose labels on domain are the fiber trusses and
-    cover bordisms given, each replaced by the equal instance of the
-    synthesized category; pack and the packed/v1 parser both end here."""
-    cat = truss_label_category(fibers.values(), gens.values())
-    lab = Labeling(domain, cat, {x: cat._objects[o] for x, o in fibers.items()},
-                   {c: cat._morphisms[g] for c, g in gens.items()})
-    return PackedTower(TrussTower(base, stages, lab))
+    """The packed/v1 parser's packed tower: the fiber trusses must lie over
+    the point and share one label category C, and the cover bordisms must
+    lie over the arrow with their ends among the fiber trusses; then the
+    labels on domain, in truss_category(C), and the tower are built by
+    their checking constructors."""
+    objs, cat = set(fibers.values()), fibers[domain.elements[0]].labels.target
+    if any(o.base != point_poset() for o in objs):
+        raise PackingError("an object is not a tower over the point")
+    if any(o.labels.target != cat for o in objs):
+        raise PackingError("fiber trusses are labelled in different categories")
+    for g in gens.values():
+        if g.base != arrow_poset():
+            raise PackingError("a generator is not a bordism: its base is not the arrow poset")
+        if g.end(0) not in objs or g.end(1) not in objs:
+            raise PackingError("a generator's endpoint is not among the objects")
+    return PackedTower(TrussTower(base, stages, Labeling(domain, truss_category(cat), fibers, gens)))
 
 
 # pack's fiber trusses and cover bordisms by (label category, content key),
@@ -432,8 +481,8 @@ _PACKED = {}
 
 def pack(t: TrussTower) -> PackedTower:
     """Trade the last stage for labels: each element of its base becomes a
-    labelled fiber truss, each covering relation a cover bordism, and the
-    label category is synthesized by closing these under composition.
+    labelled fiber truss, each covering relation a cover bordism, labelled
+    in truss_category(C), C the tower's label category.
     Each piece's content key is read in one pass over the top: for the fiber
     truss over x, last.ord[x] and the labels on x's fiber in the top's index
     order; for the cover bordism over (x, y), both fiber keys,
@@ -442,7 +491,10 @@ def pack(t: TrussTower) -> PackedTower:
     installs no tower for the chain itself, and runs once per distinct
     (label category, key) across calls: _PACKED keeps the pieces made, its
     oldest entry leaving first past 2048, and _empty_tables empties it.  A
-    cover bordism records its ends, the fiber trusses over x and y."""
+    cover bordism records its ends, the fiber trusses over x and y.  The
+    labels are a functor by construction: functor_table composes their path
+    table, and the labels and the packed tower install through _trusted,
+    unchecked."""
     if not isinstance(t, TrussTower) or t.depth < 1:
         raise PackingError("pack needs a tower of depth at least 1")
     last = t.stages[-1]
@@ -472,7 +524,9 @@ def pack(t: TrussTower) -> PackedTower:
                      arrow_poset(), {"0": x, "1": y}, {0: fibers[x], 1: fibers[y]})
         for (x, y) in dom.covers()
     }
-    return _packed_tower(t.base, t.stages[:-1], dom, fibers, gens)
+    cat = truss_category(lab.target)
+    table = functor_table(dom, cat, fibers, gens)[0]  # a functor by construction: no diagnostic
+    return PackedTower(TrussTower._trusted(t.base, t.stages[:-1] + (Labeling._trusted((dom, cat, fibers), table),)))
 
 
 def unpack(p: PackedTower) -> TrussTower:
@@ -507,7 +561,7 @@ def unpack(p: PackedTower) -> TrussTower:
     return TrussTower(t.base, t.stages + (d_last,), labels)
 
 
-def constant_inclusion(data, label, cat: LabelCategory):
+def constant_inclusion(data, label, cat):
     """Constant towers and bordisms.
 
     A list of ordinals with an object label gives the tower over the point
@@ -517,8 +571,7 @@ def constant_inclusion(data, label, cat: LabelCategory):
     labels, is a functor on the root (the point or the arrow) pulled back
     along the root projection of the previous total space.
     """
-    if not isinstance(cat, LabelCategory):
-        raise DomainError("constant_inclusion needs a LabelCategory")
+    _check_category(cat, DomainError, "constant_inclusion needs a category")
     try:
         entries = list(data)
     except TypeError:

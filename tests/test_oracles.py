@@ -53,7 +53,7 @@ from trusskit.oracles import (
     poset_maps,
     tower_family,
 )
-from trusskit.tower import TrussTower, compose_bordisms, identity_bordism, pack, unpack
+from trusskit.tower import TrussTower, compose_bordisms, identity_bordism, pack, truss_label_category, unpack
 from conftest import one_wrong_entry
 
 
@@ -294,19 +294,35 @@ class OneWrongComposite(LabelCategory):
         return super()._trusted(objects, morphisms, src, dst, identity, compose)
 
 
+def close_packed_labels(max_ordinal=2, seed=0) -> Report:
+    """The closure pack made per call before it labelled in truss_category:
+    truss_label_category of the fiber trusses and cover bordisms of pack(t),
+    for each source t of the derived suite."""
+    for t in tower_family(seed, max_ordinal) + bordism_family(seed):
+        lab = pack(t).tower.labels
+        truss_label_category(lab.on_objects.values(), lab.on_relations.values())
+    return Report.ok({})
+
+
+# the explicit closure, audited as a SUITES entry is
+CLOSURES = oracles._audited_suite(close_packed_labels)
+
+
 def test_audit_catches_a_wrong_closure_entry(monkeypatch):
     monkeypatch.setattr(tower, "LabelCategory", OneWrongComposite)
-    assert_caught(SUITES["pack"](), "label category")
+    assert_caught(CLOSURES(), "label category")
 
 
 def test_audit_catches_a_wrong_seeded_unit_entry(monkeypatch):
     # identity_bordism gives a loop g with g then g not g for g's end, so the
     # closure enters g then g as g uncomposed, and its table is still a category
-    loop = next(m for t in tower_family(0, 2) if t.depth >= 1 for m in pack(t).tower.labels.target.morphisms
+    labels = [pack(t).tower.labels for t in tower_family(0, 2) if t.depth >= 1]
+    loop = next(m for lab in labels
+                for m in truss_label_category(lab.on_objects.values(), lab.on_relations.values()).morphisms
                 if m.end(0) == m.end(1) and compose_bordisms(m, m) != m)
     real = tower.identity_bordism
     monkeypatch.setattr(tower, "identity_bordism", lambda o: loop if o == loop.end(0) else real(o))
-    report = SUITES["pack"]()
+    report = CLOSURES()
     monkeypatch.undo()
     assert_caught(report, "label category")
     assert report.diagnostics[0][1].startswith("a unit law fails at morphism"), report.diagnostics
@@ -582,7 +598,7 @@ def test_audit_checks_each_distinct_category_once(monkeypatch):
     built = []
     real = LabelCategory._validate
     monkeypatch.setattr(LabelCategory, "_validate", lambda self: built.append(self) or real(self))
-    report = SUITES["derived"]()
+    report = CLOSURES()
     # 756 closure installs and 4 of from_poset's, which installs through _trusted
     assert report.is_ok and report.counts["category_checks"] == 760
     rebuilt = [c for c in built if isinstance(c.objects[0], TrussTower)]  # not from_poset's

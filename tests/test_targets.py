@@ -3,6 +3,7 @@ category at desk scale, oracles.functors takes a category value, and so
 does a Labeling."""
 
 import itertools
+import json
 import re
 from types import SimpleNamespace
 
@@ -11,25 +12,33 @@ import pytest
 from trusskit import (
     POINT_ELEMENT,
     DeltaDiagram,
+    DeltaMap,
+    DomainError,
     FinPoset,
     LabelCategory,
     Labeling,
     LabelingError,
     NablaDiagram,
     Ordinal,
+    PackedTower,
+    PackingError,
     ParseError,
     PLMeshBundle,
     TrussTower,
     arrow_poset,
+    compose_bordisms,
+    constant_inclusion,
     dumps,
     identity_bordism,
     pack,
+    parse,
     point_poset,
     total_space,
     unpack,
 )
 from trusskit.mesh import realize_1truss
-from trusskit.oracles import functors
+from trusskit.oracles import functors, tower_family
+from trusskit.tower import truss_category
 from trusskit.ordinal import Delta, enumerate_delta_maps, enumerate_nabla_maps
 
 INTERVALS = [Ordinal(n) for n in (1, 2, 3)]
@@ -154,3 +163,115 @@ def test_a_category_value_must_be_hashable_and_have_the_tables_and_operations():
         with pytest.raises(LabelingError, match=re.escape(
                 f"a Labeling's target must be a category, got {type(target).__name__}")):
             Labeling(arrow_poset(), target, {"0": "*", "1": "*"}, {("0", "1"): "e"})
+
+
+def test_a_plain_category_labels_constant_towers_and_bordisms():
+    alpha = DeltaMap(1, 2, (0, 2))
+    for data, label in (([1, 2], "*"), ([alpha], "e")):
+        plain, group = (constant_inclusion(data, label, target) for target in (PLAIN, Z2))
+        assert plain.labels.target is PLAIN and plain.base == group.base and plain.stages == group.stages
+        assert plain.labels.on_objects == group.labels.on_objects
+        assert plain.labels.on_relations == group.labels.on_relations
+    b = constant_inclusion([alpha], "e", PLAIN)
+    assert b.end(0) == constant_inclusion([1], "*", PLAIN) and b.end(1) == constant_inclusion([2], "*", PLAIN)
+    # the refusals read the same tables, so their texts are the LabelCategory's
+    for data, label in (([1], "zz"), ([alpha], "zz"), ([], "zz"), ([1], ["*"])):
+        texts = []
+        for target in (PLAIN, Z2):
+            with pytest.raises(DomainError) as refused:
+                constant_inclusion(data, label, target)
+            texts.append(str(refused.value))
+        assert texts[0] == texts[1]
+    with pytest.raises(DomainError, match="constant_inclusion needs a category, got object"):
+        constant_inclusion([1], "*", object())
+
+
+def test_the_truss_category_equals_and_hashes_by_its_labels():
+    again = LabelCategory(Z2.objects, Z2.morphisms, Z2.src, Z2.dst, Z2.identity, Z2.compose)
+    assert again is not Z2 and truss_category(again) == truss_category(Z2)
+    assert hash(truss_category(again)) == hash(truss_category(Z2))
+    assert truss_category(PLAIN) != truss_category(Z2) != Z2
+    assert truss_category(truss_category(Z2)) == truss_category(truss_category(again))
+    assert truss_category(truss_category(Z2)) != truss_category(Z2)
+
+
+def test_the_truss_category_answers_only_for_depth_1_towers_labelled_in_its_category():
+    cat = truss_category(Z2)
+    t, g = constant_inclusion([1], "*", Z2), constant_inclusion([DeltaMap(1, 1, (0, 1))], "e", Z2)
+    assert cat.identity[t] == cat.identity_of(t) == identity_bordism(t)
+    assert (cat.src[g], cat.dst[g]) == (g.end(0), g.end(1)) == (t, t)
+    assert cat.compose_pair(g, g) == compose_bordisms(g, g)
+    deep, other = constant_inclusion([1, 1], "*", Z2), constant_inclusion([1], "*", PLAIN)
+    deep_g = constant_inclusion([DeltaMap(1, 1, (0, 1))] * 2, "e", Z2)
+    other_g = constant_inclusion([DeltaMap(1, 1, (0, 1))], "e", PLAIN)
+    # a depth-2 tower, one labelled in another category, a bordism as an object, an object as a morphism
+    for table, wrong in ((cat.identity, (deep, other, g, "*", 5)), (cat.src, (deep_g, other_g, t, "e", 5)),
+                         (cat.dst, (deep_g, other_g, t, "e", 5))):
+        for x in wrong:
+            assert x not in table
+            with pytest.raises(KeyError):
+                table[x]
+    # so a Labeling in it words its refusals as in any category
+    with pytest.raises(LabelingError, match="of 'pt' is not an object"):
+        Labeling(point_poset(), cat, {POINT_ELEMENT: deep}, {})
+    with pytest.raises(LabelingError, match=r"of cover \('0', '1'\) is not a morphism"):
+        Labeling(arrow_poset(), cat, {"0": t, "1": t}, {("0", "1"): other_g})
+
+
+def test_pack_and_the_parser_label_in_the_truss_category_of_the_labels():
+    towers = [t for t in tower_family(0, 1) if t.depth >= 1][::7]
+    for t in towers:
+        p = pack(t)
+        assert p.tower.labels.target == truss_category(t.labels.target)
+        assert parse(dumps(p)).tower.labels.target == truss_category(t.labels.target)
+    doubles = [t for t in towers if t.depth >= 2]
+    for t in doubles:
+        twice = pack(pack(t).tower)
+        assert twice.tower.labels.target == truss_category(truss_category(t.labels.target))
+        assert unpack(PackedTower(unpack(twice))) == t
+    assert doubles
+
+
+def _tampered_packed(edit) -> str:
+    """dumps(pack(t)) of a depth-2 tower whose last stage has covers, as a
+    JSON object edited in place by edit."""
+    t = next(t for t in tower_family(0, 1) if t.depth == 2 and t.stages[-1].base.covers())
+    obj = json.loads(dumps(pack(t)))
+    edit(obj, t)
+    return json.dumps(obj)
+
+
+def _foreign_end(obj, t):
+    foreign = constant_inclusion([5], t.labels.target.objects[0], t.labels.target)
+    obj["relations"]["pt.s0->pt.r0"] = json.loads(dumps(identity_bordism(foreign)))
+
+
+def _identity_at_r0(obj, t):
+    fiber = pack(t).tower.labels.on_objects[t.stages[-1].base.elements[0]]
+    obj["relations"]["pt.s0->pt.r0"] = json.loads(dumps(identity_bordism(fiber)))
+
+
+def _extra_object(obj, t):
+    cat = obj["objects"]["pt.s0"]["labels"]["category"]
+    cat["objects"].append("z")
+    cat["morphisms"].append("z<=z")
+    cat["src"]["z<=z"] = cat["dst"]["z<=z"] = "z"
+    cat["identity"]["z"] = "z<=z"
+    cat["compose"]["z<=z|z<=z"] = "z<=z"
+
+
+@pytest.mark.parametrize("edit, error, text", [
+    (lambda obj, t: obj["objects"].update({"pt.r0": obj["relations"]["pt.s0->pt.r0"]}),
+     PackingError, "an object is not a tower over the point"),
+    (lambda obj, t: obj["relations"].update({"pt.s0->pt.r0": obj["objects"]["pt.r0"]}),
+     PackingError, "a generator is not a bordism: its base is not the arrow poset"),
+    (_foreign_end, PackingError, "a generator's endpoint is not among the objects"),
+    (_extra_object, PackingError, "fiber trusses are labelled in different categories"),
+    (_identity_at_r0, LabelingError,
+     "label of cover (('pt', Stratum(kind='s', index=0, n=1)), ('pt', Stratum(kind='r', index=0, n=1)))"
+     " has wrong endpoints"),
+], ids=["object over the arrow", "generator over the point", "foreign end", "mixed categories", "wrong ends"])
+def test_the_packed_parser_refuses_bad_pieces_in_its_own_words(edit, error, text):
+    with pytest.raises(error) as refused:
+        parse(_tampered_packed(edit))
+    assert str(refused.value) == text

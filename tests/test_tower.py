@@ -89,7 +89,7 @@ from trusskit.oracles import (
     tower_family,
 )
 from trusskit.poset import bits, path_poset
-from trusskit.tower import root_of
+from trusskit.tower import root_of, truss_category
 from conftest import terminal_labeling
 
 
@@ -323,11 +323,13 @@ def test_unpack_rejects_tampered_labels(single_node):
 
 
 def test_truss_label_category_closure(single_node, chain_cat):
-    p = pack(single_node)
-    cat = p.tower.labels.target
-    # closed under composition: every table entry is again a bordism
+    lab = pack(single_node).tower.labels
+    cat = truss_label_category(lab.on_objects.values(), lab.on_relations.values())
+    # closed under composition: every table entry is again a bordism, the
+    # category's own instance
+    own = {id(m) for m in cat.morphisms}
     for (f, g), h in cat.compose.items():
-        assert h in set(cat.morphisms)
+        assert h in set(cat.morphisms) and id(h) in own
     # identities restrict to their object on both ends
     for obj in cat.objects:
         ident = cat.identity[obj]
@@ -866,13 +868,13 @@ def test_derived_suite_rebuilds_every_pulled_back_layer():
 
 def test_pack_pulls_back_once_per_distinct_label(monkeypatch):
     calls, mine = [], []
-    real, close = tower._pullback, tower._packed_tower
+    real, table = tower._pullback, tower.functor_table
     monkeypatch.setattr(tower, "_pullback",
                         lambda t, root, image, ends=None: calls.append(root) or real(t, root, image, ends))
     # pack's own pullbacks are those of its last stage with t's labels, all
-    # made before it closes the label category; the closure's identities
+    # made before it builds its labels' path table; the table's identities
     # may pull back a fiber that is pack's own top, one interned instance
-    monkeypatch.setattr(tower, "_packed_tower", lambda *args: mine.extend(calls) or close(*args))
+    monkeypatch.setattr(tower, "functor_table", lambda *args: mine.extend(calls) or table(*args))
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
     tower._empty_tables()
     made, labels = 0, []
@@ -944,18 +946,18 @@ def test_unpack_of_pack_restricts_no_bordism(monkeypatch):
 
 def test_parsed_packed_labels_are_the_category_instances():
     towers = [t for t in tower_family(0, 2) if t.depth >= 2][::20]
-    merged = 0
+    checked = 0
     for t in towers:
         p = pack(t)
         q = parse(dumps(p))
         lab, cat = q.tower.labels, q.tower.labels.target
-        own = {id(m) for m in cat.objects + cat.morphisms}
-        labels = list(lab.on_objects.values()) + list(lab.on_relations.values())
-        assert all(id(x) in own for x in labels)
-        assert all(id(h) in own for h in cat.compose.values())
+        # the parser labels in the truss category pack labels in, checked
+        assert cat == p.tower.labels.target == truss_category(t.labels.target)
+        assert all(x in cat.identity for x in lab.on_objects.values())
+        assert all(g in cat.src and g in cat.dst for g in lab.on_relations.values())
         assert q == p and dumps(q) == dumps(p) and unpack(q) == t
-        merged += len(labels) - len({id(x) for x in labels})
-    assert merged > 0
+        checked += len(lab.on_relations)
+    assert checked > 0
 
 
 # -- one trusted install for every tower the library builds ------------------
@@ -969,8 +971,13 @@ def test_trusted_builders_match_the_checking_constructor(chain_cat):
     built += [pullback_tower(b, PosetMap(arrow_poset(), arrow_poset(), {"0": "0", "1": "0"}))]
     built += [h for pair in composable_pairs()[::5] for h in pair + (compose_bordisms(*pair),)]
     for t in [t for t in tower_family(0, 1) if t.depth >= 1][::9]:
-        cat = pack(t).tower.labels.target
-        built += [identity_bordism(t), *cat.objects, *cat.morphisms]
+        p = pack(t)
+        lab = p.tower.labels
+        closed = truss_label_category(lab.on_objects.values(), lab.on_relations.values())
+        built += [identity_bordism(t), *lab.on_objects.values(), *lab.on_relations.values(), *closed.morphisms]
+        # the packed tower itself, labelled in a truss category, prints as packed/v1
+        checked = TrussTower(p.tower.base, p.tower.stages, lab)
+        assert type(p.tower) is type(checked) and dumps(PackedTower(checked)) == dumps(p)
     for u in built:
         checked = (Bordism if u.base == arrow_poset() else TrussTower)(u.base, u.stages, u.labels)
         assert type(u) is type(checked) and dumps(u) == dumps(checked)
@@ -1091,11 +1098,22 @@ def test_pack_composes_each_distinct_pair_once(monkeypatch):
     monkeypatch.setattr(tower, "_composite", composite)
     memo.cache_clear()
     towers = [t for t in tower_family(0, 2) if t.depth >= 1]
+    labels, composed = [], {}
     for t in towers:
-        pack(t)
+        labels.append(pack(t).tower.labels)
+        composed[t.depth] = composed.get(t.depth, 0) + len(operands)
+        operands.clear()
     info = memo.cache_info()
     assert len(towers) == 465
-    # the closures enter their unit laws uncomposed, so no identity reaches _composite
+    # pack composes only along a relation of its domain that is no cover: a
+    # zigzag, the domain at depth 1 or 2 over the point, has none
+    assert composed == {1: 0, 2: 0, 3: 8} and info.misses == len(pairs) == 8 and info.hits == 0
+    memo.cache_clear()
+    pairs.clear()
+    for lab in labels:
+        truss_label_category(lab.on_objects.values(), lab.on_relations.values())
+    info = memo.cache_info()
+    # the explicit closures enter their unit laws uncomposed, so no identity reaches _composite
     assert info.misses == len(pairs) == 81 and info.hits == 23
     assert not any(b == identity_bordism(b.end(0)) for pair in operands for b in pair)
 
@@ -1193,7 +1211,7 @@ CATEGORY_GUARD = "the objects and the generators must be sequences of TrussTower
     pytest.param(lambda b, d, f: constant_inclusion(5, "a", b.labels.target), DomainError,
                  "data must be all ordinals or all maps", id="constant_inclusion(5, 'a', cat)"),
     pytest.param(lambda b, d, f: constant_inclusion([1], "*", 5), DomainError,
-                 "constant_inclusion needs a LabelCategory", id="constant_inclusion([1], '*', 5)"),
+                 "constant_inclusion needs a category, got int", id="constant_inclusion([1], '*', 5)"),
     pytest.param(lambda b, d, f: constant_inclusion([1], [], b.labels.target), DomainError,
                  "[] is not an object of the label category", id="constant_inclusion([1], [], cat)"),
     pytest.param(lambda b, d, f: constant_inclusion([], {}, b.labels.target), DomainError,
